@@ -63,12 +63,11 @@ let correctness_findings () =
       (if expect_violation then "VIOLATION" else "correct")
   in
   let qemu_gcc10 =
-    Mapping.Schemes.(
-      x86_to_arm Qemu_frontend { lowering = `Qemu; rmw = Helper_gcc10 })
+    let fe, be = Mapping.Schemes.qemu_preset in
+    Mapping.Schemes.x86_to_arm fe be
   in
   let qemu_gcc9 =
-    Mapping.Schemes.(
-      x86_to_arm Qemu_frontend { lowering = `Qemu; rmw = Helper_gcc9 })
+    Mapping.Schemes.(x86_to_arm Qemu_frontend (backend Qemu_frontend Helper_gcc9))
   in
   let risotto =
     let fe, be = Mapping.Schemes.risotto_rmw2_preset in
@@ -273,41 +272,15 @@ let bechamel_benches () =
 
 (* Every mapping scheme the test suite checks, over the whole corpus:
    the workload behind every Theorem-1 verdict in this repo. *)
-let all_schemes =
-  let open Mapping.Schemes in
-  let x86 = Axiom.X86_tso.model in
-  let tcg = Axiom.Tcg_model.model in
-  let arm_orig = Axiom.Arm_cats.model Axiom.Arm_cats.Original in
-  let arm_fix = Axiom.Arm_cats.model Axiom.Arm_cats.Corrected in
-  let rmw2_fe, rmw2_be = risotto_rmw2_preset in
-  let casal_fe, casal_be = risotto_casal_preset in
-  let qemu_fe, qemu_be = qemu_preset in
-  [
-    ("fig7a/x86->tcg", x86_to_tcg Risotto_frontend, x86, tcg);
-    ("fig2/x86->tcg", x86_to_tcg Qemu_frontend, x86, tcg);
-    ("qemu-gcc10/arm-fix", x86_to_arm qemu_fe qemu_be, x86, arm_fix);
-    ( "qemu-gcc9/arm-fix",
-      x86_to_arm Qemu_frontend { lowering = `Qemu; rmw = Helper_gcc9 },
-      x86,
-      arm_fix );
-    ("risotto-rmw2/arm-orig", x86_to_arm rmw2_fe rmw2_be, x86, arm_orig);
-    ("risotto-rmw2/arm-fix", x86_to_arm rmw2_fe rmw2_be, x86, arm_fix);
-    ("risotto-casal/arm-orig", x86_to_arm casal_fe casal_be, x86, arm_orig);
-    ("risotto-casal/arm-fix", x86_to_arm casal_fe casal_be, x86, arm_fix);
-    ("armcats-direct/arm-orig", x86_to_arm_direct_armcats, x86, arm_orig);
-    ("armcats-direct/arm-fix", x86_to_arm_direct_armcats, x86, arm_fix);
-    ( "no-fences/arm-fix",
-      x86_to_arm No_fences_frontend { lowering = `Risotto; rmw = Risotto_rmw1 },
-      x86,
-      arm_fix );
-  ]
+let all_schemes = Report.Sweep.mapping_entries ()
 
 let sweep_tasks () =
   List.concat_map
-    (fun (sname, f, src_model, tgt_model) ->
+    (fun (e : Report.Sweep.entry) ->
       List.map
-        (fun (tname, src) -> (sname, tname, f, src_model, tgt_model, src))
-        Litmus.Catalog.mapping_corpus)
+        (fun (tname, src) ->
+          (e.scheme, tname, e.f, e.src_model, e.tgt_model, src))
+        e.corpus)
     all_schemes
 
 let run_sweep ?pool tasks =

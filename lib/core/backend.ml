@@ -73,12 +73,7 @@ let cc_of_cond : Op.cond -> A.cc = function
   | Op.Geu -> A.Hs
 
 let barrier_of_fence (config : Config.t) f =
-  let lowering =
-    match config.fences with
-    | Config.Qemu_fences | Config.No_fences -> `Qemu
-    | Config.Risotto_fences -> `Risotto
-  in
-  match Mapping.Schemes.lower_fence lowering f with
+  match Mapping.Schemes.(lower_fence (lowering config.fences)) f with
   | Some E.F_dmb_full -> Some A.Full
   | Some E.F_dmb_ld -> Some A.Ld
   | Some E.F_dmb_st -> Some A.St
@@ -103,13 +98,13 @@ let compile (config : Config.t) (b : Tcg.Block.t) =
   let ins i = emit (I i) in
   let lower_cas ~old ~addr ~expect ~desired =
     match config.rmw with
-    | Config.Native_casal ->
+    | Mapping.Schemes.Risotto_rmw1 ->
         (* casal needs the compare value in the destination register:
            stage through scratch, then move the old value out. *)
         ins (A.Mov (scratch0, reg expect));
         ins (A.Cas { acq = true; rel = true; cmp = scratch0; swap = reg desired; base = reg addr });
         ins (A.Mov (reg old, scratch0))
-    | Config.Native_rmw2 ->
+    | Mapping.Schemes.Risotto_rmw2 ->
         let retry = !next_backend_label in
         let done_ = !next_backend_label + 1 in
         next_backend_label := !next_backend_label + 2;
@@ -122,13 +117,13 @@ let compile (config : Config.t) (b : Tcg.Block.t) =
         emit (Branch ((fun ix -> A.Cbnz (scratch1, ix)), retry));
         emit (L done_);
         ins (A.Dmb A.Full)
-    | Config.Helper _ ->
+    | Mapping.Schemes.(Helper_gcc9 | Helper_gcc10) ->
         Fault.raise_ ~pc:b.Tcg.Block.guest_pc Fault.Backend_fault
           "Cas op under helper RMW strategy"
   in
   let lower_atomic ~op ~old ~addr ~src =
     match config.rmw with
-    | Config.Native_casal ->
+    | Mapping.Schemes.Risotto_rmw1 ->
         (* LSE single-instruction atomics; like casal, their full-fence
            behaviour needs the corrected Arm-Cats model (§3.3). *)
         ins
@@ -137,7 +132,7 @@ let compile (config : Config.t) (b : Tcg.Block.t) =
               A.Ldadd { acq = true; rel = true; old = reg old; src = reg src; base = reg addr }
           | `Xchg ->
               A.Swp { acq = true; rel = true; old = reg old; src = reg src; base = reg addr })
-    | Config.Native_rmw2 | Config.Helper _ ->
+    | Mapping.Schemes.(Risotto_rmw2 | Helper_gcc9 | Helper_gcc10) ->
         (* Figure 7b's RMW2 form: DMBFF-bracketed exclusive loop. *)
         let retry = !next_backend_label in
         incr next_backend_label;

@@ -1,11 +1,10 @@
-type fence_scheme = Qemu_fences | Risotto_fences | No_fences
-type rmw_strategy = Helper of [ `Gcc9 | `Gcc10 ] | Native_casal | Native_rmw2
+module S = Mapping.Schemes
 
 type t = {
   name : string;
-  fences : fence_scheme;
+  fences : S.frontend;
   passes : Tcg.Pipeline.pass list;
-  rmw : rmw_strategy;
+  rmw : S.rmw_lowering;
   host_linker : bool;
   inject : Inject.plan;
   chain : bool;
@@ -17,9 +16,9 @@ type t = {
 let qemu =
   {
     name = "qemu";
-    fences = Qemu_fences;
+    fences = S.Qemu_frontend;
     passes = Tcg.Pipeline.qemu_default;
-    rmw = Helper `Gcc10;
+    rmw = S.Helper_gcc10;
     host_linker = false;
     inject = [];
     chain = true;
@@ -28,13 +27,13 @@ let qemu =
     sync_compile = true;
   }
 
-let no_fences = { qemu with name = "no-fences"; fences = No_fences }
+let no_fences = { qemu with name = "no-fences"; fences = S.No_fences_frontend }
 
 let tcg_ver =
   {
     qemu with
     name = "tcg-ver";
-    fences = Risotto_fences;
+    fences = S.Risotto_frontend;
     passes = Tcg.Pipeline.risotto_default;
   }
 
@@ -42,7 +41,7 @@ let risotto =
   {
     tcg_ver with
     name = "risotto";
-    rmw = Native_casal;
+    rmw = S.Risotto_rmw1;
     host_linker = true;
   }
 

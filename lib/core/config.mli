@@ -1,25 +1,24 @@
 (** DBT configurations: the four setups of the paper's evaluation
     (§7.1) plus the knobs they are made of. *)
 
-(** Which fences the frontend emits around guest accesses. *)
-type fence_scheme =
-  | Qemu_fences  (** Figure 2: [Fmr; ld], [Fmw; st] *)
-  | Risotto_fences  (** Figure 7a: [ld; Frm], [Fww; st] *)
-  | No_fences  (** incorrect oracle: no ordering enforcement *)
-
-(** How guest atomic RMWs are translated. *)
-type rmw_strategy =
-  | Helper of [ `Gcc9 | `Gcc10 ]
-      (** Qemu: call into a helper built on GCC atomics — an
-          [ldaxr]/[stlxr] pair with GCC 9, [casal] with GCC 10 (§3.1) *)
-  | Native_casal  (** Risotto: direct [casal] translation (§6.3) *)
-  | Native_rmw2  (** Risotto: [DMBFF; LDXR/STXR; DMBFF] (Figure 7b) *)
-
 type t = {
   name : string;
-  fences : fence_scheme;
+  fences : Mapping.Schemes.frontend;
+      (** the row of the mapping table the frontend emits: which fences
+          go around guest loads, stores, RMWs and MFENCEs
+          ({!Mapping.Schemes.fences}).  The backend's fence lowering
+          follows from it ({!Mapping.Schemes.lowering}).  [Qemu_frontend]
+          (Figure 2), [Risotto_frontend] (Figure 7a), or
+          [No_fences_frontend] (the incorrect oracle: no ordering fences,
+          MFENCE still kept as [Fsc]). *)
   passes : Tcg.Pipeline.pass list;
-  rmw : rmw_strategy;
+  rmw : Mapping.Schemes.rmw_lowering;
+      (** how guest atomic RMWs are translated: [Helper_gcc9] /
+          [Helper_gcc10] call into Qemu's helper built on GCC atomics
+          (an [ldaxr]/[stlxr] pair with GCC 9, [casal] with GCC 10,
+          §3.1); [Risotto_rmw1] emits [casal] and LSE atomics directly
+          (§6.3); [Risotto_rmw2] emits [DMBFF; LDXR/STXR; DMBFF]
+          (Figure 7b). *)
   host_linker : bool;
   inject : Inject.plan;  (** fault-injection plan; [[]] in all presets *)
   chain : bool;

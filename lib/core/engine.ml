@@ -259,6 +259,28 @@ let reset t =
   Tbchain.flush t.tbs;
   Hashtbl.reset t.tcg_cache
 
+(* The one compile path, eager or queued: run [compile] (the backend
+   over one block) unless the compile injection already fired, and
+   classify every failure as a backend fault located at [pc]. *)
+let compile_block ~pc ~injected compile =
+  if injected then
+    Error (Fault.make ~pc Fault.Backend_fault "injected compile fault")
+  else
+    match compile () with
+    | code -> Ok code
+    | exception Fault.Fault f -> Error (Fault.locate ~pc f)
+    | exception Backend.Register_pressure p ->
+        Error
+          (Fault.make ~pc Fault.Backend_fault
+             (Printf.sprintf "register pressure in block 0x%Lx" p))
+
+let count_fences t code =
+  t.stats.fences_emitted <-
+    t.stats.fences_emitted
+    + Array.fold_left
+        (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
+        0 code
+
 let translate t pc =
   Obs.Trace.with_span ~cat:"engine"
     ~args:(fun () -> [ ("pc", Printf.sprintf "0x%Lx" pc) ])
@@ -291,29 +313,16 @@ let translate t pc =
     Tbchain.insert t.tbs pc (Interp_only optimized)
   else begin
     let compiled =
-      if Inject.fire t.inject Inject.Compile then
-        Error (Fault.make ~pc Fault.Backend_fault "injected compile fault")
-      else
-        match
+      compile_block ~pc ~injected:(Inject.fire t.inject Inject.Compile)
+        (fun () ->
           Obs.Trace.with_span ~cat:"engine" "backend" (fun () ->
               Obs.Profile.time (Lazy.force m_compile_ns) (fun () ->
-                  Backend.compile t.config optimized))
-        with
-        | code -> Ok code
-        | exception Fault.Fault f -> Error (Fault.locate ~pc f)
-        | exception Backend.Register_pressure p ->
-            Error
-              (Fault.make ~pc Fault.Backend_fault
-                 (Printf.sprintf "register pressure in block 0x%Lx" p))
+                  Backend.compile t.config optimized)))
     in
     let body =
       match compiled with
       | Ok code ->
-          t.stats.fences_emitted <-
-            t.stats.fences_emitted
-            + Array.fold_left
-                (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
-                0 code;
+          count_fences t code;
           Native code
       | Error f ->
           (* Degraded mode: the block stays on the TCG interpreter.  The
@@ -378,11 +387,7 @@ let apply_install t inst =
                state Queued the active translation is the body. *)
             node.Tbchain.active <- node.Tbchain.body;
             node.Tbchain.tier.Tier.state <- Tier.Published;
-            t.stats.fences_emitted <-
-              t.stats.fences_emitted
-              + Array.fold_left
-                  (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
-                  0 code;
+            count_fences t code;
             t.stats.tier1_installed <- t.stats.tier1_installed + 1;
             Obs.Flight.record t.flight Obs.Flight.Tier_published inst.i_pc
               inst.i_gen;
@@ -440,16 +445,7 @@ let request_compile t node =
       let config = t.config in
       let job () =
         let result =
-          if injected then
-            Error (Fault.make ~pc Fault.Backend_fault "injected compile fault")
-          else
-            match Backend.compile config tcg with
-            | code -> Ok code
-            | exception Fault.Fault f -> Error (Fault.locate ~pc f)
-            | exception Backend.Register_pressure p' ->
-                Error
-                  (Fault.make ~pc Fault.Backend_fault
-                     (Printf.sprintf "register pressure in block 0x%Lx" p'))
+          compile_block ~pc ~injected (fun () -> Backend.compile config tcg)
         in
         let done_us = if req_us > 0. then Obs.Profile.now_us () else 0. in
         Mutex.lock t.completions_m;
@@ -576,7 +572,7 @@ let json_of_ledger_entry (e : Tcg.Fence_ledger.entry) =
       ( "guest_pc",
         Report.Json.String (Printf.sprintf "0x%Lx" e.Tcg.Fence_ledger.origin.Tcg.Op.opc) );
       ( "rule",
-        Report.Json.String (Tcg.Op.rule_name e.Tcg.Fence_ledger.origin.Tcg.Op.rule) );
+        Report.Json.String e.Tcg.Fence_ledger.origin.Tcg.Op.rule );
       ( "outcome",
         Report.Json.String (Tcg.Fence_ledger.outcome_name e.Tcg.Fence_ledger.outcome) );
     ]
@@ -586,7 +582,7 @@ let json_of_ledger_entry (e : Tcg.Fence_ledger.entry) =
     | Tcg.Fence_ledger.Merged { into; result } ->
         [
           ("into_pc", Report.Json.String (Printf.sprintf "0x%Lx" into.Tcg.Op.opc));
-          ("into_rule", Report.Json.String (Tcg.Op.rule_name into.Tcg.Op.rule));
+          ("into_rule", Report.Json.String into.Tcg.Op.rule);
           ("result", Report.Json.String (Axiom.Event.fence_name result));
         ]
     | Tcg.Fence_ledger.Strengthened { from } ->
@@ -747,9 +743,11 @@ let fault_thread t g f =
   dump_postmortem t ~reason:("trap: " ^ Fault.to_string f)
 
 (* Degraded execution: run the TCG block in the interpreter against
-   this thread's pinned state.  Globals 0–15 mirror the guest GP
-   registers and cmp_a/cmp_b the lazy flags, so they are copied in and
-   out around the block; helpers dispatch through the machine's
+   this thread's pinned state.  Every TCG global lives in the Arm
+   register of the same number — 0–15 the guest GP registers, 16/17
+   (cmp_a/cmp_b) the lazy flags — so they are copied in and out around
+   the block, and a block may set the flags on one tier and branch on
+   them on the other; helpers dispatch through the machine's
    registry (so syscalls, RMW helpers and host calls behave exactly as
    in native execution). *)
 let step_interp t g b =
@@ -760,18 +758,13 @@ let step_interp t g b =
     | None -> raise (Tcg.Interp.No_helper name)
   in
   let env = Tcg.Interp.create_env ~helpers t.mem in
-  for r = 0 to 15 do
-    env.Tcg.Interp.temps.(Tcg.Op.guest_reg r) <- arm.Arm.Machine.regs.(r)
+  for r = 0 to Tcg.Op.nb_globals - 1 do
+    env.Tcg.Interp.temps.(r) <- arm.Arm.Machine.regs.(r)
   done;
-  let ca, cb = arm.Arm.Machine.cmp in
-  env.Tcg.Interp.temps.(Tcg.Op.cmp_a) <- ca;
-  env.Tcg.Interp.temps.(Tcg.Op.cmp_b) <- cb;
   let res = Tcg.Interp.exec_block env b in
-  for r = 0 to 15 do
-    arm.Arm.Machine.regs.(r) <- env.Tcg.Interp.temps.(Tcg.Op.guest_reg r)
+  for r = 0 to Tcg.Op.nb_globals - 1 do
+    arm.Arm.Machine.regs.(r) <- env.Tcg.Interp.temps.(r)
   done;
-  arm.Arm.Machine.cmp <-
-    (env.Tcg.Interp.temps.(Tcg.Op.cmp_a), env.Tcg.Interp.temps.(Tcg.Op.cmp_b));
   res
 
 let exec t g = function
@@ -854,9 +847,8 @@ let trace_limit = 8
    static successor (the only seams [Tcg.Block.concat] can stitch —
    computed jumps never qualify because they dilute dominance through
    the profile's [other] bucket).  Revisits are allowed, so a self-loop
-   unrolls.  This replaces [Tbchain.hottest_path]'s static hottest-edge
-   walk: edges only exist where chaining happened to patch them,
-   whereas the profile sees every observed exit. *)
+   unrolls.  The profile sees every observed exit, not only the ones
+   chaining happened to patch into edges. *)
 let profile_path t head ~limit =
   let rec go acc n k =
     if k = 0 then List.rev acc

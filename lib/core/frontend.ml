@@ -1,5 +1,5 @@
-module E = Axiom.Event
 module Op = Tcg.Op
+module S = Mapping.Schemes
 
 type t = {
   config : Config.t;
@@ -61,28 +61,29 @@ let ea ctx (m : X86.Insn.mem) =
       | None -> ());
       (t, m.disp)
 
-(* Guest load/store with the configured mapping scheme.  Each mapping
-   fence is tagged with the guest pc and rule that introduced it, so the
-   optimizer's ledger can attribute merges back to instructions. *)
+(* The fences the mapping table places on one side of a guest access,
+   each tagged with the guest pc and the table row that placed it, so
+   the optimizer's ledger can attribute merges back to instructions. *)
+let rec emit_fences ctx origin = function
+  | [] -> ()
+  | f :: rest ->
+      emit ctx (Op.Mb (f, origin));
+      emit_fences ctx origin rest
+
+let place ctx ~pc fences side access =
+  match S.fences fences side access with
+  | [] -> ()
+  | fs -> emit_fences ctx { Op.opc = pc; rule = S.rule_name side access } fs
+
 let guest_load ctx ~pc fences dst base off =
-  match (fences : Config.fence_scheme) with
-  | Config.Qemu_fences ->
-      emit ctx (Op.mb ~origin:{ opc = pc; rule = Op.R_pre_load } E.F_mr);
-      emit ctx (Op.Ld (dst, base, off))
-  | Config.Risotto_fences ->
-      emit ctx (Op.Ld (dst, base, off));
-      emit ctx (Op.mb ~origin:{ opc = pc; rule = Op.R_post_load } E.F_rm)
-  | Config.No_fences -> emit ctx (Op.Ld (dst, base, off))
+  place ctx ~pc fences `Pre `Load;
+  emit ctx (Op.Ld (dst, base, off));
+  place ctx ~pc fences `Post `Load
 
 let guest_store ctx ~pc fences src base off =
-  match (fences : Config.fence_scheme) with
-  | Config.Qemu_fences ->
-      emit ctx (Op.mb ~origin:{ opc = pc; rule = Op.R_pre_store } E.F_mw);
-      emit ctx (Op.St (src, base, off))
-  | Config.Risotto_fences ->
-      emit ctx (Op.mb ~origin:{ opc = pc; rule = Op.R_store } E.F_ww);
-      emit ctx (Op.St (src, base, off))
-  | Config.No_fences -> emit ctx (Op.St (src, base, off))
+  place ctx ~pc fences `Pre `Store;
+  emit ctx (Op.St (src, base, off));
+  place ctx ~pc fences `Post `Store
 
 let alu_binop : X86.Insn.alu -> Op.binop = function
   | X86.Insn.Add -> Op.Add
@@ -153,11 +154,25 @@ let cmpxchg_flags ctx old =
   emit ctx (Op.Mov (Op.cmp_b, old));
   emit ctx (Op.Mov (rax, old))
 
-let helper_name (config : Config.t) base =
-  match config.rmw with
-  | Config.Helper `Gcc9 -> base ^ "_gcc9"
-  | Config.Helper `Gcc10 | Config.Native_casal | Config.Native_rmw2 ->
-      base ^ "_gcc10"
+(* The address of an RMW operand in one temp (TCG atomics take no
+   offset). *)
+let rmw_addr ctx m =
+  let base, off = ea ctx m in
+  if Int64.equal off 0L then base
+  else begin
+    let ta = fresh_temp ctx in
+    emit ctx (Op.Binopi (Op.Add, ta, base, off));
+    ta
+  end
+
+(* A guest RMW: the native TCG op, or a call into Qemu's helper when
+   the configured RMW lowering has one; fenced per the mapping table. *)
+let guest_rmw ctx ~pc (config : Config.t) ~native ~helper args told =
+  place ctx ~pc config.fences `Pre `Rmw;
+  (match S.rmw_helper config.rmw with
+  | None -> emit ctx native
+  | Some gcc -> emit ctx (Op.Call (helper ^ "_" ^ gcc, args, Some told)));
+  place ctx ~pc config.fences `Post `Rmw
 
 (* One guest instruction.  Returns [true] when the block ends here. *)
 let translate_insn t ctx pc next_pc (insn : X86.Insn.t) =
@@ -261,67 +276,33 @@ let translate_insn t ctx pc next_pc (insn : X86.Insn.t) =
       pop ctx ~pc fences (greg r);
       false
   | X86.Insn.Lock_cmpxchg (m, r) ->
-      let base, off = ea ctx m in
-      let taddr =
-        if Int64.equal off 0L then base
-        else begin
-          let ta = fresh_temp ctx in
-          emit ctx (Op.Binopi (Op.Add, ta, base, off));
-          ta
-        end
-      in
+      let taddr = rmw_addr ctx m in
       let told = fresh_temp ctx in
-      (match t.config.Config.rmw with
-      | Config.Native_casal | Config.Native_rmw2 ->
-          emit ctx (Op.Cas { old = told; addr = taddr; expect = rax; desired = greg r })
-      | Config.Helper _ ->
-          emit ctx
-            (Op.Call (helper_name t.config "helper_cmpxchg", [ taddr; rax; greg r ], Some told)));
+      guest_rmw ctx ~pc t.config
+        ~native:(Op.Cas { old = told; addr = taddr; expect = rax; desired = greg r })
+        ~helper:"helper_cmpxchg" [ taddr; rax; greg r ] told;
       cmpxchg_flags ctx told;
       false
   | X86.Insn.Lock_xadd (m, r) ->
-      let base, off = ea ctx m in
-      let taddr =
-        if Int64.equal off 0L then base
-        else begin
-          let ta = fresh_temp ctx in
-          emit ctx (Op.Binopi (Op.Add, ta, base, off));
-          ta
-        end
-      in
+      let taddr = rmw_addr ctx m in
       let told = fresh_temp ctx in
-      (match t.config.Config.rmw with
-      | Config.Native_casal | Config.Native_rmw2 ->
-          emit ctx (Op.Atomic { op = `Xadd; old = told; addr = taddr; src = greg r })
-      | Config.Helper _ ->
-          emit ctx
-            (Op.Call (helper_name t.config "helper_xadd", [ taddr; greg r ], Some told)));
+      guest_rmw ctx ~pc t.config
+        ~native:(Op.Atomic { op = `Xadd; old = told; addr = taddr; src = greg r })
+        ~helper:"helper_xadd" [ taddr; greg r ] told;
       emit ctx (Op.Mov (greg r, told));
       false
   | X86.Insn.Xchg (m, r) ->
-      let base, off = ea ctx m in
-      let taddr =
-        if Int64.equal off 0L then base
-        else begin
-          let ta = fresh_temp ctx in
-          emit ctx (Op.Binopi (Op.Add, ta, base, off));
-          ta
-        end
-      in
+      let taddr = rmw_addr ctx m in
       let told = fresh_temp ctx in
-      (match t.config.Config.rmw with
-      | Config.Native_casal | Config.Native_rmw2 ->
-          emit ctx (Op.Atomic { op = `Xchg; old = told; addr = taddr; src = greg r })
-      | Config.Helper _ ->
-          emit ctx
-            (Op.Call (helper_name t.config "helper_xchg", [ taddr; greg r ], Some told)));
+      guest_rmw ctx ~pc t.config
+        ~native:(Op.Atomic { op = `Xchg; old = told; addr = taddr; src = greg r })
+        ~helper:"helper_xchg" [ taddr; greg r ] told;
       emit ctx (Op.Mov (greg r, told));
       false
   | X86.Insn.Mfence ->
-      (match fences with
-      | Config.No_fences -> ()
-      | Config.Qemu_fences | Config.Risotto_fences ->
-          emit ctx (Op.mb ~origin:{ opc = pc; rule = Op.R_mfence } E.F_sc));
+      (* MFENCE emits no access of its own: the table's fences replace it. *)
+      place ctx ~pc fences `Pre `Mfence;
+      place ctx ~pc fences `Post `Mfence;
       false
   | X86.Insn.Nop -> false
   | X86.Insn.Syscall ->

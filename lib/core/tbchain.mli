@@ -29,7 +29,7 @@ type 'a node = {
           with the other hotness state on {!insert}/{!clear_links} *)
 }
 
-and 'a edge = { epc : int64; target : 'a node; mutable hits : int }
+and 'a edge = { epc : int64; target : 'a node }
 
 type 'a t
 
@@ -60,15 +60,8 @@ val insert : 'a t -> int64 -> 'a -> 'a node
     Jcc) is full. *)
 val link : 'a t -> 'a node -> epc:int64 -> 'a node -> bool
 
-(** Follow a patched edge for exit pc, bumping its hit counter. *)
+(** Follow a patched edge for exit pc. *)
 val follow : 'a node -> int64 -> 'a node option
-
-(** The hot trace out of [head]: greedily follow each node's
-    most-taken edge, up to [limit] nodes.  Revisits are allowed (a
-    self-loop unrolls), so callers get traces like [A;A;A] or [A;B;A]
-    for hot loops; the result always starts with [head] and stops at
-    nodes with no taken edges. *)
-val hottest_path : 'a node -> limit:int -> 'a node list
 
 (** Make [active] a superblock covering [len] stitched blocks and drop
     the node's now-stale edges. *)

@@ -2,35 +2,65 @@ open Litmus.Ast
 module E = Axiom.Event
 
 type frontend = Qemu_frontend | Risotto_frontend | No_fences_frontend
+type access = [ `Load | `Store | `Rmw | `Mfence ]
+type side = [ `Pre | `Post ]
+
+(* The access-class table (Figures 2 and 7a).  Every entry is a
+   constant, so reading the table never allocates. *)
+let fences frontend (side : side) (access : access) =
+  match (frontend, access, side) with
+  | Qemu_frontend, `Load, `Pre -> [ E.F_mr ]
+  | Qemu_frontend, `Store, `Pre -> [ E.F_mw ]
+  | Risotto_frontend, `Load, `Post -> [ E.F_rm ]
+  | Risotto_frontend, `Store, `Pre -> [ E.F_ww ]
+  | _, `Mfence, `Pre -> [ E.F_sc ]
+  | _, (`Load | `Store | `Rmw | `Mfence), (`Pre | `Post) -> []
+
+let rule_name (side : side) (access : access) =
+  match (side, access) with
+  | `Pre, `Load -> "pre-load"
+  | `Post, `Load -> "post-load"
+  | `Pre, `Store -> "pre-store"
+  | `Post, `Store -> "post-store"
+  | `Pre, `Rmw -> "pre-rmw"
+  | `Post, `Rmw -> "post-rmw"
+  | `Pre, `Mfence -> "pre-mfence"
+  | `Post, `Mfence -> "post-mfence"
+
+(* [access] with its table fences around it; [mid] is the TCG access
+   itself ([[]] for MFENCE, which the fences replace). *)
+let around frontend access mid =
+  let fs side = List.map (fun f -> Fence f) (fences frontend side access) in
+  fs `Pre @ mid @ fs `Post
 
 let x86_to_tcg frontend p =
   let map_one i =
-    match (frontend, i) with
-    | _, If _ | _, Assign _ -> [ i ]
-    | Qemu_frontend, Load { reg; loc; _ } ->
-        [ Fence E.F_mr; Load { reg; loc; ord = E.R_plain } ]
-    | Qemu_frontend, Store { loc; value; _ } ->
-        [ Fence E.F_mw; Store { loc; value; ord = E.W_plain } ]
-    | Qemu_frontend, Cas c -> [ Cas { c with kind = Rmw_tcg } ]
-    | Qemu_frontend, Fence E.F_mfence -> [ Fence E.F_sc ]
-    | Risotto_frontend, Load { reg; loc; _ } ->
-        [ Load { reg; loc; ord = E.R_plain }; Fence E.F_rm ]
-    | Risotto_frontend, Store { loc; value; _ } ->
-        [ Fence E.F_ww; Store { loc; value; ord = E.W_plain } ]
-    | Risotto_frontend, Cas c -> [ Cas { c with kind = Rmw_tcg } ]
-    | Risotto_frontend, Fence E.F_mfence -> [ Fence E.F_sc ]
-    | No_fences_frontend, Load { reg; loc; _ } ->
-        [ Load { reg; loc; ord = E.R_plain } ]
-    | No_fences_frontend, Store { loc; value; _ } ->
-        [ Store { loc; value; ord = E.W_plain } ]
-    | No_fences_frontend, Cas c -> [ Cas { c with kind = Rmw_tcg } ]
-    | No_fences_frontend, Fence E.F_mfence -> [ Fence E.F_sc ]
-    | _, Fence f -> [ Fence f ]
+    match i with
+    | If _ | Assign _ -> [ i ]
+    | Load { reg; loc; _ } ->
+        around frontend `Load [ Load { reg; loc; ord = E.R_plain } ]
+    | Store { loc; value; _ } ->
+        around frontend `Store [ Store { loc; value; ord = E.W_plain } ]
+    | Cas c -> around frontend `Rmw [ Cas { c with kind = Rmw_tcg } ]
+    | Fence E.F_mfence -> around frontend `Mfence []
+    | Fence f -> [ Fence f ]
   in
   map_instrs map_one { p with name = p.name ^ "→tcg" }
 
 type rmw_lowering = Helper_gcc9 | Helper_gcc10 | Risotto_rmw2 | Risotto_rmw1
 type backend = { lowering : [ `Qemu | `Risotto ]; rmw : rmw_lowering }
+
+(* Qemu keeps its own fence lowering even with fence generation off. *)
+let lowering = function
+  | Qemu_frontend | No_fences_frontend -> `Qemu
+  | Risotto_frontend -> `Risotto
+
+let backend frontend rmw = { lowering = lowering frontend; rmw }
+
+let rmw_helper = function
+  | Helper_gcc9 -> Some "gcc9"
+  | Helper_gcc10 -> Some "gcc10"
+  | Risotto_rmw2 | Risotto_rmw1 -> None
 
 (* Figure 7b fence lowering, extended to the fences the Qemu frontend
    produces.  Qemu demotes the Fmr it inserts before loads to a DMBLD:
@@ -88,13 +118,13 @@ let x86_to_arm_direct_armcats p =
   in
   map_instrs map_one { p with name = p.name ^ "→arm-cats" }
 
-let qemu_preset = (Qemu_frontend, { lowering = `Qemu; rmw = Helper_gcc10 })
+let qemu_preset = (Qemu_frontend, backend Qemu_frontend Helper_gcc10)
 
 let risotto_rmw2_preset =
-  (Risotto_frontend, { lowering = `Risotto; rmw = Risotto_rmw2 })
+  (Risotto_frontend, backend Risotto_frontend Risotto_rmw2)
 
 let risotto_casal_preset =
-  (Risotto_frontend, { lowering = `Risotto; rmw = Risotto_rmw1 })
+  (Risotto_frontend, backend Risotto_frontend Risotto_rmw1)
 
 (* Figure 1: concurrency primitives per architecture. *)
 let figure1_rows =
@@ -109,13 +139,33 @@ let figure1_rows =
     ("Rel.Acq. atomic-update", "", "", "RMW1_AL, RMW2_AL");
   ]
 
-let figure2_rows =
+let arm_fence_name = function
+  | E.F_dmb_ld -> "DMBLD"
+  | E.F_dmb_st -> "DMBST"
+  | _ -> "DMBFF"
+
+(* Figure rows whose x86 → TCG and TCG → Arm cells are read off the
+   access-class table and the fence lowering; only the RMW cells are
+   literal text. *)
+let figure_rows frontend ~rmw:(rmw_tcg, rmw_arm) =
+  let row x86 access tcg arm =
+    let seq name op =
+      let names side = List.filter_map name (fences frontend side access) in
+      String.concat "; " (names `Pre @ op @ names `Post)
+    in
+    let lower f =
+      Option.map arm_fence_name (lower_fence (lowering frontend) f)
+    in
+    (x86, seq (fun f -> Some (E.fence_name f)) tcg, seq lower arm)
+  in
   [
-    ("RMOV", "Fmr; ld", "DMBLD; LDR");
-    ("WMOV", "Fmw; st", "DMBFF; STR");
-    ("RMW", "call", "BLR; RMW; RET");
-    ("MFENCE", "Fsc", "DMBFF");
+    row "RMOV" `Load [ "ld" ] [ "LDR" ];
+    row "WMOV" `Store [ "st" ] [ "STR" ];
+    ("RMW", rmw_tcg, rmw_arm);
+    row "MFENCE" `Mfence [] [];
   ]
+
+let figure2_rows = figure_rows Qemu_frontend ~rmw:("call", "BLR; RMW; RET")
 
 let figure3_rows =
   [
@@ -125,13 +175,10 @@ let figure3_rows =
     ("MFENCE", "DMBFF");
   ]
 
-let figure7a_rows =
-  [
-    ("RMOV", "ld; Frm");
-    ("WMOV", "Fww; st");
-    ("RMW", "RMW");
-    ("MFENCE", "Fsc");
-  ]
+let figure7c_rows =
+  figure_rows Risotto_frontend ~rmw:("RMW", "DMBFF; RMW2; DMBFF or RMW1_AL")
+
+let figure7a_rows = List.map (fun (x86, tcg, _) -> (x86, tcg)) figure7c_rows
 
 let figure7b_rows =
   [
@@ -142,12 +189,4 @@ let figure7b_rows =
     ("Fww", "DMBST");
     ("Fwr/Fmm/Fsc", "DMBFF");
     ("Facq/Frel", "-");
-  ]
-
-let figure7c_rows =
-  [
-    ("RMOV", "ld; Frm", "LDR; DMBLD");
-    ("WMOV", "Fww; st", "DMBST; STR");
-    ("RMW", "RMW", "DMBFF; RMW2; DMBFF or RMW1_AL");
-    ("MFENCE", "Fsc", "DMBFF");
   ]

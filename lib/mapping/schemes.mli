@@ -21,6 +21,24 @@ type frontend =
       (** The (incorrect) oracle configuration: plain accesses, no
           ordering fences; RMW and MFENCE kept. *)
 
+(** The x86 access classes of the mapping table. *)
+type access = [ `Load | `Store | `Rmw | `Mfence ]
+
+type side = [ `Pre | `Post ]
+
+(** The access-class table: [fences frontend side access] is the list
+    of TCG fences [frontend] places before ([`Pre]) or after ([`Post])
+    an x86 access of class [access].  MFENCE itself emits no access:
+    its fences replace it.  This is the one copy of the x86 → TCG
+    mapping — {!x86_to_tcg}, the DBT frontend and the figure rows all
+    read it.  Entries are constants; a lookup does not allocate. *)
+val fences : frontend -> side -> access -> Axiom.Event.fence list
+
+(** The name of the table row a fence came from (["pre-load"],
+    ["post-store"], ["pre-mfence"], ...): the DBT tags every fence it
+    emits with it. *)
+val rule_name : side -> access -> string
+
 val x86_to_tcg : frontend -> prog -> prog
 
 (** {1 TCG IR → Arm} *)
@@ -36,6 +54,18 @@ type rmw_lowering =
   | Risotto_rmw1  (** [casal] (needs the corrected Arm-Cats model) *)
 
 type backend = { lowering : [ `Qemu | `Risotto ]; rmw : rmw_lowering }
+
+(** The fence lowering that goes with a frontend: Qemu's for the Qemu
+    and no-fences frontends, Figure 7b's for Risotto's.  The DBT
+    backend and the presets below both derive it here. *)
+val lowering : frontend -> [ `Qemu | `Risotto ]
+
+(** [backend frontend rmw] pairs [rmw] with [lowering frontend]. *)
+val backend : frontend -> rmw_lowering -> backend
+
+(** The GCC flavour of Qemu's RMW helper ([Some "gcc9"] or
+    [Some "gcc10"]), or [None] when RMWs are lowered inline. *)
+val rmw_helper : rmw_lowering -> string option
 
 val tcg_to_arm : backend -> prog -> prog
 
@@ -65,7 +95,9 @@ val risotto_rmw2_preset : frontend * backend
 (** Risotto with direct casal translation (§6.3). *)
 val risotto_casal_preset : frontend * backend
 
-(** Rows of the mapping tables for regeneration of Figures 1, 2, 3, 7. *)
+(** Rows of the mapping tables for regeneration of Figures 1, 2, 3, 7.
+    The x86 → TCG and fence cells of Figures 2, 7a and 7c are read off
+    the access-class table. *)
 val figure1_rows : (string * string * string * string) list
 
 val figure2_rows : (string * string * string) list

@@ -96,8 +96,12 @@ let is_plain_store = function
   | Store { ord = E.W_plain; _ } -> true
   | _ -> false
 
-let o_fences = [ E.F_rm; E.F_ww ]
-let tau_fences = [ E.F_sc; E.F_ww ]
+(* The crossing table (Figure 10): the fences a fenced elimination may
+   cross.  Constant lists: a lookup does not allocate. *)
+let crossable = function
+  | F_rar | F_waw -> [ E.F_rm; E.F_ww ]
+  | F_raw -> [ E.F_sc; E.F_ww ]
+  | Rar | Raw | Waw | Fence_merge | Reorder | False_dep_elim -> []
 
 let tcg_fences =
   [
@@ -117,13 +121,13 @@ let rewriter rule code =
     when l1 = l2 ->
       Some rest
   | F_rar, Load ({ reg = r1; loc = l1; ord = E.R_plain } as ld1) :: Fence f :: Load { reg = r2; loc = l2; ord = E.R_plain } :: rest
-    when l1 = l2 && List.mem f o_fences ->
+    when l1 = l2 && List.mem f (crossable F_rar) ->
       Some (Load ld1 :: Fence f :: Assign (r2, Reg r1) :: rest)
   | F_raw, Store ({ loc = l1; value; ord = E.W_plain } as st1) :: Fence f :: Load { reg; loc = l2; ord = E.R_plain } :: rest
-    when l1 = l2 && List.mem f tau_fences ->
+    when l1 = l2 && List.mem f (crossable F_raw) ->
       Some (Store st1 :: Fence f :: Assign (reg, value) :: rest)
   | F_waw, Store { loc = l1; ord = E.W_plain; _ } :: Fence f :: (Store { loc = l2; ord = E.W_plain; _ } :: _ as rest)
-    when l1 = l2 && List.mem f o_fences ->
+    when l1 = l2 && List.mem f (crossable F_waw) ->
       Some (Fence f :: rest)
   | Fence_merge, Fence f1 :: Fence f2 :: rest
     when List.mem f1 tcg_fences && List.mem f2 tcg_fences ->

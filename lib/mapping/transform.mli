@@ -35,6 +35,11 @@ type rule =
 val rule_name : rule -> string
 val all_rules : rule list
 
+(** The crossing table: the fences a Figure-10 fenced elimination
+    ([F_rar], [F_raw], [F_waw]) may cross; [[]] for every other rule.
+    The DBT's memory-access optimizer ({!Tcg.Memopt}) reads it too. *)
+val crossable : rule -> Axiom.Event.fence list
+
 (** All programs obtained by applying the rule at one site. *)
 val applications : rule -> Litmus.Ast.prog -> Litmus.Ast.prog list
 

@@ -17,12 +17,7 @@ type cell = {
   shrunk : Litmus.Ast.prog option;
 }
 
-(* The bench sweep's scheme table (bench/main.ml) plus the paper's §3.2
-   FMR counterexample as a pseudo-scheme: FMR is an IR transformation
-   bug, not a mapping bug, but its refinement check has the same shape —
-   source and target are both TCG programs, the "mapping" is one
-   application of the unsound RAW rewrite. *)
-let default_entries () =
+let mapping_entries () =
   let open Mapping.Schemes in
   let x86 = Axiom.X86_tso.model in
   let tcg = Axiom.Tcg_model.model in
@@ -31,30 +26,15 @@ let default_entries () =
   let rmw2_fe, rmw2_be = risotto_rmw2_preset in
   let casal_fe, casal_be = risotto_casal_preset in
   let qemu_fe, qemu_be = qemu_preset in
-  let corpus = Litmus.Catalog.mapping_corpus in
   let mk scheme f src_model tgt_model =
-    { scheme; f; src_model; tgt_model; corpus }
-  in
-  let raw_fmr =
-    let apply_raw p =
-      match Mapping.Transform.applications Mapping.Transform.Raw p with
-      | t :: _ -> t
-      | [] -> p
-    in
-    {
-      scheme = "transform-raw";
-      f = apply_raw;
-      src_model = tcg;
-      tgt_model = tcg;
-      corpus = [ ("FMR", Litmus.Catalog.fmr_tcg_src) ];
-    }
+    { scheme; f; src_model; tgt_model; corpus = Litmus.Catalog.mapping_corpus }
   in
   [
     mk "fig7a/x86->tcg" (x86_to_tcg Risotto_frontend) x86 tcg;
     mk "fig2/x86->tcg" (x86_to_tcg Qemu_frontend) x86 tcg;
     mk "qemu-gcc10/arm-fix" (x86_to_arm qemu_fe qemu_be) x86 arm_fix;
     mk "qemu-gcc9/arm-fix"
-      (x86_to_arm Qemu_frontend { lowering = `Qemu; rmw = Helper_gcc9 })
+      (x86_to_arm Qemu_frontend (backend Qemu_frontend Helper_gcc9))
       x86 arm_fix;
     mk "risotto-rmw2/arm-orig" (x86_to_arm rmw2_fe rmw2_be) x86 arm_orig;
     mk "risotto-rmw2/arm-fix" (x86_to_arm rmw2_fe rmw2_be) x86 arm_fix;
@@ -63,10 +43,32 @@ let default_entries () =
     mk "armcats-direct/arm-orig" x86_to_arm_direct_armcats x86 arm_orig;
     mk "armcats-direct/arm-fix" x86_to_arm_direct_armcats x86 arm_fix;
     mk "no-fences/arm-fix"
-      (x86_to_arm No_fences_frontend { lowering = `Risotto; rmw = Risotto_rmw1 })
+      (x86_to_arm No_fences_frontend (backend No_fences_frontend Risotto_rmw1))
       x86 arm_fix;
-    raw_fmr;
   ]
+
+(* The mapping schemes plus the paper's §3.2 FMR counterexample as a
+   pseudo-scheme: FMR is an IR transformation bug, not a mapping bug,
+   but its refinement check has the same shape — source and target are
+   both TCG programs, the "mapping" is one application of the unsound
+   RAW rewrite. *)
+let default_entries () =
+  let tcg = Axiom.Tcg_model.model in
+  let apply_raw p =
+    match Mapping.Transform.applications Mapping.Transform.Raw p with
+    | t :: _ -> t
+    | [] -> p
+  in
+  mapping_entries ()
+  @ [
+      {
+        scheme = "transform-raw";
+        f = apply_raw;
+        src_model = tcg;
+        tgt_model = tcg;
+        corpus = [ ("FMR", Litmus.Catalog.fmr_tcg_src) ];
+      };
+    ]
 
 let run ?(capture = false) ?coverage ?max_witnesses entries =
   List.concat_map

@@ -25,12 +25,18 @@ type cell = {
       (** shrunk source counterexample, for failing cells when captured *)
 }
 
-(** The bench sweep's eleven schemes over the mapping corpus, plus the
-    §3.2 FMR transformation counterexample as the pseudo-scheme
-    ["transform-raw"] (source = target = TCG model, the mapping is one
-    unsound RAW rewrite).  Known-failing cells: MPQ under qemu-gcc10 and
-    fig2; MPQ/SB+rmws/SBQ/SBAL under qemu-gcc9; SBAL under the
-    arm-orig direct/casal schemes; FMR under transform-raw. *)
+(** The eleven mapping schemes over the mapping corpus: Figures 2 and
+    7a at TCG level, and the Qemu, Risotto, Arm-Cats-direct and
+    no-fences compositions down to Arm under the original and corrected
+    Arm-Cats models.  The refinement bench sweeps exactly these. *)
+val mapping_entries : unit -> entry list
+
+(** {!mapping_entries}, plus the §3.2 FMR transformation
+    counterexample as the pseudo-scheme ["transform-raw"] (source =
+    target = TCG model, the mapping is one unsound RAW rewrite).
+    Known-failing cells: MPQ under qemu-gcc10 and fig2;
+    MPQ/SB+rmws/SBQ/SBAL under qemu-gcc9; SBAL under the arm-orig
+    direct/casal schemes; FMR under transform-raw. *)
 val default_entries : unit -> entry list
 
 (** [run ~capture ~coverage entries]: check every (scheme, program)

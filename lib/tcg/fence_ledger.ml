@@ -41,8 +41,8 @@ let count t outcome_name' =
 
 let pp_entry ppf e =
   let pp_origin ppf (o : Op.origin) =
-    if Int64.equal o.opc (-1L) then Fmt.pf ppf "rule %s" (Op.rule_name o.rule)
-    else Fmt.pf ppf "guest 0x%Lx (%s)" o.opc (Op.rule_name o.rule)
+    if Int64.equal o.opc (-1L) then Fmt.pf ppf "rule %s" o.rule
+    else Fmt.pf ppf "guest 0x%Lx (%s)" o.opc o.rule
   in
   match e.outcome with
   | Emitted ->

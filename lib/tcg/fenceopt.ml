@@ -28,25 +28,21 @@ let run ?ledger ops =
     | [] -> []
     | Op.Mb (f, o) :: rest ->
         let f', absorbed, between, rest' = merge_from f [] [] rest in
-        (* The survivor keeps the earliest fence's origin; mark it a
-           merge product only when it actually absorbed partners. *)
-        let o' =
-          if absorbed = [] then o else { o with Op.rule = Op.R_merged }
-        in
+        (* The survivor keeps the earliest fence's origin. *)
         List.iter
           (fun (k, ao) ->
             ledger_record ledger ~kind:k ~origin:ao
-              (Fence_ledger.Merged { into = o'; result = f' }))
+              (Fence_ledger.Merged { into = o; result = f' }))
           absorbed;
         if f' = E.F_acq || f' = E.F_rel then begin
-          ledger_record ledger ~kind:f' ~origin:o' Fence_ledger.Dropped;
+          ledger_record ledger ~kind:f' ~origin:o Fence_ledger.Dropped;
           between @ go rest'
         end
         else begin
           if absorbed <> [] && f' <> f then
-            ledger_record ledger ~kind:f' ~origin:o'
+            ledger_record ledger ~kind:f' ~origin:o
               (Fence_ledger.Strengthened { from = f });
-          (Op.Mb (f', o') :: between) @ go rest'
+          (Op.Mb (f', o) :: between) @ go rest'
         end
     | op :: rest -> op :: go rest
   in

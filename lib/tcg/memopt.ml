@@ -1,4 +1,4 @@
-module E = Axiom.Event
+module T = Mapping.Transform
 
 type key = { base : Op.temp; base_ver : int; off : int64 }
 
@@ -11,10 +11,6 @@ type store_entry = {
 }
 
 type load_entry = { dst : Op.temp; dst_ver : int; mutable rar_ok : bool }
-
-let raw_fences = [ E.F_sc; E.F_ww ]
-let rar_fences = [ E.F_rm; E.F_ww ]
-let waw_fences = [ E.F_rm; E.F_ww ]
 
 let run ops =
   let arr = Array.of_list ops in
@@ -49,12 +45,15 @@ let run ops =
       | Op.Mb (f, _) ->
           Hashtbl.iter
             (fun _ (e : store_entry) ->
-              if not (List.mem f raw_fences) then e.raw_ok <- false;
-              if not (List.mem f waw_fences) then e.waw_ok <- false)
+              if not (List.mem f (T.crossable T.F_raw)) then
+                e.raw_ok <- false;
+              if not (List.mem f (T.crossable T.F_waw)) then
+                e.waw_ok <- false)
             stores;
           Hashtbl.iter
             (fun _ (e : load_entry) ->
-              if not (List.mem f rar_fences) then e.rar_ok <- false)
+              if not (List.mem f (T.crossable T.F_rar)) then
+                e.rar_ok <- false)
             loads
       | Op.Ld (d, b, off) -> (
           let k = { base = b; base_ver = ver b; off } in

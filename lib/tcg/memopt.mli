@@ -1,5 +1,6 @@
 (** Redundant memory access elimination, implementing the verified
-    Figure-10 rules at the IR level:
+    Figure-10 rules at the IR level.  Which fences each rule may cross
+    comes from the crossing table, {!Mapping.Transform.crossable}:
 
     - RAW / F-RAW: a load from an address just stored to is forwarded
       ([Mov] from the stored temp); allowed across [Fsc]/[Fww] fences.

@@ -9,27 +9,9 @@ let first_local = 32
 type binop = Add | Sub | And | Or | Xor | Shl | Shr | Mul
 type cond = Eq | Ne | Lt | Le | Gt | Ge | Ltu | Leu | Gtu | Geu
 
-type fence_rule =
-  | R_pre_load
-  | R_post_load
-  | R_pre_store
-  | R_store
-  | R_mfence
-  | R_merged
-  | R_none
+type origin = { opc : int64; rule : string }
 
-type origin = { opc : int64; rule : fence_rule }
-
-let no_origin = { opc = -1L; rule = R_none }
-
-let rule_name = function
-  | R_pre_load -> "pre-load"
-  | R_post_load -> "post-load"
-  | R_pre_store -> "pre-store"
-  | R_store -> "store"
-  | R_mfence -> "mfence"
-  | R_merged -> "merged"
-  | R_none -> "none"
+let no_origin = { opc = -1L; rule = "none" }
 
 type t =
   | Movi of temp * int64

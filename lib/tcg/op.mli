@@ -25,25 +25,16 @@ val first_local : temp
 type binop = Add | Sub | And | Or | Xor | Shl | Shr | Mul
 type cond = Eq | Ne | Lt | Le | Gt | Ge | Ltu | Leu | Gtu | Geu
 
-(** Which mapping rule introduced a fence (paper §4 fence schemes):
-    a load-side fence, a store-side fence, an explicit guest MFENCE, or
-    the survivor of a {!Fenceopt} merge.  [R_none] marks fences built
-    without provenance (tests, synthetic blocks). *)
-type fence_rule =
-  | R_pre_load
-  | R_post_load
-  | R_pre_store
-  | R_store
-  | R_mfence
-  | R_merged
-  | R_none
+(** Fence provenance: the guest instruction pc that caused the fence
+    and the mapping-table row that placed it
+    ({!Mapping.Schemes.rule_name}: ["pre-load"], ["post-load"],
+    ["pre-store"], ...).  A {!Fenceopt} merge survivor keeps the origin
+    of the earliest fence it absorbed into. *)
+type origin = { opc : int64; rule : string }
 
-(** Fence provenance: the guest instruction pc that caused the fence and
-    the mapping rule that introduced it.  [opc = -1L] when unknown. *)
-type origin = { opc : int64; rule : fence_rule }
-
+(** No provenance ([opc = -1L], rule ["none"]): fences built outside
+    the frontend (tests, synthetic blocks). *)
 val no_origin : origin
-val rule_name : fence_rule -> string
 
 type t =
   | Movi of temp * int64

@@ -97,7 +97,62 @@ let test_frontend_mfence () =
   let raw = translate { Core.Config.qemu with passes = [] } items in
   check_int "mfence -> Fsc" 1 (count_fence_kind E.F_sc raw.Tcg.Block.ops);
   let nf = translate { Core.Config.no_fences with passes = [] } items in
-  check_int "no-fences drops mfence" 0 (Tcg.Fenceopt.count nf.Tcg.Block.ops)
+  check_int "no-fences keeps mfence as Fsc" 1
+    (count_fence_kind E.F_sc nf.Tcg.Block.ops);
+  let image = build items in
+  let eng = Core.Engine.create Core.Config.no_fences image in
+  check_bool "no-fences lowers it to DMBFF" true
+    (Array.exists
+       (function Arm.Insn.Dmb Arm.Insn.Full -> true | _ -> false)
+       (Core.Engine.lookup_block eng image.Image.Gelf.entry))
+
+(* Every preset emits, in order, the fences that Schemes.x86_to_tcg —
+   the mapping the checker verifies — gives for the same accesses. *)
+let test_frontend_follows_table () =
+  let mem disp = { I.base = None; index = None; disp } in
+  let items =
+    [
+      Label "main";
+      Ins (I.Load (R.RAX, mem 0x5000L));
+      Ins (I.Store (mem 0x5008L, I.R R.RAX));
+      Ins (I.Push R.RBX);
+      Ins (I.Pop R.RBX);
+      Ins I.Mfence;
+      Ins (I.Lock_cmpxchg (mem 0x5010L, R.RCX));
+      Ins (I.Lock_xadd (mem 0x5018L, R.RCX));
+      Ins I.Hlt;
+    ]
+  in
+  let accesses =
+    Litmus.Dsl.(
+      prog "accesses" [ ("X", 0) ]
+        [
+          [
+            ld "a" "X"; st "X" 1; st "X" 2; ld "b" "X"; mfence;
+            cas_x86 "X" 0 1; cas_x86 "X" 1 2;
+          ];
+        ])
+  in
+  List.iter
+    (fun (c : Core.Config.t) ->
+      let dbt =
+        List.filter_map
+          (function Op.Mb (f, _) -> Some f | _ -> None)
+          (translate { c with passes = [] } items).Tcg.Block.ops
+      in
+      let checker =
+        List.concat_map
+          (fun (t : Litmus.Ast.thread) ->
+            List.filter_map
+              (function Litmus.Ast.Fence f -> Some f | _ -> None)
+              t.code)
+          (Mapping.Schemes.x86_to_tcg c.fences accesses).threads
+      in
+      Alcotest.(check (list string))
+        c.name
+        (List.map E.fence_name checker)
+        (List.map E.fence_name dbt))
+    Core.Config.all
 
 (* ------------------------------------------------------------------ *)
 (* Backend                                                             *)
@@ -122,7 +177,7 @@ let test_backend_cas_lowering () =
   check_bool "casal emitted" true
     (has (function Arm.Insn.Cas { acq = true; rel = true; _ } -> true | _ -> false) casal);
   let rmw2 =
-    compile { Core.Config.risotto with rmw = Core.Config.Native_rmw2 }
+    compile { Core.Config.risotto with rmw = Mapping.Schemes.Risotto_rmw2 }
   in
   check_bool "exclusives emitted" true
     (has (function Arm.Insn.Ldxr _ -> true | _ -> false) rmw2);
@@ -508,6 +563,8 @@ let () =
           Alcotest.test_case "no fences" `Quick test_frontend_no_fences;
           Alcotest.test_case "block cap" `Quick test_frontend_block_cap;
           Alcotest.test_case "mfence" `Quick test_frontend_mfence;
+          Alcotest.test_case "fences follow the mapping table" `Quick
+            test_frontend_follows_table;
         ] );
       ( "backend",
         [

@@ -362,7 +362,7 @@ let test_fence_ledger_records_merges () =
   check_bool "merged entry carries its guest origin" true
     (List.exists
        (fun (e : Tcg.Fence_ledger.entry) ->
-         e.Tcg.Fence_ledger.origin.Tcg.Op.rule = Tcg.Op.R_mfence)
+         e.Tcg.Fence_ledger.origin.Tcg.Op.rule = "pre-mfence")
        merged_entries)
 
 let test_fence_metrics_counters () =

@@ -115,7 +115,7 @@ let test_qemu_gcc10_mpq_bug () =
 let test_qemu_gcc9_sbq_bug () =
   (* §3.2 error 2: RMW2_AL helper: store-load shapes through RMWs break. *)
   expect_scheme ~name:"qemu gcc9 vs Arm(fixed)"
-    (S.x86_to_arm S.Qemu_frontend { S.lowering = `Qemu; rmw = S.Helper_gcc9 })
+    (S.x86_to_arm S.Qemu_frontend (S.backend S.Qemu_frontend S.Helper_gcc9))
     ~src_model:x86 ~tgt_model:arm_fix
     ~expected_failures:[ "MPQ"; "SB+rmws"; "SBQ"; "SBAL" ]
 
@@ -130,9 +130,63 @@ let test_armcats_direct_sbal_bug () =
 let test_no_fences_is_incorrect () =
   expect_scheme ~name:"no-fences vs Arm(fixed)"
     (S.x86_to_arm S.No_fences_frontend
-       { S.lowering = `Risotto; rmw = S.Risotto_rmw1 })
+       (S.backend S.No_fences_frontend S.Risotto_rmw1))
     ~src_model:x86 ~tgt_model:arm_fix
     ~expected_failures:[ "MP"; "LB"; "2+2W"; "IRIW"; "S"; "WRC"; "MPQ" ]
+
+(* Each DBT preset's (fences, rmw) composes to the same Arm program as
+   the sweep cell that verifies it, on every corpus program. *)
+let test_dbt_presets_are_verified_cells () =
+  let cell name =
+    (List.find
+       (fun (e : Report.Sweep.entry) -> e.scheme = name)
+       (Report.Sweep.mapping_entries ()))
+      .f
+  in
+  List.iter
+    (fun ((c : Core.Config.t), scheme) ->
+      let dbt = S.x86_to_arm c.fences (S.backend c.fences c.rmw) in
+      List.iter
+        (fun (pname, p) ->
+          if dbt p <> cell scheme p then
+            Alcotest.failf "%s and %s differ on %s" c.name scheme pname)
+        corpus)
+    [
+      (Core.Config.qemu, "qemu-gcc10/arm-fix");
+      (Core.Config.no_fences, "no-fences/arm-fix");
+      (Core.Config.tcg_ver, "risotto-casal/arm-fix");
+      (Core.Config.risotto, "risotto-casal/arm-fix");
+    ]
+
+(* The DBT's memory-access optimizer crosses exactly the fences the
+   crossing table lists for each fenced elimination. *)
+let test_memopt_follows_crossing_table () =
+  let module Op = Tcg.Op in
+  let module T = Mapping.Transform in
+  let g0 = Op.guest_reg 0 and g1 = Op.guest_reg 1 and g2 = Op.guest_reg 2 in
+  let eliminated rule f =
+    let first, second =
+      match rule with
+      | T.F_raw -> (Op.St (g0, g1, 0L), Op.Ld (g2, g1, 0L))
+      | T.F_rar -> (Op.Ld (g0, g1, 0L), Op.Ld (g2, g1, 0L))
+      | _ -> (Op.St (g0, g1, 0L), Op.St (g2, g1, 0L))
+    in
+    let ops = [ first; Op.mb f; second ] in
+    Tcg.Memopt.run ops <> ops
+  in
+  List.iter
+    (fun rule ->
+      List.iter
+        (fun f ->
+          check_bool
+            (Printf.sprintf "%s across %s" (T.rule_name rule) (E.fence_name f))
+            (List.mem f (T.crossable rule)) (eliminated rule f))
+        E.
+          [
+            F_rr; F_rw; F_rm; F_wr; F_ww; F_wm; F_mr; F_mw; F_mm; F_acq;
+            F_rel; F_sc;
+          ])
+    [ T.F_rar; T.F_raw; T.F_waw ]
 
 (* ------------------------------------------------------------------ *)
 (* Minimality (§5.4, Figures 8/9)                                      *)
@@ -310,6 +364,10 @@ let () =
             test_armcats_direct_sbal_bug;
           Alcotest.test_case "no-fences incorrect" `Slow
             test_no_fences_is_incorrect;
+          Alcotest.test_case "DBT presets run verified cells" `Quick
+            test_dbt_presets_are_verified_cells;
+          Alcotest.test_case "mem-elim follows the crossing table" `Quick
+            test_memopt_follows_crossing_table;
         ] );
       ( "minimality (Fig 8/9)",
         [

@@ -127,8 +127,26 @@ let split_items =
       Ins I.Hlt;
     ]
 
+(* A loop whose block cap falls between [cmp] and [jne]: the lazy flags
+   cross a block boundary, so every interpreted/native seam must carry
+   them. *)
+let flags_seam_items =
+  [ Label "main"; Ins (I.Mov_ri (R.RBX, 6L)); Jmp_lbl "loop"; Label "loop" ]
+  @ List.init 30 (fun _ -> Ins (I.Inc R.RDX))
+  @ [
+      Ins (I.Alu (I.Sub, R.RBX, I.I 1L));
+      Ins (I.Cmp (R.RBX, I.I 0L));
+      Jcc_lbl (I.Ne, "loop");
+      Ins I.Hlt;
+    ]
+
 let example_programs =
-  [ ("countdown", countdown_items); ("fact", fact_items); ("split", split_items) ]
+  [
+    ("countdown", countdown_items);
+    ("fact", fact_items);
+    ("split", split_items);
+    ("flags-seam", flags_seam_items);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Parity                                                              *)
@@ -163,6 +181,10 @@ let test_tier_parity_examples () =
 let inject_corpus =
   [
     [ Core.Inject.Nth (Core.Inject.Compile, 1) ];
+    (* One block of flags-seam left on the interpreter, the other
+       native, in both orders. *)
+    [ Core.Inject.Nth (Core.Inject.Compile, 2) ];
+    [ Core.Inject.Nth (Core.Inject.Compile, 3) ];
     [ Core.Inject.Always Core.Inject.Compile ];
     [ Core.Inject.Seeded { site = Core.Inject.Compile; seed = 42L; permille = 500 } ];
     [ Core.Inject.Nth (Core.Inject.Decode, 3) ];

@@ -615,21 +615,26 @@ let dispatch_bench ~reps ~out () =
       inject = [ Core.Inject.Always Core.Inject.Compile ];
     }
   in
+  (* Minor words are counted over the last rep: deterministic (no
+     wall-clock input), and past the first rep's one-off lazy set-up. *)
   let time config =
     let best = ref infinity in
     let results = ref [] in
+    let words = ref 0. in
     for _ = 1 to reps do
+      let w0 = Gc.minor_words () in
       let t0 = Unix.gettimeofday () in
       let r = dispatch_pass config in
       let dt = Unix.gettimeofday () -. t0 in
+      words := Gc.minor_words () -. w0;
       results := r;
       if dt < !best then best := dt
     done;
-    (!best, !results)
+    (!best, !results, !words)
   in
-  let chained_s, chained_r = time chained in
-  let unchained_s, unchained_r = time unchained in
-  let interp_s, interp_r = time interp in
+  let chained_s, chained_r, chained_w = time chained in
+  let unchained_s, unchained_r, unchained_w = time unchained in
+  let interp_s, interp_r, _ = time interp in
   let sum f results =
     List.fold_left (fun acc (_, _, _, _, s) -> acc + f s) 0 results
   in
@@ -650,6 +655,8 @@ let dispatch_bench ~reps ~out () =
     else float_of_int c /. float_of_int guest_blocks
   in
   let c_cpb = cpb c_cycles and u_cpb = cpb u_cycles in
+  let wpb w = if guest_blocks = 0 then 0.0 else w /. float_of_int guest_blocks in
+  let c_wpb = wpb chained_w and u_wpb = wpb unchained_w in
   let chained_edges = sum (fun s -> s.Core.Engine.chained) chained_r in
   let chain_hits = sum (fun s -> s.Core.Engine.chain_hits) chained_r in
   let jcache_hits = sum (fun s -> s.Core.Engine.jmp_cache_hits) chained_r in
@@ -675,12 +682,13 @@ let dispatch_bench ~reps ~out () =
     "  wall: chained %.3fs, unchained %.3fs, interp %.3fs@.  guest cycles: \
      chained %d, unchained %d (%.2f%% saved by cross-block optimization)@.  \
      cycles/block over %d guest blocks: chained %.2f, unchained %.2f@.  \
+     minor words/block: chained %.1f, unchained %.1f@.  \
      dispatches: chained %d, unchained %d (%.1fx fewer)@.  chained stats: %d \
      edges patched, %d chain hits, %d jcache hits, %d superblocks, chain-hit \
      rate %.1f%%@.  interp fallbacks (forced): %d@.  results identical: %b@."
     chained_s unchained_s interp_s c_cycles u_cycles
     (100. *. (1. -. (float_of_int c_cycles /. float_of_int u_cycles)))
-    guest_blocks c_cpb u_cpb c_exec u_exec
+    guest_blocks c_cpb u_cpb c_wpb u_wpb c_exec u_exec
     (float_of_int u_exec /. float_of_int (max 1 c_exec))
     chained_edges chain_hits jcache_hits superblocks (100. *. chain_hit_rate)
     interp_fb parity;
@@ -698,6 +706,7 @@ let dispatch_bench ~reps ~out () =
     "cycles": %d,
     "dispatches": %d,
     "cycles_per_block": %.3f,
+    "minor_words_per_block": %.3f,
     "edges_patched": %d,
     "chain_hits": %d,
     "jmp_cache_hits": %d,
@@ -708,7 +717,8 @@ let dispatch_bench ~reps ~out () =
     "wall_s": %.6f,
     "cycles": %d,
     "dispatches": %d,
-    "cycles_per_block": %.3f
+    "cycles_per_block": %.3f,
+    "minor_words_per_block": %.3f
   },
   "interp": {
     "wall_s": %.6f,
@@ -722,8 +732,8 @@ let dispatch_bench ~reps ~out () =
     (envelope "dispatch")
     (List.length Harness.Parsec.all)
     reps chained.Core.Config.trace_threshold guest_blocks chained_s c_cycles
-    c_exec c_cpb chained_edges chain_hits jcache_hits superblocks
-    chain_hit_rate unchained_s u_cycles u_exec u_cpb interp_s interp_fb
+    c_exec c_cpb c_wpb chained_edges chain_hits jcache_hits superblocks
+    chain_hit_rate unchained_s u_cycles u_exec u_cpb u_wpb interp_s interp_fb
     (if u_cpb = 0.0 then 0.0 else c_cpb /. u_cpb)
     (float_of_int u_exec /. float_of_int (max 1 c_exec))
     parity;

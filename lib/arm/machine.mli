@@ -47,8 +47,13 @@ type helper = shared -> thread -> int64 list -> int64
 val create_shared : ?cost:Cost.t -> Memsys.Mem.t -> shared
 val mem : shared -> Memsys.Mem.t
 val cost : shared -> Cost.t
+
+(** Register (or replace) the helper behind a name.  [exec_block]
+    resolves a call's name once and memoizes it; registering any name
+    drops the memo, so a replacement takes effect on the next call.
+    A name with no helper traps ([Unknown_helper] / [Unknown_host])
+    only when a call to it executes. *)
 val register_helper : shared -> string -> helper -> unit
-val has_helper : shared -> string -> bool
 
 (** Look up a registered helper (used by the engine's interpreter
     fallback to dispatch helper calls outside [exec_block]). *)
@@ -63,5 +68,8 @@ val charge : thread -> int -> unit
     elsewhere. *)
 val atomic_line : shared -> thread -> int64 -> unit
 
-(** Execute a code block until it reaches an exit instruction. *)
+(** Execute a code block until it reaches an exit instruction.  A
+    block that executes [10_000_000 - 1] instructions without exiting
+    traps [Runaway]; running past the last instruction traps
+    [Fell_through] with that index. *)
 val exec_block : shared -> thread -> Insn.t array -> exit_state

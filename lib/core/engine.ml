@@ -118,9 +118,11 @@ and guest_thread = {
   mutable finished : bool;
   mutable trap : Fault.t option;
   jcache : compiled Tbchain.jcache;
-  mutable next_tb : compiled Tbchain.node option;
+  mutable next_tb : compiled Tbchain.node;
       (* chained target patched in by the previous block's exit *)
-  mutable next_gen : int;  (* chain-table generation [next_tb] is valid for *)
+  mutable next_gen : int;
+      (* chain-table generation [next_tb] is valid for; [-1] (no
+         generation) when there is none *)
   gflight : Obs.Flight.t;  (* this thread's flight ring (single writer) *)
 }
 
@@ -132,6 +134,10 @@ and guest_thread = {
    queue, so sharing the workers shares nothing else. *)
 let default_install_service =
   lazy (Parallel.Pool.service_create ~workers:1 ())
+
+(* The empty dispatch slot: [next_tb] of a thread with no pending
+   chained target (then [next_gen = -1], so it is never followed). *)
+let no_tb = Tbchain.detached (Native [||])
 
 let create ?cost ?idl ?install_service config image =
   (* Default IDL: everything the host library provides (when the linker
@@ -508,8 +514,8 @@ let spawn t ~tid ~entry ?(regs = []) () =
       finished = false;
       trap = None;
       jcache = Tbchain.jcache_create t.tbs;
-      next_tb = None;
-      next_gen = Tbchain.generation t.tbs;
+      next_tb = no_tb;
+      next_gen = -1;
       gflight = Obs.Flight.create ();
     }
   in
@@ -767,31 +773,37 @@ let step_interp t g b =
   done;
   res
 
+(* [Log.debug] takes a closure, which allocates whether or not the
+   message is printed: per-block logging checks the level first. *)
+let debug_enabled () =
+  match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
+
+(* Run a block's active translation.  The exit comes back in the
+   machine's own terms, whichever tier ran it; a helper fault raised
+   mid-block escapes as [Fault.Fault]. *)
 let exec t g = function
-  | Native code -> (
-      Log.debug (fun m ->
-          m "T%d exec tb@0x%Lx (%d host insns)" g.arm.Arm.Machine.tid g.pc
-            (Array.length code));
-      match Arm.Machine.exec_block t.shared g.arm code with
-      | Arm.Machine.Next_tb pc -> `Next pc
-      | Arm.Machine.Jump pc -> `Jump pc
-      | Arm.Machine.Halted -> `Halt
-      | Arm.Machine.Trapped tr -> `Trap (fault_of_machine_trap g.pc tr)
-      | exception Fault.Fault f -> `Trap f)
+  | Native code ->
+      if debug_enabled () then
+        Log.debug (fun m ->
+            m "T%d exec tb@0x%Lx (%d host insns)" g.arm.Arm.Machine.tid g.pc
+              (Array.length code));
+      Arm.Machine.exec_block t.shared g.arm code
   | Interp_only b -> (
-      Log.debug (fun m ->
-          m "T%d interp tb@0x%Lx (%d tcg ops)" g.arm.Arm.Machine.tid g.pc
-            (Tcg.Block.op_count b));
+      if debug_enabled () then
+        Log.debug (fun m ->
+            m "T%d interp tb@0x%Lx (%d tcg ops)" g.arm.Arm.Machine.tid g.pc
+              (Tcg.Block.op_count b));
       match step_interp t g b with
       (* Helpers run mid-block (exit syscall) may halt the thread. *)
       | Tcg.Interp.Next_tb pc ->
-          if g.arm.Arm.Machine.halted then `Halt else `Next pc
+          if g.arm.Arm.Machine.halted then Arm.Machine.Halted
+          else Arm.Machine.Next_tb pc
       | Tcg.Interp.Jump pc ->
-          if g.arm.Arm.Machine.halted then `Halt else `Jump pc
-      | Tcg.Interp.Halted -> `Halt
+          if g.arm.Arm.Machine.halted then Arm.Machine.Halted
+          else Arm.Machine.Jump pc
+      | Tcg.Interp.Halted -> Arm.Machine.Halted
       | Tcg.Interp.Trapped (kind, context) ->
-          `Trap (Fault.make ~pc:g.pc (Fault.of_tag kind) context)
-      | exception Fault.Fault f -> `Trap f)
+          Arm.Machine.Trapped (Arm.Machine.Trap_insn { kind; context }))
 
 (* Dispatch: resolve the thread's pc to a chain node.  Fast paths in
    order — the edge the previous block patched in, the per-thread jump
@@ -805,30 +817,32 @@ let dispatch t g =
      the next one to run it. *)
   if Atomic.get t.completions_n > 0 then apply_completions t;
   t.stats.lookups <- t.stats.lookups + 1;
-  let gen = Tbchain.generation t.tbs in
-  match g.next_tb with
-  | Some n when g.next_gen = gen && Int64.equal n.Tbchain.pc g.pc ->
-      g.next_tb <- None;
-      t.stats.cache_hits <- t.stats.cache_hits + 1;
-      t.stats.chain_hits <- t.stats.chain_hits + 1;
-      n
-  | _ -> (
-      g.next_tb <- None;
-      match Tbchain.jcache_find t.tbs g.jcache g.pc with
-      | Some n ->
-          t.stats.cache_hits <- t.stats.cache_hits + 1;
-          t.stats.jmp_cache_hits <- t.stats.jmp_cache_hits + 1;
-          n
-      | None -> (
-          match Tbchain.find t.tbs g.pc with
-          | Some n ->
-              t.stats.cache_hits <- t.stats.cache_hits + 1;
-              Tbchain.jcache_store t.tbs g.jcache n;
-              n
-          | None ->
-              let n = translate t g.pc in
-              Tbchain.jcache_store t.tbs g.jcache n;
-              n))
+  let n = g.next_tb in
+  let chained =
+    g.next_gen = Tbchain.generation t.tbs && Int64.equal n.Tbchain.pc g.pc
+  in
+  g.next_gen <- -1;
+  if chained then begin
+    t.stats.cache_hits <- t.stats.cache_hits + 1;
+    t.stats.chain_hits <- t.stats.chain_hits + 1;
+    n
+  end
+  else
+    match Tbchain.jcache_find t.tbs g.jcache g.pc with
+    | Some n ->
+        t.stats.cache_hits <- t.stats.cache_hits + 1;
+        t.stats.jmp_cache_hits <- t.stats.jmp_cache_hits + 1;
+        n
+    | None -> (
+        match Tbchain.find t.tbs g.pc with
+        | Some n ->
+            t.stats.cache_hits <- t.stats.cache_hits + 1;
+            Tbchain.jcache_store t.tbs g.jcache n;
+            n
+        | None ->
+            let n = translate t g.pc in
+            Tbchain.jcache_store t.tbs g.jcache n;
+            n)
 
 (* ------------------------------------------------------------------ *)
 (* Tier 2 — hot-trace superblocks: once a block head crosses the
@@ -961,85 +975,99 @@ let maybe_deopt t node =
           node.Tbchain.pc)
   end
 
+(* Dispatch the thread's next block and do the per-execution tier
+   bookkeeping; returns the node whose [active] translation runs. *)
+let enter t g =
+  let node = dispatch t g in
+  t.stats.blocks_executed <- t.stats.blocks_executed + 1;
+  node.Tbchain.exec_count <- node.Tbchain.exec_count + 1;
+  let p = node.Tbchain.tier in
+  (* Tier 0 -> 1: request the backend compile once the block proves
+     hot.  [Cold] implies an interpreter body, so the check is two
+     loads on the (sync-preset) fast path. *)
+  if
+    p.Tier.state = Tier.Cold
+    && t.config.Config.jit_threshold > 0
+    && node.Tbchain.exec_count >= t.config.Config.jit_threshold
+  then request_compile t node;
+  (match node.Tbchain.active with
+  | Interp_only _ ->
+      Obs.Flight.record g.gflight Obs.Flight.Block_enter g.pc 0;
+      t.stats.interp_execs <- t.stats.interp_execs + 1;
+      p.Tier.interp_execs <- p.Tier.interp_execs + 1
+  | Native _ -> Obs.Flight.record g.gflight Obs.Flight.Block_enter g.pc 1);
+  maybe_superblock t node;
+  if node.Tbchain.super_len > 0 then Tier.record_super_entry p;
+  node
+
+(* Cycle attribution for hot-block ranking is metered: one enabled
+   check per dispatch when off.  Guest cycle counting is deterministic,
+   so reading it cannot perturb the run. *)
+let attribute_cycles node g ~from =
+  if Obs.Metrics.enabled () then begin
+    let dc = g.arm.Arm.Machine.cycles - from in
+    node.Tbchain.prof_cycles <- node.Tbchain.prof_cycles + dc;
+    Obs.Metrics.observe (Lazy.force m_block_cycles) dc
+  end
+
+(* Static exit: follow the patched edge, or patch one the first time
+   the target is found translated.  Either way the next dispatch of
+   this thread skips the hashtable. *)
+let chain_exit t g node pc =
+  let target = Tbchain.follow node pc ~none:no_tb in
+  if target != no_tb then begin
+    g.next_tb <- target;
+    g.next_gen <- Tbchain.generation t.tbs
+  end
+  else if Tbchain.chaining t.tbs then
+    match Tbchain.find t.tbs pc with
+    | Some target ->
+        if Tbchain.link t.tbs node ~epc:pc target then
+          t.stats.chained <- t.stats.chained + 1;
+        g.next_tb <- target;
+        g.next_gen <- Tbchain.generation t.tbs
+    | None -> ()
+
+let leave t g node (exit : Arm.Machine.exit_state) =
+  match exit with
+  | Arm.Machine.Next_tb pc ->
+      (* Branch-outcome profile: a plain block records its observed
+         static successor; a superblock records whether it ran to its
+         expected exit, which is what drives demotion.  Recording is
+         unconditional (not metrics-gated) so observability cannot
+         perturb tier decisions. *)
+      if node.Tbchain.super_len > 0 then begin
+        Tier.record_super_exit node.Tbchain.tier pc;
+        maybe_deopt t node
+      end
+      else Tier.record_succ node.Tbchain.tier pc;
+      chain_exit t g node pc;
+      g.pc <- pc
+  | Arm.Machine.Jump pc ->
+      if node.Tbchain.super_len = 0 then Tier.record_other node.Tbchain.tier;
+      g.pc <- pc
+  | Arm.Machine.Halted ->
+      if node.Tbchain.super_len = 0 then Tier.record_other node.Tbchain.tier;
+      Log.debug (fun m -> m "T%d halted" g.arm.Arm.Machine.tid);
+      g.finished <- true
+  | Arm.Machine.Trapped tr ->
+      if node.Tbchain.super_len = 0 then Tier.record_other node.Tbchain.tier;
+      fault_thread t g (fault_of_machine_trap g.pc tr)
+
 let step_block t g =
   if not g.finished then
-    match
-      match dispatch t g with
-      | node ->
-          t.stats.blocks_executed <- t.stats.blocks_executed + 1;
-          node.Tbchain.exec_count <- node.Tbchain.exec_count + 1;
-          let p = node.Tbchain.tier in
-          (* Tier 0 -> 1: request the backend compile once the block
-             proves hot.  [Cold] implies an interpreter body, so the
-             check is two loads on the (sync-preset) fast path. *)
-          if
-            p.Tier.state = Tier.Cold
-            && t.config.Config.jit_threshold > 0
-            && node.Tbchain.exec_count >= t.config.Config.jit_threshold
-          then request_compile t node;
-          (match node.Tbchain.active with
-          | Interp_only _ ->
-              Obs.Flight.record g.gflight Obs.Flight.Block_enter g.pc 0;
-              t.stats.interp_execs <- t.stats.interp_execs + 1;
-              p.Tier.interp_execs <- p.Tier.interp_execs + 1
-          | Native _ ->
-              Obs.Flight.record g.gflight Obs.Flight.Block_enter g.pc 1);
-          maybe_superblock t node;
-          if node.Tbchain.super_len > 0 then Tier.record_super_entry p;
-          (* Cycle attribution for hot-block ranking is metered: one
-             enabled check per dispatch when off.  Guest cycle counting
-             is deterministic, so reading it cannot perturb the run. *)
-          if Obs.Metrics.enabled () then begin
-            let c0 = g.arm.Arm.Machine.cycles in
-            let r = exec t g node.Tbchain.active in
-            let dc = g.arm.Arm.Machine.cycles - c0 in
-            node.Tbchain.prof_cycles <- node.Tbchain.prof_cycles + dc;
-            Obs.Metrics.observe (Lazy.force m_block_cycles) dc;
-            `Ran (node, r)
-          end
-          else `Ran (node, exec t g node.Tbchain.active)
-      | exception Fault.Fault f -> `Trap f
-    with
-    | `Ran (node, `Next pc) ->
-        (* Branch-outcome profile: a plain block records its observed
-           static successor; a superblock records whether it ran to its
-           expected exit, which is what drives demotion.  Recording is
-           unconditional (not metrics-gated) so observability cannot
-           perturb tier decisions. *)
-        if node.Tbchain.super_len > 0 then begin
-          Tier.record_super_exit node.Tbchain.tier pc;
-          maybe_deopt t node
-        end
-        else Tier.record_succ node.Tbchain.tier pc;
-        (* Static exit: follow the patched edge, or patch one the first
-           time the target is found translated.  Either way the next
-           dispatch of this thread skips the hashtable. *)
-        (match Tbchain.follow node pc with
-        | Some target ->
-            g.next_tb <- Some target;
-            g.next_gen <- Tbchain.generation t.tbs
-        | None -> (
-            match Tbchain.find t.tbs pc with
-            | Some target ->
-                if Tbchain.link t.tbs node ~epc:pc target then
-                  t.stats.chained <- t.stats.chained + 1;
-                if Tbchain.chaining t.tbs then begin
-                  g.next_tb <- Some target;
-                  g.next_gen <- Tbchain.generation t.tbs
-                end
-            | None -> ()));
-        g.pc <- pc
-    | `Ran (node, `Jump pc) ->
-        if node.Tbchain.super_len = 0 then Tier.record_other node.Tbchain.tier;
-        g.pc <- pc
-    | `Ran (node, `Halt) ->
-        if node.Tbchain.super_len = 0 then Tier.record_other node.Tbchain.tier;
-        Log.debug (fun m -> m "T%d halted" g.arm.Arm.Machine.tid);
-        g.finished <- true
-    | `Ran (node, `Trap f) ->
-        if node.Tbchain.super_len = 0 then Tier.record_other node.Tbchain.tier;
-        fault_thread t g f
-    | `Trap f -> fault_thread t g f
+    match enter t g with
+    | exception Fault.Fault f -> fault_thread t g f
+    | node -> (
+        let from = g.arm.Arm.Machine.cycles in
+        match exec t g node.Tbchain.active with
+        | exit ->
+            attribute_cycles node g ~from;
+            leave t g node exit
+        | exception Fault.Fault f ->
+            attribute_cycles node g ~from;
+            if node.Tbchain.super_len = 0 then Tier.record_other node.Tbchain.tier;
+            fault_thread t g f)
 
 type outcome =
   | Completed of guest_thread list

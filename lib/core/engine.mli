@@ -102,11 +102,13 @@ type guest_thread = {
       (** set when the thread was stopped by a fault *)
   jcache : compiled Tbchain.jcache;
       (** per-thread direct-mapped TB lookup cache *)
-  mutable next_tb : compiled Tbchain.node option;
+  mutable next_tb : compiled Tbchain.node;
       (** chained target for the next dispatch, if the previous block's
           static exit was patched *)
   mutable next_gen : int;
-      (** chain-table generation [next_tb] was captured at *)
+      (** chain-table generation [next_tb] was captured at; [-1] when
+          there is no chained target ([next_tb] is then a
+          {!Tbchain.detached} placeholder) *)
   gflight : Obs.Flight.t;
       (** this thread's flight ring — see {!thread_flight} *)
 }

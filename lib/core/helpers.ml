@@ -2,82 +2,86 @@ module M = Arm.Machine
 
 let softfloat_cycles = 38
 
-let arg n args =
-  match List.nth_opt args n with
-  | Some v -> v
-  | None ->
-      Fault.raise_ Fault.Helper_fault
-        (Printf.sprintf "missing helper argument %d" n)
+(* Every helper matches its argument list with a pattern: helpers run
+   on every emitted call, and a [List.nth_opt] per read would allocate
+   an option.  A list too short names the first missing index. *)
+let missing n =
+  Fault.raise_ Fault.Helper_fault (Printf.sprintf "missing helper argument %d" n)
 
 let softfloat op _shared t args =
   M.charge t softfloat_cycles;
-  let a = Int64.float_of_bits (arg 0 args)
-  and b = Int64.float_of_bits (arg 1 args) in
-  Int64.bits_of_float
-    (match op with
-    | `Add -> a +. b
-    | `Sub -> a -. b
-    | `Mul -> a *. b
-    | `Div -> a /. b
-    | `Sqrt -> sqrt b)
+  match args with
+  | a :: b :: _ ->
+      let a = Int64.float_of_bits a and b = Int64.float_of_bits b in
+      Int64.bits_of_float
+        (match op with
+        | `Add -> a +. b
+        | `Sub -> a -. b
+        | `Mul -> a *. b
+        | `Div -> a /. b
+        | `Sqrt -> sqrt b)
+  | _ -> missing (List.length args)
+
+let compare_exchange shared (t : M.thread) args =
+  match args with
+  | addr :: expect :: desired :: _ ->
+      M.atomic_line shared t addr;
+      let old = Memsys.Mem.load (M.mem shared) addr in
+      if Int64.equal old expect then Memsys.Mem.store (M.mem shared) addr desired;
+      old
+  | _ -> missing (List.length args)
 
 (* The GCC-9 helper: LDAXR/STLXR loop.  Cost: two exclusives with
    acquire/release, plus line transfer under contention. *)
 let cmpxchg_gcc9 shared (t : M.thread) args =
   let c = M.cost shared in
   M.charge t ((2 * c.Arm.Cost.excl) + (2 * c.Arm.Cost.acq_rel_extra));
-  let addr = arg 0 args and expect = arg 1 args and desired = arg 2 args in
-  M.atomic_line shared t addr;
-  let old = Memsys.Mem.load (M.mem shared) addr in
-  if Int64.equal old expect then Memsys.Mem.store (M.mem shared) addr desired;
-  old
+  compare_exchange shared t args
 
 (* The GCC-10 helper: a casal. *)
 let cmpxchg_gcc10 shared (t : M.thread) args =
   let c = M.cost shared in
   M.charge t c.Arm.Cost.cas;
-  let addr = arg 0 args and expect = arg 1 args and desired = arg 2 args in
-  M.atomic_line shared t addr;
-  let old = Memsys.Mem.load (M.mem shared) addr in
-  if Int64.equal old expect then Memsys.Mem.store (M.mem shared) addr desired;
-  old
+  compare_exchange shared t args
 
 let atomic_op op ~gcc9 shared (t : M.thread) args =
   let c = M.cost shared in
   M.charge t
     (if gcc9 then (2 * c.Arm.Cost.excl) + (2 * c.Arm.Cost.acq_rel_extra)
      else c.Arm.Cost.cas);
-  let addr = arg 0 args and src = arg 1 args in
-  M.atomic_line shared t addr;
-  let old = Memsys.Mem.load (M.mem shared) addr in
-  Memsys.Mem.store (M.mem shared) addr
-    (match op with `Xadd -> Int64.add old src | `Xchg -> src);
-  old
+  match args with
+  | addr :: src :: _ ->
+      M.atomic_line shared t addr;
+      let old = Memsys.Mem.load (M.mem shared) addr in
+      Memsys.Mem.store (M.mem shared) addr
+        (match op with `Xadd -> Int64.add old src | `Xchg -> src);
+      old
+  | _ -> missing (List.length args)
+
+(* helper_syscall(nr, rdi, rsi, rdx) *)
+let syscall ~on_clone s (t : M.thread) args =
+  match args with
+  | 60L :: code :: _ ->
+      t.M.halted <- true;
+      t.M.exit_code <- code;
+      0L
+  | 1L :: _ :: buf :: len :: _ ->
+      for i = 0 to Int64.to_int len - 1 do
+        Buffer.add_char t.M.output
+          (Char.chr (Memsys.Mem.load_byte (M.mem s) (Int64.add buf (Int64.of_int i))))
+      done;
+      len
+  | 56L :: entry :: arg :: _ -> (
+      (* clone(fn=rdi, arg=rsi): spawn a guest thread at [fn] with
+         RDI = arg; returns the child tid (or -ENOSYS when the engine
+         runs single-threaded). *)
+      match on_clone with Some spawn -> spawn ~entry ~arg | None -> -38L)
+  | 186L :: _ -> Int64.of_int t.M.tid
+  | (60L | 1L | 56L) :: _ | [] -> missing (List.length args)
+  | _ :: _ -> -38L
 
 let register_all ?on_clone ?inject shared =
-  M.register_helper shared "helper_syscall" (fun s t args ->
-      match arg 0 args with
-      | 60L ->
-          t.M.halted <- true;
-          t.M.exit_code <- arg 1 args;
-          0L
-      | 1L ->
-          let buf = arg 2 args and len = Int64.to_int (arg 3 args) in
-          for i = 0 to len - 1 do
-            Buffer.add_char t.M.output
-              (Char.chr
-                 (Memsys.Mem.load_byte (M.mem s) (Int64.add buf (Int64.of_int i))))
-          done;
-          arg 3 args
-      | 56L -> (
-          (* clone(fn=rdi, arg=rsi): spawn a guest thread at [fn] with
-             RDI = arg; returns the child tid (or -ENOSYS when the
-             engine runs single-threaded). *)
-          match on_clone with
-          | Some spawn -> spawn ~entry:(arg 1 args) ~arg:(arg 2 args)
-          | None -> -38L)
-      | 186L -> Int64.of_int t.M.tid
-      | _ -> -38L);
+  M.register_helper shared "helper_syscall" (syscall ~on_clone);
   M.register_helper shared "helper_cmpxchg_gcc9" cmpxchg_gcc9;
   M.register_helper shared "helper_cmpxchg_gcc10" cmpxchg_gcc10;
   M.register_helper shared "helper_xadd_gcc9" (atomic_op `Xadd ~gcc9:true);

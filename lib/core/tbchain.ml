@@ -54,6 +54,20 @@ let reset_node n body =
   n.prof_cycles <- 0;
   Tier.reset n.tier
 
+(* A node in no table: the empty value of the engine's dispatch slots. *)
+let detached body =
+  {
+    pc = -1L;
+    body;
+    active = body;
+    exec_count = 0;
+    edges = [];
+    super_len = 0;
+    no_super = false;
+    prof_cycles = 0;
+    tier = Tier.fresh ();
+  }
+
 let insert t pc body =
   match Hashtbl.find_opt t.table pc with
   | Some n ->
@@ -62,19 +76,7 @@ let insert t pc body =
       reset_node n body;
       n
   | None ->
-      let n =
-        {
-          pc;
-          body;
-          active = body;
-          exec_count = 0;
-          edges = [];
-          super_len = 0;
-          no_super = false;
-          prof_cycles = 0;
-          tier = Tier.fresh ();
-        }
-      in
+      let n = { (detached body) with pc } in
       Hashtbl.replace t.table pc n;
       n
 
@@ -92,12 +94,11 @@ let link t from ~epc target =
   end
   else false
 
-let follow from pc =
-  let rec go = function
-    | [] -> None
-    | e :: rest -> if Int64.equal e.epc pc then Some e.target else go rest
-  in
-  go from.edges
+let rec follow_edges pc none = function
+  | [] -> none
+  | e :: rest -> if Int64.equal e.epc pc then e.target else follow_edges pc none rest
+
+let follow from pc ~none = follow_edges pc none from.edges
 
 let install_super n active ~len =
   n.active <- active;
@@ -152,7 +153,7 @@ let jcache_find t jc pc =
   end
   else
     match jc.slots.(jcache_slot pc) with
-    | Some n when Int64.equal n.pc pc -> Some n
+    | Some n as hit when Int64.equal n.pc pc -> hit
     | _ -> None
 
 let jcache_store t jc n =

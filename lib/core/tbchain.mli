@@ -60,8 +60,14 @@ val insert : 'a t -> int64 -> 'a -> 'a node
     Jcc) is full. *)
 val link : 'a t -> 'a node -> epc:int64 -> 'a node -> bool
 
-(** Follow a patched edge for exit pc. *)
-val follow : 'a node -> int64 -> 'a node option
+(** A node that belongs to no table (pc [-1]): never returned by
+    {!find}, {!follow} or a jump cache, so it can stand for "no node"
+    in a dispatch slot without an option around every real one. *)
+val detached : 'a -> 'a node
+
+(** [follow from pc ~none] is the target of [from]'s patched edge for
+    exit pc [pc], or [none] when that exit is unpatched. *)
+val follow : 'a node -> int64 -> none:'a node -> 'a node
 
 (** Make [active] a superblock covering [len] stitched blocks and drop
     the node's now-stale edges. *)

@@ -1,10 +1,15 @@
 (** Shared word-addressable memory for the guest/host machines.
 
-    Addresses are byte addresses; accesses are 64-bit words on 8-byte
-    aligned addresses (the subset ISAs only generate aligned accesses).
-    Also tracks per-cache-line ownership, used by the CAS contention
-    cost model (paper §7.4): an atomic by a thread that does not own the
-    line pays a transfer penalty. *)
+    Addresses are byte addresses over the full unsigned 64-bit range;
+    a word access uses the 8-byte aligned word containing the address
+    (the subset ISAs only generate aligned accesses).  Words live
+    unboxed in 4 KiB pages allocated on first store; unwritten memory
+    reads as zero.  Also tracks per-cache-line (64-byte) ownership,
+    used by the CAS contention cost model (paper §7.4): an atomic by a
+    thread that does not own the line pays a transfer penalty.
+
+    A memory belongs to one domain at a time: even a load updates its
+    cache of recently used pages. *)
 
 type t
 
@@ -31,5 +36,7 @@ val sharers : t -> int64 -> int
 
 val clear : t -> unit
 
-(** Snapshot of all (addr, value) pairs, sorted — for tests. *)
+(** Snapshot of every word ever stored to (by {!store} or
+    {!store_byte}, zero values included) as (addr, value) pairs,
+    sorted by signed address — for tests and oracles. *)
 val dump : t -> (int64 * int64) list

@@ -250,6 +250,46 @@ let test_unknown_helper_fails () =
   check_bool "unknown helper traps" true
     (exit = M.Trapped (M.Unknown_helper "nope"))
 
+let test_helper_reregistered () =
+  let mem = Memsys.Mem.create () in
+  let shared = M.create_shared mem in
+  M.register_helper shared "h" (fun _ _ _ -> 1L);
+  let t = M.create_thread 0 in
+  let code = [| A.Blr_helper ("h", [], Some 0); A.Exit_halt |] in
+  ignore (M.exec_block shared t code);
+  check_i64 "first helper" 1L t.M.regs.(0);
+  (* The first run resolved "h"; replacing it must not leave the old
+     helper behind that resolution. *)
+  M.register_helper shared "h" (fun _ _ _ -> 2L);
+  ignore (M.exec_block shared t code);
+  check_i64 "replacement runs on the next block" 2L t.M.regs.(0)
+
+let test_unknown_host_traps_at_execution () =
+  let host = A.Host_call { func = "nope"; args = [ 0 ]; ret = Some 1 } in
+  (* Never reached: the block runs normally. *)
+  let t, exit, _, _ = exec [ A.B 2; host; A.Movz (2, 5L); A.Exit_halt ] in
+  check_bool "unreached call is harmless" true (exit = M.Halted);
+  check_i64 "block ran on" 5L t.M.regs.(2);
+  let t, exit, _, _ = exec [ A.Movz (2, 5L); host; A.Movz (2, 6L); A.Exit_halt ] in
+  check_bool "executed call traps" true (exit = M.Trapped (M.Unknown_host "nope"));
+  check_i64 "instructions before the call ran" 5L t.M.regs.(2);
+  check_int "host call counted" 1 t.M.host_calls
+
+(* ------------------------------------------------------------------ *)
+(* Block exits                                                         *)
+
+let test_runaway_self_loop () =
+  let t, exit, _, _ = exec [ A.B 0 ] in
+  check_bool "runaway" true (exit = M.Trapped M.Runaway);
+  check_int "insns executed before the trap" 9_999_999 t.M.insns
+
+let test_fell_through () =
+  let t, exit, _, _ = exec [ A.Movz (0, 1L); A.Movz (1, 2L) ] in
+  check_bool "fell through past the end" true (exit = M.Trapped (M.Fell_through 2));
+  check_i64 "body ran" 2L t.M.regs.(1);
+  let _, exit, _, _ = exec [ A.Cbz (31, 3); A.Exit_halt ] in
+  check_bool "branch past the end" true (exit = M.Trapped (M.Fell_through 3))
+
 (* ------------------------------------------------------------------ *)
 (* Code-buffer serialization                                           *)
 
@@ -357,6 +397,14 @@ let () =
         [
           Alcotest.test_case "dispatch" `Quick test_helper_dispatch;
           Alcotest.test_case "unknown" `Quick test_unknown_helper_fails;
+          Alcotest.test_case "re-registered" `Quick test_helper_reregistered;
+          Alcotest.test_case "unknown host traps at execution" `Quick
+            test_unknown_host_traps_at_execution;
+        ] );
+      ( "exits",
+        [
+          Alcotest.test_case "runaway self-loop" `Quick test_runaway_self_loop;
+          Alcotest.test_case "fell through" `Quick test_fell_through;
         ] );
       ( "serialization",
         [

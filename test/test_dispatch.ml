@@ -506,6 +506,25 @@ let test_scheduler_watchdog_budget () =
       check_int "both live" 2 live_threads;
       check_int "threads reported" 2 (List.length ts)
 
+(* Allocation gate: a Parsec kernel under the risotto preset allocates
+   at most [max_words_per_block] minor words per executed block,
+   translation included (DESIGN.md, "Execution core").  Minor-word
+   counts are deterministic, so the bound needs no noise band. *)
+let max_words_per_block = 140.
+
+let test_allocation_gate () =
+  let b = Harness.Parsec.find "freqmine" in
+  let spec = { b.Harness.Parsec.spec with Harness.Kernel.iters = 6000 } in
+  let w0 = Gc.minor_words () in
+  let g, eng = Harness.Kernel.run_dbt Core.Config.risotto spec in
+  let words = Gc.minor_words () -. w0 in
+  check_bool "kernel halted cleanly" true (Core.Engine.trap g = None && g.Core.Engine.finished);
+  let blocks = (Core.Engine.stats eng).Core.Engine.blocks_executed in
+  let per_block = words /. float_of_int blocks in
+  if per_block > max_words_per_block then
+    Alcotest.failf "%.1f minor words per executed block (bound %.0f)" per_block
+      max_words_per_block
+
 let () =
   Alcotest.run "dispatch"
     [
@@ -549,5 +568,10 @@ let () =
             test_scheduler_staggered_threads;
           Alcotest.test_case "watchdog budget with live threads" `Quick
             test_scheduler_watchdog_budget;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "minor words per executed block" `Quick
+            test_allocation_gate;
         ] );
     ]

@@ -426,11 +426,9 @@ let test_tbchain_generation_unit () =
   let t = Core.Tbchain.create ~chain:true () in
   let a = Core.Tbchain.insert t 0x1000L "A" in
   let b = Core.Tbchain.insert t 0x2000L "B" in
+  let none = Core.Tbchain.detached "none" in
   check_bool "edge patched" true (Core.Tbchain.link t a ~epc:0x2000L b);
-  check_bool "edge followed" true
-    (match Core.Tbchain.follow a 0x2000L with
-    | Some n -> n == b
-    | None -> false);
+  check_bool "edge followed" true (Core.Tbchain.follow a 0x2000L ~none == b);
   let jc = Core.Tbchain.jcache_create t in
   Core.Tbchain.jcache_store t jc a;
   check_bool "jcache hit" true
@@ -442,7 +440,7 @@ let test_tbchain_generation_unit () =
   check_int "generation bumped" (gen0 + 1) (Core.Tbchain.generation t);
   check_int "edges dropped" 0 (Core.Tbchain.edge_count t);
   check_bool "patched edge no longer followed" true
-    (Core.Tbchain.follow a 0x2000L = None);
+    (Core.Tbchain.follow a 0x2000L ~none == none);
   check_bool "stale jcache entry invisible" true
     (Core.Tbchain.jcache_find t jc 0x1000L = None);
   (* re-stored under the new generation, the cache works again *)

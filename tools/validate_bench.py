@@ -91,6 +91,10 @@ def cmd_refinement(path):
     )
 
 
+# Upper bounds on BENCH_dispatch.json's minor_words_per_block, per pass.
+MAX_WORDS_PER_BLOCK = {"unchained": 140, "chained": 175}
+
+
 def cmd_dispatch(path):
     j = load(path)
     check_envelope(j, path, "dispatch")
@@ -108,9 +112,22 @@ def cmd_dispatch(path):
             f"{path}: chain-hit rate {ch['chain_hit_rate']:.4f} "
             f"dropped below 0.95"
         )
+    # Minor words per guest block are deterministic, so the bounds need
+    # no noise band.  The chained pass also pays for superblock
+    # formation (re-translating hot traces), hence its looser bound.
+    for name, bound in MAX_WORDS_PER_BLOCK.items():
+        wpb = j[name]["minor_words_per_block"]
+        if wpb > bound:
+            fail(
+                f"{path}: {name} pass allocates {wpb:.1f} minor words per "
+                f"guest block (bound {bound})"
+            )
     print(
         f"dispatch OK: {j['dispatch_reduction']:.1f}x fewer dispatches, "
-        f"chain-hit rate {ch['chain_hit_rate']:.1%}, parity holds"
+        f"chain-hit rate {ch['chain_hit_rate']:.1%}, "
+        f"{ch['minor_words_per_block']:.1f}/"
+        f"{j['unchained']['minor_words_per_block']:.1f} words/block "
+        f"(chained/unchained), parity holds"
     )
 
 

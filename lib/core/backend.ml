@@ -132,7 +132,7 @@ let compile (config : Config.t) (b : Tcg.Block.t) =
               A.Ldadd { acq = true; rel = true; old = reg old; src = reg src; base = reg addr }
           | `Xchg ->
               A.Swp { acq = true; rel = true; old = reg old; src = reg src; base = reg addr })
-    | Mapping.Schemes.(Risotto_rmw2 | Helper_gcc9 | Helper_gcc10) ->
+    | Mapping.Schemes.Risotto_rmw2 ->
         (* Figure 7b's RMW2 form: DMBFF-bracketed exclusive loop. *)
         let retry = !next_backend_label in
         incr next_backend_label;
@@ -145,6 +145,9 @@ let compile (config : Config.t) (b : Tcg.Block.t) =
         ins (A.Stxr (scratch1, scratch0, reg addr));
         emit (Branch ((fun ix -> A.Cbnz (scratch1, ix)), retry));
         ins (A.Dmb A.Full)
+    | Mapping.Schemes.(Helper_gcc9 | Helper_gcc10) ->
+        Fault.raise_ ~pc:b.Tcg.Block.guest_pc Fault.Backend_fault
+          "Atomic op under helper RMW strategy"
   in
   List.iter
     (fun op ->

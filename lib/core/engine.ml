@@ -2,18 +2,10 @@ let log_src = Logs.Src.create "risotto.engine" ~doc:"Risotto DBT engine"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Observability handles.  Counters that are cheap and cold (translate,
-   faults, superblocks) are mirrored into the registry live; the hot
-   dispatch counters stay plain [stats] fields and are published as
-   gauges by {!publish_metrics} so the dispatch loop pays nothing for
-   them. *)
+(* Timing, not events: latency histograms stay direct registry writes. *)
 let m_translate_ns = lazy (Obs.Metrics.histogram "engine.translate.ns")
 let m_compile_ns = lazy (Obs.Metrics.histogram "engine.compile.ns")
 let m_block_cycles = lazy (Obs.Metrics.histogram "engine.block.cycles")
-let m_translated = lazy (Obs.Metrics.counter "engine.blocks_translated")
-let m_fallbacks = lazy (Obs.Metrics.counter "engine.interp_fallbacks")
-let m_traps = lazy (Obs.Metrics.counter "engine.traps")
-let m_superblocks = lazy (Obs.Metrics.counter "engine.superblocks")
 
 (* Tier-lifecycle latency: how long a block waited from compile request
    to publication, and how long its finished result sat in the
@@ -22,39 +14,109 @@ let m_req_to_publish = lazy (Obs.Metrics.histogram "tier.request_to_publish.ns")
 let m_install_queue = lazy (Obs.Metrics.histogram "tier.install_queue.ns")
 
 type stats = {
-  mutable blocks_translated : int;
-  mutable blocks_executed : int;  (** dispatches through the execute loop *)
-  mutable cache_hits : int;
-  mutable lookups : int;
-  mutable fences_emitted : int;
-  mutable tcg_ops_before_opt : int;
-  mutable tcg_ops_after_opt : int;
-  mutable chained : int;  (** block exits patched into direct edges *)
-  mutable chain_hits : int;  (** dispatches served by a patched edge *)
-  mutable jmp_cache_hits : int;
-      (** dispatches served by the per-thread jump cache *)
-  mutable superblocks : int;  (** hot traces stitched and installed *)
-  mutable interp_fallbacks : int;
-      (** blocks the backend could not compile, demoted to the TCG
-          interpreter *)
-  mutable traps : int;  (** guest threads finished by a fault *)
-  mutable cache_quarantined : int;
-      (** persistent-cache entries that failed their checksum and were
-          dropped (the block retranslates on demand) *)
-  mutable interp_execs : int;
-      (** dispatches served by the TCG interpreter (tier 0 + degraded
-          blocks) *)
-  mutable tier1_installed : int;
-      (** compile requests whose native TB was published (tier 1) *)
-  mutable deopts : int;
-      (** superblocks demoted back to tier-1 TBs on side-exit-rate
-          regression *)
-  mutable installs_dropped : int;
-      (** compile results discarded by the generation check (reset /
-          cache reload raced an in-flight install) *)
-  mutable install_hwm : int;
-      (** install-queue depth high-water mark *)
+  blocks_translated : int;
+  blocks_executed : int;
+  cache_hits : int;
+  lookups : int;
+  fences_emitted : int;
+  tcg_ops_before_opt : int;
+  tcg_ops_after_opt : int;
+  chained : int;
+  chain_hits : int;
+  jmp_cache_hits : int;
+  superblocks : int;
+  interp_fallbacks : int;
+  traps : int;
+  cache_quarantined : int;
+  interp_execs : int;
+  tier1_installed : int;
+  deopts : int;
+  installs_dropped : int;
+  install_hwm : int;
 }
+
+(* ------------------------------------------------------------------ *)
+(* Lifecycle events.  Every counted thing that happens in the engine is
+   one [emit] of one event kind; the table row of that kind decides
+   which sinks see it.  Constructors are declared in table order. *)
+
+type event =
+  | Translated
+  | Executed
+  | Chained
+  | Chain_hit
+  | Jcache_hit
+  | Superblock_installed
+  | Fallback
+  | Trapped
+  | Cache_quarantined
+  | Interp_exec
+  | Published
+  | Deopt
+  | Install_dropped
+  | Queue_depth
+  | Table_hit
+  | Lookup_miss
+  | Fences_emitted
+  | Ops_before
+  | Ops_after
+  | Compile_requested
+  | Watchdog_fired
+
+(* How an emit moves its counter: by one, by the emitted int, or up to
+   the emitted int. *)
+type tally = Count | Sum | High_water
+
+type row = {
+  event : event;
+  name : string;
+      (* the [stats] field, the [engine.stats.<name>] gauge and (dashed)
+         the stats-line label *)
+  flight : Obs.Flight.kind option;  (* ring event carrying pc and int *)
+  level : Logs.level option;
+      (* log level; events above [Debug] also become trace instants *)
+  tally : tally;
+  always : bool;  (* printed by [stats_line] even when zero *)
+}
+
+let row ?flight ?level ?(tally = Count) ?(always = false) event name =
+  { event; name; flight; level; tally; always }
+
+module Fl = Obs.Flight
+
+let table =
+  [|
+    row Translated "blocks_translated" ~flight:Fl.Fence_pass ~level:Info ~always:true;
+    row Executed "blocks_executed" ~flight:Fl.Block_enter ~level:Debug ~always:true;
+    row Chained "chained" ~always:true;
+    row Chain_hit "chain_hits" ~always:true;
+    row Jcache_hit "jmp_cache_hits" ~always:true;
+    row Superblock_installed "superblocks" ~flight:Fl.Superblock ~level:Info ~always:true;
+    row Fallback "interp_fallbacks" ~flight:Fl.Tier_degraded ~level:Warning ~always:true;
+    row Trapped "traps" ~flight:Fl.Trap ~level:Warning ~always:true;
+    row Cache_quarantined "cache_quarantined" ~level:Warning ~always:true;
+    row Interp_exec "interp_execs" ~always:true;
+    row Published "tier1_installed" ~flight:Fl.Tier_published ~level:Info ~always:true;
+    row Deopt "deopts" ~flight:Fl.Tier_deopt ~level:Info ~always:true;
+    row Install_dropped "installs_dropped" ~flight:Fl.Install_drop ~level:Info;
+    row Queue_depth "install_hwm" ~tally:High_water;
+    row Table_hit "table_hits";
+    row Lookup_miss "lookup_misses";
+    row Fences_emitted "fences_emitted" ~tally:Sum;
+    row Ops_before "tcg_ops_before_opt" ~tally:Sum;
+    row Ops_after "tcg_ops_after_opt" ~tally:Sum;
+    row Compile_requested "compile_requests" ~flight:Fl.Tier_queued ~level:Info;
+    row Watchdog_fired "watchdogs" ~flight:Fl.Watchdog ~level:Warning;
+  |]
+
+(* A constant constructor is the immediate int of its declaration
+   position, which the table order mirrors (checked below). *)
+let slot (e : event) : int = Obj.magic e
+
+let () = Array.iteri (fun i r -> assert (slot r.event = i)) table
+let events = Array.to_list (Array.map (fun r -> r.event) table)
+let event_name e = table.(slot e).name
+let event_flight e = table.(slot e).flight
 
 (* How the block at a pc executes: natively, or on the TCG interpreter
    because the backend could not compile it (or has not yet — tier 0). *)
@@ -88,7 +150,7 @@ type t = {
   tcg_cache : (int64, Tcg.Block.t) Hashtbl.t;
       (* optimized TCG per pc, kept for inspection and trace stitching *)
   inject : Inject.t;
-  stats : stats;
+  counts : int array;  (* one counter per event kind, indexed by [slot] *)
   pending_spawns : (int * int64 * int64) Queue.t;  (* tid, entry, arg *)
   next_tid : int ref;
   install_service : Parallel.Pool.service option;
@@ -185,28 +247,7 @@ let create ?cost ?idl ?install_service config image =
        the 64 buckets the old caches started with. *)
     tcg_cache = Hashtbl.create 4096;
     inject;
-    stats =
-      {
-        blocks_translated = 0;
-        blocks_executed = 0;
-        cache_hits = 0;
-        lookups = 0;
-        fences_emitted = 0;
-        tcg_ops_before_opt = 0;
-        tcg_ops_after_opt = 0;
-        chained = 0;
-        chain_hits = 0;
-        jmp_cache_hits = 0;
-        superblocks = 0;
-        interp_fallbacks = 0;
-        traps = 0;
-        cache_quarantined = 0;
-        interp_execs = 0;
-        tier1_installed = 0;
-        deopts = 0;
-        installs_dropped = 0;
-        install_hwm = 0;
-      };
+    counts = Array.make (Array.length table) 0;
     pending_spawns;
     next_tid;
     install_service;
@@ -222,9 +263,77 @@ let create ?cost ?idl ?install_service config image =
   in
   t
 
+(* [Log.debug] takes a closure, which allocates whether or not the
+   message is printed: per-block events check the level first. *)
+let debug_enabled () =
+  match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
+
+(* The log line and trace instant of an event worth telling (rows with
+   a level); cold, so it may allocate. *)
+let announce (r : row) level ?why pc arg =
+  let name = match r.flight with Some k -> Fl.kind_name k | None -> r.name in
+  let suffix = match why with Some w -> ": " ^ w | None -> "" in
+  Log.msg level (fun m -> m "%s pc=0x%Lx arg=%d%s" name pc arg suffix);
+  if level <> Logs.Debug then
+    Obs.Trace.instant ~cat:"engine"
+      ~args:(fun () ->
+        ("pc", Printf.sprintf "0x%Lx" pc) :: ("arg", string_of_int arg)
+        :: (match why with Some w -> [ ("why", w) ] | None -> []))
+      name
+
+(* The one sink write per event site: bump the kind's counter, append
+   to [ring] (the engine's ring, or the owning thread's), log.  No
+   allocation unless the event is logged. *)
+let emit ?why t ring e pc arg =
+  let i = slot e in
+  let r : row = table.(i) in
+  let c = t.counts in
+  (match r.tally with
+  | Count -> c.(i) <- c.(i) + 1
+  | Sum -> c.(i) <- c.(i) + arg
+  | High_water -> if arg > c.(i) then c.(i) <- arg);
+  (match r.flight with Some k -> Fl.record ring k pc arg | None -> ());
+  match r.level with
+  | None -> ()
+  | Some Logs.Debug -> if debug_enabled () then announce r Logs.Debug ?why pc arg
+  | Some level -> announce r level ?why pc arg
+
+let count t e = t.counts.(slot e)
+
+let stats t =
+  let c = count t in
+  let cache_hits = c Chain_hit + c Jcache_hit + c Table_hit in
+  {
+    blocks_translated = c Translated;
+    blocks_executed = c Executed;
+    cache_hits;
+    lookups = cache_hits + c Lookup_miss;
+    fences_emitted = c Fences_emitted;
+    tcg_ops_before_opt = c Ops_before;
+    tcg_ops_after_opt = c Ops_after;
+    chained = c Chained;
+    chain_hits = c Chain_hit;
+    jmp_cache_hits = c Jcache_hit;
+    superblocks = c Superblock_installed;
+    interp_fallbacks = c Fallback;
+    traps = c Trapped;
+    cache_quarantined = c Cache_quarantined;
+    interp_execs = c Interp_exec;
+    tier1_installed = c Published;
+    deopts = c Deopt;
+    installs_dropped = c Install_dropped;
+    install_hwm = c Queue_depth;
+  }
+
+(* Every counter by name: the table's rows, then the two dispatch sums
+   the [stats] record has always carried. *)
+let counters t =
+  let s = stats t in
+  Array.to_list (Array.map (fun r -> (r.name, t.counts.(slot r.event))) table)
+  @ [ ("cache_hits", s.cache_hits); ("lookups", s.lookups) ]
+
 let config t = t.config
 let memory t = t.mem
-let stats t = t.stats
 let links t = t.links
 let injector t = t.inject
 let flight t = t.flight
@@ -246,14 +355,13 @@ let stack_top tid = Int64.sub 0x8000_0000L (Int64.of_int (tid * 0x10000))
    generation and die at the apply-side check). *)
 let discard_pending_installs t =
   Mutex.lock t.completions_m;
-  let dropped = Queue.length t.completions in
+  let dropped = List.of_seq (Queue.to_seq t.completions) in
   Queue.clear t.completions;
   Mutex.unlock t.completions_m;
-  if dropped > 0 then begin
-    ignore (Atomic.fetch_and_add t.completions_n (-dropped));
-    t.stats.installs_dropped <- t.stats.installs_dropped + dropped;
-    Obs.Metrics.add (Lazy.force Tier.m_installs_dropped) dropped
-  end
+  ignore (Atomic.fetch_and_add t.completions_n (-List.length dropped));
+  List.iter
+    (fun inst -> emit t t.flight Install_dropped inst.i_pc inst.i_gen)
+    dropped
 
 let reset t =
   Obs.Trace.instant ~cat:"engine" "reset";
@@ -280,12 +388,11 @@ let compile_block ~pc ~injected compile =
           (Fault.make ~pc Fault.Backend_fault
              (Printf.sprintf "register pressure in block 0x%Lx" p))
 
-let count_fences t code =
-  t.stats.fences_emitted <-
-    t.stats.fences_emitted
-    + Array.fold_left
-        (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
-        0 code
+let count_fences t pc code =
+  emit t t.flight Fences_emitted pc
+    (Array.fold_left
+       (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
+       0 code)
 
 let translate t pc =
   Obs.Trace.with_span ~cat:"engine"
@@ -297,20 +404,12 @@ let translate t pc =
     Obs.Trace.with_span ~cat:"engine" "frontend" (fun () ->
         Frontend.translate t.frontend pc)
   in
-  Log.info (fun m ->
-      m "translate tb@0x%Lx: %d guest insns -> %d tcg ops" pc
-        raw.Tcg.Block.guest_insns (Tcg.Block.op_count raw));
   let ledger = Tcg.Fence_ledger.create () in
   let optimized = Tcg.Pipeline.run ~ledger t.config.Config.passes raw in
   Hashtbl.replace t.ledgers pc ledger;
-  Obs.Flight.record t.flight Obs.Flight.Fence_pass pc
-    (Tcg.Fenceopt.count optimized.Tcg.Block.ops);
-  t.stats.blocks_translated <- t.stats.blocks_translated + 1;
-  Obs.Metrics.incr (Lazy.force m_translated);
-  t.stats.tcg_ops_before_opt <-
-    t.stats.tcg_ops_before_opt + Tcg.Block.op_count raw;
-  t.stats.tcg_ops_after_opt <-
-    t.stats.tcg_ops_after_opt + Tcg.Block.op_count optimized;
+  emit t t.flight Translated pc (Tcg.Fenceopt.count optimized.Tcg.Block.ops);
+  emit t t.flight Ops_before pc (Tcg.Block.op_count raw);
+  emit t t.flight Ops_after pc (Tcg.Block.op_count optimized);
   Hashtbl.replace t.tcg_cache pc optimized;
   if t.config.Config.jit_threshold > 0 then
     (* Tier 0: the block starts life on the TCG interpreter (state
@@ -328,17 +427,14 @@ let translate t pc =
     let body =
       match compiled with
       | Ok code ->
-          count_fences t code;
+          count_fences t pc code;
           Native code
       | Error f ->
           (* Degraded mode: the block stays on the TCG interpreter.  The
              run keeps its semantics (the interpreter and backend agree by
              construction), only this block's speed is lost. *)
-          Log.warn (fun m ->
-              m "tb@0x%Lx: backend failed (%s); falling back to interpreter" pc
-                (Fault.to_string f));
-          t.stats.interp_fallbacks <- t.stats.interp_fallbacks + 1;
-          Obs.Metrics.incr (Lazy.force m_fallbacks);
+          emit t t.flight Fallback pc (Tbchain.generation t.tbs)
+            ~why:(Fault.to_string f);
           Interp_only optimized
     in
     let n = Tbchain.insert t.tbs pc body in
@@ -362,11 +458,7 @@ let translate t pc =
    visible (see DESIGN.md, "tier ladder"). *)
 
 let apply_install t inst =
-  let stale () =
-    t.stats.installs_dropped <- t.stats.installs_dropped + 1;
-    Obs.Flight.record t.flight Obs.Flight.Install_drop inst.i_pc inst.i_gen;
-    Obs.Metrics.incr (Lazy.force Tier.m_installs_dropped)
-  in
+  let stale () = emit t t.flight Install_dropped inst.i_pc inst.i_gen in
   (* Lifecycle latency is metered end-to-end: observe only when the
      request was stamped (metrics on at request time) and metrics are
      still on now. *)
@@ -393,29 +485,13 @@ let apply_install t inst =
                state Queued the active translation is the body. *)
             node.Tbchain.active <- node.Tbchain.body;
             node.Tbchain.tier.Tier.state <- Tier.Published;
-            count_fences t code;
-            t.stats.tier1_installed <- t.stats.tier1_installed + 1;
-            Obs.Flight.record t.flight Obs.Flight.Tier_published inst.i_pc
-              inst.i_gen;
-            observe_latency ();
-            Obs.Trace.instant ~cat:"engine"
-              ~args:(fun () -> [ ("pc", Printf.sprintf "0x%Lx" inst.i_pc) ])
-              "tier-publish";
-            Obs.Metrics.incr (Lazy.force Tier.m_installs);
-            Log.debug (fun m ->
-                m "tb@0x%Lx: tier-1 TB published (%d host insns)" inst.i_pc
-                  (Array.length code))
+            count_fences t inst.i_pc code;
+            emit t t.flight Published inst.i_pc inst.i_gen;
+            observe_latency ()
         | Error f ->
             node.Tbchain.tier.Tier.state <- Tier.Degraded;
-            Obs.Flight.record t.flight Obs.Flight.Tier_degraded inst.i_pc
-              inst.i_gen;
-            t.stats.interp_fallbacks <- t.stats.interp_fallbacks + 1;
-            Obs.Metrics.incr (Lazy.force m_fallbacks);
-            Obs.Metrics.incr (Lazy.force Tier.m_install_failures);
-            Log.warn (fun m ->
-                m "tb@0x%Lx: background compile failed (%s); staying on \
-                   interpreter"
-                  inst.i_pc (Fault.to_string f)))
+            emit t t.flight Fallback inst.i_pc inst.i_gen
+              ~why:(Fault.to_string f))
     | Some _ | None ->
         (* Same generation but the node was dropped or re-seeded
            (e.g. a cache reload re-inserted it): the request no longer
@@ -429,7 +505,7 @@ let apply_completions t =
     let items = List.init k (fun _ -> Queue.pop t.completions) in
     Mutex.unlock t.completions_m;
     ignore (Atomic.fetch_and_add t.completions_n (-k));
-    if k > t.stats.install_hwm then t.stats.install_hwm <- k;
+    emit t t.flight Queue_depth 0L k;
     List.iter (apply_install t) items
   end
 
@@ -439,10 +515,9 @@ let request_compile t node =
   | Interp_only tcg ->
       let p = node.Tbchain.tier in
       p.Tier.state <- Tier.Queued;
-      Obs.Metrics.incr (Lazy.force Tier.m_requests);
       let pc = node.Tbchain.pc in
       let gen = Tbchain.generation t.tbs in
-      Obs.Flight.record t.flight Obs.Flight.Tier_queued pc gen;
+      emit t t.flight Compile_requested pc gen;
       let req_us = if Obs.Metrics.enabled () then Obs.Profile.now_us () else 0. in
       (* Fault injection is stateful: fire on the execution thread at
          enqueue time, so a plan's Nth/Seeded counters stay
@@ -465,8 +540,7 @@ let request_compile t node =
       (match t.install_service with
       | Some svc when not t.config.Config.sync_compile ->
           Parallel.Pool.service_submit svc job;
-          let depth = Parallel.Pool.service_pending svc in
-          if depth > t.stats.install_hwm then t.stats.install_hwm <- depth
+          emit t t.flight Queue_depth pc (Parallel.Pool.service_pending svc)
       | Some _ | None ->
           (* The determinism escape hatch ([sync_compile]): same
              request/publish path, run to completion inline. *)
@@ -482,12 +556,13 @@ let drain_installs t =
   apply_completions t
 
 let fetch t pc =
-  t.stats.lookups <- t.stats.lookups + 1;
   match Tbchain.find t.tbs pc with
   | Some n ->
-      t.stats.cache_hits <- t.stats.cache_hits + 1;
+      emit t t.flight Table_hit pc 0;
       n.Tbchain.body
-  | None -> (translate t pc).Tbchain.body
+  | None ->
+      emit t t.flight Lookup_miss pc 0;
+      (translate t pc).Tbchain.body
 
 let lookup_block t pc =
   match fetch t pc with
@@ -636,28 +711,21 @@ let postmortem_json ?(last = 32) t ~reason =
             (List.map json_of_event (Obs.Flight.last ~n:last g.gflight)) );
       ]
   in
-  let tiers =
-    Tbchain.fold
-      (fun pc n acc ->
-        Report.Json.Obj
-          [
-            ("pc", Report.Json.String (Printf.sprintf "0x%Lx" pc));
-            ("state", Report.Json.String (state_name n.Tbchain.tier.Tier.state));
-            ("execs", Report.Json.Int n.Tbchain.exec_count);
-            ("super_len", Report.Json.Int n.Tbchain.super_len);
-          ]
-        :: acc)
-      t.tbs []
+  let json_of_tier (pc, n) =
+    Report.Json.Obj
+      [
+        ("pc", Report.Json.String (Printf.sprintf "0x%Lx" pc));
+        ("state", Report.Json.String (state_name n.Tbchain.tier.Tier.state));
+        ("execs", Report.Json.Int n.Tbchain.exec_count);
+        ("super_len", Report.Json.Int n.Tbchain.super_len);
+      ]
   in
   let tiers =
-    (* Hashtbl fold order is unspecified: re-sort by the pc string we
-       just embedded so the artifact is stable. *)
-    List.sort
-      (fun a b ->
-        match (Report.Json.member "pc" a, Report.Json.member "pc" b) with
-        | Some (Report.Json.String x), Some (Report.Json.String y) -> compare x y
-        | _ -> 0)
-      tiers
+    (* Hashtbl fold order is unspecified: sort by pc for a stable
+       artifact. *)
+    Tbchain.fold (fun pc n acc -> (pc, n) :: acc) t.tbs []
+    |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
+    |> List.map json_of_tier
   in
   let trapping_ledgers =
     List.filter_map
@@ -693,6 +761,9 @@ let postmortem_json ?(last = 32) t ~reason =
         Report.Json.List
           (List.map json_of_event (Obs.Flight.last ~n:last t.flight)) );
       ("tiers", Report.Json.List tiers);
+      ( "stats",
+        Report.Json.Obj
+          (List.map (fun (k, v) -> (k, Report.Json.Int v)) (counters t)) );
       ("fence_ledgers", Report.Json.List trapping_ledgers);
       ( "chain",
         Report.Json.Obj
@@ -736,14 +807,7 @@ let dump_postmortem t ~reason =
 (* Record a fault against one guest thread; only that thread stops. *)
 let fault_thread t g f =
   let f = Fault.locate ~pc:g.pc ~tid:g.arm.Arm.Machine.tid f in
-  t.stats.traps <- t.stats.traps + 1;
-  Obs.Metrics.incr (Lazy.force m_traps);
-  Obs.Trace.instant ~cat:"engine"
-    ~args:(fun () -> [ ("fault", Fault.to_string f) ])
-    "trap";
-  Log.warn (fun m ->
-      m "T%d trapped: %s" g.arm.Arm.Machine.tid (Fault.to_string f));
-  Obs.Flight.record g.gflight Obs.Flight.Trap g.pc 0;
+  emit t g.gflight Trapped g.pc 0 ~why:(Fault.to_string f);
   g.trap <- Some f;
   g.finished <- true;
   dump_postmortem t ~reason:("trap: " ^ Fault.to_string f)
@@ -773,26 +837,12 @@ let step_interp t g b =
   done;
   res
 
-(* [Log.debug] takes a closure, which allocates whether or not the
-   message is printed: per-block logging checks the level first. *)
-let debug_enabled () =
-  match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
-
 (* Run a block's active translation.  The exit comes back in the
    machine's own terms, whichever tier ran it; a helper fault raised
    mid-block escapes as [Fault.Fault]. *)
 let exec t g = function
-  | Native code ->
-      if debug_enabled () then
-        Log.debug (fun m ->
-            m "T%d exec tb@0x%Lx (%d host insns)" g.arm.Arm.Machine.tid g.pc
-              (Array.length code));
-      Arm.Machine.exec_block t.shared g.arm code
+  | Native code -> Arm.Machine.exec_block t.shared g.arm code
   | Interp_only b -> (
-      if debug_enabled () then
-        Log.debug (fun m ->
-            m "T%d interp tb@0x%Lx (%d tcg ops)" g.arm.Arm.Machine.tid g.pc
-              (Tcg.Block.op_count b));
       match step_interp t g b with
       (* Helpers run mid-block (exit syscall) may halt the thread. *)
       | Tcg.Interp.Next_tb pc ->
@@ -816,30 +866,28 @@ let dispatch t g =
      the fast path, and the thread that requested a block is usually
      the next one to run it. *)
   if Atomic.get t.completions_n > 0 then apply_completions t;
-  t.stats.lookups <- t.stats.lookups + 1;
   let n = g.next_tb in
   let chained =
     g.next_gen = Tbchain.generation t.tbs && Int64.equal n.Tbchain.pc g.pc
   in
   g.next_gen <- -1;
   if chained then begin
-    t.stats.cache_hits <- t.stats.cache_hits + 1;
-    t.stats.chain_hits <- t.stats.chain_hits + 1;
+    emit t g.gflight Chain_hit g.pc 0;
     n
   end
   else
     match Tbchain.jcache_find t.tbs g.jcache g.pc with
     | Some n ->
-        t.stats.cache_hits <- t.stats.cache_hits + 1;
-        t.stats.jmp_cache_hits <- t.stats.jmp_cache_hits + 1;
+        emit t g.gflight Jcache_hit g.pc 0;
         n
     | None -> (
         match Tbchain.find t.tbs g.pc with
         | Some n ->
-            t.stats.cache_hits <- t.stats.cache_hits + 1;
+            emit t g.gflight Table_hit g.pc 0;
             Tbchain.jcache_store t.tbs g.jcache n;
             n
         | None ->
+            emit t g.gflight Lookup_miss g.pc 0;
             let n = translate t g.pc in
             Tbchain.jcache_store t.tbs g.jcache n;
             n)
@@ -911,10 +959,6 @@ let form_superblock t head =
         in
         match Backend.compile t.config stitched with
         | code ->
-            Log.info (fun m ->
-                m "superblock@0x%Lx: %d blocks, %d tcg ops" head.Tbchain.pc
-                  (List.length blocks)
-                  (Tcg.Block.op_count stitched));
             (* When the whole trace executes, it exits to the tail's
                dominant successor; anything else is a side exit. *)
             let tail = List.nth path (List.length path - 1) in
@@ -947,10 +991,7 @@ let maybe_superblock t node =
     | `Installed (super, len, expected_exit) ->
         Tbchain.install_super node super ~len;
         Tier.note_super_installed node.Tbchain.tier ~expected_exit;
-        Obs.Flight.record t.flight Obs.Flight.Superblock node.Tbchain.pc len;
-        t.stats.superblocks <- t.stats.superblocks + 1;
-        Obs.Metrics.incr (Lazy.force m_superblocks);
-        Obs.Metrics.incr (Lazy.force Tier.m_promotions)
+        emit t t.flight Superblock_installed node.Tbchain.pc len
     | `Not_ready -> ()
     | `Failed -> node.Tbchain.no_super <- true
 
@@ -966,20 +1007,13 @@ let maybe_deopt t node =
     node.Tbchain.super_len <- 0;
     Tier.note_deopt p;
     if not (Tier.retry_allowed p) then node.Tbchain.no_super <- true;
-    Obs.Flight.record t.flight Obs.Flight.Tier_deopt node.Tbchain.pc
-      p.Tier.deopt_count;
-    t.stats.deopts <- t.stats.deopts + 1;
-    Obs.Metrics.incr (Lazy.force Tier.m_deopts);
-    Log.info (fun m ->
-        m "superblock@0x%Lx deoptimized (side-exit regression)"
-          node.Tbchain.pc)
+    emit t t.flight Deopt node.Tbchain.pc p.Tier.deopt_count
   end
 
 (* Dispatch the thread's next block and do the per-execution tier
    bookkeeping; returns the node whose [active] translation runs. *)
 let enter t g =
   let node = dispatch t g in
-  t.stats.blocks_executed <- t.stats.blocks_executed + 1;
   node.Tbchain.exec_count <- node.Tbchain.exec_count + 1;
   let p = node.Tbchain.tier in
   (* Tier 0 -> 1: request the backend compile once the block proves
@@ -992,10 +1026,9 @@ let enter t g =
   then request_compile t node;
   (match node.Tbchain.active with
   | Interp_only _ ->
-      Obs.Flight.record g.gflight Obs.Flight.Block_enter g.pc 0;
-      t.stats.interp_execs <- t.stats.interp_execs + 1;
-      p.Tier.interp_execs <- p.Tier.interp_execs + 1
-  | Native _ -> Obs.Flight.record g.gflight Obs.Flight.Block_enter g.pc 1);
+      emit t g.gflight Executed g.pc 0;
+      emit t g.gflight Interp_exec g.pc 0
+  | Native _ -> emit t g.gflight Executed g.pc 1);
   maybe_superblock t node;
   if node.Tbchain.super_len > 0 then Tier.record_super_entry p;
   node
@@ -1023,7 +1056,7 @@ let chain_exit t g node pc =
     match Tbchain.find t.tbs pc with
     | Some target ->
         if Tbchain.link t.tbs node ~epc:pc target then
-          t.stats.chained <- t.stats.chained + 1;
+          emit t g.gflight Chained node.Tbchain.pc 0;
         g.next_tb <- target;
         g.next_gen <- Tbchain.generation t.tbs
     | None -> ()
@@ -1112,13 +1145,8 @@ let run_concurrent ?(max_blocks = 50_000_000) t threads0 =
   let threads = List.of_seq (Queue.to_seq all) in
   if !live = 0 then Completed threads
   else begin
-    Log.warn (fun m ->
-        m "watchdog: block budget %d exhausted with %d live thread(s)"
-          max_blocks !live);
     List.iter
-      (fun g ->
-        if not g.finished then
-          Obs.Flight.record g.gflight Obs.Flight.Watchdog g.pc !n)
+      (fun g -> if not g.finished then emit t g.gflight Watchdog_fired g.pc !n)
       threads;
     dump_postmortem t
       ~reason:(Printf.sprintf "exhausted: block budget spent, %d live" !live);
@@ -1160,57 +1188,26 @@ let hot_blocks ?limit t =
   in
   Obs.Profile.rank ?limit entries
 
-(* One-line run summary for CLIs.  The core fields are printed
-   unconditionally — in particular [interp-fallbacks], so a clean run
-   is distinguishable from a run where degradation went unreported.
-   The two install-queue fields are zero-suppressed and named after
-   their gauges ([installs_dropped] / [install_hwm]): most runs never
-   drop an install, and a sync engine has no queue at all. *)
+(* One-line run summary for CLIs: guest cycles, then every table row
+   under its dashed name.  Rows marked [always] print even at zero (so a
+   clean run says [interp-fallbacks=0] rather than nothing); the rest
+   only when they happened. *)
 let stats_line t g =
-  let s = t.stats in
-  Printf.sprintf
-    "cycles=%d blocks=%d executed=%d chained=%d chain-hits=%d \
-     jcache-hits=%d superblocks=%d interp-fallbacks=%d traps=%d \
-     cache-quarantined=%d interp-execs=%d tier1-installed=%d deopts=%d%s%s"
-    g.arm.Arm.Machine.cycles s.blocks_translated s.blocks_executed s.chained
-    s.chain_hits s.jmp_cache_hits s.superblocks s.interp_fallbacks s.traps
-    s.cache_quarantined s.interp_execs s.tier1_installed s.deopts
-    (if s.installs_dropped > 0 then
-       Printf.sprintf " installs-dropped=%d" s.installs_dropped
-     else "")
-    (if s.install_hwm > 0 then Printf.sprintf " install-hwm=%d" s.install_hwm
-     else "")
+  let b = Buffer.create 256 in
+  Printf.bprintf b "cycles=%d" g.arm.Arm.Machine.cycles;
+  Array.iter
+    (fun r ->
+      let v = t.counts.(slot r.event) in
+      if r.always || v > 0 then
+        Printf.bprintf b " %s=%d" (String.map (function '_' -> '-' | c -> c) r.name) v)
+    table;
+  Buffer.contents b
 
-(* Publish the hot-path dispatch counters (kept as plain mutable fields
-   so dispatch pays nothing for them) into the metrics registry as
-   gauges.  Call once at end of run, e.g. before printing a snapshot. *)
 let publish_metrics t =
-  if Obs.Metrics.enabled () then begin
-    let s = t.stats in
-    let set name v = Obs.Metrics.set (Obs.Metrics.gauge name) v in
-    set "engine.stats.blocks_translated" s.blocks_translated;
-    set "engine.stats.blocks_executed" s.blocks_executed;
-    set "engine.stats.cache_hits" s.cache_hits;
-    set "engine.stats.lookups" s.lookups;
-    set "engine.stats.fences_emitted" s.fences_emitted;
-    set "engine.stats.tcg_ops_before_opt" s.tcg_ops_before_opt;
-    set "engine.stats.tcg_ops_after_opt" s.tcg_ops_after_opt;
-    set "engine.stats.chained" s.chained;
-    set "engine.stats.chain_hits" s.chain_hits;
-    set "engine.stats.jmp_cache_hits" s.jmp_cache_hits;
-    set "engine.stats.superblocks" s.superblocks;
-    set "engine.stats.interp_fallbacks" s.interp_fallbacks;
-    set "engine.stats.traps" s.traps;
-    set "engine.stats.cache_quarantined" s.cache_quarantined;
-    set "engine.stats.interp_execs" s.interp_execs;
-    set "engine.stats.tier1_installed" s.tier1_installed;
-    set "engine.stats.deopts" s.deopts;
-    set "engine.stats.installs_dropped" s.installs_dropped;
-    set "engine.stats.install_hwm" s.install_hwm;
-    Tier.publish ~interp_execs:s.interp_execs ~installed:s.tier1_installed
-      ~superblocks:s.superblocks ~deopts:s.deopts ~queue_hwm:s.install_hwm
-      ~dropped:s.installs_dropped
-  end
+  if Obs.Metrics.enabled () then
+    List.iter
+      (fun (name, v) -> Obs.Metrics.set (Obs.Metrics.gauge ("engine.stats." ^ name)) v)
+      (counters t)
 
 (* ------------------------------------------------------------------ *)
 (* Persistent translation cache: translated host code keyed by guest
@@ -1225,15 +1222,13 @@ let publish_metrics t =
    where [crc] is the CRC-32 of [body] (the [Arm.Encode.encode_block]
    bytes).  Length framing means a single flipped bit damages exactly
    one entry: the loader drops (quarantines) that entry, counts it in
-   [stats.cache_quarantined] and the [cache.corrupt] metric, and the
+   [stats.cache_quarantined], and the
    block simply retranslates on first execution.  Structural damage —
    bad magic, truncation, a config mismatch, an unparsable frame
    header — still fails the whole file, because nothing after the
    damage can be trusted to be aligned. *)
 
 let cache_magic = "RSTC2\n"
-
-let cache_corrupt_metric = "cache.corrupt"
 
 let save_cache t path =
   let b = Buffer.create 4096 in
@@ -1352,7 +1347,7 @@ let load_cache t path =
     (* Stage into a private table: a fault mid-parse must not leave a
        half-loaded code cache behind. *)
     let staged = Hashtbl.create 16 in
-    let quarantined = ref 0 in
+    let quarantined = ref [] in
     let on_entry i pc = function
       | Ok code ->
           if Inject.fire t.inject Inject.Cache_read then
@@ -1360,15 +1355,14 @@ let load_cache t path =
               (Printf.sprintf "injected cache-read fault at entry %d" i)
           else Hashtbl.replace staged pc code
       | Error reason ->
-          incr quarantined;
-          Log.warn (fun m ->
-              m "cache %s entry %d (pc 0x%Lx) quarantined: %s" path i pc
-                reason)
+          quarantined :=
+            (pc, Printf.sprintf "cache %s entry %d: %s" path i reason)
+            :: !quarantined
     in
     let _count =
       parse_cache ~config:t.config.Config.name ~on_entry s
     in
-    (staged, !quarantined)
+    (staged, List.rev !quarantined)
   with
   | staged, quarantined ->
       (* Loaded translations replace whatever the engine had patched
@@ -1385,14 +1379,14 @@ let load_cache t path =
           let n = Tbchain.insert t.tbs pc (Native code) in
           n.Tbchain.tier.Tier.state <- Tier.Published)
         staged;
-      t.stats.cache_quarantined <- t.stats.cache_quarantined + quarantined;
-      if quarantined > 0 && Obs.Metrics.enabled () then
-        Obs.Metrics.add (Obs.Metrics.counter cache_corrupt_metric) quarantined;
+      List.iter
+        (fun (pc, why) -> emit t t.flight Cache_quarantined pc 0 ~why)
+        quarantined;
       Obs.Trace.instant ~cat:"engine"
         ~args:(fun () ->
           [
             ("blocks", string_of_int (Hashtbl.length staged));
-            ("quarantined", string_of_int quarantined);
+            ("quarantined", string_of_int (List.length quarantined));
           ])
         "load_cache";
       Ok (Hashtbl.length staged)

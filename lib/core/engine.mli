@@ -36,56 +36,102 @@
     interpreter (degraded mode, counted in [stats.interp_fallbacks])
     with unchanged semantics. *)
 
+(** A snapshot of the engine's counters (see {!stats}).  Each field is
+    one {!event} counter, except [cache_hits] and [lookups], which sum
+    the dispatch-path events. *)
 type stats = {
-  mutable blocks_translated : int;
-  mutable blocks_executed : int;
+  blocks_translated : int;
+  blocks_executed : int;
       (** dispatches through the execute loop (one per executed block
           or superblock) *)
-  mutable cache_hits : int;
+  cache_hits : int;
       (** dispatches/fetches that did not need a fresh translation,
           whichever fast path served them *)
-  mutable lookups : int;  (** all dispatches/fetches *)
-  mutable fences_emitted : int;  (** DMBs in translated code *)
-  mutable tcg_ops_before_opt : int;
-  mutable tcg_ops_after_opt : int;
-  mutable chained : int;
+  lookups : int;  (** all dispatches/fetches *)
+  fences_emitted : int;  (** DMBs in translated code *)
+  tcg_ops_before_opt : int;
+  tcg_ops_after_opt : int;
+  chained : int;
       (** static block exits patched into direct block-to-block edges *)
-  mutable chain_hits : int;
+  chain_hits : int;
       (** dispatches served by a patched edge — no table lookup at all *)
-  mutable jmp_cache_hits : int;
+  jmp_cache_hits : int;
       (** dispatches served by the per-thread direct-mapped jump cache *)
-  mutable superblocks : int;
+  superblocks : int;
       (** hot traces stitched, re-optimized and installed *)
-  mutable interp_fallbacks : int;
+  interp_fallbacks : int;
       (** blocks the backend could not compile, demoted to the TCG
           interpreter *)
-  mutable traps : int;  (** guest threads finished by a fault *)
-  mutable cache_quarantined : int;
+  traps : int;  (** guest threads finished by a fault *)
+  cache_quarantined : int;
       (** persistent-cache entries dropped by {!load_cache} because
           their checksum (or framing-internal decode) failed; each one
           just retranslates on first execution *)
-  mutable interp_execs : int;
+  interp_execs : int;
       (** dispatches served by the TCG interpreter: tier-0 executions
           (block not yet past [config.jit_threshold], or its compile
           still in flight) plus degraded blocks *)
-  mutable tier1_installed : int;
+  tier1_installed : int;
       (** compile requests whose native TB was published into the chain
           table (tier 1) *)
-  mutable deopts : int;
+  deopts : int;
       (** superblocks demoted back to their tier-1 TB because the
           observed side-exit rate regressed *)
-  mutable installs_dropped : int;
+  installs_dropped : int;
       (** compile results discarded because {!reset} / {!load_cache}
           bumped the chain generation while they were queued or in
           flight *)
-  mutable install_hwm : int;
+  install_hwm : int;
       (** install-queue depth high-water mark (background service
           depth at submit, or pending completions at publish) *)
 }
 
-(** Engine log source ([risotto.engine]): [info] logs translations,
-    [debug] traces every executed block, [warn] reports faults and
-    degraded modes. *)
+(** The engine's lifecycle events.  Each site that counts something
+    emits one event; the event's row in the engine's table names its
+    counter (the [stats] field, the [engine.stats.<name>] gauge and the
+    {!stats_line} label), its {!Obs.Flight} kind and its log level. *)
+type event =
+  | Translated  (** [blocks_translated]; flight [Fence_pass] *)
+  | Executed  (** [blocks_executed]; flight [Block_enter] *)
+  | Chained  (** [chained] *)
+  | Chain_hit  (** [chain_hits] *)
+  | Jcache_hit  (** [jmp_cache_hits] *)
+  | Superblock_installed  (** [superblocks]; flight [Superblock] *)
+  | Fallback
+      (** [interp_fallbacks]: an eager or background compile failed;
+          flight [Tier_degraded] *)
+  | Trapped  (** [traps]; flight [Trap] *)
+  | Cache_quarantined  (** [cache_quarantined] *)
+  | Interp_exec  (** [interp_execs] *)
+  | Published  (** [tier1_installed]; flight [Tier_published] *)
+  | Deopt  (** [deopts]; flight [Tier_deopt] *)
+  | Install_dropped  (** [installs_dropped]; flight [Install_drop] *)
+  | Queue_depth  (** [install_hwm], a high-water mark *)
+  | Table_hit  (** [table_hits]: dispatches/fetches served by the table *)
+  | Lookup_miss
+      (** [lookup_misses]: dispatches/fetches that had to translate *)
+  | Fences_emitted  (** [fences_emitted], summed *)
+  | Ops_before  (** [tcg_ops_before_opt], summed *)
+  | Ops_after  (** [tcg_ops_after_opt], summed *)
+  | Compile_requested  (** [compile_requests]; flight [Tier_queued] *)
+  | Watchdog_fired
+      (** [watchdogs]: live threads stopped by the block budget; flight
+          [Watchdog] *)
+
+(** Every event, in table order. *)
+val events : event list
+
+(** The event's counter name. *)
+val event_name : event -> string
+
+(** The flight-ring kind the event records, if any (into the engine's
+    ring, or the owning thread's for [Executed], [Trapped] and
+    [Watchdog_fired]). *)
+val event_flight : event -> Obs.Flight.kind option
+
+(** Engine log source ([risotto.engine]), fed by the event table:
+    [info] logs translations and tier-lifecycle events, [debug] every
+    executed block, [warn] faults and degraded modes. *)
 val log_src : Logs.src
 
 type t
@@ -131,7 +177,12 @@ val create :
 
 val config : t -> Config.t
 val memory : t -> Memsys.Mem.t
+
+(** The counters as of now (a snapshot: later runs do not change it). *)
 val stats : t -> stats
+
+(** One event's counter. *)
+val count : t -> event -> int
 val links : t -> Linker.Link.t
 
 val injector : t -> Inject.t
@@ -235,13 +286,12 @@ val trap : guest_thread -> Fault.t option
     10. *)
 val hot_blocks : ?limit:int -> t -> Obs.Profile.entry list
 
-(** One-line run summary for CLIs: guest cycles of [g] plus the engine
-    counters.  The core fields are printed unconditionally — in
-    particular [interp-fallbacks=0] on a clean run, so silent
-    degradation is impossible to confuse with "not reported".  The
-    install-queue fields ([installs-dropped] / [install-hwm], named for
-    their gauges) are zero-suppressed: they only appear when an install
-    was actually dropped or queued. *)
+(** One-line run summary for CLIs: guest cycles of [g], then every
+    event counter labelled with its name, dashed.  The core counters
+    are printed unconditionally — in particular [interp-fallbacks=0] on
+    a clean run, so silent degradation is impossible to confuse with
+    "not reported"; the rest (e.g. [installs-dropped], [install-hwm])
+    only when nonzero. *)
 val stats_line : t -> guest_thread -> string
 
 (** {2 Flight recorder and postmortems}
@@ -273,8 +323,9 @@ val postmortems_written : t -> int
 (** Build the postmortem document: [reason], config name, each thread's
     last [last] flight events (default 32) with its pc/trap state, the
     engine ring, per-block tier states sorted by pc, the fence ledger
-    of every trapping block, a chain-table summary, and the
-    deterministic (non-wall-clock) slice of the metrics registry.
+    of every trapping block, a chain-table summary, every engine
+    counter ([stats]), and the deterministic (non-wall-clock) slice of
+    the metrics registry.
     Byte-identical across identical runs. *)
 val postmortem_json : ?last:int -> t -> reason:string -> Report.Json.t
 
@@ -286,11 +337,12 @@ val fence_ledger : t -> int64 -> Tcg.Fence_ledger.t option
 (** All per-block ledgers, sorted by pc. *)
 val fence_ledgers : t -> (int64 * Tcg.Fence_ledger.t) list
 
-(** Publish the {!stats} counters into the {!Obs.Metrics} registry as
-    [engine.stats.*] gauges.  The dispatch loop deliberately keeps its
-    counters as plain mutable fields (zero instrumentation cost); call
-    this once at the end of a run, before snapshotting the registry.
-    No-op when metrics are disabled. *)
+(** Publish every engine counter into the {!Obs.Metrics} registry as an
+    [engine.stats.<name>] gauge — the one registry name of each
+    counter.  Events only bump the engine's own counter array (no
+    registry cost on the dispatch path); call this once at the end of a
+    run, before snapshotting the registry.  No-op when metrics are
+    disabled. *)
 val publish_metrics : t -> unit
 
 (** {1 Persistent translation cache}
@@ -315,8 +367,8 @@ val save_cache : t -> string -> int
     structurally corrupt, truncated, unreadable, or built by a
     different configuration.  An entry whose frame is intact but whose
     body fails its checksum is {e quarantined}: skipped (it will
-    retranslate on demand), counted in {!stats.cache_quarantined} and
-    the [cache.corrupt] metric counter, and the rest of the file still
+    retranslate on demand), counted in {!stats.cache_quarantined},
+    and the rest of the file still
     loads.  On [Error] the engine's code cache is untouched (cold
     start); nothing is ever partially loaded.  On [Ok] every patched
     chain edge and superblock is invalidated first (the loaded

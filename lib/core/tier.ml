@@ -2,10 +2,9 @@
 
    A block climbs interp (tier 0) -> baseline native (tier 1) ->
    superblock (tier 2).  This module owns the profile every Tbchain
-   node carries: where the block sits on the ladder, how many times the
-   interpreter has run it, and a two-slot inline counter of observed
-   static-exit successors that drives both tier-2 trace formation and
-   the Obs hot-block "heat" ranking.  Everything here is plain mutable
+   node carries: where the block sits on the ladder and a two-slot
+   inline counter of observed static-exit successors that drives both
+   tier-2 trace formation and the Obs hot-block "heat" ranking.  Everything here is plain mutable
    state touched only by the execution thread; the background compile
    domain never sees a profile. *)
 
@@ -17,7 +16,6 @@ type state =
 
 type profile = {
   mutable state : state;
-  mutable interp_execs : int;
   (* Observed successors of the block's *static* exits (Goto_tb seams).
      A block has at most two static exit targets, so two inline slots
      cover the common case exactly; computed jumps, halts and anything
@@ -41,7 +39,6 @@ type profile = {
 let fresh () =
   {
     state = Cold;
-    interp_execs = 0;
     a_pc = -1L;
     a_n = 0;
     b_pc = -1L;
@@ -55,7 +52,6 @@ let fresh () =
 
 let reset p =
   p.state <- Cold;
-  p.interp_execs <- 0;
   p.a_pc <- -1L;
   p.a_n <- 0;
   p.b_pc <- -1L;
@@ -138,28 +134,3 @@ let note_deopt p =
   reset_succs p
 
 let retry_allowed p = p.deopt_count < max_deopts
-
-(* Cold-path event counters under tier.*; the hot per-exec figures
-   (interp executions, queue depth) are published as gauges by
-   [Engine.publish_metrics] instead of being counted live. *)
-let m_requests = lazy (Obs.Metrics.counter "tier.compile_requests")
-let m_installs = lazy (Obs.Metrics.counter "tier.installs")
-let m_install_failures = lazy (Obs.Metrics.counter "tier.install_failures")
-let m_installs_dropped = lazy (Obs.Metrics.counter "tier.installs_dropped")
-let m_promotions = lazy (Obs.Metrics.counter "tier.promotions")
-let m_deopts = lazy (Obs.Metrics.counter "tier.deopts")
-
-let g_interp_execs = lazy (Obs.Metrics.gauge "tier.interp_execs")
-let g_installed = lazy (Obs.Metrics.gauge "tier.installed")
-let g_superblocks = lazy (Obs.Metrics.gauge "tier.superblocks")
-let g_deopts = lazy (Obs.Metrics.gauge "tier.deopts")
-let g_queue_hwm = lazy (Obs.Metrics.gauge "tier.queue_hwm")
-let g_dropped = lazy (Obs.Metrics.gauge "tier.installs_dropped")
-
-let publish ~interp_execs ~installed ~superblocks ~deopts ~queue_hwm ~dropped =
-  Obs.Metrics.set (Lazy.force g_interp_execs) interp_execs;
-  Obs.Metrics.set (Lazy.force g_installed) installed;
-  Obs.Metrics.set (Lazy.force g_superblocks) superblocks;
-  Obs.Metrics.set (Lazy.force g_deopts) deopts;
-  Obs.Metrics.set (Lazy.force g_queue_hwm) queue_hwm;
-  Obs.Metrics.set (Lazy.force g_dropped) dropped

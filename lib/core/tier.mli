@@ -3,7 +3,7 @@
 
     Every {!Tbchain} node carries one {!profile}.  The execution thread
     is its only writer: it records the block's observed static-exit
-    successors and interpreter executions while the block is cold,
+    successors while the block is cold,
     drives the compile-request state machine when the block crosses
     [Config.jit_threshold], and tracks superblock side-exit rates for
     demotion.  The background compile domain never reads or writes a
@@ -21,7 +21,6 @@ type state = Cold | Queued | Published | Degraded
 
 type profile = {
   mutable state : state;
-  mutable interp_execs : int;
   mutable a_pc : int64;  (** first observed static successor *)
   mutable a_n : int;
   mutable b_pc : int64;  (** second observed static successor *)
@@ -86,28 +85,3 @@ val note_deopt : profile -> unit
 (** False once the block burned {!max_deopts} demotions; formation
     stops retrying. *)
 val retry_allowed : profile -> bool
-
-(** {2 Metrics}
-
-    Cold-path event counters under [tier.*]; incremented by the engine
-    at request / install / promotion / demotion time. *)
-
-val m_requests : Obs.Metrics.counter Lazy.t
-val m_installs : Obs.Metrics.counter Lazy.t
-val m_install_failures : Obs.Metrics.counter Lazy.t
-val m_installs_dropped : Obs.Metrics.counter Lazy.t
-val m_promotions : Obs.Metrics.counter Lazy.t
-val m_deopts : Obs.Metrics.counter Lazy.t
-
-(** Publish the aggregate tier gauges ([tier.interp_execs],
-    [tier.installed], [tier.superblocks], [tier.deopts],
-    [tier.queue_hwm], [tier.installs_dropped]); called from
-    [Engine.publish_metrics]. *)
-val publish :
-  interp_execs:int ->
-  installed:int ->
-  superblocks:int ->
-  deopts:int ->
-  queue_hwm:int ->
-  dropped:int ->
-  unit

@@ -97,7 +97,8 @@ val risotto_casal_preset : frontend * backend
 
 (** Rows of the mapping tables for regeneration of Figures 1, 2, 3, 7.
     The x86 → TCG and fence cells of Figures 2, 7a and 7c are read off
-    the access-class table. *)
+    the access-class table, and the fence cells of Figure 7b off
+    {!lower_fence}. *)
 val figure1_rows : (string * string * string * string) list
 
 val figure2_rows : (string * string * string) list

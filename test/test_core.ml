@@ -196,6 +196,62 @@ let test_backend_cas_lowering () =
          | _ -> false)
        helper)
 
+(* The frontend lowers RMWs to helper calls under the helper
+   strategies, so the backend has no lowering for an [Atomic] op there
+   and rejects it, as it does [Cas].  The engine then keeps such a block
+   on the TCG interpreter, which computes what the native RMW1 and RMW2
+   lowerings compute. *)
+let test_backend_rejects_helper_atomic () =
+  let rax = Op.guest_reg (R.index R.RAX)
+  and rbx = Op.guest_reg (R.index R.RBX)
+  and rcx = Op.guest_reg (R.index R.RCX) in
+  let block op =
+    {
+      Tcg.Block.guest_pc = 0x1000L;
+      guest_len = 4;
+      guest_insns = 1;
+      ops = [ Op.Atomic { op; old = rax; addr = rbx; src = rcx }; Op.Exit_halt ];
+    }
+  in
+  let setup mem regs =
+    Memsys.Mem.store mem 0x5000L 35L;
+    regs.(R.index R.RBX) <- 0x5000L;
+    regs.(R.index R.RCX) <- 7L
+  in
+  let interp b =
+    let mem = Memsys.Mem.create () in
+    let env = Tcg.Interp.create_env mem in
+    setup mem env.Tcg.Interp.temps;
+    check_bool "interp halts" true (Tcg.Interp.exec_block env b = Tcg.Interp.Halted);
+    (env.Tcg.Interp.temps.(R.index R.RAX), Memsys.Mem.load mem 0x5000L)
+  in
+  let native config b =
+    let mem = Memsys.Mem.create () in
+    let th = Arm.Machine.create_thread 0 in
+    setup mem th.Arm.Machine.regs;
+    let code = Core.Backend.compile config b in
+    check_bool "native halts" true
+      (Arm.Machine.exec_block (Arm.Machine.create_shared mem) th code
+      = Arm.Machine.Halted);
+    (th.Arm.Machine.regs.(R.index R.RAX), Memsys.Mem.load mem 0x5000L)
+  in
+  List.iter
+    (fun op ->
+      let b = block op in
+      check_bool "rejected under qemu" true
+        (match Core.Backend.compile Core.Config.qemu b with
+        | _ -> false
+        | exception Core.Fault.Fault { Core.Fault.kind = Core.Fault.Backend_fault; _ } -> true);
+      let degraded = interp b in
+      List.iter
+        (fun config ->
+          check_bool
+            (config.Core.Config.name ^ ": interpreter = native")
+            true
+            (degraded = native config b))
+        [ Core.Config.risotto; { Core.Config.risotto with rmw = Mapping.Schemes.Risotto_rmw2 } ])
+    [ `Xadd; `Xchg ]
+
 let test_backend_register_pressure_ok () =
   (* A long block with many temps must allocate within the pool. *)
   let many_loads =
@@ -570,6 +626,8 @@ let () =
         [
           Alcotest.test_case "CAS lowering strategies" `Quick
             test_backend_cas_lowering;
+          Alcotest.test_case "Atomic rejected under helper RMW" `Quick
+            test_backend_rejects_helper_atomic;
           Alcotest.test_case "register allocation" `Quick
             test_backend_register_pressure_ok;
         ] );

@@ -317,6 +317,142 @@ let test_watchdog_dumps_postmortem () =
            (fun (e : Fl.event) -> e.Fl.kind = Fl.Watchdog)
            (Fl.events (Core.Engine.thread_flight g))))
 
+(* Tier states are ordered by pc as a number: with blocks on both sides
+   of 0x10000, sorting the "0x..." strings would put 0x10000 first. *)
+let test_postmortem_tiers_sorted_by_pc () =
+  let items =
+    [ Label "main"; Ins (I.Mov_ri (R.RBX, 5L)); Jmp_lbl "far" ]
+    @ List.init 16 (fun _ -> Ins I.Nop)
+    @ [ Label "far"; Ins I.Hlt ]
+  in
+  let image = Image.Gelf.build ~org:0xfff0L ~entry:"main" items in
+  let eng = Core.Engine.create Core.Config.risotto image in
+  let _ = Core.Engine.run eng in
+  let pcs =
+    match Report.Json.member "tiers" (Core.Engine.postmortem_json eng ~reason:"test") with
+    | Some (Report.Json.List tiers) ->
+        List.filter_map
+          (fun n ->
+            match Report.Json.member "pc" n with
+            | Some (Report.Json.String pc) -> Some (Int64.of_string pc)
+            | _ -> None)
+          tiers
+    | _ -> []
+  in
+  check_bool "blocks below and above 0x10000" true
+    (List.exists (fun pc -> pc < 0x10000L) pcs
+    && List.exists (fun pc -> pc >= 0x10000L) pcs);
+  check_bool "tiers in numeric pc order" true
+    (pcs = List.sort Int64.compare pcs)
+
+(* ------------------------------------------------------------------ *)
+(* Sink agreement: one event, one count in every sink                  *)
+
+(* Flight events of [kind] in the engine ring and every thread ring.
+   The rings must not have wrapped, or the count would be short. *)
+let ring_count eng threads kind =
+  let rings = Core.Engine.flight eng :: List.map Core.Engine.thread_flight threads in
+  List.iter
+    (fun r -> check_bool "ring did not wrap" true (Fl.recorded r <= Fl.capacity r))
+    rings;
+  List.fold_left
+    (fun acc r ->
+      acc + List.length (List.filter (fun (e : Fl.event) -> e.Fl.kind = kind) (Fl.events r)))
+    0 rings
+
+(* For every event that records a flight kind: ring events = the
+   engine's counter = its published [engine.stats.*] gauge. *)
+let check_sinks name eng threads =
+  Core.Engine.publish_metrics eng;
+  let snap = Obs.Metrics.snapshot () in
+  List.iter
+    (fun e ->
+      match Core.Engine.event_flight e with
+      | None -> ()
+      | Some kind ->
+          let label = Printf.sprintf "%s: %s" name (Core.Engine.event_name e) in
+          let n = Core.Engine.count eng e in
+          check_int (label ^ " ring = counter") n (ring_count eng threads kind);
+          Alcotest.(check (option int))
+            (label ^ " gauge = counter") (Some n)
+            (Obs.Metrics.find_gauge snap ("engine.stats." ^ Core.Engine.event_name e)))
+    Core.Engine.events
+
+(* A loop whose first iterations take one arm and the rest the other:
+   the superblock formed over the early path side-exits from then on
+   and is deoptimized. *)
+let phase_change_items =
+  [
+    Label "main";
+    Ins (I.Mov_ri (R.R15, 40L));
+    Label "loop";
+    Ins (I.Cmp (R.R15, I.I 32L));
+    Jcc_lbl (I.L, "late");
+    Ins (I.Alu (I.Add, R.RDX, I.I 1L));
+    Jmp_lbl "next";
+    Label "late";
+    Ins (I.Alu (I.Add, R.RDX, I.I 2L));
+    Label "next";
+    Ins (I.Alu (I.Sub, R.R15, I.I 1L));
+    Ins (I.Cmp (R.R15, I.I 0L));
+    Jcc_lbl (I.Ne, "loop");
+    Ins I.Hlt;
+  ]
+
+let test_sinks_agree () =
+  Obs.Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.disable ())
+    (fun () ->
+      let image = build countdown_items in
+      (* (a) Eager backend failure on every block. *)
+      Obs.Metrics.reset ();
+      let config =
+        { Core.Config.risotto with Core.Config.inject = [ Core.Inject.Always Core.Inject.Compile ] }
+      in
+      let eng = Core.Engine.create config image in
+      let g = Core.Engine.run eng in
+      check_bool "eager run degraded" true
+        (Core.Engine.count eng Core.Engine.Fallback > 0);
+      check_sinks "eager degrade" eng [ g ];
+      (* (b) Finished installs still queued when the engine resets: a
+         blocked private worker holds every compile until the run is
+         over, then completes them all without anyone publishing. *)
+      Obs.Metrics.reset ();
+      let svc = Parallel.Pool.service_create ~workers:1 () in
+      let sem = Semaphore.Binary.make false in
+      Parallel.Pool.service_submit svc (fun () -> Semaphore.Binary.acquire sem);
+      let config =
+        {
+          Core.Config.risotto with
+          Core.Config.jit_threshold = 1;
+          trace_threshold = 0;
+          sync_compile = false;
+        }
+      in
+      let eng = Core.Engine.create ~install_service:svc config image in
+      let g = Core.Engine.run eng in
+      Semaphore.Binary.release sem;
+      Parallel.Pool.service_drain svc;
+      Core.Engine.reset eng;
+      Parallel.Pool.service_shutdown svc;
+      check_bool "reset dropped queued installs" true
+        (Core.Engine.count eng Core.Engine.Install_dropped > 0);
+      check_sinks "reset with queued installs" eng [ g ];
+      (* (c) A superblock deoptimized after the loop changes phase. *)
+      Obs.Metrics.reset ();
+      let config = { Core.Config.risotto with Core.Config.trace_threshold = 4 } in
+      let eng = Core.Engine.create config (build phase_change_items) in
+      let g = Core.Engine.run eng in
+      check_bool "superblock deoptimized" true
+        (Core.Engine.count eng Core.Engine.Deopt > 0);
+      check_sinks "deopt" eng [ g ];
+      (* Each counter reaches the registry under one name only. *)
+      let snap = Obs.Metrics.snapshot () in
+      let gauges = List.map fst snap.Obs.Metrics.gauges in
+      check_bool "no name is both a counter and a gauge" true
+        (List.for_all (fun (n, _) -> not (List.mem n gauges)) snap.Obs.Metrics.counters))
+
 (* ------------------------------------------------------------------ *)
 (* Fence provenance                                                    *)
 
@@ -421,6 +557,8 @@ let () =
             test_postmortem_dumped_on_trap;
           Alcotest.test_case "dumped on watchdog exhaustion" `Quick
             test_watchdog_dumps_postmortem;
+          Alcotest.test_case "tiers sorted by numeric pc" `Quick
+            test_postmortem_tiers_sorted_by_pc;
         ] );
       ( "fence provenance",
         [
@@ -429,4 +567,6 @@ let () =
           Alcotest.test_case "metrics counters" `Quick
             test_fence_metrics_counters;
         ] );
+      ( "sinks",
+        [ Alcotest.test_case "counter = ring = gauge" `Quick test_sinks_agree ] );
     ]

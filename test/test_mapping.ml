@@ -158,6 +158,33 @@ let test_dbt_presets_are_verified_cells () =
       (Core.Config.risotto, "risotto-casal/arm-fix");
     ]
 
+(* Every fence named in a Figure 7b row lowers, under the Risotto
+   backend, to the Arm fence its cell prints ("-" = no fence). *)
+let test_figure7b_fence_cells () =
+  let fences =
+    E.[ F_rr; F_rw; F_rm; F_wr; F_ww; F_wm; F_mr; F_mw; F_mm; F_acq; F_rel; F_sc ]
+  in
+  let expected f =
+    match S.lower_fence (S.lowering S.Risotto_frontend) f with
+    | Some E.F_dmb_ld -> "DMBLD"
+    | Some E.F_dmb_st -> "DMBST"
+    | Some _ -> "DMBFF"
+    | None -> "-"
+  in
+  let listed =
+    List.concat_map
+      (fun (label, cell) ->
+        List.filter_map
+          (fun name ->
+            List.find_opt (fun f -> E.fence_name f = name) fences
+            |> Option.map (fun f ->
+                   Alcotest.(check string) ("Fig 7b cell of " ^ name) (expected f) cell;
+                   f))
+          (String.split_on_char '/' label))
+      S.figure7b_rows
+  in
+  check_bool "Fig 7b lists fence rows" true (List.length listed >= 9)
+
 (* The DBT's memory-access optimizer crosses exactly the fences the
    crossing table lists for each fenced elimination. *)
 let test_memopt_follows_crossing_table () =
@@ -364,6 +391,8 @@ let () =
             test_armcats_direct_sbal_bug;
           Alcotest.test_case "no-fences incorrect" `Slow
             test_no_fences_is_incorrect;
+          Alcotest.test_case "Fig 7b fence cells follow lower_fence" `Quick
+            test_figure7b_fence_cells;
           Alcotest.test_case "DBT presets run verified cells" `Quick
             test_dbt_presets_are_verified_cells;
           Alcotest.test_case "mem-elim follows the crossing table" `Quick

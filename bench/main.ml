@@ -1076,9 +1076,9 @@ let run_campaign ~entries ~reference ~tmp i plan_str =
   in
   let crashed, first_failures =
     match
-      Report.Sweep.run_journaled ~policy ~journal_chaos ~journal entries
+      Report.Sweep.run_generated ~policy ~journal_chaos ~journal entries
     with
-    | r -> (false, List.length r.Report.Sweep.failures)
+    | g -> (false, List.length g.Report.Sweep.gen_journaled.failures)
     | exception Parallel.Frontier.Injected_fault _ -> (true, 0)
   in
   (* Chaos-free resumes: each retries the cells the chaos run lost.
@@ -1087,7 +1087,9 @@ let run_campaign ~entries ~reference ~tmp i plan_str =
   let rec converge k =
     if k > 3 then (k - 1, None)
     else
-      let r = Report.Sweep.run_journaled ~journal entries in
+      let r =
+        (Report.Sweep.run_generated ~journal entries).Report.Sweep.gen_journaled
+      in
       if r.Report.Sweep.failures = [] then (k, Some r) else converge (k + 1)
   in
   let resumes, final = converge 1 in
@@ -1122,7 +1124,10 @@ let run_watchdog ~entries ~reference ~tmp =
   let policy =
     { Parallel.Supervise.default with deadline_s = Some 1e-6 }
   in
-  let r = Report.Sweep.run_journaled ~policy ~journal entries in
+  let r =
+    (Report.Sweep.run_generated ~policy ~journal entries)
+      .Report.Sweep.gen_journaled
+  in
   let timeouts =
     List.length
       (List.filter
@@ -1137,7 +1142,9 @@ let run_watchdog ~entries ~reference ~tmp =
     && timeouts = List.length r.Report.Sweep.failures
     && List.length r.Report.Sweep.cells + timeouts = List.length reference
   in
-  let r2 = Report.Sweep.run_journaled ~journal entries in
+  let r2 =
+    (Report.Sweep.run_generated ~journal entries).Report.Sweep.gen_journaled
+  in
   let recovered =
     r2.Report.Sweep.failures = []
     && List.map cell_sig r2.Report.Sweep.cells = List.map cell_sig reference
@@ -1290,7 +1297,9 @@ let chaos_bench ~plans ~seed ~out () =
   Sys.remove tmp;
   Unix.mkdir tmp 0o700;
   let entries = chaos_entries () in
-  let reference = Report.Sweep.run entries in
+  let reference =
+    (Report.Sweep.run_generated entries).Report.Sweep.gen_journaled.cells
+  in
   Format.printf "  reference: %d cells over %d scheme(s)@."
     (List.length reference) (List.length entries);
   let campaigns =

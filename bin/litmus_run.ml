@@ -69,247 +69,150 @@ let report_one model verbose path outcome =
           v.Litmus.Enumerate.witnesses;
       v.Litmus.Enumerate.ok
 
-(* --report DIR: run the refinement sweep (all schemes × mapping corpus,
-   plus the FMR transformation counterexample) with witness capture and
-   the axiom-coverage probe, and write the self-contained HTML report
-   plus one JSON artifact per witness.  Exit is nonzero when any
-   refinement check in the sweep fails — known-bad schemes in the
-   default sweep make that the expected outcome. *)
-let run_report dir scheme_filters metrics ~journal ~task_timeout ~task_retries
-    ~inject =
-  let entries = Report.Sweep.default_entries () in
-  let entries =
-    match scheme_filters with
-    | [] -> entries
-    | fs ->
-        List.filter
-          (fun (e : Report.Sweep.entry) ->
-            List.mem e.Report.Sweep.scheme fs)
-          entries
-  in
-  if entries = [] then begin
-    Format.eprintf "no scheme matches %s (known: %s)@."
-      (String.concat ", " scheme_filters)
-      (String.concat ", "
-         (List.map
-            (fun (e : Report.Sweep.entry) -> e.Report.Sweep.scheme)
-            (Report.Sweep.default_entries ())));
-    2
-  end
-  else begin
-    let coverage = Report.Coverage.create () in
-    (* The plain path is byte-for-byte the pre-journal sweep; the
-       journaled path replays completed cells and supervises the rest.
-       Both produce the same cells for the same corpus, which is what
-       the resume-parity CI check pins down. *)
-    let cells, failures =
-      match journal with
-      | None -> (Report.Sweep.run ~capture:true ~coverage entries, [])
-      | Some journal ->
-          let policy =
-            {
-              Parallel.Supervise.default with
-              deadline_s = task_timeout;
-              retries = task_retries;
-              chaos =
-                Option.map
-                  (fun i -> Core.Inject.fire_hook i Core.Inject.Pool_task)
-                  inject;
-            }
-          in
-          let journal_chaos =
-            Option.map
-              (fun i -> Core.Inject.fire_hook i Core.Inject.Journal_write)
-              inject
-          in
-          let r =
-            Report.Sweep.run_journaled ~capture:true ~coverage ~policy
-              ?journal_chaos ~journal entries
-          in
-          if r.Report.Sweep.recovery.Parallel.Frontier.valid > 0 then
-            Format.printf "journal %s: %d verdict(s) replayed, %d computed%s@."
-              journal r.Report.Sweep.replayed r.Report.Sweep.computed
-              (if r.Report.Sweep.recovery.Parallel.Frontier.dropped_bytes > 0
-               then
-                 Printf.sprintf " (%d torn byte(s) dropped)"
-                   r.Report.Sweep.recovery.Parallel.Frontier.dropped_bytes
-               else "");
-          (r.Report.Sweep.cells, r.Report.Sweep.failures)
-    in
-    let models =
-      List.sort_uniq
-        (fun (a : Axiom.Model.t) b ->
-          compare a.Axiom.Model.name b.Axiom.Model.name)
-        (List.map
-           (fun (e : Report.Sweep.entry) -> e.Report.Sweep.src_model)
-           entries)
-    in
-    let bench = Report.Html.load_bench_dir dir in
-    let metrics_snap =
-      if metrics then Some (Obs.Metrics.snapshot ()) else None
-    in
-    let html, witnesses =
-      Report.Html.write ~dir ?metrics:metrics_snap ~coverage ~models ~bench
-        cells
-    in
-    List.iter
-      (fun (c : Report.Sweep.cell) ->
-        Format.printf "%-32s VIOLATION (%d extra, %d witness(es))@."
-          c.Report.Sweep.report.Mapping.Check.name
-          (List.length c.Report.Sweep.report.Mapping.Check.extra)
-          (List.length c.Report.Sweep.witnesses))
-      (Report.Sweep.failing cells);
-    Format.printf "wrote %s and %d witness artifact(s) to %s@." html
-      (List.length witnesses) dir;
-    List.iter
-      (fun (scheme, program, f) ->
-        Format.printf "%-32s %a@."
-          (Printf.sprintf "%s: %s" scheme program)
-          Parallel.Supervise.pp_failure f)
-      failures;
-    (* Supervision failures (exit 3) outrank refinement violations
-       (exit 1): the sweep is incomplete, so its verdict table cannot
-       be trusted yet — resume to converge. *)
-    if failures <> [] then 3 else if Report.Sweep.all_ok cells then 0 else 1
-  end
+let scheme_names () =
+  String.concat ", "
+    (List.map
+       (fun (e : Report.Sweep.entry) -> e.Report.Sweep.scheme)
+       (Report.Sweep.default_entries ()))
 
-(* --generate N: sweep a seeded QCheck corpus (deduped into shape
-   classes) through the generated-sweep runner.  With --report DIR the
-   sweep is journaled (DIR/journal unless --journal), resumable,
-   coverage-probed and rendered like the default sweep; without
-   --report it is the smoke mode: generate, dedup, check every class
-   through the batch planner, print a summary. *)
-let run_generate ~n ~seed ~shard ~schemes ~report_dir ~journal ~resume ~jobs
+(* --report DIR: run the refinement sweep over [entries] with witness
+   capture and the axiom-coverage probe, supervised per cell, and write
+   DIR/report.html plus one JSON artifact per witness.  With [journal]
+   every completed shard lands in that journal and an interrupted run
+   resumes from it.  The catalog sweep and --generate differ only in
+   their entries, their shard size, the target-side coverage probe and
+   whether a journal is implied.  Exit 3 when a cell timed out or was
+   quarantined (the table is incomplete: resume to converge), else 1
+   when some refinement check fails — known-bad schemes in the default
+   sweep make that the expected outcome — else 0. *)
+let run_report ~dir ~entries ~shard_size ~probe_targets ~journal ~jobs
     ~metrics ~task_timeout ~task_retries ~inject =
-  let schemes = match schemes with [] -> None | fs -> Some fs in
-  let corpus, entries = Report.Sweep.generated_entries ?schemes ~seed n in
-  if entries = [] then begin
-    Format.eprintf "no generated scheme matches (known: %s)@."
-      (String.concat ", "
-         (List.map
-            (fun (e : Report.Sweep.entry) -> e.Report.Sweep.scheme)
-            (Report.Sweep.default_entries ())));
-    2
-  end
-  else begin
-    let classes = List.length corpus.Litmus.Generate.classes in
-    Format.printf
-      "generated %d program(s) (seed %d) -> %d shape class(es), dedup %.1f%%, \
-       %d scheme(s)@."
-      n seed classes
-      (100. *. Litmus.Generate.dedup_ratio corpus)
-      (List.length entries);
-    let pool =
-      match jobs with
-      | Some j when j > 1 -> Some (Parallel.Pool.create ~jobs:j ())
-      | _ -> None
-    in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let coverage = Report.Coverage.create () in
+  let policy =
+    {
+      Parallel.Supervise.default with
+      deadline_s = task_timeout;
+      retries = task_retries;
+      chaos =
+        Option.map
+          (fun i -> Core.Inject.fire_hook i Core.Inject.Pool_task)
+          inject;
+    }
+  in
+  let journal_chaos =
+    Option.map
+      (fun i -> Core.Inject.fire_hook i Core.Inject.Journal_write)
+      inject
+  in
+  let pool =
+    match jobs with
+    | Some j when j > 1 -> Some (Parallel.Pool.create ~jobs:j ())
+    | _ -> None
+  in
+  let g =
     Fun.protect
       ~finally:(fun () -> Option.iter Parallel.Pool.shutdown pool)
       (fun () ->
-        match report_dir with
-        | None ->
-            (* Smoke mode: one planned batch over every (scheme, class)
-               cell, no journal, no report. *)
-            let cells =
-              List.concat_map
-                (fun (e : Report.Sweep.entry) ->
-                  List.map
-                    (fun (pname, src) ->
-                      {
-                        Mapping.Check.cell_scheme = e.Report.Sweep.scheme;
-                        cell_program = pname;
-                        cell_f = e.Report.Sweep.f;
-                        cell_src_model = e.Report.Sweep.src_model;
-                        cell_tgt_model = e.Report.Sweep.tgt_model;
-                        cell_src = src;
-                      })
-                    e.Report.Sweep.corpus)
-                entries
-            in
-            let reports = Mapping.Check.check_cells ?pool cells in
-            let bad =
-              List.filter (fun (r : Mapping.Check.report) -> not r.ok) reports
-            in
-            let hits, misses = Litmus.Enumerate.cache_stats () in
-            Format.printf
-              "%d/%d generated cell(s) hold (%d enumeration(s), %d cache \
-               hit(s))@."
-              (List.length reports - List.length bad)
-              (List.length reports) misses hits;
-            List.iter
-              (fun (r : Mapping.Check.report) ->
-                Format.printf "%-32s VIOLATION (%d extra)@." r.name
-                  (List.length r.extra))
-              bad;
-            if bad = [] then 0 else 1
-        | Some dir ->
-            (try Unix.mkdir dir 0o755
-             with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-            let journal =
-              match journal with
-              | Some j -> j
-              | None -> Filename.concat dir "journal"
-            in
-            ignore resume;
-            let coverage = Report.Coverage.create () in
-            let policy =
-              {
-                Parallel.Supervise.default with
-                deadline_s = task_timeout;
-                retries = task_retries;
-                chaos =
-                  Option.map
-                    (fun i -> Core.Inject.fire_hook i Core.Inject.Pool_task)
-                    inject;
-              }
-            in
-            let g =
-              Report.Sweep.run_generated ~capture:true ~coverage ?pool
-                ~policy ~shard_size:shard ~probe_targets:true ~journal
-                entries
-            in
-            let j = g.Report.Sweep.gen_journaled in
-            if j.Report.Sweep.recovery.Parallel.Frontier.valid > 0 then
-              Format.printf "journal %s: %d verdict(s) replayed, %d computed@."
-                journal j.Report.Sweep.replayed j.Report.Sweep.computed;
-            Format.printf "coverage: %d shard(s) of <=%d cell(s); %s@."
-              (List.length g.Report.Sweep.gen_shards)
-              shard
-              (match g.Report.Sweep.gen_saturated_after with
-              | Some s ->
-                  Printf.sprintf
-                    "discriminating-axiom coverage saturated after shard %d" s
-              | None -> "still discovering new axiom pairs in the final shard");
-            let models =
-              List.sort_uniq
-                (fun (a : Axiom.Model.t) b ->
-                  compare a.Axiom.Model.name b.Axiom.Model.name)
-                (List.concat_map
-                   (fun (e : Report.Sweep.entry) ->
-                     [ e.Report.Sweep.src_model; e.Report.Sweep.tgt_model ])
-                   entries)
-            in
-            let bench = Report.Html.load_bench_dir dir in
-            let metrics_snap =
-              if metrics then Some (Obs.Metrics.snapshot ()) else None
-            in
-            let html, witnesses =
-              Report.Html.write ~dir ?metrics:metrics_snap ~coverage ~models
-                ~bench j.Report.Sweep.cells
-            in
-            Format.printf "wrote %s and %d witness artifact(s) to %s@." html
-              (List.length witnesses) dir;
-            List.iter
-              (fun (scheme, program, f) ->
-                Format.printf "%-32s %a@."
-                  (Printf.sprintf "%s: %s" scheme program)
-                  Parallel.Supervise.pp_failure f)
-              j.Report.Sweep.failures;
-            if j.Report.Sweep.failures <> [] then 3
-            else if Report.Sweep.all_ok j.Report.Sweep.cells then 0
-            else 1)
-  end
+        Report.Sweep.run_generated ~capture:true ~coverage ?pool ~policy
+          ~shard_size ~probe_targets ?journal_chaos ?journal entries)
+  in
+  let j = g.Report.Sweep.gen_journaled in
+  let recovery = j.Report.Sweep.recovery in
+  Option.iter
+    (fun path ->
+      if recovery.Parallel.Frontier.valid > 0 then
+        Format.printf "journal %s: %d verdict(s) replayed, %d computed%s@."
+          path j.Report.Sweep.replayed j.Report.Sweep.computed
+          (if recovery.Parallel.Frontier.dropped_bytes > 0 then
+             Printf.sprintf " (%d torn byte(s) dropped)"
+               recovery.Parallel.Frontier.dropped_bytes
+           else ""))
+    journal;
+  Format.printf "coverage: %d shard(s) of <=%d cell(s); %s@."
+    (List.length g.Report.Sweep.gen_shards)
+    shard_size
+    (match g.Report.Sweep.gen_saturated_after with
+    | Some s ->
+        Printf.sprintf "discriminating-axiom coverage saturated after shard %d"
+          s
+    | None -> "still discovering new axiom pairs in the final shard");
+  let models =
+    List.sort_uniq
+      (fun (a : Axiom.Model.t) b ->
+        compare a.Axiom.Model.name b.Axiom.Model.name)
+      (List.concat_map
+         (fun (e : Report.Sweep.entry) ->
+           if probe_targets then
+             [ e.Report.Sweep.src_model; e.Report.Sweep.tgt_model ]
+           else [ e.Report.Sweep.src_model ])
+         entries)
+  in
+  let bench = Report.Html.load_bench_dir dir in
+  let metrics_snap = if metrics then Some (Obs.Metrics.snapshot ()) else None in
+  let cells = j.Report.Sweep.cells in
+  let html, witnesses =
+    Report.Html.write ~dir ?metrics:metrics_snap ~coverage ~models ~bench cells
+  in
+  List.iter
+    (fun (c : Report.Sweep.cell) ->
+      Format.printf "%-32s VIOLATION (%d extra, %d witness(es))@."
+        c.Report.Sweep.report.Mapping.Check.name
+        (List.length c.Report.Sweep.report.Mapping.Check.extra)
+        (List.length c.Report.Sweep.witnesses))
+    (Report.Sweep.failing cells);
+  Format.printf "wrote %s and %d witness artifact(s) to %s@." html
+    (List.length witnesses) dir;
+  List.iter
+    (fun (scheme, program, f) ->
+      Format.printf "%-32s %a@."
+        (Printf.sprintf "%s: %s" scheme program)
+        Parallel.Supervise.pp_failure f)
+    j.Report.Sweep.failures;
+  if j.Report.Sweep.failures <> [] then 3
+  else if Report.Sweep.all_ok cells then 0
+  else 1
+
+(* --generate N without --report: the smoke mode — generate, dedup,
+   check every (scheme, class) cell in one planned batch, print a
+   summary. *)
+let run_generate_smoke ~entries ~jobs =
+  let cells =
+    List.concat_map
+      (fun (e : Report.Sweep.entry) ->
+        List.map
+          (fun (pname, src) ->
+            {
+              Mapping.Check.cell_scheme = e.Report.Sweep.scheme;
+              cell_program = pname;
+              cell_f = e.Report.Sweep.f;
+              cell_src_model = e.Report.Sweep.src_model;
+              cell_tgt_model = e.Report.Sweep.tgt_model;
+              cell_src = src;
+            })
+          e.Report.Sweep.corpus)
+      entries
+  in
+  let reports =
+    match jobs with
+    | Some j when j > 1 ->
+        Parallel.Pool.with_pool ~jobs:j (fun pool ->
+            Mapping.Check.check_cells ~pool cells)
+    | _ -> Mapping.Check.check_cells cells
+  in
+  let bad =
+    List.filter (fun (r : Mapping.Check.report) -> not r.ok) reports
+  in
+  let hits, misses = Litmus.Enumerate.cache_stats () in
+  Format.printf
+    "%d/%d generated cell(s) hold (%d enumeration(s), %d cache hit(s))@."
+    (List.length reports - List.length bad)
+    (List.length reports) misses hits;
+  List.iter
+    (fun (r : Mapping.Check.report) ->
+      Format.printf "%-32s VIOLATION (%d extra)@." r.name (List.length r.extra))
+    bad;
+  if bad = [] then 0 else 1
 
 let main files model_name verbose jobs metrics =
   if metrics then Obs.Metrics.enable ();
@@ -353,7 +256,8 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Check files on $(docv) parallel domains (default: sequential; 0 \
-           means one per recommended core).")
+           means one per recommended core).  With $(b,--report), each \
+           shard's cells run on the pool.")
 
 let metrics_arg =
   Arg.(
@@ -375,7 +279,8 @@ let report_arg =
            write $(docv)/report.html (self-contained: inline SVG witness \
            graphs, coverage matrix, bench trajectory over any \
            $(b,BENCH_*.json) in $(docv)) plus one JSON artifact per \
-           witness.  Exits nonzero if any refinement check fails.")
+           witness.  Exits 1 if any refinement check fails, 3 if a cell \
+           timed out or was quarantined.")
 
 let scheme_arg =
   Arg.(
@@ -413,19 +318,19 @@ let task_timeout_arg =
     & opt (some float) None
     & info [ "task-timeout" ] ~docv:"SECONDS"
         ~doc:
-          "With $(b,--report --journal/--resume): cooperative per-cell \
-           deadline.  A cell that exceeds it is reported as timed out \
-           (typed, terminal — the checks are deterministic) and the \
-           sweep goes on; exit code 3 flags the incomplete table.")
+          "With $(b,--report): cooperative per-cell deadline.  A cell \
+           that exceeds it is reported as timed out (typed, terminal — \
+           the checks are deterministic) and the sweep goes on; exit code \
+           3 flags the incomplete table.")
 
 let task_retries_arg =
   Arg.(
     value & opt int 0
     & info [ "task-retries" ] ~docv:"N"
         ~doc:
-          "With $(b,--report --journal/--resume): retry a failed cell up \
-           to $(docv) more times (exponential backoff) before \
-           quarantining it as a typed failure.")
+          "With $(b,--report): retry a failed cell up to $(docv) more \
+           times (exponential backoff) before quarantining it as a typed \
+           failure.")
 
 let inject_arg =
   Arg.(
@@ -433,12 +338,11 @@ let inject_arg =
     & opt (some string) None
     & info [ "inject" ] ~docv:"PLAN"
         ~doc:
-          "With $(b,--report --journal/--resume): deterministic fault \
-           plan for the chaos sites, e.g. \
-           $(b,nth:journal-write:2,seeded:pool-task:7:200).  \
+          "With $(b,--report): deterministic fault plan for the chaos \
+           sites, e.g. $(b,nth:journal-write:2,seeded:pool-task:7:200).  \
            $(b,pool-task) rules fail task attempts (retried under the \
-           supervision policy); $(b,journal-write) rules tear the \
-           journal append mid-record, simulating a crash.")
+           supervision policy); $(b,journal-write) rules tear the journal \
+           append mid-record, simulating a crash.")
 
 let generate_arg =
   Arg.(
@@ -485,38 +389,66 @@ let main files model_name verbose jobs metrics report schemes journal resume
           (fun p -> Some (Core.Inject.create p))
           (Core.Inject.plan_of_string s)
   in
-  match (generate, report) with
-  | Some n, _ -> (
-      match inject_result with
-      | Error msg ->
-          Format.eprintf "%s@." msg;
-          2
-      | Ok inject ->
-          if metrics then Obs.Metrics.enable ();
-          run_generate ~n ~seed ~shard ~schemes ~report_dir:report ~journal
-            ~resume ~jobs ~metrics ~task_timeout ~task_retries ~inject)
-  | None, Some dir -> (
-      let journal =
-        match (journal, resume) with
-        | Some j, _ -> Some j
-        | None, true -> Some (Filename.concat dir "journal")
-        | None, false -> None
-      in
-      match inject_result with
-      | Error msg ->
-          Format.eprintf "%s@." msg;
-          2
-      | Ok inject ->
-          if metrics then Obs.Metrics.enable ();
-          run_report dir schemes metrics ~journal ~task_timeout ~task_retries
-            ~inject)
-  | None, None ->
+  match (inject_result, generate, report) with
+  | _, None, None ->
       if files = [] then begin
         Format.eprintf
           "no litmus files given (or use --report DIR / --generate N)@.";
         2
       end
       else main files model_name verbose jobs metrics
+  | Error msg, _, _ ->
+      Format.eprintf "%s@." msg;
+      2
+  | Ok inject, Some n, _ -> (
+      if metrics then Obs.Metrics.enable ();
+      let schemes = match schemes with [] -> None | fs -> Some fs in
+      let corpus, entries = Report.Sweep.generated_entries ?schemes ~seed n in
+      if entries = [] then begin
+        Format.eprintf "no generated scheme matches (known: %s)@."
+          (scheme_names ());
+        2
+      end
+      else begin
+        Format.printf
+          "generated %d program(s) (seed %d) -> %d shape class(es), dedup \
+           %.1f%%, %d scheme(s)@."
+          n seed
+          (List.length corpus.Litmus.Generate.classes)
+          (100. *. Litmus.Generate.dedup_ratio corpus)
+          (List.length entries);
+        match report with
+        | None -> run_generate_smoke ~entries ~jobs
+        | Some dir ->
+            let journal =
+              Option.value journal ~default:(Filename.concat dir "journal")
+            in
+            run_report ~dir ~entries ~shard_size:shard ~probe_targets:true
+              ~journal:(Some journal) ~jobs ~metrics ~task_timeout ~task_retries ~inject
+      end)
+  | Ok inject, None, Some dir ->
+      if metrics then Obs.Metrics.enable ();
+      let entries =
+        List.filter
+          (fun (e : Report.Sweep.entry) ->
+            schemes = [] || List.mem e.Report.Sweep.scheme schemes)
+          (Report.Sweep.default_entries ())
+      in
+      if entries = [] then begin
+        Format.eprintf "no scheme matches %s (known: %s)@."
+          (String.concat ", " schemes) (scheme_names ());
+        2
+      end
+      else
+        let journal =
+          match (journal, resume) with
+          | Some j, _ -> Some j
+          | None, true -> Some (Filename.concat dir "journal")
+          | None, false -> None
+        in
+        (* Per-cell journaling: a killed sweep loses at most one cell. *)
+        run_report ~dir ~entries ~shard_size:1 ~probe_targets:false ~journal
+          ~jobs ~metrics ~task_timeout ~task_retries ~inject
 
 let cmd =
   Cmd.v

@@ -29,14 +29,6 @@ let refines ~src_model ~tgt_model ~src ~tgt =
     extra;
   }
 
-let check_one ~name ~src_model ~tgt_model f (tname, src) =
-  let tgt = f src in
-  let r = refines ~src_model ~tgt_model ~src ~tgt in
-  { r with name = Printf.sprintf "%s: %s" name tname }
-
-let check_scheme_safe ?pool ~name f ~src_model ~tgt_model corpus =
-  Parallel.Pool.map_safe ?pool (check_one ~name ~src_model ~tgt_model f) corpus
-
 (* ------------------------------------------------------------------ *)
 (* Batch planner                                                       *)
 
@@ -51,17 +43,16 @@ type cell = {
 
 (* The batch engine: instead of one opaque task per (scheme, program)
    cell, plan the whole sweep first.  Transforms run on the caller (they
-   are cheap, and an exception surfaces in input order exactly as the
-   sequential path's would); the enumeration work — where all the time
-   goes — is grouped by program AST, so each distinct program becomes
-   one pool task enumerated once under {e every} model any cell needs
-   ([En.behaviours_many] shares the pruned survivor pass across
-   models).  Schemes that target the same program under several models
-   (e.g. the same RMW lowering checked under arm-orig and arm-fix)
-   collapse to a single enumeration, a structural saving the per-task
-   path cannot see.  Reports are assembled from the returned behaviour
-   sets in cell order, so results are identical — contents and order —
-   to the per-cell sweep. *)
+   are cheap, and an exception surfaces in input order); the
+   enumeration work — where all the time goes — is grouped by program
+   AST, so each distinct program becomes one pool task enumerated once
+   under {e every} model any cell needs ([En.behaviours_many] shares the
+   pruned survivor pass across models).  Schemes that target the same
+   program under several models (e.g. the same RMW lowering checked
+   under arm-orig and arm-fix) collapse to a single enumeration, a
+   structural saving a per-cell sweep cannot see.  Reports are
+   assembled from the returned behaviour sets in cell order, so results
+   are identical — contents and order — to the per-cell sweep. *)
 let check_cells ?pool cells =
   let prepared = List.map (fun c -> (c, c.cell_f c.cell_src)) cells in
   let jobs : (Litmus.Ast.prog, Axiom.Model.t list ref) Hashtbl.t =
@@ -117,21 +108,18 @@ let check_cells ?pool cells =
     prepared
 
 let check_scheme ?pool ~name f ~src_model ~tgt_model corpus =
-  match pool with
-  | None -> List.map (check_one ~name ~src_model ~tgt_model f) corpus
-  | Some _ ->
-      check_cells ?pool
-        (List.map
-           (fun (tname, src) ->
-             {
-               cell_scheme = name;
-               cell_program = tname;
-               cell_f = f;
-               cell_src_model = src_model;
-               cell_tgt_model = tgt_model;
-               cell_src = src;
-             })
-           corpus)
+  check_cells ?pool
+    (List.map
+       (fun (tname, src) ->
+         {
+           cell_scheme = name;
+           cell_program = tname;
+           cell_f = f;
+           cell_src_model = src_model;
+           cell_tgt_model = tgt_model;
+           cell_src = src;
+         })
+       corpus)
 
 (* ------------------------------------------------------------------ *)
 (* Memoized verdicts for generated corpora                             *)

@@ -48,10 +48,10 @@ type cell = {
 val check_cells : ?pool:Parallel.Pool.t -> cell list -> report list
 
 (** [check_scheme ~name f ~src_model ~tgt_model corpus] maps every
-    corpus program through [f] and checks refinement.  With [?pool],
-    the corpus is routed through {!check_cells} on that pool; the
-    report list is identical — contents and order — to the sequential
-    sweep. *)
+    corpus program through [f] and checks refinement, as one
+    {!check_cells} batch (on [pool] when given).  The report list is
+    identical — contents and order — to checking each program through
+    {!refines} on its own. *)
 val check_scheme :
   ?pool:Parallel.Pool.t ->
   name:string ->
@@ -60,19 +60,6 @@ val check_scheme :
   tgt_model:Axiom.Model.t ->
   (string * Litmus.Ast.prog) list ->
   report list
-
-(** Like {!check_scheme}, but a program whose check raises yields a
-    typed per-task [Error fault] (carrying the original exception)
-    instead of aborting the sweep — one diverging corpus entry cannot
-    take the other verdicts down with it. *)
-val check_scheme_safe :
-  ?pool:Parallel.Pool.t ->
-  name:string ->
-  (Litmus.Ast.prog -> Litmus.Ast.prog) ->
-  src_model:Axiom.Model.t ->
-  tgt_model:Axiom.Model.t ->
-  (string * Litmus.Ast.prog) list ->
-  (report, Parallel.Pool.fault) result list
 
 (** Memoized {!refines} for generated corpora: the verdict is keyed by
     (scheme, model names, [Litmus.Generate.canonical_string src]), so

@@ -70,47 +70,6 @@ let default_entries () =
       };
     ]
 
-let run ?(capture = false) ?coverage ?max_witnesses entries =
-  List.concat_map
-    (fun e ->
-      List.map
-        (fun (program, src) ->
-          let tgt = e.f src in
-          let report =
-            Mapping.Check.refines ~src_model:e.src_model
-              ~tgt_model:e.tgt_model ~src ~tgt
-          in
-          let report =
-            {
-              report with
-              Mapping.Check.name = Printf.sprintf "%s: %s" e.scheme program;
-            }
-          in
-          (* The verdict above comes from the untouched default path;
-             the probes below are additive and opt-in. *)
-          (match coverage with
-          | None -> ()
-          | Some cov ->
-              ignore
-                (En.behaviours_probed
-                   ~on_reject:(fun x ->
-                     Coverage.record cov ~scheme:e.scheme ~program
-                       ~model:e.src_model x)
-                   e.src_model src));
-          let witnesses, shrunk =
-            if capture && not report.Mapping.Check.ok then
-              ( Mapping.Witness.capture ?max_witnesses
-                  ~src_model:e.src_model ~tgt_model:e.tgt_model ~src ~tgt
-                  report,
-                Some
-                  (Mapping.Witness.shrink ~scheme:e.f ~src_model:e.src_model
-                     ~tgt_model:e.tgt_model src) )
-            else ([], None)
-          in
-          { scheme = e.scheme; program; report; witnesses; shrunk })
-        e.corpus)
-    entries
-
 let all_ok cells = List.for_all (fun c -> c.report.Mapping.Check.ok) cells
 let failing cells = List.filter (fun c -> not c.report.Mapping.Check.ok) cells
 
@@ -209,20 +168,11 @@ let witness_json (c : cell) (w : Mapping.Witness.t) =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Journaled (resumable) sweeps.
+(* Journal records.
 
-   Each completed (scheme, program) cell appends one record to a
-   {!Parallel.Frontier} journal: key = scheme ^ "\x1f" ^ program, value
-   = the JSON-encoded verdict plus the cell's coverage deltas.  On
-   resume, journaled cells are replayed — report rebuilt, coverage
-   deltas merged via [Coverage.add] — and only the remainder is
-   computed, each cell under {!Parallel.Supervise} so a wedged or
-   poisoned cell becomes a typed failure instead of hanging the sweep.
-
-   Witnesses and shrunk counterexamples are {e not} journaled: they are
-   a deterministic function of (scheme, program) and are recomputed for
-   failing cells on both the compute and the replay path, which is what
-   makes a resumed report byte-identical to an uninterrupted one. *)
+   With a journal, each completed (scheme, program) cell appends one
+   record to a {!Parallel.Frontier}: key = scheme ^ "\x1f" ^ program,
+   value = the JSON-encoded verdict plus the cell's coverage deltas. *)
 
 let cell_key scheme program = scheme ^ "\x1f" ^ program
 
@@ -305,151 +255,8 @@ let verdict_of_string ~scheme ~program s =
       in
       (report, deltas)
 
-(* -------- the resumable runner -------- *)
-
-type journaled = {
-  cells : cell list;
-  failures : (string * string * Parallel.Supervise.failure) list;
-  replayed : int;
-  computed : int;
-  recovery : Parallel.Frontier.recovery;
-}
-
-let run_journaled ?(capture = false) ?coverage ?max_witnesses
-    ?(policy = Parallel.Supervise.default) ?journal_chaos ~journal entries =
-  let fr, recovery = Parallel.Frontier.open_ ?chaos:journal_chaos journal in
-  (* Last record wins, as checkpoint compaction would decide. *)
-  let verdicts = Hashtbl.create 64 in
-  List.iter
-    (fun (k, v) -> Hashtbl.replace verdicts k v)
-    recovery.Parallel.Frontier.entries;
-  let replayed = ref 0 and computed = ref 0 in
-  let failures = ref [] in
-  let written = ref [] in
-  (* Witness decoration is recomputed on both paths, never journaled:
-     deterministic, so replay stays byte-identical. *)
-  let decorate e src report =
-    if capture && not report.Mapping.Check.ok then
-      ( Mapping.Witness.capture ?max_witnesses ~src_model:e.src_model
-          ~tgt_model:e.tgt_model ~src ~tgt:(e.f src) report,
-        Some
-          (Mapping.Witness.shrink ~scheme:e.f ~src_model:e.src_model
-             ~tgt_model:e.tgt_model src) )
-    else ([], None)
-  in
-  let compute e program src () =
-    let tgt = e.f src in
-    let report =
-      Mapping.Check.refines ~src_model:e.src_model ~tgt_model:e.tgt_model ~src
-        ~tgt
-    in
-    let report =
-      {
-        report with
-        Mapping.Check.name = Printf.sprintf "%s: %s" e.scheme program;
-      }
-    in
-    let deltas =
-      match coverage with
-      | None -> []
-      | Some _ ->
-          (* Quiet scratch per attempt: a retried attempt re-probes from
-             zero, and only the committing attempt's delta is merged —
-             exactly-once accounting under retry. *)
-          let scratch = Coverage.create () in
-          ignore
-            (En.behaviours_probed
-               ~on_reject:(fun x ->
-                 Coverage.record ~quiet:true scratch ~scheme:e.scheme ~program
-                   ~model:e.src_model x)
-               e.src_model src);
-          Coverage.counts scratch
-    in
-    (report, deltas)
-  in
-  let merge_deltas deltas =
-    match coverage with
-    | None -> ()
-    | Some cov -> List.iter (fun (k, n) -> Coverage.add cov k n) deltas
-  in
-  let cells =
-    List.concat_map
-      (fun (e : entry) ->
-        List.filter_map
-          (fun (program, src) ->
-            let key = cell_key e.scheme program in
-            let replay =
-              match Hashtbl.find_opt verdicts key with
-              | None -> None
-              | Some v -> (
-                  match verdict_of_string ~scheme:e.scheme ~program v with
-                  | report, deltas -> Some (report, deltas, v)
-                  | exception Bad_record _ ->
-                      (* A record the CRC accepted but the codec cannot
-                         read (e.g. written by an older build): drop it
-                         and recompute the cell. *)
-                      None)
-            in
-            match replay with
-            | Some (report, deltas, v) ->
-                incr replayed;
-                merge_deltas deltas;
-                written := (key, v) :: !written;
-                let witnesses, shrunk = decorate e src report in
-                Some { scheme = e.scheme; program; report; witnesses; shrunk }
-            | None -> (
-                match
-                  Parallel.Supervise.run policy (compute e program src)
-                with
-                | Ok (report, deltas) ->
-                    incr computed;
-                    (* Journal before merging: if the append tears (chaos
-                       or crash), the cell is simply recomputed on
-                       resume — verdicts are never lost, never doubled. *)
-                    Parallel.Frontier.append fr ~key
-                      ~value:(verdict_to_string report deltas);
-                    merge_deltas deltas;
-                    written :=
-                      (key, verdict_to_string report deltas) :: !written;
-                    let witnesses, shrunk = decorate e src report in
-                    Some
-                      { scheme = e.scheme; program; report; witnesses; shrunk }
-                | Error failure ->
-                    (* No journal record: a resumed run retries the
-                       cell, so a transient environment converges to the
-                       fault-free verdict table. *)
-                    failures := (e.scheme, program, failure) :: !failures;
-                    None))
-          e.corpus)
-      entries
-  in
-  (* Compact: one record per cell, canonical sweep order — a journal
-     grown across many interrupted runs shrinks back to its minimum. *)
-  Parallel.Frontier.checkpoint fr (List.rev !written);
-  Parallel.Frontier.close fr;
-  {
-    cells;
-    failures = List.rev !failures;
-    replayed = !replayed;
-    computed = !computed;
-    recovery;
-  }
-
 (* ------------------------------------------------------------------ *)
-(* Generated corpora: sharded, pool-aware, saturation-tracking.
-
-   A generated sweep is the journaled sweep scaled up: 10⁴ programs
-   dedup into a few thousand shape classes checked under a handful of
-   schemes.  Cells are processed in fixed-size shards; within a shard,
-   missing cells run as one supervised pool batch (the batch planner's
-   chunk scheduling and shared enumeration apply), and the shard's
-   verdicts are journaled afterwards in deterministic order — the shard
-   is the unit of crash-resumability, the cell remains the unit of
-   verdict identity.  Per shard, the runner tracks how many previously
-   unseen (model, axiom) coverage pairs the shard's cells discovered;
-   when late shards stop contributing new pairs, the generated corpus
-   has saturated the discriminating-axiom coverage the matrix can
-   report. *)
+(* Generated corpora *)
 
 let default_generated_schemes =
   [ "fig7a/x86->tcg"; "risotto-rmw2/arm-orig"; "risotto-rmw2/arm-fix" ]
@@ -468,6 +275,37 @@ let generated_entries ?config ?(schemes = default_generated_schemes) ~seed n =
       (default_entries ())
   in
   (c, entries)
+
+(* ------------------------------------------------------------------ *)
+(* The sweep runner.
+
+   Cells are processed in fixed-size shards.  Within a shard, cells the
+   journal already holds are replayed (report rebuilt, coverage deltas
+   merged via [Coverage.add]) and the missing ones run as one
+   {!Parallel.Supervise.map} batch of per-cell [Mapping.Check.refines],
+   on the pool when one is given, so a wedged or poisoned cell becomes
+   a typed failure instead of hanging or aborting the sweep.  The
+   shard's verdicts are then journaled in deterministic order: the
+   shard is the unit of crash-resumability, the cell stays the unit of
+   verdict identity.  Without a journal the same loop keeps verdicts in
+   memory only.
+
+   Witnesses and shrunk counterexamples are {e not} journaled: they are
+   a deterministic function of (scheme, program) and are recomputed for
+   failing cells on both the compute and the replay path, which is what
+   makes a resumed report byte-identical to an uninterrupted one.
+
+   Per shard, the runner counts the (model, axiom) coverage pairs no
+   earlier shard discovered; when late shards stop contributing, the
+   corpus has saturated the discriminating-axiom coverage. *)
+
+type journaled = {
+  cells : cell list;
+  failures : (string * string * Parallel.Supervise.failure) list;
+  replayed : int;
+  computed : int;
+  recovery : Parallel.Frontier.recovery;
+}
 
 type shard_stat = {
   shard_index : int;  (* 1-based *)
@@ -493,25 +331,30 @@ let rec take_split n xs =
         let h, t = take_split (n - 1) rest in
         (x :: h, t)
 
+let no_recovery =
+  { Parallel.Frontier.entries = []; valid = 0; dropped_bytes = 0 }
+
 let run_generated ?(capture = false) ?coverage ?max_witnesses
-    ?(policy = Parallel.Supervise.default) ?pool ?(shard_size = 256)
-    ?(probe_targets = false) ~journal entries =
-  let fr, recovery = Parallel.Frontier.open_ journal in
+    ?(policy = Parallel.Supervise.default) ?pool ?(shard_size = 1)
+    ?(probe_targets = false) ?journal_chaos ?journal entries =
+  let fr, recovery =
+    match journal with
+    | None -> (None, no_recovery)
+    | Some path ->
+        let fr, recovery = Parallel.Frontier.open_ ?chaos:journal_chaos path in
+        (Some fr, recovery)
+  in
+  (* A torn append (chaos or a real I/O error) must not leak the
+     journal's descriptor. *)
+  Fun.protect ~finally:(fun () -> Option.iter Parallel.Frontier.close fr)
+  @@ fun () ->
+  (* Last record wins, as checkpoint compaction would decide. *)
   let verdicts = Hashtbl.create 1024 in
   List.iter
     (fun (k, v) -> Hashtbl.replace verdicts k v)
     recovery.Parallel.Frontier.entries;
   let replayed = ref 0 and computed = ref 0 in
   let failures = ref [] and written = ref [] in
-  let decorate (e : entry) src report =
-    if capture && not report.Mapping.Check.ok then
-      ( Mapping.Witness.capture ?max_witnesses ~src_model:e.src_model
-          ~tgt_model:e.tgt_model ~src ~tgt:(e.f src) report,
-        Some
-          (Mapping.Witness.shrink ~scheme:e.f ~src_model:e.src_model
-             ~tgt_model:e.tgt_model src) )
-    else ([], None)
-  in
   let compute ((e : entry), program, src) =
     let tgt = e.f src in
     let report =
@@ -528,6 +371,9 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
       match coverage with
       | None -> []
       | Some _ ->
+          (* Quiet scratch per attempt: a retried attempt re-probes from
+             zero, and only the committing attempt's delta is merged —
+             exactly-once accounting under retry. *)
           let scratch = Coverage.create () in
           ignore
             (En.behaviours_probed
@@ -549,103 +395,107 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
     in
     (report, deltas)
   in
-  let merge_deltas deltas =
-    match coverage with
-    | None -> ()
-    | Some cov -> List.iter (fun (k, n) -> Coverage.add cov k n) deltas
-  in
   let seen_pairs = Hashtbl.create 64 in
-  let flat =
-    List.concat_map
-      (fun (e : entry) ->
-        List.map (fun (program, src) -> (e, program, src)) e.corpus)
-      entries
+  let new_pairs = ref 0 in
+  (* Coverage merged exactly once per completed cell, and the pairs no
+     earlier shard saw counted for the saturation verdict. *)
+  let merge_deltas deltas =
+    (match coverage with
+    | None -> ()
+    | Some cov -> List.iter (fun (k, n) -> Coverage.add cov k n) deltas);
+    List.iter
+      (fun ((k : Coverage.key), _) ->
+        let pair = (k.Coverage.model, k.Coverage.axiom) in
+        if not (Hashtbl.mem seen_pairs pair) then begin
+          Hashtbl.add seen_pairs pair ();
+          incr new_pairs
+        end)
+      deltas
   in
-  let rec shard_loop idx cells_acc stats_acc rest =
-    match rest with
+  let decorate ((e : entry), program, src) report =
+    let witnesses, shrunk =
+      if capture && not report.Mapping.Check.ok then
+        ( Mapping.Witness.capture ?max_witnesses ~src_model:e.src_model
+            ~tgt_model:e.tgt_model ~src ~tgt:(e.f src) report,
+          Some
+            (Mapping.Witness.shrink ~scheme:e.f ~src_model:e.src_model
+               ~tgt_model:e.tgt_model src) )
+      else ([], None)
+    in
+    { scheme = e.scheme; program; report; witnesses; shrunk }
+  in
+  let run_shard shard =
+    (* Classify the shard's cells: replayable from the journal, or
+       missing and due for the supervised compute batch.  A record the
+       CRC accepted but the codec cannot read (e.g. written by an older
+       build) is dropped and its cell recomputed. *)
+    let prepared =
+      List.map
+        (fun (((e : entry), program, _src) as c) ->
+          let key = cell_key e.scheme program in
+          let replay =
+            match Hashtbl.find_opt verdicts key with
+            | None -> None
+            | Some v -> (
+                match verdict_of_string ~scheme:e.scheme ~program v with
+                | report, deltas -> Some (report, deltas, v)
+                | exception Bad_record _ -> None)
+          in
+          (c, key, replay))
+        shard
+    in
+    let missing =
+      List.filter_map
+        (fun (c, _, replay) -> if Option.is_none replay then Some c else None)
+        prepared
+    in
+    let results =
+      ref
+        (match missing with
+        | [] -> []
+        | _ -> Parallel.Supervise.map ?pool policy compute missing)
+    in
+    List.filter_map
+      (fun (((e : entry), program, _src) as c, key, replay) ->
+        match replay with
+        | Some (report, deltas, v) ->
+            incr replayed;
+            written := (key, v) :: !written;
+            merge_deltas deltas;
+            Some (decorate c report)
+        | None -> (
+            match !results with
+            | [] -> None (* one result per missing cell *)
+            | r :: rest -> (
+                results := rest;
+                match r with
+                | Ok (report, deltas) ->
+                    incr computed;
+                    (* Journal before merging: if the append tears (chaos
+                       or crash), the cell is simply recomputed on
+                       resume — verdicts are never lost, never doubled. *)
+                    Option.iter
+                      (fun fr ->
+                        let v = verdict_to_string report deltas in
+                        Parallel.Frontier.append fr ~key ~value:v;
+                        written := (key, v) :: !written)
+                      fr;
+                    merge_deltas deltas;
+                    Some (decorate c report)
+                | Error failure ->
+                    (* No journal record: a resumed run retries the
+                       cell, so a transient environment converges to the
+                       fault-free verdict table. *)
+                    failures := (e.scheme, program, failure) :: !failures;
+                    None)))
+      prepared
+  in
+  let rec shard_loop idx cells_acc stats_acc = function
     | [] -> (List.concat (List.rev cells_acc), List.rev stats_acc)
-    | _ ->
-        let shard, rest = take_split shard_size rest in
-        (* Classify the shard's cells: replayable from the journal, or
-           missing and due for the (pooled) compute batch. *)
-        let prepared =
-          List.map
-            (fun (((e : entry), program, _src) as c) ->
-              let key = cell_key e.scheme program in
-              match Hashtbl.find_opt verdicts key with
-              | Some v -> (
-                  match verdict_of_string ~scheme:e.scheme ~program v with
-                  | rd -> `Replay (c, key, rd, v)
-                  | exception Bad_record _ -> `Compute (c, key))
-              | None -> `Compute (c, key))
-            shard
-        in
-        let to_compute =
-          List.filter_map
-            (function `Compute (c, key) -> Some (c, key) | `Replay _ -> None)
-            prepared
-        in
-        let rtbl = Hashtbl.create 64 in
-        (match to_compute with
-        | [] -> ()
-        | _ ->
-            let results =
-              Parallel.Supervise.map ?pool policy
-                (fun (c, _key) -> compute c)
-                to_compute
-            in
-            List.iter2
-              (fun (_, key) r -> Hashtbl.replace rtbl key r)
-              to_compute results);
-        let new_pairs = ref 0 in
-        let note_deltas deltas =
-          List.iter
-            (fun ((k : Coverage.key), _) ->
-              let pair = (k.Coverage.model, k.Coverage.axiom) in
-              if not (Hashtbl.mem seen_pairs pair) then begin
-                Hashtbl.add seen_pairs pair ();
-                incr new_pairs
-              end)
-            deltas
-        in
-        let cells =
-          List.filter_map
-            (function
-              | `Replay (((e : entry), program, src), key, (report, deltas), v)
-                ->
-                  incr replayed;
-                  merge_deltas deltas;
-                  note_deltas deltas;
-                  written := (key, v) :: !written;
-                  let witnesses, shrunk = decorate e src report in
-                  Some
-                    { scheme = e.scheme; program; report; witnesses; shrunk }
-              | `Compute (((e : entry), program, src), key) -> (
-                  match Hashtbl.find rtbl key with
-                  | Ok (report, deltas) ->
-                      incr computed;
-                      (* Journal in deterministic shard order, after the
-                         batch: the shard is the resume granule. *)
-                      Parallel.Frontier.append fr ~key
-                        ~value:(verdict_to_string report deltas);
-                      merge_deltas deltas;
-                      note_deltas deltas;
-                      written :=
-                        (key, verdict_to_string report deltas) :: !written;
-                      let witnesses, shrunk = decorate e src report in
-                      Some
-                        {
-                          scheme = e.scheme;
-                          program;
-                          report;
-                          witnesses;
-                          shrunk;
-                        }
-                  | Error failure ->
-                      failures := (e.scheme, program, failure) :: !failures;
-                      None))
-            prepared
-        in
+    | rest ->
+        let shard, rest = take_split (max 1 shard_size) rest in
+        new_pairs := 0;
+        let cells = run_shard shard in
         let stat =
           {
             shard_index = idx;
@@ -655,9 +505,18 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
         in
         shard_loop (idx + 1) (cells :: cells_acc) (stat :: stats_acc) rest
   in
-  let cells, shard_stats = shard_loop 1 [] [] flat in
-  Parallel.Frontier.checkpoint fr (List.rev !written);
-  Parallel.Frontier.close fr;
+  let cells, shard_stats =
+    shard_loop 1 [] []
+      (List.concat_map
+         (fun (e : entry) ->
+           List.map (fun (program, src) -> (e, program, src)) e.corpus)
+         entries)
+  in
+  (* Compact: one record per cell, canonical sweep order — a journal
+     grown across many interrupted runs shrinks back to its minimum. *)
+  Option.iter
+    (fun fr -> Parallel.Frontier.checkpoint fr (List.rev !written))
+    fr;
   let nshards = List.length shard_stats in
   let saturated_after =
     match coverage with

@@ -3,10 +3,11 @@
     captured witnesses, shrunk counterexamples and axiom-coverage
     accounting.
 
-    Verdicts always come from the unmodified {!Mapping.Check.refines}
-    path; witness capture and the coverage probe are additive passes
-    that run only when asked for, so a plain [run] is observationally
-    the bench sweep. *)
+    One runner, {!run_generated}, serves the catalog report, generated
+    corpora, the chaos bench and the tests.  Verdicts always come from
+    the unmodified {!Mapping.Check.refines} path; witness capture, the
+    coverage probe and the journal are additive and run only when asked
+    for. *)
 
 type entry = {
   scheme : string;
@@ -39,79 +40,24 @@ val mapping_entries : unit -> entry list
     direct/casal schemes; FMR under transform-raw. *)
 val default_entries : unit -> entry list
 
-(** [run ~capture ~coverage entries]: check every (scheme, program)
-    cell.  With [capture] (default false), failing cells carry witnesses
-    ({!Mapping.Witness.capture}, at most [max_witnesses] each) and a
-    shrunk counterexample.  With [coverage], every source-program
-    candidate rejected by the source model is accounted via
-    {!Coverage.record}. *)
-val run :
-  ?capture:bool ->
-  ?coverage:Coverage.t ->
-  ?max_witnesses:int ->
-  entry list ->
-  cell list
-
 val all_ok : cell list -> bool
 val failing : cell list -> cell list
 
-(** {1 Journaled (resumable) sweeps} *)
+(** {1 Journal records} *)
 
 (** Journal key of a (scheme, program) cell: the two joined by a unit
     separator (0x1F), which neither side contains. *)
 val cell_key : string -> string -> string
 
-type journaled = {
-  cells : cell list;  (** canonical (entries × corpus) order *)
-  failures : (string * string * Parallel.Supervise.failure) list;
-      (** (scheme, program, failure) of cells that timed out or were
-          quarantined this run — not journaled, retried on resume *)
-  replayed : int;  (** cells restored from the journal *)
-  computed : int;  (** cells computed (and journaled) this run *)
-  recovery : Parallel.Frontier.recovery;
-      (** what opening the journal recovered (torn-tail statistics) *)
-}
-
-(** [run_journaled ~journal entries] is {!run} with crash-safety: every
-    completed cell appends a CRC-guarded verdict record (verdict +
-    coverage deltas) to the {!Parallel.Frontier} journal at [journal],
-    and cells already journaled by an earlier interrupted run are
-    replayed instead of recomputed — verdict rebuilt, coverage deltas
-    merged via {!Coverage.add}, witnesses re-derived deterministically —
-    so the resumed result (and an HTML report rendered from it) is
-    byte-identical to an uninterrupted run's.  Each computed cell runs
-    under [policy] ({!Parallel.Supervise}): timeouts and quarantined
-    cells surface in [failures], are left out of the journal, and are
-    retried by the next resume.  [journal_chaos] is the
-    [journal-write] chaos site hook ({!Parallel.Frontier.open_}); a
-    firing hook tears the append and raises
-    {!Parallel.Frontier.Injected_fault}, simulating a crash.  The
-    journal is checkpoint-compacted to canonical order on successful
-    completion. *)
-val run_journaled :
-  ?capture:bool ->
-  ?coverage:Coverage.t ->
-  ?max_witnesses:int ->
-  ?policy:Parallel.Supervise.policy ->
-  ?journal_chaos:(unit -> bool) ->
-  journal:string ->
-  entry list ->
-  journaled
-
-(** {1 Generated corpora}
-
-    The journaled sweep scaled to 10⁴+ QCheck-generated programs
-    ({!Litmus.Generate}), deduped into shape classes and processed in
-    fixed-size shards: within a shard, missing cells run as one
-    supervised pool batch, and the shard's verdicts are journaled
-    afterwards in deterministic order — the shard is the unit of
-    crash-resumability, the cell stays the unit of verdict identity. *)
+(** {1 Generated corpora} *)
 
 (** The schemes a generated sweep checks by default: the paper's
     verified x86→TCG frontend mapping and the corrected RMW lowering
     under both the original and fixed ARM models — sound schemes, so a
-    clean generated sweep exits 0, and the two ARM cells share one
-    enumeration per target program under the batch planner. *)
+    clean generated sweep exits 0.  The two ARM cells map a program to
+    the same target, but each still enumerates it: the sweep checks
+    cells one by one through {!Mapping.Check.refines}, and the
+    behaviours cache is keyed by model name. *)
 val default_generated_schemes : string list
 
 (** [generated_entries ~seed n] generates [n] programs, dedups them
@@ -124,6 +70,20 @@ val generated_entries :
   seed:int ->
   int ->
   Litmus.Generate.corpus * entry list
+
+(** {1 The sweep runner} *)
+
+type journaled = {
+  cells : cell list;  (** canonical (entries × corpus) order *)
+  failures : (string * string * Parallel.Supervise.failure) list;
+      (** (scheme, program, failure) of cells that timed out or were
+          quarantined this run — not journaled, retried on resume *)
+  replayed : int;  (** cells restored from the journal *)
+  computed : int;  (** cells computed this run *)
+  recovery : Parallel.Frontier.recovery;
+      (** what opening the journal recovered (torn-tail statistics);
+          empty without a journal *)
+}
 
 type shard_stat = {
   shard_index : int;  (** 1-based *)
@@ -142,14 +102,36 @@ type generated = {
           the final shard, or no coverage requested. *)
 }
 
-(** [run_generated ~journal entries] — see the section comment.  With
-    [?pool], each shard's missing cells are one pool batch (supervised
-    via {!Parallel.Supervise.map}); verdicts are identical to the
-    sequential path.  [probe_targets] additionally classifies the
-    {e target}-side rejected candidates under the target model in the
-    coverage accounting (that is where the ARM/TCG axioms get
-    exercised).  Resumes from [journal] exactly like
-    {!run_journaled}. *)
+(** [run_generated entries] checks every (scheme, program) cell, in
+    shards of [shard_size] cells (default 1; values below 1 count as
+    1).  A shard's missing cells
+    run as one {!Parallel.Supervise.map} batch under [policy] (on
+    [pool] when given), each cell through {!Mapping.Check.refines}:
+    timeouts and exceptions surface in [failures] as typed
+    {!Parallel.Supervise.failure}s instead of escaping, and the sweep
+    goes on.
+
+    - [capture] (default false): failing cells carry witnesses
+      ({!Mapping.Witness.capture}, at most [max_witnesses] each) and a
+      shrunk counterexample.
+    - [coverage]: every source-program candidate rejected by the
+      source model is accounted via {!Coverage.add}, exactly once per
+      cell; [probe_targets] (default false) also classifies the
+      target side's rejected candidates under the target model.
+    - [journal]: after each shard, its computed cells append a
+      CRC-guarded verdict record (verdict + coverage deltas) to the
+      {!Parallel.Frontier} journal at that path, and cells journaled
+      by an earlier interrupted run are replayed instead of recomputed
+      — verdict rebuilt, coverage deltas merged, witnesses re-derived
+      — so a resumed result (and an HTML report rendered from it) is
+      byte-identical to an uninterrupted run's.  Failed cells are left
+      out of the journal and retried by the next resume.  The journal
+      is checkpoint-compacted to canonical order on completion and
+      closed on every exit.  Without [journal], verdicts stay in
+      memory and [recovery] is empty.
+    - [journal_chaos] is the [journal-write] chaos site hook
+      ({!Parallel.Frontier.open_}); a firing hook tears the append and
+      raises {!Parallel.Frontier.Injected_fault}, simulating a crash. *)
 val run_generated :
   ?capture:bool ->
   ?coverage:Coverage.t ->
@@ -158,7 +140,8 @@ val run_generated :
   ?pool:Parallel.Pool.t ->
   ?shard_size:int ->
   ?probe_targets:bool ->
-  journal:string ->
+  ?journal_chaos:(unit -> bool) ->
+  ?journal:string ->
   entry list ->
   generated
 

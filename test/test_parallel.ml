@@ -101,13 +101,22 @@ let schemes_under_test =
 
 let test_check_scheme_parity () =
   (* The whole catalog, several schemes: parallel check_scheme must be
-     report-for-report identical (contents and order) to sequential. *)
+     report-for-report identical (contents and order) to checking each
+     program through [refines] on its own. *)
   P.with_pool ~jobs:4 (fun pool ->
       List.iter
         (fun (name, f, tgt_model) ->
           Litmus.Enumerate.clear_caches ();
           let seq =
-            Mapping.Check.check_scheme ~name f ~src_model:x86 ~tgt_model corpus
+            List.map
+              (fun (tname, src) ->
+                {
+                  (Mapping.Check.refines ~src_model:x86 ~tgt_model ~src
+                     ~tgt:(f src))
+                  with
+                  Mapping.Check.name = Printf.sprintf "%s: %s" name tname;
+                })
+              corpus
           in
           Litmus.Enumerate.clear_caches ();
           let par =
@@ -144,34 +153,46 @@ let test_check_parity_litmus () =
         seq par)
 
 let test_fault_mid_sweep () =
-  (* One program whose transformation diverges must yield a typed fault
-     for exactly that corpus entry, leaving every other verdict intact. *)
-  let poisoned = List.nth corpus 2 in
+  (* One program whose transformation diverges must yield a typed
+     failure for exactly that corpus entry, leaving every other verdict
+     intact. *)
+  let poisoned_name, poisoned = List.nth corpus 2 in
   let f p =
-    if p == snd poisoned then failwith "scheme diverged"
+    if p == poisoned then failwith "scheme diverged"
     else Mapping.Schemes.(x86_to_tcg Risotto_frontend) p
   in
+  let entry =
+    {
+      Report.Sweep.scheme = "poisoned";
+      f;
+      src_model = x86;
+      tgt_model = tcg;
+      corpus;
+    }
+  in
   P.with_pool ~jobs:4 (fun pool ->
-      let rs =
-        Mapping.Check.check_scheme_safe ~pool ~name:"poisoned" f ~src_model:x86
-          ~tgt_model:tcg corpus
+      let r =
+        (Report.Sweep.run_generated ~pool ~shard_size:(List.length corpus)
+           [ entry ])
+          .Report.Sweep.gen_journaled
       in
-      check_int "one result per corpus entry" (List.length corpus)
-        (List.length rs);
-      List.iteri
-        (fun i r ->
-          match r with
-          | Ok (rep : Mapping.Check.report) ->
-              check_bool "only index 2 faults" false (i = 2);
-              check_bool ("verdict present for " ^ rep.Mapping.Check.name) true
-                (rep.Mapping.Check.src_behaviours > 0)
-          | Error (fault : P.fault) ->
-              check_int "fault at the poisoned entry" 2 fault.P.index;
-              check_bool "original exception preserved" true
-                (match fault.P.exn with
-                | Failure msg -> msg = "scheme diverged"
-                | _ -> false))
-        rs)
+      (match r.Report.Sweep.failures with
+      | [ (scheme, program, Parallel.Supervise.Quarantined { last; _ }) ] ->
+          check_bool "failure at the poisoned cell" true
+            (scheme = "poisoned" && program = poisoned_name);
+          check_bool "original exception preserved" true
+            (match last.P.exn with
+            | Failure msg -> msg = "scheme diverged"
+            | _ -> false)
+      | _ -> Alcotest.fail "expected exactly one quarantined cell");
+      check_int "every other cell present" (List.length corpus - 1)
+        (List.length r.Report.Sweep.cells);
+      List.iter
+        (fun (c : Report.Sweep.cell) ->
+          check_bool ("verdict present for " ^ c.Report.Sweep.program) true
+            (c.Report.Sweep.program <> poisoned_name
+            && c.Report.Sweep.report.Mapping.Check.src_behaviours > 0))
+        r.Report.Sweep.cells)
 
 let test_pruned_matches_unpruned () =
   (* The pruned consistent-execution path keeps exactly the candidates

@@ -214,7 +214,8 @@ let run_small_sweep ?coverage () =
           [ "qemu-gcc10/arm-fix"; "transform-raw" ])
       (Report.Sweep.default_entries ())
   in
-  Report.Sweep.run ?coverage entries
+  (Report.Sweep.run_generated ?coverage entries).Report.Sweep.gen_journaled
+    .cells
 
 let test_coverage_counters_off_when_disabled () =
   Obs.Metrics.disable ();
@@ -372,11 +373,12 @@ let test_json_parse_bench_like () =
 
 let test_witness_json_envelope () =
   let cells =
-    Report.Sweep.run ~capture:true
-      (List.filter
-         (fun (e : Report.Sweep.entry) ->
-           e.Report.Sweep.scheme = "transform-raw")
-         (Report.Sweep.default_entries ()))
+    (Report.Sweep.run_generated ~capture:true
+       (List.filter
+          (fun (e : Report.Sweep.entry) ->
+            e.Report.Sweep.scheme = "transform-raw")
+          (Report.Sweep.default_entries ())))
+      .Report.Sweep.gen_journaled.cells
   in
   let cell =
     List.find (fun (c : Report.Sweep.cell) -> c.Report.Sweep.witnesses <> []) cells
@@ -399,12 +401,13 @@ let test_html_deterministic () =
   let render () =
     let cov = Report.Coverage.create () in
     let cells =
-      Report.Sweep.run ~capture:true ~coverage:cov
-        (List.filter
-           (fun (e : Report.Sweep.entry) ->
-             List.mem e.Report.Sweep.scheme
-               [ "qemu-gcc10/arm-fix"; "transform-raw" ])
-           (Report.Sweep.default_entries ()))
+      (Report.Sweep.run_generated ~capture:true ~coverage:cov
+         (List.filter
+            (fun (e : Report.Sweep.entry) ->
+              List.mem e.Report.Sweep.scheme
+                [ "qemu-gcc10/arm-fix"; "transform-raw" ])
+            (Report.Sweep.default_entries ())))
+        .Report.Sweep.gen_journaled.cells
     in
     Report.Html.render ~coverage:cov ~models:[ x86; tcg ] cells
   in
@@ -426,11 +429,12 @@ let test_html_deterministic () =
 
 let test_html_svg_witnesses () =
   let cells =
-    Report.Sweep.run ~capture:true
-      (List.filter
-         (fun (e : Report.Sweep.entry) ->
-           e.Report.Sweep.scheme = "qemu-gcc10/arm-fix")
-         (Report.Sweep.default_entries ()))
+    (Report.Sweep.run_generated ~capture:true
+       (List.filter
+          (fun (e : Report.Sweep.entry) ->
+            e.Report.Sweep.scheme = "qemu-gcc10/arm-fix")
+          (Report.Sweep.default_entries ())))
+      .Report.Sweep.gen_journaled.cells
   in
   let html = Report.Html.render cells in
   check_bool "SVG graphs inlined" true

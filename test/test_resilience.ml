@@ -456,14 +456,22 @@ let cell_sig (c : Sweep.cell) =
 
 let test_journaled_parity_and_resume () =
   let entries = small_entries () in
-  let plain = Sweep.run ~capture:true entries in
+  let sweep ?journal () =
+    (Sweep.run_generated ~capture:true ?journal entries).Sweep.gen_journaled
+  in
+  let plain = (sweep ()).Sweep.cells in
+  check_bool "shard_size 0 runs as 1" true
+    (List.map cell_sig
+       (Sweep.run_generated ~capture:true ~shard_size:0 entries)
+         .Sweep.gen_journaled.Sweep.cells
+    = List.map cell_sig plain);
   with_tmp ".jnl" @@ fun journal ->
-  let r1 = Sweep.run_journaled ~capture:true ~journal entries in
+  let r1 = sweep ~journal () in
   check_int "all computed" (List.length plain) r1.Sweep.computed;
   check_int "nothing replayed" 0 r1.Sweep.replayed;
   check_bool "journaled == plain (opt-in parity)" true
     (List.map cell_sig r1.Sweep.cells = List.map cell_sig plain);
-  let r2 = Sweep.run_journaled ~capture:true ~journal entries in
+  let r2 = sweep ~journal () in
   check_int "all replayed" (List.length plain) r2.Sweep.replayed;
   check_int "nothing recomputed" 0 r2.Sweep.computed;
   check_bool "resume == plain (verdicts, extras, witnesses)" true
@@ -472,12 +480,12 @@ let test_journaled_parity_and_resume () =
 let test_journaled_coverage_replay () =
   let entries = small_entries () in
   let cov_plain = Report.Coverage.create () in
-  ignore (Sweep.run ~coverage:cov_plain entries);
+  ignore (Sweep.run_generated ~coverage:cov_plain entries);
   with_tmp ".jnl" @@ fun journal ->
   let cov1 = Report.Coverage.create () in
-  ignore (Sweep.run_journaled ~coverage:cov1 ~journal entries);
+  ignore (Sweep.run_generated ~coverage:cov1 ~journal entries);
   let cov2 = Report.Coverage.create () in
-  ignore (Sweep.run_journaled ~coverage:cov2 ~journal entries);
+  ignore (Sweep.run_generated ~coverage:cov2 ~journal entries);
   let strip = List.map (fun (k, n) -> (k, n)) in
   check_bool "journaled coverage == plain" true
     (strip (Report.Coverage.counts cov1)
@@ -485,6 +493,50 @@ let test_journaled_coverage_replay () =
   check_bool "replayed coverage == plain (exactly once)" true
     (strip (Report.Coverage.counts cov2)
     = strip (Report.Coverage.counts cov_plain))
+
+let test_torn_sweep_closes_journal () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let open_fds () =
+    Gc.full_major ();
+    Array.length (Sys.readdir "/proc/self/fd")
+  in
+  with_tmp ".jnl" @@ fun journal ->
+  let before = open_fds () in
+  (match
+     Sweep.run_generated ~journal_chaos:(fun () -> true) ~journal
+       (small_entries ())
+   with
+  | _ -> Alcotest.fail "the chaos hook must tear the first append"
+  | exception Fr.Injected_fault _ -> ());
+  check_int "journal descriptor closed" before (open_fds ())
+
+let test_generated_chaos_resume () =
+  let _, entries = Sweep.generated_entries ~seed:11 40 in
+  let sweep ?journal_chaos ?journal () =
+    (Sweep.run_generated ~shard_size:8 ?journal_chaos ?journal entries)
+      .Sweep.gen_journaled
+  in
+  let reference = (sweep ()).Sweep.cells in
+  with_tmp ".jnl" @@ fun journal ->
+  (* Tear the 12th append: the first shard is on disk, the second is
+     cut off mid-journal. *)
+  let appends = ref 0 in
+  let journal_chaos () =
+    incr appends;
+    !appends = 12
+  in
+  (match sweep ~journal_chaos ~journal () with
+  | _ -> Alcotest.fail "the chaos hook must tear the 12th append"
+  | exception Fr.Injected_fault _ -> ());
+  let resumed = sweep ~journal () in
+  check_int "the 11 intact records replayed" 11 resumed.Sweep.replayed;
+  check_bool "no failures on resume" true (resumed.Sweep.failures = []);
+  check_bool "resume == uninterrupted run" true
+    (List.map cell_sig resumed.Sweep.cells = List.map cell_sig reference);
+  let keys = List.map fst (Fr.recover_file journal).Fr.entries in
+  check_int "one record per cell" (List.length reference) (List.length keys);
+  check_int "journal keys unique" (List.length keys)
+    (List.length (List.sort_uniq compare keys))
 
 let () =
   Alcotest.run "resilience"
@@ -549,5 +601,9 @@ let () =
             test_journaled_parity_and_resume;
           Alcotest.test_case "coverage replays exactly once" `Quick
             test_journaled_coverage_replay;
+          Alcotest.test_case "torn run closes the journal" `Quick
+            test_torn_sweep_closes_journal;
+          Alcotest.test_case "generated shards resume after a tear" `Quick
+            test_generated_chaos_resume;
         ] );
     ]

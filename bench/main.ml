@@ -770,9 +770,9 @@ let dispatch_bench ~reps ~out () =
    compiled into the hot path must cost <2%% of a block (hard gate at
    5%% for disabled probes, 2%% for the always-on recorder).  The
    metrics pass also reads back the fence-provenance ledger counters
-   (fence.<kind>.<outcome>) to report the merged ratio, and an async
-   tiered pass feeds the tier-lifecycle latency histograms so the
-   request-to-publish percentiles land in the JSON. *)
+   (fence.<kind>.<outcome>) to report the merged ratio, and the
+   [engine.compile.ns] histogram of its backend compiles so the
+   compile-latency percentiles land in the JSON. *)
 let obs_bench ~reps ~out ~trace_out () =
   section
     (Printf.sprintf
@@ -877,26 +877,9 @@ let obs_bench ~reps ~out ~trace_out () =
       float_of_int (fence_merged + fence_dropped)
       /. float_of_int fence_emitted
   in
-  (* Tier-lifecycle latency: an async tiered pass (background installs,
-     metrics on) feeds the request-to-publish and queue-wait
-     histograms; a percentile is the upper bound of the first log2
-     bucket whose cumulative count reaches the quantile. *)
-  let tiered =
-    {
-      config with
-      Core.Config.jit_threshold = 8;
-      trace_threshold = 24;
-      sync_compile = false;
-    }
-  in
-  Obs.Metrics.enable ();
-  List.iter
-    (fun b ->
-      let _, eng = Harness.Kernel.run_dbt tiered b.Harness.Parsec.spec in
-      Core.Engine.drain_installs eng)
-    Harness.Parsec.all;
-  let lat_snap = Obs.Metrics.snapshot () in
-  Obs.Metrics.disable ();
+  (* Compile latency: the metrics pass timed every backend compile into
+     [engine.compile.ns]; a percentile is the upper bound of the first
+     log2 bucket whose cumulative count reaches the quantile. *)
   let percentile (h : Obs.Metrics.hist_snap) q =
     if h.Obs.Metrics.count = 0 then 0
     else begin
@@ -917,33 +900,30 @@ let obs_bench ~reps ~out ~trace_out () =
       !res
     end
   in
-  let hist name =
-    match Obs.Metrics.find_histogram lat_snap name with
+  let compile =
+    match Obs.Metrics.find_histogram met_snap "engine.compile.ns" with
     | Some h -> h
     | None -> { Obs.Metrics.count = 0; sum = 0; counts = [||] }
   in
-  let req_pub = hist "tier.request_to_publish.ns" in
-  let queue_wait = hist "tier.install_queue.ns" in
   Format.printf
     "  wall: off %.3fs, recorder-off %.3fs, metrics %.3fs, trace %.3fs@.  \
      parity (regs, memory, cycles, stats): probes %b, recorder %b@.  \
      disabled probe bundle: %.1f ns; dispatch block: %.0f ns; overhead \
      %.3f%% (target <2%%, gate 5%%)@.  recorder event: %.1f ns; overhead \
      %.3f%% (gate 2%%); wall delta %+.2f%%@.  fences: %d emitted, %d \
-     merged, %d dropped -> merged ratio %.3f@.  install latency \
-     (request->publish, %d sample(s)): p50 %d ns, p95 %d ns, p99 %d ns; \
-     queue wait p95 %d ns@.  trace: %d event(s) -> %s@."
+     merged, %d dropped -> merged ratio %.3f@.  compile latency (%d \
+     sample(s)): p50 %d ns, p95 %d ns, p99 %d ns@.  trace: %d event(s) -> \
+     %s@."
     off_s norec_s met_s trace_s parity recorder_parity probe_ns block_ns
     overhead_pct record_ns recorder_pct recorder_wall_delta_pct fence_emitted
-    fence_merged fence_dropped merged_ratio req_pub.Obs.Metrics.count
-    (percentile req_pub 0.50) (percentile req_pub 0.95)
-    (percentile req_pub 0.99) (percentile queue_wait 0.95) trace_events
-    trace_out;
+    fence_merged fence_dropped merged_ratio compile.Obs.Metrics.count
+    (percentile compile 0.50) (percentile compile 0.95)
+    (percentile compile 0.99) trace_events trace_out;
   let oc = open_out out in
   Printf.fprintf oc
     {|{
   %s
-  "bench": "observability: parity, overhead, fence provenance, tier latency",
+  "bench": "observability: parity, overhead, fence provenance, compile latency",
   "kernels": %d,
   "reps": %d,
   "off_s": %.6f,
@@ -962,8 +942,7 @@ let obs_bench ~reps ~out ~trace_out () =
   "fence_merged": %d,
   "fence_dropped": %d,
   "fence_merged_ratio": %.4f,
-  "install_latency": { "count": %d, "p50_ns": %d, "p95_ns": %d, "p99_ns": %d },
-  "install_queue_wait": { "count": %d, "p50_ns": %d, "p95_ns": %d },
+  "compile_latency": { "count": %d, "p50_ns": %d, "p95_ns": %d, "p99_ns": %d },
   "trace_events": %d
 }
 |}
@@ -971,10 +950,9 @@ let obs_bench ~reps ~out ~trace_out () =
     (List.length Harness.Parsec.all)
     reps off_s norec_s met_s trace_s parity recorder_parity probe_ns block_ns
     overhead_pct record_ns recorder_pct recorder_wall_delta_pct fence_emitted
-    fence_merged fence_dropped merged_ratio req_pub.Obs.Metrics.count
-    (percentile req_pub 0.50) (percentile req_pub 0.95)
-    (percentile req_pub 0.99) queue_wait.Obs.Metrics.count
-    (percentile queue_wait 0.50) (percentile queue_wait 0.95) trace_events;
+    fence_merged fence_dropped merged_ratio compile.Obs.Metrics.count
+    (percentile compile 0.50) (percentile compile 0.95)
+    (percentile compile 0.99) trace_events;
   close_out oc;
   Format.printf "  wrote %s@." out;
   if not parity then begin
@@ -1003,9 +981,8 @@ let obs_bench ~reps ~out ~trace_out () =
       "obs bench: the fence ledger recorded no emitted fences!@.";
     exit 2
   end;
-  if req_pub.Obs.Metrics.count = 0 then begin
-    Format.eprintf
-      "obs bench: the async tiered pass published no installs!@.";
+  if compile.Obs.Metrics.count = 0 then begin
+    Format.eprintf "obs bench: the metrics pass timed no backend compiles!@.";
     exit 2
   end;
   if trace_events = 0 then begin
@@ -1386,18 +1363,14 @@ let chaos_bench ~plans ~seed ~out () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Tier bench: tier0-only vs sync-all vs tiered-async → BENCH_tiers.json *)
+(* Tier bench: tier0-only vs sync-all vs tiered → BENCH_tiers.json     *)
 
-(* One pass over the PARSEC/Phoenix kernels under a tier configuration.
-   [drain_installs] after each kernel settles any background compiles
-   before the stats are read (and quiesces the shared service so the
-   next kernel starts clean). *)
+(* One pass over the PARSEC/Phoenix kernels under a tier configuration. *)
 let tiers_pass config =
   List.map
     (fun b ->
       let spec = b.Harness.Parsec.spec in
       let g, eng = Harness.Kernel.run_dbt config spec in
-      Core.Engine.drain_installs eng;
       ( spec.Harness.Kernel.name,
         Array.sub g.Core.Engine.arm.Arm.Machine.regs 0 16,
         Memsys.Mem.dump (Core.Engine.memory eng),
@@ -1438,8 +1411,8 @@ let cold_start_items n =
 let tiers_bench ~reps ~out () =
   section
     (Printf.sprintf
-       "Tier ladder: tier0-only vs sync-all vs tiered-async (%d kernels, \
-        best of %d)"
+       "Tier ladder: tier0-only vs sync-all vs tiered (%d kernels, best of \
+        %d)"
        (List.length Harness.Parsec.all)
        reps);
   let risotto = Core.Config.risotto in
@@ -1447,8 +1420,8 @@ let tiers_bench ~reps ~out () =
   (* tier0: the threshold is unreachable, every block stays on the
      interpreter.  sync-all: the pre-ladder configuration (immediate
      backend compile, static trace trigger — the dispatch-bench
-     chained config).  tiered: the full ladder with background
-     installs. *)
+     chained config).  tiered: the full ladder, each block compiled
+     inline at its [jit_threshold]th execution. *)
   let tier0 =
     { risotto with Core.Config.jit_threshold = max_int; trace_threshold = 0 }
   in
@@ -1458,16 +1431,20 @@ let tiers_bench ~reps ~out () =
       risotto with
       Core.Config.jit_threshold;
       trace_threshold = tier2_threshold;
-      sync_compile = false;
     }
   in
+  (* Every rep must reproduce the first one exactly (guest state,
+     cycles and every counter): the ladder compiles synchronously, so
+     its decisions depend on nothing but the program. *)
+  let deterministic = ref true in
   let time config =
     let best = ref infinity in
     let results = ref [] in
-    for _ = 1 to reps do
+    for rep = 1 to reps do
       let t0 = Unix.gettimeofday () in
       let r = tiers_pass config in
       let dt = Unix.gettimeofday () -. t0 in
+      if rep > 1 && r <> !results then deterministic := false;
       results := r;
       if dt < !best then best := dt
     done;
@@ -1495,17 +1472,11 @@ let tiers_bench ~reps ~out () =
       sum (fun s -> s.Core.Engine.interp_execs) results,
       sum (fun s -> s.Core.Engine.tier1_installed) results,
       sum (fun s -> s.Core.Engine.superblocks) results,
-      sum (fun s -> s.Core.Engine.deopts) results,
-      sum (fun s -> s.Core.Engine.install_hwm) results,
-      sum (fun s -> s.Core.Engine.installs_dropped) results )
+      sum (fun s -> s.Core.Engine.deopts) results )
   in
-  let t0_cycles, t0_interp, t0_inst, t0_super, t0_deopt, t0_hwm, t0_drop =
-    stat_block tier0_r
-  in
-  let sy_cycles, sy_interp, sy_inst, sy_super, sy_deopt, sy_hwm, sy_drop =
-    stat_block sync_r
-  in
-  let ti_cycles, ti_interp, ti_inst, ti_super, ti_deopt, ti_hwm, ti_drop =
+  let ((t0_cycles, _, _, _, _) as t0_stats) = stat_block tier0_r in
+  let ((sy_cycles, _, _, _, _) as sy_stats) = stat_block sync_r in
+  let ((ti_cycles, ti_interp, ti_inst, ti_super, ti_deopt) as ti_stats) =
     stat_block tiered_r
   in
   let parity =
@@ -1519,46 +1490,46 @@ let tiers_bench ~reps ~out () =
          sync_r tiered_r
   in
   (* Cold start: time-to-first-N-blocks on a translation-dominated
-     straight-line image, fresh engine per run.  One untimed warmup
-     per config absorbs one-off process state (the shared background
-     service domain, lazy metrics). *)
+     straight-line image, fresh engine per run, best of at least 10.
+     The two configs alternate, so a burst of machine load hits both;
+     one untimed warmup each absorbs one-off process state (lazy
+     metrics). *)
   let cold_blocks = 96 in
   let cold_image = Image.Gelf.build ~entry:"main" (cold_start_items cold_blocks) in
   let cold_run config =
     let eng = Core.Engine.create config cold_image in
     let g = Core.Engine.run eng in
-    Core.Engine.drain_installs eng;
     if Core.Engine.trap g <> None then begin
       Format.eprintf "tiers bench: cold-start run trapped!@.";
       exit 2
     end
   in
-  let cold_time config =
+  let cold_sync = ref infinity and cold_tiered = ref infinity in
+  let cold_time config best =
+    let t0 = Unix.gettimeofday () in
     cold_run config;
-    let best = ref infinity in
-    for _ = 1 to max 3 reps do
-      let t0 = Unix.gettimeofday () in
-      cold_run config;
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt
   in
-  let cold_sync_s = cold_time sync_all in
-  let cold_tiered_s = cold_time tiered in
+  cold_run sync_all;
+  cold_run tiered;
+  for _ = 1 to max 10 reps do
+    cold_time sync_all cold_sync;
+    cold_time tiered cold_tiered
+  done;
+  let cold_sync_s = !cold_sync and cold_tiered_s = !cold_tiered in
   Format.printf
     "  wall: tier0 %.3fs, sync-all %.3fs, tiered %.3fs@.  guest cycles over \
      %d guest blocks: tier0 %d (interp charges none), sync-all %d (%.2f/blk), \
      tiered %d (%.2f/blk)@.  tiered ladder: %d interp execs, %d installs, %d \
-     superblocks, %d deopts, queue hwm %d, dropped %d@.  cold start (%d \
-     blocks, once each): sync %.6fs, tiered %.6fs (%.2fx)@.  results \
+     superblocks, %d deopts@.  cold start (%d blocks, once each): sync \
+     %.6fs, tiered %.6fs (%.2fx)@.  results identical: %b; every rep \
      identical: %b@."
-    tier0_s sync_s tiered_s guest_blocks t0_cycles sy_cycles (cpb sy_cycles)
-    ti_cycles (cpb ti_cycles) ti_interp ti_inst ti_super ti_deopt ti_hwm
-    ti_drop cold_blocks cold_sync_s cold_tiered_s
+    tier0_s sync_s tiered_s guest_blocks t0_cycles sy_cycles (cpb sy_cycles) ti_cycles (cpb ti_cycles) ti_interp ti_inst
+    ti_super ti_deopt cold_blocks cold_sync_s cold_tiered_s
     (cold_sync_s /. cold_tiered_s)
-    parity;
-  let pp_config oc name wall (cycles, interp, inst, super, deopt, hwm, drop) =
+    parity !deterministic;
+  let pp_config oc name wall (cycles, interp, inst, super, deopt) =
     Printf.fprintf oc
       {|  %S: {
     "wall_s": %.6f,
@@ -1567,18 +1538,16 @@ let tiers_bench ~reps ~out () =
     "interp_execs": %d,
     "tier1_installed": %d,
     "superblocks": %d,
-    "deopts": %d,
-    "install_hwm": %d,
-    "installs_dropped": %d
+    "deopts": %d
   },
 |}
-      name wall cycles (cpb cycles) interp inst super deopt hwm drop
+      name wall cycles (cpb cycles) interp inst super deopt
   in
   let oc = open_out out in
   Printf.fprintf oc
     {|{
   %s
-  "bench": "tiers: tier0-only vs sync-all vs tiered-async",
+  "bench": "tiers: tier0-only vs sync-all vs tiered",
   "kernels": %d,
   "reps": %d,
   "jit_threshold": %d,
@@ -1588,12 +1557,9 @@ let tiers_bench ~reps ~out () =
     (envelope "tiers")
     (List.length Harness.Parsec.all)
     reps jit_threshold tier2_threshold guest_blocks;
-  pp_config oc "tier0" tier0_s
-    (t0_cycles, t0_interp, t0_inst, t0_super, t0_deopt, t0_hwm, t0_drop);
-  pp_config oc "sync_all" sync_s
-    (sy_cycles, sy_interp, sy_inst, sy_super, sy_deopt, sy_hwm, sy_drop);
-  pp_config oc "tiered" tiered_s
-    (ti_cycles, ti_interp, ti_inst, ti_super, ti_deopt, ti_hwm, ti_drop);
+  pp_config oc "tier0" tier0_s t0_stats;
+  pp_config oc "sync_all" sync_s sy_stats;
+  pp_config oc "tiered" tiered_s ti_stats;
   Printf.fprintf oc
     {|  "cold": {
     "blocks": %d,
@@ -1601,16 +1567,21 @@ let tiers_bench ~reps ~out () =
     "tiered_s": %.6f,
     "speedup": %.4f
   },
-  "results_identical": %b
+  "results_identical": %b,
+  "reps_identical": %b
 }
 |}
     cold_blocks cold_sync_s cold_tiered_s
     (cold_sync_s /. cold_tiered_s)
-    parity;
+    parity !deterministic;
   close_out oc;
   Format.printf "  wrote %s@." out;
   if not parity then begin
     Format.eprintf "tiers bench: tier ladder results diverge!@.";
+    exit 2
+  end;
+  if not !deterministic then begin
+    Format.eprintf "tiers bench: a rep did not reproduce the first one!@.";
     exit 2
   end;
   if ti_interp = 0 || ti_inst = 0 || ti_super = 0 then begin

@@ -62,8 +62,7 @@ let dis path =
   0
 
 let run path config_name trace_out debug metrics inject no_chain
-    trace_threshold tier2_threshold jit_threshold sync_compile report
-    postmortem =
+    trace_threshold jit_threshold report postmortem =
   if debug then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.Src.set_level Core.Engine.log_src (Some Logs.Debug)
@@ -87,25 +86,14 @@ let run path config_name trace_out debug metrics inject no_chain
               config with
               Core.Config.inject = plan;
               chain = config.Core.Config.chain && not no_chain;
-              (* --tier2-threshold is the tier-ladder name for the
-                 superblock knob; --trace-threshold is kept as the
-                 pre-tiered spelling. *)
-              trace_threshold = max trace_threshold tier2_threshold;
+              trace_threshold;
               jit_threshold;
-              (* Tiered runs from the CLI compile in the background by
-                 default; --sync-compile is the determinism escape
-                 hatch (and jit_threshold = 0 is synchronous anyway). *)
-              sync_compile = sync_compile || jit_threshold = 0;
             }
           in
           let image = Image.Gelf.load path in
           let eng = Core.Engine.create config image in
           Core.Engine.set_postmortem_dir eng postmortem;
           let g = Core.Engine.run eng in
-          (* Settle the async tier before reporting: any compile still
-             in flight is published (or dropped), so the tier counters
-             below describe the whole run. *)
-          Core.Engine.drain_installs eng;
           let arm = g.Core.Engine.arm in
           if Buffer.length arm.Arm.Machine.output > 0 then
             print_string (Buffer.contents arm.Arm.Machine.output);
@@ -172,7 +160,6 @@ let explain_fences path config_name =
       let image = Image.Gelf.load path in
       let eng = Core.Engine.create config image in
       let g = Core.Engine.run eng in
-      Core.Engine.drain_installs eng;
       (match Core.Engine.trap g with
       | Some f -> Format.printf "guest trap: %s@." (Core.Fault.to_string f)
       | None -> ());
@@ -336,20 +323,11 @@ let trace_threshold_arg =
     value & opt int 0
     & info [ "trace-threshold" ] ~docv:"N"
         ~doc:
-          "Stitch hot traces into superblocks once a block has executed \
-           $(docv) times, re-running the optimizer pipeline across the \
-           former block boundaries.  0 (default) disables superblock \
-           formation.")
-
-let tier2_threshold_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "tier2-threshold" ] ~docv:"N"
-        ~doc:
-          "Tier-ladder alias for $(b,--trace-threshold): promote a hot \
-           block to a superblock once it has executed $(docv) times and \
-           its branch-outcome profile shows a dominant successor path.  \
-           When both flags are given the larger value wins.")
+          "Tier 2: promote a hot block to a superblock once it has \
+           executed $(docv) times and its branch-outcome profile shows a \
+           dominant successor path, re-running the optimizer pipeline \
+           across the former block boundaries.  0 (default) disables \
+           superblock formation.")
 
 let jit_threshold_arg =
   Arg.(
@@ -357,21 +335,9 @@ let jit_threshold_arg =
     & info [ "jit-threshold" ] ~docv:"N"
         ~doc:
           "Tiered JIT: start every block on the TCG interpreter (tier \
-           0) and request its backend compile only after $(docv) \
-           executions.  0 (default) compiles every block synchronously \
-           at first translation, the pre-tiered behaviour.  Compiles \
-           run on a background translation domain unless \
-           $(b,--sync-compile) is given.")
-
-let sync_compile_arg =
-  Arg.(
-    value & flag
-    & info [ "sync-compile" ]
-        ~doc:
-          "With $(b,--jit-threshold), run tier-1 compiles inline on the \
-           execution thread instead of the background translation \
-           domain — fully deterministic scheduling at the cost of \
-           translation latency back on the critical path.")
+           0) and backend-compile it, inline, at its $(docv)th \
+           execution.  0 (default) compiles every block at first \
+           translation, the pre-tiered behaviour.")
 
 let report_arg =
   Arg.(
@@ -402,8 +368,7 @@ let run_cmd =
     Term.(
       const run $ path_arg $ config_arg $ trace_arg $ debug_arg
       $ metrics_arg $ inject_arg $ no_chain_arg $ trace_threshold_arg
-      $ tier2_threshold_arg $ jit_threshold_arg $ sync_compile_arg
-      $ report_arg $ postmortem_arg)
+      $ jit_threshold_arg $ report_arg $ postmortem_arg)
 
 let explain_fences_cmd =
   Cmd.v

@@ -10,7 +10,6 @@ type t = {
   chain : bool;
   trace_threshold : int;
   jit_threshold : int;
-  sync_compile : bool;
 }
 
 let qemu =
@@ -24,7 +23,6 @@ let qemu =
     chain = true;
     trace_threshold = 0;
     jit_threshold = 0;
-    sync_compile = true;
   }
 
 let no_fences = { qemu with name = "no-fences"; fences = S.No_fences_frontend }

@@ -36,18 +36,10 @@ type t = {
           requires [chain]. *)
   jit_threshold : int;
       (** tier-0/1 boundary: with [0] (the default in all presets)
-          every block is backend-compiled synchronously at first
-          translation, exactly the pre-tiered behaviour.  With [n > 0],
-          fresh blocks run on the TCG interpreter and a backend compile
-          is requested only once the block's execution count reaches
-          [n]. *)
-  sync_compile : bool;
-      (** [true] (the default in all presets): compile requests run
-          inline on the execution thread — fully deterministic.
-          [false]: requests go to the background install service
-          ({!Parallel.Pool.service}) and the thread keeps interpreting
-          until the compiled TB is published.  Only meaningful when
-          [jit_threshold > 0]. *)
+          every block is backend-compiled at first translation, exactly
+          the pre-tiered behaviour.  With [n > 0], fresh blocks run on
+          the TCG interpreter and are backend-compiled, inline on the
+          execution thread, once their execution count reaches [n]. *)
 }
 
 (** Vanilla Qemu 6.1.0. *)

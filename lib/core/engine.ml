@@ -7,12 +7,6 @@ let m_translate_ns = lazy (Obs.Metrics.histogram "engine.translate.ns")
 let m_compile_ns = lazy (Obs.Metrics.histogram "engine.compile.ns")
 let m_block_cycles = lazy (Obs.Metrics.histogram "engine.block.cycles")
 
-(* Tier-lifecycle latency: how long a block waited from compile request
-   to publication, and how long its finished result sat in the
-   completion queue before the execution thread applied it. *)
-let m_req_to_publish = lazy (Obs.Metrics.histogram "tier.request_to_publish.ns")
-let m_install_queue = lazy (Obs.Metrics.histogram "tier.install_queue.ns")
-
 type stats = {
   blocks_translated : int;
   blocks_executed : int;
@@ -31,8 +25,6 @@ type stats = {
   interp_execs : int;
   tier1_installed : int;
   deopts : int;
-  installs_dropped : int;
-  install_hwm : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -53,19 +45,15 @@ type event =
   | Interp_exec
   | Published
   | Deopt
-  | Install_dropped
-  | Queue_depth
   | Table_hit
   | Lookup_miss
   | Fences_emitted
   | Ops_before
   | Ops_after
-  | Compile_requested
   | Watchdog_fired
 
-(* How an emit moves its counter: by one, by the emitted int, or up to
-   the emitted int. *)
-type tally = Count | Sum | High_water
+(* How an emit moves its counter: by one, or by the emitted int. *)
+type tally = Count | Sum
 
 type row = {
   event : event;
@@ -98,14 +86,11 @@ let table =
     row Interp_exec "interp_execs" ~always:true;
     row Published "tier1_installed" ~flight:Fl.Tier_published ~level:Info ~always:true;
     row Deopt "deopts" ~flight:Fl.Tier_deopt ~level:Info ~always:true;
-    row Install_dropped "installs_dropped" ~flight:Fl.Install_drop ~level:Info;
-    row Queue_depth "install_hwm" ~tally:High_water;
     row Table_hit "table_hits";
     row Lookup_miss "lookup_misses";
     row Fences_emitted "fences_emitted" ~tally:Sum;
     row Ops_before "tcg_ops_before_opt" ~tally:Sum;
     row Ops_after "tcg_ops_after_opt" ~tally:Sum;
-    row Compile_requested "compile_requests" ~flight:Fl.Tier_queued ~level:Info;
     row Watchdog_fired "watchdogs" ~flight:Fl.Watchdog ~level:Warning;
   |]
 
@@ -121,21 +106,6 @@ let event_flight e = table.(slot e).flight
 (* How the block at a pc executes: natively, or on the TCG interpreter
    because the backend could not compile it (or has not yet — tier 0). *)
 type compiled = Native of Arm.Insn.t array | Interp_only of Tcg.Block.t
-
-(* A finished compile request travelling back from the background
-   domain to the execution thread.  [i_gen] is the chain generation the
-   request was made under: a reset or cache reload in between bumps the
-   generation and the install is dropped, the same invalidation
-   discipline Tbchain applies to patched edges and jump caches. *)
-type install = {
-  i_pc : int64;
-  i_gen : int;
-  i_result : (Arm.Insn.t array, Fault.t) result;
-  i_req_us : float;
-      (* request wall-clock (µs), 0. when metrics were off at request
-         time so latency observation stays metered *)
-  i_done_us : float;  (* completion-queue push wall-clock (µs), or 0. *)
-}
 
 type t = {
   config : Config.t;
@@ -153,18 +123,9 @@ type t = {
   counts : int array;  (* one counter per event kind, indexed by [slot] *)
   pending_spawns : (int * int64 * int64) Queue.t;  (* tid, entry, arg *)
   next_tid : int ref;
-  install_service : Parallel.Pool.service option;
-      (* background compile domains; None when this engine compiles
-         synchronously *)
-  completions : install Queue.t;  (* guarded by [completions_m] *)
-  completions_m : Mutex.t;
-  completions_n : int Atomic.t;
-      (* pushed count minus applied count; the dispatch loop's one-load
-         "anything to publish?" probe.  Incremented after the push, so
-         a positive value guarantees a non-empty queue. *)
   flight : Obs.Flight.t;
-      (* engine-wide flight ring: tier publishes, superblocks, deopts,
-         install drops — lifecycle events not owned by one thread *)
+      (* engine-wide flight ring: tier publishes, superblocks, deopts —
+         lifecycle events not owned by one thread *)
   ledgers : (int64, Tcg.Fence_ledger.t) Hashtbl.t;
       (* per-block fence provenance, keyed by guest pc *)
   mutable guest_threads : guest_thread list;
@@ -188,20 +149,11 @@ and guest_thread = {
   gflight : Obs.Flight.t;  (* this thread's flight ring (single writer) *)
 }
 
-(* One process-wide background translation service, spawned lazily by
-   the first async-tiered engine and shared by all of them: OCaml
-   domains are a bounded resource (and every live domain joins each
-   stop-the-world minor collection), so engines must not spawn one
-   each.  Each compile job publishes into its own engine's completion
-   queue, so sharing the workers shares nothing else. *)
-let default_install_service =
-  lazy (Parallel.Pool.service_create ~workers:1 ())
-
 (* The empty dispatch slot: [next_tb] of a thread with no pending
    chained target (then [next_gen = -1], so it is never followed). *)
 let no_tb = Tbchain.detached (Native [||])
 
-let create ?cost ?idl ?install_service config image =
+let create ?cost ?idl config image =
   (* Default IDL: everything the host library provides (when the linker
      is enabled).  Pass [~idl:[]] explicitly to link nothing. *)
   let idl =
@@ -225,17 +177,7 @@ let create ?cost ?idl ?install_service config image =
       Queue.push (tid, entry, arg) pending_spawns;
       Int64.of_int tid)
     ~inject shared;
-  let install_service =
-    (* Resolve (and lazily spawn) workers only when this config can
-       actually submit: sync engines must stay domain-free. *)
-    if config.Config.sync_compile || config.Config.jit_threshold = 0 then None
-    else
-      Some
-        (match install_service with
-        | Some s -> s
-        | None -> Lazy.force default_install_service)
-  in
-  let t = {
+  {
     config;
     image;
     links;
@@ -250,18 +192,12 @@ let create ?cost ?idl ?install_service config image =
     counts = Array.make (Array.length table) 0;
     pending_spawns;
     next_tid;
-    install_service;
-    completions = Queue.create ();
-    completions_m = Mutex.create ();
-    completions_n = Atomic.make 0;
     flight = Obs.Flight.create ();
     ledgers = Hashtbl.create 1024;
     guest_threads = [];
     postmortem_dir = None;
     postmortems_written = 0;
   }
-  in
-  t
 
 (* [Log.debug] takes a closure, which allocates whether or not the
    message is printed: per-block events check the level first. *)
@@ -290,8 +226,7 @@ let emit ?why t ring e pc arg =
   let c = t.counts in
   (match r.tally with
   | Count -> c.(i) <- c.(i) + 1
-  | Sum -> c.(i) <- c.(i) + arg
-  | High_water -> if arg > c.(i) then c.(i) <- arg);
+  | Sum -> c.(i) <- c.(i) + arg);
   (match r.flight with Some k -> Fl.record ring k pc arg | None -> ());
   match r.level with
   | None -> ()
@@ -321,8 +256,6 @@ let stats t =
     interp_execs = c Interp_exec;
     tier1_installed = c Published;
     deopts = c Deopt;
-    installs_dropped = c Install_dropped;
-    install_hwm = c Queue_depth;
   }
 
 (* Every counter by name: the table's rows, then the two dispatch sums
@@ -350,43 +283,13 @@ let chain_generation t = Tbchain.generation t.tbs
 let chained_edges t = Tbchain.edge_count t.tbs
 let stack_top tid = Int64.sub 0x8000_0000L (Int64.of_int (tid * 0x10000))
 
-(* Drop every completion still queued (without waiting for in-flight
-   background jobs: their results arrive stamped with the pre-bump
-   generation and die at the apply-side check). *)
-let discard_pending_installs t =
-  Mutex.lock t.completions_m;
-  let dropped = List.of_seq (Queue.to_seq t.completions) in
-  Queue.clear t.completions;
-  Mutex.unlock t.completions_m;
-  ignore (Atomic.fetch_and_add t.completions_n (-List.length dropped));
-  List.iter
-    (fun inst -> emit t t.flight Install_dropped inst.i_pc inst.i_gen)
-    dropped
-
 let reset t =
   Obs.Trace.instant ~cat:"engine" "reset";
-  (* Order matters: discard queued installs first, then bump the
-     generation via flush, so anything a background domain publishes
-     after this point is stale by construction.  Per-block tier
-     profiles die with their nodes. *)
-  discard_pending_installs t;
+  (* [flush] bumps the generation, so no per-thread jump cache or
+     pending chained target from before the reset can fire.  Per-block
+     tier profiles die with their nodes. *)
   Tbchain.flush t.tbs;
   Hashtbl.reset t.tcg_cache
-
-(* The one compile path, eager or queued: run [compile] (the backend
-   over one block) unless the compile injection already fired, and
-   classify every failure as a backend fault located at [pc]. *)
-let compile_block ~pc ~injected compile =
-  if injected then
-    Error (Fault.make ~pc Fault.Backend_fault "injected compile fault")
-  else
-    match compile () with
-    | code -> Ok code
-    | exception Fault.Fault f -> Error (Fault.locate ~pc f)
-    | exception Backend.Register_pressure p ->
-        Error
-          (Fault.make ~pc Fault.Backend_fault
-             (Printf.sprintf "register pressure in block 0x%Lx" p))
 
 let count_fences t pc code =
   emit t t.flight Fences_emitted pc
@@ -394,6 +297,54 @@ let count_fences t pc code =
        (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
        0 code)
 
+(* The one compile path (tier 0 -> 1): backend-compile the block's
+   optimized TCG, unless the compile injection fires, and install the
+   native code — or, on any backend fault, leave the block on the TCG
+   interpreter for good.  Degraded mode keeps the run's semantics (the
+   interpreter and backend agree by construction); only this block's
+   speed is lost.  Called at first translation when [jit_threshold = 0],
+   by [enter] when a cold block reaches the threshold, and by
+   [lookup_block].  A node that already holds native code (a cache
+   reload reset its profile) is only marked published. *)
+let promote t node =
+  let p = node.Tbchain.tier in
+  match node.Tbchain.body with
+  | Native _ -> p.Tier.state <- Tier.Published
+  | Interp_only tcg -> (
+      let pc = node.Tbchain.pc in
+      let compiled =
+        if Inject.fire t.inject Inject.Compile then
+          Error (Fault.make ~pc Fault.Backend_fault "injected compile fault")
+        else
+          match
+            Obs.Trace.with_span ~cat:"engine" "backend" (fun () ->
+                Obs.Profile.time (Lazy.force m_compile_ns) (fun () ->
+                    Backend.compile t.config tcg))
+          with
+          | code -> Ok code
+          | exception Fault.Fault f -> Error (Fault.locate ~pc f)
+          | exception Backend.Register_pressure r ->
+              Error
+                (Fault.make ~pc Fault.Backend_fault
+                   (Printf.sprintf "register pressure in block 0x%Lx" r))
+      in
+      let gen = Tbchain.generation t.tbs in
+      match compiled with
+      | Ok code ->
+          (* An interpreter body never carries a superblock, so the
+             active translation is the body. *)
+          node.Tbchain.body <- Native code;
+          node.Tbchain.active <- node.Tbchain.body;
+          p.Tier.state <- Tier.Published;
+          count_fences t pc code;
+          emit t t.flight Published pc gen
+      | Error f ->
+          p.Tier.state <- Tier.Degraded;
+          emit t t.flight Fallback pc gen ~why:(Fault.to_string f))
+
+(* Translate the block at [pc] into a fresh [Cold] node on the TCG
+   interpreter (tier 0); with [jit_threshold = 0] it is compiled at
+   once. *)
 let translate t pc =
   Obs.Trace.with_span ~cat:"engine"
     ~args:(fun () -> [ ("pc", Printf.sprintf "0x%Lx" pc) ])
@@ -411,161 +362,25 @@ let translate t pc =
   emit t t.flight Ops_before pc (Tcg.Block.op_count raw);
   emit t t.flight Ops_after pc (Tcg.Block.op_count optimized);
   Hashtbl.replace t.tcg_cache pc optimized;
-  if t.config.Config.jit_threshold > 0 then
-    (* Tier 0: the block starts life on the TCG interpreter (state
-       [Cold], fresh profile) and the backend compile is deferred until
-       its execution count crosses the threshold. *)
-    Tbchain.insert t.tbs pc (Interp_only optimized)
-  else begin
-    let compiled =
-      compile_block ~pc ~injected:(Inject.fire t.inject Inject.Compile)
-        (fun () ->
-          Obs.Trace.with_span ~cat:"engine" "backend" (fun () ->
-              Obs.Profile.time (Lazy.force m_compile_ns) (fun () ->
-                  Backend.compile t.config optimized)))
-    in
-    let body =
-      match compiled with
-      | Ok code ->
-          count_fences t pc code;
-          Native code
-      | Error f ->
-          (* Degraded mode: the block stays on the TCG interpreter.  The
-             run keeps its semantics (the interpreter and backend agree by
-             construction), only this block's speed is lost. *)
-          emit t t.flight Fallback pc (Tbchain.generation t.tbs)
-            ~why:(Fault.to_string f);
-          Interp_only optimized
-    in
-    let n = Tbchain.insert t.tbs pc body in
-    n.Tbchain.tier.Tier.state <-
-      (match body with
-      | Native _ -> Tier.Published
-      | Interp_only _ -> Tier.Degraded);
-    n
-  end
+  let n = Tbchain.insert t.tbs pc (Interp_only optimized) in
+  if t.config.Config.jit_threshold = 0 then promote t n;
+  n
 
-(* ------------------------------------------------------------------ *)
-(* Tier 1: the async install queue.  The execution thread enqueues
-   compile jobs (capturing the immutable optimized TCG block, the
-   config, and the chain generation at request time); a background
-   service domain runs the pure [Backend.compile] and pushes the result
-   into [completions]; the execution thread publishes it into the chain
-   table between dispatches.  The background domain never touches the
-   engine's tables — publication is single-writer, and the
-   mutex-protected queue plus the post-push atomic increment are the
-   release/acquire pair that makes the compiled code array safely
-   visible (see DESIGN.md, "tier ladder"). *)
-
-let apply_install t inst =
-  let stale () = emit t t.flight Install_dropped inst.i_pc inst.i_gen in
-  (* Lifecycle latency is metered end-to-end: observe only when the
-     request was stamped (metrics on at request time) and metrics are
-     still on now. *)
-  let observe_latency () =
-    if inst.i_req_us > 0. && Obs.Metrics.enabled () then begin
-      let now = Obs.Profile.now_us () in
-      Obs.Metrics.observe
-        (Lazy.force m_req_to_publish)
-        (int_of_float ((now -. inst.i_req_us) *. 1e3));
-      if inst.i_done_us > 0. then
-        Obs.Metrics.observe
-          (Lazy.force m_install_queue)
-          (int_of_float ((now -. inst.i_done_us) *. 1e3))
-    end
-  in
-  if inst.i_gen <> Tbchain.generation t.tbs then stale ()
-  else
-    match Tbchain.find t.tbs inst.i_pc with
-    | Some node when node.Tbchain.tier.Tier.state = Tier.Queued -> (
-        match inst.i_result with
-        | Ok code ->
-            node.Tbchain.body <- Native code;
-            (* A superblock can only exist over a Native body, so with
-               state Queued the active translation is the body. *)
-            node.Tbchain.active <- node.Tbchain.body;
-            node.Tbchain.tier.Tier.state <- Tier.Published;
-            count_fences t inst.i_pc code;
-            emit t t.flight Published inst.i_pc inst.i_gen;
-            observe_latency ()
-        | Error f ->
-            node.Tbchain.tier.Tier.state <- Tier.Degraded;
-            emit t t.flight Fallback inst.i_pc inst.i_gen
-              ~why:(Fault.to_string f))
-    | Some _ | None ->
-        (* Same generation but the node was dropped or re-seeded
-           (e.g. a cache reload re-inserted it): the request no longer
-           describes the block. *)
-        stale ()
-
-let apply_completions t =
-  if Atomic.get t.completions_n > 0 then begin
-    Mutex.lock t.completions_m;
-    let k = Queue.length t.completions in
-    let items = List.init k (fun _ -> Queue.pop t.completions) in
-    Mutex.unlock t.completions_m;
-    ignore (Atomic.fetch_and_add t.completions_n (-k));
-    emit t t.flight Queue_depth 0L k;
-    List.iter (apply_install t) items
-  end
-
-let request_compile t node =
-  match node.Tbchain.body with
-  | Native _ -> ()
-  | Interp_only tcg ->
-      let p = node.Tbchain.tier in
-      p.Tier.state <- Tier.Queued;
-      let pc = node.Tbchain.pc in
-      let gen = Tbchain.generation t.tbs in
-      emit t t.flight Compile_requested pc gen;
-      let req_us = if Obs.Metrics.enabled () then Obs.Profile.now_us () else 0. in
-      (* Fault injection is stateful: fire on the execution thread at
-         enqueue time, so a plan's Nth/Seeded counters stay
-         deterministic however the background domain schedules. *)
-      let injected = Inject.fire t.inject Inject.Compile in
-      let config = t.config in
-      let job () =
-        let result =
-          compile_block ~pc ~injected (fun () -> Backend.compile config tcg)
-        in
-        let done_us = if req_us > 0. then Obs.Profile.now_us () else 0. in
-        Mutex.lock t.completions_m;
-        Queue.push
-          { i_pc = pc; i_gen = gen; i_result = result; i_req_us = req_us;
-            i_done_us = done_us }
-          t.completions;
-        Mutex.unlock t.completions_m;
-        Atomic.incr t.completions_n
-      in
-      (match t.install_service with
-      | Some svc when not t.config.Config.sync_compile ->
-          Parallel.Pool.service_submit svc job;
-          emit t t.flight Queue_depth pc (Parallel.Pool.service_pending svc)
-      | Some _ | None ->
-          (* The determinism escape hatch ([sync_compile]): same
-             request/publish path, run to completion inline. *)
-          job ();
-          apply_completions t)
-
-(* Wait for every in-flight background compile, then publish (or drop)
-   the results.  No-op for synchronous engines. *)
-let drain_installs t =
-  (match t.install_service with
-  | Some svc -> Parallel.Pool.service_drain svc
-  | None -> ());
-  apply_completions t
-
-let fetch t pc =
+let fetch_node t pc =
   match Tbchain.find t.tbs pc with
   | Some n ->
       emit t t.flight Table_hit pc 0;
-      n.Tbchain.body
+      n
   | None ->
       emit t t.flight Lookup_miss pc 0;
-      (translate t pc).Tbchain.body
+      translate t pc
+
+let fetch t pc = (fetch_node t pc).Tbchain.body
 
 let lookup_block t pc =
-  match fetch t pc with
+  let n = fetch_node t pc in
+  if n.Tbchain.tier.Tier.state = Tier.Cold then promote t n;
+  match n.Tbchain.body with
   | Native code -> code
   | Interp_only _ ->
       Fault.raise_ ~pc Fault.Backend_fault
@@ -632,7 +447,6 @@ let fault_of_machine_trap pc = function
 
 let state_name = function
   | Tier.Cold -> "cold"
-  | Tier.Queued -> "queued"
   | Tier.Published -> "published"
   | Tier.Degraded -> "degraded"
 
@@ -862,10 +676,6 @@ let exec t g = function
    avoided for, with [chain_hits]/[jmp_cache_hits] recording which fast
    path served them. *)
 let dispatch t g =
-  (* Publish any finished background compiles first: one atomic load on
-     the fast path, and the thread that requested a block is usually
-     the next one to run it. *)
-  if Atomic.get t.completions_n > 0 then apply_completions t;
   let n = g.next_tb in
   let chained =
     g.next_gen = Tbchain.generation t.tbs && Int64.equal n.Tbchain.pc g.pc
@@ -924,9 +734,8 @@ let profile_path t head ~limit =
   in
   go [ head ] head (limit - 1)
 
-(* [`Not_ready] is retryable (a member of the path is still cold or
-   untranslated — common under async tier 1); [`Failed] latches
-   [no_super]. *)
+(* [`Not_ready] is retryable (a member of the path is still cold on
+   tier 0); [`Failed] latches [no_super]. *)
 let form_superblock t head =
   let path = profile_path t head ~limit:trace_limit in
   let tcg_of n =
@@ -1016,14 +825,14 @@ let enter t g =
   let node = dispatch t g in
   node.Tbchain.exec_count <- node.Tbchain.exec_count + 1;
   let p = node.Tbchain.tier in
-  (* Tier 0 -> 1: request the backend compile once the block proves
-     hot.  [Cold] implies an interpreter body, so the check is two
-     loads on the (sync-preset) fast path. *)
+  (* Tier 0 -> 1: compile the block once it proves hot, in time for
+     this execution to run natively.  Eager engines publish at
+     translation, so the check is one load on the presets' path. *)
   if
     p.Tier.state = Tier.Cold
     && t.config.Config.jit_threshold > 0
     && node.Tbchain.exec_count >= t.config.Config.jit_threshold
-  then request_compile t node;
+  then promote t node;
   (match node.Tbchain.active with
   | Interp_only _ ->
       emit t g.gflight Executed g.pc 0;
@@ -1366,13 +1175,11 @@ let load_cache t path =
   with
   | staged, quarantined ->
       (* Loaded translations replace whatever the engine had patched
-         jumps into: discard queued installs, then unchain everything
-         (bumping the generation, so per-thread jump caches, pending
-         chained targets and in-flight background compiles all die)
-         before installing the staged blocks.  [clear_links] also
-         resets every surviving node's tier profile — a resumed run
-         must not promote on counters trained before the reload. *)
-      discard_pending_installs t;
+         jumps into: unchain everything (bumping the generation, so
+         per-thread jump caches and pending chained targets die) before
+         installing the staged blocks.  [clear_links] also resets every
+         surviving node's tier profile — a resumed run must not promote
+         on counters trained before the reload. *)
       Tbchain.clear_links t.tbs;
       Hashtbl.iter
         (fun pc code ->

@@ -13,13 +13,17 @@
     so it never changes results or guest cycles; disable it with
     [config.chain = false].
 
-    {b Tier ladder.}  With [config.jit_threshold > 0] fresh blocks
-    start on the TCG interpreter (tier 0) while a {!Tier} profile
-    accumulates execution and branch-outcome counters; crossing the
-    threshold requests a backend compile — inline when
-    [config.sync_compile], otherwise on a background
-    {!Parallel.Pool.service} with the result published between
-    dispatches under a generation check (tier 1).  With
+    {b Tier ladder.}  Every translated block starts as a [Cold] node
+    on the TCG interpreter (tier 0) and reaches native code (tier 1)
+    through one synchronous compile path on the execution thread.
+    With [config.jit_threshold = 0] that compile runs at first
+    translation.  With [config.jit_threshold > 0] the block is
+    interpreted while a {!Tier} profile accumulates execution and
+    branch-outcome counters, and is compiled at the dispatch that
+    reaches the threshold, so that execution already runs natively.
+    Either way the compile ends in a published native TB or a
+    degraded block before the next dispatch, and every native install
+    counts in [stats.tier1_installed].  With
     [config.trace_threshold > 0], hot block heads whose profile shows a
     dominant observed successor get that path stitched into a
     superblock and re-optimized across the former block boundaries
@@ -69,21 +73,16 @@ type stats = {
           just retranslates on first execution *)
   interp_execs : int;
       (** dispatches served by the TCG interpreter: tier-0 executions
-          (block not yet past [config.jit_threshold], or its compile
-          still in flight) plus degraded blocks *)
+          (block not yet past [config.jit_threshold]) plus degraded
+          blocks *)
   tier1_installed : int;
-      (** compile requests whose native TB was published into the chain
-          table (tier 1) *)
+      (** blocks whose backend compile succeeded and whose native TB
+          was installed (tier 1) — eager compiles at translation
+          included, so an eager run has [tier1_installed =
+          blocks_translated - interp_fallbacks] *)
   deopts : int;
       (** superblocks demoted back to their tier-1 TB because the
           observed side-exit rate regressed *)
-  installs_dropped : int;
-      (** compile results discarded because {!reset} / {!load_cache}
-          bumped the chain generation while they were queued or in
-          flight *)
-  install_hwm : int;
-      (** install-queue depth high-water mark (background service
-          depth at submit, or pending completions at publish) *)
 }
 
 (** The engine's lifecycle events.  Each site that counts something
@@ -98,22 +97,19 @@ type event =
   | Jcache_hit  (** [jmp_cache_hits] *)
   | Superblock_installed  (** [superblocks]; flight [Superblock] *)
   | Fallback
-      (** [interp_fallbacks]: an eager or background compile failed;
-          flight [Tier_degraded] *)
+      (** [interp_fallbacks]: a backend compile failed; flight
+          [Tier_degraded] *)
   | Trapped  (** [traps]; flight [Trap] *)
   | Cache_quarantined  (** [cache_quarantined] *)
   | Interp_exec  (** [interp_execs] *)
   | Published  (** [tier1_installed]; flight [Tier_published] *)
   | Deopt  (** [deopts]; flight [Tier_deopt] *)
-  | Install_dropped  (** [installs_dropped]; flight [Install_drop] *)
-  | Queue_depth  (** [install_hwm], a high-water mark *)
   | Table_hit  (** [table_hits]: dispatches/fetches served by the table *)
   | Lookup_miss
       (** [lookup_misses]: dispatches/fetches that had to translate *)
   | Fences_emitted  (** [fences_emitted], summed *)
   | Ops_before  (** [tcg_ops_before_opt], summed *)
   | Ops_after  (** [tcg_ops_after_opt], summed *)
-  | Compile_requested  (** [compile_requests]; flight [Tier_queued] *)
   | Watchdog_fired
       (** [watchdogs]: live threads stopped by the block budget; flight
           [Watchdog] *)
@@ -162,17 +158,9 @@ type guest_thread = {
 (** Create an engine.  [idl] defaults to the full host-library IDL when
     the config enables the linker; pass [~idl:[]] to disable linking of
     everything.  The engine's fault-injection state is built from
-    [config.inject].
-
-    [install_service] supplies the background translation service for
-    async-tiered configs ([jit_threshold > 0] and [sync_compile =
-    false]); by default such engines share one lazily spawned
-    process-wide service.  Ignored (and never spawned) for synchronous
-    configs.  Tests inject their own service to control background
-    scheduling. *)
+    [config.inject]. *)
 val create :
-  ?cost:Arm.Cost.t -> ?idl:Linker.Idl.signature list ->
-  ?install_service:Parallel.Pool.service -> Config.t ->
+  ?cost:Arm.Cost.t -> ?idl:Linker.Idl.signature list -> Config.t ->
   Image.Gelf.t -> t
 
 val config : t -> Config.t
@@ -200,21 +188,16 @@ val spawn :
   guest_thread
 
 (** Translate (or fetch from cache) the block at an address.  Returns
-    the original per-block translation (never a superblock). *)
+    the original per-block translation (never a superblock): [Native]
+    under the eager presets, [Interp_only] for a block still on tier 0
+    or degraded. *)
 val fetch : t -> int64 -> compiled
 
 (** Flush the translation caches: every block, patched chain edge,
-    superblock and per-block tier profile is dropped, queued installs
-    are discarded (counted in [stats.installs_dropped]), and the chain
-    generation is bumped so stale per-thread dispatch state — and any
-    background compile still in flight — can never fire. *)
+    superblock and per-block tier profile is dropped, and the chain
+    generation is bumped so stale per-thread dispatch state can never
+    fire. *)
 val reset : t -> unit
-
-(** Block until every queued background compile has finished, then
-    publish (or drop, on a generation mismatch) the results.  No-op for
-    synchronous engines.  Call before reading tier stats after an
-    async-tiered run, or to quiesce the shared service in tests. *)
-val drain_installs : t -> unit
 
 (** Current chain-table generation; bumped by {!reset} and by a
     successful {!load_cache} (both invalidate patched edges). *)
@@ -223,9 +206,10 @@ val chain_generation : t -> int
 (** Patched block-to-block edges currently installed. *)
 val chained_edges : t -> int
 
-(** The native code at an address.  Raises {!Fault.Fault}
-    ([Backend_fault]) if the block is interpreter-only; prefer
-    {!fetch}. *)
+(** The native code at an address.  A block still on tier 0 is
+    compiled first, through the same path a hot block takes.  Raises
+    {!Fault.Fault} ([Backend_fault]) if the block is degraded (the
+    backend failed to compile it); prefer {!fetch}. *)
 val lookup_block : t -> int64 -> Arm.Insn.t array
 
 (** The optimized TCG block at an address (for inspection). *)
@@ -290,8 +274,7 @@ val hot_blocks : ?limit:int -> t -> Obs.Profile.entry list
     event counter labelled with its name, dashed.  The core counters
     are printed unconditionally — in particular [interp-fallbacks=0] on
     a clean run, so silent degradation is impossible to confuse with
-    "not reported"; the rest (e.g. [installs-dropped], [install-hwm])
-    only when nonzero. *)
+    "not reported"; the rest (e.g. [watchdogs]) only when nonzero. *)
 val stats_line : t -> guest_thread -> string
 
 (** {2 Flight recorder and postmortems}
@@ -299,7 +282,7 @@ val stats_line : t -> guest_thread -> string
     Every guest thread carries an always-on {!Obs.Flight} ring of its
     recent lifecycle events (block entries, trap, watchdog), and the
     engine keeps one more for events not owned by a single thread
-    (tier publishes and drops, superblocks, deopts, fence passes).
+    (tier publishes and fallbacks, superblocks, deopts, fence passes).
     When a postmortem directory is configured, any trap or watchdog
     exhaustion dumps a deterministic JSON artifact combining the rings
     with tier states, fence ledgers and a metrics slice. *)

@@ -4,13 +4,12 @@
    superblock (tier 2).  This module owns the profile every Tbchain
    node carries: where the block sits on the ladder and a two-slot
    inline counter of observed static-exit successors that drives both
-   tier-2 trace formation and the Obs hot-block "heat" ranking.  Everything here is plain mutable
-   state touched only by the execution thread; the background compile
-   domain never sees a profile. *)
+   tier-2 trace formation and the Obs hot-block "heat" ranking.
+   Everything here is plain mutable state touched only by the execution
+   thread, which also runs every compile. *)
 
 type state =
   | Cold  (* tier 0: interpreting, accumulating profile *)
-  | Queued  (* compile requested; still interpreting until published *)
   | Published  (* tier 1+: native TB installed *)
   | Degraded  (* backend refused the block; interpreter permanently *)
 

@@ -3,21 +3,19 @@
 
     Every {!Tbchain} node carries one {!profile}.  The execution thread
     is its only writer: it records the block's observed static-exit
-    successors while the block is cold,
-    drives the compile-request state machine when the block crosses
-    [Config.jit_threshold], and tracks superblock side-exit rates for
-    demotion.  The background compile domain never reads or writes a
-    profile — publication goes through the engine's install queue and
-    is generation-checked there, which is what keeps this module free
-    of any synchronisation. *)
+    successors while the block is cold, compiles the block inline when
+    it crosses [Config.jit_threshold], and tracks superblock side-exit
+    rates for demotion.  No other domain ever reads or writes a
+    profile, so this module needs no synchronisation. *)
 
-(** Where the block sits on the ladder.  [Cold] and [Queued] both
-    execute through the TCG interpreter; [Queued] additionally has a
-    compile request in flight and must not enqueue another.
-    [Published] means a native TB was installed (tier 1, or tier 2 once
-    a superblock is stitched on top).  [Degraded] is terminal: the
-    backend refused the block and the interpreter serves it forever. *)
-type state = Cold | Queued | Published | Degraded
+(** Where the block sits on the ladder.  [Cold] has not been through a
+    compile since it was translated (or since {!reset}); without native
+    code it runs on the TCG interpreter.  [Published] means a
+    native TB was installed (tier 1, or tier 2 once a superblock is
+    stitched on top).  [Degraded] is terminal: the backend refused the
+    block and the interpreter serves it forever.  A compile always
+    ends in [Published] or [Degraded] before the next dispatch. *)
+type state = Cold | Published | Degraded
 
 type profile = {
   mutable state : state;

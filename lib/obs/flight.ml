@@ -1,10 +1,8 @@
 type kind =
   | Block_enter
-  | Tier_queued
   | Tier_published
   | Tier_degraded
   | Tier_deopt
-  | Install_drop
   | Superblock
   | Trap
   | Watchdog
@@ -12,35 +10,29 @@ type kind =
 
 let kind_code = function
   | Block_enter -> 0
-  | Tier_queued -> 1
-  | Tier_published -> 2
-  | Tier_degraded -> 3
-  | Tier_deopt -> 4
-  | Install_drop -> 5
-  | Superblock -> 6
-  | Trap -> 7
-  | Watchdog -> 8
-  | Fence_pass -> 9
+  | Tier_published -> 1
+  | Tier_degraded -> 2
+  | Tier_deopt -> 3
+  | Superblock -> 4
+  | Trap -> 5
+  | Watchdog -> 6
+  | Fence_pass -> 7
 
 let kind_of_code = function
   | 0 -> Block_enter
-  | 1 -> Tier_queued
-  | 2 -> Tier_published
-  | 3 -> Tier_degraded
-  | 4 -> Tier_deopt
-  | 5 -> Install_drop
-  | 6 -> Superblock
-  | 7 -> Trap
-  | 8 -> Watchdog
+  | 1 -> Tier_published
+  | 2 -> Tier_degraded
+  | 3 -> Tier_deopt
+  | 4 -> Superblock
+  | 5 -> Trap
+  | 6 -> Watchdog
   | _ -> Fence_pass
 
 let kind_name = function
   | Block_enter -> "block-enter"
-  | Tier_queued -> "tier-queued"
   | Tier_published -> "tier-published"
   | Tier_degraded -> "tier-degraded"
   | Tier_deopt -> "tier-deopt"
-  | Install_drop -> "install-drop"
   | Superblock -> "superblock"
   | Trap -> "trap"
   | Watchdog -> "watchdog"

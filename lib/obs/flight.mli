@@ -15,11 +15,9 @@
 
 type kind =
   | Block_enter  (** dispatched a block; [arg] = tier (0 interp, 1 native) *)
-  | Tier_queued  (** compile requested; [arg] = generation *)
-  | Tier_published  (** install published; [arg] = generation *)
-  | Tier_degraded  (** install failed, block degraded; [arg] = generation *)
-  | Tier_deopt  (** deoptimised back to Cold; [arg] = side-exit count *)
-  | Install_drop  (** stale install discarded; [arg] = generation *)
+  | Tier_published  (** native code installed; [arg] = generation *)
+  | Tier_degraded  (** compile failed, block degraded; [arg] = generation *)
+  | Tier_deopt  (** superblock demoted to its TB; [arg] = deopt count *)
   | Superblock  (** superblock formed at this head; [arg] = path length *)
   | Trap  (** thread faulted; [arg] = 0 *)
   | Watchdog  (** watchdog fired ([Exhausted]); [arg] = steps *)

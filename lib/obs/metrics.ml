@@ -232,7 +232,7 @@ let pp ppf snap =
   Format.fprintf ppf "@]"
 
 (* The one shared metrics-dump path for CLI tools (gelf_tool --metrics,
-   litmus_run --metrics): snapshot everything — including the tier.* and
+   litmus_run --metrics): snapshot everything — including the engine.* and
    fence.* families — and print the standard [pp] rendering. *)
 let dump ?(ppf = Format.std_formatter) () =
   Format.fprintf ppf "%a@." pp (snapshot ())

@@ -75,7 +75,7 @@ val counters_with_prefix : snapshot -> string -> (string * int) list
 val pp : Format.formatter -> snapshot -> unit
 
 (** Snapshot and print every registered metric (counters, gauges,
-    histograms — the [tier.*] and [fence.*] families included) to
+    histograms — the [engine.*] and [fence.*] families included) to
     [ppf] (default [std_formatter]): the single dump path shared by the
     CLI tools' [--metrics] flags. *)
 val dump : ?ppf:Format.formatter -> unit -> unit

@@ -293,138 +293,9 @@ let map_exn t f xs = reraise_first (map t f xs)
 let map_list ?pool f xs =
   match pool with None -> List.map f xs | Some t -> map_exn t f xs
 
-let map_safe ?pool f xs =
-  match pool with None -> map_seq f xs | Some t -> map t f xs
-
 let with_pool ?jobs ?force_spawn f =
   let t = create ?jobs ?force_spawn () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-(* ------------------------------------------------------------------ *)
-(* Persistent service mode                                             *)
-
-(* A service is the non-batch face of the pool: long-lived worker
-   domains draining a FIFO of independent jobs as they arrive, instead
-   of chunk-stealing over one submitted array.  The engine's async
-   install queue is the consumer: compile jobs trickle in one at a
-   time from the execution thread and must run off-thread without a
-   batch boundary ever blocking the submitter. *)
-type service = {
-  sv_m : Mutex.t;
-  sv_have : Condition.t;  (* signalled on submit *)
-  sv_idle : Condition.t;  (* broadcast when queue empty and no job running *)
-  sv_q : (unit -> unit) Queue.t;
-  mutable sv_active : int;  (* jobs currently executing *)
-  mutable sv_hwm : int;  (* max of queued + active ever observed *)
-  mutable sv_submitted : int;
-  mutable sv_stopped : bool;
-  mutable sv_workers : unit Domain.t list;
-}
-
-let m_service_jobs = lazy (Obs.Metrics.counter "pool.service.jobs")
-
-let service_worker s =
-  let flag = Domain.DLS.get busy in
-  flag := true;
-  let rec loop () =
-    Mutex.lock s.sv_m;
-    let rec await () =
-      if not (Queue.is_empty s.sv_q) then Some (Queue.pop s.sv_q)
-      else if s.sv_stopped then None
-      else begin
-        Condition.wait s.sv_have s.sv_m;
-        await ()
-      end
-    in
-    match await () with
-    | None -> Mutex.unlock s.sv_m
-    | Some job ->
-        s.sv_active <- s.sv_active + 1;
-        Mutex.unlock s.sv_m;
-        (* Jobs must not tear the worker down: the submitter owns error
-           reporting through whatever channel the job itself carries. *)
-        (try job () with _ -> ());
-        Obs.Metrics.incr (Lazy.force m_service_jobs);
-        Mutex.lock s.sv_m;
-        s.sv_active <- s.sv_active - 1;
-        if s.sv_active = 0 && Queue.is_empty s.sv_q then
-          Condition.broadcast s.sv_idle;
-        Mutex.unlock s.sv_m;
-        loop ()
-  in
-  loop ()
-
-let service_create ?(workers = 1) () =
-  (* Unlike the batch pool the submitter never drains, so at least one
-     worker domain always spawns — otherwise nothing would.  Extra
-     workers still respect the GC-synchronisation cap. *)
-  let workers = max 1 (min workers (max 1 (recommended () - 1))) in
-  let s =
-    {
-      sv_m = Mutex.create ();
-      sv_have = Condition.create ();
-      sv_idle = Condition.create ();
-      sv_q = Queue.create ();
-      sv_active = 0;
-      sv_hwm = 0;
-      sv_submitted = 0;
-      sv_stopped = false;
-      sv_workers = [];
-    }
-  in
-  s.sv_workers <-
-    List.init workers (fun _ -> Domain.spawn (fun () -> service_worker s));
-  s
-
-let service_submit s job =
-  Mutex.lock s.sv_m;
-  if s.sv_stopped then begin
-    Mutex.unlock s.sv_m;
-    (* A stopped service degrades to the caller's thread rather than
-       silently dropping work. *)
-    try job () with _ -> ()
-  end
-  else begin
-    Queue.push job s.sv_q;
-    s.sv_submitted <- s.sv_submitted + 1;
-    let depth = Queue.length s.sv_q + s.sv_active in
-    if depth > s.sv_hwm then s.sv_hwm <- depth;
-    Condition.signal s.sv_have;
-    Mutex.unlock s.sv_m
-  end
-
-let service_pending s =
-  Mutex.lock s.sv_m;
-  let n = Queue.length s.sv_q + s.sv_active in
-  Mutex.unlock s.sv_m;
-  n
-
-let service_hwm s =
-  Mutex.lock s.sv_m;
-  let n = s.sv_hwm in
-  Mutex.unlock s.sv_m;
-  n
-
-let service_submitted s =
-  Mutex.lock s.sv_m;
-  let n = s.sv_submitted in
-  Mutex.unlock s.sv_m;
-  n
-
-let service_drain s =
-  Mutex.lock s.sv_m;
-  while not (Queue.is_empty s.sv_q && s.sv_active = 0) do
-    Condition.wait s.sv_idle s.sv_m
-  done;
-  Mutex.unlock s.sv_m
-
-let service_shutdown s =
-  Mutex.lock s.sv_m;
-  s.sv_stopped <- true;
-  Condition.broadcast s.sv_have;
-  Mutex.unlock s.sv_m;
-  List.iter Domain.join s.sv_workers;
-  s.sv_workers <- []
 
 (* ------------------------------------------------------------------ *)
 (* Default pool                                                        *)

@@ -93,58 +93,9 @@ val map_exn : t -> ('a -> 'b) -> 'a list -> 'b list
     parallelism opt-in without duplicating the sequential path. *)
 val map_list : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
 
-(** Fault-capturing variant of {!map_list}: per-task results in input
-    order, faults captured rather than raised, sequential when [pool] is
-    [None]. *)
-val map_safe : ?pool:t -> ('a -> 'b) -> 'a list -> ('b, fault) result list
-
 (** [with_pool ?jobs f] runs [f] with a fresh pool and always shuts it
     down. *)
 val with_pool : ?jobs:int -> ?force_spawn:bool -> (t -> 'a) -> 'a
-
-(** {1 Persistent service mode}
-
-    The batch [map] machinery above synchronises the submitter with the
-    whole batch.  A {!service} is the complementary shape: long-lived
-    worker domains draining a FIFO of independent [unit -> unit] jobs as
-    they arrive, with the submitter never blocking.  The engine's tiered
-    JIT uses one as its background translation pool: compile jobs are
-    enqueued from the execution thread and publish their results through
-    a queue owned by the submitter, so the service itself never touches
-    shared mutable state beyond the job closures it is handed. *)
-
-type service
-
-(** [service_create ~workers ()] spawns a persistent service of
-    [workers] domains (default 1).  Unlike {!create}, at least one
-    worker always spawns even on a single-core machine — the point of a
-    service is that the submitter never drains — but extra workers are
-    still capped at [recommended () - 1]. *)
-val service_create : ?workers:int -> unit -> service
-
-(** Enqueue a job.  Never blocks; jobs run in FIFO order across the
-    worker set.  A job that raises is swallowed (error reporting belongs
-    to whatever channel the job closure carries).  Submitting to a
-    shut-down service runs the job inline on the caller. *)
-val service_submit : service -> (unit -> unit) -> unit
-
-(** Jobs currently queued or executing. *)
-val service_pending : service -> int
-
-(** High-water mark of {!service_pending} over the service's lifetime
-    (measured at submit). *)
-val service_hwm : service -> int
-
-(** Total jobs ever submitted (not counting inline post-shutdown runs). *)
-val service_submitted : service -> int
-
-(** Block until the queue is empty and no job is executing.  Jobs
-    submitted concurrently with the drain extend it. *)
-val service_drain : service -> unit
-
-(** Finish the queued jobs, then join the worker domains.  Subsequent
-    {!service_submit} calls degrade to inline execution. *)
-val service_shutdown : service -> unit
 
 (** {1 Default pool}
 

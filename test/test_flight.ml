@@ -112,7 +112,6 @@ let run_with_flight enabled config image =
   let go () =
     let eng = Core.Engine.create config image in
     let g = Core.Engine.run eng in
-    Core.Engine.drain_installs eng;
     (state g eng, Option.is_some (Core.Engine.trap g))
   in
   if enabled then go () else with_flight_off go
@@ -249,19 +248,31 @@ let test_postmortem_deterministic () =
 let test_postmortem_deterministic_with_metrics () =
   (* Wall-clock histograms and .ns/.us gauges are excluded from the
      dump, so even a metrics-on postmortem is byte-stable (after a
-     registry reset, since counters are process-cumulative). *)
+     registry reset, since counters are process-cumulative).  A clean
+     run first fills [engine.compile.ns] with samples the dump must
+     leave out. *)
+  let dump () =
+    Obs.Metrics.reset ();
+    ignore
+      (Core.Engine.run (Core.Engine.create Core.Config.risotto (build countdown_items)));
+    postmortem_string ()
+  in
   Obs.Metrics.enable ();
   Fun.protect
     ~finally:(fun () -> Obs.Metrics.disable ())
     (fun () ->
-      Obs.Metrics.reset ();
-      let a = postmortem_string () in
-      Obs.Metrics.reset ();
-      let b = postmortem_string () in
+      let a = dump () in
+      let compiles =
+        match Obs.Metrics.find_histogram (Obs.Metrics.snapshot ()) "engine.compile.ns" with
+        | Some h -> h.Obs.Metrics.count
+        | None -> 0
+      in
+      let b = dump () in
       check_bool "metrics-on postmortems byte-identical" true (a = b);
       check_bool "metrics slice present" true (contains a {|"counters"|});
+      check_bool "compiles were timed" true (compiles > 0);
       check_bool "wall-clock histograms excluded" true
-        (not (contains a "request_to_publish")))
+        (not (contains a "engine.compile.ns")))
 
 let test_postmortem_dumped_on_trap () =
   let dir = Filename.temp_file "risotto_flight" "" in
@@ -415,31 +426,7 @@ let test_sinks_agree () =
       check_bool "eager run degraded" true
         (Core.Engine.count eng Core.Engine.Fallback > 0);
       check_sinks "eager degrade" eng [ g ];
-      (* (b) Finished installs still queued when the engine resets: a
-         blocked private worker holds every compile until the run is
-         over, then completes them all without anyone publishing. *)
-      Obs.Metrics.reset ();
-      let svc = Parallel.Pool.service_create ~workers:1 () in
-      let sem = Semaphore.Binary.make false in
-      Parallel.Pool.service_submit svc (fun () -> Semaphore.Binary.acquire sem);
-      let config =
-        {
-          Core.Config.risotto with
-          Core.Config.jit_threshold = 1;
-          trace_threshold = 0;
-          sync_compile = false;
-        }
-      in
-      let eng = Core.Engine.create ~install_service:svc config image in
-      let g = Core.Engine.run eng in
-      Semaphore.Binary.release sem;
-      Parallel.Pool.service_drain svc;
-      Core.Engine.reset eng;
-      Parallel.Pool.service_shutdown svc;
-      check_bool "reset dropped queued installs" true
-        (Core.Engine.count eng Core.Engine.Install_dropped > 0);
-      check_sinks "reset with queued installs" eng [ g ];
-      (* (c) A superblock deoptimized after the loop changes phase. *)
+      (* (b) A superblock deoptimized after the loop changes phase. *)
       Obs.Metrics.reset ();
       let config = { Core.Config.risotto with Core.Config.trace_threshold = 4 } in
       let eng = Core.Engine.create config (build phase_change_items) in

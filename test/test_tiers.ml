@@ -1,12 +1,11 @@
 (* The tier ladder: interp-first execution (tier 0), threshold-triggered
-   baseline compiles — inline or on a background domain — (tier 1), and
-   profile-guided superblock promotion with deoptimization (tier 2).
-   The core claim mirrors test_dispatch: none of it is observable in
-   guest results.  Tier0-only, fully synchronous, tiered-sync and
-   tiered-async runs are state-identical on example programs, on
-   QCheck-generated looped programs, and under fault injection — while
-   the stats prove each tier actually engaged, and reset / load_cache
-   discard queued installs and retrain from scratch. *)
+   inline baseline compiles (tier 1), and profile-guided superblock
+   promotion with deoptimization (tier 2).  The core claim mirrors
+   test_dispatch: none of it is observable in guest results.
+   Tier0-only, eager (sync-all) and tiered runs are state-identical on
+   example programs, on QCheck-generated looped programs, and under
+   fault injection — while the stats prove each tier actually engaged,
+   and reset / load_cache retrain from scratch. *)
 
 module I = X86.Insn
 module R = X86.Reg
@@ -23,11 +22,10 @@ let state g eng =
   ( Array.sub g.Core.Engine.arm.Arm.Machine.regs 0 16,
     Memsys.Mem.dump (Core.Engine.memory eng) )
 
-(* The four rungs under comparison.  [tier0-only] never reaches the
+(* The three rungs under comparison.  [tier0-only] never reaches the
    threshold, so every block stays on the interpreter; [sync-all] is
    the pre-ladder configuration (immediate backend compile, static
-   trace trigger); the tiered variants climb the full ladder, inline
-   or through the background service. *)
+   trace trigger); [tiered] climbs the full ladder. *)
 let tier_variants config =
   [
     ( "tier0-only",
@@ -37,28 +35,13 @@ let tier_variants config =
         trace_threshold = 0;
       } );
     ("sync-all", { config with Core.Config.trace_threshold = 3 });
-    ( "tiered-sync",
-      {
-        config with
-        Core.Config.jit_threshold = 2;
-        trace_threshold = 4;
-        sync_compile = true;
-      } );
-    ( "tiered-async",
-      {
-        config with
-        Core.Config.jit_threshold = 2;
-        trace_threshold = 4;
-        sync_compile = false;
-      } );
+    ( "tiered",
+      { config with Core.Config.jit_threshold = 2; trace_threshold = 4 } );
   ]
 
 let run_config config image =
   let eng = Core.Engine.create config image in
   let g = Core.Engine.run eng in
-  (* Settle background installs before reading any stats; a no-op for
-     the synchronous variants. *)
-  Core.Engine.drain_installs eng;
   (g, eng)
 
 (* ------------------------------------------------------------------ *)
@@ -192,8 +175,7 @@ let inject_corpus =
 
 let test_tier_parity_under_injection () =
   (* Compile faults demote to the interpreter (Degraded) with unchanged
-     semantics, at enqueue-determined sites even for background
-     compiles; decode faults fire identically at translation.  Guest
+     semantics; decode faults fire identically at translation.  Guest
      state and trap presence must match across the whole ladder. *)
   List.iter
     (fun plan ->
@@ -293,7 +275,6 @@ let test_tiers_engage_sync () =
   check_bool "tier-0 interp execs" true (st.Core.Engine.interp_execs > 0);
   check_bool "tier-1 installs" true (st.Core.Engine.tier1_installed >= 1);
   check_bool "tier-2 superblocks" true (st.Core.Engine.superblocks >= 1);
-  check_int "nothing dropped" 0 st.Core.Engine.installs_dropped;
   let contains line needle =
     let n = String.length needle and l = String.length line in
     let rec go i = i + n <= l && (String.sub line i n = needle || go (i + 1)) in
@@ -302,54 +283,34 @@ let test_tiers_engage_sync () =
   let line = Core.Engine.stats_line eng g in
   check_bool "stats line reports tiers" true
     (List.for_all (contains line)
-       [ "interp-execs="; "tier1-installed="; "deopts=" ]);
-  (* The install-queue fields are zero-suppressed: present exactly when
-     the corresponding counter is non-zero.  This run dropped nothing
-     (checked above), so installs-dropped must be absent, not "=0". *)
-  check_bool "installs-dropped suppressed at zero" false
-    (contains line "installs-dropped=");
-  check_bool "install-hwm tracks its counter" true
-    (contains line "install-hwm=" = (st.Core.Engine.install_hwm > 0))
+       [ "interp-execs="; "tier1-installed="; "deopts=" ])
 
-let test_tiers_engage_async () =
-  (* Drive the loop manually, draining the background service between
-     dispatches: install timing becomes deterministic, so the block is
-     published mid-run, retrains its branch profile and promotes to a
-     superblock — all off the background domain. *)
-  let image = build countdown_items in
-  let config =
-    {
-      Core.Config.risotto with
-      Core.Config.jit_threshold = 2;
-      trace_threshold = 6;
-      sync_compile = false;
-    }
-  in
-  let svc = Parallel.Pool.service_create ~workers:1 () in
-  let eng = Core.Engine.create ~install_service:svc config image in
-  let th =
-    Core.Engine.spawn eng ~tid:0 ~entry:image.Image.Gelf.entry ()
-  in
-  let steps = ref 0 in
-  while (not th.Core.Engine.finished) && !steps < 2000 do
-    Core.Engine.step_block eng th;
-    Core.Engine.drain_installs eng;
-    incr steps
-  done;
-  check_bool "finished" true th.Core.Engine.finished;
-  check_bool "no trap" true (th.Core.Engine.trap = None);
-  let st = Core.Engine.stats eng in
-  check_bool "tier-0 interp execs" true (st.Core.Engine.interp_execs > 0);
-  check_bool "tier-1 installs (async)" true (st.Core.Engine.tier1_installed >= 1);
-  check_bool "tier-2 superblocks (async)" true (st.Core.Engine.superblocks >= 1);
-  check_bool "queue high-water tracked" true (st.Core.Engine.install_hwm >= 1);
-  check_i64 "countdown result" 325L (Core.Engine.reg th R.RDX);
-  Parallel.Pool.service_shutdown svc
+(* Eager engines compile through the same path as the ladder, so every
+   native install counts — with one block left degraded by an injected
+   compile fault, every other translated block is an install. *)
+let test_eager_counts_installs () =
+  List.iter
+    (fun (pname, items) ->
+      let config =
+        {
+          Core.Config.risotto with
+          Core.Config.inject = [ Core.Inject.Nth (Core.Inject.Compile, 1) ];
+        }
+      in
+      let g, eng = run_config config (build items) in
+      let st = Core.Engine.stats eng in
+      check_bool (pname ^ " no trap") true (g.Core.Engine.trap = None);
+      check_int (pname ^ " one fallback") 1 st.Core.Engine.interp_fallbacks;
+      check_int
+        (pname ^ " installs = translated - fallbacks")
+        (st.Core.Engine.blocks_translated - st.Core.Engine.interp_fallbacks)
+        st.Core.Engine.tier1_installed)
+    example_programs
 
 let test_trap_mid_ladder_isolated () =
-  (* Two threads share a hot loop riding the full async ladder, then
-     jump to per-thread continuations; the bad one is undecodable and
-     must trap alone. *)
+  (* Two threads share a hot loop riding the full ladder, then jump to
+     per-thread continuations; the bad one is undecodable and must trap
+     alone. *)
   let items =
     [
       Label "main";
@@ -372,7 +333,6 @@ let test_trap_mid_ladder_isolated () =
       Core.Config.risotto with
       Core.Config.jit_threshold = 2;
       trace_threshold = 4;
-      sync_compile = false;
     }
   in
   let eng = Core.Engine.create config image in
@@ -386,7 +346,6 @@ let test_trap_mid_ladder_isolated () =
   (match Core.Engine.run_concurrent eng [ good; bad ] with
   | Core.Engine.Completed _ -> ()
   | Core.Engine.Exhausted _ -> Alcotest.fail "watchdog fired");
-  Core.Engine.drain_installs eng;
   check_bool "good thread clean" true (good.Core.Engine.trap = None);
   check_i64 "good thread result" 78L (Core.Engine.reg good R.RDX);
   check_bool "bad thread trapped" true (bad.Core.Engine.trap <> None);
@@ -394,49 +353,7 @@ let test_trap_mid_ladder_isolated () =
   check_int "exactly one trap" 1 (Core.Engine.stats eng).Core.Engine.traps
 
 (* ------------------------------------------------------------------ *)
-(* Invalidation: reset and load_cache against in-flight installs       *)
-
-let test_reset_drops_inflight_installs () =
-  (* Block the (private) background worker, run a whole tiered program
-     — every compile job queues behind the blocker — then reset and
-     release.  The late results carry the pre-reset generation and must
-     be discarded, not published into the flushed chain table. *)
-  let image = build countdown_items in
-  let svc = Parallel.Pool.service_create ~workers:1 () in
-  let sem = Semaphore.Binary.make false in
-  Parallel.Pool.service_submit svc (fun () -> Semaphore.Binary.acquire sem);
-  let config =
-    {
-      Core.Config.risotto with
-      Core.Config.jit_threshold = 1;
-      trace_threshold = 0;
-      sync_compile = false;
-    }
-  in
-  let eng = Core.Engine.create ~install_service:svc config image in
-  let g1 = Core.Engine.run eng in
-  check_bool "blocked run clean (all interp)" true (g1.Core.Engine.trap = None);
-  check_bool "compiles queued behind blocker" true
-    (Parallel.Pool.service_pending svc >= 2);
-  check_int "nothing installed while blocked" 0
-    (Core.Engine.stats eng).Core.Engine.tier1_installed;
-  let gen0 = Core.Engine.chain_generation eng in
-  Core.Engine.reset eng;
-  check_bool "generation bumped" true (Core.Engine.chain_generation eng > gen0);
-  Semaphore.Binary.release sem;
-  Core.Engine.drain_installs eng;
-  let st = Core.Engine.stats eng in
-  check_bool "stale installs dropped" true (st.Core.Engine.installs_dropped >= 1);
-  check_int "still nothing installed" 0 st.Core.Engine.tier1_installed;
-  (* The reset engine retrains from scratch and converges to the same
-     guest state. *)
-  let g2 = Core.Engine.spawn eng ~tid:3 ~entry:image.Image.Gelf.entry () in
-  Core.Engine.run_thread eng g2;
-  Core.Engine.drain_installs eng;
-  check_bool "rerun clean" true (g2.Core.Engine.trap = None);
-  check_i64 "same result after reset" (Core.Engine.reg g1 R.RDX)
-    (Core.Engine.reg g2 R.RDX);
-  Parallel.Pool.service_shutdown svc
+(* Invalidation: reset and load_cache retrain the ladder               *)
 
 let test_reset_clears_tier_profile () =
   let image = build countdown_items in
@@ -507,18 +424,16 @@ let () =
         [
           Alcotest.test_case "sync ladder: all tiers fire and report" `Quick
             test_tiers_engage_sync;
-          Alcotest.test_case "async ladder: background installs publish" `Quick
-            test_tiers_engage_async;
+          Alcotest.test_case "eager run counts every install" `Quick
+            test_eager_counts_installs;
         ] );
       ( "isolation",
         [
-          Alcotest.test_case "trap isolated across the async ladder" `Quick
+          Alcotest.test_case "trap isolated across the tier ladder" `Quick
             test_trap_mid_ladder_isolated;
         ] );
       ( "invalidation",
         [
-          Alcotest.test_case "reset drops in-flight installs" `Quick
-            test_reset_drops_inflight_installs;
           Alcotest.test_case "reset clears the tier profile" `Quick
             test_reset_clears_tier_profile;
           Alcotest.test_case "load_cache resets the tier profile" `Quick

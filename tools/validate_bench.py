@@ -164,13 +164,13 @@ def cmd_obs(bench_path, trace_path):
             f"{bench_path}: fence_merged_ratio {ratio} does not match "
             f"ledger counters ({expect:.4f})"
         )
-    # Tier-lifecycle latency: the async pass must have published real
-    # installs and the percentiles must be positive and ordered.
-    lat = j["install_latency"]
+    # Compile latency: the metrics pass must have timed real backend
+    # compiles and the percentiles must be positive and ordered.
+    lat = j["compile_latency"]
     if lat["count"] <= 0:
-        fail(f"{bench_path}: no request-to-publish latency samples")
+        fail(f"{bench_path}: no backend compile latency samples")
     if not (0 < lat["p50_ns"] <= lat["p95_ns"] <= lat["p99_ns"]):
-        fail(f"{bench_path}: install latency percentiles not ordered: {lat}")
+        fail(f"{bench_path}: compile latency percentiles not ordered: {lat}")
     trace = load(trace_path)
     evs = trace.get("traceEvents", [])
     if not evs:
@@ -188,7 +188,7 @@ def cmd_obs(bench_path, trace_path):
         f"disabled overhead {j['disabled_overhead_pct']:.3f}%, "
         f"recorder {j['recorder_overhead_pct']:.3f}%, "
         f"merged ratio {ratio:.3f}, "
-        f"install p95 {lat['p95_ns']} ns ({lat['count']} samples)"
+        f"compile p95 {lat['p95_ns']} ns ({lat['count']} samples)"
     )
 
 
@@ -293,11 +293,13 @@ def cmd_tiers(path):
     check_envelope(j, path, "tiers")
     if not j["results_identical"]:
         fail(f"{path}: tier0/sync-all/tiered guest results diverge")
+    if not j["reps_identical"]:
+        fail(f"{path}: a rep did not reproduce the first rep's results")
     ti, sy = j["tiered"], j["sync_all"]
     if ti["interp_execs"] == 0:
         fail(f"{path}: tiered run never executed on the interpreter (tier 0)")
     if ti["tier1_installed"] == 0:
-        fail(f"{path}: no background compile was ever published (tier 1)")
+        fail(f"{path}: no tier-1 compile was ever installed")
     if ti["superblocks"] == 0:
         fail(f"{path}: no profile-guided superblock was formed (tier 2)")
     if ti["cycles_per_block"] > sy["cycles_per_block"]:

@@ -67,6 +67,26 @@ let fence_name = function
   | F_rel -> "Frel"
   | F_sc -> "Fsc"
 
+let fence_index = function
+  | F_mfence -> 0
+  | F_dmb_full -> 1
+  | F_dmb_ld -> 2
+  | F_dmb_st -> 3
+  | F_rr -> 4
+  | F_rw -> 5
+  | F_rm -> 6
+  | F_wr -> 7
+  | F_ww -> 8
+  | F_wm -> 9
+  | F_mr -> 10
+  | F_mw -> 11
+  | F_mm -> 12
+  | F_acq -> 13
+  | F_rel -> 14
+  | F_sc -> 15
+
+let fence_kinds = 16
+
 let pp_fence ppf f = Fmt.string ppf (fence_name f)
 
 let read_ord_name = function

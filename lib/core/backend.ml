@@ -12,43 +12,65 @@ let scratch1 = 30
 let pool = [ 19; 20; 21; 22; 23; 24; 25; 26; 27; 28 ]
 
 (* Linear-scan allocation of block-local temps into the pool, freeing a
-   register after its temp's last use. *)
-let allocate_temps ops =
-  let last_use = Hashtbl.create 16 in
-  List.iteri
+   register after its temp's last use.  [active] lists the live
+   (temp, register) pairs oldest first; expired registers go back on
+   the [free] stack newest first, so the oldest expired is reused
+   first. *)
+let allocate_temps (ops : Op.t array) =
+  let bound = Op.temp_bound ops in
+  let last_use = Array.make bound (-1) in
+  let at = ref 0 in
+  let use t = if t >= Op.first_local then last_use.(t) <- !at in
+  Array.iteri
     (fun i op ->
-      List.iter
-        (fun t -> if t >= Op.first_local then Hashtbl.replace last_use t i)
-        (Op.reads op @ Op.writes op))
+      at := i;
+      use (Op.write op);
+      Op.iter_reads use op)
     ops;
-  let mapping = Hashtbl.create 16 in
-  let free = ref pool in
-  let active = ref [] in
-  List.iteri
+  let mapping = Array.make bound (-1) in
+  let pool = Array.of_list pool in
+  let npool = Array.length pool in
+  (* [free.(0 .. nfree - 1)], top last: the pool's first register on top. *)
+  let free = Array.init npool (fun k -> pool.(npool - 1 - k)) in
+  let nfree = ref npool in
+  let active_t = Array.make npool 0 and active_r = Array.make npool 0 in
+  let nactive = ref 0 in
+  let assign t =
+    if t >= Op.first_local && mapping.(t) < 0 then begin
+      if !nfree = 0 then raise (Register_pressure 0L);
+      decr nfree;
+      let r = free.(!nfree) in
+      mapping.(t) <- r;
+      active_t.(!nactive) <- t;
+      active_r.(!nactive) <- r;
+      incr nactive
+    end
+  in
+  Array.iteri
     (fun i op ->
       (* Free temps whose last use has passed. *)
-      let expired, still =
-        List.partition (fun (t, _) -> Hashtbl.find last_use t < i) !active
-      in
-      active := still;
-      List.iter (fun (_, r) -> free := r :: !free) expired;
-      List.iter
-        (fun t ->
-          if t >= Op.first_local && not (Hashtbl.mem mapping t) then
-            match !free with
-            | r :: rest ->
-                free := rest;
-                Hashtbl.replace mapping t r;
-                active := (t, r) :: !active
-            | [] -> raise (Register_pressure 0L))
-        (Op.writes op @ Op.reads op))
+      for k = !nactive - 1 downto 0 do
+        if last_use.(active_t.(k)) < i then begin
+          free.(!nfree) <- active_r.(k);
+          incr nfree
+        end
+      done;
+      let live = ref 0 in
+      for k = 0 to !nactive - 1 do
+        if last_use.(active_t.(k)) >= i then begin
+          active_t.(!live) <- active_t.(k);
+          active_r.(!live) <- active_r.(k);
+          incr live
+        end
+      done;
+      nactive := !live;
+      assign (Op.write op);
+      Op.iter_reads assign op)
     ops;
   fun t ->
     if t < Op.nb_globals then t
-    else
-      match Hashtbl.find_opt mapping t with
-      | Some r -> r
-      | None -> raise (Register_pressure (Int64.of_int t))
+    else if t < bound && mapping.(t) >= 0 then mapping.(t)
+    else raise (Register_pressure (Int64.of_int t))
 
 let binop_alu : Op.binop -> A.alu = function
   | Op.Add -> A.Add
@@ -80,22 +102,34 @@ let barrier_of_fence (config : Config.t) f =
   | Some _ -> Some A.Full
   | None -> None
 
-(* Emission items: instructions, label definitions, and instructions
-   whose branch target is a TCG label awaiting resolution. *)
-type item =
-  | I of A.t
-  | L of int
-  | Branch of (int -> A.t) * int  (* constructor applied to final index *)
+(* The host code under construction; branches to TCG labels are
+   emitted with the label as their target and patched once every label
+   has an instruction index. *)
+type code = { mutable insns : A.t array; mutable len : int }
 
 let compile (config : Config.t) (b : Tcg.Block.t) =
   let reg =
     try allocate_temps b.Tcg.Block.ops
     with Register_pressure _ -> raise (Register_pressure b.Tcg.Block.guest_pc)
   in
-  let items = ref [] in
-  let next_backend_label = ref 1_000_000 in
-  let emit it = items := it :: !items in
-  let ins i = emit (I i) in
+  let code =
+    { insns = Array.make ((2 * Array.length b.Tcg.Block.ops) + 8) A.Exit_halt; len = 0 }
+  in
+  let label_at = Array.make (Array.length b.Tcg.Block.labels) (-1) in
+  let fixups = ref [] in
+  let ins i =
+    if code.len = Array.length code.insns then begin
+      let bigger = Array.make (2 * code.len) A.Exit_halt in
+      Array.blit code.insns 0 bigger 0 code.len;
+      code.insns <- bigger
+    end;
+    code.insns.(code.len) <- i;
+    code.len <- code.len + 1
+  in
+  let branch_to_label i =
+    fixups := code.len :: !fixups;
+    ins i
+  in
   let lower_cas ~old ~addr ~expect ~desired =
     match config.rmw with
     | Mapping.Schemes.Risotto_rmw1 ->
@@ -105,17 +139,14 @@ let compile (config : Config.t) (b : Tcg.Block.t) =
         ins (A.Cas { acq = true; rel = true; cmp = scratch0; swap = reg desired; base = reg addr });
         ins (A.Mov (reg old, scratch0))
     | Mapping.Schemes.Risotto_rmw2 ->
-        let retry = !next_backend_label in
-        let done_ = !next_backend_label + 1 in
-        next_backend_label := !next_backend_label + 2;
+        (* retry: ldxr; cmp; b.ne done; stxr; cbnz retry; done: dmb *)
         ins (A.Dmb A.Full);
-        emit (L retry);
+        let retry = code.len in
         ins (A.Ldxr (reg old, reg addr));
         ins (A.Cmp (reg old, A.R (reg expect)));
-        emit (Branch ((fun ix -> A.Bcc (A.Ne, ix)), done_));
+        ins (A.Bcc (A.Ne, retry + 5));
         ins (A.Stxr (scratch1, reg desired, reg addr));
-        emit (Branch ((fun ix -> A.Cbnz (scratch1, ix)), retry));
-        emit (L done_);
+        ins (A.Cbnz (scratch1, retry));
         ins (A.Dmb A.Full)
     | Mapping.Schemes.(Helper_gcc9 | Helper_gcc10) ->
         Fault.raise_ ~pc:b.Tcg.Block.guest_pc Fault.Backend_fault
@@ -134,22 +165,20 @@ let compile (config : Config.t) (b : Tcg.Block.t) =
               A.Swp { acq = true; rel = true; old = reg old; src = reg src; base = reg addr })
     | Mapping.Schemes.Risotto_rmw2 ->
         (* Figure 7b's RMW2 form: DMBFF-bracketed exclusive loop. *)
-        let retry = !next_backend_label in
-        incr next_backend_label;
         ins (A.Dmb A.Full);
-        emit (L retry);
+        let retry = code.len in
         ins (A.Ldxr (reg old, reg addr));
         (match op with
         | `Xadd -> ins (A.Alu (A.Add, scratch0, reg old, A.R (reg src)))
         | `Xchg -> ins (A.Mov (scratch0, reg src)));
         ins (A.Stxr (scratch1, scratch0, reg addr));
-        emit (Branch ((fun ix -> A.Cbnz (scratch1, ix)), retry));
+        ins (A.Cbnz (scratch1, retry));
         ins (A.Dmb A.Full)
     | Mapping.Schemes.(Helper_gcc9 | Helper_gcc10) ->
         Fault.raise_ ~pc:b.Tcg.Block.guest_pc Fault.Backend_fault
           "Atomic op under helper RMW strategy"
   in
-  List.iter
+  Array.iter
     (fun op ->
       match op with
       | Op.Movi (d, v) -> ins (A.Movz (reg d, v))
@@ -169,9 +198,9 @@ let compile (config : Config.t) (b : Tcg.Block.t) =
           ins (A.Cset (reg d, cc_of_cond c))
       | Op.Brcond (c, a, b', l) ->
           ins (A.Cmp (reg a, A.R (reg b')));
-          emit (Branch ((fun ix -> A.Bcc (cc_of_cond c, ix)), l))
-      | Op.Set_label l -> emit (L l)
-      | Op.Br l -> emit (Branch ((fun ix -> A.B ix), l))
+          branch_to_label (A.Bcc (cc_of_cond c, l))
+      | Op.Set_label l -> if l >= 0 then label_at.(l) <- code.len
+      | Op.Br l -> branch_to_label (A.B l)
       | Op.Cas { old; addr; expect; desired } ->
           lower_cas ~old ~addr ~expect ~desired
       | Op.Atomic { op; old; addr; src } -> lower_atomic ~op ~old ~addr ~src
@@ -184,30 +213,19 @@ let compile (config : Config.t) (b : Tcg.Block.t) =
       | Op.Exit_halt -> ins A.Exit_halt
       | Op.Trap (kind, context) -> ins (A.Trap { kind; context }))
     b.Tcg.Block.ops;
-  let items = List.rev !items in
-  (* Resolve labels to instruction indices. *)
-  let label_index = Hashtbl.create 8 in
-  let _ =
-    List.fold_left
-      (fun ix item ->
-        match item with
-        | L l ->
-            Hashtbl.replace label_index l ix;
-            ix
-        | I _ | Branch _ -> ix + 1)
-      0 items
+  (* Resolve the label branches to instruction indices, in code order. *)
+  let resolve l =
+    if l >= 0 && l < Array.length label_at && label_at.(l) >= 0 then label_at.(l)
+    else
+      Fault.raise_ ~pc:b.Tcg.Block.guest_pc Fault.Backend_fault
+        (Printf.sprintf "unresolved label %d" l)
   in
-  let code =
-    List.filter_map
-      (function
-        | L _ -> None
-        | I i -> Some i
-        | Branch (mk, l) -> (
-            match Hashtbl.find_opt label_index l with
-            | Some ix -> Some (mk ix)
-            | None ->
-                Fault.raise_ ~pc:b.Tcg.Block.guest_pc Fault.Backend_fault
-                  (Printf.sprintf "unresolved label %d" l)))
-      items
-  in
-  Array.of_list code
+  List.iter
+    (fun at ->
+      code.insns.(at) <-
+        (match code.insns.(at) with
+        | A.B l -> A.B (resolve l)
+        | A.Bcc (cc, l) -> A.Bcc (cc, resolve l)
+        | i -> i))
+    (List.rev !fixups);
+  Array.sub code.insns 0 code.len

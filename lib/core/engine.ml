@@ -112,13 +112,21 @@ type t = {
   image : Image.Gelf.t;
   links : Linker.Link.t;
   frontend : Frontend.t;
+  rederive : Frontend.t;
+      (* the same frontend with injection disabled: re-translation for
+         provenance fires nothing and counts no occurrence *)
   mem : Memsys.Mem.t;
   shared : Arm.Machine.shared;
   tbs : compiled Tbchain.t;
       (* the code cache: every translated block (native or degraded),
          plus chain edges and hot-trace state *)
-  tcg_cache : (int64, Tcg.Block.t) Hashtbl.t;
-      (* optimized TCG per pc, kept for inspection and trace stitching *)
+  pinned : (int64, Tcg.Block.t * Tcg.Fence_ledger.t) Hashtbl.t;
+      (* optimized TCG and ledger of the blocks an injected fault hit
+         while they were translated: re-translation cannot reproduce
+         them *)
+  loaded : (int64, unit) Hashtbl.t;
+      (* pcs whose block came from the persistent cache without this
+         engine having translated them: no provenance *)
   inject : Inject.t;
   counts : int array;  (* one counter per event kind, indexed by [slot] *)
   pending_spawns : (int * int64 * int64) Queue.t;  (* tid, entry, arg *)
@@ -126,8 +134,6 @@ type t = {
   flight : Obs.Flight.t;
       (* engine-wide flight ring: tier publishes, superblocks, deopts —
          lifecycle events not owned by one thread *)
-  ledgers : (int64, Tcg.Fence_ledger.t) Hashtbl.t;
-      (* per-block fence provenance, keyed by guest pc *)
   mutable guest_threads : guest_thread list;
       (* every thread ever spawned (newest first), so a postmortem can
          show what each was doing *)
@@ -147,6 +153,7 @@ and guest_thread = {
       (* chain-table generation [next_tb] is valid for; [-1] (no
          generation) when there is none *)
   gflight : Obs.Flight.t;  (* this thread's flight ring (single writer) *)
+  ienv : Tcg.Interp.env;  (* this thread's tier-0 interpreter state *)
 }
 
 (* The empty dispatch slot: [next_tb] of a thread with no pending
@@ -182,18 +189,17 @@ let create ?cost ?idl config image =
     image;
     links;
     frontend = Frontend.create ~inject config image links;
+    rederive = Frontend.create ~inject:(Inject.disabled ()) config image links;
     mem;
     shared;
     tbs = Tbchain.create ~chain:config.Config.chain ();
-    (* Sized like the chain table: real images translate far more than
-       the 64 buckets the old caches started with. *)
-    tcg_cache = Hashtbl.create 4096;
+    pinned = Hashtbl.create 16;
+    loaded = Hashtbl.create 16;
     inject;
     counts = Array.make (Array.length table) 0;
     pending_spawns;
     next_tid;
     flight = Obs.Flight.create ();
-    ledgers = Hashtbl.create 1024;
     guest_threads = [];
     postmortem_dir = None;
     postmortems_written = 0;
@@ -274,11 +280,34 @@ let thread_flight g = g.gflight
 let set_postmortem_dir t dir = t.postmortem_dir <- dir
 let postmortem_dir t = t.postmortem_dir
 let postmortems_written t = t.postmortems_written
-let fence_ledger t pc = Hashtbl.find_opt t.ledgers pc
+
+(* The optimized TCG and fence ledger of the block this engine
+   translated at [pc], re-derived: translation is deterministic, so the
+   frontend (with injection disabled) and the pipeline (observing
+   nothing) rebuild exactly what the engine built, and nothing is
+   counted twice.  Blocks an injected fault hit keep what was built
+   then; blocks loaded from the persistent cache have no provenance. *)
+let provenance t pc =
+  match Tbchain.find t.tbs pc with
+  | None -> None
+  | Some _ when Hashtbl.mem t.loaded pc -> None
+  | Some _ -> (
+      match Hashtbl.find_opt t.pinned pc with
+      | Some p -> Some p
+      | None ->
+          let ledger = Tcg.Fence_ledger.create () in
+          let tcg =
+            Tcg.Pipeline.run ~ledger ~observe:false t.config.Config.passes
+              (Frontend.translate t.rederive pc)
+          in
+          Some (tcg, ledger))
+
+let fence_ledger t pc = Option.map snd (provenance t pc)
 
 let fence_ledgers t =
-  Hashtbl.fold (fun pc l acc -> (pc, l) :: acc) t.ledgers []
-  |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
+  Tbchain.fold (fun pc _ acc -> pc :: acc) t.tbs []
+  |> List.sort Int64.compare
+  |> List.filter_map (fun pc -> Option.map (fun l -> (pc, l)) (fence_ledger t pc))
 let chain_generation t = Tbchain.generation t.tbs
 let chained_edges t = Tbchain.edge_count t.tbs
 let stack_top tid = Int64.sub 0x8000_0000L (Int64.of_int (tid * 0x10000))
@@ -289,7 +318,8 @@ let reset t =
      pending chained target from before the reset can fire.  Per-block
      tier profiles die with their nodes. *)
   Tbchain.flush t.tbs;
-  Hashtbl.reset t.tcg_cache
+  Hashtbl.reset t.pinned;
+  Hashtbl.reset t.loaded
 
 let count_fences t pc code =
   emit t t.flight Fences_emitted pc
@@ -351,17 +381,23 @@ let translate t pc =
     "translate"
   @@ fun () ->
   Obs.Profile.time (Lazy.force m_translate_ns) @@ fun () ->
+  let fired = Inject.fired t.inject Inject.Decode in
   let raw =
     Obs.Trace.with_span ~cat:"engine" "frontend" (fun () ->
         Frontend.translate t.frontend pc)
   in
-  let ledger = Tcg.Fence_ledger.create () in
-  let optimized = Tcg.Pipeline.run ~ledger t.config.Config.passes raw in
-  Hashtbl.replace t.ledgers pc ledger;
+  (* Provenance is re-derived on demand, except where an injected
+     decode fault shaped this translation. *)
+  let pin = Inject.fired t.inject Inject.Decode <> fired in
+  let ledger = if pin then Some (Tcg.Fence_ledger.create ()) else None in
+  let optimized = Tcg.Pipeline.run ?ledger t.config.Config.passes raw in
+  (match ledger with
+  | Some l -> Hashtbl.replace t.pinned pc (optimized, l)
+  | None -> Hashtbl.remove t.pinned pc);
+  Hashtbl.remove t.loaded pc;
   emit t t.flight Translated pc (Tcg.Fenceopt.count optimized.Tcg.Block.ops);
   emit t t.flight Ops_before pc (Tcg.Block.op_count raw);
   emit t t.flight Ops_after pc (Tcg.Block.op_count optimized);
-  Hashtbl.replace t.tcg_cache pc optimized;
   let n = Tbchain.insert t.tbs pc (Interp_only optimized) in
   if t.config.Config.jit_threshold = 0 then promote t n;
   n
@@ -387,8 +423,10 @@ let lookup_block t pc =
         "block is interpreter-only (backend failed to compile it)"
 
 let tcg_block t pc =
-  ignore (fetch t pc);
-  Hashtbl.find t.tcg_cache pc
+  match fetch t pc with
+  | Interp_only b -> b
+  | Native _ -> (
+      match provenance t pc with Some (b, _) -> b | None -> raise Not_found)
 
 let spawn t ~tid ~entry ?(regs = []) () =
   t.next_tid := max !(t.next_tid) (tid + 1);
@@ -397,6 +435,14 @@ let spawn t ~tid ~entry ?(regs = []) () =
   List.iter
     (fun (r, v) -> arm.Arm.Machine.regs.(X86.Reg.index r) <- v)
     regs;
+  (* Degraded and tier-0 blocks run on the TCG interpreter; helpers
+     dispatch through the machine's registry (so syscalls, RMW helpers
+     and host calls behave exactly as in native execution). *)
+  let helpers name args =
+    match Arm.Machine.find_helper t.shared name with
+    | Some h -> h t.shared arm args
+    | None -> raise (Tcg.Interp.No_helper name)
+  in
   let g =
     {
       arm;
@@ -407,6 +453,7 @@ let spawn t ~tid ~entry ?(regs = []) () =
       next_tb = no_tb;
       next_gen = -1;
       gflight = Obs.Flight.create ();
+      ienv = Tcg.Interp.create_env ~helpers t.mem;
     }
   in
   t.guest_threads <- g :: t.guest_threads;
@@ -546,7 +593,7 @@ let postmortem_json ?(last = 32) t ~reason =
       (fun g ->
         match g.trap with
         | Some _ ->
-            Option.map (json_of_ledger g.pc) (Hashtbl.find_opt t.ledgers g.pc)
+            Option.map (json_of_ledger g.pc) (fence_ledger t g.pc)
         | None -> None)
       threads
   in
@@ -631,17 +678,10 @@ let fault_thread t g f =
    register of the same number — 0–15 the guest GP registers, 16/17
    (cmp_a/cmp_b) the lazy flags — so they are copied in and out around
    the block, and a block may set the flags on one tier and branch on
-   them on the other; helpers dispatch through the machine's
-   registry (so syscalls, RMW helpers and host calls behave exactly as
-   in native execution). *)
-let step_interp t g b =
-  let arm = g.arm in
-  let helpers name args =
-    match Arm.Machine.find_helper t.shared name with
-    | Some h -> h t.shared arm args
-    | None -> raise (Tcg.Interp.No_helper name)
-  in
-  let env = Tcg.Interp.create_env ~helpers t.mem in
+   them on the other.  Block-local temps are written before they are
+   read, so the thread's env carries nothing from block to block. *)
+let step_interp g b =
+  let arm = g.arm and env = g.ienv in
   for r = 0 to Tcg.Op.nb_globals - 1 do
     env.Tcg.Interp.temps.(r) <- arm.Arm.Machine.regs.(r)
   done;
@@ -657,7 +697,7 @@ let step_interp t g b =
 let exec t g = function
   | Native code -> Arm.Machine.exec_block t.shared g.arm code
   | Interp_only b -> (
-      match step_interp t g b with
+      match step_interp g b with
       (* Helpers run mid-block (exit syscall) may halt the thread. *)
       | Tcg.Interp.Next_tb pc ->
           if g.arm.Arm.Machine.halted then Arm.Machine.Halted
@@ -738,31 +778,44 @@ let profile_path t head ~limit =
    tier 0); [`Failed] latches [no_super]. *)
 let form_superblock t head =
   let path = profile_path t head ~limit:trace_limit in
-  let tcg_of n =
+  (* Every member must be native and have provenance; the first one that
+     does not decides, before any TCG is re-derived. *)
+  let readiness n =
     match n.Tbchain.body with
-    | Native _ -> (
-        match Hashtbl.find_opt t.tcg_cache n.Tbchain.pc with
-        | Some b -> `Tcg b
-        | None -> `Failed (* loaded from cache: no TCG to stitch *))
+    | Native _ ->
+        if Hashtbl.mem t.loaded n.Tbchain.pc then `Failed (* no TCG to stitch *)
+        else `Ready
     | Interp_only _ ->
         if n.Tbchain.tier.Tier.state = Tier.Degraded then `Failed
         else `Not_ready
   in
-  let rec collect = function
-    | [] -> `Blocks []
-    | n :: rest -> (
-        match tcg_of n with
-        | (`Failed | `Not_ready) as x -> x
-        | `Tcg b -> (
-            match collect rest with
-            | `Blocks bs -> `Blocks (b :: bs)
-            | x -> x))
-  in
   if List.length path < 2 then `Not_ready
   else
-    match collect path with
+    match
+      List.fold_left
+        (fun acc n -> match acc with `Ready -> readiness n | x -> x)
+        `Ready path
+    with
     | (`Failed | `Not_ready) as x -> x
-    | `Blocks blocks -> (
+    | `Ready -> (
+        (* A looping trace repeats its members: derive each pc once. *)
+        let derived = Hashtbl.create 8 in
+        let blocks =
+          List.map
+            (fun n ->
+              let pc = n.Tbchain.pc in
+              match Hashtbl.find_opt derived pc with
+              | Some b -> b
+              | None ->
+                  let b =
+                    match provenance t pc with
+                    | Some (b, _) -> b
+                    | None -> assert false (* ready members have provenance *)
+                  in
+                  Hashtbl.add derived pc b;
+                  b)
+            path
+        in
         let stitched =
           Tcg.Pipeline.run t.config.Config.passes (Tcg.Block.concat blocks)
         in
@@ -1183,6 +1236,10 @@ let load_cache t path =
       Tbchain.clear_links t.tbs;
       Hashtbl.iter
         (fun pc code ->
+          (* A block this engine translated keeps its provenance: the
+             cache is bound to the same config, so re-translation still
+             derives what the loaded code was compiled from. *)
+          if Option.is_none (Tbchain.find t.tbs pc) then Hashtbl.replace t.loaded pc ();
           let n = Tbchain.insert t.tbs pc (Native code) in
           n.Tbchain.tier.Tier.state <- Tier.Published)
         staged;

@@ -153,6 +153,9 @@ type guest_thread = {
           {!Tbchain.detached} placeholder) *)
   gflight : Obs.Flight.t;
       (** this thread's flight ring — see {!thread_flight} *)
+  ienv : Tcg.Interp.env;
+      (** this thread's TCG interpreter state, reused by every tier-0 or
+          degraded block it runs *)
 }
 
 (** Create an engine.  [idl] defaults to the full host-library IDL when
@@ -212,7 +215,15 @@ val chained_edges : t -> int
     backend failed to compile it); prefer {!fetch}. *)
 val lookup_block : t -> int64 -> Arm.Insn.t array
 
-(** The optimized TCG block at an address (for inspection). *)
+(** The optimized TCG block at an address (for inspection), translated
+    first if need be (like {!fetch}).  The engine keeps no TCG for a
+    block that holds native code, so for one this re-translates the
+    block: a frontend decode plus the pipeline, about as much as the
+    first translation minus the backend, and invisible to every
+    counter, metric, flight ring and {!Inject.count}.  A block an
+    injected fault hit while it was translated returns the TCG kept
+    from then.  Raises [Not_found] for a block loaded from the
+    persistent cache. *)
 val tcg_block : t -> int64 -> Tcg.Block.t
 
 (** Execute one translation block of the thread.  Faults are absorbed:
@@ -312,12 +323,22 @@ val postmortems_written : t -> int
     Byte-identical across identical runs. *)
 val postmortem_json : ?last:int -> t -> reason:string -> Report.Json.t
 
-(** Fence provenance ledger of the block translated at a pc, if that
-    block was translated by this engine (blocks loaded from the
-    persistent cache have none). *)
+(** Fence provenance ledger of the block cached at a pc, if this engine
+    translated it (blocks loaded from the persistent cache, and pcs not
+    translated since the last {!reset}, have none).
+
+    The hot path only counts fence outcomes ([fence.<kind>.<outcome>]
+    in {!Obs.Metrics}); the ledger is re-derived here by re-translating
+    the block, since translation is deterministic.  Each call costs one
+    frontend decode and one pipeline run, and bumps no engine counter,
+    metric or flight ring, and no {!Inject.count}: the frontend it uses
+    has injection disabled.  The one exception is a block an injected
+    decode fault hit while it was translated — re-translation could not
+    reproduce it, so the engine kept its ledger then. *)
 val fence_ledger : t -> int64 -> Tcg.Fence_ledger.t option
 
-(** All per-block ledgers, sorted by pc. *)
+(** {!fence_ledger} of every cached block, sorted by pc: one
+    re-translation per block. *)
 val fence_ledgers : t -> (int64 * Tcg.Fence_ledger.t) list
 
 (** Publish every engine counter into the {!Obs.Metrics} registry as an

@@ -16,15 +16,25 @@ let create ?inject config image links =
 
 let max_block_insns = 32
 
-(* Translation-time state: op accumulator (reversed), temp and label
-   allocators. *)
+(* Translation-time state: the op buffer (the first [len] slots), temp
+   and label allocators. *)
 type ctx = {
-  mutable ops : Op.t list;
+  mutable buf : Op.t array;
+  mutable len : int;
   mutable next_temp : Op.temp;
   mutable next_label : int;
 }
 
-let emit ctx op = ctx.ops <- op :: ctx.ops
+let emit ctx op =
+  if ctx.len = Array.length ctx.buf then begin
+    let bigger = Array.make (2 * ctx.len) Op.Exit_halt in
+    Array.blit ctx.buf 0 bigger 0 ctx.len;
+    ctx.buf <- bigger
+  end;
+  ctx.buf.(ctx.len) <- op;
+  ctx.len <- ctx.len + 1
+
+let emitted ctx = Array.sub ctx.buf 0 ctx.len
 
 let fresh_temp ctx =
   let t = ctx.next_temp in
@@ -368,22 +378,20 @@ let decode_one t pc =
         Error (Printf.sprintf "0x%Lx: %s" epc msg)
 
 let trap_block pc kind context =
-  { Tcg.Block.guest_pc = pc; guest_len = 0; guest_insns = 0;
-    ops = [ Op.Trap (kind, context) ] }
+  Tcg.Block.make ~guest_pc:pc ~guest_len:0 ~guest_insns:0
+    [| Op.Trap (kind, context) |]
 
 let translate t pc =
-  let ctx = { ops = []; next_temp = Op.first_local; next_label = 0 } in
+  let ctx =
+    { buf = Array.make 64 Op.Exit_halt; len = 0; next_temp = Op.first_local;
+      next_label = 0 }
+  in
   match
     if t.config.Config.host_linker then Linker.Link.lookup t.links pc else None
   with
   | Some entry ->
       translate_plt_stub ctx entry;
-      {
-        Tcg.Block.guest_pc = pc;
-        guest_len = 0;
-        guest_insns = 0;
-        ops = List.rev ctx.ops;
-      }
+      Tcg.Block.make ~guest_pc:pc ~guest_len:0 ~guest_insns:0 (emitted ctx)
   | None -> (
       match link_trap t pc with
       | Some name ->
@@ -416,9 +424,5 @@ let translate t pc =
                       (count, len)
               in
               let insns, len = go first pc 0 0 in
-              {
-                Tcg.Block.guest_pc = pc;
-                guest_len = len;
-                guest_insns = insns;
-                ops = List.rev ctx.ops;
-              }))
+              Tcg.Block.make ~guest_pc:pc ~guest_len:len ~guest_insns:insns
+                (emitted ctx)))

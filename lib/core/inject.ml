@@ -17,6 +17,7 @@ type plan = rule list
 type t = {
   plan : plan;
   counts : int array;  (* per-site occurrence counters *)
+  fires : int array;  (* per-site occurrences the plan failed *)
   states : int64 array;  (* LCG state, one slot per plan rule *)
 }
 
@@ -51,6 +52,7 @@ let create plan =
   {
     plan;
     counts = Array.make site_count 0;
+    fires = Array.make site_count 0;
     states =
       Array.of_list
         (List.map
@@ -68,27 +70,35 @@ let lcg_next st =
 let fire t site =
   let idx = site_index site in
   t.counts.(idx) <- t.counts.(idx) + 1;
-  let n = t.counts.(idx) in
-  let hit i rule =
-    rule_site rule = site
-    &&
-    match rule with
-    | Always _ -> true
-    | Nth (_, k) -> n = k
-    | Seeded { permille; _ } ->
-        let st = lcg_next t.states.(i) in
-        t.states.(i) <- st;
-        (* top bits of an LCG are the well-mixed ones *)
-        Int64.to_int (Int64.unsigned_rem (Int64.shift_right_logical st 16) 1000L)
-        < permille
-  in
-  (* List.exists would short-circuit and skip advancing later seeded
-     rules' states; fold every rule so schedules stay independent. *)
-  List.fold_left (fun acc (i, r) -> hit i r || acc) false
-    (List.mapi (fun i r -> (i, r)) t.plan)
+  match t.plan with
+  | [] -> false
+  | plan ->
+      let n = t.counts.(idx) in
+      let hit i rule =
+        rule_site rule = site
+        &&
+        match rule with
+        | Always _ -> true
+        | Nth (_, k) -> n = k
+        | Seeded { permille; _ } ->
+            let st = lcg_next t.states.(i) in
+            t.states.(i) <- st;
+            (* top bits of an LCG are the well-mixed ones *)
+            Int64.to_int (Int64.unsigned_rem (Int64.shift_right_logical st 16) 1000L)
+            < permille
+      in
+      (* List.exists would short-circuit and skip advancing later seeded
+         rules' states; fold every rule so schedules stay independent. *)
+      let fired =
+        List.fold_left (fun acc (i, r) -> hit i r || acc) false
+          (List.mapi (fun i r -> (i, r)) plan)
+      in
+      if fired then t.fires.(idx) <- t.fires.(idx) + 1;
+      fired
 
 let fire_hook t site () = fire t site
 let count t site = t.counts.(site_index site)
+let fired t site = t.fires.(site_index site)
 
 let site_of_string s =
   (* Accept both separators everywhere, so the underscore spellings

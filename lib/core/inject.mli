@@ -58,6 +58,9 @@ val fire_hook : t -> site -> unit -> bool
 val count : t -> site -> int
 (** Occurrences of [site] seen so far (fired or not). *)
 
+val fired : t -> site -> int
+(** Occurrences of [site] the plan made fail so far. *)
+
 val site_name : site -> string
 
 val site_of_string : string -> site option

@@ -1,78 +1,104 @@
-module IM = Map.Make (Int)
+(* Per temp: the epoch its constant was learnt in (known iff it equals
+   the current epoch, so a label forgets everything by bumping the
+   epoch), and the constant. *)
+let stamps : int Work.table = Work.table ()
+let values : int64 Work.table = Work.table ()
 
-(* Algebraic simplifications that also remove false dependencies. *)
-let simplify op d a (consts : int64 IM.t) imm =
-  match (op, imm) with
-  | Op.Mul, 0L | Op.And, 0L -> Some (Op.Movi (d, 0L))
-  | Op.Mul, 1L | Op.Add, 0L | Op.Sub, 0L | Op.Or, 0L | Op.Xor, 0L
-  | Op.Shl, 0L | Op.Shr, 0L ->
-      Some (Op.Mov (d, a))
-  | _ -> ignore consts; None
+let commutative = function
+  | Op.Add | Op.And | Op.Or | Op.Xor | Op.Mul -> true
+  | Op.Sub | Op.Shl | Op.Shr -> false
+
+let rewrite (w : Work.t) =
+  let stamp = Work.get stamps w.ntemps 0 and value = Work.get values w.ntemps 0L in
+  let ops = w.ops in
+  let epoch = ref 1 and j = ref 0 in
+  let emit op =
+    ops.(!j) <- op;
+    incr j
+  in
+  (* [d] now holds [v] / something unknown. *)
+  let learn d v =
+    stamp.(d) <- !epoch;
+    value.(d) <- v
+  in
+  let forget d = stamp.(d) <- 0 in
+  let known t = stamp.(t) = !epoch in
+  let fold d v =
+    learn d v;
+    emit (Op.Movi (d, v))
+  in
+  (* [d = a op imm] with [a] unknown: the algebraic identities, which
+     also remove false dependencies. *)
+  let simplify op bop d a imm =
+    match (bop, imm) with
+    | (Op.Mul | Op.And), 0L -> fold d 0L
+    | Op.Mul, 1L | (Op.Add | Op.Sub | Op.Or | Op.Xor | Op.Shl | Op.Shr), 0L ->
+        forget d;
+        emit (Op.Mov (d, a))
+    | _ ->
+        forget d;
+        emit op
+  in
+  for i = 0 to w.len - 1 do
+    match ops.(i) with
+    | Op.Movi (d, v) as op ->
+        learn d v;
+        emit op
+    | Op.Mov (d, s) as op ->
+        if known s then fold d value.(s)
+        else begin
+          forget d;
+          emit op
+        end
+    | Op.Binop (bop, d, a, b) as op ->
+        if known a && known b then fold d (Op.eval_binop bop value.(a) value.(b))
+        else if known b then simplify (Op.Binopi (bop, d, a, value.(b))) bop d a value.(b)
+        else if known a && commutative bop then begin
+          (* fold the constant to the immediate side *)
+          let va = value.(a) in
+          forget d;
+          emit (Op.Binopi (bop, d, b, va))
+        end
+        else if (bop = Op.Xor || bop = Op.Sub) && a = b then fold d 0L
+        else begin
+          forget d;
+          emit op
+        end
+    | Op.Binopi (bop, d, a, imm) as op ->
+        if known a then fold d (Op.eval_binop bop value.(a) imm)
+        else simplify op bop d a imm
+    | Op.Setcond (c, d, a, b) as op ->
+        if known a && known b then
+          fold d (if Op.eval_cond c value.(a) value.(b) then 1L else 0L)
+        else begin
+          forget d;
+          emit op
+        end
+    | Op.Brcond (c, a, b, l) as op ->
+        if known a && known b then begin
+          if Op.eval_cond c value.(a) value.(b) then emit (Op.Br l)
+        end
+        else emit op
+    | ( Op.Ld (d, _, _)
+      | Op.Cas { old = d; _ }
+      | Op.Atomic { old = d; _ }
+      | Op.Call (_, _, Some d)
+      | Op.Host_call { ret = Some d; _ } ) as op ->
+        forget d;
+        emit op
+    | Op.Set_label _ as op ->
+        (* Join point: discard knowledge. *)
+        incr epoch;
+        emit op
+    | ( Op.St _ | Op.Mb _ | Op.Br _
+      | Op.Call (_, _, None)
+      | Op.Host_call { ret = None; _ }
+      | Op.Goto_tb _ | Op.Goto_ptr _ | Op.Exit_halt | Op.Trap _ ) as op ->
+        emit op
+  done;
+  w.len <- !j
 
 let run ops =
-  let rec go consts acc = function
-    | [] -> List.rev acc
-    | op :: rest -> (
-        let const t = IM.find_opt t consts in
-        let with_write d v rest' op' = go (IM.update d (fun _ -> v) consts) (op' :: acc) rest' in
-        match op with
-        | Op.Movi (d, v) -> with_write d (Some v) rest op
-        | Op.Mov (d, s) -> (
-            match const s with
-            | Some v -> with_write d (Some v) rest (Op.Movi (d, v))
-            | None -> with_write d None rest op)
-        | Op.Binop (bop, d, a, b) -> (
-            match (const a, const b) with
-            | Some va, Some vb ->
-                let v = Op.eval_binop bop va vb in
-                with_write d (Some v) rest (Op.Movi (d, v))
-            | None, Some vb -> (
-                match simplify bop d a consts vb with
-                | Some (Op.Movi (_, v) as op') -> with_write d (Some v) rest op'
-                | Some op' -> with_write d (const a) rest op'
-                | None -> with_write d None rest (Op.Binopi (bop, d, a, vb)))
-            | Some va, None when bop = Op.Add || bop = Op.And || bop = Op.Or
-                                 || bop = Op.Xor || bop = Op.Mul ->
-                (* commutative: fold the constant to the immediate side *)
-                with_write d None rest (Op.Binopi (bop, d, b, va))
-            | _ ->
-                if (bop = Op.Xor || bop = Op.Sub) && a = b then
-                  with_write d (Some 0L) rest (Op.Movi (d, 0L))
-                else with_write d None rest op)
-        | Op.Binopi (bop, d, a, imm) -> (
-            match const a with
-            | Some va ->
-                let v = Op.eval_binop bop va imm in
-                with_write d (Some v) rest (Op.Movi (d, v))
-            | None -> (
-                match simplify bop d a consts imm with
-                | Some (Op.Movi (_, v) as op') -> with_write d (Some v) rest op'
-                | Some op' -> with_write d (const a) rest op'
-                | None -> with_write d None rest op))
-        | Op.Setcond (c, d, a, b) -> (
-            match (const a, const b) with
-            | Some va, Some vb ->
-                let v = if Op.eval_cond c va vb then 1L else 0L in
-                with_write d (Some v) rest (Op.Movi (d, v))
-            | _ -> with_write d None rest op)
-        | Op.Brcond (c, a, b, l) -> (
-            match (const a, const b) with
-            | Some va, Some vb ->
-                if Op.eval_cond c va vb then go consts (Op.Br l :: acc) rest
-                else go consts acc rest
-            | _ -> go consts (op :: acc) rest)
-        | Op.Ld (d, _, _) -> with_write d None rest op
-        | Op.Cas { old = d; _ } | Op.Atomic { old = d; _ } ->
-            with_write d None rest op
-        | Op.Call (_, _, Some d) | Op.Host_call { ret = Some d; _ } ->
-            with_write d None rest op
-        | Op.Set_label _ ->
-            (* Join point: discard knowledge. *)
-            go IM.empty (op :: acc) rest
-        | Op.St _ | Op.Mb _ | Op.Br _
-        | Op.Call (_, _, None)
-        | Op.Host_call { ret = None; _ }
-        | Op.Goto_tb _ | Op.Goto_ptr _ | Op.Exit_halt | Op.Trap _ ->
-            go consts (op :: acc) rest)
-  in
-  go IM.empty [] ops
+  let w = Work.of_array ops in
+  rewrite w;
+  Work.contents w

@@ -5,4 +5,8 @@
     The analysis is forward over straight-line code; constant knowledge
     is discarded at labels (join points). *)
 
-val run : Op.t list -> Op.t list
+(** Rewrite the working copy in place. *)
+val rewrite : Work.t -> unit
+
+(** The pass on its own: a rewritten copy of the ops. *)
+val run : Op.t array -> Op.t array

@@ -10,4 +10,8 @@
     Loads count as pure for deadness (an unread guest load may be
     removed; read elimination is sound in the TCG model, §5.4). *)
 
-val run : Op.t list -> Op.t list
+(** Rewrite the working copy in place. *)
+val rewrite : Work.t -> unit
+
+(** The pass on its own: a rewritten copy of the ops. *)
+val run : Op.t array -> Op.t array

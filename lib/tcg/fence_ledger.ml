@@ -24,16 +24,38 @@ let outcome_name = function
   | Dropped -> "dropped"
   | Strengthened _ -> "strengthened"
 
-(* fence.<kind>.<outcome> counters, registered on first use.  Recording
-   happens on the (cold) translation path, so a per-record name lookup
-   is acceptable; Metrics registration is idempotent by name. *)
-let counter_for kind outcome =
-  Obs.Metrics.counter
-    ("fence." ^ Axiom.Event.fence_name kind ^ "." ^ outcome_name outcome)
-
 let record t ~pass ~kind ~origin outcome =
-  t.entries <- { pass; kind; origin; outcome } :: t.entries;
-  Obs.Metrics.add (counter_for kind outcome) 1
+  t.entries <- { pass; kind; origin; outcome } :: t.entries
+
+let append ~into t = into.entries <- t.entries @ into.entries
+
+let outcome_slot = function
+  | Emitted -> 0
+  | Kept -> 1
+  | Merged _ -> 2
+  | Dropped -> 3
+  | Strengthened _ -> 4
+
+(* The fence.<kind>.<outcome> counters, resolved on first use.
+   Registration is idempotent by name, so two domains racing on one slot
+   store the same counter. *)
+let counters : Obs.Metrics.counter option array =
+  Array.make (Axiom.Event.fence_kinds * 5) None
+
+let counter kind outcome =
+  let slot = (Axiom.Event.fence_index kind * 5) + outcome_slot outcome in
+  match counters.(slot) with
+  | Some c -> c
+  | None ->
+      let c =
+        Obs.Metrics.counter
+          ("fence." ^ Axiom.Event.fence_name kind ^ "." ^ outcome_name outcome)
+      in
+      counters.(slot) <- Some c;
+      c
+
+let publish t =
+  List.iter (fun e -> Obs.Metrics.add (counter e.kind e.outcome) 1) (entries t)
 
 let count t outcome_name' =
   List.length

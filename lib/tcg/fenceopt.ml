@@ -6,47 +6,77 @@ let pass = "fence-merge"
    Only pure register computations — no memory accesses, no control. *)
 let transparent op = Op.is_pure op
 
-(* [f] is the pending (joined) fence kind; [absorbed] (reversed) are the
-   (kind, origin) pairs folded into it; [between] (reversed) are
-   transparent ops seen since. *)
-let rec merge_from f absorbed between rest =
-  match rest with
-  | Op.Mb (f2, o2) :: rest' ->
-      merge_from (Mapping.Fence_alg.merge f f2) ((f2, o2) :: absorbed) between
-        rest'
-  | op :: rest' when transparent op ->
-      merge_from f absorbed (op :: between) rest'
-  | _ -> (f, List.rev absorbed, List.rev between, rest)
+(* {!Mapping.Fence_alg.merge} is a pure lattice join that allocates;
+   the pass asks for a handful of pairs, so they are memoized. *)
+let joins : E.fence option array = Array.make (E.fence_kinds * E.fence_kinds) None
 
-let ledger_record ledger ~kind ~origin outcome =
-  match ledger with
-  | None -> ()
-  | Some l -> Fence_ledger.record l ~pass ~kind ~origin outcome
+let merge a b =
+  let k = (E.fence_index a * E.fence_kinds) + E.fence_index b in
+  match joins.(k) with
+  | Some f -> f
+  | None ->
+      let f = Mapping.Fence_alg.merge a b in
+      joins.(k) <- Some f;
+      f
+
+let rewrite ?ledger (w : Work.t) =
+  let ops = w.ops in
+  let record ~kind ~origin outcome =
+    match ledger with
+    | None -> ()
+    | Some l -> Fence_ledger.record l ~pass ~kind ~origin outcome
+  in
+  let i = ref 0 and j = ref 0 in
+  while !i < w.len do
+    match ops.(!i) with
+    | Op.Mb (f, o) as mb ->
+        (* The run of fences and transparent ops from [i] to [stop]: its
+           fences join into one, placed where the earliest was. *)
+        let stop = ref (!i + 1) and f' = ref f and absorbed = ref false in
+        let scanning = ref true in
+        while !scanning && !stop < w.len do
+          match ops.(!stop) with
+          | Op.Mb (f2, _) ->
+              f' := merge !f' f2;
+              absorbed := true;
+              incr stop
+          | op -> if transparent op then incr stop else scanning := false
+        done;
+        let f' = !f' in
+        if ledger <> None then
+          for k = !i + 1 to !stop - 1 do
+            match ops.(k) with
+            | Op.Mb (k2, o2) ->
+                (* The survivor keeps the earliest fence's origin. *)
+                record ~kind:k2 ~origin:o2 (Fence_ledger.Merged { into = o; result = f' })
+            | _ -> ()
+          done;
+        if f' = E.F_acq || f' = E.F_rel then record ~kind:f' ~origin:o Fence_ledger.Dropped
+        else begin
+          if !absorbed && f' <> f then
+            record ~kind:f' ~origin:o (Fence_ledger.Strengthened { from = f });
+          ops.(!j) <- (if f' = f then mb else Op.Mb (f', o));
+          incr j
+        end;
+        for k = !i + 1 to !stop - 1 do
+          match ops.(k) with
+          | Op.Mb _ -> ()
+          | op ->
+              ops.(!j) <- op;
+              incr j
+        done;
+        i := !stop
+    | op ->
+        ops.(!j) <- op;
+        incr j;
+        incr i
+  done;
+  w.len <- !j
 
 let run ?ledger ops =
-  let rec go = function
-    | [] -> []
-    | Op.Mb (f, o) :: rest ->
-        let f', absorbed, between, rest' = merge_from f [] [] rest in
-        (* The survivor keeps the earliest fence's origin. *)
-        List.iter
-          (fun (k, ao) ->
-            ledger_record ledger ~kind:k ~origin:ao
-              (Fence_ledger.Merged { into = o; result = f' }))
-          absorbed;
-        if f' = E.F_acq || f' = E.F_rel then begin
-          ledger_record ledger ~kind:f' ~origin:o Fence_ledger.Dropped;
-          between @ go rest'
-        end
-        else begin
-          if absorbed <> [] && f' <> f then
-            ledger_record ledger ~kind:f' ~origin:o
-              (Fence_ledger.Strengthened { from = f });
-          (Op.Mb (f', o) :: between) @ go rest'
-        end
-    | op :: rest -> op :: go rest
-  in
-  go ops
+  let w = Work.of_array ops in
+  rewrite ?ledger w;
+  Work.contents w
 
 let count ops =
-  List.length (List.filter (function Op.Mb _ -> true | _ -> false) ops)
+  Array.fold_left (fun n op -> match op with Op.Mb _ -> n + 1 | _ -> n) 0 ops

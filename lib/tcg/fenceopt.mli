@@ -13,7 +13,11 @@
     under the lattice join as [Strengthened], and eliminated
     [Facq]/[Frel] results as [Dropped]. *)
 
-val run : ?ledger:Fence_ledger.t -> Op.t list -> Op.t list
+(** Rewrite the working copy in place. *)
+val rewrite : ?ledger:Fence_ledger.t -> Work.t -> unit
+
+(** The pass on its own: a rewritten copy of the ops. *)
+val run : ?ledger:Fence_ledger.t -> Op.t array -> Op.t array
 
 (** Count of [Mb] ops, for the statistics the evaluation reports. *)
-val count : Op.t list -> int
+val count : Op.t array -> int

@@ -18,85 +18,84 @@ let create_env ?(helpers = default_helpers) mem =
   { temps = Array.make 256 0L; mem; helpers }
 
 let exec_block env (b : Block.t) =
-  let ops = Array.of_list b.ops in
-  let labels = Hashtbl.create 8 in
-  Array.iteri
-    (fun i op -> match op with Op.Set_label l -> Hashtbl.replace labels l i | _ -> ())
-    ops;
-  let get t = env.temps.(t) in
-  let set t v = env.temps.(t) <- v in
-  let fuel = ref 1_000_000 in
-  let rec go i =
+  let ops = b.ops and temps = env.temps and mem = env.mem in
+  let n = Array.length ops in
+  let fuel = ref 1_000_000 and i = ref 0 and exit = ref None in
+  let jump l =
+    if l >= 0 && l < Array.length b.labels && b.labels.(l) >= 0 then i := b.labels.(l)
+    else
+      exit :=
+        Some
+          (Trapped
+             ( "translate",
+               Printf.sprintf "Tcg.Interp: block 0x%Lx: undefined label %d"
+                 b.guest_pc l ))
+  in
+  let next () = incr i in
+  while Option.is_none !exit do
     decr fuel;
     if !fuel <= 0 then
-      Trapped
-        ( "watchdog",
-          Printf.sprintf "Tcg.Interp: runaway block 0x%Lx" b.guest_pc )
-    else if i >= Array.length ops then
-      Trapped
-        ( "translate",
-          Printf.sprintf "Tcg.Interp: block 0x%Lx fell through" b.guest_pc )
+      exit :=
+        Some
+          (Trapped
+             ("watchdog", Printf.sprintf "Tcg.Interp: runaway block 0x%Lx" b.guest_pc))
+    else if !i >= n then
+      exit :=
+        Some
+          (Trapped
+             ( "translate",
+               Printf.sprintf "Tcg.Interp: block 0x%Lx fell through" b.guest_pc ))
     else
-      match ops.(i) with
+      match ops.(!i) with
       | Op.Movi (d, v) ->
-          set d v;
-          go (i + 1)
+          temps.(d) <- v;
+          next ()
       | Op.Mov (d, s) ->
-          set d (get s);
-          go (i + 1)
+          temps.(d) <- temps.(s);
+          next ()
       | Op.Binop (op, d, a, b') ->
-          set d (Op.eval_binop op (get a) (get b'));
-          go (i + 1)
+          temps.(d) <- Op.eval_binop op temps.(a) temps.(b');
+          next ()
       | Op.Binopi (op, d, a, imm) ->
-          set d (Op.eval_binop op (get a) imm);
-          go (i + 1)
+          temps.(d) <- Op.eval_binop op temps.(a) imm;
+          next ()
       | Op.Ld (d, base, off) ->
-          set d (Memsys.Mem.load env.mem (Int64.add (get base) off));
-          go (i + 1)
+          temps.(d) <- Memsys.Mem.load mem (Int64.add temps.(base) off);
+          next ()
       | Op.St (s, base, off) ->
-          Memsys.Mem.store env.mem (Int64.add (get base) off) (get s);
-          go (i + 1)
-      | Op.Mb _ -> go (i + 1)
+          Memsys.Mem.store mem (Int64.add temps.(base) off) temps.(s);
+          next ()
+      | Op.Mb _ | Op.Set_label _ -> next ()
       | Op.Setcond (c, d, a, b') ->
-          set d (if Op.eval_cond c (get a) (get b') then 1L else 0L);
-          go (i + 1)
+          temps.(d) <- (if Op.eval_cond c temps.(a) temps.(b') then 1L else 0L);
+          next ()
       | Op.Brcond (c, a, b', l) ->
-          if Op.eval_cond c (get a) (get b') then jump l else go (i + 1)
-      | Op.Set_label _ -> go (i + 1)
+          if Op.eval_cond c temps.(a) temps.(b') then jump l else next ()
       | Op.Br l -> jump l
       | Op.Cas { old; addr; expect; desired } ->
-          let a = get addr in
-          let cur = Memsys.Mem.load env.mem a in
-          if Int64.equal cur (get expect) then
-            Memsys.Mem.store env.mem a (get desired);
-          set old cur;
-          go (i + 1)
+          let a = temps.(addr) in
+          let cur = Memsys.Mem.load mem a in
+          if Int64.equal cur temps.(expect) then Memsys.Mem.store mem a temps.(desired);
+          temps.(old) <- cur;
+          next ()
       | Op.Atomic { op; old; addr; src } ->
-          let a = get addr in
-          let cur = Memsys.Mem.load env.mem a in
+          let a = temps.(addr) in
+          let cur = Memsys.Mem.load mem a in
           (match op with
-          | `Xadd -> Memsys.Mem.store env.mem a (Int64.add cur (get src))
-          | `Xchg -> Memsys.Mem.store env.mem a (get src));
-          set old cur;
-          go (i + 1)
+          | `Xadd -> Memsys.Mem.store mem a (Int64.add cur temps.(src))
+          | `Xchg -> Memsys.Mem.store mem a temps.(src));
+          temps.(old) <- cur;
+          next ()
       | Op.Call (f, args, ret) | Op.Host_call { func = f; args; ret } -> (
-          match env.helpers f (List.map get args) with
+          match env.helpers f (List.map (fun t -> temps.(t)) args) with
           | v ->
-              (match ret with Some r -> set r v | None -> ());
-              go (i + 1)
+              (match ret with Some r -> temps.(r) <- v | None -> ());
+              next ()
           | exception No_helper name ->
-              Trapped ("helper", "Tcg.Interp: no helper " ^ name))
-      | Op.Goto_tb pc -> Next_tb pc
-      | Op.Goto_ptr t -> Jump (get t)
-      | Op.Exit_halt -> Halted
-      | Op.Trap (kind, context) -> Trapped (kind, context)
-  and jump l =
-    match Hashtbl.find_opt labels l with
-    | Some i -> go i
-    | None ->
-        Trapped
-          ( "translate",
-            Printf.sprintf "Tcg.Interp: block 0x%Lx: undefined label %d"
-              b.guest_pc l )
-  in
-  go 0
+              exit := Some (Trapped ("helper", "Tcg.Interp: no helper " ^ name)))
+      | Op.Goto_tb pc -> exit := Some (Next_tb pc)
+      | Op.Goto_ptr t -> exit := Some (Jump temps.(t))
+      | Op.Exit_halt -> exit := Some Halted
+      | Op.Trap (kind, context) -> exit := Some (Trapped (kind, context))
+  done;
+  Option.get !exit

@@ -28,6 +28,9 @@ type env = {
 val create_env :
   ?helpers:(string -> int64 list -> int64) -> Memsys.Mem.t -> env
 
-(** Execute a block to its exit.  Never raises for malformed blocks:
-    fall-throughs and runaway loops surface as [Trapped]. *)
+(** Execute a block to its exit, walking its op array; branches jump
+    through the label indices {!Block.make} resolved.  An [env] may be
+    reused from block to block: only the temps a block writes change.
+    Never raises for malformed blocks: fall-throughs, undefined labels
+    and runaway loops surface as [Trapped]. *)
 val exec_block : env -> Block.t -> exit_state

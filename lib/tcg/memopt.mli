@@ -17,4 +17,8 @@
     base/version with different offsets cannot alias; different bases
     are conservatively treated as aliasing. *)
 
-val run : Op.t list -> Op.t list
+(** Rewrite the working copy in place. *)
+val rewrite : Work.t -> unit
+
+(** The pass on its own: a rewritten copy of the ops. *)
+val run : Op.t array -> Op.t array

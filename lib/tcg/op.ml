@@ -36,37 +36,51 @@ type t =
 
 let mb ?(origin = no_origin) f = Mb (f, origin)
 
-let reads = function
-  | Movi _ -> []
-  | Mov (_, s) -> [ s ]
-  | Binop (_, _, a, b) -> [ a; b ]
-  | Binopi (_, _, a, _) -> [ a ]
-  | Ld (_, base, _) -> [ base ]
-  | St (src, base, _) -> [ src; base ]
-  | Mb _ -> []
-  | Setcond (_, _, a, b) -> [ a; b ]
-  | Brcond (_, a, b, _) -> [ a; b ]
-  | Set_label _ | Br _ -> []
-  | Cas { addr; expect; desired; _ } -> [ addr; expect; desired ]
-  | Atomic { addr; src; _ } -> [ addr; src ]
-  | Call (_, args, _) -> args
-  | Host_call { args; _ } -> args
-  | Goto_tb _ -> []
-  | Goto_ptr t -> [ t ]
-  | Exit_halt | Trap _ -> []
+let no_temp = -1
 
-let writes = function
+let write = function
   | Movi (d, _) | Mov (d, _) | Binop (_, d, _, _) | Binopi (_, d, _, _)
   | Ld (d, _, _)
   | Setcond (_, d, _, _) ->
-      [ d ]
-  | Cas { old; _ } | Atomic { old; _ } -> [ old ]
-  | Call (_, _, Some r) | Host_call { ret = Some r; _ } -> [ r ]
+      d
+  | Cas { old; _ } | Atomic { old; _ } -> old
+  | Call (_, _, Some r) | Host_call { ret = Some r; _ } -> r
   | Call (_, _, None)
   | Host_call { ret = None; _ }
   | St _ | Mb _ | Brcond _ | Set_label _ | Br _ | Goto_tb _ | Goto_ptr _
   | Exit_halt | Trap _ ->
-      []
+      no_temp
+
+let iter_reads f = function
+  | Movi _ | Mb _ | Set_label _ | Br _ | Goto_tb _ | Exit_halt | Trap _ -> ()
+  | Mov (_, s) -> f s
+  | Binopi (_, _, a, _) -> f a
+  | Ld (_, base, _) -> f base
+  | Goto_ptr t -> f t
+  | Binop (_, _, a, b) | Setcond (_, _, a, b) | Brcond (_, a, b, _) ->
+      f a;
+      f b
+  | St (src, base, _) ->
+      f src;
+      f base
+  | Cas { addr; expect; desired; _ } ->
+      f addr;
+      f expect;
+      f desired
+  | Atomic { addr; src; _ } ->
+      f addr;
+      f src
+  | Call (_, args, _) | Host_call { args; _ } -> List.iter f args
+
+let temp_bound ops =
+  let bound = ref nb_globals in
+  let note t = if t >= !bound then bound := t + 1 in
+  Array.iter
+    (fun op ->
+      note (write op);
+      iter_reads note op)
+    ops;
+  !bound
 
 let is_pure = function
   | Movi _ | Mov _ | Binop _ | Binopi _ | Setcond _ -> true

@@ -72,10 +72,19 @@ type t =
     {!no_origin}. *)
 val mb : ?origin:origin -> Axiom.Event.fence -> t
 
-(** Temps read / written by an op. *)
-val reads : t -> temp list
+(** [-1]: what {!write} returns for an op that writes no temp. *)
+val no_temp : temp
 
-val writes : t -> temp list
+(** The temp an op writes, or {!no_temp}; no op writes more than one. *)
+val write : t -> temp
+
+(** [iter_reads f op] applies [f] to every temp [op] reads, in operand
+    order (a temp read twice is visited twice).  Allocates nothing. *)
+val iter_reads : (temp -> unit) -> t -> unit
+
+(** One more than the largest temp the ops mention, and at least
+    {!nb_globals}: the size of a table indexed by the block's temps. *)
+val temp_bound : t array -> int
 
 (** Pure ops compute values without memory or control effects and are
     removable when their destination is dead. *)

@@ -10,11 +10,16 @@ let all = [ Const_fold; Mem_elim; Dce; Fence_merge ]
 let qemu_default = [ Const_fold; Mem_elim; Dce ]
 let risotto_default = [ Const_fold; Mem_elim; Dce; Fence_merge ]
 
-let run_pass ?ledger = function
-  | Const_fold -> Constfold.run
-  | Dce -> Dce.run
-  | Mem_elim -> Memopt.run
-  | Fence_merge -> Fenceopt.run ?ledger
+let rewrite ?ledger = function
+  | Const_fold -> Constfold.rewrite
+  | Dce -> Dce.rewrite
+  | Mem_elim -> Memopt.rewrite
+  | Fence_merge -> Fenceopt.rewrite ?ledger
+
+let run_pass ?ledger p ops =
+  let w = Work.of_array ops in
+  rewrite ?ledger p w;
+  Work.contents w
 
 (* Per-pass wall-clock histograms (opt.<pass>.ns), registered on first
    use so a pipeline run can be attributed pass by pass. *)
@@ -26,61 +31,72 @@ let pass_hists =
 
 let pass_hist p = List.assq p (Lazy.force pass_hists)
 
-let fences ops =
-  List.filter_map
-    (function Op.Mb (f, o) -> Some (f, o) | _ -> None)
+let record_fences l ~pass outcome ops =
+  Array.iter
+    (function
+      | Op.Mb (kind, origin) -> Fence_ledger.record l ~pass ~kind ~origin outcome
+      | _ -> ())
     ops
 
-(* Multiset difference: fences present before a pass but absent after
-   it.  Fence_merge does its own ledger accounting; this catches any
-   other pass that deletes a barrier (none do today — Mb is impure and
-   writes nothing, so Dce and Memopt keep it — but a future pass that
-   does will be attributed instead of vanishing silently). *)
-let diff_dropped before after =
-  let remaining = ref after in
-  List.filter
-    (fun fo ->
-      let rec remove = function
-        | [] -> None
-        | fo' :: rest when fo' = fo -> Some rest
-        | fo' :: rest -> Option.map (fun r -> fo' :: r) (remove rest)
-      in
-      match remove !remaining with
-      | Some rest ->
-          remaining := rest;
-          false
-      | None -> true)
+(* The barriers of [before] that [after] lacks, as a multiset.
+   Fence_merge does its own accounting; this attributes a barrier any
+   other pass deletes (none do today: Mb is impure and writes nothing,
+   so Dce and Memopt keep it) instead of letting it vanish silently. *)
+let record_dropped l ~pass before after =
+  let remaining =
+    ref (List.filter_map (function Op.Mb fo -> Some fo | _ -> None) (Array.to_list after))
+  in
+  Array.iter
+    (function
+      | Op.Mb ((kind, origin) as fo) ->
+          let rec remove = function
+            | [] -> None
+            | fo' :: rest when fo' = fo -> Some rest
+            | fo' :: rest -> Option.map (fun r -> fo' :: r) (remove rest)
+          in
+          (match remove !remaining with
+          | Some rest -> remaining := rest
+          | None -> Fence_ledger.record l ~pass ~kind ~origin Fence_ledger.Dropped)
+      | _ -> ())
     before
 
-let run ?ledger passes (b : Block.t) =
-  (* Always account into a ledger so the fence.* metrics counters flow
-     even when no caller keeps the per-block provenance. *)
-  let l = match ledger with Some l -> l | None -> Fence_ledger.create () in
-  List.iter
-    (fun (f, o) -> Fence_ledger.record l ~pass:"frontend" ~kind:f ~origin:o
-        Fence_ledger.Emitted)
-    (fences b.ops);
-  let ops =
-    List.fold_left
-      (fun ops p ->
-        let before = if p = Fence_merge then [] else fences ops in
-        let ops' =
-          Obs.Trace.with_span ~cat:"opt" (pass_name p) (fun () ->
-              Obs.Profile.time (pass_hist p) (fun () ->
-                  run_pass ~ledger:l p ops))
-        in
-        if p <> Fence_merge then
-          List.iter
-            (fun (f, o) ->
-              Fence_ledger.record l ~pass:(pass_name p) ~kind:f ~origin:o
-                Fence_ledger.Dropped)
-            (diff_dropped before (fences ops'));
-        ops')
-      b.ops passes
+let live_fences (w : Work.t) =
+  let n = ref 0 in
+  for i = 0 to w.len - 1 do
+    match w.ops.(i) with Op.Mb _ -> incr n | _ -> ()
+  done;
+  !n
+
+let run ?ledger ?(observe = true) passes (b : Block.t) =
+  let counting = observe && Obs.Metrics.enabled () in
+  let acct =
+    if counting || Option.is_some ledger then Some (Fence_ledger.create ()) else None
   in
+  let w = Work.of_array b.ops in
+  Option.iter (fun l -> record_fences l ~pass:"frontend" Fence_ledger.Emitted b.ops) acct;
   List.iter
-    (fun (f, o) ->
-      Fence_ledger.record l ~pass:"pipeline" ~kind:f ~origin:o
-        Fence_ledger.Kept)
-    (fences ops);
-  { b with ops }
+    (fun p ->
+      (* Only accounting keeps the ops a non-merge pass started from. *)
+      let before =
+        match acct with
+        | Some _ when p <> Fence_merge -> Work.contents w
+        | Some _ | None -> [||]
+      in
+      if observe && (Obs.Trace.enabled () || Obs.Metrics.enabled ()) then
+        Obs.Trace.with_span ~cat:"opt" (pass_name p) (fun () ->
+            Obs.Profile.time (pass_hist p) (fun () -> rewrite ?ledger:acct p w))
+      else rewrite ?ledger:acct p w;
+      match acct with
+      | Some l when p <> Fence_merge ->
+          if Fenceopt.count before <> live_fences w then
+            record_dropped l ~pass:(pass_name p) before (Work.contents w)
+      | Some _ | None -> ())
+    passes;
+  let ops = Work.contents w in
+  Option.iter
+    (fun l ->
+      record_fences l ~pass:"pipeline" Fence_ledger.Kept ops;
+      if counting then Fence_ledger.publish l;
+      Option.iter (fun into -> Fence_ledger.append ~into l) ledger)
+    acct;
+  Block.with_ops b ops

@@ -1,4 +1,8 @@
-(** Optimizer pipeline over translation blocks. *)
+(** Optimizer pipeline over translation blocks.
+
+    The passes rewrite one working copy of the block's op array in
+    place ({!Work}); neither {!run_pass} nor {!run} ever writes to its
+    argument. *)
 
 type pass = Const_fold | Dce | Mem_elim | Fence_merge
 
@@ -11,16 +15,24 @@ val qemu_default : pass list
 (** Risotto: Qemu's passes plus fence merging. *)
 val risotto_default : pass list
 
-val run_pass : ?ledger:Fence_ledger.t -> pass -> Op.t list -> Op.t list
+(** One pass on its own: a rewritten copy of the ops. *)
+val run_pass : ?ledger:Fence_ledger.t -> pass -> Op.t array -> Op.t array
 
-(** Run the passes in order.  Each pass executes under an [opt]-category
-    {!Obs.Trace} span and, when metrics are enabled, its wall time is
-    recorded into the [opt.<pass>.ns] histogram — both invisible to the
-    transformation itself.
+(** Run the passes in order.
 
-    Fence provenance: the block's initial barriers are recorded as
-    [Emitted], barriers a pass deletes as [Dropped] (with {!Fenceopt}
-    doing its own finer-grained merge accounting), and the final
-    survivors as [Kept] — into [ledger] when given, and into the
-    [fence.<kind>.<outcome>] {!Obs.Metrics} counters always. *)
-val run : ?ledger:Fence_ledger.t -> pass list -> Block.t -> Block.t
+    With [observe] (the default), each pass executes under an
+    [opt]-category {!Obs.Trace} span and, when metrics are enabled, its
+    wall time is recorded into the [opt.<pass>.ns] histogram and the
+    block's fence outcomes into the [fence.<kind>.<outcome>] counters
+    ({!Fence_ledger.publish}) — all invisible to the transformation
+    itself.  [~observe:false] runs invisibly to every sink: how a
+    translation is re-derived after the fact.
+
+    Fence provenance, when [ledger] is given or the counters are
+    wanted: the block's initial barriers are recorded as [Emitted], the
+    merges as {!Fenceopt} reports them, and the final survivors as
+    [Kept].  Any other pass that changes the number of barriers has the
+    missing ones recorded as [Dropped].  Without a ledger and with
+    metrics off, no provenance is computed at all. *)
+val run :
+  ?ledger:Fence_ledger.t -> ?observe:bool -> pass list -> Block.t -> Block.t

@@ -12,7 +12,6 @@ exception Duplicate_label of string
 type assembled = {
   org : int64;
   code : string;
-  listing : (int64 * Insn.t) list;
   symbols : (string * int64) list;
 }
 
@@ -45,7 +44,6 @@ let assemble ?(org = 0x1000L) items =
   in
   (* Pass 2: encode. *)
   let buf = Buffer.create 256 in
-  let listing = ref [] in
   let _ =
     List.fold_left
       (fun addr item ->
@@ -62,14 +60,12 @@ let assemble ?(org = 0x1000L) items =
         | None -> addr
         | Some i ->
             Encode.emit buf ~pc:addr i;
-            listing := (addr, i) :: !listing;
             Int64.add addr (Int64.of_int (Encode.length i)))
       org items
   in
   {
     org;
     code = Buffer.contents buf;
-    listing = List.rev !listing;
     symbols = Hashtbl.fold (fun k v acc -> (k, v) :: acc) symbols [];
   }
 
@@ -77,8 +73,3 @@ let symbol a l =
   match List.assoc_opt l a.symbols with
   | Some addr -> addr
   | None -> raise (Undefined_label l)
-
-let pp_listing ppf a =
-  List.iter
-    (fun (addr, i) -> Fmt.pf ppf "%8Lx: %a@." addr Insn.pp i)
-    a.listing

@@ -1,7 +1,7 @@
 (** Two-pass assembler for the x86 subset with symbolic labels.
 
-    Produces the encoded byte image, the symbol table, and the
-    per-address instruction listing. *)
+    Produces the encoded byte image and the symbol table.  A listing of
+    the image is [X86.Decode] over [code] (see [gelf_tool dis]). *)
 
 type item =
   | Label of string
@@ -17,7 +17,6 @@ exception Duplicate_label of string
 type assembled = {
   org : int64;  (** address of the first byte *)
   code : string;  (** encoded text section *)
-  listing : (int64 * Insn.t) list;  (** address → instruction *)
   symbols : (string * int64) list;  (** label → address *)
 }
 
@@ -25,5 +24,3 @@ val assemble : ?org:int64 -> item list -> assembled
 
 (** Address of a label. *)
 val symbol : assembled -> string -> int64
-
-val pp_listing : Format.formatter -> assembled -> unit

@@ -49,8 +49,9 @@ let translate config items =
   Core.Frontend.translate fe image.Image.Gelf.entry
 
 let count_fence_kind k ops =
-  List.length
-    (List.filter (function Op.Mb (f, _) -> f = k | _ -> false) ops)
+  Array.fold_left
+    (fun n op -> match op with Op.Mb (f, _) when f = k -> n + 1 | _ -> n)
+    0 ops
 
 let load_store_items =
   [
@@ -138,7 +139,7 @@ let test_frontend_follows_table () =
       let dbt =
         List.filter_map
           (function Op.Mb (f, _) -> Some f | _ -> None)
-          (translate { c with passes = [] } items).Tcg.Block.ops
+          (Array.to_list (translate { c with passes = [] } items).Tcg.Block.ops)
       in
       let checker =
         List.concat_map
@@ -206,12 +207,8 @@ let test_backend_rejects_helper_atomic () =
   and rbx = Op.guest_reg (R.index R.RBX)
   and rcx = Op.guest_reg (R.index R.RCX) in
   let block op =
-    {
-      Tcg.Block.guest_pc = 0x1000L;
-      guest_len = 4;
-      guest_insns = 1;
-      ops = [ Op.Atomic { op; old = rax; addr = rbx; src = rcx }; Op.Exit_halt ];
-    }
+    Tcg.Block.make ~guest_pc:0x1000L ~guest_len:4 ~guest_insns:1
+      [| Op.Atomic { op; old = rax; addr = rbx; src = rcx }; Op.Exit_halt |]
   in
   let setup mem regs =
     Memsys.Mem.store mem 0x5000L 35L;

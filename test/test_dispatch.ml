@@ -360,8 +360,8 @@ let test_superblock_differential_hand () =
       check_bool
         (config.Core.Config.name ^ " stitched fences <= sum")
         true
-        (Tcg.Block.fence_count stitched
-        <= Tcg.Block.fence_count a + Tcg.Block.fence_count b))
+        (Tcg.Fenceopt.count stitched.Tcg.Block.ops
+        <= Tcg.Fenceopt.count a.Tcg.Block.ops + Tcg.Fenceopt.count b.Tcg.Block.ops))
     Core.Config.all
 
 let arb_straightline_body =

@@ -517,6 +517,74 @@ let test_fence_metrics_counters () =
       check_bool "emitted counted" true (total ".emitted" >= 2);
       check_bool "merged counted" true (total ".merged" >= 1))
 
+(* The hot path counts fence outcomes; fence_ledgers re-derives the
+   provenance by re-translating.  The two must agree, and re-deriving
+   must be invisible: no counter, metric, flight ring or injection
+   occurrence moves. *)
+let test_ledgers_rederived_match_counters () =
+  let items =
+    [
+      Label "main";
+      Ins (I.Mov_ri (R.RBX, 0x5000L));
+      Ins (I.Mov_ri (R.RCX, 20L));
+      Label "loop";
+      Ins (I.Load (R.RAX, I.based R.RBX 0L));
+      Ins (I.Store (I.based R.RBX 8L, I.R R.RAX));
+      Ins I.Mfence;
+      Ins (I.Mov_ri (R.RDX, 1L));
+      Ins (I.Lock_xadd (I.based R.RBX 16L, R.RDX));
+      Ins (I.Alu (I.Sub, R.RCX, I.I 1L));
+      Ins (I.Cmp (R.RCX, I.I 0L));
+      Jcc_lbl (I.Ne, "loop");
+      Ins I.Mfence;
+      Ins I.Mfence;
+      Ins I.Hlt;
+    ]
+  in
+  Obs.Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.disable ())
+    (fun () ->
+      List.iter
+        (fun (config : Core.Config.t) ->
+          Obs.Metrics.reset ();
+          let eng = Core.Engine.create config (build items) in
+          let g = Core.Engine.run eng in
+          check_bool "clean run" true (Core.Engine.trap g = None);
+          Core.Engine.publish_metrics eng;
+          let observed () =
+            let snap = Obs.Metrics.snapshot () in
+            ( ( Core.Engine.stats eng,
+                snap.Obs.Metrics.counters,
+                snap.Obs.Metrics.gauges ),
+              ( Fl.last ~n:1000 (Core.Engine.flight eng),
+                Fl.last ~n:1000 (Core.Engine.thread_flight g),
+                List.map (Core.Inject.count (Core.Engine.injector eng)) Core.Inject.all_sites ) )
+          in
+          let before = observed () in
+          let ledgers = Core.Engine.fence_ledgers eng in
+          check_bool (config.name ^ ": every block has a ledger") true
+            (List.length ledgers = (Core.Engine.stats eng).Core.Engine.blocks_translated);
+          let counters = Obs.Metrics.counters_with_prefix (Obs.Metrics.snapshot ()) "fence." in
+          List.iter
+            (fun outcome ->
+              let counted =
+                List.fold_left
+                  (fun n (name, v) ->
+                    if Filename.check_suffix name ("." ^ outcome) then n + v else n)
+                  0 counters
+              in
+              let recorded =
+                List.fold_left (fun n (_, l) -> n + Tcg.Fence_ledger.count l outcome) 0 ledgers
+              in
+              check_int (config.name ^ ": " ^ outcome ^ " ledger = fence.* counters") counted
+                recorded)
+            [ "emitted"; "kept"; "merged"; "dropped"; "strengthened" ];
+          ignore (Core.Engine.fence_ledgers eng);
+          check_bool (config.name ^ ": re-deriving twice moved nothing") true
+            (observed () = before))
+        Core.Config.all)
+
 let () =
   Alcotest.run "flight"
     [
@@ -553,6 +621,8 @@ let () =
             test_fence_ledger_records_merges;
           Alcotest.test_case "metrics counters" `Quick
             test_fence_metrics_counters;
+          Alcotest.test_case "re-derived ledgers match the counters" `Quick
+            test_ledgers_rederived_match_counters;
         ] );
       ( "sinks",
         [ Alcotest.test_case "counter = ring = gauge" `Quick test_sinks_agree ] );

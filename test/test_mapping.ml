@@ -198,7 +198,7 @@ let test_memopt_follows_crossing_table () =
       | T.F_rar -> (Op.Ld (g0, g1, 0L), Op.Ld (g2, g1, 0L))
       | _ -> (Op.St (g0, g1, 0L), Op.St (g2, g1, 0L))
     in
-    let ops = [ first; Op.mb f; second ] in
+    let ops = [| first; Op.mb f; second |] in
     Tcg.Memopt.run ops <> ops
   in
   List.iter

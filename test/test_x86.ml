@@ -224,7 +224,13 @@ let test_asm_labels () =
   (match insn with
   | I.Jmp t -> check_i64 "jmp resolves label" endl t
   | i -> Alcotest.failf "expected jmp, got %a" I.pp i);
-  check_int "listing covers 4 instructions" 4 (List.length a.listing)
+  let rec count pc n =
+    if Int64.to_int (Int64.sub pc a.org) >= String.length a.code then n
+    else
+      let _, len = X86.Decode.decode a.code ~pc ~base:a.org in
+      count (Int64.add pc (Int64.of_int len)) (n + 1)
+  in
+  check_int "code decodes to 4 instructions" 4 (count a.org 0)
 
 let test_asm_errors () =
   Alcotest.check_raises "undefined label" (Undefined_label "nope") (fun () ->

@@ -26,6 +26,7 @@ let read_file path =
 type outcome =
   | Read_error of string
   | Parse_error of { line : int; msg : string }
+  | Check_error of string  (** e.g. a program too large for the enumerator *)
   | Checked of Litmus.Ast.test * Litmus.Enumerate.verdict
 
 let m_files = lazy (Obs.Metrics.counter "litmus.files")
@@ -41,13 +42,15 @@ let check_one model path =
   match Litmus.Parser.parse (read_file path) with
   | exception Sys_error msg -> Read_error msg
   | exception Litmus.Parser.Error { line; msg } -> Parse_error { line; msg }
-  | test ->
-      let v =
+  | test -> (
+      match
         Obs.Profile.time (Lazy.force m_check_ns) (fun () ->
             Litmus.Enumerate.check model test)
-      in
-      if v.Litmus.Enumerate.ok then Obs.Metrics.incr (Lazy.force m_ok);
-      Checked (test, v)
+      with
+      | exception Invalid_argument msg -> Check_error msg
+      | v ->
+          if v.Litmus.Enumerate.ok then Obs.Metrics.incr (Lazy.force m_ok);
+          Checked (test, v))
 
 let report_one model verbose path outcome =
   match outcome with
@@ -56,6 +59,9 @@ let report_one model verbose path outcome =
       false
   | Parse_error { line; msg } ->
       Format.printf "%-28s PARSE ERROR at line %d: %s@." path line msg;
+      false
+  | Check_error msg ->
+      Format.printf "%-28s CHECK ERROR: %s@." path msg;
       false
   | Checked (test, v) ->
       Format.printf "%-28s %-6s (%s: %a, %d behaviours)@." path

@@ -33,9 +33,6 @@ let is_write e = match e.label with Write _ -> true | Read _ | Fence _ -> false
 let is_mem e = is_read e || is_write e
 let is_fence e = match e.label with Fence _ -> true | Read _ | Write _ -> false
 
-let is_fence_kind k e =
-  match e.label with Fence f -> f = k | Read _ | Write _ -> false
-
 let loc e =
   match e.label with
   | Read { loc; _ } | Write { loc; _ } -> Some loc
@@ -46,8 +43,6 @@ let value e =
   | Read { value; _ } | Write { value; _ } -> Some value
   | Fence _ -> None
 
-let read_ord e = match e.label with Read { ord; _ } -> Some ord | _ -> None
-let write_ord e = match e.label with Write { ord; _ } -> Some ord | _ -> None
 
 let fence_name = function
   | F_mfence -> "MFENCE"

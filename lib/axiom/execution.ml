@@ -27,51 +27,114 @@ let empty =
     addr = Rel.empty;
   }
 
+(* The per-execution index: every mask the accessors below read,
+   derived from [events] in one pass.  [kinds] holds the fence kinds at
+   [Event.fence_index], then the slots named below. *)
+type index = {
+  kinds : Iset.t array;
+  same_loc : Rel.t;  (* row e: the memory events at e's location *)
+  internal : Rel.t;  (* row e: e's thread, empty for an init write *)
+  external_ : Rel.t;  (* row e: every event not in [internal]'s row *)
+}
+
+let k_all = Event.fence_kinds
+let k_read = k_all + 1
+let k_write = k_all + 2
+let k_acq = k_all + 3
+let k_acq_pc = k_all + 4
+let k_rel = k_all + 5
+let k_sc_read = k_all + 6
+let k_sc_write = k_all + 7
+
+let build events =
+  let kinds = Array.make (k_sc_write + 1) Iset.empty in
+  let locs = ref [] and threads = ref [] in
+  let add_to key id groups =
+    let s = Option.value ~default:Iset.empty (List.assoc_opt key groups) in
+    (key, Iset.add id s) :: List.remove_assoc key groups
+  in
+  List.iter
+    (fun (e : Event.t) ->
+      let mark k = kinds.(k) <- Iset.add e.id kinds.(k) in
+      mark k_all;
+      (match e.label with
+      | Read { loc; ord; _ } ->
+          mark k_read;
+          locs := add_to loc e.id !locs;
+          (match ord with
+          | R_acq -> mark k_acq
+          | R_acq_pc -> mark k_acq_pc
+          | R_sc -> mark k_sc_read
+          | R_plain -> ())
+      | Write { loc; ord; _ } ->
+          mark k_write;
+          locs := add_to loc e.id !locs;
+          (match ord with
+          | W_rel -> mark k_rel
+          | W_sc -> mark k_sc_write
+          | W_plain -> ())
+      | Fence f -> mark (Event.fence_index f));
+      if not (Event.is_init e) then threads := add_to e.tid e.id !threads)
+    events;
+  let all = kinds.(k_all) in
+  let inits = List.fold_left (fun s (_, t) -> Iset.diff s t) all !threads in
+  {
+    kinds;
+    same_loc = Rel.union_all (List.map (fun (_, s) -> Rel.cross s s) !locs);
+    internal = Rel.union_all (List.map (fun (_, t) -> Rel.cross t t) !threads);
+    external_ =
+      Rel.union_all
+        (Rel.cross inits all
+        :: List.map (fun (_, t) -> Rel.cross t (Iset.diff all t)) !threads);
+  }
+
+(* The enumerator's candidates of one combination share one physical
+   [events] list, so a one-entry cache keyed on it by physical equality
+   builds each index once per combination.  A record field would go
+   stale under [{ x with events = ... }]; a domain-local cache needs no
+   lock. *)
+type cached = { mutable key : Event.t list; mutable index : index option }
+
+let cache = Domain.DLS.new_key (fun () -> { key = []; index = None })
+
+let index x =
+  let c = Domain.DLS.get cache in
+  match c.index with
+  | Some i when c.key == x.events -> i
+  | _ ->
+      let i = build x.events in
+      c.key <- x.events;
+      c.index <- Some i;
+      i
+
 let find x id =
   match List.find_opt (fun (e : Event.t) -> e.id = id) x.events with
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Execution.find: no event %d" id)
 
-let select p x =
-  List.fold_left
-    (fun acc (e : Event.t) -> if p e then Iset.add e.id acc else acc)
-    Iset.empty x.events
-
-let all x = select (fun _ -> true) x
-let reads x = select Event.is_read x
-let writes x = select Event.is_write x
-let mems x = select Event.is_mem x
-let fences x k = select (Event.is_fence_kind k) x
-let fences_any x = select Event.is_fence x
-let acq_reads x = select (fun e -> Event.read_ord e = Some Event.R_acq) x
-let acq_pc_reads x = select (fun e -> Event.read_ord e = Some Event.R_acq_pc) x
-let rel_writes x = select (fun e -> Event.write_ord e = Some Event.W_rel) x
-let sc_reads x = select (fun e -> Event.read_ord e = Some Event.R_sc) x
-let sc_writes x = select (fun e -> Event.write_ord e = Some Event.W_sc) x
+let kind k x = (index x).kinds.(k)
+let reads = kind k_read
+let writes = kind k_write
+let mems x = Iset.union (reads x) (writes x)
+let fences x k = kind (Event.fence_index k) x
+let acq_reads = kind k_acq
+let acq_pc_reads = kind k_acq_pc
+let rel_writes = kind k_rel
+let sc_reads = kind k_sc_read
+let sc_writes = kind k_sc_write
 let rmw x = Rel.union_all [ x.rmw_plain; x.amo; x.lxsx ]
-
-let same_loc x a b =
-  match (Event.loc (find x a), Event.loc (find x b)) with
-  | Some la, Some lb -> la = lb
-  | _ -> false
-
-let po_loc x = Rel.filter (same_loc x) x.po
+let same_loc x a b = Rel.mem a b (index x).same_loc
+let po_loc x = Rel.inter x.po (index x).same_loc
 
 (* fr = rf⁻¹; co *)
 let fr x = Rel.compose (Rel.inverse x.rf) x.co
 
-let internal x a b =
-  let ea = find x a and eb = find x b in
-  ea.tid = eb.tid && not (Event.is_init ea)
-
-let external_part x r = Rel.filter (fun a b -> not (internal x a b)) r
-let internal_part x r = Rel.filter (internal x) r
+let external_part x r = Rel.inter r (index x).external_
+let internal_part x r = Rel.inter r (index x).internal
 let rfe x = external_part x x.rf
 let rfi x = internal_part x x.rf
 let coe x = external_part x x.co
-let coi x = internal_part x x.co
 let fre x = external_part x (fr x)
-let fri x = internal_part x (fr x)
 
 let well_formed x =
   let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
@@ -107,9 +170,7 @@ let well_formed x =
     List.fold_left
       (fun acc l ->
         let* () = acc in
-        let ws =
-          select (fun e -> Event.is_write e && Event.loc e = Some l) x
-        in
+        let ws = Iset.filter (fun w -> Event.loc (find x w) = Some l) (writes x) in
         if not (Rel.is_strict_total_order_on ws (Rel.restrict ws x.co ws)) then
           err "co is not a strict total order on %s" l
         else

@@ -24,12 +24,10 @@ val find : t -> int -> Event.t
 
 (** {1 Event sets} *)
 
-val all : t -> Iset.t
 val reads : t -> Iset.t
 val writes : t -> Iset.t
 val mems : t -> Iset.t
 val fences : t -> Event.fence -> Iset.t
-val fences_any : t -> Iset.t
 
 (** Arm acquire reads ([LDAR]/[LDAXR]). *)
 val acq_reads : t -> Iset.t
@@ -55,12 +53,7 @@ val fr : t -> Rel.t
 val rfe : t -> Rel.t
 val rfi : t -> Rel.t
 val coe : t -> Rel.t
-val coi : t -> Rel.t
 val fre : t -> Rel.t
-val fri : t -> Rel.t
-
-(** [same_tid x e1 e2]: non-init events of one thread (po or po⁻¹). *)
-val internal : t -> int -> int -> bool
 
 (** {1 Well-formedness}
 

@@ -61,6 +61,9 @@ type state = {
 
 type run = {
   r_events : E.t list;  (* in po order *)
+  r_po : Rel.t Lazy.t;  (* forced only if the run joins a feasible combo *)
+  r_reads : (string * int) list;  (* (loc, value) of each read *)
+  r_writes : (string * int) list;  (* (loc, value) of each write *)
   r_rmw : (int * int * Ast.rmw_kind) list;
   r_data : (int * int) list;
   r_ctrl : (int * int) list;
@@ -104,13 +107,35 @@ let rmw_ords = function
   | Ast.Rmw_arm { acq; rel; _ } ->
       ((if acq then E.R_acq else E.R_plain), if rel then E.W_rel else E.W_plain)
 
+(* Program order of one thread's run: each event precedes every later
+   one. *)
+let po_of events =
+  let rec pairs acc = function
+    | [] -> acc
+    | (e : E.t) :: rest ->
+        pairs (List.fold_left (fun acc (e' : E.t) -> (e.id, e'.id) :: acc) acc rest) rest
+  in
+  Rel.of_list (pairs [] events)
+
+let accesses kind events =
+  List.filter_map
+    (fun (e : E.t) ->
+      match (E.loc e, E.value e) with
+      | Some l, Some v when kind e -> Some (l, v)
+      | _ -> None)
+    events
+
 let thread_runs uni tid (code : Ast.instr list) ~first_id =
   let rec exec st instrs =
     match instrs with
     | [] ->
+        let r_events = List.rev st.events in
         [
           {
-            r_events = List.rev st.events;
+            r_events;
+            r_po = lazy (po_of r_events);
+            r_reads = accesses E.is_read r_events;
+            r_writes = accesses E.is_write r_events;
             r_rmw = st.rmw;
             r_data = st.data;
             r_ctrl = st.ctrl_edges;
@@ -208,144 +233,143 @@ let init_events (p : Ast.prog) ~first_id =
     locs
 
 (* The per-thread runs of a combo, assembled into the candidate's shared
-   skeleton: events, po, register valuations and dependency relations —
-   everything except the rf/co choices. *)
+   skeleton: the execution without its rf/co choices, and the register
+   valuations.  Every candidate of the combo shares [c_exec.events]
+   physically, which is what [Execution]'s index cache keys on. *)
 type combo = {
-  c_events : E.t list;
-  c_po : Rel.t;
+  c_exec : X.t;
   c_regs : ((int * string) * int) list;
-  c_rmw : (int * int * Ast.rmw_kind) list;
-  c_data : Rel.t;
-  c_ctrl : Rel.t;
 }
 
+let ids events = Iset.of_list (List.map (fun (e : E.t) -> e.id) events)
+
 let assemble_combo inits (runs : run list) =
-  let thread_events = List.concat_map (fun r -> r.r_events) runs in
-  let events = inits @ thread_events in
-  let po =
-    List.fold_left
-      (fun acc r ->
-        let rec pairs acc = function
-          | [] -> acc
-          | (e : E.t) :: rest ->
-              pairs
-                (List.fold_left
-                   (fun acc (e' : E.t) -> Rel.add e.id e'.id acc)
-                   acc rest)
-                rest
-        in
-        pairs acc r.r_events)
-      Rel.empty runs
-  in
+  let events = inits @ List.concat_map (fun r -> r.r_events) runs in
   let regs =
     List.concat_map
       (fun (r, run) -> List.map (fun (reg, v) -> ((r, reg), v)) run.r_env)
       (List.mapi (fun i run -> (i, run)) runs)
     |> List.sort compare
   in
+  let rmw = List.concat_map (fun r -> r.r_rmw) runs in
+  let pick k =
+    Rel.of_list (List.filter_map (fun (r, w, kind) -> if k kind then Some (r, w) else None) rmw)
+  in
   {
-    c_events = events;
-    c_po = po;
+    c_exec =
+      {
+        X.events;
+        po = Rel.union_all (List.map (fun r -> Lazy.force r.r_po) runs);
+        rf = Rel.empty;
+        co = Rel.empty;
+        rmw_plain =
+          pick (function Ast.Rmw_x86 | Ast.Rmw_tcg -> true | Ast.Rmw_arm _ -> false);
+        amo = pick (function Ast.Rmw_arm { impl = Ast.Amo; _ } -> true | _ -> false);
+        lxsx = pick (function Ast.Rmw_arm { impl = Ast.Lxsx; _ } -> true | _ -> false);
+        data = Rel.of_list (List.concat_map (fun r -> r.r_data) runs);
+        ctrl = Rel.of_list (List.concat_map (fun r -> r.r_ctrl) runs);
+        addr = Rel.empty;
+      };
     c_regs = regs;
-    c_rmw = List.concat_map (fun r -> r.r_rmw) runs;
-    c_data = Rel.of_list (List.concat_map (fun r -> r.r_data) runs);
-    c_ctrl = Rel.of_list (List.concat_map (fun r -> r.r_ctrl) runs);
   }
 
-let combos (p : Ast.prog) =
-  let uni = universe p in
+(* A static bound on the events one run of [code] emits: a load, store
+   or fence is one, a CAS two (read, then the write when it succeeds),
+   and an [If] its larger branch. *)
+let rec events_bound code =
+  List.fold_left
+    (fun n -> function
+      | Ast.Load _ | Ast.Store _ | Ast.Fence _ -> n + 1
+      | Ast.Cas _ -> n + 2
+      | Ast.Assign _ -> n
+      | Ast.If { then_; else_; _ } -> n + max (events_bound then_) (events_bound else_))
+    0 code
+
+(* Every read of a combo has a write of its value to its location to
+   read from.  Most combos fail this, so both enumerators decide it from
+   the runs before assembling the combo. *)
+let feasible init_writes runs =
+  List.for_all
+    (fun r ->
+      List.for_all
+        (fun lv -> List.mem lv init_writes || List.exists (fun r' -> List.mem lv r'.r_writes) runs)
+        r.r_reads)
+    runs
+
+(* Fold [f] over the feasible combos of [p], the first thread's runs
+   outermost.
+
+   Event ids are dense: the init writes first, then each thread, in
+   ascending tid order, gets a contiguous range of its [events_bound]
+   ids.  Ids order events by (tid, po), as the relations' bit rows
+   need them to lie in 0–62. *)
+let fold_combos (p : Ast.prog) f acc =
   let inits = init_events p ~first_id:0 in
-  let base = List.length inits in
-  (* Each thread gets a disjoint id range. *)
-  let stride = 256 in
+  let first_ids, next =
+    List.fold_left
+      (fun (acc, next) (t : Ast.thread) -> ((t.tid, next) :: acc, next + events_bound t.code))
+      ([], List.length inits)
+      (List.sort (fun (a : Ast.thread) (b : Ast.thread) -> Int.compare a.tid b.tid) p.threads)
+  in
+  if next > 63 then
+    invalid_arg
+      (Printf.sprintf "Enumerate: program %s may emit %d events; event ids stop at 62"
+         p.name next);
+  let uni = universe p in
   let runs_per_thread =
     List.map
       (fun (t : Ast.thread) ->
-        thread_runs uni t.tid t.code ~first_id:(base + (t.tid * stride)))
+        thread_runs uni t.tid t.code ~first_id:(List.assoc t.tid first_ids))
       p.threads
   in
-  List.map (assemble_combo inits) (cartesian runs_per_thread)
-
-let execution_of_combo c ~rf ~co =
-  let pick k =
-    List.fold_left
-      (fun acc (r, w, kind) -> if k kind then Rel.add r w acc else acc)
-      Rel.empty c.c_rmw
+  let init_writes = accesses E.is_write inits in
+  let rec go acc prefix = function
+    | [] ->
+        let runs = List.rev prefix in
+        if feasible init_writes runs then f acc (assemble_combo inits runs) else acc
+    | runs :: rest -> List.fold_left (fun acc r -> go acc (r :: prefix) rest) acc runs
   in
-  {
-    X.events = c.c_events;
-    po = c.c_po;
-    rf;
-    co;
-    rmw_plain =
-      pick (function Ast.Rmw_x86 | Ast.Rmw_tcg -> true | Ast.Rmw_arm _ -> false);
-    amo =
-      pick (function Ast.Rmw_arm { impl = Ast.Amo; _ } -> true | _ -> false);
-    lxsx =
-      pick (function Ast.Rmw_arm { impl = Ast.Lxsx; _ } -> true | _ -> false);
-    data = c.c_data;
-    ctrl = c.c_ctrl;
-    addr = Rel.empty;
-  }
+  go acc [] runs_per_thread
 
-let writes_of events loc =
-  List.filter (fun (e : E.t) -> E.is_write e && E.loc e = Some loc) events
+let execution_of_combo c ~rf ~co = { c.c_exec with rf; co }
 
-(* Init writes precede every non-init write of their location. *)
-let init_first_constraints ws =
-  List.fold_left
-    (fun acc (w : E.t) ->
-      if E.is_init w then
-        List.fold_left
-          (fun acc (w' : E.t) ->
-            if E.is_init w' then acc else Rel.add w.id w'.id acc)
-          acc ws
-      else acc)
-    Rel.empty ws
+(* The rf choices of each read in [rds]: every write of its value to
+   its location. *)
+let rf_choices events rds =
+  List.map
+    (fun (rd : E.t) ->
+      List.filter_map
+        (fun (w : E.t) ->
+          if E.is_write w && E.loc w = E.loc rd && E.value w = E.value rd then
+            Some (w.id, rd.id)
+          else None)
+        events)
+    rds
+
+(* The co choices at [loc]: the orders of its writes with the init
+   write first. *)
+let co_choices events loc =
+  let ws = List.filter (fun (e : E.t) -> E.is_write e && E.loc e = Some loc) events in
+  let inits, others = List.partition E.is_init ws in
+  Rel.linear_extensions_memoized (ids ws) (Rel.cross (ids inits) (ids others))
 
 let candidates (p : Ast.prog) =
-  List.concat_map
-    (fun c ->
+  fold_combos p
+    (fun acc c ->
       Parallel.Supervise.poll ();
-      let events = c.c_events in
-      (* rf choices per read *)
-      let reads = List.filter E.is_read events in
-      let rf_choices =
-        List.map
-          (fun (rd : E.t) ->
-            let loc = Option.get (E.loc rd) in
-            let v = Option.get (E.value rd) in
-            let srcs =
-              List.filter
-                (fun (w : E.t) -> E.value w = Some v && w.id <> rd.id)
-                (writes_of events loc)
-            in
-            List.map (fun (w : E.t) -> (w.id, rd.id)) srcs)
-          reads
-      in
-      if List.exists (fun l -> l = []) rf_choices then []
-      else
-        let rfs = cartesian rf_choices in
-        (* co choices per location *)
-        let co_choices =
-          List.map
-            (fun loc ->
-              let ws = writes_of events loc in
-              let ids = Iset.of_list (List.map (fun (e : E.t) -> e.id) ws) in
-              Rel.linear_extensions_memoized ids (init_first_constraints ws))
-            (Ast.locations p)
-        in
-        let cos = cartesian co_choices in
-        List.concat_map
-          (fun rf_pairs ->
-            let rf = Rel.of_list rf_pairs in
-            List.map
-              (fun co_parts ->
-                let co = Rel.union_all co_parts in
-                (execution_of_combo c ~rf ~co, c.c_regs))
-              cos)
-          rfs)
-    (combos p)
+      let events = c.c_exec.events in
+      let cos = cartesian (List.map (co_choices events) (Ast.locations p)) in
+      List.fold_left
+        (fun acc rf_pairs ->
+          let rf = Rel.of_list rf_pairs in
+          List.fold_left
+            (fun acc co_parts ->
+              (execution_of_combo c ~rf ~co:(Rel.union_all co_parts), c.c_regs) :: acc)
+            acc cos)
+        acc
+        (cartesian (rf_choices events (List.filter E.is_read events))))
+    []
+  |> List.rev
 
 (* ------------------------------------------------------------------ *)
 (* Pruned enumeration                                                  *)
@@ -366,73 +390,35 @@ let candidates (p : Ast.prog) =
    model's full predicate, so verdicts are identical to the unpruned
    path. *)
 
-(* Per-location surviving (rf, co) pairs, or None if some read of the
-   location has no value-compatible source (the whole combo is dead). *)
+(* Per-location surviving (rf, co) pairs.  [fold_combos] passes only
+   combos where every read has a value-compatible source. *)
 let per_loc_survivors c loc =
-  let events = c.c_events in
-  let ws = writes_of events loc in
-  let rds =
-    List.filter (fun (e : E.t) -> E.is_read e && E.loc e = Some loc) events
+  let events = c.c_exec.events in
+  let rds = List.filter (fun (e : E.t) -> E.is_read e && E.loc e = Some loc) events in
+  let cos = co_choices events loc in
+  List.concat_map
+    (fun rf_pairs ->
+      let rf = Rel.of_list rf_pairs in
+      (* The location's slice of a candidate: po-loc, rf, co and fr
+         relate only same-location events, so [Model.common] on the
+         slice is per-location coherence and atomicity. *)
+      List.filter_map
+        (fun co ->
+          if Axiom.Model.common (execution_of_combo c ~rf ~co) then Some (rf, co) else None)
+        cos)
+    (cartesian (rf_choices events rds))
+
+(* The survivors of each location in turn, or None at the first
+   location with none. *)
+let survivors c locs =
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | loc :: rest -> (
+        match per_loc_survivors c loc with
+        | [] -> None
+        | s -> go (s :: acc) rest)
   in
-  let wids = Iset.of_list (List.map (fun (e : E.t) -> e.id) ws) in
-  let mem_ids =
-    Iset.union wids (Iset.of_list (List.map (fun (e : E.t) -> e.id) rds))
-  in
-  let po_ll = Rel.restrict mem_ids c.c_po mem_ids in
-  let rf_choices =
-    List.map
-      (fun (rd : E.t) ->
-        let v = Option.get (E.value rd) in
-        List.filter_map
-          (fun (w : E.t) ->
-            if E.value w = Some v && w.id <> rd.id then Some (w.id, rd.id)
-            else None)
-          ws)
-      rds
-  in
-  if List.exists (fun l -> l = []) rf_choices then None
-  else
-    let tids = Hashtbl.create 16 in
-    List.iter
-      (fun (e : E.t) -> Hashtbl.replace tids e.id (e.tid, E.is_init e))
-      events;
-    (* Execution.internal: same tid and the source event is not an init
-       write.  Mirrored here so per-location atomicity agrees with the
-       global axiom. *)
-    let external_part r =
-      Rel.filter
-        (fun a b ->
-          let ta, ia = Hashtbl.find tids a and tb, _ = Hashtbl.find tids b in
-          not (ta = tb && not ia))
-        r
-    in
-    let rmw_l =
-      List.fold_left
-        (fun acc (r, w, _) -> if Iset.mem r mem_ids then Rel.add r w acc else acc)
-        Rel.empty c.c_rmw
-    in
-    let cos = Rel.linear_extensions_memoized wids (init_first_constraints ws) in
-    let survivors =
-      List.concat_map
-        (fun rf_pairs ->
-          let rf = Rel.of_list rf_pairs in
-          List.filter_map
-            (fun co ->
-              let fr = Rel.compose (Rel.inverse rf) co in
-              if not (Rel.acyclic (Rel.union_all [ po_ll; rf; co; fr ])) then
-                None
-              else if
-                (not (Rel.is_empty rmw_l))
-                && not
-                     (Rel.is_empty
-                        (Rel.inter rmw_l
-                           (Rel.compose (external_part fr) (external_part co))))
-              then None
-              else Some (rf, co))
-            cos)
-        (cartesian rf_choices)
-    in
-    Some survivors
+  go [] locs
 
 (* Fold [f] over the pruned survivors of [p] — the candidates that pass
    per-location coherence and atomicity, before any model's full
@@ -446,13 +432,12 @@ let per_loc_survivors c loc =
    domain-local read per candidate. *)
 let fold_survivors p f acc =
   let locs = Ast.locations p in
-  List.fold_left
+  fold_combos p
     (fun acc c ->
       Parallel.Supervise.poll ();
-      let per_loc = List.map (per_loc_survivors c) locs in
-      if List.exists (fun s -> s = None || s = Some []) per_loc then acc
-      else
-        let parts = List.map Option.get per_loc in
+      match survivors c locs with
+      | None -> acc
+      | Some parts ->
         List.fold_left
           (fun acc choice ->
             Parallel.Supervise.poll ();
@@ -461,7 +446,7 @@ let fold_survivors p f acc =
             let x = execution_of_combo c ~rf ~co in
             f acc x c.c_regs)
           acc (cartesian parts))
-    acc (combos p)
+    acc
 
 (* Fold over the model-consistent executions: survivors filtered by the
    model's full predicate. *)

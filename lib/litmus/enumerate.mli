@@ -12,7 +12,15 @@
       write sets (initialisation writes first);
     + candidates are filtered by the model's consistency predicate.
 
-    Exact for loop-free litmus-sized programs. *)
+    Exact for loop-free litmus-sized programs.
+
+    Event ids are dense: the initialisation writes take [0 .. n-1], then
+    each thread, in ascending tid order, a contiguous range sized by a
+    static bound on its events (load, store and fence 1, CAS 2, [If] its
+    larger branch), so ids order events by (tid, po).  Relations hold
+    ids 0–62 only ({!Relalg.Rel}): every enumerating function raises
+    [Invalid_argument] naming the program when its bound exceeds 63
+    events, before enumerating anything. *)
 
 (** A behaviour: final memory (co-maximal writes) plus the final local
     register valuation of each thread, both canonically sorted. *)

@@ -1,28 +1,42 @@
-module S = Set.Make (Int)
+(* Bit [x] of the mask is element [x]; bit 62 is the sign bit of an
+   OCaml int, so iterate with [lsr], never [asr]. *)
+type t = int
 
-type t = S.t
+let max_id = 62
 
-let empty = S.empty
-let is_empty = S.is_empty
-let mem = S.mem
-let add = S.add
-let remove = S.remove
-let singleton = S.singleton
-let cardinal = S.cardinal
-let union = S.union
-let inter = S.inter
-let diff = S.diff
-let subset = S.subset
-let equal = S.equal
-let of_list = S.of_list
-let to_list = S.elements
-let elements = S.elements
-let filter = S.filter
-let for_all = S.for_all
-let exists = S.exists
-let fold = S.fold
-let iter = S.iter
-let choose_opt = S.choose_opt
+let bit x =
+  if x < 0 || x > max_id then
+    invalid_arg (Printf.sprintf "Relalg: event id %d outside 0..%d" x max_id);
+  1 lsl x
 
-let pp ppf s =
-  Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma int) (S.elements s)
+let of_mask s = s
+let empty = 0
+let is_empty s = s = 0
+let mem x s = s land bit x <> 0
+let add x s = s lor bit x
+let singleton = bit
+
+let cardinal s =
+  let rec go n s = if s = 0 then n else go (n + 1) (s land (s - 1)) in
+  go 0 s
+
+let union = ( lor )
+let diff a b = a land lnot b
+let equal = Int.equal
+let of_list l = List.fold_left (fun s x -> add x s) 0 l
+
+(* Ascending order, as [Set.Make (Int)] iterates. *)
+let fold f s acc =
+  let rec go x s acc =
+    if s = 0 then acc else go (x + 1) (s lsr 1) (if s land 1 <> 0 then f x acc else acc)
+  in
+  go 0 s acc
+
+let to_list s = List.rev (fold List.cons s [])
+let filter p s = fold (fun x acc -> if p x then acc lor (1 lsl x) else acc) s 0
+
+let for_all p s =
+  let rec go x s = s = 0 || ((s land 1 = 0 || p x) && go (x + 1) (s lsr 1)) in
+  go 0 s
+
+let pp ppf s = Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma int) (to_list s)

@@ -1,132 +1,207 @@
-module Pair = struct
-  type t = int * int
+(* Row [x] is the successor mask of [x].  The array is trimmed so that
+   its last row is non-empty (the empty relation is [||]): equal
+   relations are then structurally equal and hash alike.  No function
+   mutates an array it did not allocate itself. *)
+type t = int array
 
-  let compare (a1, b1) (a2, b2) =
-    match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
-end
+let bit x = (Iset.singleton x :> int)
+let mask (s : Iset.t) = (s :> int)
 
-module S = Set.Make (Pair)
+(* Index of the highest set bit of a non-zero mask. *)
+let top m =
+  let rec go x m = if m = 1 then x else go (x + 1) (m lsr 1) in
+  go 0 m
 
-type t = S.t
+let trim r =
+  let n = ref (Array.length r) in
+  while !n > 0 && Array.unsafe_get r (!n - 1) = 0 do decr n done;
+  if !n = Array.length r then r else Array.sub r 0 !n
 
-let empty = S.empty
-let is_empty = S.is_empty
-let mem x y r = S.mem (x, y) r
-let add x y r = S.add (x, y) r
-let remove x y r = S.remove (x, y) r
-let singleton x y = S.singleton (x, y)
-let cardinal = S.cardinal
-let of_list l = S.of_list l
-let to_list = S.elements
-let union = S.union
-let union_all rs = List.fold_left S.union S.empty rs
-let inter = S.inter
-let diff = S.diff
-let equal = S.equal
-let subset = S.subset
+let row r x =
+  if x >= 0 && x < Array.length r then Array.unsafe_get r x else (ignore (bit x); 0)
 
-let fold f r acc = S.fold (fun (x, y) acc -> f x y acc) r acc
-let iter f r = S.iter (fun (x, y) -> f x y) r
-let filter p r = S.filter (fun (x, y) -> p x y) r
-let map_pairs f r = S.map f r
+(* The relation whose row [x] is [f x] for [x] below [n]. *)
+let init n f = trim (Array.init n f)
 
-let domain r = fold (fun x _ acc -> Iset.add x acc) r Iset.empty
-let codomain r = fold (fun _ y acc -> Iset.add y acc) r Iset.empty
-let elements r = Iset.union (domain r) (codomain r)
+let empty = [||]
+let is_empty r = Array.length r = 0
+let mem x y r = row r x land bit y <> 0
 
-let succs r x = fold (fun a b acc -> if a = x then Iset.add b acc else acc) r Iset.empty
-let preds r y = fold (fun a b acc -> if b = y then Iset.add a acc else acc) r Iset.empty
+let of_list l =
+  let n = List.fold_left (fun n (x, y) -> ignore (bit x + bit y); max n (x + 1)) 0 l in
+  let r = Array.make n 0 in
+  List.iter (fun (x, y) -> r.(x) <- r.(x) lor (1 lsl y)) l;
+  r
 
+(* Pairs in ascending lexicographic order, as [Set.Make] over pairs
+   iterates them. *)
+let fold f r acc =
+  let acc = ref acc in
+  Array.iteri (fun x m -> acc := Iset.fold (fun y acc -> f x y acc) (Iset.of_mask m) !acc) r;
+  !acc
+
+let to_list r = List.rev (fold (fun x y acc -> (x, y) :: acc) r [])
+
+let union_all rs =
+  match List.fold_left (fun n r -> max n (Array.length r)) 0 rs with
+  | 0 -> empty
+  | n ->
+      let out = Array.make n 0 in
+      List.iter (Array.iteri (fun x m -> out.(x) <- out.(x) lor m)) rs;
+      out
+
+let union a b = union_all [ a; b ]
+let add x y r = union r (of_list [ (x, y) ])
+let inter a b = init (min (Array.length a) (Array.length b)) (fun x -> a.(x) land b.(x))
+let equal (a : t) b = a = b
+let subset a b = equal (inter a b) a
+
+(* Row [x] of [r; s] is the union of the rows of [s] that row [x] of
+   [r] selects. *)
 let compose r s =
-  (* Index s by its domain for a one-pass join. *)
-  let by_dom = Hashtbl.create 16 in
-  S.iter (fun (y, z) -> Hashtbl.add by_dom y z) s;
-  S.fold
-    (fun (x, y) acc ->
-      List.fold_left (fun acc z -> S.add (x, z) acc) acc (Hashtbl.find_all by_dom y))
-    r S.empty
+  let ns = Array.length s in
+  if ns = 0 then empty
+  else
+    init (Array.length r) (fun x ->
+        let acc = ref 0 and m = ref r.(x) and y = ref 0 in
+        while !m <> 0 && !y < ns do
+          if !m land 1 <> 0 then acc := !acc lor Array.unsafe_get s !y;
+          m := !m lsr 1;
+          incr y
+        done;
+        !acc)
 
 let sequence = function
   | [] -> invalid_arg "Rel.sequence: empty list"
   | r :: rs -> List.fold_left compose r rs
 
-let inverse r = S.fold (fun (x, y) acc -> S.add (y, x) acc) r S.empty
+let domain r =
+  let d = ref 0 in
+  Array.iteri (fun x m -> if m <> 0 then d := !d lor (1 lsl x)) r;
+  Iset.of_mask !d
 
-let id s = Iset.fold (fun x acc -> S.add (x, x) acc) s S.empty
+let codomain r = Iset.of_mask (Array.fold_left ( lor ) 0 r)
+let elements r = Iset.union (domain r) (codomain r)
+
+let inverse r =
+  match mask (codomain r) with
+  | 0 -> empty
+  | cod ->
+      let out = Array.make (top cod + 1) 0 in
+      Array.iteri
+        (fun x m ->
+          let b = 1 lsl x and m = ref m and y = ref 0 in
+          while !m <> 0 do
+            if !m land 1 <> 0 then out.(!y) <- out.(!y) lor b;
+            m := !m lsr 1;
+            incr y
+          done)
+        r;
+      out
+
+let succs r x = Iset.of_mask (row r x)
+let preds r y = succs (inverse r) y
+
+let id s =
+  match mask s with
+  | 0 -> empty
+  | m -> Array.init (top m + 1) (fun x -> m land (1 lsl x))
 
 let cross a b =
-  Iset.fold (fun x acc -> Iset.fold (fun y acc -> S.add (x, y) acc) b acc) a S.empty
+  match (mask a, mask b) with
+  | 0, _ | _, 0 -> empty
+  | ma, mb -> Array.init (top ma + 1) (fun x -> if ma land (1 lsl x) <> 0 then mb else 0)
 
-let restrict a r b = S.filter (fun (x, y) -> Iset.mem x a && Iset.mem y b) r
+let restrict a r b =
+  let ma = mask a and mb = mask b in
+  init (Array.length r) (fun x -> if ma land (1 lsl x) <> 0 then r.(x) land mb else 0)
 
+
+(* Bit-parallel Warshall: once [k] is an allowed intermediate, every
+   row that reaches [k] gains row [k].  Ids past the last row have no
+   successors, so they are never intermediates. *)
 let transitive_closure r =
-  let rec fix r =
-    let r' = union r (compose r r) in
-    if equal r r' then r else fix r'
-  in
-  fix r
+  let n = Array.length r in
+  let c = Array.copy r in
+  for k = 0 to n - 1 do
+    let ck = c.(k) and b = 1 lsl k in
+    if ck <> 0 then
+      for i = 0 to n - 1 do
+        let ci = Array.unsafe_get c i in
+        if ci land b <> 0 then Array.unsafe_set c i (ci lor ck)
+      done
+  done;
+  c
 
-let reflexive_transitive_closure dom r = union (id dom) (transitive_closure r)
+let irreflexive r =
+  let rec go x = x < 0 || (r.(x) land (1 lsl x) = 0 && go (x - 1)) in
+  go (Array.length r - 1)
 
-let irreflexive r = not (S.exists (fun (x, y) -> x = y) r)
 let acyclic r = irreflexive (transitive_closure r)
-let minus_id r = S.filter (fun (x, y) -> x <> y) r
+let minus_id r = init (Array.length r) (fun x -> r.(x) land lnot (1 lsl x))
 
 let is_strict_total_order_on s r =
   let r = restrict s r s in
   irreflexive (transitive_closure r)
-  && Iset.for_all
-       (fun x -> Iset.for_all (fun y -> x = y || mem x y r || mem y x r) s)
-       s
+  &&
+  let inv = inverse r and ms = mask s in
+  Iset.for_all
+    (fun x ->
+      let others = ms land lnot (1 lsl x) in
+      (row r x lor row inv x) land others = others)
+    s
 
+(* Drop [(x, y)] when some [z] other than [x] and [y] has [(x, z)] and
+   [(z, y)]: row [x] loses every [y] two steps away. *)
 let immediate r =
-  S.filter
-    (fun (x, y) -> not (S.exists (fun (a, b) -> a = x && mem b y r && b <> y && b <> x) r))
-    r
+  init (Array.length r) (fun x ->
+      let rx = r.(x) in
+      let two_steps =
+        Iset.fold
+          (fun z acc -> acc lor (row r z land lnot (1 lsl z)))
+          (Iset.of_mask (rx land lnot (1 lsl x)))
+          0
+      in
+      rx land lnot two_steps)
+
+(* The strict total order listing [order]: each element precedes every
+   later one. *)
+let order_to_rel order =
+  let out = Array.make (List.fold_left (fun n x -> max n (x + 1)) 0 order) 0 in
+  ignore
+    (List.fold_right (fun x later -> out.(x) <- later; later lor (1 lsl x)) order 0);
+  trim out
 
 let linear_extensions s r =
   let r = transitive_closure (restrict s r s) in
   if not (irreflexive r) then []
   else
     (* Enumerate topological orders by repeatedly picking a minimal
-       element among the remaining ones. *)
+       element among the remaining ones, in ascending id order. *)
+    let preds = inverse r in
     let rec go remaining prefix acc =
-      if Iset.is_empty remaining then List.rev prefix :: acc
+      if remaining = 0 then List.rev prefix :: acc
       else
         Iset.fold
           (fun x acc ->
-            let minimal =
-              Iset.for_all (fun y -> y = x || not (mem y x r)) remaining
-            in
-            if minimal then go (Iset.remove x remaining) (x :: prefix) acc
-            else acc)
-          remaining acc
+            let others = remaining land lnot (1 lsl x) in
+            if row preds x land others = 0 then go others (x :: prefix) acc else acc)
+          (Iset.of_mask remaining) acc
     in
-    let orders = go s [] [] in
-    let order_to_rel order =
-      let rec pairs acc = function
-        | [] -> acc
-        | x :: rest ->
-            pairs (List.fold_left (fun acc y -> add x y acc) acc rest) rest
-      in
-      pairs empty order
-    in
-    List.map order_to_rel orders
+    List.map order_to_rel (go (mask s) [] [])
 
 (* Memoized linear extensions.  The enumerator calls this once per
    (write-set, init-order-constraints) pair per candidate combination;
    across the combinations of one program the same key recurs many
    times (read-value oracles multiply runs without changing the write
-   sets).  Keys are the canonical element and pair listings, so
-   structurally equal inputs hit.  Guarded by a mutex: the table is
-   shared across pool worker domains. *)
-let le_memo : (int list * (int * int) list, t list) Hashtbl.t =
-  Hashtbl.create 64
-
+   sets).  Relations are canonical, so structurally equal inputs hit.
+   Guarded by a mutex: the table is shared across pool worker
+   domains. *)
+let le_memo : (Iset.t * t, t list) Hashtbl.t = Hashtbl.create 64
 let le_memo_mutex = Mutex.create ()
 
 let linear_extensions_memoized s r =
-  let key = (Iset.to_list s, to_list (restrict s r s)) in
+  let key = (s, restrict s r s) in
   let cached =
     Mutex.protect le_memo_mutex (fun () -> Hashtbl.find_opt le_memo key)
   in
@@ -158,10 +233,9 @@ let find_cycle r =
         (fun y acc -> match acc with Some _ -> acc | None -> dfs (x :: path) y)
         (succs r x) None
   in
-  List.fold_left
-    (fun acc x -> match acc with Some _ -> acc | None -> dfs [] x)
-    None
-    (Iset.to_list (elements r))
+  Iset.fold
+    (fun x acc -> match acc with Some _ -> acc | None -> dfs [] x)
+    (elements r) None
 
 let pp ppf r =
   let pp_pair ppf (x, y) = Fmt.pf ppf "(%d,%d)" x y in

@@ -3,8 +3,23 @@
     This module implements the relational vocabulary of herd-style "cat"
     memory models: composition, union, identity restriction, transitive
     closure, acyclicity, and enumeration of linear extensions (used to
-    enumerate coherence orders).  All relations are strict unless an
-    explicit reflexive closure is taken. *)
+    enumerate coherence orders).  All relations are strict.
+
+    {b Representation.}  A relation is an array of bit rows over event
+    ids: row [x] is the {!Iset} mask of the successors of [x], so
+    composition ORs the rows of [s] that each row of [r] selects,
+    {!inverse} is a transpose, and closure and acyclicity run
+    bit-parallel Warshall in O(n²) word operations.  The array is
+    trimmed to its last non-empty row, so equal relations are
+    structurally equal and hash alike (the {!linear_extensions_memoized}
+    key relies on this).
+
+    {b Bound.}  Ids lie in 0–62, as for {!Iset}; every function taking
+    an id raises [Invalid_argument] naming an id outside that range.
+
+    {b Order.}  {!fold}, {!to_list} and {!pp} visit pairs in ascending
+    lexicographic order; {!find_cycle} and {!linear_extensions} explore
+    ids in ascending order, so their results are deterministic. *)
 
 type t
 
@@ -12,16 +27,12 @@ val empty : t
 val is_empty : t -> bool
 val mem : int -> int -> t -> bool
 val add : int -> int -> t -> t
-val remove : int -> int -> t -> t
-val singleton : int -> int -> t
-val cardinal : t -> int
 val of_list : (int * int) list -> t
 val to_list : t -> (int * int) list
 
 val union : t -> t -> t
 val union_all : t list -> t
 val inter : t -> t -> t
-val diff : t -> t -> t
 val equal : t -> t -> bool
 val subset : t -> t -> bool
 
@@ -47,12 +58,8 @@ val restrict : Iset.t -> t -> Iset.t -> t
 
 val domain : t -> Iset.t
 val codomain : t -> Iset.t
-val elements : t -> Iset.t
 
-val filter : (int -> int -> bool) -> t -> t
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
-val iter : (int -> int -> unit) -> t -> unit
-val map_pairs : (int * int -> int * int) -> t -> t
 
 (** [succs r x] is the set of [y] with [(x, y) ∈ r]. *)
 val succs : t -> int -> Iset.t
@@ -62,9 +69,6 @@ val preds : t -> int -> Iset.t
 
 (** Strict transitive closure [r⁺]. *)
 val transitive_closure : t -> t
-
-(** [reflexive_transitive_closure dom r] is [r*] restricted to [dom]. *)
-val reflexive_transitive_closure : Iset.t -> t -> t
 
 val irreflexive : t -> bool
 

@@ -113,6 +113,102 @@ let test_ast_helpers () =
 
 
 (* ------------------------------------------------------------------ *)
+(* Dense event ids                                                     *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* [n] stores in a branch that never runs, after one init write: the
+   static bound, not the run, decides whether the ids fit in 0..62. *)
+let dead_branch_prog name n =
+  Dsl.prog name [ ("X", 0) ]
+    [ [ Dsl.if_else (Ast.Int 0) (List.init n (fun i -> Dsl.st "X" i)) [] ] ]
+
+let test_event_bound () =
+  check_int "63 ids fit" 1 (List.length (Enumerate.candidates (dead_branch_prog "fits" 62)));
+  let p = dead_branch_prog "too-many-events" 63 in
+  List.iter
+    (fun (what, run) ->
+      match run () with
+      | () -> Alcotest.failf "%s enumerated a program past id 62" what
+      | exception Invalid_argument msg ->
+          check_bool (what ^ " names the program") true (contains msg "too-many-events"))
+    [
+      ("candidates", fun () -> ignore (Enumerate.candidates p));
+      ("behaviours", fun () -> ignore (Enumerate.behaviours Axiom.Sc_model.model p));
+    ]
+
+let test_event_bound_supervised () =
+  (* The sweep runner behind [litmus_run --report] turns the refusal
+     into a typed per-cell failure and still checks the other cells. *)
+  let entry =
+    List.find
+      (fun (e : Report.Sweep.entry) -> e.scheme = "fig7a/x86->tcg")
+      (Report.Sweep.default_entries ())
+  in
+  let corpus = [ ("too-many-events", dead_branch_prog "too-many-events" 63); ("MP", Catalog.mp_x86) ] in
+  let j = (Report.Sweep.run_generated [ { entry with corpus } ]).Report.Sweep.gen_journaled in
+  (match j.Report.Sweep.failures with
+  | [ (_, "too-many-events", Parallel.Supervise.Quarantined { last; _ }) ] ->
+      check_bool "the refusal is the recorded fault" true
+        (match last.Parallel.Pool.exn with
+        | Invalid_argument msg -> contains msg "too-many-events"
+        | _ -> false)
+  | _ -> Alcotest.fail "expected one quarantined cell for too-many-events");
+  Alcotest.(check (list string))
+    "the other cell has a verdict" [ "MP" ]
+    (List.map (fun (c : Report.Sweep.cell) -> c.Report.Sweep.program) j.Report.Sweep.cells)
+
+let test_dense_ids () =
+  let p =
+    Dsl.prog "dense" [ ("X", 0); ("Y", 0) ]
+      [
+        [ Dsl.st "X" 1; Dsl.cas_x86 ~reg:"a" "Y" 0 1; Dsl.ld "b" "X" ];
+        [
+          Dsl.ld "c" "Y";
+          Dsl.if_else (Ast.Eq (Ast.Reg "c", Ast.Int 1)) [ Dsl.st "X" 2; Dsl.st "Y" 2 ] [];
+        ];
+      ]
+  in
+  List.iter
+    (fun (prog : Ast.prog) ->
+      let inits = List.length (Ast.locations prog) in
+      List.iter
+        (fun ((x : Axiom.Execution.t), _) ->
+          let ids = List.map (fun (e : E.t) -> e.id) x.events in
+          Alcotest.(check (list int))
+            (prog.name ^ ": init writes take the first ids")
+            (List.init inits Fun.id)
+            (List.filter_map (fun (e : E.t) -> if E.is_init e then Some e.id else None) x.events);
+          (* Thread ids start right after the init writes, and a run
+             that emits every event of its bound leaves no gap. *)
+          check_int (prog.name ^ ": first thread id") inits
+            (List.fold_left min max_int
+               (List.filter_map (fun (e : E.t) -> if E.is_init e then None else Some e.id) x.events));
+          check_bool (prog.name ^ ": ids below 63") true (List.for_all (fun i -> i < 63) ids);
+          (* Sorting by id is sorting by (tid, po position). *)
+          let po_index (e : E.t) =
+            List.length (List.filter (fun (e' : E.t) -> Relalg.Rel.mem e'.id e.id x.po) x.events)
+          in
+          let key (e : E.t) = (e.tid, po_index e) in
+          let by_id = List.sort (fun (a : E.t) b -> compare a.id b.id) x.events in
+          let by_tid_po = List.sort (fun a b -> compare (key a) (key b)) x.events in
+          check_bool (prog.name ^ ": id order is (tid, po) order") true (by_id = by_tid_po))
+        (Enumerate.candidates prog))
+    [ Catalog.mp_x86; Catalog.sbq_x86; p ];
+  (* MP emits every event of its bound: its ids are exactly 0..n-1. *)
+  List.iter
+    (fun ((x : Axiom.Execution.t), _) ->
+      Alcotest.(check (list int))
+        "MP ids are 0..n-1"
+        (List.init (List.length x.events) Fun.id)
+        (List.sort compare (List.map (fun (e : E.t) -> e.id) x.events)))
+    (Enumerate.candidates Catalog.mp_x86)
+
+
+(* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
 
 let test_parse_simple () =
@@ -380,6 +476,10 @@ let () =
             test_failed_cas_generates_read_only;
           Alcotest.test_case "condition evaluation" `Quick test_cond_eval;
           Alcotest.test_case "AST helpers" `Quick test_ast_helpers;
+          Alcotest.test_case "event bound" `Quick test_event_bound;
+          Alcotest.test_case "event bound, supervised" `Quick
+            test_event_bound_supervised;
+          Alcotest.test_case "dense ids" `Quick test_dense_ids;
         ] );
       ( "operational TSO",
         [

@@ -82,7 +82,7 @@ let scheme_names () =
        (Report.Sweep.default_entries ()))
 
 (* --report DIR: run the refinement sweep over [entries] with witness
-   capture and the axiom-coverage probe, supervised per cell, and write
+   capture and the axiom-coverage probe, supervised per job, and write
    DIR/report.html plus one JSON artifact per witness.  With [journal]
    every completed shard lands in that journal and an interrupted run
    resumes from it.  The catalog sweep and --generate differ only in
@@ -324,19 +324,20 @@ let task_timeout_arg =
     & opt (some float) None
     & info [ "task-timeout" ] ~docv:"SECONDS"
         ~doc:
-          "With $(b,--report): cooperative per-cell deadline.  A cell \
-           that exceeds it is reported as timed out (typed, terminal — \
-           the checks are deterministic) and the sweep goes on; exit code \
-           3 flags the incomplete table.")
+          "With $(b,--report): cooperative deadline per job (one \
+           distinct program enumerated under every model the sweep needs \
+           it under).  Each cell of a job that exceeds it is reported as \
+           timed out (typed, terminal — the checks are deterministic) and \
+           the sweep goes on; exit code 3 flags the incomplete table.")
 
 let task_retries_arg =
   Arg.(
     value & opt int 0
     & info [ "task-retries" ] ~docv:"N"
         ~doc:
-          "With $(b,--report): retry a failed cell up to $(docv) more \
-           times (exponential backoff) before quarantining it as a typed \
-           failure.")
+          "With $(b,--report): retry a failed job up to $(docv) more \
+           times (exponential backoff) before quarantining it; each of \
+           its cells is then reported as a typed failure.")
 
 let inject_arg =
   Arg.(
@@ -377,7 +378,8 @@ let shard_arg =
     & info [ "shard-size" ] ~docv:"CELLS"
         ~doc:
           "With $(b,--generate --report): journal granularity — each \
-           shard of $(docv) cells is one supervised pool batch, \
+           shard of $(docv) cells runs the jobs it needs that no earlier \
+           shard completed as one supervised pool batch, and is \
            journaled on completion.")
 
 let main files model_name verbose jobs metrics report schemes journal resume

@@ -353,23 +353,29 @@ let co_choices events loc =
   let inits, others = List.partition E.is_init ws in
   Rel.linear_extensions_memoized (ids ws) (Rel.cross (ids inits) (ids others))
 
-let candidates (p : Ast.prog) =
+(* Fold [f] over the full rf × co candidate product of [p], each
+   candidate with its run's register valuation, without materialising
+   the product. *)
+let fold_candidates (p : Ast.prog) f acc =
+  let locs = Ast.locations p in
   fold_combos p
     (fun acc c ->
       Parallel.Supervise.poll ();
       let events = c.c_exec.events in
-      let cos = cartesian (List.map (co_choices events) (Ast.locations p)) in
+      let cos = cartesian (List.map (co_choices events) locs) in
       List.fold_left
         (fun acc rf_pairs ->
           let rf = Rel.of_list rf_pairs in
           List.fold_left
             (fun acc co_parts ->
-              (execution_of_combo c ~rf ~co:(Rel.union_all co_parts), c.c_regs) :: acc)
+              f acc (execution_of_combo c ~rf ~co:(Rel.union_all co_parts)) c.c_regs)
             acc cos)
         acc
         (cartesian (rf_choices events (List.filter E.is_read events))))
-    []
-  |> List.rev
+    acc
+
+let candidates (p : Ast.prog) =
+  List.rev (fold_candidates p (fun acc x regs -> (x, regs) :: acc) [])
 
 (* ------------------------------------------------------------------ *)
 (* Pruned enumeration                                                  *)
@@ -466,24 +472,29 @@ let consistent_executions (m : Axiom.Model.t) p =
 
 (* Witness-observability probe (lib/report): enumerate over the full
    unpruned candidate product so that every rejected candidate — not
-   just the post-prune survivors — reaches [on_reject], where the
-   coverage accounting classifies it by violated axiom.  The returned
-   behaviours are exactly [behaviours m p] (pruning only discards
-   candidates every model rejects); callers pay the unpruned cost only
-   when they opt into the probe. *)
-let behaviours_probed ~on_reject (m : Axiom.Model.t) p =
-  let bs =
-    List.filter_map
-      (fun (x, regs) ->
-        Parallel.Supervise.poll ();
-        if m.Axiom.Model.consistent x then Some { mem = X.behaviour x; regs }
-        else begin
-          on_reject x;
-          None
-        end)
-      (candidates p)
-  in
-  List.sort_uniq behaviour_compare bs
+   just the post-prune survivors — reaches its model's [on_reject],
+   where the coverage accounting classifies it by violated axiom.  One
+   pass serves every model: each candidate is filtered under each model
+   in turn.  The returned behaviours are exactly [behaviours m p]
+   (pruning only discards candidates every model rejects); callers pay
+   the unpruned cost only when they opt into the probe. *)
+let behaviours_probed_many probes p =
+  let accs = List.map (fun (m, on_reject) -> (m, on_reject, ref [])) probes in
+  fold_candidates p
+    (fun () x regs ->
+      Parallel.Supervise.poll ();
+      List.iter
+        (fun ((m : Axiom.Model.t), on_reject, acc) ->
+          if m.consistent x then acc := { mem = X.behaviour x; regs } :: !acc
+          else on_reject x)
+        accs)
+    ();
+  List.map
+    (fun ((m : Axiom.Model.t), _, acc) -> (m.name, List.sort_uniq behaviour_compare !acc))
+    accs
+
+let behaviours_probed ~on_reject m p =
+  snd (List.hd (behaviours_probed_many [ (m, on_reject) ] p))
 
 (* ------------------------------------------------------------------ *)
 (* Behaviours cache                                                    *)

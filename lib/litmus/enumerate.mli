@@ -61,12 +61,23 @@ val consistent_executions :
     rejects (including those the pruned path would discard before
     assembly).  Returns exactly what {!behaviours} returns, but bypasses
     the cache and the per-location pruning — this is the opt-in
-    axiom-coverage probe (lib/report), not a fast path. *)
+    axiom-coverage probe (lib/report), not a fast path.  The
+    one-model case of {!behaviours_probed_many}. *)
 val behaviours_probed :
   on_reject:(Axiom.Execution.t -> unit) ->
   Axiom.Model.t ->
   Ast.prog ->
   behaviour list
+
+(** [behaviours_probed_many [(m1, r1); ...] p] is
+    [[(m1.name, behaviours_probed ~on_reject:r1 m1 p); ...]] computed
+    with a {e single} pass over the unpruned candidate product: each
+    candidate is filtered under every model in turn, and a model that
+    rejects it calls its own [on_reject].  Models are not deduplicated. *)
+val behaviours_probed_many :
+  (Axiom.Model.t * (Axiom.Execution.t -> unit)) list ->
+  Ast.prog ->
+  (string * behaviour list) list
 
 (** The set of behaviours of the consistent executions, deduplicated and
     sorted.  Uses the pruned enumeration (see {!executions}) and a

@@ -8,6 +8,23 @@ type report = {
   extra : En.behaviour list;
 }
 
+(* Behaviour inclusion: the target behaviours with no source
+   counterpart are the bug witnesses. *)
+let verdict ~name bs bt =
+  let extra =
+    List.filter
+      (fun b ->
+        not (List.exists (fun b' -> En.behaviour_compare b b' = 0) bs))
+      bt
+  in
+  {
+    name;
+    ok = extra = [];
+    src_behaviours = List.length bs;
+    tgt_behaviours = List.length bt;
+    extra;
+  }
+
 let refines ~src_model ~tgt_model ~src ~tgt =
   (* Cancellation points between the two enumerations: a supervised
      sweep's deadline also fires when the source side finished in time
@@ -16,18 +33,7 @@ let refines ~src_model ~tgt_model ~src ~tgt =
   let bs = En.behaviours src_model src in
   Parallel.Supervise.poll ();
   let bt = En.behaviours tgt_model tgt in
-  let extra =
-    List.filter
-      (fun b -> not (List.exists (fun b' -> En.behaviour_compare b b' = 0) bs))
-      bt
-  in
-  {
-    name = src.Litmus.Ast.name;
-    ok = extra = [];
-    src_behaviours = List.length bs;
-    tgt_behaviours = List.length bt;
-    extra;
-  }
+  verdict ~name:src.Litmus.Ast.name bs bt
 
 (* ------------------------------------------------------------------ *)
 (* Batch planner                                                       *)
@@ -41,70 +47,81 @@ type cell = {
   cell_src : Litmus.Ast.prog;
 }
 
-(* The batch engine: instead of one opaque task per (scheme, program)
-   cell, plan the whole sweep first.  Transforms run on the caller (they
-   are cheap, and an exception surfaces in input order); the
-   enumeration work — where all the time goes — is grouped by program
-   AST, so each distinct program becomes one pool task enumerated once
-   under {e every} model any cell needs ([En.behaviours_many] shares the
-   pruned survivor pass across models).  Schemes that target the same
-   program under several models (e.g. the same RMW lowering checked
-   under arm-orig and arm-fix) collapse to a single enumeration, a
-   structural saving a per-cell sweep cannot see.  Reports are
-   assembled from the returned behaviour sets in cell order, so results
-   are identical — contents and order — to the per-cell sweep. *)
+type job = {
+  job_prog : Litmus.Ast.prog;
+  job_models : Axiom.Model.t list;
+  job_probed : bool;
+}
+
+(* Instead of one opaque task per (scheme, program) cell, plan the whole
+   sweep first: the enumeration work — where all the time goes — is
+   grouped by program AST, so each distinct program becomes one job
+   enumerated once under {e every} model any cell needs.  Schemes that
+   target the same program under several models (e.g. the same RMW
+   lowering checked under arm-orig and arm-fix), and schemes sharing a
+   source, collapse to a single enumeration, a structural saving a
+   per-cell sweep cannot see. *)
+let plan needs =
+  let jobs = Hashtbl.create 64 and order = ref [] in
+  List.iter
+    (fun (p, (m : Axiom.Model.t), probed) ->
+      match Hashtbl.find_opt jobs p with
+      | Some j ->
+          let known (m' : Axiom.Model.t) = m'.name = m.name in
+          Hashtbl.replace jobs p
+            {
+              j with
+              job_models =
+                (if List.exists known j.job_models then j.job_models
+                 else j.job_models @ [ m ]);
+              job_probed = j.job_probed || probed;
+            }
+      | None ->
+          Hashtbl.add jobs p
+            { job_prog = p; job_models = [ m ]; job_probed = probed };
+          order := p :: !order)
+    needs;
+  List.rev_map (Hashtbl.find jobs) !order
+
+let assemble ~scheme ~program ~src ~tgt =
+  verdict ~name:(Printf.sprintf "%s: %s" scheme program) src tgt
+
+(* The batch engine: transforms run on the caller (they are cheap, and
+   an exception surfaces in input order), each planned job is one pool
+   task ([En.behaviours_many] shares the pruned survivor pass across its
+   models), and reports are assembled from the returned behaviour sets
+   in cell order, so results are identical — contents and order — to
+   checking each cell through [refines]. *)
 let check_cells ?pool cells =
   let prepared = List.map (fun c -> (c, c.cell_f c.cell_src)) cells in
-  let jobs : (Litmus.Ast.prog, Axiom.Model.t list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let order = ref [] in
-  let need (m : Axiom.Model.t) p =
-    match Hashtbl.find_opt jobs p with
-    | Some ms ->
-        if
-          not
-            (List.exists (fun (m' : Axiom.Model.t) -> m'.name = m.name) !ms)
-        then ms := m :: !ms
-    | None ->
-        Hashtbl.add jobs p (ref [ m ]);
-        order := p :: !order
-  in
-  List.iter
-    (fun (c, tgt) ->
-      need c.cell_src_model c.cell_src;
-      need c.cell_tgt_model tgt)
-    prepared;
-  let jobs_list =
-    List.rev_map (fun p -> (p, List.rev !(Hashtbl.find jobs p))) !order
+  let jobs =
+    plan
+      (List.concat_map
+         (fun (c, tgt) ->
+           [
+             (c.cell_src, c.cell_src_model, false);
+             (tgt, c.cell_tgt_model, false);
+           ])
+         prepared)
   in
   let results =
     Parallel.Pool.map_list ?pool
-      (fun (p, models) -> En.behaviours_many models p)
-      jobs_list
+      (fun j -> En.behaviours_many j.job_models j.job_prog)
+      jobs
   in
   let tbl = Hashtbl.create 64 in
   List.iter2
-    (fun (p, _) res ->
-      List.iter (fun (mname, bs) -> Hashtbl.replace tbl (mname, p) bs) res)
-    jobs_list results;
+    (fun j res ->
+      List.iter
+        (fun (mname, bs) -> Hashtbl.replace tbl (mname, j.job_prog) bs)
+        res)
+    jobs results;
+  let find (m : Axiom.Model.t) p = Hashtbl.find tbl (m.name, p) in
   List.map
     (fun (c, tgt) ->
-      let bs = Hashtbl.find tbl (c.cell_src_model.Axiom.Model.name, c.cell_src) in
-      let bt = Hashtbl.find tbl (c.cell_tgt_model.Axiom.Model.name, tgt) in
-      let extra =
-        List.filter
-          (fun b ->
-            not (List.exists (fun b' -> En.behaviour_compare b b' = 0) bs))
-          bt
-      in
-      {
-        name = Printf.sprintf "%s: %s" c.cell_scheme c.cell_program;
-        ok = extra = [];
-        src_behaviours = List.length bs;
-        tgt_behaviours = List.length bt;
-        extra;
-      })
+      assemble ~scheme:c.cell_scheme ~program:c.cell_program
+        ~src:(find c.cell_src_model c.cell_src)
+        ~tgt:(find c.cell_tgt_model tgt))
     prepared
 
 let check_scheme ?pool ~name f ~src_model ~tgt_model corpus =

@@ -36,15 +36,42 @@ type cell = {
   cell_src : Litmus.Ast.prog;
 }
 
+(** A planned enumeration job: one distinct program with every model
+    some cell needs it under (deduplicated by name, in first-need
+    order), and whether any of those needs is coverage-probed. *)
+type job = {
+  job_prog : Litmus.Ast.prog;
+  job_models : Axiom.Model.t list;
+  job_probed : bool;
+}
+
+(** The batch planner: [plan needs] groups [(program, model, probed)]
+    needs by program AST into one {!job} per distinct program, in
+    first-need order.  A program shared by several cells — the source
+    of every scheme over it, the target of one lowering checked under
+    two models — is planned once. *)
+val plan : (Litmus.Ast.prog * Axiom.Model.t * bool) list -> job list
+
+(** [assemble ~scheme ~program ~src ~tgt] is the report of a cell
+    named ["scheme: program"] from its source behaviours (under the
+    source model) and its target behaviours (under the target model):
+    what {!refines} reports, under the cell's name. *)
+val assemble :
+  scheme:string ->
+  program:string ->
+  src:Litmus.Enumerate.behaviour list ->
+  tgt:Litmus.Enumerate.behaviour list ->
+  report
+
 (** The batch refinement engine.  [check_cells ?pool cells] plans the
     whole sweep before running it: transforms are applied up front, the
-    enumeration work is grouped by distinct program AST (each becomes
-    one pool chunk-scheduled task enumerated under every model any cell
-    needs, sharing the pruned survivor pass — see
-    [Litmus.Enumerate.behaviours_many]), and reports are assembled in
-    cell order.  Verdicts are identical — contents and order — to
-    running each cell through {!refines} on its own; the planner only
-    removes duplicated enumeration work a per-cell sweep repeats. *)
+    enumeration work is grouped by {!plan} (each job becomes one pool
+    chunk-scheduled task enumerated under all of its models, sharing
+    the pruned survivor pass — see [Litmus.Enumerate.behaviours_many]),
+    and reports are {!assemble}d in cell order.  Verdicts are identical
+    — contents and order — to running each cell through {!refines} on
+    its own; the planner only removes duplicated enumeration work a
+    per-cell sweep repeats. *)
 val check_cells : ?pool:Parallel.Pool.t -> cell list -> report list
 
 (** [check_scheme ~name f ~src_model ~tgt_model corpus] maps every

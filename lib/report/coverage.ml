@@ -22,16 +22,19 @@ let counter_for t model axiom =
    model rejects, the {e discriminating} axiom — the first violated one
    in checking order, i.e. [Explain.check]'s verdict.  Executions the
    predicate rejects but no decomposed axiom explains (not the case for
-   any lib/axiom model) land in "(undiagnosed)". *)
-let record ?(quiet = false) t ~scheme ~program ~(model : Axiom.Model.t) x =
-  let axiom =
-    match Axiom.Explain.which_of_model model with
-    | None -> "(unknown model)"
-    | Some w -> (
+   any lib/axiom model) land in "(undiagnosed)".  The model's axiom
+   decomposition is resolved once, when [classify model] is applied. *)
+let classify (model : Axiom.Model.t) =
+  match Axiom.Explain.which_of_model model with
+  | None -> fun _ -> "(unknown model)"
+  | Some w -> (
+      fun x ->
         match Axiom.Explain.check w x with
         | Axiom.Explain.Violates { axiom; _ } -> axiom
         | Axiom.Explain.Consistent -> "(undiagnosed)")
-  in
+
+let record ?(quiet = false) t ~scheme ~program ~(model : Axiom.Model.t) x =
+  let axiom = classify model x in
   let model = model.Axiom.Model.name in
   let key = { scheme; program; model; axiom } in
   (match Hashtbl.find_opt t.table key with

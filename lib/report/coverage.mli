@@ -21,11 +21,19 @@ val create : unit -> t
     ([axiom.reject.<model>/<axiom>]). *)
 val metric_prefix : string
 
+(** [classify model] resolves [model]'s axiom decomposition
+    ({!Axiom.Explain.which_of_model}) once and returns the function
+    naming the {e discriminating} axiom of a rejected candidate: the
+    first one {!Axiom.Explain.check} finds violated, ["(undiagnosed)"]
+    when none is, ["(unknown model)"] for a model outside lib/axiom.
+    Apply it once per model, then call the result per candidate. *)
+val classify : Axiom.Model.t -> Axiom.Execution.t -> string
+
 (** Account one rejected candidate execution of [program] under
-    [model].  With [~quiet:true] only the in-process table is bumped,
-    not the metric counter — journaled sweeps record attempts quietly
-    into a scratch table and {!add} the delta exactly once when the
-    task commits, so retries cannot double-count. *)
+    [model] by its {!classify} axiom.  With [~quiet:true] only the
+    in-process table is bumped, not the metric counter — a caller that
+    records an attempt into a scratch table {!add}s the delta exactly
+    once when the attempt commits, so retries cannot double-count. *)
 val record :
   ?quiet:bool ->
   t ->
@@ -36,7 +44,7 @@ val record :
   unit
 
 (** [add t key n] merges a pre-computed delta — replayed from a sweep
-    journal, or accumulated quietly during a task attempt — into both
+    journal, or accumulated by a sweep job's rejection counts — into both
     the matrix and the [axiom.reject.*] counter, as if {!record} had
     fired [n] times.  No-op for [n <= 0]. *)
 val add : t -> key -> int -> unit

@@ -205,7 +205,7 @@ let behaviour_of_json j =
         (jlist (jfield "regs" j));
   }
 
-let verdict_to_string (r : Mapping.Check.report)
+let verdict_record (r : Mapping.Check.report)
     (deltas : (Coverage.key * int) list) =
   Json.to_string
     (Json.Obj
@@ -279,16 +279,22 @@ let generated_entries ?config ?(schemes = default_generated_schemes) ~seed n =
 (* ------------------------------------------------------------------ *)
 (* The sweep runner.
 
-   Cells are processed in fixed-size shards.  Within a shard, cells the
-   journal already holds are replayed (report rebuilt, coverage deltas
-   merged via [Coverage.add]) and the missing ones run as one
-   {!Parallel.Supervise.map} batch of per-cell [Mapping.Check.refines],
-   on the pool when one is given, so a wedged or poisoned cell becomes
-   a typed failure instead of hanging or aborting the sweep.  The
-   shard's verdicts are then journaled in deterministic order: the
-   shard is the unit of crash-resumability, the cell stays the unit of
-   verdict identity.  Without a journal the same loop keeps verdicts in
-   memory only.
+   It plans before computing: the cells the journal does not hold need
+   their source and target programs, and [Mapping.Check.plan] groups
+   those needs into one job per distinct program.  A probed job makes
+   one unpruned pass that serves all of its models' behaviours and
+   rejection counts; any other job is one [En.behaviours_many].
+
+   Cells are then processed in fixed-size shards.  A shard replays the
+   cells the journal holds and runs the jobs its other cells need that
+   no earlier shard completed as one {!Parallel.Supervise.map} batch.
+   Completed jobs stay in the sweep-local table, so later shards only
+   assemble reports; a failed job stays pending for the next shard or
+   resume that needs it.  The table is written between batches, on the
+   calling domain only, so pool and sequential runs agree byte for
+   byte.  The shard's verdicts are journaled in cell order: the shard
+   is the unit of crash-resumability, the job the unit of supervised
+   work, the cell the unit of verdict identity and failure reporting.
 
    Witnesses and shrunk counterexamples are {e not} journaled: they are
    a deterministic function of (scheme, program) and are recomputed for
@@ -322,6 +328,67 @@ type generated = {
          shard (or no coverage requested). *)
 }
 
+(* Per model of a job: its behaviours and, for a probed job, its
+   rejected candidates counted by discriminating axiom. *)
+type job_result = (string * (En.behaviour list * (string * int) list)) list
+
+let run_job (j : Mapping.Check.job) : job_result =
+  if not j.job_probed then
+    List.map
+      (fun (m, bs) -> (m, (bs, [])))
+      (En.behaviours_many j.job_models j.job_prog)
+  else
+    let probes =
+      List.map
+        (fun (m : Axiom.Model.t) ->
+          let classify = Coverage.classify m and counts = Hashtbl.create 8 in
+          let on_reject x =
+            let axiom = classify x in
+            match Hashtbl.find_opt counts axiom with
+            | Some r -> incr r
+            | None -> Hashtbl.add counts axiom (ref 1)
+          in
+          ((m, on_reject), counts))
+        j.job_models
+    in
+    List.map2
+      (fun (m, bs) (_, counts) ->
+        (m, (bs, Hashtbl.fold (fun a r acc -> (a, !r) :: acc) counts [])))
+      (En.behaviours_probed_many (List.map fst probes) j.job_prog)
+      probes
+
+(* A planned job in the sweep-local table: [None] until an attempt
+   ends, then its latest outcome; [batch] is the last shard that
+   scheduled it. *)
+type job_state = {
+  job : Mapping.Check.job;
+  mutable outcome : (job_result, Parallel.Supervise.failure) result option;
+  mutable batch : int;
+}
+
+type work =
+  | Replay of Mapping.Check.report * (Coverage.key * int) list * string
+      (** decoded journal record, and its raw value *)
+  | Scheme_failed of Parallel.Supervise.failure  (** the scheme raised *)
+  | Compute of job_state * job_state  (** source and target jobs *)
+
+(* One cell's coverage deltas from its sides' (model, axiom counts):
+   keyed, sorted as [Coverage.counts] sorts, a model both sides share
+   summed. *)
+let cell_deltas ~scheme ~program sides =
+  let rec sum = function
+    | (k, a) :: (k', b) :: rest when k = k' -> sum ((k, a + b) :: rest)
+    | d :: rest -> d :: sum rest
+    | [] -> []
+  in
+  List.concat_map
+    (fun (model, counts) ->
+      List.map
+        (fun (axiom, n) -> ({ Coverage.scheme; program; model; axiom }, n))
+        counts)
+    sides
+  |> List.sort compare |> sum
+
 let rec take_split n xs =
   if n = 0 then ([], xs)
   else
@@ -353,48 +420,64 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
   List.iter
     (fun (k, v) -> Hashtbl.replace verdicts k v)
     recovery.Parallel.Frontier.entries;
+  let probe_src = Option.is_some coverage in
+  let probe_tgt = probe_src && probe_targets in
+  (* Plan.  Each cell is replayable from the journal, or its scheme is
+     applied (supervised like a job, minus the pool-task chaos) and it
+     needs two jobs.  A record the CRC accepted but the codec cannot
+     read (e.g. written by an older build) is dropped and its cell
+     recomputed. *)
+  let transform = { policy with chaos = None } in
+  let classified =
+    List.concat_map
+      (fun (e : entry) ->
+        List.map
+          (fun (program, src) ->
+            let key = cell_key e.scheme program in
+            let replay =
+              match Hashtbl.find_opt verdicts key with
+              | None -> None
+              | Some v -> (
+                  match verdict_of_string ~scheme:e.scheme ~program v with
+                  | report, deltas -> Some (Replay (report, deltas, v))
+                  | exception Bad_record _ -> None)
+            in
+            let work =
+              match replay with
+              | Some r -> `Done r
+              | None ->
+                  `Transformed
+                    (Parallel.Supervise.run transform (fun () -> e.f src))
+            in
+            ((e, program, src), key, work))
+          e.corpus)
+      entries
+  in
+  let table = Hashtbl.create 1024 in
+  List.iter
+    (fun (j : Mapping.Check.job) ->
+      Hashtbl.replace table j.job_prog { job = j; outcome = None; batch = 0 })
+    (Mapping.Check.plan
+       (List.concat_map
+          (function
+            | ((e : entry), _, src), _, `Transformed (Ok tgt) ->
+                [ (src, e.src_model, probe_src); (tgt, e.tgt_model, probe_tgt) ]
+            | _ -> [])
+          classified));
+  let prepared =
+    List.map
+      (fun ((((_ : entry), _, src) as c), key, work) ->
+        ( c,
+          key,
+          match work with
+          | `Done r -> r
+          | `Transformed (Ok tgt) ->
+              Compute (Hashtbl.find table src, Hashtbl.find table tgt)
+          | `Transformed (Error f) -> Scheme_failed f ))
+      classified
+  in
   let replayed = ref 0 and computed = ref 0 in
   let failures = ref [] and written = ref [] in
-  let compute ((e : entry), program, src) =
-    let tgt = e.f src in
-    let report =
-      Mapping.Check.refines ~src_model:e.src_model ~tgt_model:e.tgt_model ~src
-        ~tgt
-    in
-    let report =
-      {
-        report with
-        Mapping.Check.name = Printf.sprintf "%s: %s" e.scheme program;
-      }
-    in
-    let deltas =
-      match coverage with
-      | None -> []
-      | Some _ ->
-          (* Quiet scratch per attempt: a retried attempt re-probes from
-             zero, and only the committing attempt's delta is merged —
-             exactly-once accounting under retry. *)
-          let scratch = Coverage.create () in
-          ignore
-            (En.behaviours_probed
-               ~on_reject:(fun x ->
-                 Coverage.record ~quiet:true scratch ~scheme:e.scheme ~program
-                   ~model:e.src_model x)
-               e.src_model src);
-          (* Generated programs are where the target models' axioms get
-             exercised: optionally classify the target side's rejected
-             candidates too. *)
-          if probe_targets then
-            ignore
-              (En.behaviours_probed
-                 ~on_reject:(fun x ->
-                   Coverage.record ~quiet:true scratch ~scheme:e.scheme
-                     ~program ~model:e.tgt_model x)
-                 e.tgt_model tgt);
-          Coverage.counts scratch
-    in
-    (report, deltas)
-  in
   let seen_pairs = Hashtbl.create 64 in
   let new_pairs = ref 0 in
   (* Coverage merged exactly once per completed cell, and the pairs no
@@ -424,78 +507,90 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
     in
     { scheme = e.scheme; program; report; witnesses; shrunk }
   in
-  let run_shard shard =
-    (* Classify the shard's cells: replayable from the journal, or
-       missing and due for the supervised compute batch.  A record the
-       CRC accepted but the codec cannot read (e.g. written by an older
-       build) is dropped and its cell recomputed. *)
-    let prepared =
-      List.map
-        (fun (((e : entry), program, _src) as c) ->
-          let key = cell_key e.scheme program in
-          let replay =
-            match Hashtbl.find_opt verdicts key with
-            | None -> None
-            | Some v -> (
-                match verdict_of_string ~scheme:e.scheme ~program v with
-                | report, deltas -> Some (report, deltas, v)
-                | exception Bad_record _ -> None)
-          in
-          (c, key, replay))
-        shard
+  let assemble ((e : entry), program, _) rs rt =
+    let bs, src_counts = List.assoc e.src_model.Axiom.Model.name rs in
+    let bt, tgt_counts = List.assoc e.tgt_model.Axiom.Model.name rt in
+    let report =
+      Mapping.Check.assemble ~scheme:e.scheme ~program ~src:bs ~tgt:bt
     in
-    let missing =
-      List.filter_map
-        (fun (c, _, replay) -> if Option.is_none replay then Some c else None)
-        prepared
+    let deltas =
+      if not probe_src then []
+      else
+        cell_deltas ~scheme:e.scheme ~program
+          ((e.src_model.Axiom.Model.name, src_counts)
+          :: (if probe_tgt then [ (e.tgt_model.Axiom.Model.name, tgt_counts) ]
+              else []))
     in
-    let results =
-      ref
-        (match missing with
-        | [] -> []
-        | _ -> Parallel.Supervise.map ?pool policy compute missing)
+    (report, deltas)
+  in
+  let run_shard idx shard =
+    (* The shard's batch: the jobs its cells need that no earlier shard
+       completed, in first-need order. *)
+    let batch = ref [] in
+    let schedule s =
+      match s.outcome with
+      | Some (Ok _) -> ()
+      | _ ->
+          if s.batch <> idx then begin
+            s.batch <- idx;
+            batch := s :: !batch
+          end
     in
+    List.iter
+      (function
+        | _, _, Compute (s, t) ->
+            schedule s;
+            schedule t
+        | _ -> ())
+      shard;
+    let batch = List.rev !batch in
+    if batch <> [] then
+      List.iter2
+        (fun s r -> s.outcome <- Some r)
+        batch
+        (Parallel.Supervise.map ?pool policy (fun s -> run_job s.job) batch);
     List.filter_map
-      (fun (((e : entry), program, _src) as c, key, replay) ->
-        match replay with
-        | Some (report, deltas, v) ->
+      (fun ((((e : entry), program, _) as c), key, work) ->
+        let fail f =
+          (* No journal record: a resumed run retries the cell, so a
+             transient environment converges to the fault-free verdict
+             table. *)
+          failures := (e.scheme, program, f) :: !failures;
+          None
+        in
+        match work with
+        | Replay (report, deltas, v) ->
             incr replayed;
             written := (key, v) :: !written;
             merge_deltas deltas;
             Some (decorate c report)
-        | None -> (
-            match !results with
-            | [] -> None (* one result per missing cell *)
-            | r :: rest -> (
-                results := rest;
-                match r with
-                | Ok (report, deltas) ->
-                    incr computed;
-                    (* Journal before merging: if the append tears (chaos
-                       or crash), the cell is simply recomputed on
-                       resume — verdicts are never lost, never doubled. *)
-                    Option.iter
-                      (fun fr ->
-                        let v = verdict_to_string report deltas in
-                        Parallel.Frontier.append fr ~key ~value:v;
-                        written := (key, v) :: !written)
-                      fr;
-                    merge_deltas deltas;
-                    Some (decorate c report)
-                | Error failure ->
-                    (* No journal record: a resumed run retries the
-                       cell, so a transient environment converges to the
-                       fault-free verdict table. *)
-                    failures := (e.scheme, program, failure) :: !failures;
-                    None)))
-      prepared
+        | Scheme_failed f -> fail f
+        | Compute (s, t) -> (
+            match (s.outcome, t.outcome) with
+            | Some (Ok rs), Some (Ok rt) ->
+                let report, deltas = assemble c rs rt in
+                incr computed;
+                (* Journal before merging: if the append tears (chaos or
+                   crash), the cell is simply recomputed on resume —
+                   verdicts are never lost, never doubled. *)
+                Option.iter
+                  (fun fr ->
+                    let v = verdict_record report deltas in
+                    Parallel.Frontier.append fr ~key ~value:v;
+                    written := (key, v) :: !written)
+                  fr;
+                merge_deltas deltas;
+                Some (decorate c report)
+            | Some (Error f), _ | _, Some (Error f) -> fail f
+            | None, _ | _, None -> assert false (* scheduled above *)))
+      shard
   in
   let rec shard_loop idx cells_acc stats_acc = function
     | [] -> (List.concat (List.rev cells_acc), List.rev stats_acc)
     | rest ->
         let shard, rest = take_split (max 1 shard_size) rest in
         new_pairs := 0;
-        let cells = run_shard shard in
+        let cells = run_shard idx shard in
         let stat =
           {
             shard_index = idx;
@@ -505,13 +600,7 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
         in
         shard_loop (idx + 1) (cells :: cells_acc) (stat :: stats_acc) rest
   in
-  let cells, shard_stats =
-    shard_loop 1 [] []
-      (List.concat_map
-         (fun (e : entry) ->
-           List.map (fun (program, src) -> (e, program, src)) e.corpus)
-         entries)
-  in
+  let cells, shard_stats = shard_loop 1 [] [] prepared in
   (* Compact: one record per cell, canonical sweep order — a journal
      grown across many interrupted runs shrinks back to its minimum. *)
   Option.iter

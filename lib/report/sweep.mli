@@ -4,10 +4,11 @@
     accounting.
 
     One runner, {!run_generated}, serves the catalog report, generated
-    corpora, the chaos bench and the tests.  Verdicts always come from
-    the unmodified {!Mapping.Check.refines} path; witness capture, the
-    coverage probe and the journal are additive and run only when asked
-    for. *)
+    corpora, the chaos bench and the tests.  Verdicts come from the
+    batch planner's jobs ({!Mapping.Check.plan},
+    {!Mapping.Check.assemble}) and equal {!Mapping.Check.refines}'s;
+    witness capture, the coverage probe and the journal are additive
+    and run only when asked for. *)
 
 type entry = {
   scheme : string;
@@ -49,15 +50,22 @@ val failing : cell list -> cell list
     separator (0x1F), which neither side contains. *)
 val cell_key : string -> string -> string
 
+(** The journal value of a computed cell: its verdict and its coverage
+    deltas (key-sorted, as {!Coverage.counts} lists them), JSON-encoded.
+    A checkpointed journal holds [(cell_key scheme program,
+    verdict_record report deltas)] per completed cell, in sweep
+    order. *)
+val verdict_record :
+  Mapping.Check.report -> (Coverage.key * int) list -> string
+
 (** {1 Generated corpora} *)
 
 (** The schemes a generated sweep checks by default: the paper's
     verified x86→TCG frontend mapping and the corrected RMW lowering
     under both the original and fixed ARM models — sound schemes, so a
     clean generated sweep exits 0.  The two ARM cells map a program to
-    the same target, but each still enumerates it: the sweep checks
-    cells one by one through {!Mapping.Check.refines}, and the
-    behaviours cache is keyed by model name. *)
+    the same target, which {!run_generated} plans as one job enumerated
+    once under both models; all three share the source's job. *)
 val default_generated_schemes : string list
 
 (** [generated_entries ~seed n] generates [n] programs, dedups them
@@ -76,8 +84,9 @@ val generated_entries :
 type journaled = {
   cells : cell list;  (** canonical (entries × corpus) order *)
   failures : (string * string * Parallel.Supervise.failure) list;
-      (** (scheme, program, failure) of cells that timed out or were
-          quarantined this run — not journaled, retried on resume *)
+      (** (scheme, program, failure) of cells whose job (or scheme)
+          timed out or was quarantined this run, one per cell — not
+          journaled, retried on resume *)
   replayed : int;  (** cells restored from the journal *)
   computed : int;  (** cells computed this run *)
   recovery : Parallel.Frontier.recovery;
@@ -104,12 +113,20 @@ type generated = {
 
 (** [run_generated entries] checks every (scheme, program) cell, in
     shards of [shard_size] cells (default 1; values below 1 count as
-    1).  A shard's missing cells
-    run as one {!Parallel.Supervise.map} batch under [policy] (on
-    [pool] when given), each cell through {!Mapping.Check.refines}:
-    timeouts and exceptions surface in [failures] as typed
-    {!Parallel.Supervise.failure}s instead of escaping, and the sweep
-    goes on.
+    1).
+
+    It plans before computing: over every cell the journal does not
+    already hold, {!Mapping.Check.plan} maps each distinct program
+    (sources and targets alike) to every model some cell needs it
+    under.  Each such {e job} runs once, in the first shard that needs
+    it, as part of that shard's {!Parallel.Supervise.map} batch under
+    [policy] (on [pool] when given): deadlines, retries and the
+    [pool-task] chaos hook wrap jobs, not cells.  Later shards assemble
+    their reports from the completed jobs.  A job that times out or
+    raises yields one typed {!Parallel.Supervise.failure} in [failures]
+    for each dependent cell of that shard, and the sweep goes on; the
+    next shard or resume that needs the job retries it.  A scheme that
+    raises on a program is a failure of that cell alone.
 
     - [capture] (default false): failing cells carry witnesses
       ({!Mapping.Witness.capture}, at most [max_witnesses] each) and a
@@ -117,9 +134,12 @@ type generated = {
     - [coverage]: every source-program candidate rejected by the
       source model is accounted via {!Coverage.add}, exactly once per
       cell; [probe_targets] (default false) also classifies the
-      target side's rejected candidates under the target model.
+      target side's rejected candidates under the target model.  A
+      probed job enumerates the unpruned candidate product once and
+      classifies the rejections of each of its models; a cell's deltas
+      are its source and target jobs' counts for its models.
     - [journal]: after each shard, its computed cells append a
-      CRC-guarded verdict record (verdict + coverage deltas) to the
+      CRC-guarded {!verdict_record} (verdict + coverage deltas) to the
       {!Parallel.Frontier} journal at that path, and cells journaled
       by an earlier interrupted run are replayed instead of recomputed
       — verdict rebuilt, coverage deltas merged, witnesses re-derived

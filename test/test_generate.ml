@@ -16,6 +16,9 @@ let fig7a_entry () =
     (fun (e : Sweep.entry) -> e.scheme = "fig7a/x86->tcg")
     (Sweep.default_entries ())
 
+let read_file path =
+  In_channel.with_open_bin path In_channel.input_all
+
 let tmpdir prefix =
   let d =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -332,6 +335,127 @@ let test_force_spawn_identity () =
   in
   Alcotest.(check bool) "cross-domain planner parity" true (seq = par)
 
+(* -------- planner-backed sweep vs the per-cell reference -------- *)
+
+(* The per-cell compute the sweep runner used before it planned jobs,
+   kept here as the reference: [Check.refines], plus one unpruned probe
+   per side recorded into a quiet scratch table. *)
+let reference_cell ~coverage ~probe_targets (e : Sweep.entry) (program, src)
+    =
+  let tgt = e.f src in
+  let report =
+    {
+      (Check.refines ~src_model:e.src_model ~tgt_model:e.tgt_model ~src ~tgt)
+      with
+      Check.name = e.scheme ^ ": " ^ program;
+    }
+  in
+  let deltas =
+    if not coverage then []
+    else begin
+      let scratch = Report.Coverage.create () in
+      let probe model p =
+        ignore
+          (En.behaviours_probed
+             ~on_reject:
+               (Report.Coverage.record ~quiet:true scratch ~scheme:e.scheme
+                  ~program ~model)
+             model p)
+      in
+      probe e.src_model src;
+      if probe_targets then probe e.tgt_model tgt;
+      Report.Coverage.counts scratch
+    end
+  in
+  let witnesses, shrunk =
+    if report.Check.ok then ([], None)
+    else
+      ( Mapping.Witness.capture ~src_model:e.src_model ~tgt_model:e.tgt_model
+          ~src ~tgt report,
+        Some
+          (Mapping.Witness.shrink ~scheme:e.f ~src_model:e.src_model
+             ~tgt_model:e.tgt_model src) )
+  in
+  ({ Sweep.scheme = e.scheme; program; report; witnesses; shrunk }, deltas)
+
+(* The reference sweep: cells, coverage table and checkpointed journal
+   bytes. *)
+let reference_sweep ~coverage ~probe_targets ~journal entries =
+  let results =
+    List.concat_map
+      (fun (e : Sweep.entry) ->
+        List.map (reference_cell ~coverage ~probe_targets e) e.corpus)
+      entries
+  in
+  let cov = Report.Coverage.create () in
+  List.iter
+    (fun (_, deltas) ->
+      List.iter (fun (k, n) -> Report.Coverage.add cov k n) deltas)
+    results;
+  (try Sys.remove journal with Sys_error _ -> ());
+  let fr, _ = Parallel.Frontier.open_ journal in
+  Parallel.Frontier.checkpoint fr
+    (List.map
+       (fun ((c : Sweep.cell), deltas) ->
+         ( Sweep.cell_key c.scheme c.program,
+           Sweep.verdict_record c.report deltas ))
+       results);
+  Parallel.Frontier.close fr;
+  (List.map fst results, Report.Coverage.counts cov, read_file journal)
+
+let small_config =
+  { G.default_config with max_threads = 2; max_locs = 2; max_instrs = 3 }
+
+let check_planned_parity ?config ?(schemes = Sweep.default_generated_schemes)
+    ~coverage ~probe_targets ~shard_size ~seed n =
+  let _, entries = Sweep.generated_entries ?config ~schemes ~seed n in
+  let dir = tmpdir "risotto-planned" in
+  let journal = Filename.concat dir "reference.journal" in
+  let ref_cells, ref_counts, ref_bytes =
+    reference_sweep ~coverage ~probe_targets ~journal entries
+  in
+  Alcotest.(check bool) "the reference has cells" true (ref_cells <> []);
+  let check_run pool =
+      let label = if Option.is_some pool then "pool" else "sequential" in
+      (try Sys.remove journal with Sys_error _ -> ());
+      En.clear_caches ();
+      let cov = Report.Coverage.create () in
+      let g =
+        Sweep.run_generated ~capture:true
+          ?coverage:(if coverage then Some cov else None)
+          ?pool ~shard_size ~probe_targets ~journal entries
+      in
+      let j = g.gen_journaled in
+      Alcotest.(check bool) (label ^ ": no failures") true (j.failures = []);
+      Alcotest.(check bool)
+        (label ^ ": cells (report, witnesses, shrunk)")
+        true (j.cells = ref_cells);
+      Alcotest.(check bool)
+        (label ^ ": coverage counts") true
+        (Report.Coverage.counts cov = ref_counts);
+      Alcotest.(check bool)
+        (label ^ ": checkpointed journal bytes")
+        true
+        (read_file journal = ref_bytes)
+  in
+  check_run None;
+  P.with_pool ~jobs:2 (fun pool -> check_run (Some pool))
+
+let test_planned_small_probed () =
+  check_planned_parity ~config:small_config ~coverage:true ~probe_targets:true
+    ~shard_size:50 ~seed:3 400
+
+let test_planned_default_source_probe () =
+  check_planned_parity ~coverage:true ~probe_targets:false ~shard_size:64
+    ~seed:4 200
+
+let test_planned_no_coverage () =
+  (* A scheme that fails on generated programs: witnesses and shrunk
+     counterexamples are part of the parity. *)
+  check_planned_parity
+    ~schemes:[ "fig7a/x86->tcg"; "no-fences/arm-fix" ]
+    ~coverage:false ~probe_targets:false ~shard_size:32 ~seed:5 200
+
 let () =
   Alcotest.run "generate"
     [
@@ -349,6 +473,15 @@ let () =
             test_resume_parity;
           Alcotest.test_case "coverage saturation accounting" `Quick
             test_saturation;
+        ] );
+      ( "planned sweep",
+        [
+          Alcotest.test_case "small shapes, both probes, shards of 50" `Quick
+            test_planned_small_probed;
+          Alcotest.test_case "default config, source probe" `Quick
+            test_planned_default_source_probe;
+          Alcotest.test_case "no coverage, failing scheme" `Quick
+            test_planned_no_coverage;
         ] );
       ( "pool",
         [

@@ -538,6 +538,111 @@ let test_generated_chaos_resume () =
   check_int "journal keys unique" (List.length keys)
     (List.length (List.sort_uniq compare keys))
 
+(* Supervision wraps the planner's jobs, not cells.  With one shard per
+   default generated scheme, every source program's job is needed by a
+   cell in each of three shards. *)
+let job_corpus () =
+  let _, entries = Sweep.generated_entries ~seed:13 40 in
+  (entries, List.length (List.hd entries).Sweep.corpus)
+
+let cell_keys cells =
+  List.sort compare
+    (List.map
+       (fun (c : Sweep.cell) -> Sweep.cell_key c.Sweep.scheme c.Sweep.program)
+       cells)
+
+(* One failure per failed cell, failed + completed = the whole table,
+   and only completed cells journaled. *)
+let check_failure_accounting ~total (r : Sweep.journaled) journal =
+  let failed =
+    List.map (fun (s, p, _) -> Sweep.cell_key s p) r.Sweep.failures
+  in
+  check_int "one failure per failed cell" (List.length failed)
+    (List.length (List.sort_uniq compare failed));
+  check_int "cells + failures = all cells" total
+    (List.length r.Sweep.cells + List.length failed);
+  check_bool "exactly the completed cells are journaled" true
+    (List.sort compare (List.map fst (Fr.recover_file journal).Fr.entries)
+    = cell_keys r.Sweep.cells)
+
+let check_clean_resume ~reference ~shard_size journal entries =
+  let r =
+    (Sweep.run_generated ~shard_size ~journal entries).Sweep.gen_journaled
+  in
+  check_bool "clean resume has no failures" true (r.Sweep.failures = []);
+  check_bool "clean resume == reference" true
+    (List.map cell_sig r.Sweep.cells = List.map cell_sig reference);
+  let keys = List.map fst (Fr.recover_file journal).Fr.entries in
+  check_int "one record per cell" (List.length reference) (List.length keys);
+  check_int "journal keys unique" (List.length keys)
+    (List.length (List.sort_uniq compare keys))
+
+let test_job_deadline () =
+  let entries, shard_size = job_corpus () in
+  let reference =
+    (Sweep.run_generated ~shard_size entries).Sweep.gen_journaled.Sweep.cells
+  in
+  with_tmp ".jnl" @@ fun journal ->
+  (* Cold caches: the jobs must do real enumeration work to poll. *)
+  Litmus.Enumerate.clear_caches ();
+  let policy = { Sup.default with deadline_s = Some 1e-6 } in
+  let g = Sweep.run_generated ~policy ~shard_size ~journal entries in
+  let r = g.Sweep.gen_journaled in
+  check_int "one shard per scheme" 3 (List.length g.Sweep.gen_shards);
+  check_bool "timeouts fired" true (r.Sweep.failures <> []);
+  check_bool "every failure is a typed timeout" true
+    (List.for_all
+       (function _, _, Sup.Timed_out _ -> true | _ -> false)
+       r.Sweep.failures);
+  (* A source job that timed out is retried, and times out again, in
+     each later shard that needs it. *)
+  let failed = List.map (fun (s, p, _) -> (s, p)) r.Sweep.failures in
+  check_bool "some source's cells time out in all three shards" true
+    (List.exists
+       (fun (program, _) ->
+         List.for_all
+           (fun (e : Sweep.entry) -> List.mem (e.Sweep.scheme, program) failed)
+           entries)
+       (List.hd entries).Sweep.corpus);
+  check_failure_accounting ~total:(List.length reference) r journal;
+  check_clean_resume ~reference ~shard_size journal entries
+
+let test_job_quarantine () =
+  let entries, shard_size = job_corpus () in
+  let reference =
+    (Sweep.run_generated ~shard_size entries).Sweep.gen_journaled.Sweep.cells
+  in
+  with_tmp ".jnl" @@ fun journal ->
+  let inject =
+    match Inj.plan_of_string "always:pool-task" with
+    | Ok p -> Inj.create p
+    | Error msg -> failwith msg
+  in
+  let policy =
+    {
+      Sup.default with
+      retries = 1;
+      backoff_s = 0.;
+      chaos = Some (Inj.fire_hook inject Inj.Pool_task);
+    }
+  in
+  let r =
+    (Sweep.run_generated ~policy ~shard_size ~journal entries)
+      .Sweep.gen_journaled
+  in
+  check_int "no cell completes" 0 (List.length r.Sweep.cells);
+  check_bool "every cell quarantined after its job's two attempts" true
+    (List.for_all
+       (function
+         | _, _, Sup.Quarantined { attempts = 2; last } -> (
+             match last.Parallel.Pool.exn with
+             | Sup.Injected _ -> true
+             | _ -> false)
+         | _ -> false)
+       r.Sweep.failures);
+  check_failure_accounting ~total:(List.length reference) r journal;
+  check_clean_resume ~reference ~shard_size journal entries
+
 let () =
   Alcotest.run "resilience"
     [
@@ -597,6 +702,10 @@ let () =
         ] );
       ( "journaled sweep",
         [
+          Alcotest.test_case "job deadline: one timeout per cell" `Quick
+            test_job_deadline;
+          Alcotest.test_case "job chaos: quarantined per cell, resume"
+            `Quick test_job_quarantine;
           Alcotest.test_case "opt-in parity and byte-level resume" `Quick
             test_journaled_parity_and_resume;
           Alcotest.test_case "coverage replays exactly once" `Quick

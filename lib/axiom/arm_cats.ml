@@ -9,27 +9,6 @@ let lws x =
   let m = Execution.mems x in
   Rel.restrict m (Execution.po_loc x) w
 
-(* dob: dependency-ordered-before.  Litmus programs here produce data and
-   ctrl (and optionally addr) dependencies. *)
-let dob x =
-  let po = x.Execution.po in
-  let w = Execution.writes x in
-  let data = x.Execution.data
-  and addr = x.Execution.addr
-  and ctrl = x.Execution.ctrl in
-  let ctrl_w = Rel.compose ctrl (Rel.id w) in
-  let addr_po_w = Rel.compose addr (Rel.compose po (Rel.id w)) in
-  let dep_rfi = Rel.compose (Rel.union addr data) (Execution.rfi x) in
-  Rel.union_all [ addr; data; ctrl_w; addr_po_w; dep_rfi ]
-
-(* aob: atomic-ordered-before. *)
-let aob x =
-  let rmw = Execution.rmw x in
-  let aq = Iset.union (Execution.acq_reads x) (Execution.acq_pc_reads x) in
-  Rel.union rmw
-    (Rel.compose (Rel.id (Rel.codomain rmw))
-       (Rel.compose (Execution.rfi x) (Rel.id aq)))
-
 (* bob: barrier-ordered-before (Figure 5, including the standard
    acquire/release clauses elided by the paper's "∪ ···"). *)
 let bob variant x =
@@ -41,28 +20,28 @@ let bob variant x =
   let a = Execution.acq_reads x in
   let q = Execution.acq_pc_reads x in
   let l = Execution.rel_writes x in
-  let seq rs = Rel.sequence rs in
+  (* po; [F]; po, computed fence first: most programs have no fence
+     of a given kind, and then every clause through it is empty. *)
+  let through f = Rel.compose (Rel.compose po (Rel.id f)) po in
   let base =
     [
-      seq [ po; Rel.id f; po ];
-      seq [ Rel.id r; po; Rel.id fld; po ];
-      seq [ Rel.id w; po; Rel.id fst_; po; Rel.id w ];
+      through f;
+      Rel.compose (Rel.id r) (through fld);
+      Rel.compose (Rel.id w) (Rel.compose (through fst_) (Rel.id w));
       (* Acquire / acquirePC reads order with their po-successors. *)
-      seq [ Rel.id (Iset.union a q); po ];
+      Rel.compose (Rel.id (Iset.union a q)) po;
       (* Release writes order with their po-predecessors. *)
-      seq [ po; Rel.id l ];
+      Rel.compose po (Rel.id l);
       (* A release is ordered with a later acquire. *)
-      seq [ Rel.id l; po; Rel.id a ];
+      Rel.restrict l po a;
     ]
   in
   (* The amo clause: [A]; amo; [L] are the acquire-release
      single-instruction RMWs (e.g. casal). *)
-  let amo_al =
-    Rel.sequence [ Rel.id a; x.Execution.amo; Rel.id l ]
-  in
+  let amo_al = Rel.restrict a x.Execution.amo l in
   let amo_clause =
     match variant with
-    | Original -> [ seq [ po; amo_al; po ] ]
+    | Original -> [ Rel.sequence [ po; amo_al; po ] ]
     | Corrected ->
         [
           Rel.compose po (Rel.id (Rel.domain amo_al));
@@ -71,17 +50,50 @@ let bob variant x =
   in
   Rel.union_all (base @ amo_clause)
 
-let lob variant x =
-  Rel.transitive_closure
-    (Rel.union_all [ lws x; dob x; aob x; bob variant x ])
+(* lob's base relation, staged.  Every clause of lws, dob, aob and bob
+   is decided by the skeleton except the two that pass through rfi:
+   dob's (addr ∪ data); rfi and aob's [codom(rmw)]; rfi; [A ∪ Q]. *)
+type staged = { static : Rel.t; dep : Rel.t; rmw_w : Iset.t; aq : Iset.t }
 
-let ob_base variant x =
-  Rel.union_all
-    [ Execution.rfe x; Execution.coe x; Execution.fre x; lob variant x ]
+let stage variant x =
+  let po = x.Execution.po in
+  let w = Execution.writes x in
+  let addr = x.Execution.addr and data = x.Execution.data in
+  let rmw = Execution.rmw x in
+  let static =
+    Rel.union_all
+      [
+        lws x;
+        (* dob: data and ctrl (and optionally addr) dependencies. *)
+        addr;
+        data;
+        Rel.compose x.Execution.ctrl (Rel.id w);
+        Rel.compose addr (Rel.compose po (Rel.id w));
+        (* aob *)
+        rmw;
+        bob variant x;
+      ]
+  in
+  {
+    static;
+    dep = Rel.union addr data;
+    rmw_w = Rel.codomain rmw;
+    aq = Iset.union (Execution.acq_reads x) (Execution.acq_pc_reads x);
+  }
 
-let ob variant x = Rel.transitive_closure (ob_base variant x)
+let lob_base s x =
+  let rfi = Execution.rfi x in
+  Rel.union_all [ s.static; Rel.compose s.dep rfi; Rel.restrict s.rmw_w rfi s.aq ]
 
-let consistent variant x = Model.common x && Rel.irreflexive (ob variant x)
+let external_ x = [ Execution.rfe x; Execution.coe x; Execution.fre x ]
+let lob variant x = Rel.transitive_closure (lob_base (stage variant x) x)
+let ob_base variant x = Rel.union_all (lob variant x :: external_ x)
+
+(* acyclic(ext ∪ lob⁺) iff acyclic(ext ∪ lob's base): a cycle through
+   lob⁺ edges unfolds into one through base edges. *)
+let prepare variant skel =
+  let s = stage variant skel in
+  fun x -> Rel.acyclic (Rel.union_all (lob_base s x :: external_ x))
 
 let model variant =
   let name =
@@ -89,4 +101,4 @@ let model variant =
     | Original -> "Arm-Cats (original)"
     | Corrected -> "Arm-Cats (corrected)"
   in
-  { Model.name; consistent = consistent variant }
+  Model.make name (prepare variant)

@@ -14,11 +14,11 @@ type variant = Original | Corrected
 
 val model : variant -> Model.t
 
-(** [ob x variant] — the ordered-before relation, for diagnostics. *)
-val ob : variant -> Execution.t -> Relalg.Rel.t
-
 (** Locally-ordered-before, for diagnostics. *)
 val lob : variant -> Execution.t -> Relalg.Rel.t
 
-(** [ob] before transitive closure (informative cycles). *)
+(** The ordered-before relation [ob] before its transitive closure,
+    [rfe ∪ coe ∪ fre ∪ lob] with [lob] closed (informative cycles).
+    The model's own check tests the equivalent [acyclic] over [lob]'s
+    base instead. *)
 val ob_base : variant -> Execution.t -> Relalg.Rel.t

@@ -48,44 +48,50 @@ let k_sc_write = k_all + 7
 
 let build events =
   let kinds = Array.make (k_sc_write + 1) Iset.empty in
-  let locs = ref [] and threads = ref [] in
-  let add_to key id groups =
-    let s = Option.value ~default:Iset.empty (List.assoc_opt key groups) in
-    (key, Iset.add id s) :: List.remove_assoc key groups
+  (* Masks of the events at each location and in each thread. *)
+  let locs = ref [] and threads = ref [] and n = ref 0 in
+  let join groups found key b =
+    match List.find_opt found !groups with
+    | Some (_, m) -> m := Iset.union !m b
+    | None -> groups := (key, ref b) :: !groups
   in
   List.iter
     (fun (e : Event.t) ->
-      let mark k = kinds.(k) <- Iset.add e.id kinds.(k) in
+      let b = Iset.singleton e.id in
+      let mark k = kinds.(k) <- Iset.union kinds.(k) b in
+      if e.id >= !n then n := e.id + 1;
       mark k_all;
       (match e.label with
-      | Read { loc; ord; _ } ->
+      | Read { loc; ord; _ } -> (
           mark k_read;
-          locs := add_to loc e.id !locs;
-          (match ord with
+          join locs (fun (l, _) -> String.equal l loc) loc b;
+          match ord with
           | R_acq -> mark k_acq
           | R_acq_pc -> mark k_acq_pc
           | R_sc -> mark k_sc_read
           | R_plain -> ())
-      | Write { loc; ord; _ } ->
+      | Write { loc; ord; _ } -> (
           mark k_write;
-          locs := add_to loc e.id !locs;
-          (match ord with
-          | W_rel -> mark k_rel
-          | W_sc -> mark k_sc_write
-          | W_plain -> ())
+          join locs (fun (l, _) -> String.equal l loc) loc b;
+          match ord with W_rel -> mark k_rel | W_sc -> mark k_sc_write | W_plain -> ())
       | Fence f -> mark (Event.fence_index f));
-      if not (Event.is_init e) then threads := add_to e.tid e.id !threads)
+      if not (Event.is_init e) then
+        join threads (fun (t, _) -> Int.equal t e.tid) e.tid b)
     events;
+  (* Row [x] of [same_loc] and [internal]: the group holding [x]. *)
+  let rows groups =
+    let r = Array.make !n Iset.empty in
+    List.iter (fun (_, m) -> Iset.fold (fun id () -> r.(id) <- !m) !m ()) !groups;
+    r
+  in
+  let at_loc = rows locs and in_thread = rows threads in
   let all = kinds.(k_all) in
-  let inits = List.fold_left (fun s (_, t) -> Iset.diff s t) all !threads in
   {
     kinds;
-    same_loc = Rel.union_all (List.map (fun (_, s) -> Rel.cross s s) !locs);
-    internal = Rel.union_all (List.map (fun (_, t) -> Rel.cross t t) !threads);
+    same_loc = Rel.init !n (Array.get at_loc);
+    internal = Rel.init !n (Array.get in_thread);
     external_ =
-      Rel.union_all
-        (Rel.cross inits all
-        :: List.map (fun (_, t) -> Rel.cross t (Iset.diff all t)) !threads);
+      Rel.init !n (fun x -> if Iset.mem x all then Iset.diff all in_thread.(x) else Iset.empty);
   }
 
 (* The enumerator's candidates of one combination share one physical
@@ -201,20 +207,18 @@ let well_formed x =
   Ok ()
 
 let behaviour x =
-  let ws = writes x in
   let finals =
-    Iset.fold
-      (fun w acc ->
+    List.filter_map
+      (fun (e : Event.t) ->
+        match e.label with
         (* co-maximal: no same-location co-successor. *)
-        if Iset.is_empty (Rel.succs x.co w) then
-          let e = find x w in
-          match (Event.loc e, Event.value e) with
-          | Some l, Some v -> (l, v) :: acc
-          | _ -> acc
-        else acc)
-      ws []
+        | Write { loc; value; _ } when Iset.is_empty (Rel.succs x.co e.id) -> Some (loc, value)
+        | Read _ | Write _ | Fence _ -> None)
+      x.events
   in
-  List.sort compare finals
+  List.sort
+    (fun (l, v) (l', v') -> match String.compare l l' with 0 -> Int.compare v v' | c -> c)
+    finals
 
 let pp ppf x =
   Fmt.pf ppf "@[<v>events:@,%a@,po=%a@,rf=%a@,co=%a@]"

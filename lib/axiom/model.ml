@@ -1,13 +1,26 @@
 open Relalg
 
-type t = { name : string; consistent : Execution.t -> bool }
+type t = {
+  name : string;
+  consistent : Execution.t -> bool;
+  prepare : Execution.t -> Execution.t -> bool;
+}
 
-let sc_per_loc x =
-  Rel.acyclic
-    (Rel.union_all [ Execution.po_loc x; x.Execution.rf; x.Execution.co; Execution.fr x ])
+(* The common axioms over their rf/co-independent parts: po-loc for
+   coherence, the RMW pairs for atomicity (trivial without any). *)
+let coherent po_loc x =
+  Rel.acyclic (Rel.union_all [ po_loc; x.Execution.rf; x.Execution.co; Execution.fr x ])
 
-let atomicity x =
-  let fre_coe = Rel.compose (Execution.fre x) (Execution.coe x) in
-  Rel.is_empty (Rel.inter (Execution.rmw x) fre_coe)
+let atomic rmw x =
+  Rel.is_empty rmw
+  || Rel.is_empty (Rel.inter rmw (Rel.compose (Execution.fre x) (Execution.coe x)))
 
+let sc_per_loc x = coherent (Execution.po_loc x) x
+let atomicity x = atomic (Execution.rmw x) x
 let common x = sc_per_loc x && atomicity x
+
+let prepare_common skel =
+  let po_loc = Execution.po_loc skel and rmw = Execution.rmw skel in
+  fun x -> coherent po_loc x && atomic rmw x
+
+let make name prepare = { name; prepare; consistent = (fun x -> common x && prepare x x) }

@@ -1,8 +1,8 @@
 open Relalg
 
-let consistent x =
-  Model.common x
-  && Rel.acyclic
-       (Rel.union_all [ x.Execution.po; x.Execution.rf; x.Execution.co; Execution.fr x ])
+let prepare skel =
+  let po = skel.Execution.po in
+  fun x ->
+    Rel.acyclic (Rel.union_all [ po; x.Execution.rf; x.Execution.co; Execution.fr x ])
 
-let model = { Model.name = "SC"; consistent }
+let model = Model.make "SC" prepare

@@ -5,8 +5,11 @@ let ord x =
   let r = Execution.reads x and w = Execution.writes x in
   let m = Iset.union r w in
   let f k = Execution.fences x k in
+  (* [before]; po; [F]; po; [after], empty without an F fence. *)
   let fence_clause before kind after =
-    Rel.sequence [ Rel.id before; po; Rel.id (f kind); po; Rel.id after ]
+    match f kind with
+    | fs when Iset.is_empty fs -> Rel.empty
+    | fs -> Rel.restrict before (Rel.sequence [ po; Rel.id fs; po ]) after
   in
   let rmw = Execution.rmw x in
   let rsc = Execution.sc_reads x and wsc = Execution.sc_writes x in
@@ -30,10 +33,13 @@ let ord x =
       Rel.compose (Rel.id fsc) po;
     ]
 
-let ghb_base x =
-  Rel.union_all [ ord x; Execution.rfe x; Execution.coe x; Execution.fre x ]
+let base ord x =
+  Rel.union_all [ ord; Execution.rfe x; Execution.coe x; Execution.fre x ]
 
-let ghb x = Rel.transitive_closure (ghb_base x)
+let ghb_base x = base (ord x) x
 
-let consistent x = Model.common x && Rel.irreflexive (ghb x)
-let model = { Model.name = "TCG-IR"; consistent }
+let prepare skel =
+  let o = ord skel in
+  fun x -> Rel.acyclic (base o x)
+
+let model = Model.make "TCG-IR" prepare

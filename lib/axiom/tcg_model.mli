@@ -20,7 +20,5 @@ val model : Model.t
 (** The [ord] relation of Figure 6, exposed for diagnostics. *)
 val ord : Execution.t -> Relalg.Rel.t
 
-val ghb : Execution.t -> Relalg.Rel.t
-
 (** [ghb] before transitive closure (informative cycles). *)
 val ghb_base : Execution.t -> Relalg.Rel.t

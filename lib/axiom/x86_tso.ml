@@ -1,22 +1,26 @@
 open Relalg
 
-let ghb_base x =
+(* ppo ∪ implied: the part of GHB that po alone decides. *)
+let ordered x =
   let po = x.Execution.po in
   let r = Execution.reads x and w = Execution.writes x in
-  let ppo =
-    Rel.inter
-      (Rel.union_all [ Rel.cross w w; Rel.cross r w; Rel.cross r r ])
-      po
-  in
+  (* ((W×W) ∪ (R×W) ∪ (R×R)) ∩ po *)
+  let ppo = Rel.union (Rel.restrict w po w) (Rel.restrict r po (Iset.union r w)) in
   let rmw = Execution.rmw x in
   let at = Iset.union (Rel.domain rmw) (Rel.codomain rmw) in
   let at_f = Iset.union at (Execution.fences x Event.F_mfence) in
   let implied =
     Rel.union (Rel.compose po (Rel.id at_f)) (Rel.compose (Rel.id at_f) po)
   in
-  Rel.union_all
-    [ implied; ppo; Execution.rfe x; Execution.fr x; x.Execution.co ]
+  Rel.union implied ppo
 
-let ghb x = Rel.transitive_closure (ghb_base x)
-let consistent x = Model.common x && Rel.irreflexive (ghb x)
-let model = { Model.name = "x86-TSO"; consistent }
+let base ordered x =
+  Rel.union_all [ ordered; Execution.rfe x; Execution.fr x; x.Execution.co ]
+
+let ghb_base x = base (ordered x) x
+
+let prepare skel =
+  let o = ordered skel in
+  fun x -> Rel.acyclic (base o x)
+
+let model = Model.make "x86-TSO" prepare

@@ -12,8 +12,5 @@
 
 val model : Model.t
 
-(** The GHB relation itself, exposed for diagnostics. *)
-val ghb : Execution.t -> Relalg.Rel.t
-
 (** GHB before transitive closure (informative cycles). *)
 val ghb_base : Execution.t -> Relalg.Rel.t

@@ -3,9 +3,9 @@ let log_src = Logs.Src.create "risotto.engine" ~doc:"Risotto DBT engine"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* Timing, not events: latency histograms stay direct registry writes. *)
-let m_translate_ns = lazy (Obs.Metrics.histogram "engine.translate.ns")
-let m_compile_ns = lazy (Obs.Metrics.histogram "engine.compile.ns")
-let m_block_cycles = lazy (Obs.Metrics.histogram "engine.block.cycles")
+let m_translate_ns = Obs.Metrics.once (fun () -> Obs.Metrics.histogram "engine.translate.ns")
+let m_compile_ns = Obs.Metrics.once (fun () -> Obs.Metrics.histogram "engine.compile.ns")
+let m_block_cycles = Obs.Metrics.once (fun () -> Obs.Metrics.histogram "engine.block.cycles")
 
 type stats = {
   blocks_translated : int;
@@ -348,7 +348,7 @@ let promote t node =
         else
           match
             Obs.Trace.with_span ~cat:"engine" "backend" (fun () ->
-                Obs.Profile.time (Lazy.force m_compile_ns) (fun () ->
+                Obs.Profile.time (m_compile_ns ()) (fun () ->
                     Backend.compile t.config tcg))
           with
           | code -> Ok code
@@ -380,7 +380,7 @@ let translate t pc =
     ~args:(fun () -> [ ("pc", Printf.sprintf "0x%Lx" pc) ])
     "translate"
   @@ fun () ->
-  Obs.Profile.time (Lazy.force m_translate_ns) @@ fun () ->
+  Obs.Profile.time (m_translate_ns ()) @@ fun () ->
   let fired = Inject.fired t.inject Inject.Decode in
   let raw =
     Obs.Trace.with_span ~cat:"engine" "frontend" (fun () ->
@@ -902,7 +902,7 @@ let attribute_cycles node g ~from =
   if Obs.Metrics.enabled () then begin
     let dc = g.arm.Arm.Machine.cycles - from in
     node.Tbchain.prof_cycles <- node.Tbchain.prof_cycles + dc;
-    Obs.Metrics.observe (Lazy.force m_block_cycles) dc
+    Obs.Metrics.observe (m_block_cycles ()) dc
   end
 
 (* Static exit: follow the patched edge, or patch one the first time

@@ -9,10 +9,10 @@ let empty = { table = []; unres = [] }
 (* Link-resolution latency and outcomes (Figure 11 step 2): the whole
    import scan is timed into link.resolve.ns, per-PLT-call stub lookups
    into link.lookup.ns. *)
-let m_resolve_ns = lazy (Obs.Metrics.histogram "link.resolve.ns")
-let m_lookup_ns = lazy (Obs.Metrics.histogram "link.lookup.ns")
-let m_resolved = lazy (Obs.Metrics.counter "link.resolved")
-let m_unresolved = lazy (Obs.Metrics.counter "link.unresolved")
+let m_resolve_ns = Obs.Metrics.once (fun () -> Obs.Metrics.histogram "link.resolve.ns")
+let m_lookup_ns = Obs.Metrics.once (fun () -> Obs.Metrics.histogram "link.lookup.ns")
+let m_resolved = Obs.Metrics.once (fun () -> Obs.Metrics.counter "link.resolved")
+let m_unresolved = Obs.Metrics.once (fun () -> Obs.Metrics.counter "link.unresolved")
 
 let resolve (image : Image.Gelf.t) sigs =
   let resolve_one name =
@@ -34,11 +34,11 @@ let resolve (image : Image.Gelf.t) sigs =
       ~args:(fun () ->
         [ ("imports", string_of_int (List.length image.Image.Gelf.imports)) ])
       (fun () ->
-        Obs.Profile.time (Lazy.force m_resolve_ns) (fun () ->
+        Obs.Profile.time (m_resolve_ns ()) (fun () ->
             List.partition_map resolve_one image.Image.Gelf.imports))
   in
-  Obs.Metrics.add (Lazy.force m_resolved) (List.length table);
-  Obs.Metrics.add (Lazy.force m_unresolved) (List.length unres);
+  Obs.Metrics.add (m_resolved ()) (List.length table);
+  Obs.Metrics.add (m_unresolved ()) (List.length unres);
   { table; unres }
 
 let entries t = t.table
@@ -52,5 +52,5 @@ let cause_name = function
   | No_plt_slot -> "no PLT slot"
 
 let lookup t addr =
-  Obs.Profile.time (Lazy.force m_lookup_ns) (fun () ->
+  Obs.Profile.time (m_lookup_ns ()) (fun () ->
       List.find_opt (fun e -> Int64.equal e.plt_addr addr) t.table)

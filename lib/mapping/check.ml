@@ -53,6 +53,8 @@ type job = {
   job_probed : bool;
 }
 
+type need = Litmus.Ast.prog * Axiom.Model.t * bool
+
 (* Instead of one opaque task per (scheme, program) cell, plan the whole
    sweep first: the enumeration work — where all the time goes — is
    grouped by program AST, so each distinct program becomes one job
@@ -60,31 +62,52 @@ type job = {
    target the same program under several models (e.g. the same RMW
    lowering checked under arm-orig and arm-fix), and schemes sharing a
    source, collapse to a single enumeration, a structural saving a
-   per-cell sweep cannot see. *)
-let plan needs =
-  let jobs = Hashtbl.create 64 and order = ref [] in
-  List.iter
-    (fun (p, (m : Axiom.Model.t), probed) ->
-      match Hashtbl.find_opt jobs p with
-      | Some j ->
-          let known (m' : Axiom.Model.t) = m'.name = m.name in
-          Hashtbl.replace jobs p
-            {
-              j with
-              job_models =
-                (if List.exists known j.job_models then j.job_models
-                 else j.job_models @ [ m ]);
-              job_probed = j.job_probed || probed;
-            }
-      | None ->
-          Hashtbl.add jobs p
-            { job_prog = p; job_models = [ m ]; job_probed = probed };
-          order := p :: !order)
-    needs;
-  List.rev_map (Hashtbl.find jobs) !order
+   per-cell sweep cannot see.  Jobs are numbered in first-need order
+   and every cell gets its two job numbers, so the caller assembles
+   reports from a result array without hashing a program again. *)
+type building = {
+  b_prog : Litmus.Ast.prog;
+  mutable b_models : Axiom.Model.t list;  (* newest first *)
+  mutable b_probed : bool;
+}
+
+let plan cells =
+  let index = Hashtbl.create 64 and building = ref [] and n = ref 0 in
+  let need (p, (m : Axiom.Model.t), probed) =
+    match Hashtbl.find_opt index p with
+    | Some (i, b) ->
+        if not (List.exists (fun (m' : Axiom.Model.t) -> String.equal m'.name m.name) b.b_models)
+        then b.b_models <- m :: b.b_models;
+        b.b_probed <- b.b_probed || probed;
+        i
+    | None ->
+        let b = { b_prog = p; b_models = [ m ]; b_probed = probed } in
+        Hashtbl.add index p (!n, b);
+        building := b :: !building;
+        incr n;
+        !n - 1
+  in
+  let indices =
+    List.map
+      (fun (src, tgt) ->
+        let s = need src in
+        (s, need tgt))
+      cells
+  in
+  let jobs =
+    Array.of_list
+      (List.rev_map
+         (fun b -> { job_prog = b.b_prog; job_models = List.rev b.b_models; job_probed = b.b_probed })
+         !building)
+  in
+  (jobs, indices)
 
 let assemble ~scheme ~program ~src ~tgt =
   verdict ~name:(Printf.sprintf "%s: %s" scheme program) src tgt
+
+(* A job's behaviours under one of its models. *)
+let model_result results (m : Axiom.Model.t) =
+  snd (List.find (fun (name, _) -> String.equal name m.name) results)
 
 (* The batch engine: transforms run on the caller (they are cheap, and
    an exception surfaces in input order), each planned job is one pool
@@ -94,35 +117,24 @@ let assemble ~scheme ~program ~src ~tgt =
    checking each cell through [refines]. *)
 let check_cells ?pool cells =
   let prepared = List.map (fun c -> (c, c.cell_f c.cell_src)) cells in
-  let jobs =
+  let jobs, indices =
     plan
-      (List.concat_map
-         (fun (c, tgt) ->
-           [
-             (c.cell_src, c.cell_src_model, false);
-             (tgt, c.cell_tgt_model, false);
-           ])
+      (List.map
+         (fun (c, tgt) -> ((c.cell_src, c.cell_src_model, false), (tgt, c.cell_tgt_model, false)))
          prepared)
   in
   let results =
-    Parallel.Pool.map_list ?pool
-      (fun j -> En.behaviours_many j.job_models j.job_prog)
-      jobs
+    Array.of_list
+      (Parallel.Pool.map_list ?pool
+         (fun j -> En.behaviours_many j.job_models j.job_prog)
+         (Array.to_list jobs))
   in
-  let tbl = Hashtbl.create 64 in
-  List.iter2
-    (fun j res ->
-      List.iter
-        (fun (mname, bs) -> Hashtbl.replace tbl (mname, j.job_prog) bs)
-        res)
-    jobs results;
-  let find (m : Axiom.Model.t) p = Hashtbl.find tbl (m.name, p) in
-  List.map
-    (fun (c, tgt) ->
+  List.map2
+    (fun (c, _) (s, t) ->
       assemble ~scheme:c.cell_scheme ~program:c.cell_program
-        ~src:(find c.cell_src_model c.cell_src)
-        ~tgt:(find c.cell_tgt_model tgt))
-    prepared
+        ~src:(model_result results.(s) c.cell_src_model)
+        ~tgt:(model_result results.(t) c.cell_tgt_model))
+    prepared indices
 
 let check_scheme ?pool ~name f ~src_model ~tgt_model corpus =
   check_cells ?pool

@@ -45,12 +45,18 @@ type job = {
   job_probed : bool;
 }
 
-(** The batch planner: [plan needs] groups [(program, model, probed)]
-    needs by program AST into one {!job} per distinct program, in
-    first-need order.  A program shared by several cells — the source
-    of every scheme over it, the target of one lowering checked under
-    two models — is planned once. *)
-val plan : (Litmus.Ast.prog * Axiom.Model.t * bool) list -> job list
+(** A program some cell checks, the model it is checked under, and
+    whether that check is coverage-probed. *)
+type need = Litmus.Ast.prog * Axiom.Model.t * bool
+
+(** The batch planner: [plan cells] groups the (source, target) needs of
+    every cell by program AST into one {!job} per distinct program,
+    numbered in first-need order, and returns the jobs with each cell's
+    (source job, target job) numbers, in cell order.  A program shared
+    by several cells — the source of every scheme over it, the target of
+    one lowering checked under two models — is planned once, and a
+    caller assembles each cell from its jobs' results by number. *)
+val plan : (need * need) list -> job array * (int * int) list
 
 (** [assemble ~scheme ~program ~src ~tgt] is the report of a cell
     named ["scheme: program"] from its source behaviours (under the

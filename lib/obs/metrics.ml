@@ -102,6 +102,16 @@ let gauge name =
           gauges := g :: !gauges;
           g)
 
+let once register =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some v -> v
+    | None ->
+        let v = register () in
+        Atomic.set cell (Some v);
+        v
+
 let add id by =
   if enabled () then begin
     let s = Domain.DLS.get shard_key in

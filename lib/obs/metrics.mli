@@ -30,6 +30,15 @@ val counter : string -> counter
 val gauge : string -> gauge
 val histogram : string -> histogram
 
+(** [once register] runs [register] on its first call and returns that
+    result from then on: a metric handle resolved on first use.  Unlike
+    a [lazy] handle it may be reached from several domains at once.  A
+    domain forcing a lazy value that another domain is still forcing
+    raises [CamlinternalLazy.Undefined]; racing first calls here each
+    run [register] instead, and agree, as registration by name is
+    idempotent. *)
+val once : (unit -> 'a) -> unit -> 'a
+
 val add : counter -> int -> unit
 val incr : counter -> unit
 val set : gauge -> int -> unit

@@ -27,9 +27,9 @@ type recovery = {
 
 exception Injected_fault of string
 
-let m_recovered = lazy (Obs.Metrics.counter "journal.recovered")
-let m_truncated = lazy (Obs.Metrics.counter "journal.truncated.bytes")
-let m_appends = lazy (Obs.Metrics.counter "journal.appends")
+let m_recovered = Obs.Metrics.once (fun () -> Obs.Metrics.counter "journal.recovered")
+let m_truncated = Obs.Metrics.once (fun () -> Obs.Metrics.counter "journal.truncated.bytes")
+let m_appends = Obs.Metrics.once (fun () -> Obs.Metrics.counter "journal.appends")
 
 let payload_of ~key ~value =
   Printf.sprintf "%08x %s%s" (String.length key) key value
@@ -115,8 +115,8 @@ let recover_file path = fst (scan (read_file path))
 let open_ ?chaos path =
   let s = read_file path in
   let rec_, keep = scan s in
-  Obs.Metrics.add (Lazy.force m_recovered) rec_.valid;
-  Obs.Metrics.add (Lazy.force m_truncated) rec_.dropped_bytes;
+  Obs.Metrics.add (m_recovered ()) rec_.valid;
+  Obs.Metrics.add (m_truncated ()) rec_.dropped_bytes;
   (* Rewrite the valid prefix (or a fresh header) and reopen in append
      position: the torn tail is physically gone, so a later recovery
      cannot trip over it. *)
@@ -149,7 +149,7 @@ let append t ~key ~value =
   | _ -> ());
   output_string t.oc record;
   flush t.oc;
-  Obs.Metrics.incr (Lazy.force m_appends)
+  Obs.Metrics.incr (m_appends ())
 
 let checkpoint t entries =
   (* Last-wins dedup, first-seen key order. *)

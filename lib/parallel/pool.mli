@@ -80,7 +80,10 @@ val shutdown : t -> unit
 
 (** [map pool f xs] applies [f] to every element of [xs], in parallel,
     returning per-task results in input order.  Never raises for a
-    failing task. *)
+    failing task.  Nor does it hang when the pool's own bookkeeping
+    around a chunk raises in some domain: that domain survives, and
+    every task left without a result fails with a {!fault} carrying the
+    bookkeeping's exception. *)
 val map : t -> ('a -> 'b) -> 'a list -> ('b, fault) result list
 
 (** Like {!map} but re-raises (at the call site) the original exception

@@ -88,9 +88,11 @@ let with_deadline deadline_s f =
 (* ------------------------------------------------------------------ *)
 (* Retry / quarantine driver                                           *)
 
-let m_retry = lazy (Obs.Metrics.counter "task.retry")
-let m_timeout = lazy (Obs.Metrics.counter "task.timeout")
-let m_quarantined = lazy (Obs.Metrics.counter "task.quarantined")
+(* Reached from pool workers: handles, not lazies (see
+   [Obs.Metrics.once]). *)
+let m_retry = Obs.Metrics.once (fun () -> Obs.Metrics.counter "task.retry")
+let m_timeout = Obs.Metrics.once (fun () -> Obs.Metrics.counter "task.timeout")
+let m_quarantined = Obs.Metrics.once (fun () -> Obs.Metrics.counter "task.quarantined")
 
 let run_indexed policy ~index f =
   let rec attempt k =
@@ -112,7 +114,7 @@ let run_indexed policy ~index f =
     | Ok y -> Ok y
     | Error `Timeout ->
         (* Deterministic work times out again; don't burn retries. *)
-        Obs.Metrics.incr (Lazy.force m_timeout);
+        Obs.Metrics.incr (m_timeout ());
         Error
           (Timed_out
              {
@@ -121,7 +123,7 @@ let run_indexed policy ~index f =
              })
     | Error (`Fault fault) ->
         if k <= policy.retries then begin
-          Obs.Metrics.incr (Lazy.force m_retry);
+          Obs.Metrics.incr (m_retry ());
           let delay =
             Float.min policy.max_backoff_s
               (policy.backoff_s *. Float.pow 2. (float_of_int (k - 1)))
@@ -130,7 +132,7 @@ let run_indexed policy ~index f =
           attempt (k + 1)
         end
         else begin
-          Obs.Metrics.incr (Lazy.force m_quarantined);
+          Obs.Metrics.incr (m_quarantined ());
           Error (Quarantined { attempts = k; last = fault })
         end
   in

@@ -453,28 +453,25 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
           e.corpus)
       entries
   in
-  let table = Hashtbl.create 1024 in
-  List.iter
-    (fun (j : Mapping.Check.job) ->
-      Hashtbl.replace table j.job_prog { job = j; outcome = None; batch = 0 })
-    (Mapping.Check.plan
-       (List.concat_map
-          (function
-            | ((e : entry), _, src), _, `Transformed (Ok tgt) ->
-                [ (src, e.src_model, probe_src); (tgt, e.tgt_model, probe_tgt) ]
-            | _ -> [])
-          classified));
-  let prepared =
-    List.map
-      (fun ((((_ : entry), _, src) as c), key, work) ->
-        ( c,
-          key,
-          match work with
-          | `Done r -> r
-          | `Transformed (Ok tgt) ->
-              Compute (Hashtbl.find table src, Hashtbl.find table tgt)
-          | `Transformed (Error f) -> Scheme_failed f ))
-      classified
+  let jobs, indices =
+    Mapping.Check.plan
+      (List.filter_map
+         (function
+           | ((e : entry), _, src), _, `Transformed (Ok tgt) ->
+               Some ((src, e.src_model, probe_src), (tgt, e.tgt_model, probe_tgt))
+           | _ -> None)
+         classified)
+  in
+  let states = Array.map (fun job -> { job; outcome = None; batch = 0 }) jobs in
+  let _, prepared =
+    List.fold_left_map
+      (fun indices (c, key, work) ->
+        match (work, indices) with
+        | `Done r, _ -> (indices, (c, key, r))
+        | `Transformed (Ok _), (s, t) :: rest -> (rest, (c, key, Compute (states.(s), states.(t))))
+        | `Transformed (Ok _), [] -> assert false (* one pair per transformed cell *)
+        | `Transformed (Error f), _ -> (indices, (c, key, Scheme_failed f)))
+      indices classified
   in
   let replayed = ref 0 and computed = ref 0 in
   let failures = ref [] and written = ref [] in

@@ -24,12 +24,10 @@ let run_pass ?ledger p ops =
 (* Per-pass wall-clock histograms (opt.<pass>.ns), registered on first
    use so a pipeline run can be attributed pass by pass. *)
 let pass_hists =
-  lazy
-    (List.map
-       (fun p -> (p, Obs.Metrics.histogram ("opt." ^ pass_name p ^ ".ns")))
-       all)
+  Obs.Metrics.once (fun () ->
+      List.map (fun p -> (p, Obs.Metrics.histogram ("opt." ^ pass_name p ^ ".ns"))) all)
 
-let pass_hist p = List.assq p (Lazy.force pass_hists)
+let pass_hist p = List.assq p (pass_hists ())
 
 let record_fences l ~pass outcome ops =
   Array.iter

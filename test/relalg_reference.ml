@@ -50,6 +50,12 @@ module Rel = struct
   let add x y r = S.add (x, y) r
   let of_list l = S.of_list l
   let to_list = S.elements
+
+  let init n f =
+    let rec go x acc =
+      if x < 0 then acc else go (x - 1) (Iset.fold (fun y acc -> S.add (x, y) acc) (f x) acc)
+    in
+    go (n - 1) S.empty
   let union = S.union
   let union_all rs = List.fold_left S.union S.empty rs
   let inter = S.inter

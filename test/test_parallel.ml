@@ -19,6 +19,34 @@ let test_map_ordering () =
         (List.map (fun x -> (x * 2) + 1) xs)
         ys)
 
+(* Every draining domain reaches the pool's metric handles at once on a
+   process's first batch.  A [lazy] handle raised
+   [CamlinternalLazy.Undefined] in the domain that lost the race (and a
+   worker dying holding a chunk hung [map]); [Obs.Metrics.once] must
+   serve every domain the one registered metric.  The slow
+   registration makes the four first calls overlap. *)
+let test_once_concurrent () =
+  let calls = Atomic.make 0 and ready = Atomic.make 0 in
+  let handle =
+    Obs.Metrics.once (fun () ->
+        Atomic.incr calls;
+        Unix.sleepf 0.01;
+        Obs.Metrics.counter "test.pool.once")
+  in
+  let first_use () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    handle ()
+  in
+  let others = List.init 3 (fun _ -> Domain.spawn first_use) in
+  let mine = first_use () in
+  check_bool "every domain gets the same metric" true
+    (List.for_all (fun d -> Domain.join d = mine) others);
+  check_bool "registered at least once" true (Atomic.get calls >= 1);
+  check_bool "and is remembered" true (handle () = mine && Atomic.get calls <= 4)
+
 let test_fault_capture () =
   P.with_pool ~jobs:4 (fun pool ->
       let xs = List.init 20 Fun.id in
@@ -259,6 +287,8 @@ let () =
         [
           Alcotest.test_case "map keeps input order" `Quick test_map_ordering;
           Alcotest.test_case "faults are per-task" `Quick test_fault_capture;
+          Alcotest.test_case "metric handles: concurrent first use" `Quick
+            test_once_concurrent;
           Alcotest.test_case "map_exn reraises" `Quick test_map_exn_reraises;
           Alcotest.test_case "nested map degrades" `Quick test_nested_map;
           Alcotest.test_case "jobs=1 sequential" `Quick test_sequential_pool;

@@ -240,6 +240,7 @@ let prop_matches_reference =
       pp_eq "Iset.pp" Iset.pp s Ref.Iset.pp s';
       (* Rel *)
       rel "Rel.of_list" a a';
+      rel "Rel.init" (Rel.init (x + 1) (Rel.succs a)) (Ref.Rel.init (x + 1) (Ref.Rel.succs a'));
       agree "Rel.is_empty" (Rel.is_empty a = Ref.Rel.is_empty a');
       agree "Rel.mem" (Rel.mem x y a = Ref.Rel.mem x y a');
       rel "Rel.add" (Rel.add x y a) (Ref.Rel.add x y a');
@@ -417,9 +418,29 @@ let test_id_bound () =
   check_bool "cycle through 62" false (Rel.acyclic r);
   Alcotest.(check (list int)) "62 in a set" [ 0; 62 ] (Iset.to_list (Iset.of_list [ 62; 0 ]))
 
+(* Relations over a few ids from the whole 0..62 range; half of them
+   point every edge up, so both verdicts of [acyclic] are common. *)
+let gen_wide_rel =
+  QCheck.Gen.(
+    let* ids = list_size (int_range 1 12) (int_range 0 62) in
+    let id = oneofl ids in
+    let* pairs = list_size (int_range 0 24) (pair id id) in
+    let+ upward = bool in
+    if upward then List.filter_map (fun (a, b) -> if a < b then Some (a, b) else None) pairs
+    else pairs)
+
+let prop_acyclic =
+  QCheck.Test.make ~name:"acyclic is irreflexive closure, as in the reference" ~count:500
+    (QCheck.make ~print:QCheck.Print.(list (pair int int)) gen_wide_rel)
+    (fun l ->
+      let r = Rel.of_list l in
+      let v = Rel.acyclic r in
+      v = Rel.irreflexive (Rel.transitive_closure r) && v = Ref.Rel.acyclic (Ref.Rel.of_list l))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_acyclic;
       prop_closure_idempotent;
       prop_closure_contains;
       prop_compose_assoc;

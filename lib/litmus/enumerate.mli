@@ -44,9 +44,12 @@ val candidates : Ast.prog -> (Axiom.Execution.t * ((int * string) * int) list) l
     Unlike {!candidates}, the consistent-execution path enumerates with
     per-location pruning: (rf, co) choices that violate per-location
     coherence or RMW atomicity are rejected before the cross-location
-    product is taken.  This assumes the model's consistency predicate
-    implies [Axiom.Model.common] — true of every model in [lib/axiom] —
-    and produces exactly the executions the unpruned path would keep. *)
+    product is taken.  The survivors then satisfy [Axiom.Model.common],
+    and each is checked with the model's own axiom alone, prepared once
+    per combination ([Axiom.Model.t.prepare]).  This assumes
+    [consistent x = common x && prepare x x], as [Axiom.Model.make]
+    builds every model in [lib/axiom], and produces exactly the
+    executions the unpruned path would keep, in enumeration order. *)
 val executions : Axiom.Model.t -> Ast.prog -> Axiom.Execution.t list
 
 (** Like {!executions}, with each execution's full behaviour (final

@@ -29,27 +29,30 @@ type outcome =
   | Check_error of string  (** e.g. a program too large for the enumerator *)
   | Checked of Litmus.Ast.test * Litmus.Enumerate.verdict
 
-let m_files = lazy (Obs.Metrics.counter "litmus.files")
-let m_ok = lazy (Obs.Metrics.counter "litmus.ok")
-let m_check_ns = lazy (Obs.Metrics.histogram "litmus.check.ns")
+(* [check_one] runs as a pool task under [-j N], so the handles are
+   [once], not [lazy]: a lazy value forced from two domains at once
+   raises [CamlinternalLazy.Undefined]. *)
+let m_files = Obs.Metrics.once (fun () -> Obs.Metrics.counter "litmus.files")
+let m_ok = Obs.Metrics.once (fun () -> Obs.Metrics.counter "litmus.ok")
+let m_check_ns = Obs.Metrics.once (fun () -> Obs.Metrics.histogram "litmus.check.ns")
 
 let check_one model path =
   Obs.Trace.with_span ~cat:"litmus"
     ~args:(fun () -> [ ("file", path) ])
     "check"
   @@ fun () ->
-  Obs.Metrics.incr (Lazy.force m_files);
+  Obs.Metrics.incr (m_files ());
   match Litmus.Parser.parse (read_file path) with
   | exception Sys_error msg -> Read_error msg
   | exception Litmus.Parser.Error { line; msg } -> Parse_error { line; msg }
   | test -> (
       match
-        Obs.Profile.time (Lazy.force m_check_ns) (fun () ->
+        Obs.Profile.time (m_check_ns ()) (fun () ->
             Litmus.Enumerate.check model test)
       with
       | exception Invalid_argument msg -> Check_error msg
       | v ->
-          if v.Litmus.Enumerate.ok then Obs.Metrics.incr (Lazy.force m_ok);
+          if v.Litmus.Enumerate.ok then Obs.Metrics.incr (m_ok ());
           Checked (test, v))
 
 let report_one model verbose path outcome =

@@ -19,8 +19,11 @@ let sc_per_loc x = coherent (Execution.po_loc x) x
 let atomicity x = atomic (Execution.rmw x) x
 let common x = sc_per_loc x && atomicity x
 
+let prepare_coherence skel = coherent (Execution.po_loc skel)
+let prepare_atomicity skel = atomic (Execution.rmw skel)
+
 let prepare_common skel =
-  let po_loc = Execution.po_loc skel and rmw = Execution.rmw skel in
-  fun x -> coherent po_loc x && atomic rmw x
+  let coherent = prepare_coherence skel and atomic = prepare_atomicity skel in
+  fun x -> coherent x && atomic x
 
 let make name prepare = { name; prepare; consistent = (fun x -> common x && prepare x x) }

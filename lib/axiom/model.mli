@@ -41,3 +41,13 @@ val common : Execution.t -> bool
     a skeleton whose [po] and RMW pairs are restricted to one
     location's events checks that location's slice of a candidate. *)
 val prepare_common : Execution.t -> Execution.t -> bool
+
+(** The two halves of {!prepare_common}: [prepare_coherence skel]
+    stages {!sc_per_loc} on [po-loc], [prepare_atomicity skel] stages
+    {!atomicity} on the RMW pairs.  A caller that must tell the two
+    apart (the coverage probe, which counts each rejection under the
+    first axiom {!Explain.check} finds violated) runs them
+    separately. *)
+val prepare_coherence : Execution.t -> Execution.t -> bool
+
+val prepare_atomicity : Execution.t -> Execution.t -> bool

@@ -500,38 +500,61 @@ let consistent_executions (m : Axiom.Model.t) p =
        (fun acc x regs -> (x, { mem = X.behaviour x; regs }) :: acc)
        [])
 
+type reject_class = Coherence | Own | Atomicity
+
 (* Witness-observability probe (lib/report): enumerate over the full
    unpruned candidate product so that every rejected candidate — not
-   just the post-prune survivors — reaches its model's [on_reject],
-   where the coverage accounting classifies it by violated axiom.  One
-   pass serves every model: each candidate is filtered under each model
-   in turn.  The returned behaviours are exactly [behaviours m p]
+   just the post-prune survivors — is seen and classified by the first
+   axiom [Explain.check] would find violated: coherence, then the
+   model's own axiom, then atomicity.  The classes fall out of the
+   staged checks themselves, each prepared once per combo on its
+   skeleton: coherence and atomicity once for all models, the own axiom
+   per model.  The returned behaviours are exactly [behaviours m p]
    (pruning only discards candidates every model rejects); callers pay
-   the unpruned cost only when they opt into the probe. *)
-let behaviours_probed_many probes p =
-  let accs = List.map (fun (m, on_reject) -> (m, on_reject, ref [])) probes in
-  (* Per combo: the common axioms once for all models, and each model's
-     own axiom, both prepared on the skeleton. *)
+   the unpruned cost only when they opt into the probe.
+
+   [reject i cls x]: the [i]th model rejected [x], first violating the
+   [cls] axiom. *)
+let probe_fold (models : Axiom.Model.t list) ~reject p =
+  let accs = Array.make (List.length models) [] in
   let stage skel =
-    ( Axiom.Model.prepare_common skel,
-      List.map (fun ((m : Axiom.Model.t), on_reject, acc) -> (m.prepare skel, on_reject, acc)) accs )
+    ( Axiom.Model.prepare_coherence skel,
+      Axiom.Model.prepare_atomicity skel,
+      List.mapi (fun i (m : Axiom.Model.t) -> (i, m.prepare skel)) models )
   in
   fold_candidates p ~stage
-    (fun () (common, checks) x regs ->
+    (fun () (coherent, atomic, checks) x regs ->
       Parallel.Supervise.poll ();
-      let common = common x in
-      List.iter
-        (fun (check, on_reject, acc) ->
-          if common && check x then acc := { mem = X.behaviour x; regs } :: !acc
-          else on_reject x)
-        checks)
+      if not (coherent x) then List.iter (fun (i, _) -> reject i Coherence x) checks
+      else
+        let atomic = atomic x in
+        List.iter
+          (fun (i, own) ->
+            if not (own x) then reject i Own x
+            else if not atomic then reject i Atomicity x
+            else accs.(i) <- { mem = X.behaviour x; regs } :: accs.(i))
+          checks)
     ();
-  List.map
-    (fun ((m : Axiom.Model.t), _, acc) -> (m.name, List.sort_uniq behaviour_compare !acc))
-    accs
+  List.mapi
+    (fun i (m : Axiom.Model.t) -> (m.name, List.sort_uniq behaviour_compare accs.(i)))
+    models
+
+type rejects = { coherence : int; own : int; atomicity : int }
+
+let behaviours_probed_many models p =
+  let counts = Array.init (List.length models) (fun _ -> Array.make 3 0) in
+  let reject i cls _ =
+    let c = counts.(i) and k = match cls with Coherence -> 0 | Own -> 1 | Atomicity -> 2 in
+    c.(k) <- c.(k) + 1
+  in
+  List.mapi
+    (fun i (name, bs) ->
+      let c = counts.(i) in
+      (name, (bs, { coherence = c.(0); own = c.(1); atomicity = c.(2) })))
+    (probe_fold models ~reject p)
 
 let behaviours_probed ~on_reject m p =
-  snd (List.hd (behaviours_probed_many [ (m, on_reject) ] p))
+  snd (List.hd (probe_fold [ m ] ~reject:(fun _ _ x -> on_reject x) p))
 
 (* ------------------------------------------------------------------ *)
 (* Behaviours cache                                                    *)

@@ -63,24 +63,30 @@ val consistent_executions :
     [on_reject] on every candidate the model's consistency predicate
     rejects (including those the pruned path would discard before
     assembly).  Returns exactly what {!behaviours} returns, but bypasses
-    the cache and the per-location pruning — this is the opt-in
-    axiom-coverage probe (lib/report), not a fast path.  The
-    one-model case of {!behaviours_probed_many}. *)
+    the cache and the per-location pruning — the opt-in axiom-coverage
+    probe, not a fast path.  It runs the same pass as
+    {!behaviours_probed_many}. *)
 val behaviours_probed :
   on_reject:(Axiom.Execution.t -> unit) ->
   Axiom.Model.t ->
   Ast.prog ->
   behaviour list
 
-(** [behaviours_probed_many [(m1, r1); ...] p] is
-    [[(m1.name, behaviours_probed ~on_reject:r1 m1 p); ...]] computed
-    with a {e single} pass over the unpruned candidate product: each
-    candidate is filtered under every model in turn, and a model that
-    rejects it calls its own [on_reject].  Models are not deduplicated. *)
+(** A model's rejected candidates, counted by the first axiom
+    {!Axiom.Explain.check} finds violated, in its checking order:
+    coherence (sc-per-loc), the model's own axiom, atomicity. *)
+type rejects = { coherence : int; own : int; atomicity : int }
+
+(** [behaviours_probed_many models p] is, for each model [m],
+    [(m.name, (bs, r))] where [bs = behaviours_probed m p] and [r]
+    counts the candidates [m] rejects by class.  One pass over the
+    unpruned candidate product serves every model, and the classes come
+    from the staged checks the pass already runs
+    ({!Axiom.Model.prepare_coherence}, [m.prepare],
+    {!Axiom.Model.prepare_atomicity}), with no per-candidate
+    diagnosis.  Models are not deduplicated. *)
 val behaviours_probed_many :
-  (Axiom.Model.t * (Axiom.Execution.t -> unit)) list ->
-  Ast.prog ->
-  (string * behaviour list) list
+  Axiom.Model.t list -> Ast.prog -> (string * (behaviour list * rejects)) list
 
 (** The set of behaviours of the consistent executions, deduplicated and
     sorted.  Uses the pruned enumeration (see {!executions}) and a

@@ -71,10 +71,23 @@ type building = {
   mutable b_probed : bool;
 }
 
+(* Programs keyed by their structural hash, computed once per need:
+   the table never rehashes an AST when it grows, and the sources
+   every scheme shares compare physically. *)
+module Prog_key = struct
+  type t = { hash : int; prog : Litmus.Ast.prog }
+
+  let equal a b = a.hash = b.hash && (a.prog == b.prog || a.prog = b.prog)
+  let hash k = k.hash
+end
+
+module Prog_tbl = Hashtbl.Make (Prog_key)
+
 let plan cells =
-  let index = Hashtbl.create 64 and building = ref [] and n = ref 0 in
+  let index = Prog_tbl.create 64 and building = ref [] and n = ref 0 in
   let need (p, (m : Axiom.Model.t), probed) =
-    match Hashtbl.find_opt index p with
+    let key = { Prog_key.hash = Hashtbl.hash p; prog = p } in
+    match Prog_tbl.find_opt index key with
     | Some (i, b) ->
         if not (List.exists (fun (m' : Axiom.Model.t) -> String.equal m'.name m.name) b.b_models)
         then b.b_models <- m :: b.b_models;
@@ -82,7 +95,7 @@ let plan cells =
         i
     | None ->
         let b = { b_prog = p; b_models = [ m ]; b_probed = probed } in
-        Hashtbl.add index p (!n, b);
+        Prog_tbl.add index key (!n, b);
         building := b :: !building;
         incr n;
         !n - 1
@@ -109,19 +122,19 @@ let assemble ~scheme ~program ~src ~tgt =
 let model_result results (m : Axiom.Model.t) =
   snd (List.find (fun (name, _) -> String.equal name m.name) results)
 
-(* The batch engine: transforms run on the caller (they are cheap, and
-   an exception surfaces in input order), each planned job is one pool
-   task ([En.behaviours_many] shares the pruned survivor pass across its
-   models), and reports are assembled from the returned behaviour sets
-   in cell order, so results are identical — contents and order — to
-   checking each cell through [refines]. *)
+(* The batch engine: three pool maps — the transforms, one task per
+   planned job ([En.behaviours_many] shares the pruned survivor pass
+   across its models) and the report assembly — with the plan on the
+   caller between them.  [map_list] keeps input order and re-raises the
+   lowest-index exception, so results and failures are identical —
+   contents and order — to checking each cell through [refines]. *)
 let check_cells ?pool cells =
-  let prepared = List.map (fun c -> (c, c.cell_f c.cell_src)) cells in
+  let tgts = Parallel.Pool.map_list ?pool (fun c -> c.cell_f c.cell_src) cells in
   let jobs, indices =
     plan
-      (List.map
-         (fun (c, tgt) -> ((c.cell_src, c.cell_src_model, false), (tgt, c.cell_tgt_model, false)))
-         prepared)
+      (List.map2
+         (fun c tgt -> ((c.cell_src, c.cell_src_model, false), (tgt, c.cell_tgt_model, false)))
+         cells tgts)
   in
   let results =
     Array.of_list
@@ -129,12 +142,12 @@ let check_cells ?pool cells =
          (fun j -> En.behaviours_many j.job_models j.job_prog)
          (Array.to_list jobs))
   in
-  List.map2
-    (fun (c, _) (s, t) ->
+  Parallel.Pool.map_list ?pool
+    (fun (c, (s, t)) ->
       assemble ~scheme:c.cell_scheme ~program:c.cell_program
         ~src:(model_result results.(s) c.cell_src_model)
         ~tgt:(model_result results.(t) c.cell_tgt_model))
-    prepared indices
+    (List.combine cells indices)
 
 let check_scheme ?pool ~name f ~src_model ~tgt_model corpus =
   check_cells ?pool

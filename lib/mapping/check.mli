@@ -74,7 +74,9 @@ val assemble :
     enumeration work is grouped by {!plan} (each job becomes one pool
     chunk-scheduled task enumerated under all of its models, sharing
     the pruned survivor pass — see [Litmus.Enumerate.behaviours_many]),
-    and reports are {!assemble}d in cell order.  Verdicts are identical
+    and reports are {!assemble}d in cell order.  Transforms and
+    assembly run on [pool] too, one task per cell; an exception from
+    either surfaces as the lowest-index cell's.  Verdicts are identical
     — contents and order — to running each cell through {!refines} on
     its own; the planner only removes duplicated enumeration work a
     per-cell sweep repeats. *)

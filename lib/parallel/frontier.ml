@@ -31,9 +31,6 @@ let m_recovered = Obs.Metrics.once (fun () -> Obs.Metrics.counter "journal.recov
 let m_truncated = Obs.Metrics.once (fun () -> Obs.Metrics.counter "journal.truncated.bytes")
 let m_appends = Obs.Metrics.once (fun () -> Obs.Metrics.counter "journal.appends")
 
-let payload_of ~key ~value =
-  Printf.sprintf "%08x %s%s" (String.length key) key value
-
 let split_payload p =
   (* "<klen:8 hex> <key><value>" *)
   if String.length p < 9 || p.[8] <> ' ' then None
@@ -43,11 +40,35 @@ let split_payload p =
         Some (String.sub p 9 klen, String.sub p (9 + klen) (String.length p - 9 - klen))
     | Some _ | None -> None
 
-let record_of ~key ~value =
-  let payload = payload_of ~key ~value in
-  Printf.sprintf "R %08x %s\n%s\n" (String.length payload)
-    (Checksum.Crc32.to_hex (Checksum.Crc32.digest payload))
-    payload
+type framed = { f_key : string; bytes : string }
+
+let put_hex8 b pos n =
+  for i = 0 to 7 do
+    Bytes.unsafe_set b (pos + i) "0123456789abcdef".[(n lsr (4 * (7 - i))) land 0xF]
+  done
+
+(* One record, framed once: the payload's CRC runs over its three parts
+   in turn, and header, payload and newline are written into one
+   buffer of the record's exact size. *)
+let frame ~key ~value =
+  let klen = String.length key and vlen = String.length value in
+  let plen = 9 + klen + vlen in
+  let b = Bytes.create (header_len + plen + 1) in
+  Bytes.set b 0 'R';
+  Bytes.set b 1 ' ';
+  put_hex8 b 2 plen;
+  Bytes.set b 10 ' ';
+  Bytes.set b 19 '\n';
+  let body = header_len in
+  put_hex8 b body klen;
+  Bytes.set b (body + 8) ' ';
+  Bytes.blit_string key 0 b (body + 9) klen;
+  Bytes.blit_string value 0 b (body + 9 + klen) vlen;
+  Bytes.set b (body + plen) '\n';
+  let crc = Checksum.Crc32.digest (Bytes.sub_string b body 9) in
+  let crc = Checksum.Crc32.digest ~crc:(Checksum.Crc32.digest ~crc key) value in
+  Bytes.blit_string (Checksum.Crc32.to_hex crc) 0 b 11 8;
+  { f_key = key; bytes = Bytes.unsafe_to_string b }
 
 (* Scan [s] (the whole file) and return the recovery plus the byte
    offset where the valid prefix ends. *)
@@ -136,46 +157,56 @@ let open_ ?chaos path =
   (try Unix.truncate path (pos_out oc) with Unix.Unix_error _ -> ());
   ({ path; oc; chaos }, rec_)
 
-let append t ~key ~value =
-  let record = record_of ~key ~value in
+let append_framed t r =
   (match t.chaos with
   | Some fire when fire () ->
-      (* Tear the record: header plus half the payload, flushed, then
-         fail — what a crash inside the append leaves behind. *)
-      let torn = String.sub record 0 (header_len + ((String.length record - header_len) / 2)) in
-      output_string t.oc torn;
+      (* Tear the record: header plus half the payload, flushed with
+         whatever the channel already buffered, then fail — what a
+         crash inside the append leaves behind. *)
+      output_substring t.oc r.bytes 0
+        (header_len + ((String.length r.bytes - header_len) / 2));
       flush t.oc;
-      raise (Injected_fault (Printf.sprintf "journal append of %S torn" key))
+      raise (Injected_fault (Printf.sprintf "journal append of %S torn" r.f_key))
   | _ -> ());
-  output_string t.oc record;
-  flush t.oc;
+  output_string t.oc r.bytes;
   Obs.Metrics.incr (m_appends ())
 
-let checkpoint t entries =
+let append t ~key ~value = append_framed t (frame ~key ~value)
+let flush t = Stdlib.flush t.oc
+
+let checkpoint_framed t records =
   (* Last-wins dedup, first-seen key order. *)
-  let seen = Hashtbl.create (List.length entries) in
-  List.iter (fun (k, v) -> Hashtbl.replace seen k v) entries;
-  let order = ref [] in
-  let emitted = Hashtbl.create (List.length entries) in
-  List.iter
-    (fun (k, _) ->
-      if not (Hashtbl.mem emitted k) then begin
-        Hashtbl.add emitted k ();
-        order := (k, Hashtbl.find seen k) :: !order
-      end)
-    entries;
-  let compact = List.rev !order in
+  let latest = Hashtbl.create (List.length records) in
+  List.iter (fun r -> Hashtbl.replace latest r.f_key r) records;
+  let compact =
+    List.filter_map
+      (fun r ->
+        match Hashtbl.find_opt latest r.f_key with
+        | Some last ->
+            Hashtbl.remove latest r.f_key;
+            Some last
+        | None -> None)
+      records
+  in
   let tmp = t.path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc magic;
-      List.iter (fun (key, value) -> output_string oc (record_of ~key ~value)) compact);
+  (* [close_out] flushes and reports a failed final write (ENOSPC):
+     then the rename must not happen, or a truncated file would replace
+     the journal. *)
+  (try
+     output_string oc magic;
+     List.iter (fun r -> output_string oc r.bytes) compact;
+     close_out oc
+   with e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
   close_out_noerr t.oc;
   Sys.rename tmp t.path;
-  let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 t.path in
-  t.oc <- oc
+  t.oc <- open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 t.path
+
+let checkpoint t entries =
+  checkpoint_framed t (List.map (fun (key, value) -> frame ~key ~value) entries)
 
 let path t = t.path
 let close t = close_out_noerr t.oc

@@ -48,16 +48,43 @@ val open_ : ?chaos:(unit -> bool) -> string -> t * recovery
     {!append}; when it answers [true] the append is torn and
     {!Injected_fault} raised. *)
 
+type framed
+(** One record framed for the journal — header, CRC and payload bytes —
+    as {!append_framed} and {!checkpoint_framed} write it.  Framing is
+    pure, so a caller can frame records on other domains and hand them
+    to the owning domain to write. *)
+
+val frame : key:string -> value:string -> framed
+
+val append_framed : t -> framed -> unit
+(** Append one framed record to the journal's buffer.  Records reach
+    the OS at the next {!flush}, {!checkpoint} or {!close} (or earlier,
+    when the buffer fills): a writer flushes once per batch — the sweep
+    once per shard — and a [kill -9] before that loses at most the
+    batch's unflushed records, which a resume recomputes.  Keys may
+    repeat; recovery preserves append order and {!checkpoint}
+    deduplicates last-wins.  A firing chaos hook flushes the records
+    buffered before this one, then tears this one. *)
+
 val append : t -> key:string -> value:string -> unit
-(** Append one record and flush it to the OS, so a subsequent [kill -9]
-    cannot lose it.  Keys may repeat; recovery preserves append order
-    and {!checkpoint} deduplicates last-wins. *)
+(** [append t ~key ~value] is [append_framed t (frame ~key ~value)]. *)
+
+val flush : t -> unit
+(** Hand every buffered record to the OS. *)
+
+val checkpoint_framed : t -> framed list -> unit
+(** Replace the journal's contents with exactly these records
+    (deduplicated last-wins by key, first-seen key order), written
+    as framed — nothing is re-encoded.  They go to [path ^ ".tmp"],
+    which is closed (so a failed final write raises and the journal is
+    left as it was) and then renamed over the journal: the rename is
+    atomic, so a crash mid-checkpoint leaves the previous journal
+    intact.  Nothing is fsync'd, so a power loss may still lose the
+    checkpoint.  The journal stays open for further appends. *)
 
 val checkpoint : t -> (string * string) list -> unit
-(** Atomically replace the journal's contents with exactly [entries]
-    (deduplicated last-wins, first-seen key order): written to
-    [path ^ ".tmp"], fsync'd by rename.  The journal stays open for
-    further appends. *)
+(** [checkpoint t entries] frames each [(key, value)] and
+    {!checkpoint_framed}s them. *)
 
 val path : t -> string
 val close : t -> unit

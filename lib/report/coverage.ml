@@ -1,61 +1,59 @@
 type key = { scheme : string; program : string; model : string; axiom : string }
 
 type t = {
-  table : (key, int ref) Hashtbl.t;
-  counters : (string, Obs.Metrics.counter) Hashtbl.t;
+  mutable deltas : (key * int) list;
+      (* newest first, a key possibly more than once: a sweep merges
+         each cell's keys once, so summing waits for [counts] *)
+  counters : (string * string, Obs.Metrics.counter) Hashtbl.t;
+      (* by (model, axiom): the metric name is built once per pair *)
 }
 
-let create () = { table = Hashtbl.create 64; counters = Hashtbl.create 16 }
+let create () = { deltas = []; counters = Hashtbl.create 16 }
 
 let metric_prefix = "axiom.reject."
 
 let counter_for t model axiom =
-  let name = metric_prefix ^ model ^ "/" ^ axiom in
-  match Hashtbl.find_opt t.counters name with
+  match Hashtbl.find_opt t.counters (model, axiom) with
   | Some c -> c
   | None ->
-      let c = Obs.Metrics.counter name in
-      Hashtbl.add t.counters name c;
+      let c = Obs.Metrics.counter (metric_prefix ^ model ^ "/" ^ axiom) in
+      Hashtbl.add t.counters (model, axiom) c;
       c
 
 (* What the coverage matrix counts: for each candidate execution the
    model rejects, the {e discriminating} axiom — the first violated one
-   in checking order, i.e. [Explain.check]'s verdict.  Executions the
-   predicate rejects but no decomposed axiom explains (not the case for
-   any lib/axiom model) land in "(undiagnosed)".  The model's axiom
-   decomposition is resolved once, when [classify model] is applied. *)
-let classify (model : Axiom.Model.t) =
-  match Axiom.Explain.which_of_model model with
-  | None -> fun _ -> "(unknown model)"
-  | Some w -> (
-      fun x ->
-        match Axiom.Explain.check w x with
-        | Axiom.Explain.Violates { axiom; _ } -> axiom
-        | Axiom.Explain.Consistent -> "(undiagnosed)")
-
-let record ?(quiet = false) t ~scheme ~program ~(model : Axiom.Model.t) x =
-  let axiom = classify model x in
-  let model = model.Axiom.Model.name in
-  let key = { scheme; program; model; axiom } in
-  (match Hashtbl.find_opt t.table key with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.table key (ref 1));
-  if not quiet then Obs.Metrics.incr (counter_for t model axiom)
+   in checking order, i.e. [Explain.check]'s verdict.  The probe counts
+   its rejections by class in that order; the class names are the
+   model's [Explain.axiom_names]. *)
+let reject_counts (model : Axiom.Model.t) (r : Litmus.Enumerate.rejects) =
+  let named =
+    match Axiom.Explain.which_of_model model with
+    | Some w -> (
+        match Axiom.Explain.axiom_names w with
+        | [ coherence; own; atomicity ] ->
+            [ (coherence, r.coherence); (own, r.own); (atomicity, r.atomicity) ]
+        | _ -> assert false (* Explain checks three axioms per model *))
+    | None -> [ ("(unknown model)", r.coherence + r.own + r.atomicity) ]
+  in
+  List.filter (fun (_, n) -> n > 0) named
 
 (* Merge a pre-computed delta (e.g. replayed from a sweep journal, or
-   a per-attempt scratch table) into both the matrix and the metric
-   counter, as if [record] had fired [n] times. *)
+   a probed job's rejection counts) into both the matrix and the
+   metric counter. *)
 let add t key n =
   if n > 0 then begin
-    (match Hashtbl.find_opt t.table key with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.add t.table key (ref n));
+    t.deltas <- (key, n) :: t.deltas;
     Obs.Metrics.add (counter_for t key.model key.axiom) n
   end
 
 let counts t =
-  List.sort compare
-    (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.table [])
+  let sorted = List.stable_sort (fun (a, _) (b, _) -> compare a b) t.deltas in
+  let rec sum acc = function
+    | (k, a) :: (k', b) :: rest when k = k' -> sum acc ((k, a + b) :: rest)
+    | d :: rest -> sum (d :: acc) rest
+    | [] -> List.rev acc
+  in
+  sum [] sorted
 
 let axioms_of_model (model : Axiom.Model.t) =
   match Axiom.Explain.which_of_model model with
@@ -64,9 +62,7 @@ let axioms_of_model (model : Axiom.Model.t) =
 
 let blind_spots t models =
   let exercised model axiom =
-    Hashtbl.fold
-      (fun k r acc -> acc || (!r > 0 && k.model = model && k.axiom = axiom))
-      t.table false
+    List.exists (fun (k, _) -> k.model = model && k.axiom = axiom) t.deltas
   in
   List.concat_map
     (fun (m : Axiom.Model.t) ->

@@ -21,32 +21,18 @@ val create : unit -> t
     ([axiom.reject.<model>/<axiom>]). *)
 val metric_prefix : string
 
-(** [classify model] resolves [model]'s axiom decomposition
-    ({!Axiom.Explain.which_of_model}) once and returns the function
-    naming the {e discriminating} axiom of a rejected candidate: the
-    first one {!Axiom.Explain.check} finds violated, ["(undiagnosed)"]
-    when none is, ["(unknown model)"] for a model outside lib/axiom.
-    Apply it once per model, then call the result per candidate. *)
-val classify : Axiom.Model.t -> Axiom.Execution.t -> string
-
-(** Account one rejected candidate execution of [program] under
-    [model] by its {!classify} axiom.  With [~quiet:true] only the
-    in-process table is bumped, not the metric counter — a caller that
-    records an attempt into a scratch table {!add}s the delta exactly
-    once when the attempt commits, so retries cannot double-count. *)
-val record :
-  ?quiet:bool ->
-  t ->
-  scheme:string ->
-  program:string ->
-  model:Axiom.Model.t ->
-  Axiom.Execution.t ->
-  unit
+(** [reject_counts model r] names the rejection classes the coverage
+    probe ({!Litmus.Enumerate.behaviours_probed_many}) counted for
+    [model] by [model]'s axioms ({!Axiom.Explain.axiom_names}), dropping
+    zero counts: the {e discriminating} axiom of each rejected
+    candidate, the first one {!Axiom.Explain.check} finds violated.  A
+    model outside lib/axiom has every rejection under
+    ["(unknown model)"]. *)
+val reject_counts : Axiom.Model.t -> Litmus.Enumerate.rejects -> (string * int) list
 
 (** [add t key n] merges a pre-computed delta — replayed from a sweep
-    journal, or accumulated by a sweep job's rejection counts — into both
-    the matrix and the [axiom.reject.*] counter, as if {!record} had
-    fired [n] times.  No-op for [n <= 0]. *)
+    journal, or a probed job's rejection counts — into both the matrix
+    and the [axiom.reject.*] counter.  No-op for [n <= 0]. *)
 val add : t -> key -> int -> unit
 
 (** All cells with nonzero counts, key-sorted. *)

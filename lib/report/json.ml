@@ -10,21 +10,36 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Emission *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let escaped = function
+  | '"' -> "\\\""
+  | '\\' -> "\\\\"
+  | '\n' -> "\\n"
+  | '\r' -> "\\r"
+  | '\t' -> "\\t"
+  | c -> Printf.sprintf "\\u%04x" (Char.code c)
+
+(* Escape [s] straight into [buf]: runs of bytes that need no escape
+   are copied with one blit, so a plain string costs one
+   [Buffer.add_substring] and no intermediate buffer. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let flush start i = if i > start then Buffer.add_substring buf s start (i - start) in
+  let rec go start i =
+    if i = n then flush start i
+    else
+      match String.unsafe_get s i with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+          flush start i;
+          Buffer.add_string buf (escaped c);
+          go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  in
+  go 0 0
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
+  Buffer.add_char buf '"'
 
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
@@ -35,10 +50,7 @@ let rec emit buf = function
          (benches only write finite values; map the rest to null). *)
       if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
       else Buffer.add_string buf "null"
-  | String s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
+  | String s -> add_string buf s
   | List xs ->
       Buffer.add_char buf '[';
       List.iteri
@@ -52,9 +64,8 @@ let rec emit buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\":";
+          add_string buf k;
+          Buffer.add_char buf ':';
           emit buf v)
         kvs;
       Buffer.add_char buf '}'

@@ -280,21 +280,33 @@ let generated_entries ?config ?(schemes = default_generated_schemes) ~seed n =
 (* The sweep runner.
 
    It plans before computing: the cells the journal does not hold need
-   their source and target programs, and [Mapping.Check.plan] groups
-   those needs into one job per distinct program.  A probed job makes
-   one unpruned pass that serves all of its models' behaviours and
-   rejection counts; any other job is one [En.behaviours_many].
+   their schemes applied (supervised pool tasks, minus the pool-task
+   chaos) and their source and target programs, and
+   [Mapping.Check.plan] groups those needs into one job per distinct
+   program.  A probed job makes one unpruned pass that serves all of
+   its models' behaviours and rejection counts; any other job is one
+   [En.behaviours_many].
 
-   Cells are then processed in fixed-size shards.  A shard replays the
-   cells the journal holds and runs the jobs its other cells need that
-   no earlier shard completed as one {!Parallel.Supervise.map} batch.
-   Completed jobs stay in the sweep-local table, so later shards only
-   assemble reports; a failed job stays pending for the next shard or
-   resume that needs it.  The table is written between batches, on the
-   calling domain only, so pool and sequential runs agree byte for
-   byte.  The shard's verdicts are journaled in cell order: the shard
-   is the unit of crash-resumability, the job the unit of supervised
-   work, the cell the unit of verdict identity and failure reporting.
+   Cells are then processed in fixed-size shards, each in three steps:
+
+   + the jobs the shard's cells need that no earlier shard completed,
+     as one {!Parallel.Supervise.map} batch.  Completed jobs stay in
+     the sweep-local table, so later shards only assemble reports; a
+     failed job stays pending for the next shard or resume that needs
+     it.  The table is written between batches, on the calling domain
+     only, so pool and sequential runs agree byte for byte;
+   + one pool map over the shard's cells: each task assembles its
+     cell's report and coverage deltas and, with a journal, encodes
+     and frames its verdict record (replayed cells are framed too, for
+     the checkpoint);
+   + a short serial tail: the computed cells' records are appended in
+     cell order and flushed once, then the coverage deltas are merged
+     and failing cells decorated, in cell order.
+
+   The shard is the unit of crash-resumability, the job the unit of
+   supervised work, the cell the unit of verdict identity and failure
+   reporting.  The checkpoint at the end writes the framed records
+   again, without re-encoding them.
 
    Witnesses and shrunk counterexamples are {e not} journaled: they are
    a deterministic function of (scheme, program) and are recomputed for
@@ -338,24 +350,11 @@ let run_job (j : Mapping.Check.job) : job_result =
       (fun (m, bs) -> (m, (bs, [])))
       (En.behaviours_many j.job_models j.job_prog)
   else
-    let probes =
-      List.map
-        (fun (m : Axiom.Model.t) ->
-          let classify = Coverage.classify m and counts = Hashtbl.create 8 in
-          let on_reject x =
-            let axiom = classify x in
-            match Hashtbl.find_opt counts axiom with
-            | Some r -> incr r
-            | None -> Hashtbl.add counts axiom (ref 1)
-          in
-          ((m, on_reject), counts))
-        j.job_models
-    in
     List.map2
-      (fun (m, bs) (_, counts) ->
-        (m, (bs, Hashtbl.fold (fun a r acc -> (a, !r) :: acc) counts [])))
-      (En.behaviours_probed_many (List.map fst probes) j.job_prog)
-      probes
+      (fun (m : Axiom.Model.t) (name, (bs, rejects)) ->
+        (name, (bs, Coverage.reject_counts m rejects)))
+      j.job_models
+      (En.behaviours_probed_many j.job_models j.job_prog)
 
 (* A planned job in the sweep-local table: [None] until an attempt
    ends, then its latest outcome; [batch] is the last shard that
@@ -371,6 +370,13 @@ type work =
       (** decoded journal record, and its raw value *)
   | Scheme_failed of Parallel.Supervise.failure  (** the scheme raised *)
   | Compute of job_state * job_state  (** source and target jobs *)
+
+(* A cell after the shard's pool map: its verdict and deltas, and its
+   framed record when the sweep is journaled. *)
+type finished =
+  | Replayed of Mapping.Check.report * (Coverage.key * int) list * Parallel.Frontier.framed option
+  | Computed of Mapping.Check.report * (Coverage.key * int) list * Parallel.Frontier.framed option
+  | Failed of Parallel.Supervise.failure
 
 (* One cell's coverage deltas from its sides' (model, axiom counts):
    keyed, sorted as [Coverage.counts] sorts, a model both sides share
@@ -423,12 +429,10 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
   let probe_src = Option.is_some coverage in
   let probe_tgt = probe_src && probe_targets in
   (* Plan.  Each cell is replayable from the journal, or its scheme is
-     applied (supervised like a job, minus the pool-task chaos) and it
-     needs two jobs.  A record the CRC accepted but the codec cannot
-     read (e.g. written by an older build) is dropped and its cell
-     recomputed. *)
-  let transform = { policy with chaos = None } in
-  let classified =
+     applied and it needs two jobs.  A record the CRC accepted but the
+     codec cannot read (e.g. written by an older build) is dropped and
+     its cell recomputed. *)
+  let looked_up =
     List.concat_map
       (fun (e : entry) ->
         List.map
@@ -442,16 +446,28 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
                   | report, deltas -> Some (Replay (report, deltas, v))
                   | exception Bad_record _ -> None)
             in
-            let work =
-              match replay with
-              | Some r -> `Done r
-              | None ->
-                  `Transformed
-                    (Parallel.Supervise.run transform (fun () -> e.f src))
-            in
-            ((e, program, src), key, work))
+            ((e, program, src), key, replay))
           e.corpus)
       entries
+  in
+  (* The schemes run supervised like jobs, minus the pool-task chaos; a
+     scheme that raises fails its cell alone. *)
+  let transformed =
+    Parallel.Supervise.map ?pool
+      { policy with chaos = None }
+      (fun ((e : entry), _, src) -> e.f src)
+      (List.filter_map
+         (fun (c, _, replay) -> if Option.is_none replay then Some c else None)
+         looked_up)
+  in
+  let _, classified =
+    List.fold_left_map
+      (fun transformed (c, key, replay) ->
+        match (replay, transformed) with
+        | Some r, _ -> (transformed, (c, key, `Done r))
+        | None, t :: rest -> (rest, (c, key, `Transformed t))
+        | None, [] -> assert false (* one result per cell to transform *))
+      transformed looked_up
   in
   let jobs, indices =
     Mapping.Check.plan
@@ -520,6 +536,22 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
     in
     (report, deltas)
   in
+  let frame key v =
+    if Option.is_some fr then Some (Parallel.Frontier.frame ~key ~value:(v ())) else None
+  in
+  (* Step 2 of a shard, one pool task per cell. *)
+  let finish (c, key, work) =
+    match work with
+    | Replay (report, deltas, v) -> Replayed (report, deltas, frame key (fun () -> v))
+    | Scheme_failed f -> Failed f
+    | Compute (s, t) -> (
+        match (s.outcome, t.outcome) with
+        | Some (Ok rs), Some (Ok rt) ->
+            let report, deltas = assemble c rs rt in
+            Computed (report, deltas, frame key (fun () -> verdict_record report deltas))
+        | Some (Error f), _ | _, Some (Error f) -> Failed f
+        | None, _ | _, None -> assert false (* scheduled by the shard *))
+  in
   let run_shard idx shard =
     (* The shard's batch: the jobs its cells need that no earlier shard
        completed, in first-need order. *)
@@ -546,41 +578,40 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
         (fun s r -> s.outcome <- Some r)
         batch
         (Parallel.Supervise.map ?pool policy (fun s -> run_job s.job) batch);
-    List.filter_map
-      (fun ((((e : entry), program, _) as c), key, work) ->
-        let fail f =
-          (* No journal record: a resumed run retries the cell, so a
-             transient environment converges to the fault-free verdict
-             table. *)
-          failures := (e.scheme, program, f) :: !failures;
-          None
-        in
-        match work with
-        | Replay (report, deltas, v) ->
-            incr replayed;
-            written := (key, v) :: !written;
-            merge_deltas deltas;
-            Some (decorate c report)
-        | Scheme_failed f -> fail f
-        | Compute (s, t) -> (
-            match (s.outcome, t.outcome) with
-            | Some (Ok rs), Some (Ok rt) ->
-                let report, deltas = assemble c rs rt in
-                incr computed;
-                (* Journal before merging: if the append tears (chaos or
-                   crash), the cell is simply recomputed on resume —
-                   verdicts are never lost, never doubled. *)
-                Option.iter
-                  (fun fr ->
-                    let v = verdict_record report deltas in
-                    Parallel.Frontier.append fr ~key ~value:v;
-                    written := (key, v) :: !written)
-                  fr;
-                merge_deltas deltas;
-                Some (decorate c report)
-            | Some (Error f), _ | _, Some (Error f) -> fail f
-            | None, _ | _, None -> assert false (* scheduled above *)))
-      shard
+    let finished = Parallel.Pool.map_list ?pool finish shard in
+    (* The serial tail.  Journal before merging: if an append tears
+       (chaos or crash), the shard's cells are simply recomputed on
+       resume — verdicts are never lost, never doubled. *)
+    Option.iter
+      (fun fr ->
+        List.iter
+          (function
+            | Computed (_, _, Some r) -> Parallel.Frontier.append_framed fr r
+            | _ -> ())
+          finished;
+        Parallel.Frontier.flush fr)
+      fr;
+    let keep c report deltas r =
+      Option.iter (fun r -> written := r :: !written) r;
+      merge_deltas deltas;
+      Some (decorate c report)
+    in
+    List.filter_map Fun.id
+      (List.map2
+         (fun ((((e : entry), program, _) as c), _, _) -> function
+           | Failed f ->
+               (* No journal record: a resumed run retries the cell, so
+                  a transient environment converges to the fault-free
+                  verdict table. *)
+               failures := (e.scheme, program, f) :: !failures;
+               None
+           | Replayed (report, deltas, r) ->
+               incr replayed;
+               keep c report deltas r
+           | Computed (report, deltas, r) ->
+               incr computed;
+               keep c report deltas r)
+         shard finished)
   in
   let rec shard_loop idx cells_acc stats_acc = function
     | [] -> (List.concat (List.rev cells_acc), List.rev stats_acc)
@@ -601,7 +632,7 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
   (* Compact: one record per cell, canonical sweep order — a journal
      grown across many interrupted runs shrinks back to its minimum. *)
   Option.iter
-    (fun fr -> Parallel.Frontier.checkpoint fr (List.rev !written))
+    (fun fr -> Parallel.Frontier.checkpoint_framed fr (List.rev !written))
     fr;
   let nshards = List.length shard_stats in
   let saturated_after =

@@ -118,10 +118,11 @@ type generated = {
     It plans before computing: over every cell the journal does not
     already hold, {!Mapping.Check.plan} maps each distinct program
     (sources and targets alike) to every model some cell needs it
-    under.  Each such {e job} runs once, in the first shard that needs
-    it, as part of that shard's {!Parallel.Supervise.map} batch under
-    [policy] (on [pool] when given): deadlines, retries and the
-    [pool-task] chaos hook wrap jobs, not cells.  Later shards assemble
+    under; the schemes producing the targets run first, as supervised
+    tasks on [pool].  Each such {e job} runs once, in the first shard
+    that needs it, as part of that shard's {!Parallel.Supervise.map}
+    batch under [policy] (on [pool] when given): deadlines, retries and
+    the [pool-task] chaos hook wrap jobs, not cells.  Later shards assemble
     their reports from the completed jobs.  A job that times out or
     raises yields one typed {!Parallel.Supervise.failure} in [failures]
     for each dependent cell of that shard, and the sweep goes on; the
@@ -133,22 +134,26 @@ type generated = {
       shrunk counterexample.
     - [coverage]: every source-program candidate rejected by the
       source model is accounted via {!Coverage.add}, exactly once per
-      cell; [probe_targets] (default false) also classifies the
-      target side's rejected candidates under the target model.  A
-      probed job enumerates the unpruned candidate product once and
-      classifies the rejections of each of its models; a cell's deltas
-      are its source and target jobs' counts for its models.
-    - [journal]: after each shard, its computed cells append a
-      CRC-guarded {!verdict_record} (verdict + coverage deltas) to the
-      {!Parallel.Frontier} journal at that path, and cells journaled
-      by an earlier interrupted run are replayed instead of recomputed
-      — verdict rebuilt, coverage deltas merged, witnesses re-derived
-      — so a resumed result (and an HTML report rendered from it) is
+      cell; [probe_targets] (default false) also accounts the target
+      side's rejected candidates under the target model.  A probed job
+      enumerates the unpruned candidate product once and counts the
+      rejections of each of its models by discriminating axiom
+      ({!Litmus.Enumerate.behaviours_probed_many}); a cell's deltas are
+      its source and target jobs' counts for its models.
+    - [journal]: after each shard's jobs, one pool map assembles its
+      cells' reports and encodes and frames each computed cell's
+      CRC-guarded {!verdict_record} (verdict + coverage deltas); the
+      calling domain then appends them in cell order to the
+      {!Parallel.Frontier} journal at that path, with one flush per
+      shard, before merging any coverage.  Cells journaled by an
+      earlier interrupted run are replayed instead of recomputed —
+      verdict rebuilt, coverage deltas merged, witnesses re-derived —
+      so a resumed result (and an HTML report rendered from it) is
       byte-identical to an uninterrupted run's.  Failed cells are left
       out of the journal and retried by the next resume.  The journal
-      is checkpoint-compacted to canonical order on completion and
-      closed on every exit.  Without [journal], verdicts stay in
-      memory and [recovery] is empty.
+      is checkpoint-compacted to canonical order on completion, from
+      the records already framed, and closed on every exit.  Without
+      [journal], verdicts stay in memory and [recovery] is empty.
     - [journal_chaos] is the [journal-write] chaos site hook
       ({!Parallel.Frontier.open_}); a firing hook tears the append and
       raises {!Parallel.Frontier.Injected_fault}, simulating a crash. *)

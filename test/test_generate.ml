@@ -337,9 +337,19 @@ let test_force_spawn_identity () =
 
 (* -------- planner-backed sweep vs the per-cell reference -------- *)
 
+(* The unstaged classifier the sweep used before the probe counted its
+   rejections by class: [Explain.check]'s first violated axiom. *)
+let classify (m : Axiom.Model.t) x =
+  match Axiom.Explain.which_of_model m with
+  | None -> "(unknown model)"
+  | Some w -> (
+      match Axiom.Explain.check w x with
+      | Axiom.Explain.Violates { axiom; _ } -> axiom
+      | Axiom.Explain.Consistent -> "(undiagnosed)")
+
 (* The per-cell compute the sweep runner used before it planned jobs,
    kept here as the reference: [Check.refines], plus one unpruned probe
-   per side recorded into a quiet scratch table. *)
+   per side, each rejection classified into a scratch table. *)
 let reference_cell ~coverage ~probe_targets (e : Sweep.entry) (program, src)
     =
   let tgt = e.f src in
@@ -354,12 +364,18 @@ let reference_cell ~coverage ~probe_targets (e : Sweep.entry) (program, src)
     if not coverage then []
     else begin
       let scratch = Report.Coverage.create () in
-      let probe model p =
+      let probe (model : Axiom.Model.t) p =
         ignore
           (En.behaviours_probed
-             ~on_reject:
-               (Report.Coverage.record ~quiet:true scratch ~scheme:e.scheme
-                  ~program ~model)
+             ~on_reject:(fun x ->
+               Report.Coverage.add scratch
+                 {
+                   Report.Coverage.scheme = e.scheme;
+                   program;
+                   model = model.name;
+                   axiom = classify model x;
+                 }
+                 1)
              model p)
       in
       probe e.src_model src;
@@ -378,9 +394,35 @@ let reference_cell ~coverage ~probe_targets (e : Sweep.entry) (program, src)
   in
   ({ Sweep.scheme = e.scheme; program; report; witnesses; shrunk }, deltas)
 
+(* The journal writer the sweep used before it framed records on the
+   pool, kept as the reference: one Printf-framed record per cell, its
+   CRC-32 computed bit by bit rather than from a table. *)
+let reference_crc s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+let reference_journal records =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "RJNL1\n";
+  List.iter
+    (fun (key, value) ->
+      let payload = Printf.sprintf "%08x %s%s" (String.length key) key value in
+      Buffer.add_string b
+        (Printf.sprintf "R %08x %08x\n%s\n" (String.length payload)
+           (reference_crc payload) payload))
+    records;
+  Buffer.contents b
+
 (* The reference sweep: cells, coverage table and checkpointed journal
    bytes. *)
-let reference_sweep ~coverage ~probe_targets ~journal entries =
+let reference_sweep ~coverage ~probe_targets entries =
   let results =
     List.concat_map
       (fun (e : Sweep.entry) ->
@@ -392,16 +434,13 @@ let reference_sweep ~coverage ~probe_targets ~journal entries =
     (fun (_, deltas) ->
       List.iter (fun (k, n) -> Report.Coverage.add cov k n) deltas)
     results;
-  (try Sys.remove journal with Sys_error _ -> ());
-  let fr, _ = Parallel.Frontier.open_ journal in
-  Parallel.Frontier.checkpoint fr
-    (List.map
-       (fun ((c : Sweep.cell), deltas) ->
-         ( Sweep.cell_key c.scheme c.program,
-           Sweep.verdict_record c.report deltas ))
-       results);
-  Parallel.Frontier.close fr;
-  (List.map fst results, Report.Coverage.counts cov, read_file journal)
+  ( List.map fst results,
+    Report.Coverage.counts cov,
+    reference_journal
+      (List.map
+         (fun ((c : Sweep.cell), deltas) ->
+           (Sweep.cell_key c.scheme c.program, Sweep.verdict_record c.report deltas))
+         results) )
 
 let small_config =
   { G.default_config with max_threads = 2; max_locs = 2; max_instrs = 3 }
@@ -412,7 +451,7 @@ let check_planned_parity ?config ?(schemes = Sweep.default_generated_schemes)
   let dir = tmpdir "risotto-planned" in
   let journal = Filename.concat dir "reference.journal" in
   let ref_cells, ref_counts, ref_bytes =
-    reference_sweep ~coverage ~probe_targets ~journal entries
+    reference_sweep ~coverage ~probe_targets entries
   in
   Alcotest.(check bool) "the reference has cells" true (ref_cells <> []);
   let check_run pool =
@@ -456,6 +495,27 @@ let test_planned_no_coverage () =
     ~schemes:[ "fig7a/x86->tcg"; "no-fences/arm-fix" ]
     ~coverage:false ~probe_targets:false ~shard_size:32 ~seed:5 200
 
+(* The sweep frames its records on the pool and writes one batch per
+   shard; the checkpointed journal must not depend on where the shard
+   boundaries fall. *)
+let test_journal_shard_sizes () =
+  let _, entries = Sweep.generated_entries ~config:small_config ~seed:6 300 in
+  let _, _, ref_bytes = reference_sweep ~coverage:true ~probe_targets:true entries in
+  let journal = Filename.concat (tmpdir "risotto-shards") "journal" in
+  P.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun shard_size ->
+          (try Sys.remove journal with Sys_error _ -> ());
+          En.clear_caches ();
+          ignore
+            (Sweep.run_generated ~capture:true ~coverage:(Report.Coverage.create ()) ~pool
+               ~shard_size ~probe_targets:true ~journal entries);
+          Alcotest.(check bool)
+            (Printf.sprintf "shards of %d: journal bytes == per-record writer" shard_size)
+            true
+            (read_file journal = ref_bytes))
+        [ 1; 7; 500 ])
+
 let () =
   Alcotest.run "generate"
     [
@@ -482,6 +542,8 @@ let () =
             test_planned_default_source_probe;
           Alcotest.test_case "no coverage, failing scheme" `Quick
             test_planned_no_coverage;
+          Alcotest.test_case "journal bytes at shard sizes 1, 7, 500" `Quick
+            test_journal_shard_sizes;
         ] );
       ( "pool",
         [

@@ -538,6 +538,39 @@ let test_generated_chaos_resume () =
   check_int "journal keys unique" (List.length keys)
     (List.length (List.sort_uniq compare keys))
 
+(* A shard's records are written as one batch: a tear at any record of
+   it, first, middle or last, keeps the records before it, and the
+   resume recomputes the rest to the uninterrupted run's journal, byte
+   for byte. *)
+let test_batch_tear_resume () =
+  let _, entries = Sweep.generated_entries ~seed:11 40 in
+  let sweep ?journal_chaos journal =
+    (Sweep.run_generated ~shard_size:16 ?journal_chaos ~journal entries)
+      .Sweep.gen_journaled
+  in
+  let reference =
+    with_tmp ".jnl" @@ fun journal ->
+    ignore (sweep journal);
+    read_file journal
+  in
+  List.iter
+    (fun k ->
+      with_tmp ".jnl" @@ fun journal ->
+      let appends = ref 0 in
+      let journal_chaos () =
+        incr appends;
+        !appends = k
+      in
+      (match sweep ~journal_chaos journal with
+      | _ -> Alcotest.failf "the chaos hook must tear append %d" k
+      | exception Fr.Injected_fault _ -> ());
+      let resumed = sweep journal in
+      check_int (Printf.sprintf "tear at %d: intact records replayed" k) (k - 1)
+        resumed.Sweep.replayed;
+      check_bool (Printf.sprintf "tear at %d: resumed journal == uninterrupted" k) true
+        (read_file journal = reference))
+    [ 1; 16; 17; 23; 32 ]
+
 (* Supervision wraps the planner's jobs, not cells.  With one shard per
    default generated scheme, every source program's job is needed by a
    cell in each of three shards. *)
@@ -714,5 +747,7 @@ let () =
             test_torn_sweep_closes_journal;
           Alcotest.test_case "generated shards resume after a tear" `Quick
             test_generated_chaos_resume;
+          Alcotest.test_case "a tear inside a shard's batch resumes" `Quick
+            test_batch_tear_resume;
         ] );
     ]

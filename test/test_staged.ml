@@ -7,7 +7,8 @@
    product ([Enumerate.candidates]) of generated programs and their
    targets under every mapping scheme, with [consistent] and with the
    models as the paper states them, unstaged ({!Unstaged}), for all
-   five models.
+   five models; the coverage probe's per-class reject counts are
+   compared with [Explain.check]'s diagnosis of each candidate.
 
    [--corpus N] sets the size of the seeded corpus (default 300). *)
 
@@ -140,6 +141,24 @@ let fail (p : Ast.prog) fmt =
 
 let checked = ref 0
 
+(* Rejected candidates counted by [Explain.check]'s first violated
+   axiom, whose names come in the probe's class order. *)
+let explained_rejects (m : M.t) xs =
+  let w = Option.get (Axiom.Explain.which_of_model m) in
+  let count name =
+    List.length
+      (List.filter
+         (fun x ->
+           match Axiom.Explain.check w x with
+           | Axiom.Explain.Violates { axiom; _ } -> String.equal axiom name
+           | Axiom.Explain.Consistent -> false)
+         xs)
+  in
+  match Axiom.Explain.axiom_names w with
+  | [ coherence; own; atomicity ] ->
+      { En.coherence = count coherence; own = count own; atomicity = count atomicity }
+  | _ -> failwith "Explain checks three axioms per model"
+
 let check_program (p : Ast.prog) =
   let cands = En.candidates p in
   checked := !checked + List.length cands;
@@ -163,6 +182,7 @@ let check_program (p : Ast.prog) =
     groups;
   En.clear_caches ();
   let many = En.behaviours_many (List.map fst models) p in
+  let probed = En.behaviours_probed_many (List.map fst models) p in
   List.iter
     (fun ((m : M.t), unstaged) ->
       List.iter
@@ -196,6 +216,13 @@ let check_program (p : Ast.prog) =
       in
       if En.behaviours m p <> expected then fail p "%s: behaviours differ" m.name;
       if List.assoc m.name many <> expected then fail p "%s: behaviours_many differs" m.name;
+      (* The counted probe classifies each rejection from its staged
+         checks; the reference diagnoses each rejected candidate with
+         the unstaged [Explain.check]. *)
+      let bs, rejects = List.assoc m.name probed in
+      if bs <> expected then fail p "%s: behaviours_probed_many differs" m.name;
+      if rejects <> explained_rejects m xs then
+        fail p "%s: the probe's reject classes differ from Explain.check's" m.name;
       let rejected = ref 0 in
       if En.behaviours_probed ~on_reject:(fun _ -> incr rejected) m p <> expected then
         fail p "%s: behaviours_probed differs" m.name;

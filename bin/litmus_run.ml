@@ -6,15 +6,6 @@
 
 open Cmdliner
 
-let models =
-  [
-    ("sc", Axiom.Sc_model.model);
-    ("x86", Axiom.X86_tso.model);
-    ("arm", Axiom.Arm_cats.model Axiom.Arm_cats.Corrected);
-    ("arm-orig", Axiom.Arm_cats.model Axiom.Arm_cats.Original);
-    ("tcg", Axiom.Tcg_model.model);
-  ]
-
 let read_file path =
   let ic = open_in path in
   Fun.protect
@@ -225,10 +216,10 @@ let run_generate_smoke ~entries ~jobs =
 
 let main files model_name verbose jobs metrics =
   if metrics then Obs.Metrics.enable ();
-  match List.assoc_opt model_name models with
+  match List.assoc_opt model_name Axiom.Models.by_name with
   | None ->
       Format.eprintf "unknown model %S (one of: %s)@." model_name
-        (String.concat ", " (List.map fst models));
+        (String.concat ", " (List.map fst Axiom.Models.by_name));
       1
   | Some model ->
       let outcomes =

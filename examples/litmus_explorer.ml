@@ -8,14 +8,7 @@
 
 open Cmdliner
 
-let models =
-  [
-    ("sc", Axiom.Explain.Sc);
-    ("x86", Axiom.Explain.X86);
-    ("arm", Axiom.Explain.Arm Axiom.Arm_cats.Corrected);
-    ("arm-orig", Axiom.Explain.Arm Axiom.Arm_cats.Original);
-    ("tcg", Axiom.Explain.Tcg);
-  ]
+let models = Axiom.Models.by_name
 
 (* Named programs: the mapping corpus plus the paper's target-side
    programs. *)
@@ -66,8 +59,7 @@ let explore name file model_name show_execs why =
   | _, None ->
       Format.eprintf "unknown model %S (try --list)@." model_name;
       exit 1
-  | Some prog, Some which ->
-      let model = Axiom.Explain.model_of which in
+  | Some prog, Some model ->
       Format.printf "%a@." Litmus.Ast.pp_prog prog;
       let candidates = Litmus.Enumerate.candidates prog in
       let behaviours = Litmus.Enumerate.behaviours model prog in
@@ -104,7 +96,7 @@ let explore name file model_name show_execs why =
                    Format.printf "@[<v 2>  %a: %a@]@."
                      Litmus.Enumerate.pp_behaviour b
                      (Axiom.Explain.pp_verdict x)
-                     (Axiom.Explain.check which x)
+                     (Axiom.Explain.check model x)
                  end)
                candidates
          | None ->
@@ -112,10 +104,9 @@ let explore name file model_name show_execs why =
       (* Compare against all models for quick contrast. *)
       Format.printf "@.%-10s %s@." "model" "behaviours";
       List.iter
-        (fun (mname, w) ->
+        (fun (mname, m) ->
           Format.printf "%-10s %d@." mname
-            (List.length
-               (Litmus.Enumerate.behaviours (Axiom.Explain.model_of w) prog)))
+            (List.length (Litmus.Enumerate.behaviours m prog)))
         models
 
 let name_arg =

@@ -8,7 +8,11 @@
       upstream, replacing that clause with
       [po; [dom([A]; amo; [L])] ∪ [codom([A]; amo; [L])]; po],
       which makes a successful acquire-release single-copy-atomic RMW act
-      as a full barrier. *)
+      as a full barrier.
+
+    Both list the common coherence and atomicity axioms around
+    ["Arm (external: ob)"], the acyclicity of [rfe ∪ coe ∪ fre ∪ lob];
+    their axiom lists differ in that one [bob] clause only. *)
 
 type variant = Original | Corrected
 
@@ -16,9 +20,3 @@ val model : variant -> Model.t
 
 (** Locally-ordered-before, for diagnostics. *)
 val lob : variant -> Execution.t -> Relalg.Rel.t
-
-(** The ordered-before relation [ob] before its transitive closure,
-    [rfe ∪ coe ∪ fre ∪ lob] with [lob] closed (informative cycles).
-    The model's own check tests the equivalent [acyclic] over [lob]'s
-    base instead. *)
-val ob_base : variant -> Execution.t -> Relalg.Rel.t

@@ -1,95 +1,29 @@
 open Relalg
 
-type which = Sc | X86 | Arm of Arm_cats.variant | Tcg
-
 type verdict = Consistent | Violates of { axiom : string; cycle : int list }
 
-let model_of = function
-  | Sc -> Sc_model.model
-  | X86 -> X86_tso.model
-  | Arm v -> Arm_cats.model v
-  | Tcg -> Tcg_model.model
-
-(* Models carry only a name and a predicate; the diagnostics need the
-   per-axiom decomposition, so resolve back to [which] by name. *)
-let which_of_model (m : Model.t) =
-  if m.Model.name = Sc_model.model.Model.name then Some Sc
-  else if m.Model.name = X86_tso.model.Model.name then Some X86
-  else if m.Model.name = (Arm_cats.model Arm_cats.Original).Model.name then
-    Some (Arm Arm_cats.Original)
-  else if m.Model.name = (Arm_cats.model Arm_cats.Corrected).Model.name then
-    Some (Arm Arm_cats.Corrected)
-  else if m.Model.name = Tcg_model.model.Model.name then Some Tcg
-  else None
-
-let coherence_rel x =
-  Rel.union_all
-    [ Execution.po_loc x; x.Execution.rf; x.Execution.co; Execution.fr x ]
-
-let global_axiom_name = function
-  | Sc -> "sequential consistency (po ∪ rf ∪ co ∪ fr)"
-  | X86 -> "x86 (GHB)"
-  | Arm _ -> "Arm (external: ob)"
-  | Tcg -> "TCG (GOrd: ghb)"
-
-(* The axioms of a model, in checking order, each as a lazy violation
-   finder returning a witness cycle.  [check] stops at the first
-   violation; [check_all] drains the whole list. *)
-let axiom_checks which x =
-  let cyc name rel = (name, fun () -> Rel.find_cycle (rel ())) in
-  let coherence = cyc "sc-per-loc (coherence)" (fun () -> coherence_rel x) in
-  let global =
-    let rel =
-      match which with
-      | Sc ->
-          fun () ->
-            Rel.union_all
-              [ x.Execution.po; x.Execution.rf; x.Execution.co; Execution.fr x ]
-      | X86 -> fun () -> X86_tso.ghb_base x
-      | Arm v -> fun () -> Arm_cats.ob_base v x
-      | Tcg -> fun () -> Tcg_model.ghb_base x
-    in
-    cyc (global_axiom_name which) rel
+(* [Violates] with the axiom's witness in [x], if it is violated: a
+   cycle of its relation, or the first pair of a relation that must be
+   empty. *)
+let violates (a : Model.axiom) x =
+  let rel = a.witness x in
+  let cycle =
+    match a.shape with
+    | Model.Acyclic -> Rel.find_cycle rel
+    | Model.Empty -> ( match Rel.to_list rel with (r, w) :: _ -> Some [ r; w ] | [] -> None)
   in
-  let atomicity =
-    ( "atomicity",
-      fun () ->
-        let bad =
-          Rel.inter (Execution.rmw x)
-            (Rel.compose (Execution.fre x) (Execution.coe x))
-        in
-        match Rel.to_list bad with
-        | (r, w) :: _ -> Some [ r; w ]
-        | [] -> None )
-  in
-  [ coherence; global; atomicity ]
+  Option.map (fun cycle -> Violates { axiom = a.name; cycle }) cycle
 
-let axiom_names which =
-  [ "sc-per-loc (coherence)"; global_axiom_name which; "atomicity" ]
+let check (m : Model.t) x =
+  match List.find_map (fun a -> violates a x) m.axioms with Some v -> v | None -> Consistent
 
-let check which x =
-  let rec first = function
-    | [] -> Consistent
-    | (axiom, find) :: rest -> (
-        match find () with
-        | Some cycle -> Violates { axiom; cycle }
-        | None -> first rest)
-  in
-  first (axiom_checks which x)
-
-let check_all which x =
-  List.filter_map
-    (fun (axiom, find) ->
-      match find () with
-      | Some cycle -> Some (Violates { axiom; cycle })
-      | None -> None)
-    (axiom_checks which x)
+let check_all (m : Model.t) x = List.filter_map (fun a -> violates a x) m.axioms
 
 (* The most specific base relation connecting two consecutive cycle
    events.  Derived ordering relations (ppo, implied, lob, ord, ...) are
    compositions along po, so any cycle edge not in rmw/rf/co/fr is a po
-   edge — except the atomicity "cycle", whose closing write→read edge is
-   the fre;coe detour around the RMW pair. *)
+   edge — except the atomicity "cycle" [r; w], whose closing w→r edge
+   closes the fre;coe detour r→w around the RMW pair. *)
 let edge_rel x a b =
   let candidates =
     [
@@ -103,7 +37,7 @@ let edge_rel x a b =
   match List.find_opt (fun (_, r) -> Rel.mem a b r) candidates with
   | Some (name, _) -> name
   | None ->
-      if Rel.mem a b (Rel.compose (Execution.fre x) (Execution.coe x)) then
+      if Rel.mem b a (Rel.compose (Execution.fre x) (Execution.coe x)) then
         "fr;co"
       else "?"
 

@@ -1,29 +1,50 @@
 open Relalg
 
-type t = {
+type shape = Acyclic | Empty
+
+type axiom = {
   name : string;
-  consistent : Execution.t -> bool;
-  prepare : Execution.t -> Execution.t -> bool;
+  shape : shape;
+  stage : Execution.t -> Execution.t -> Rel.t;
+  witness : Execution.t -> Rel.t;
 }
 
-(* The common axioms over their rf/co-independent parts: po-loc for
-   coherence, the RMW pairs for atomicity (trivial without any). *)
-let coherent po_loc x =
-  Rel.acyclic (Rel.union_all [ po_loc; x.Execution.rf; x.Execution.co; Execution.fr x ])
+type t = { name : string; axioms : axiom list; consistent : Execution.t -> bool }
 
-let atomic rmw x =
-  Rel.is_empty rmw
-  || Rel.is_empty (Rel.inter rmw (Rel.compose (Execution.fre x) (Execution.coe x)))
+let acyclic ?witness name stage =
+  let witness = match witness with Some w -> w | None -> fun x -> stage x x in
+  { name; shape = Acyclic; stage; witness }
 
-let sc_per_loc x = coherent (Execution.po_loc x) x
-let atomicity x = atomic (Execution.rmw x) x
-let common x = sc_per_loc x && atomicity x
+let empty name stage = { name; shape = Empty; stage; witness = (fun x -> stage x x) }
 
-let prepare_coherence skel = coherent (Execution.po_loc skel)
-let prepare_atomicity skel = atomic (Execution.rmw skel)
+let prepare (a : axiom) skel =
+  let rel = a.stage skel in
+  match a.shape with
+  | Acyclic -> fun x -> Rel.acyclic (rel x)
+  | Empty -> fun x -> Rel.is_empty (rel x)
 
-let prepare_common skel =
-  let coherent = prepare_coherence skel and atomic = prepare_atomicity skel in
-  fun x -> coherent x && atomic x
+let rec all_hold x = function [] -> true | check :: rest -> check x && all_hold x rest
 
-let make name prepare = { name; prepare; consistent = (fun x -> common x && prepare x x) }
+let prepare_all axioms skel =
+  match List.map (fun a -> prepare a skel) axioms with
+  | [ check ] -> check
+  | checks -> fun x -> all_hold x checks
+
+let coherence =
+  acyclic "sc-per-loc (coherence)" (fun skel ->
+      let po_loc = Execution.po_loc skel in
+      fun x -> Rel.union_all [ po_loc; x.Execution.rf; x.Execution.co; Execution.fr x ])
+
+(* Trivial without RMW pairs, and then fre;coe is never built. *)
+let atomicity =
+  empty "atomicity" (fun skel ->
+      let rmw = Execution.rmw skel in
+      if Rel.is_empty rmw then fun _ -> Rel.empty
+      else fun x -> Rel.inter rmw (Rel.compose (Execution.fre x) (Execution.coe x)))
+
+let make name axioms =
+  List.iter
+    (fun (a : axiom) ->
+      if not (List.memq a axioms) then invalid_arg ("Model.make: " ^ name ^ " lacks " ^ a.name))
+    [ coherence; atomicity ];
+  { name; axioms; consistent = (fun x -> List.for_all (fun a -> prepare a x x) axioms) }

@@ -33,13 +33,12 @@ let ord x =
       Rel.compose (Rel.id fsc) po;
     ]
 
-let base ord x =
-  Rel.union_all [ ord; Execution.rfe x; Execution.coe x; Execution.fre x ]
-
-let ghb_base x = base (ord x) x
-
-let prepare skel =
-  let o = ord skel in
-  fun x -> Rel.acyclic (base o x)
-
-let model = Model.make "TCG-IR" prepare
+let model =
+  Model.make "TCG-IR"
+    [
+      Model.coherence;
+      Model.acyclic "TCG (GOrd: ghb)" (fun skel ->
+          let o = ord skel in
+          fun x -> Rel.union_all [ o; Execution.rfe x; Execution.coe x; Execution.fre x ]);
+      Model.atomicity;
+    ]

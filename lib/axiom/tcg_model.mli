@@ -11,14 +11,8 @@
             ∪ po;[Fsc] ∪ [Fsc];po
     v}
 
-    plus the common SC-per-location and atomicity axioms.  TCG [Facq] and
+    between the common coherence and atomicity axioms.  TCG [Facq] and
     [Frel] fences generate events but no [ord] edges (they lower to
     nothing on Arm, Figure 7b). *)
 
 val model : Model.t
-
-(** The [ord] relation of Figure 6, exposed for diagnostics. *)
-val ord : Execution.t -> Relalg.Rel.t
-
-(** [ghb] before transitive closure (informative cycles). *)
-val ghb_base : Execution.t -> Relalg.Rel.t

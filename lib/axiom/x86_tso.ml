@@ -14,13 +14,12 @@ let ordered x =
   in
   Rel.union implied ppo
 
-let base ordered x =
-  Rel.union_all [ ordered; Execution.rfe x; Execution.fr x; x.Execution.co ]
-
-let ghb_base x = base (ordered x) x
-
-let prepare skel =
-  let o = ordered skel in
-  fun x -> Rel.acyclic (base o x)
-
-let model = Model.make "x86-TSO" prepare
+let model =
+  Model.make "x86-TSO"
+    [
+      Model.coherence;
+      Model.acyclic "x86 (GHB)" (fun skel ->
+          let o = ordered skel in
+          fun x -> Rel.union_all [ o; Execution.rfe x; Execution.fr x; x.Execution.co ]);
+      Model.atomicity;
+    ]

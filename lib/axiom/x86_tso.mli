@@ -8,9 +8,7 @@
     At      = dom(rmw) ∪ codom(rmw)
     v}
 
-    plus the common SC-per-location and atomicity axioms. *)
+    between the common coherence and atomicity axioms; GHB's check and
+    its witnesses use the relation before the closure. *)
 
 val model : Model.t
-
-(** GHB before transitive closure (informative cycles). *)
-val ghb_base : Execution.t -> Relalg.Rel.t

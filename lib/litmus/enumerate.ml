@@ -406,26 +406,31 @@ let candidates (p : Ast.prog) =
 (* Pruned enumeration                                                  *)
 
 (* The full rf × co product above is what the docs describe, but most of
-   it dies on the first two axioms every model shares (Model.common):
-   per-location coherence and RMW atomicity.  Both are per-location
-   properties — po-loc, rf, co and fr only ever relate same-location
-   events, so any violating cycle lives inside one location.  The pruned
-   enumerator therefore filters (rf, co) pairs per location first and
-   takes the cross-location product over survivors only, which collapses
-   the search space from Π(rf_l × co_l) to Π(survivors_l).
+   it dies on the two axioms every model lists (Model.coherence and
+   Model.atomicity): per-location coherence and RMW atomicity.  Both
+   are per-location properties — po-loc, rf, co and fr only ever relate
+   same-location events, so any violating cycle lives inside one
+   location.  The pruned enumerator therefore filters (rf, co) pairs per
+   location first and takes the cross-location product over survivors
+   only, which collapses the search space from Π(rf_l × co_l) to
+   Π(survivors_l).
 
-   Soundness: a candidate pruned here fails sc-per-loc or atomicity and
-   is rejected by every model, whose [consistent] is [Model.common]
-   and its own axiom.  Conversely, a surviving candidate satisfies
-   [Model.common] outright: a coherence cycle or an atomicity violation
+   Soundness: a candidate pruned here fails coherence or atomicity and
+   is rejected by every model, since every model lists both
+   ([Model.make] checks it).  Conversely, a surviving candidate
+   satisfies both outright: a coherence cycle or an atomicity violation
    of the whole candidate would lie in one location's slice.  So the
-   survivors go through each model's own axiom only
-   ([Model.t.prepare]), and verdicts are identical to the unpruned
-   path. *)
+   survivors go through each model's other axioms only ([own]), and
+   verdicts are identical to the unpruned path. *)
+
+let per_location = [ Axiom.Model.coherence; Axiom.Model.atomicity ]
+
+(* A model's axioms the survivors have still to pass. *)
+let own (m : Axiom.Model.t) = List.filter (fun a -> not (List.memq a per_location)) m.axioms
 
 (* Per-location surviving (rf, co) pairs.  [fold_combos] passes only
    combos where every read has a value-compatible source.  [common] is
-   [Model.common] prepared on the combo's skeleton: on a candidate
+   [per_location] prepared on the combo's skeleton: on a candidate
    whose rf and co are the location's slice, it checks per-location
    coherence and atomicity, since po-loc, rf, co and fr relate only
    same-location events. *)
@@ -443,7 +448,7 @@ let per_loc_survivors memo common c loc =
 (* The survivors of each location in turn, or None at the first
    location with none. *)
 let survivors memo c locs =
-  let common = Axiom.Model.prepare_common c.c_exec in
+  let common = Axiom.Model.prepare_all per_location c.c_exec in
   let rec go acc = function
     | [] -> Some (List.rev acc)
     | loc :: rest -> (
@@ -455,7 +460,7 @@ let survivors memo c locs =
 
 (* Fold [f] over the pruned survivors of [p] — the candidates that pass
    per-location coherence and atomicity, before any model's own axiom
-   runs.  The prune only uses [Model.common] properties, so the
+   runs.  The prune only uses the axioms every model lists, so the
    survivor set is model-independent: a batch checking one program
    under several models enumerates here once and filters per model
    (see {!behaviours_many}).  [stage] runs once per combo with
@@ -485,9 +490,9 @@ let fold_survivors p ~stage f acc =
     acc
 
 (* Fold over the model-consistent executions: survivors filtered by the
-   model's own axiom, prepared once per combo. *)
+   model's own axioms, prepared once per combo. *)
 let fold_consistent (m : Axiom.Model.t) p f acc =
-  fold_survivors p ~stage:m.prepare
+  fold_survivors p ~stage:(Axiom.Model.prepare_all (own m))
     (fun acc check x regs -> if check x then f acc x regs else acc)
     acc
 
@@ -500,58 +505,74 @@ let consistent_executions (m : Axiom.Model.t) p =
        (fun acc x regs -> (x, { mem = X.behaviour x; regs }) :: acc)
        [])
 
-type reject_class = Coherence | Own | Atomicity
-
 (* Witness-observability probe (lib/report): enumerate over the full
    unpruned candidate product so that every rejected candidate — not
-   just the post-prune survivors — is seen and classified by the first
-   axiom [Explain.check] would find violated: coherence, then the
-   model's own axiom, then atomicity.  The classes fall out of the
-   staged checks themselves, each prepared once per combo on its
-   skeleton: coherence and atomicity once for all models, the own axiom
-   per model.  The returned behaviours are exactly [behaviours m p]
-   (pruning only discards candidates every model rejects); callers pay
-   the unpruned cost only when they opt into the probe.
+   just the post-prune survivors — is seen and classified by its
+   model's first violated axiom, in the model's order (as
+   [Explain.check] finds it).  The distinct axioms of all models are
+   each staged once per combo on its skeleton, so the shared coherence
+   and atomicity once for all models, and each is tested at most once
+   per candidate ([memo]: 0 untested, 1 holds, 2 violated).  The
+   returned behaviours are exactly [behaviours m p] (pruning only
+   discards candidates every model rejects); callers pay the unpruned
+   cost only when they opt into the probe.
 
-   [reject i cls x]: the [i]th model rejected [x], first violating the
-   [cls] axiom. *)
+   [reject i j x]: the [i]th model rejected [x], first violating its
+   [j]th axiom. *)
 let probe_fold (models : Axiom.Model.t list) ~reject p =
-  let accs = Array.make (List.length models) [] in
-  let stage skel =
-    ( Axiom.Model.prepare_coherence skel,
-      Axiom.Model.prepare_atomicity skel,
-      List.mapi (fun i (m : Axiom.Model.t) -> (i, m.prepare skel)) models )
+  let distinct =
+    List.fold_left
+      (fun acc (m : Axiom.Model.t) ->
+        List.fold_left (fun acc a -> if List.memq a acc then acc else a :: acc) acc m.axioms)
+      [] models
+    |> List.rev |> Array.of_list
   in
-  fold_candidates p ~stage
-    (fun () (coherent, atomic, checks) x regs ->
+  let index a =
+    let rec go k = if distinct.(k) == a then k else go (k + 1) in
+    go 0
+  in
+  let plans =
+    Array.of_list (List.map (fun (m : Axiom.Model.t) -> Array.of_list (List.map index m.axioms)) models)
+  in
+  let accs = Array.make (Array.length plans) [] in
+  let memo = Array.make (Array.length distinct) 0 in
+  let holds checks x k =
+    match memo.(k) with
+    | 0 ->
+        let ok = checks.(k) x in
+        memo.(k) <- (if ok then 1 else 2);
+        ok
+    | v -> v = 1
+  in
+  let rec first checks x plan j =
+    if j = Array.length plan then -1
+    else if holds checks x plan.(j) then first checks x plan (j + 1)
+    else j
+  in
+  fold_candidates p
+    ~stage:(fun skel -> Array.map (fun a -> Axiom.Model.prepare a skel) distinct)
+    (fun () checks x regs ->
       Parallel.Supervise.poll ();
-      if not (coherent x) then List.iter (fun (i, _) -> reject i Coherence x) checks
-      else
-        let atomic = atomic x in
-        List.iter
-          (fun (i, own) ->
-            if not (own x) then reject i Own x
-            else if not atomic then reject i Atomicity x
-            else accs.(i) <- { mem = X.behaviour x; regs } :: accs.(i))
-          checks)
+      Array.fill memo 0 (Array.length memo) 0;
+      for i = 0 to Array.length plans - 1 do
+        let j = first checks x plans.(i) 0 in
+        if j >= 0 then reject i j x else accs.(i) <- { mem = X.behaviour x; regs } :: accs.(i)
+      done)
     ();
   List.mapi
     (fun i (m : Axiom.Model.t) -> (m.name, List.sort_uniq behaviour_compare accs.(i)))
     models
 
-type rejects = { coherence : int; own : int; atomicity : int }
-
 let behaviours_probed_many models p =
-  let counts = Array.init (List.length models) (fun _ -> Array.make 3 0) in
-  let reject i cls _ =
-    let c = counts.(i) and k = match cls with Coherence -> 0 | Own -> 1 | Atomicity -> 2 in
-    c.(k) <- c.(k) + 1
+  let counts =
+    Array.of_list (List.map (fun (m : Axiom.Model.t) -> Array.make (List.length m.axioms) 0) models)
   in
+  let reject i j _ = counts.(i).(j) <- counts.(i).(j) + 1 in
+  let probed = probe_fold models ~reject p in
   List.mapi
-    (fun i (name, bs) ->
-      let c = counts.(i) in
-      (name, (bs, { coherence = c.(0); own = c.(1); atomicity = c.(2) })))
-    (probe_fold models ~reject p)
+    (fun i ((m : Axiom.Model.t), (name, bs)) ->
+      (name, (bs, List.mapi (fun j (a : Axiom.Model.axiom) -> (a.name, counts.(i).(j))) m.axioms)))
+    (List.combine models probed)
 
 let behaviours_probed ~on_reject m p =
   snd (List.hd (probe_fold [ m ] ~reject:(fun _ _ x -> on_reject x) p))
@@ -704,8 +725,9 @@ let behaviours_many (models : Axiom.Model.t list) p =
   (match List.filter (fun (_, _, found, _) -> Option.is_none found) slots with
   | [] -> ()
   | missing ->
+      let missing = List.map (fun (m, _, _, acc) -> (own m, acc)) missing in
       let stage skel =
-        List.map (fun ((m : Axiom.Model.t), _, _, acc) -> (m.prepare skel, acc)) missing
+        List.map (fun (axioms, acc) -> (Axiom.Model.prepare_all axioms skel, acc)) missing
       in
       fold_survivors p ~stage
         (fun () checks x regs ->

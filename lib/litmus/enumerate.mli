@@ -44,12 +44,13 @@ val candidates : Ast.prog -> (Axiom.Execution.t * ((int * string) * int) list) l
     Unlike {!candidates}, the consistent-execution path enumerates with
     per-location pruning: (rf, co) choices that violate per-location
     coherence or RMW atomicity are rejected before the cross-location
-    product is taken.  The survivors then satisfy [Axiom.Model.common],
-    and each is checked with the model's own axiom alone, prepared once
-    per combination ([Axiom.Model.t.prepare]).  This assumes
-    [consistent x = common x && prepare x x], as [Axiom.Model.make]
-    builds every model in [lib/axiom], and produces exactly the
-    executions the unpruned path would keep, in enumeration order. *)
+    product is taken.  The survivors then satisfy
+    {!Axiom.Model.coherence} and {!Axiom.Model.atomicity}, and each is
+    checked with the model's other axioms alone, staged once per
+    combination ({!Axiom.Model.prepare_all}).  Every model lists both
+    pruned axioms ({!Axiom.Model.make} checks it), so this produces
+    exactly the executions the unpruned path would keep, in enumeration
+    order. *)
 val executions : Axiom.Model.t -> Ast.prog -> Axiom.Execution.t list
 
 (** Like {!executions}, with each execution's full behaviour (final
@@ -72,21 +73,18 @@ val behaviours_probed :
   Ast.prog ->
   behaviour list
 
-(** A model's rejected candidates, counted by the first axiom
-    {!Axiom.Explain.check} finds violated, in its checking order:
-    coherence (sc-per-loc), the model's own axiom, atomicity. *)
-type rejects = { coherence : int; own : int; atomicity : int }
-
 (** [behaviours_probed_many models p] is, for each model [m],
     [(m.name, (bs, r))] where [bs = behaviours_probed m p] and [r]
-    counts the candidates [m] rejects by class.  One pass over the
-    unpruned candidate product serves every model, and the classes come
-    from the staged checks the pass already runs
-    ({!Axiom.Model.prepare_coherence}, [m.prepare],
-    {!Axiom.Model.prepare_atomicity}), with no per-candidate
-    diagnosis.  Models are not deduplicated. *)
+    pairs each of [m.axioms], by name and in order, with the number of
+    candidates [m] rejects first on that axiom (the axiom
+    {!Axiom.Explain.check} reports).  One pass over the unpruned
+    candidate product serves every model: each distinct axiom of the
+    models ({!Axiom.Model.coherence} and {!Axiom.Model.atomicity} once
+    for all) is staged once per combination and tested at most once
+    per candidate, and the classes come from those staged checks, with
+    no per-candidate diagnosis.  Models are not deduplicated. *)
 val behaviours_probed_many :
-  Axiom.Model.t list -> Ast.prog -> (string * (behaviour list * rejects)) list
+  Axiom.Model.t list -> Ast.prog -> (string * (behaviour list * (string * int) list)) list
 
 (** The set of behaviours of the consistent executions, deduplicated and
     sorted.  Uses the pruned enumeration (see {!executions}) and a

@@ -70,9 +70,9 @@ let capture ?(max_witnesses = 3) ~src_model ~tgt_model ~src ~tgt
         | Some (target, _) ->
             let forbidden = find_forbidden src_model src b in
             let violations =
-              match (forbidden, Axiom.Explain.which_of_model src_model) with
-              | Some x, Some w -> Axiom.Explain.check_all w x
-              | _ -> []
+              match forbidden with
+              | Some x -> Axiom.Explain.check_all src_model x
+              | None -> []
             in
             Some
               {

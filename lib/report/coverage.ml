@@ -20,23 +20,6 @@ let counter_for t model axiom =
       Hashtbl.add t.counters (model, axiom) c;
       c
 
-(* What the coverage matrix counts: for each candidate execution the
-   model rejects, the {e discriminating} axiom — the first violated one
-   in checking order, i.e. [Explain.check]'s verdict.  The probe counts
-   its rejections by class in that order; the class names are the
-   model's [Explain.axiom_names]. *)
-let reject_counts (model : Axiom.Model.t) (r : Litmus.Enumerate.rejects) =
-  let named =
-    match Axiom.Explain.which_of_model model with
-    | Some w -> (
-        match Axiom.Explain.axiom_names w with
-        | [ coherence; own; atomicity ] ->
-            [ (coherence, r.coherence); (own, r.own); (atomicity, r.atomicity) ]
-        | _ -> assert false (* Explain checks three axioms per model *))
-    | None -> [ ("(unknown model)", r.coherence + r.own + r.atomicity) ]
-  in
-  List.filter (fun (_, n) -> n > 0) named
-
 (* Merge a pre-computed delta (e.g. replayed from a sweep journal, or
    a probed job's rejection counts) into both the matrix and the
    metric counter. *)
@@ -56,9 +39,7 @@ let counts t =
   sum [] sorted
 
 let axioms_of_model (model : Axiom.Model.t) =
-  match Axiom.Explain.which_of_model model with
-  | Some w -> Axiom.Explain.axiom_names w
-  | None -> []
+  List.map (fun (a : Axiom.Model.axiom) -> a.name) model.axioms
 
 let blind_spots t models =
   let exercised model axiom =

@@ -350,10 +350,8 @@ let run_job (j : Mapping.Check.job) : job_result =
       (fun (m, bs) -> (m, (bs, [])))
       (En.behaviours_many j.job_models j.job_prog)
   else
-    List.map2
-      (fun (m : Axiom.Model.t) (name, (bs, rejects)) ->
-        (name, (bs, Coverage.reject_counts m rejects)))
-      j.job_models
+    List.map
+      (fun (name, (bs, rejects)) -> (name, (bs, List.filter (fun (_, n) -> n > 0) rejects)))
       (En.behaviours_probed_many j.job_models j.job_prog)
 
 (* A planned job in the sweep-local table: [None] until an attempt

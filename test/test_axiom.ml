@@ -14,6 +14,9 @@ let init id loc value = write id E.init_tid loc value
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
 
+(* One axiom of a model, decided on a whole execution. *)
+let holds a x = Axiom.Model.prepare a x x
+
 (* The canonical MP execution with the weak outcome:
    T0: Wx1; Wy1   T1: Ry1; Rx0 *)
 let mp_weak ?(fences = []) () =
@@ -73,7 +76,8 @@ let test_behaviour () =
     "final memory" [ ("X", 1); ("Y", 1) ] (X.behaviour x)
 
 let test_models_on_mp () =
-  check_bool "common axioms hold" true (Axiom.Model.common (mp_weak ()));
+  check_bool "common axioms hold" true
+    (holds Axiom.Model.coherence (mp_weak ()) && holds Axiom.Model.atomicity (mp_weak ()));
   check_bool "SC forbids weak MP" false
     (Axiom.Sc_model.model.Axiom.Model.consistent (mp_weak ()));
   check_bool "x86 forbids weak MP" false
@@ -107,32 +111,33 @@ let test_sc_per_loc_violation () =
       co = Rel.of_list [ (0, 10) ];
     }
   in
-  check_bool "sc-per-loc catches stale read" false (Axiom.Model.sc_per_loc x)
+  check_bool "sc-per-loc catches stale read" false (holds Axiom.Model.coherence x)
+
+(* T0: successful RMW on X (0→1); T1: W X=2 sneaking between. *)
+let atomicity_broken () =
+  {
+    X.empty with
+    X.events =
+      [
+        init 0 "X" 0;
+        read ~ord:E.R_sc 10 0 "X" 0;
+        write ~ord:E.W_sc 11 0 "X" 1;
+        write 20 1 "X" 2;
+      ];
+    po = Rel.of_list [ (10, 11) ];
+    rf = Rel.of_list [ (0, 10) ];
+    co = Rel.of_list [ (0, 20); (20, 11); (0, 11) ];
+    rmw_plain = Rel.of_list [ (10, 11) ];
+  }
 
 let test_atomicity_violation () =
-  (* T0: successful RMW on X (0→1); T1: W X=2 sneaking between. *)
-  let x =
-    {
-      X.empty with
-      X.events =
-        [
-          init 0 "X" 0;
-          read ~ord:E.R_sc 10 0 "X" 0;
-          write ~ord:E.W_sc 11 0 "X" 1;
-          write 20 1 "X" 2;
-        ];
-      po = Rel.of_list [ (10, 11) ];
-      rf = Rel.of_list [ (0, 10) ];
-      co = Rel.of_list [ (0, 20); (20, 11); (0, 11) ];
-      rmw_plain = Rel.of_list [ (10, 11) ];
-    }
-  in
-  check_bool "atomicity violated" false (Axiom.Model.atomicity x);
+  let x = atomicity_broken () in
+  check_bool "atomicity violated" false (holds Axiom.Model.atomicity x);
   (* Move the interfering write after the RMW: fine. *)
   let ok =
     { x with X.co = Rel.of_list [ (0, 11); (11, 20); (0, 20) ] }
   in
-  check_bool "atomicity holds" true (Axiom.Model.atomicity ok)
+  check_bool "atomicity holds" true (holds Axiom.Model.atomicity ok)
 
 let test_arm_variants_differ_on_sbal () =
   (* SBAL from §3.3 via the enumerator is covered in test_litmus; here a
@@ -159,44 +164,62 @@ let test_arm_variants_differ_on_sbal () =
 
 let test_explain () =
   let weak = mp_weak () in
-  (match Axiom.Explain.check Axiom.Explain.X86 weak with
+  (match Axiom.Explain.check Axiom.X86_tso.model weak with
   | Axiom.Explain.Violates { axiom; cycle } ->
       Alcotest.(check string) "axiom named" "x86 (GHB)" axiom;
       check_bool "cycle nonempty" true (cycle <> [])
   | Axiom.Explain.Consistent -> Alcotest.fail "x86 should forbid weak MP");
-  (match Axiom.Explain.check (Axiom.Explain.Arm Axiom.Arm_cats.Corrected) weak with
+  (match Axiom.Explain.check (Axiom.Arm_cats.model Axiom.Arm_cats.Corrected) weak with
   | Axiom.Explain.Consistent -> ()
   | Axiom.Explain.Violates _ -> Alcotest.fail "Arm allows weak MP");
   (* the fenced Arm variant is forbidden via ob *)
   match
     Axiom.Explain.check
-      (Axiom.Explain.Arm Axiom.Arm_cats.Corrected)
+      (Axiom.Arm_cats.model Axiom.Arm_cats.Corrected)
       (mp_weak ~fences:[ E.F_dmb_full; E.F_dmb_full ] ())
   with
   | Axiom.Explain.Violates { axiom; _ } ->
       Alcotest.(check string) "ob violated" "Arm (external: ob)" axiom
   | Axiom.Explain.Consistent -> Alcotest.fail "fenced MP should be forbidden"
 
+(* The atomicity witness is the RMW pair [r; w]; its closing w→r edge
+   reverses the fre;coe detour r→W X=2→w and prints as fr;co. *)
+let test_explain_atomicity () =
+  let x = atomicity_broken () in
+  (match Axiom.Explain.check Axiom.Sc_model.model x with
+  | Axiom.Explain.Violates { axiom; cycle } ->
+      Alcotest.(check string) "axiom named" "atomicity" axiom;
+      Alcotest.(check (list int)) "the RMW pair" [ 10; 11 ] cycle
+  | Axiom.Explain.Consistent -> Alcotest.fail "SC should forbid the broken RMW");
+  Alcotest.(check string) "opening edge" "rmw" (Axiom.Explain.edge_rel x 10 11);
+  Alcotest.(check string) "closing edge" "fr;co" (Axiom.Explain.edge_rel x 11 10);
+  let printed =
+    Format.asprintf "@[<v>%a@]" (Axiom.Explain.pp_verdict x)
+      (Axiom.Explain.check Axiom.Sc_model.model x)
+  in
+  check_bool "printed closing edge" true
+    (String.ends_with ~suffix:"--fr;co--> (back to 10)\n" printed)
+
 let test_explain_matches_models () =
   (* Explain's verdict agrees with the model's consistency on the MP
-     executions under every model. *)
+     and broken-RMW executions under every model, and names one of the
+     model's axioms. *)
   List.iter
-    (fun which ->
-      let m = Axiom.Explain.model_of which in
+    (fun (_, (m : Axiom.Model.t)) ->
       List.iter
         (fun x ->
-          let consistent = m.Axiom.Model.consistent x in
-          let verdict = Axiom.Explain.check which x in
-          check_bool "agreement" true
-            (consistent = (verdict = Axiom.Explain.Consistent)))
-        [ mp_weak (); mp_weak ~fences:[ E.F_dmb_full; E.F_dmb_full ] () ])
-    [
-      Axiom.Explain.Sc;
-      Axiom.Explain.X86;
-      Axiom.Explain.Arm Axiom.Arm_cats.Original;
-      Axiom.Explain.Arm Axiom.Arm_cats.Corrected;
-      Axiom.Explain.Tcg;
-    ]
+          match Axiom.Explain.check m x with
+          | Axiom.Explain.Consistent -> check_bool "agreement" true (m.consistent x)
+          | Axiom.Explain.Violates { axiom; _ } ->
+              check_bool "agreement" false (m.consistent x);
+              check_bool "a model axiom" true
+                (List.exists (fun (a : Axiom.Model.axiom) -> a.name = axiom) m.axioms))
+        [
+          mp_weak ();
+          mp_weak ~fences:[ E.F_dmb_full; E.F_dmb_full ] ();
+          atomicity_broken ();
+        ])
+    Axiom.Models.by_name
 
 let () =
   Alcotest.run "axiom"
@@ -221,6 +244,7 @@ let () =
       ( "explain",
         [
           Alcotest.test_case "cycle reporting" `Quick test_explain;
+          Alcotest.test_case "atomicity witness edges" `Quick test_explain_atomicity;
           Alcotest.test_case "agrees with models" `Quick
             test_explain_matches_models;
         ] );

@@ -340,12 +340,9 @@ let test_force_spawn_identity () =
 (* The unstaged classifier the sweep used before the probe counted its
    rejections by class: [Explain.check]'s first violated axiom. *)
 let classify (m : Axiom.Model.t) x =
-  match Axiom.Explain.which_of_model m with
-  | None -> "(unknown model)"
-  | Some w -> (
-      match Axiom.Explain.check w x with
-      | Axiom.Explain.Violates { axiom; _ } -> axiom
-      | Axiom.Explain.Consistent -> "(undiagnosed)")
+  match Axiom.Explain.check m x with
+  | Axiom.Explain.Violates { axiom; _ } -> axiom
+  | Axiom.Explain.Consistent -> "(undiagnosed)"
 
 (* The per-cell compute the sweep runner used before it planned jobs,
    kept here as the reference: [Check.refines], plus one unpruned probe

@@ -182,14 +182,13 @@ let test_check_all_superset () =
   let checked = ref 0 in
   List.iter
     (fun (m : Axiom.Model.t) ->
-      let w = Option.get (Axiom.Explain.which_of_model m) in
       List.iter
         (fun (_, p) ->
           List.iter
             (fun (x, _) ->
               incr checked;
-              let one = Axiom.Explain.check w x in
-              let all = Axiom.Explain.check_all w x in
+              let one = Axiom.Explain.check m x in
+              let all = Axiom.Explain.check_all m x in
               match one with
               | Axiom.Explain.Consistent ->
                   check_bool "check_all empty iff check consistent" true

@@ -1,14 +1,15 @@
-(* The staged checker against its definition.  Each model's [prepare]
-   stages its own axiom on a combo's skeleton, and the pruned survivor
-   paths ([fold_survivors] under [behaviours], [behaviours_many] and
-   [consistent_executions]) check survivors with that staged axiom
-   alone, relying on the per-location prune to have established the
-   common axioms.  Everything here is compared, over the full candidate
-   product ([Enumerate.candidates]) of generated programs and their
-   targets under every mapping scheme, with [consistent] and with the
-   models as the paper states them, unstaged ({!Unstaged}), for all
-   five models; the coverage probe's per-class reject counts are
-   compared with [Explain.check]'s diagnosis of each candidate.
+(* The staged checker against its definition.  Each model's axioms are
+   staged on a combo's skeleton ([Model.prepare]), and the pruned
+   survivor paths ([fold_survivors] under [behaviours],
+   [behaviours_many] and [consistent_executions]) check survivors with
+   the model's own axiom alone, relying on the per-location prune to
+   have established coherence and atomicity.  Everything here is
+   compared, over the full candidate product ([Enumerate.candidates]) of
+   generated programs and their targets under every mapping scheme,
+   with the models as the paper states them, unstaged ({!Unstaged}),
+   for all five models: each axiom, [consistent], the behaviours, and
+   each rejected candidate's first violated axiom, which both the
+   coverage probe's per-axiom counts and [Explain.check] must report.
 
    [--corpus N] sets the size of the seeded corpus (default 300). *)
 
@@ -27,9 +28,9 @@ module Unstaged = struct
   let irreflexive_closure r = Rel.irreflexive (Rel.transitive_closure r)
   let fr = X.fr
 
-  let common x =
-    irreflexive_closure (Rel.union_all [ X.po_loc x; x.X.rf; x.co; fr x ])
-    && Rel.is_empty (Rel.inter (X.rmw x) (Rel.compose (X.fre x) (X.coe x)))
+  let coherence x = irreflexive_closure (Rel.union_all [ X.po_loc x; x.X.rf; x.co; fr x ])
+  let atomicity x = Rel.is_empty (Rel.inter (X.rmw x) (Rel.compose (X.fre x) (X.coe x)))
+  let common x = coherence x && atomicity x
 
   let sc x = irreflexive_closure (Rel.union_all [ x.X.po; x.rf; x.co; fr x ])
 
@@ -103,21 +104,28 @@ module Unstaged = struct
     irreflexive_closure (Rel.union_all [ X.rfe x; X.coe x; X.fre x; lob ])
 end
 
-(* Each model with its unstaged consistency predicate. *)
+(* Each model with its own axiom's name and unstaged predicate. *)
 let models =
-  let unstaged own x = Unstaged.common x && own x in
   Axiom.
     [
-      (Sc_model.model, unstaged Unstaged.sc);
-      (X86_tso.model, unstaged Unstaged.x86);
-      (Tcg_model.model, unstaged Unstaged.tcg);
-      (Arm_cats.model Arm_cats.Original, unstaged (Unstaged.arm Arm_cats.Original));
-      (Arm_cats.model Arm_cats.Corrected, unstaged (Unstaged.arm Arm_cats.Corrected));
+      (Sc_model.model, "sequential consistency (po ∪ rf ∪ co ∪ fr)", Unstaged.sc);
+      (X86_tso.model, "x86 (GHB)", Unstaged.x86);
+      (Tcg_model.model, "TCG (GOrd: ghb)", Unstaged.tcg);
+      (Arm_cats.model Arm_cats.Original, "Arm (external: ob)", Unstaged.arm Arm_cats.Original);
+      (Arm_cats.model Arm_cats.Corrected, "Arm (external: ob)", Unstaged.arm Arm_cats.Corrected);
     ]
 
-(* A model whose own axiom holds everywhere: its consistent executions
-   are the survivors themselves, in enumeration order. *)
-let survivors_model = M.make "survivors" (fun _ _ -> true)
+(* The first axiom [x] violates, unstaged, in checking order: coherence,
+   the model's own axiom, atomicity; [None] if consistent. *)
+let classify own_name own x =
+  if not (Unstaged.coherence x) then Some "sc-per-loc (coherence)"
+  else if not (own x) then Some own_name
+  else if not (Unstaged.atomicity x) then Some "atomicity"
+  else None
+
+(* A model with no axiom of its own: its consistent executions are the
+   survivors themselves, in enumeration order. *)
+let survivors_model = M.make "survivors" [ M.coherence; M.atomicity ]
 
 (* A program and its targets under every scheme of the catalog sweep. *)
 let with_targets p =
@@ -141,24 +149,6 @@ let fail (p : Ast.prog) fmt =
 
 let checked = ref 0
 
-(* Rejected candidates counted by [Explain.check]'s first violated
-   axiom, whose names come in the probe's class order. *)
-let explained_rejects (m : M.t) xs =
-  let w = Option.get (Axiom.Explain.which_of_model m) in
-  let count name =
-    List.length
-      (List.filter
-         (fun x ->
-           match Axiom.Explain.check w x with
-           | Axiom.Explain.Violates { axiom; _ } -> String.equal axiom name
-           | Axiom.Explain.Consistent -> false)
-         xs)
-  in
-  match Axiom.Explain.axiom_names w with
-  | [ coherence; own; atomicity ] ->
-      { En.coherence = count coherence; own = count own; atomicity = count atomicity }
-  | _ -> failwith "Explain checks three axioms per model"
-
 let check_program (p : Ast.prog) =
   let cands = En.candidates p in
   checked := !checked + List.length cands;
@@ -167,39 +157,42 @@ let check_program (p : Ast.prog) =
   if
     List.sort compare (List.map key survivors)
     <> List.sort compare (List.map key (List.filter Unstaged.common xs))
-  then fail p "the survivors are not the candidates passing the common axioms";
-  List.iter
-    (fun x -> if M.common x <> Unstaged.common x then fail p "common differs from unstaged")
-    xs;
+  then fail p "the survivors are not the candidates passing coherence and atomicity";
   let groups = by_skeleton xs in
-  List.iter
-    (fun group ->
-      let skel = List.hd group in
-      let common = M.prepare_common skel in
-      List.iter
-        (fun x -> if common x <> M.common x then fail p "prepare_common disagrees with common")
-        group)
-    groups;
+  (* Each axiom, staged on one candidate of each combo, decides every
+     candidate of that combo as the unstaged axiom does. *)
+  let staged_agrees (a : M.axiom) unstaged =
+    List.iter
+      (fun group ->
+        let check = M.prepare a (List.hd group) in
+        List.iter
+          (fun x -> if check x <> unstaged x then fail p "staged %s differs from unstaged" a.name)
+          group)
+      groups
+  in
+  staged_agrees M.coherence Unstaged.coherence;
+  staged_agrees M.atomicity Unstaged.atomicity;
   En.clear_caches ();
-  let many = En.behaviours_many (List.map fst models) p in
-  let probed = En.behaviours_probed_many (List.map fst models) p in
+  let many = En.behaviours_many (List.map (fun (m, _, _) -> m) models) p in
+  let probed = En.behaviours_probed_many (List.map (fun (m, _, _) -> m) models) p in
   List.iter
-    (fun ((m : M.t), unstaged) ->
-      List.iter
-        (fun x ->
-          if m.consistent x <> unstaged x then fail p "%s: consistent differs from unstaged" m.name)
-        xs;
-      (* The staged axiom, prepared on one candidate of each combo,
-         decides every candidate of that combo as [consistent] does. *)
-      List.iter
-        (fun group ->
-          let check = m.prepare (List.hd group) in
-          List.iter
-            (fun x ->
-              if M.common x && check x <> m.consistent x then
-                fail p "%s: the staged check disagrees with consistent" m.name)
-            group)
-        groups;
+    (fun ((m : M.t), own_name, own) ->
+      (match m.axioms with
+      | [ c; a; at ] when c == M.coherence && at == M.atomicity && a.name = own_name ->
+          staged_agrees a own
+      | _ -> fail p "%s: the axioms are not coherence, %s, atomicity" m.name own_name);
+      (* Every candidate's verdict and, when rejected, its first
+         violated axiom: [consistent] and [Explain.check] agree with the
+         unstaged classification. *)
+      let classes = List.map (classify own_name own) xs in
+      List.iter2
+        (fun x cls ->
+          if m.consistent x <> (cls = None) then fail p "%s: consistent differs from unstaged" m.name;
+          match (Axiom.Explain.check m x, cls) with
+          | Axiom.Explain.Consistent, None -> ()
+          | Axiom.Explain.Violates { axiom; _ }, Some name when String.equal axiom name -> ()
+          | _ -> fail p "%s: Explain.check differs from the unstaged classification" m.name)
+        xs classes;
       (* The survivor path keeps the enumeration order: witness capture
          and [nearest_consistent] take the first match. *)
       let consistent = En.consistent_executions m p in
@@ -210,23 +203,26 @@ let check_program (p : Ast.prog) =
       let expected =
         List.sort_uniq En.behaviour_compare
           (List.filter_map
-             (fun (x, regs) ->
-               if m.consistent x then Some { En.mem = X.behaviour x; regs } else None)
-             cands)
+             (fun ((x, regs), cls) ->
+               if cls = None then Some { En.mem = X.behaviour x; regs } else None)
+             (List.combine cands classes))
       in
       if En.behaviours m p <> expected then fail p "%s: behaviours differ" m.name;
       if List.assoc m.name many <> expected then fail p "%s: behaviours_many differs" m.name;
       (* The counted probe classifies each rejection from its staged
-         checks; the reference diagnoses each rejected candidate with
-         the unstaged [Explain.check]. *)
+         checks; the reference counts the unstaged classes. *)
       let bs, rejects = List.assoc m.name probed in
       if bs <> expected then fail p "%s: behaviours_probed_many differs" m.name;
-      if rejects <> explained_rejects m xs then
-        fail p "%s: the probe's reject classes differ from Explain.check's" m.name;
+      let count name = List.length (List.filter (( = ) (Some name)) classes) in
+      let reference =
+        List.map (fun name -> (name, count name)) [ "sc-per-loc (coherence)"; own_name; "atomicity" ]
+      in
+      if rejects <> reference then
+        fail p "%s: the probe's reject counts differ from the unstaged classes" m.name;
       let rejected = ref 0 in
       if En.behaviours_probed ~on_reject:(fun _ -> incr rejected) m p <> expected then
         fail p "%s: behaviours_probed differs" m.name;
-      if !rejected <> List.length (List.filter (fun x -> not (m.consistent x)) xs) then
+      if !rejected <> List.length (List.filter Option.is_some classes) then
         fail p "%s: the probe rejects a different number of candidates" m.name)
     models;
   true

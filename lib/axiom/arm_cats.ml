@@ -91,9 +91,9 @@ let ob_base variant x = Rel.union_all (lob variant x :: external_ x)
 
 (* acyclic(ext ∪ lob⁺) iff acyclic(ext ∪ lob's base): a cycle through
    lob⁺ edges unfolds into one through base edges.  The check tests the
-   base; witnesses are searched with lob closed, whose cycles are
-   shorter. *)
-let model_of variant name =
+   base; witnesses are searched in ob with lob closed, where one lob⁺
+   edge stands for a chain of base edges. *)
+let define variant name =
   Model.make name
     [
       Model.coherence;
@@ -103,6 +103,6 @@ let model_of variant name =
       Model.atomicity;
     ]
 
-let original = model_of Original "Arm-Cats (original)"
-let corrected = model_of Corrected "Arm-Cats (corrected)"
+let original = define Original "Arm-Cats (original)"
+let corrected = define Corrected "Arm-Cats (corrected)"
 let model = function Original -> original | Corrected -> corrected

@@ -603,9 +603,7 @@ let dispatch_bench ~reps ~out () =
        (List.length Harness.Parsec.all)
        reps);
   let risotto = Core.Config.risotto in
-  let chained =
-    { risotto with Core.Config.name = "risotto"; trace_threshold = 16 }
-  in
+  let chained = risotto in
   let unchained = { risotto with Core.Config.chain = false } in
   let interp =
     (* Force every block onto the TCG interpreter: the no-JIT baseline. *)
@@ -644,11 +642,9 @@ let dispatch_bench ~reps ~out () =
   let c_cycles = cycles chained_r and u_cycles = cycles unchained_r in
   let c_exec = sum (fun s -> s.Core.Engine.blocks_executed) chained_r in
   let u_exec = sum (fun s -> s.Core.Engine.blocks_executed) unchained_r in
-  (* Unchained dispatches once per guest block, so [u_exec] is the true
-     guest-block count; both runs execute the same guest blocks (parity
-     is asserted below), a chained dispatch just covers a whole trace.
-     Cycles-per-block therefore compares guest cycles over the same
-     denominator, and the dispatch counts show the amortization. *)
+  (* Every dispatch runs one guest block, chained or not, so [u_exec] is
+     the guest-block count of both runs (parity is asserted below), and
+     cycles and words per block share one denominator. *)
   let guest_blocks = u_exec in
   let cpb c =
     if guest_blocks = 0 then 0.0
@@ -660,7 +656,6 @@ let dispatch_bench ~reps ~out () =
   let chained_edges = sum (fun s -> s.Core.Engine.chained) chained_r in
   let chain_hits = sum (fun s -> s.Core.Engine.chain_hits) chained_r in
   let jcache_hits = sum (fun s -> s.Core.Engine.jmp_cache_hits) chained_r in
-  let superblocks = sum (fun s -> s.Core.Engine.superblocks) chained_r in
   let lookups = sum (fun s -> s.Core.Engine.lookups) chained_r in
   let interp_fb = sum (fun s -> s.Core.Engine.interp_fallbacks) interp_r in
   let chain_hit_rate =
@@ -680,17 +675,15 @@ let dispatch_bench ~reps ~out () =
   in
   Format.printf
     "  wall: chained %.3fs, unchained %.3fs, interp %.3fs@.  guest cycles: \
-     chained %d, unchained %d (%.2f%% saved by cross-block optimization)@.  \
+     chained %d, unchained %d@.  \
      cycles/block over %d guest blocks: chained %.2f, unchained %.2f@.  \
      minor words/block: chained %.1f, unchained %.1f@.  \
-     dispatches: chained %d, unchained %d (%.1fx fewer)@.  chained stats: %d \
-     edges patched, %d chain hits, %d jcache hits, %d superblocks, chain-hit \
+     dispatches: chained %d, unchained %d@.  chained stats: %d \
+     edges patched, %d chain hits, %d jcache hits, chain-hit \
      rate %.1f%%@.  interp fallbacks (forced): %d@.  results identical: %b@."
     chained_s unchained_s interp_s c_cycles u_cycles
-    (100. *. (1. -. (float_of_int c_cycles /. float_of_int u_cycles)))
     guest_blocks c_cpb u_cpb c_wpb u_wpb c_exec u_exec
-    (float_of_int u_exec /. float_of_int (max 1 c_exec))
-    chained_edges chain_hits jcache_hits superblocks (100. *. chain_hit_rate)
+    chained_edges chain_hits jcache_hits (100. *. chain_hit_rate)
     interp_fb parity;
   let oc = open_out out in
   Printf.fprintf oc
@@ -699,7 +692,6 @@ let dispatch_bench ~reps ~out () =
   "bench": "dispatch: chained vs unchained vs interp",
   "kernels": %d,
   "reps": %d,
-  "trace_threshold": %d,
   "guest_blocks": %d,
   "chained": {
     "wall_s": %.6f,
@@ -710,7 +702,6 @@ let dispatch_bench ~reps ~out () =
     "edges_patched": %d,
     "chain_hits": %d,
     "jmp_cache_hits": %d,
-    "superblocks": %d,
     "chain_hit_rate": %.4f
   },
   "unchained": {
@@ -724,18 +715,14 @@ let dispatch_bench ~reps ~out () =
     "wall_s": %.6f,
     "interp_fallbacks": %d
   },
-  "cycles_per_block_ratio": %.4f,
-  "dispatch_reduction": %.2f,
   "results_identical": %b
 }
 |}
     (envelope "dispatch")
     (List.length Harness.Parsec.all)
-    reps chained.Core.Config.trace_threshold guest_blocks chained_s c_cycles
-    c_exec c_cpb c_wpb chained_edges chain_hits jcache_hits superblocks
+    reps guest_blocks chained_s c_cycles
+    c_exec c_cpb c_wpb chained_edges chain_hits jcache_hits
     chain_hit_rate unchained_s u_cycles u_exec u_cpb u_wpb interp_s interp_fb
-    (if u_cpb = 0.0 then 0.0 else c_cpb /. u_cpb)
-    (float_of_int u_exec /. float_of_int (max 1 c_exec))
     parity;
   close_out oc;
   Format.printf "  wrote %s@." out;
@@ -743,18 +730,18 @@ let dispatch_bench ~reps ~out () =
     Format.eprintf "dispatch bench: chained/unchained results diverge!@.";
     exit 2
   end;
-  (* The deterministic acceptance gates: superblocks must fire, every
-     dispatch metric must improve, and cross-block optimization must
-     not cost guest cycles. *)
-  if superblocks = 0 || chain_hits = 0 then begin
-    Format.eprintf "dispatch bench: chaining/superblocks did not engage!@.";
+  (* The deterministic acceptance gates: chaining must engage, and it
+     runs the same blocks in the same order, so it must leave guest
+     cycles and the dispatch count exactly as unchained has them. *)
+  if chain_hits = 0 then begin
+    Format.eprintf "dispatch bench: chaining did not engage!@.";
     exit 2
   end;
-  if c_cycles >= u_cycles || c_exec >= u_exec then begin
+  if c_cycles <> u_cycles || c_exec <> u_exec then begin
     Format.eprintf
-      "dispatch bench: chained dispatch did not beat unchained (%.3f vs %.3f \
-       cycles/block, %d vs %d dispatches)!@."
-      c_cpb u_cpb c_exec u_exec;
+      "dispatch bench: chaining changed guest cycles or dispatches (%d vs %d \
+       cycles, %d vs %d dispatches)!@."
+      c_cycles u_cycles c_exec u_exec;
     exit 2
   end
 
@@ -780,9 +767,7 @@ let obs_bench ~reps ~out ~trace_out () =
         kernels, best of %d)"
        (List.length Harness.Parsec.all)
        reps);
-  let config =
-    { Core.Config.risotto with Core.Config.trace_threshold = 16 }
-  in
+  let config = Core.Config.risotto in
   let time_pass () =
     let best = ref infinity in
     let results = ref [] in
@@ -841,7 +826,7 @@ let obs_bench ~reps ~out ~trace_out () =
   let block_ns = off_s *. 1e9 /. float_of_int (max 1 blocks) in
   (* The dispatch loop crosses at most two probe sites per executed
      block while disabled (the metrics gate in step_block, plus the
-     translate/superblock spans amortized over reuse). *)
+     translate spans amortized over reuse). *)
   let overhead_pct = 2.0 *. probe_ns /. block_ns *. 100.0 in
   (* The recorder itself: one enabled record is three unboxed array
      stores and an increment; step_block logs one block-enter per
@@ -1365,19 +1350,6 @@ let chaos_bench ~plans ~seed ~out () =
 (* ------------------------------------------------------------------ *)
 (* Tier bench: tier0-only vs sync-all vs tiered → BENCH_tiers.json     *)
 
-(* One pass over the PARSEC/Phoenix kernels under a tier configuration. *)
-let tiers_pass config =
-  List.map
-    (fun b ->
-      let spec = b.Harness.Parsec.spec in
-      let g, eng = Harness.Kernel.run_dbt config spec in
-      ( spec.Harness.Kernel.name,
-        Array.sub g.Core.Engine.arm.Arm.Machine.regs 0 16,
-        Memsys.Mem.dump (Core.Engine.memory eng),
-        Core.Engine.cycles g,
-        Core.Engine.stats eng ))
-    Harness.Parsec.all
-
 (* Cold-start image: a long straight-line program the frontend splits
    into ~[n] distinct blocks, each executed exactly once — the
    translation-dominated regime the tier ladder is built for.  A
@@ -1416,23 +1388,14 @@ let tiers_bench ~reps ~out () =
        (List.length Harness.Parsec.all)
        reps);
   let risotto = Core.Config.risotto in
-  let jit_threshold = 8 and tier2_threshold = 24 in
+  let jit_threshold = 8 in
   (* tier0: the threshold is unreachable, every block stays on the
-     interpreter.  sync-all: the pre-ladder configuration (immediate
-     backend compile, static trace trigger — the dispatch-bench
-     chained config).  tiered: the full ladder, each block compiled
-     inline at its [jit_threshold]th execution. *)
-  let tier0 =
-    { risotto with Core.Config.jit_threshold = max_int; trace_threshold = 0 }
-  in
-  let sync_all = { risotto with Core.Config.trace_threshold = 16 } in
-  let tiered =
-    {
-      risotto with
-      Core.Config.jit_threshold;
-      trace_threshold = tier2_threshold;
-    }
-  in
+     interpreter.  sync-all: the preset (immediate backend compile —
+     the dispatch-bench chained config).  tiered: the ladder, each
+     block compiled inline at its [jit_threshold]th execution. *)
+  let tier0 = { risotto with Core.Config.jit_threshold = max_int } in
+  let sync_all = risotto in
+  let tiered = { risotto with Core.Config.jit_threshold } in
   (* Every rep must reproduce the first one exactly (guest state,
      cycles and every counter): the ladder compiles synchronously, so
      its decisions depend on nothing but the program. *)
@@ -1442,7 +1405,7 @@ let tiers_bench ~reps ~out () =
     let results = ref [] in
     for rep = 1 to reps do
       let t0 = Unix.gettimeofday () in
-      let r = tiers_pass config in
+      let r = dispatch_pass config in
       let dt = Unix.gettimeofday () -. t0 in
       if rep > 1 && r <> !results then deterministic := false;
       results := r;
@@ -1459,9 +1422,9 @@ let tiers_bench ~reps ~out () =
   let cycles results =
     List.fold_left (fun acc (_, _, _, c, _) -> acc + c) 0 results
   in
-  (* tier0 runs with no superblocks: one dispatch per guest block, so
-     its dispatch count is the true guest-block total all three
-     configurations execute (parity is asserted below). *)
+  (* One dispatch runs one guest block, so tier0's dispatch count is
+     the guest-block total all three configurations execute (parity is
+     asserted below). *)
   let guest_blocks = sum (fun s -> s.Core.Engine.blocks_executed) tier0_r in
   let cpb c =
     if guest_blocks = 0 then 0.0
@@ -1470,15 +1433,11 @@ let tiers_bench ~reps ~out () =
   let stat_block results =
     ( cycles results,
       sum (fun s -> s.Core.Engine.interp_execs) results,
-      sum (fun s -> s.Core.Engine.tier1_installed) results,
-      sum (fun s -> s.Core.Engine.superblocks) results,
-      sum (fun s -> s.Core.Engine.deopts) results )
+      sum (fun s -> s.Core.Engine.tier1_installed) results )
   in
-  let ((t0_cycles, _, _, _, _) as t0_stats) = stat_block tier0_r in
-  let ((sy_cycles, _, _, _, _) as sy_stats) = stat_block sync_r in
-  let ((ti_cycles, ti_interp, ti_inst, ti_super, ti_deopt) as ti_stats) =
-    stat_block tiered_r
-  in
+  let ((t0_cycles, _, _) as t0_stats) = stat_block tier0_r in
+  let ((sy_cycles, _, _) as sy_stats) = stat_block sync_r in
+  let ((ti_cycles, ti_interp, ti_inst) as ti_stats) = stat_block tiered_r in
   let parity =
     List.for_all2
       (fun (n1, r1, m1, _, _) (n2, r2, m2, _, _) ->
@@ -1521,27 +1480,25 @@ let tiers_bench ~reps ~out () =
   Format.printf
     "  wall: tier0 %.3fs, sync-all %.3fs, tiered %.3fs@.  guest cycles over \
      %d guest blocks: tier0 %d (interp charges none), sync-all %d (%.2f/blk), \
-     tiered %d (%.2f/blk)@.  tiered ladder: %d interp execs, %d installs, %d \
-     superblocks, %d deopts@.  cold start (%d blocks, once each): sync \
+     tiered %d (%.2f/blk)@.  tiered ladder: %d interp execs, %d \
+     installs@.  cold start (%d blocks, once each): sync \
      %.6fs, tiered %.6fs (%.2fx)@.  results identical: %b; every rep \
      identical: %b@."
     tier0_s sync_s tiered_s guest_blocks t0_cycles sy_cycles (cpb sy_cycles) ti_cycles (cpb ti_cycles) ti_interp ti_inst
-    ti_super ti_deopt cold_blocks cold_sync_s cold_tiered_s
+    cold_blocks cold_sync_s cold_tiered_s
     (cold_sync_s /. cold_tiered_s)
     parity !deterministic;
-  let pp_config oc name wall (cycles, interp, inst, super, deopt) =
+  let pp_config oc name wall (cycles, interp, inst) =
     Printf.fprintf oc
       {|  %S: {
     "wall_s": %.6f,
     "cycles": %d,
     "cycles_per_block": %.3f,
     "interp_execs": %d,
-    "tier1_installed": %d,
-    "superblocks": %d,
-    "deopts": %d
+    "tier1_installed": %d
   },
 |}
-      name wall cycles (cpb cycles) interp inst super deopt
+      name wall cycles (cpb cycles) interp inst
   in
   let oc = open_out out in
   Printf.fprintf oc
@@ -1551,12 +1508,11 @@ let tiers_bench ~reps ~out () =
   "kernels": %d,
   "reps": %d,
   "jit_threshold": %d,
-  "tier2_threshold": %d,
   "guest_blocks": %d,
 |}
     (envelope "tiers")
     (List.length Harness.Parsec.all)
-    reps jit_threshold tier2_threshold guest_blocks;
+    reps jit_threshold guest_blocks;
   pp_config oc "tier0" tier0_s t0_stats;
   pp_config oc "sync_all" sync_s sy_stats;
   pp_config oc "tiered" tiered_s ti_stats;
@@ -1584,11 +1540,10 @@ let tiers_bench ~reps ~out () =
     Format.eprintf "tiers bench: a rep did not reproduce the first one!@.";
     exit 2
   end;
-  if ti_interp = 0 || ti_inst = 0 || ti_super = 0 then begin
+  if ti_interp = 0 || ti_inst = 0 then begin
     Format.eprintf
-      "tiers bench: the ladder did not engage (%d interp, %d installs, %d \
-       superblocks)!@."
-      ti_interp ti_inst ti_super;
+      "tiers bench: the ladder did not engage (%d interp, %d installs)!@."
+      ti_interp ti_inst;
     exit 2
   end;
   if cpb ti_cycles > cpb sy_cycles then begin

@@ -62,7 +62,7 @@ let dis path =
   0
 
 let run path config_name trace_out debug metrics inject no_chain
-    trace_threshold jit_threshold report postmortem =
+    jit_threshold report postmortem =
   if debug then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.Src.set_level Core.Engine.log_src (Some Logs.Debug)
@@ -86,7 +86,6 @@ let run path config_name trace_out debug metrics inject no_chain
               config with
               Core.Config.inject = plan;
               chain = config.Core.Config.chain && not no_chain;
-              trace_threshold;
               jit_threshold;
             }
           in
@@ -124,7 +123,8 @@ let run path config_name trace_out debug metrics inject no_chain
             (match Core.Engine.hot_blocks eng with
             | [] -> ()
             | hot ->
-                Format.printf "hot blocks (by observed-path heat):@.";
+                Format.printf
+                  "hot blocks (by attributed cycles, then executions):@.";
                 List.iter
                   (fun e -> Format.printf "  %a@." Obs.Profile.pp_entry e)
                   hot)
@@ -312,22 +312,10 @@ let no_chain_arg =
     value & flag
     & info [ "no-chain" ]
         ~doc:
-          "Disable translation-block chaining (and the superblock \
-           machinery that depends on it): every block exit resolves \
-           through the dispatch caches instead of a patched edge.  \
-           Results and guest cycles are unchanged; only dispatch work \
-           differs.")
-
-let trace_threshold_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "trace-threshold" ] ~docv:"N"
-        ~doc:
-          "Tier 2: promote a hot block to a superblock once it has \
-           executed $(docv) times and its branch-outcome profile shows a \
-           dominant successor path, re-running the optimizer pipeline \
-           across the former block boundaries.  0 (default) disables \
-           superblock formation.")
+          "Disable translation-block chaining: every block exit \
+           resolves through the dispatch caches instead of a patched \
+           edge.  Results and guest cycles are unchanged; only \
+           dispatch work differs.")
 
 let jit_threshold_arg =
   Arg.(
@@ -367,8 +355,8 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run an image under the DBT")
     Term.(
       const run $ path_arg $ config_arg $ trace_arg $ debug_arg
-      $ metrics_arg $ inject_arg $ no_chain_arg $ trace_threshold_arg
-      $ jit_threshold_arg $ report_arg $ postmortem_arg)
+      $ metrics_arg $ inject_arg $ no_chain_arg $ jit_threshold_arg
+      $ report_arg $ postmortem_arg)
 
 let explain_fences_cmd =
   Cmd.v

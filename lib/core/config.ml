@@ -8,7 +8,6 @@ type t = {
   host_linker : bool;
   inject : Inject.plan;
   chain : bool;
-  trace_threshold : int;
   jit_threshold : int;
 }
 
@@ -21,7 +20,6 @@ let qemu =
     host_linker = false;
     inject = [];
     chain = true;
-    trace_threshold = 0;
     jit_threshold = 0;
   }
 

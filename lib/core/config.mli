@@ -27,13 +27,6 @@ type t = {
           translated code in the same order, so results and guest
           cycles are unchanged; [false] gives the unchained dispatch
           baseline.  On in all presets. *)
-  trace_threshold : int;
-      (** tier-2 threshold: once a block has executed this many times
-          and its {!Tier} profile shows a dominant observed successor,
-          stitch the dominant path into one superblock and re-run the
-          optimizer pipeline across the former block boundaries.  [0]
-          (the default in all presets) disables superblock formation;
-          requires [chain]. *)
   jit_threshold : int;
       (** tier-0/1 boundary: with [0] (the default in all presets)
           every block is backend-compiled at first translation, exactly

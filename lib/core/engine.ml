@@ -18,13 +18,11 @@ type stats = {
   chained : int;
   chain_hits : int;
   jmp_cache_hits : int;
-  superblocks : int;
   interp_fallbacks : int;
   traps : int;
   cache_quarantined : int;
   interp_execs : int;
   tier1_installed : int;
-  deopts : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -38,13 +36,11 @@ type event =
   | Chained
   | Chain_hit
   | Jcache_hit
-  | Superblock_installed
   | Fallback
   | Trapped
   | Cache_quarantined
   | Interp_exec
   | Published
-  | Deopt
   | Table_hit
   | Lookup_miss
   | Fences_emitted
@@ -79,13 +75,11 @@ let table =
     row Chained "chained" ~always:true;
     row Chain_hit "chain_hits" ~always:true;
     row Jcache_hit "jmp_cache_hits" ~always:true;
-    row Superblock_installed "superblocks" ~flight:Fl.Superblock ~level:Info ~always:true;
     row Fallback "interp_fallbacks" ~flight:Fl.Tier_degraded ~level:Warning ~always:true;
     row Trapped "traps" ~flight:Fl.Trap ~level:Warning ~always:true;
     row Cache_quarantined "cache_quarantined" ~level:Warning ~always:true;
     row Interp_exec "interp_execs" ~always:true;
     row Published "tier1_installed" ~flight:Fl.Tier_published ~level:Info ~always:true;
-    row Deopt "deopts" ~flight:Fl.Tier_deopt ~level:Info ~always:true;
     row Table_hit "table_hits";
     row Lookup_miss "lookup_misses";
     row Fences_emitted "fences_emitted" ~tally:Sum;
@@ -118,8 +112,8 @@ type t = {
   mem : Memsys.Mem.t;
   shared : Arm.Machine.shared;
   tbs : compiled Tbchain.t;
-      (* the code cache: every translated block (native or degraded),
-         plus chain edges and hot-trace state *)
+      (* the code cache: every translated block (native, tier 0 or
+         degraded), its tier state and its chain edges *)
   pinned : (int64, Tcg.Block.t * Tcg.Fence_ledger.t) Hashtbl.t;
       (* optimized TCG and ledger of the blocks an injected fault hit
          while they were translated: re-translation cannot reproduce
@@ -132,8 +126,8 @@ type t = {
   pending_spawns : (int * int64 * int64) Queue.t;  (* tid, entry, arg *)
   next_tid : int ref;
   flight : Obs.Flight.t;
-      (* engine-wide flight ring: tier publishes, superblocks, deopts —
-         lifecycle events not owned by one thread *)
+      (* engine-wide flight ring: tier publishes and fallbacks, fence
+         passes — lifecycle events not owned by one thread *)
   mutable guest_threads : guest_thread list;
       (* every thread ever spawned (newest first), so a postmortem can
          show what each was doing *)
@@ -255,13 +249,11 @@ let stats t =
     chained = c Chained;
     chain_hits = c Chain_hit;
     jmp_cache_hits = c Jcache_hit;
-    superblocks = c Superblock_installed;
     interp_fallbacks = c Fallback;
     traps = c Trapped;
     cache_quarantined = c Cache_quarantined;
     interp_execs = c Interp_exec;
     tier1_installed = c Published;
-    deopts = c Deopt;
   }
 
 (* Every counter by name: the table's rows, then the two dispatch sums
@@ -316,7 +308,7 @@ let reset t =
   Obs.Trace.instant ~cat:"engine" "reset";
   (* [flush] bumps the generation, so no per-thread jump cache or
      pending chained target from before the reset can fire.  Per-block
-     tier profiles die with their nodes. *)
+     tier states die with their nodes. *)
   Tbchain.flush t.tbs;
   Hashtbl.reset t.pinned;
   Hashtbl.reset t.loaded
@@ -335,11 +327,10 @@ let count_fences t pc code =
    speed is lost.  Called at first translation when [jit_threshold = 0],
    by [enter] when a cold block reaches the threshold, and by
    [lookup_block].  A node that already holds native code (a cache
-   reload reset its profile) is only marked published. *)
+   reload reset its state) is only marked published. *)
 let promote t node =
-  let p = node.Tbchain.tier in
   match node.Tbchain.body with
-  | Native _ -> p.Tier.state <- Tier.Published
+  | Native _ -> node.Tbchain.state <- Tbchain.Published
   | Interp_only tcg -> (
       let pc = node.Tbchain.pc in
       let compiled =
@@ -361,15 +352,12 @@ let promote t node =
       let gen = Tbchain.generation t.tbs in
       match compiled with
       | Ok code ->
-          (* An interpreter body never carries a superblock, so the
-             active translation is the body. *)
           node.Tbchain.body <- Native code;
-          node.Tbchain.active <- node.Tbchain.body;
-          p.Tier.state <- Tier.Published;
+          node.Tbchain.state <- Tbchain.Published;
           count_fences t pc code;
           emit t t.flight Published pc gen
       | Error f ->
-          p.Tier.state <- Tier.Degraded;
+          node.Tbchain.state <- Tbchain.Degraded;
           emit t t.flight Fallback pc gen ~why:(Fault.to_string f))
 
 (* Translate the block at [pc] into a fresh [Cold] node on the TCG
@@ -415,7 +403,7 @@ let fetch t pc = (fetch_node t pc).Tbchain.body
 
 let lookup_block t pc =
   let n = fetch_node t pc in
-  if n.Tbchain.tier.Tier.state = Tier.Cold then promote t n;
+  if n.Tbchain.state = Tbchain.Cold then promote t n;
   match n.Tbchain.body with
   | Native code -> code
   | Interp_only _ ->
@@ -493,9 +481,9 @@ let fault_of_machine_trap pc = function
    runs produce byte-identical postmortems. *)
 
 let state_name = function
-  | Tier.Cold -> "cold"
-  | Tier.Published -> "published"
-  | Tier.Degraded -> "degraded"
+  | Tbchain.Cold -> "cold"
+  | Tbchain.Published -> "published"
+  | Tbchain.Degraded -> "degraded"
 
 let json_of_event (e : Obs.Flight.event) =
   Report.Json.Obj
@@ -576,9 +564,8 @@ let postmortem_json ?(last = 32) t ~reason =
     Report.Json.Obj
       [
         ("pc", Report.Json.String (Printf.sprintf "0x%Lx" pc));
-        ("state", Report.Json.String (state_name n.Tbchain.tier.Tier.state));
+        ("state", Report.Json.String (state_name n.Tbchain.state));
         ("execs", Report.Json.Int n.Tbchain.exec_count);
-        ("super_len", Report.Json.Int n.Tbchain.super_len);
       ]
   in
   let tiers =
@@ -691,8 +678,8 @@ let step_interp g b =
   done;
   res
 
-(* Run a block's active translation.  The exit comes back in the
-   machine's own terms, whichever tier ran it; a helper fault raised
+(* Run a block's translation.  The exit comes back in the machine's
+   own terms, whichever tier ran it; a helper fault raised
    mid-block escapes as [Fault.Fault]. *)
 let exec t g = function
   | Native code -> Arm.Machine.exec_block t.shared g.arm code
@@ -742,157 +729,24 @@ let dispatch t g =
             Tbchain.jcache_store t.tbs g.jcache n;
             n)
 
-(* ------------------------------------------------------------------ *)
-(* Tier 2 — hot-trace superblocks: once a block head crosses the
-   hotness threshold *and* its profile shows a dominant observed
-   successor path, stitch that path into one TCG block, re-run the
-   configured optimizer pipeline so Fenceopt/Memopt/Dce see across the
-   former block boundaries, and compile the result.  Side exits
-   (untaken branch arms, back edges, computed jumps) fall back to the
-   original blocks, so installation can never change results — only
-   which code services the hot path.  A superblock whose side-exit rate
-   regresses is deoptimized back to its tier-1 TB. *)
-
-let trace_limit = 8
-
-(* The hot path out of [head], following each block's dominant observed
-   static successor (the only seams [Tcg.Block.concat] can stitch —
-   computed jumps never qualify because they dilute dominance through
-   the profile's [other] bucket).  Revisits are allowed, so a self-loop
-   unrolls.  The profile sees every observed exit, not only the ones
-   chaining happened to patch into edges. *)
-let profile_path t head ~limit =
-  let rec go acc n k =
-    if k = 0 then List.rev acc
-    else
-      match Tier.dominant n.Tbchain.tier with
-      | None -> List.rev acc
-      | Some (pc, _) -> (
-          match Tbchain.find t.tbs pc with
-          | None -> List.rev acc
-          | Some next -> go (next :: acc) next (k - 1))
-  in
-  go [ head ] head (limit - 1)
-
-(* [`Not_ready] is retryable (a member of the path is still cold on
-   tier 0); [`Failed] latches [no_super]. *)
-let form_superblock t head =
-  let path = profile_path t head ~limit:trace_limit in
-  (* Every member must be native and have provenance; the first one that
-     does not decides, before any TCG is re-derived. *)
-  let readiness n =
-    match n.Tbchain.body with
-    | Native _ ->
-        if Hashtbl.mem t.loaded n.Tbchain.pc then `Failed (* no TCG to stitch *)
-        else `Ready
-    | Interp_only _ ->
-        if n.Tbchain.tier.Tier.state = Tier.Degraded then `Failed
-        else `Not_ready
-  in
-  if List.length path < 2 then `Not_ready
-  else
-    match
-      List.fold_left
-        (fun acc n -> match acc with `Ready -> readiness n | x -> x)
-        `Ready path
-    with
-    | (`Failed | `Not_ready) as x -> x
-    | `Ready -> (
-        (* A looping trace repeats its members: derive each pc once. *)
-        let derived = Hashtbl.create 8 in
-        let blocks =
-          List.map
-            (fun n ->
-              let pc = n.Tbchain.pc in
-              match Hashtbl.find_opt derived pc with
-              | Some b -> b
-              | None ->
-                  let b =
-                    match provenance t pc with
-                    | Some (b, _) -> b
-                    | None -> assert false (* ready members have provenance *)
-                  in
-                  Hashtbl.add derived pc b;
-                  b)
-            path
-        in
-        let stitched =
-          Tcg.Pipeline.run t.config.Config.passes (Tcg.Block.concat blocks)
-        in
-        match Backend.compile t.config stitched with
-        | code ->
-            (* When the whole trace executes, it exits to the tail's
-               dominant successor; anything else is a side exit. *)
-            let tail = List.nth path (List.length path - 1) in
-            let expected_exit =
-              match Tier.dominant tail.Tbchain.tier with
-              | Some (pc, _) -> pc
-              | None -> -1L
-            in
-            `Installed (Native code, List.length blocks, expected_exit)
-        | exception Fault.Fault _ -> `Failed
-        | exception Backend.Register_pressure _ -> `Failed)
-
-let maybe_superblock t node =
-  let threshold = t.config.Config.trace_threshold in
-  if
-    threshold > 0
-    && Tbchain.chaining t.tbs
-    && node.Tbchain.exec_count >= threshold
-    && node.Tbchain.super_len = 0
-    && (not node.Tbchain.no_super)
-    && (match node.Tbchain.body with Native _ -> true | Interp_only _ -> false)
-    && Option.is_some (Tier.dominant node.Tbchain.tier)
-  then
-    match
-      Obs.Trace.with_span ~cat:"engine"
-        ~args:(fun () -> [ ("pc", Printf.sprintf "0x%Lx" node.Tbchain.pc) ])
-        "superblock"
-        (fun () -> form_superblock t node)
-    with
-    | `Installed (super, len, expected_exit) ->
-        Tbchain.install_super node super ~len;
-        Tier.note_super_installed node.Tbchain.tier ~expected_exit;
-        emit t t.flight Superblock_installed node.Tbchain.pc len
-    | `Not_ready -> ()
-    | `Failed -> node.Tbchain.no_super <- true
-
-(* Tier-2 demotion: the superblock's observed side-exit rate crossed
-   Tier's regression bound, so the stitched tail is mostly wasted work
-   (and mispredicted path).  Fall back to the tier-1 TB and retrain the
-   successor profile; after [Tier.max_deopts] demotions the block stops
-   retrying. *)
-let maybe_deopt t node =
-  let p = node.Tbchain.tier in
-  if Tier.should_deopt p then begin
-    node.Tbchain.active <- node.Tbchain.body;
-    node.Tbchain.super_len <- 0;
-    Tier.note_deopt p;
-    if not (Tier.retry_allowed p) then node.Tbchain.no_super <- true;
-    emit t t.flight Deopt node.Tbchain.pc p.Tier.deopt_count
-  end
-
-(* Dispatch the thread's next block and do the per-execution tier
-   bookkeeping; returns the node whose [active] translation runs. *)
+(* Dispatch the thread's next block and count the execution; returns
+   the node whose body runs. *)
 let enter t g =
   let node = dispatch t g in
   node.Tbchain.exec_count <- node.Tbchain.exec_count + 1;
-  let p = node.Tbchain.tier in
   (* Tier 0 -> 1: compile the block once it proves hot, in time for
      this execution to run natively.  Eager engines publish at
      translation, so the check is one load on the presets' path. *)
   if
-    p.Tier.state = Tier.Cold
+    node.Tbchain.state = Tbchain.Cold
     && t.config.Config.jit_threshold > 0
     && node.Tbchain.exec_count >= t.config.Config.jit_threshold
   then promote t node;
-  (match node.Tbchain.active with
+  (match node.Tbchain.body with
   | Interp_only _ ->
       emit t g.gflight Executed g.pc 0;
       emit t g.gflight Interp_exec g.pc 0
   | Native _ -> emit t g.gflight Executed g.pc 1);
-  maybe_superblock t node;
-  if node.Tbchain.super_len > 0 then Tier.record_super_entry p;
   node
 
 (* Cycle attribution for hot-block ranking is metered: one enabled
@@ -926,28 +780,13 @@ let chain_exit t g node pc =
 let leave t g node (exit : Arm.Machine.exit_state) =
   match exit with
   | Arm.Machine.Next_tb pc ->
-      (* Branch-outcome profile: a plain block records its observed
-         static successor; a superblock records whether it ran to its
-         expected exit, which is what drives demotion.  Recording is
-         unconditional (not metrics-gated) so observability cannot
-         perturb tier decisions. *)
-      if node.Tbchain.super_len > 0 then begin
-        Tier.record_super_exit node.Tbchain.tier pc;
-        maybe_deopt t node
-      end
-      else Tier.record_succ node.Tbchain.tier pc;
       chain_exit t g node pc;
       g.pc <- pc
-  | Arm.Machine.Jump pc ->
-      if node.Tbchain.super_len = 0 then Tier.record_other node.Tbchain.tier;
-      g.pc <- pc
+  | Arm.Machine.Jump pc -> g.pc <- pc
   | Arm.Machine.Halted ->
-      if node.Tbchain.super_len = 0 then Tier.record_other node.Tbchain.tier;
       Log.debug (fun m -> m "T%d halted" g.arm.Arm.Machine.tid);
       g.finished <- true
-  | Arm.Machine.Trapped tr ->
-      if node.Tbchain.super_len = 0 then Tier.record_other node.Tbchain.tier;
-      fault_thread t g (fault_of_machine_trap g.pc tr)
+  | Arm.Machine.Trapped tr -> fault_thread t g (fault_of_machine_trap g.pc tr)
 
 let step_block t g =
   if not g.finished then
@@ -955,13 +794,12 @@ let step_block t g =
     | exception Fault.Fault f -> fault_thread t g f
     | node -> (
         let from = g.arm.Arm.Machine.cycles in
-        match exec t g node.Tbchain.active with
+        match exec t g node.Tbchain.body with
         | exit ->
             attribute_cycles node g ~from;
             leave t g node exit
         | exception Fault.Fault f ->
             attribute_cycles node g ~from;
-            if node.Tbchain.super_len = 0 then Tier.record_other node.Tbchain.tier;
             fault_thread t g f)
 
 type outcome =
@@ -1029,10 +867,8 @@ let trap g = g.trap
 (* ------------------------------------------------------------------ *)
 (* Profiling views over the code cache and the stats record.           *)
 
-(* Hottest translated blocks, ranked by observed-path heat (execution
-   count plus dominant-successor hits from the tier profile — the
-   tier-2 candidate ordering), with attributed guest cycles and raw
-   counts carried along for display and fallback ranking. *)
+(* Hottest translated blocks, ranked by attributed guest cycles (when
+   metrics were on), then by execution count. *)
 let hot_blocks ?limit t =
   let entries =
     Tbchain.fold
@@ -1043,7 +879,6 @@ let hot_blocks ?limit t =
             Obs.Profile.key = pc;
             count = n.Tbchain.exec_count;
             cost = n.Tbchain.prof_cycles;
-            heat = Tier.heat ~execs:n.Tbchain.exec_count n.Tbchain.tier;
           }
           :: acc)
       t.tbs []
@@ -1231,8 +1066,8 @@ let load_cache t path =
          jumps into: unchain everything (bumping the generation, so
          per-thread jump caches and pending chained targets die) before
          installing the staged blocks.  [clear_links] also resets every
-         surviving node's tier profile — a resumed run must not promote
-         on counters trained before the reload. *)
+         surviving node's tier state and counters — a resumed run must
+         not promote on counts from before the reload. *)
       Tbchain.clear_links t.tbs;
       Hashtbl.iter
         (fun pc code ->
@@ -1241,7 +1076,7 @@ let load_cache t path =
              derives what the loaded code was compiled from. *)
           if Option.is_none (Tbchain.find t.tbs pc) then Hashtbl.replace t.loaded pc ();
           let n = Tbchain.insert t.tbs pc (Native code) in
-          n.Tbchain.tier.Tier.state <- Tier.Published)
+          n.Tbchain.state <- Tbchain.Published)
         staged;
       List.iter
         (fun (pc, why) -> emit t t.flight Cache_quarantined pc 0 ~why)

@@ -14,23 +14,18 @@
     [config.chain = false].
 
     {b Tier ladder.}  Every translated block starts as a [Cold] node
-    on the TCG interpreter (tier 0) and reaches native code (tier 1)
-    through one synchronous compile path on the execution thread.
-    With [config.jit_threshold = 0] that compile runs at first
-    translation.  With [config.jit_threshold > 0] the block is
-    interpreted while a {!Tier} profile accumulates execution and
-    branch-outcome counters, and is compiled at the dispatch that
-    reaches the threshold, so that execution already runs natively.
-    Either way the compile ends in a published native TB or a
-    degraded block before the next dispatch, and every native install
-    counts in [stats.tier1_installed].  With
-    [config.trace_threshold > 0], hot block heads whose profile shows a
-    dominant observed successor get that path stitched into a
-    superblock and re-optimized across the former block boundaries
-    (tier 2, see {!Tcg.Block.concat}), and are demoted back to their
-    tier-1 TB if the side-exit rate regresses.  All presets have
-    [jit_threshold = 0]: the ladder is opt-in, and every tier runs the
-    same Pipeline and fence mapping.
+    ({!Tbchain.state}) on the TCG interpreter (tier 0) and reaches
+    native code (tier 1) through one synchronous compile path on the
+    execution thread.  With [config.jit_threshold = 0] that compile
+    runs at first translation.  With [config.jit_threshold > 0] the
+    block is interpreted until its execution count reaches the
+    threshold, and is compiled at that dispatch, so that execution
+    already runs natively.  Either way the compile ends in a published
+    native TB or a degraded block before the next dispatch, and every
+    native install counts in [stats.tier1_installed].  There is no
+    tier above native code: one dispatch runs one guest block.  All
+    presets have [jit_threshold = 0]: the ladder is opt-in, and both
+    tiers run the same Pipeline and fence mapping.
 
     {b Fault model.}  Guest-caused failures (undecodable code, missing
     helpers, unresolvable imports, runaway blocks) never abort a run:
@@ -46,8 +41,8 @@
 type stats = {
   blocks_translated : int;
   blocks_executed : int;
-      (** dispatches through the execute loop (one per executed block
-          or superblock) *)
+      (** dispatches through the execute loop, one per executed guest
+          block *)
   cache_hits : int;
       (** dispatches/fetches that did not need a fresh translation,
           whichever fast path served them *)
@@ -61,8 +56,6 @@ type stats = {
       (** dispatches served by a patched edge — no table lookup at all *)
   jmp_cache_hits : int;
       (** dispatches served by the per-thread direct-mapped jump cache *)
-  superblocks : int;
-      (** hot traces stitched, re-optimized and installed *)
   interp_fallbacks : int;
       (** blocks the backend could not compile, demoted to the TCG
           interpreter *)
@@ -80,9 +73,6 @@ type stats = {
           was installed (tier 1) — eager compiles at translation
           included, so an eager run has [tier1_installed =
           blocks_translated - interp_fallbacks] *)
-  deopts : int;
-      (** superblocks demoted back to their tier-1 TB because the
-          observed side-exit rate regressed *)
 }
 
 (** The engine's lifecycle events.  Each site that counts something
@@ -95,7 +85,6 @@ type event =
   | Chained  (** [chained] *)
   | Chain_hit  (** [chain_hits] *)
   | Jcache_hit  (** [jmp_cache_hits] *)
-  | Superblock_installed  (** [superblocks]; flight [Superblock] *)
   | Fallback
       (** [interp_fallbacks]: a backend compile failed; flight
           [Tier_degraded] *)
@@ -103,7 +92,6 @@ type event =
   | Cache_quarantined  (** [cache_quarantined] *)
   | Interp_exec  (** [interp_execs] *)
   | Published  (** [tier1_installed]; flight [Tier_published] *)
-  | Deopt  (** [deopts]; flight [Tier_deopt] *)
   | Table_hit  (** [table_hits]: dispatches/fetches served by the table *)
   | Lookup_miss
       (** [lookup_misses]: dispatches/fetches that had to translate *)
@@ -191,13 +179,12 @@ val spawn :
   guest_thread
 
 (** Translate (or fetch from cache) the block at an address.  Returns
-    the original per-block translation (never a superblock): [Native]
-    under the eager presets, [Interp_only] for a block still on tier 0
-    or degraded. *)
+    its translation: [Native] under the eager presets, [Interp_only]
+    for a block still on tier 0 or degraded. *)
 val fetch : t -> int64 -> compiled
 
-(** Flush the translation caches: every block, patched chain edge,
-    superblock and per-block tier profile is dropped, and the chain
+(** Flush the translation caches: every block, patched chain edge and
+    per-block tier state is dropped, and the chain
     generation is bumped so stale per-thread dispatch state can never
     fire. *)
 val reset : t -> unit
@@ -274,11 +261,9 @@ val trap : guest_thread -> Fault.t option
     concurrent runs, and feeds {!Obs.Metrics} when the registry is
     enabled; both are single-branch no-ops otherwise. *)
 
-(** Hottest translated blocks, ranked by observed-path heat (execution
-    count plus dominant-successor hits from the branch-outcome profile
-    — exactly the tier-2 candidate ordering); attributed guest cycles
-    and raw counts ride along in each entry.  [limit] defaults to
-    10. *)
+(** Hottest translated blocks, ranked by {!Obs.Profile.score}:
+    attributed guest cycles (collected while metrics are enabled), then
+    execution count.  [limit] defaults to 10. *)
 val hot_blocks : ?limit:int -> t -> Obs.Profile.entry list
 
 (** One-line run summary for CLIs: guest cycles of [g], then every
@@ -293,7 +278,7 @@ val stats_line : t -> guest_thread -> string
     Every guest thread carries an always-on {!Obs.Flight} ring of its
     recent lifecycle events (block entries, trap, watchdog), and the
     engine keeps one more for events not owned by a single thread
-    (tier publishes and fallbacks, superblocks, deopts, fence passes).
+    (tier publishes and fallbacks, fence passes).
     When a postmortem directory is configured, any trap or watchdog
     exhaustion dumps a deterministic JSON artifact combining the rings
     with tier states, fence ledgers and a metrics slice. *)
@@ -375,7 +360,7 @@ val save_cache : t -> string -> int
     and the rest of the file still
     loads.  On [Error] the engine's code cache is untouched (cold
     start); nothing is ever partially loaded.  On [Ok] every patched
-    chain edge and superblock is invalidated first (the loaded
+    chain edge is invalidated first (the loaded
     translations replace what the edges were built against), which
     also bumps {!chain_generation}. *)
 val load_cache : t -> string -> (int, Fault.t) result

@@ -7,18 +7,19 @@
    [generation], which lazily invalidates every per-thread jump cache
    and pending chained target that was built against the old state. *)
 
+type state =
+  | Cold  (* tier 0: not compiled since translation (or a relink) *)
+  | Published  (* tier 1: native code installed *)
+  | Degraded  (* backend refused the block; interpreter permanently *)
+
 type 'a node = {
   pc : int64;
-  mutable body : 'a;  (* the original translation of the block *)
-  mutable active : 'a;  (* what dispatch executes: body or a superblock *)
+  mutable body : 'a;  (* the translation dispatch runs *)
+  mutable state : state;
   mutable exec_count : int;
   mutable edges : 'a edge list;  (* patched static exits, at most one per pc *)
-  mutable super_len : int;  (* number of stitched blocks; 0 = no superblock *)
-  mutable no_super : bool;  (* superblock formation failed; do not retry *)
   mutable prof_cycles : int;
       (* guest cycles attributed to this block while metrics were on *)
-  tier : Tier.profile;
-      (* tier-ladder state + observed-successor profile (see Tier) *)
 }
 
 and 'a edge = { epc : int64; target : 'a node }
@@ -46,27 +47,14 @@ let iter f t = Hashtbl.iter f t.table
 
 let reset_node n body =
   n.body <- body;
-  n.active <- body;
+  n.state <- Cold;
   n.exec_count <- 0;
   n.edges <- [];
-  n.super_len <- 0;
-  n.no_super <- false;
-  n.prof_cycles <- 0;
-  Tier.reset n.tier
+  n.prof_cycles <- 0
 
 (* A node in no table: the empty value of the engine's dispatch slots. *)
 let detached body =
-  {
-    pc = -1L;
-    body;
-    active = body;
-    exec_count = 0;
-    edges = [];
-    super_len = 0;
-    no_super = false;
-    prof_cycles = 0;
-    tier = Tier.fresh ();
-  }
+  { pc = -1L; body; state = Cold; exec_count = 0; edges = []; prof_cycles = 0 }
 
 let insert t pc body =
   match Hashtbl.find_opt t.table pc with
@@ -100,24 +88,8 @@ let rec follow_edges pc none = function
 
 let follow from pc ~none = follow_edges pc none from.edges
 
-let install_super n active ~len =
-  n.active <- active;
-  n.super_len <- len;
-  (* Old edges were keyed by the plain body's exit pcs; the superblock
-     has its own set of side exits. *)
-  n.edges <- []
-
 let clear_links t =
-  Hashtbl.iter
-    (fun _ n ->
-      n.edges <- [];
-      n.active <- n.body;
-      n.exec_count <- 0;
-      n.super_len <- 0;
-      n.no_super <- false;
-      n.prof_cycles <- 0;
-      Tier.reset n.tier)
-    t.table;
+  Hashtbl.iter (fun _ n -> reset_node n n.body) t.table;
   t.generation <- t.generation + 1
 
 let flush t =

@@ -1,32 +1,34 @@
-(** Translation-block chain table: block-to-block links and hot-trace
-    bookkeeping for the engine's dispatch loop.
+(** Translation-block chain table: block-to-block links and per-block
+    tier state for the engine's dispatch loop.
 
     Each translated block is a {!node} holding its translation
-    ([body]), what dispatch actually runs ([active] — the body, or a
-    superblock stitched over a hot trace), an execution count, and the
-    {e patched edges}: static exits resolved once through the cache and
-    recorded so later executions follow the link without a hashtable
-    lookup (QEMU-style direct chaining).
+    ([body]), where it sits on the tier ladder ([state]), an execution
+    count, and the {e patched edges}: static exits resolved once
+    through the cache and recorded so later executions follow the link
+    without a hashtable lookup (QEMU-style direct chaining).
 
     {b Invalidation.}  [clear_links]/[flush] bump {!generation}; stale
     per-thread state (jump caches, pending chained targets) is detected
     lazily by comparing generations, so a cache reload can never leave
     a patched jump pointing at dead code. *)
 
+(** Where a block sits on the tier ladder.  [Cold] has not been through
+    a compile since it was translated (or since {!clear_links}); without
+    native code it runs on the TCG interpreter (tier 0).  [Published]
+    means a native TB was installed (tier 1).  [Degraded] is terminal:
+    the backend refused the block and the interpreter serves it
+    forever.  The execution thread is the only writer. *)
+type state = Cold | Published | Degraded
+
 type 'a node = {
   pc : int64;  (** guest pc of the block head *)
-  mutable body : 'a;  (** the original translation *)
-  mutable active : 'a;  (** what dispatch executes (body or superblock) *)
+  mutable body : 'a;  (** the translation dispatch runs *)
+  mutable state : state;
   mutable exec_count : int;
   mutable edges : 'a edge list;  (** patched static exits, one per pc *)
-  mutable super_len : int;  (** blocks stitched into [active]; 0 = none *)
-  mutable no_super : bool;  (** formation failed once; do not retry *)
   mutable prof_cycles : int;
       (** guest cycles this block accumulated while {!Obs.Metrics} was
           enabled (0 otherwise) — feeds hot-block ranking *)
-  tier : Tier.profile;
-      (** tier-ladder state and observed-successor profile; reset along
-          with the other hotness state on {!insert}/{!clear_links} *)
 }
 
 and 'a edge = { epc : int64; target : 'a node }
@@ -50,7 +52,7 @@ val find : 'a t -> int64 -> 'a node option
 
 (** Insert (or replace) the translation for a pc.  Replacing reuses the
     existing node record — edges into it keep working and see the new
-    body — and resets its edges, counts and superblock state. *)
+    body — and resets its state to [Cold], its edges and its counts. *)
 val insert : 'a t -> int64 -> 'a -> 'a node
 
 (** [link t from ~epc target] patches the static exit of [from] at
@@ -69,13 +71,9 @@ val detached : 'a -> 'a node
     exit pc [pc], or [none] when that exit is unpatched. *)
 val follow : 'a node -> int64 -> none:'a node -> 'a node
 
-(** Make [active] a superblock covering [len] stitched blocks and drop
-    the node's now-stale edges. *)
-val install_super : 'a node -> 'a -> len:int -> unit
-
-(** Unpatch every edge, demote superblocks back to their bodies, reset
-    hotness counters and bump the generation — used when reloading a
-    persistent cache, where translations change under the chains. *)
+(** Unpatch every edge, reset every node to [Cold] with zeroed counters
+    and bump the generation — used when reloading a persistent cache,
+    where translations change under the chains. *)
 val clear_links : 'a t -> unit
 
 (** Drop every node and bump the generation. *)

@@ -2,8 +2,6 @@ type kind =
   | Block_enter
   | Tier_published
   | Tier_degraded
-  | Tier_deopt
-  | Superblock
   | Trap
   | Watchdog
   | Fence_pass
@@ -12,28 +10,22 @@ let kind_code = function
   | Block_enter -> 0
   | Tier_published -> 1
   | Tier_degraded -> 2
-  | Tier_deopt -> 3
-  | Superblock -> 4
-  | Trap -> 5
-  | Watchdog -> 6
-  | Fence_pass -> 7
+  | Trap -> 3
+  | Watchdog -> 4
+  | Fence_pass -> 5
 
 let kind_of_code = function
   | 0 -> Block_enter
   | 1 -> Tier_published
   | 2 -> Tier_degraded
-  | 3 -> Tier_deopt
-  | 4 -> Superblock
-  | 5 -> Trap
-  | 6 -> Watchdog
+  | 3 -> Trap
+  | 4 -> Watchdog
   | _ -> Fence_pass
 
 let kind_name = function
   | Block_enter -> "block-enter"
   | Tier_published -> "tier-published"
   | Tier_degraded -> "tier-degraded"
-  | Tier_deopt -> "tier-deopt"
-  | Superblock -> "superblock"
   | Trap -> "trap"
   | Watchdog -> "watchdog"
   | Fence_pass -> "fence-pass"

@@ -17,8 +17,6 @@ type kind =
   | Block_enter  (** dispatched a block; [arg] = tier (0 interp, 1 native) *)
   | Tier_published  (** native code installed; [arg] = generation *)
   | Tier_degraded  (** compile failed, block degraded; [arg] = generation *)
-  | Tier_deopt  (** superblock demoted to its TB; [arg] = deopt count *)
-  | Superblock  (** superblock formed at this head; [arg] = path length *)
   | Trap  (** thread faulted; [arg] = 0 *)
   | Watchdog  (** watchdog fired ([Exhausted]); [arg] = steps *)
   | Fence_pass  (** block translated; [arg] = fences kept in the block *)

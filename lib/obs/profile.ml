@@ -9,9 +9,9 @@ let time h f =
   end
   else f ()
 
-type entry = { key : int64; count : int; cost : int; heat : int }
+type entry = { key : int64; count : int; cost : int }
 
-let score e = if e.heat > 0 then e.heat else if e.cost > 0 then e.cost else e.count
+let score e = if e.cost > 0 then e.cost else e.count
 
 let rank ?(limit = 10) entries =
   let cmp a b =
@@ -26,5 +26,4 @@ let rank ?(limit = 10) entries =
   take limit (List.sort cmp entries)
 
 let pp_entry ppf e =
-  Format.fprintf ppf "tb@0x%Lx: %d execs, %d cycles, heat %d" e.key e.count
-    e.cost e.heat
+  Format.fprintf ppf "tb@0x%Lx: %d execs, %d cycles" e.key e.count e.cost

@@ -15,15 +15,11 @@ val time : Metrics.histogram -> (unit -> 'a) -> 'a
 
 (** A profiled block: [key] its guest pc, [count] how many times it was
     dispatched, [cost] its accumulated guest cycles (0 when metrics
-    were off during the run — cycle attribution is metered), [heat] its
-    observed-path heat (executions plus dominant-successor hits from
-    the tier profile; 0 when the producer tracks no branch outcomes). *)
-type entry = { key : int64; count : int; cost : int; heat : int }
+    were off during the run — cycle attribution is metered). *)
+type entry = { key : int64; count : int; cost : int }
 
-(** Ranking weight: observed-path heat when the producer recorded
-    branch outcomes — hot-and-predictable blocks (superblock
-    candidates) first — otherwise accumulated cycles when measured,
-    execution count as the last resort. *)
+(** Ranking weight: accumulated cycles when measured, otherwise the
+    execution count. *)
 val score : entry -> int
 
 (** The [limit] highest-{!score} entries, best first; ties broken by

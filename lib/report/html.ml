@@ -342,7 +342,10 @@ let coverage_section buf cov models =
       "<p>No coverage recorded (run with the coverage probe enabled).</p>\n"
   else begin
     (* One matrix per source model: rows = scheme / program, columns =
-       the model's axioms in checking order. *)
+       the model's axioms in checking order.  Cells read an index built
+       once, so rendering stays linear in the cells. *)
+    let index = Hashtbl.create (List.length counts) in
+    List.iter (fun (k, n) -> Hashtbl.replace index k n) counts;
     let model_names =
       List.sort_uniq compare
         (List.map (fun ((k : Coverage.key), _) -> k.Coverage.model) counts)
@@ -392,13 +395,9 @@ let coverage_section buf cov models =
             List.iter
               (fun axiom ->
                 let n =
-                  match
-                    List.assoc_opt
-                      { Coverage.scheme; program; model = model_name; axiom }
-                      counts
-                  with
-                  | Some n -> n
-                  | None -> 0
+                  Option.value ~default:0
+                    (Hashtbl.find_opt index
+                       { Coverage.scheme; program; model = model_name; axiom })
                 in
                 Buffer.add_string buf
                   (if n = 0 then "<td class=\"num zero\">0</td>"

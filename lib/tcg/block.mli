@@ -1,11 +1,11 @@
 (** Translation blocks: the unit of translation and caching.
 
     A block's ops are one dense array, the form every consumer walks:
-    the optimizer passes, the backend, the TCG interpreter (tier 0) and
-    superblock stitching.  Blocks are built with {!make}, which also
-    resolves each label to the index of its [Set_label] once, so no
-    consumer searches for a branch target at run time.  A block is
-    immutable by convention: nothing writes to [ops] after {!make}. *)
+    the optimizer passes, the backend and the TCG interpreter (tier 0).
+    Blocks are built with {!make}, which also resolves each label to
+    the index of its [Set_label] once, so no consumer searches for a
+    branch target at run time.  A block is immutable by convention:
+    nothing writes to [ops] after {!make}. *)
 
 type t = private {
   guest_pc : int64;  (** guest address of the first instruction *)
@@ -27,16 +27,3 @@ val with_ops : t -> Op.t array -> t
 
 val op_count : t -> int
 val pp : Format.formatter -> t -> unit
-
-(** [concat blocks] stitches a hot trace into one superblock, keeping
-    the head's [guest_pc].  Labels of each constituent are renumbered
-    to avoid collisions; every [Goto_tb] in the accumulated prefix that
-    targets the next constituent's pc is rewritten into an internal
-    forward branch, and [Br l; Set_label l] seam pairs are elided so
-    straight-line seams become visible to the (label-blocked) optimizer
-    passes.  Back edges and exits to pcs outside the trace remain
-    [Goto_tb]/[Goto_ptr] side exits with unchanged semantics, so the
-    superblock is internally acyclic and falls back to the original
-    blocks on any side exit.  Duplicate constituents are allowed (loop
-    unrolling).  Raises [Invalid_argument] on the empty list. *)
-val concat : t list -> t

@@ -389,27 +389,6 @@ let check_sinks name eng threads =
             (Obs.Metrics.find_gauge snap ("engine.stats." ^ Core.Engine.event_name e)))
     Core.Engine.events
 
-(* A loop whose first iterations take one arm and the rest the other:
-   the superblock formed over the early path side-exits from then on
-   and is deoptimized. *)
-let phase_change_items =
-  [
-    Label "main";
-    Ins (I.Mov_ri (R.R15, 40L));
-    Label "loop";
-    Ins (I.Cmp (R.R15, I.I 32L));
-    Jcc_lbl (I.L, "late");
-    Ins (I.Alu (I.Add, R.RDX, I.I 1L));
-    Jmp_lbl "next";
-    Label "late";
-    Ins (I.Alu (I.Add, R.RDX, I.I 2L));
-    Label "next";
-    Ins (I.Alu (I.Sub, R.R15, I.I 1L));
-    Ins (I.Cmp (R.R15, I.I 0L));
-    Jcc_lbl (I.Ne, "loop");
-    Ins I.Hlt;
-  ]
-
 let test_sinks_agree () =
   Obs.Metrics.enable ();
   Fun.protect
@@ -426,14 +405,15 @@ let test_sinks_agree () =
       check_bool "eager run degraded" true
         (Core.Engine.count eng Core.Engine.Fallback > 0);
       check_sinks "eager degrade" eng [ g ];
-      (* (b) A superblock deoptimized after the loop changes phase. *)
+      (* (b) The tier ladder: tier-0 executions, then inline publishes. *)
       Obs.Metrics.reset ();
-      let config = { Core.Config.risotto with Core.Config.trace_threshold = 4 } in
-      let eng = Core.Engine.create config (build phase_change_items) in
+      let config = { Core.Config.risotto with Core.Config.jit_threshold = 2 } in
+      let eng = Core.Engine.create config image in
       let g = Core.Engine.run eng in
-      check_bool "superblock deoptimized" true
-        (Core.Engine.count eng Core.Engine.Deopt > 0);
-      check_sinks "deopt" eng [ g ];
+      check_bool "ladder published after tier-0 runs" true
+        (Core.Engine.count eng Core.Engine.Published > 0
+        && Core.Engine.count eng Core.Engine.Interp_exec > 0);
+      check_sinks "tiered" eng [ g ];
       (* Each counter reaches the registry under one name only. *)
       let snap = Obs.Metrics.snapshot () in
       let gauges = List.map fst snap.Obs.Metrics.gauges in

@@ -250,7 +250,6 @@ let run_fingerprint config image =
       st.Core.Engine.chained,
       st.Core.Engine.chain_hits,
       st.Core.Engine.jmp_cache_hits,
-      st.Core.Engine.superblocks,
       st.Core.Engine.interp_fallbacks,
       st.Core.Engine.traps ) )
 
@@ -311,7 +310,7 @@ let test_differential_examples () =
             [
               ("plain", config);
               ("unchained", { config with Core.Config.chain = false });
-              ("traced", { config with Core.Config.trace_threshold = 3 });
+              ("tiered", { config with Core.Config.jit_threshold = 2 });
             ])
         example_programs)
     Core.Config.all
@@ -332,13 +331,7 @@ let test_differential_fault_corpus () =
     (fun i plan ->
       List.iter
         (fun (pname, items) ->
-          let config =
-            {
-              Core.Config.risotto with
-              Core.Config.inject = plan;
-              trace_threshold = 3;
-            }
-          in
+          let config = { Core.Config.risotto with Core.Config.inject = plan } in
           differential
             (Printf.sprintf "inject%d/%s" i pname)
             config (build items))
@@ -374,8 +367,8 @@ let test_differential_litmus_verdicts () =
       check_bool (name ^ ": verdict obs on = off") true (off = on))
     Litmus.Catalog.x86_tests
 
-(* >= 200 randomized guest programs: straight-line bodies with loops
-   forced by padding past the block cap, chained + superblocked. *)
+(* >= 200 randomized guest programs: straight-line bodies padded past
+   the block cap, so every program spans several blocks. *)
 let arb_program =
   let open QCheck in
   let reg = map R.of_index (int_range 0 5) in
@@ -411,9 +404,7 @@ let differential_prop =
   QCheck.Test.make ~name:"obs on = obs off on random programs" ~count:220
     arb_program (fun items ->
       let image = build items in
-      let config =
-        { Core.Config.risotto with Core.Config.trace_threshold = 3 }
-      in
+      let config = Core.Config.risotto in
       obs_off ();
       let off = run_fingerprint config image in
       let on = with_obs_on (fun () -> run_fingerprint config image) in
@@ -473,14 +464,10 @@ let test_tbchain_stale_store_dropped () =
    jump cache) was captured before a mid-run [reset] must complete
    cleanly on retranslated code, with identical results. *)
 let test_engine_reset_mid_run () =
-  (* Long enough that a handful of dispatches — even superblock-covered
-     ones spanning several unrolled iterations — leaves the thread
+  (* Long enough that a handful of dispatches leaves the thread
      mid-loop. *)
   let image = build (countdown_items_n 200) in
-  let config =
-    { Core.Config.risotto with Core.Config.trace_threshold = 3 }
-  in
-  let eng = Core.Engine.create config image in
+  let eng = Core.Engine.create Core.Config.risotto image in
   let g1 = Core.Engine.run eng in
   check_bool "warm run clean" true (g1.Core.Engine.trap = None);
   check_bool "edges live" true (Core.Engine.chained_edges eng > 0);
@@ -511,10 +498,7 @@ let test_engine_load_cache_mid_run () =
   let path = Filename.temp_file "risotto_obs" ".rstc" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let image = build (countdown_items_n 200) in
-  let config =
-    { Core.Config.risotto with Core.Config.trace_threshold = 3 }
-  in
-  let eng = Core.Engine.create config image in
+  let eng = Core.Engine.create Core.Config.risotto image in
   let g1 = Core.Engine.run eng in
   check_bool "warm run clean" true (g1.Core.Engine.trap = None);
   ignore (Core.Engine.save_cache eng path);
@@ -580,10 +564,21 @@ let test_hot_blocks_and_publish () =
       check_bool "at most limit entries" true (List.length hot <= 3);
       check_bool "cycles attributed while metrics on" true
         (top.Obs.Profile.cost > 0);
+      check_bool "ranking is descending by attributed cycles" true
+        (let costs = List.map (fun (e : Obs.Profile.entry) -> e.Obs.Profile.cost) hot in
+         List.sort (fun a b -> compare b a) costs = costs);
       (* the loop body dominates a 25-iteration countdown *)
-      check_bool "ranking is descending" true
-        (let scores = List.map Obs.Profile.score hot in
-         List.sort (fun a b -> compare b a) scores = scores));
+      check_bool "the loop body ranks first" true
+        (List.for_all
+           (fun (e : Obs.Profile.entry) -> e.Obs.Profile.count <= top.Obs.Profile.count)
+           hot));
+  (* Without attributed cycles (metrics off), executions rank. *)
+  let entry key count = { Obs.Profile.key; count; cost = 0 } in
+  check_bool "unmetered entries rank by count" true
+    (List.map
+       (fun (e : Obs.Profile.entry) -> e.Obs.Profile.key)
+       (Obs.Profile.rank [ entry 1L 3; entry 2L 9; entry 3L 5 ])
+    = [ 2L; 3L; 1L ]);
   Core.Engine.publish_metrics eng;
   let s = Obs.Metrics.snapshot () in
   let st = Core.Engine.stats eng in

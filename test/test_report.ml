@@ -426,6 +426,107 @@ let test_html_deterministic () =
             find 0)
           [ "src=\"http"; "href=\"http"; "<script src"; "<link " ]))
 
+(* Every cell of every rendered coverage matrix is the Coverage count of
+   its (scheme, program, model, axiom), zeros included. *)
+let test_html_coverage_cells () =
+  let cov = Report.Coverage.create () in
+  let cells = run_small_sweep ~coverage:cov () in
+  let html = Report.Html.render ~coverage:cov ~models:[ x86; tcg ] cells in
+  let counts = Report.Coverage.counts cov in
+  let find_from s i needle =
+    let n = String.length needle in
+    let rec go i =
+      if i + n > String.length s then None
+      else if String.sub s i n = needle then Some i
+      else go (i + 1)
+    in
+    go i
+  in
+  (* [split s sep]: the pieces of [s] between occurrences of [sep]. *)
+  let split s sep =
+    let rec go i acc =
+      match find_from s i sep with
+      | None -> List.rev (String.sub s i (String.length s - i) :: acc)
+      | Some j -> go (j + String.length sep) (String.sub s i (j - i) :: acc)
+    in
+    go 0 []
+  in
+  let between i l r =
+    match find_from html i l with
+    | None -> None
+    | Some a -> (
+        let a = a + String.length l in
+        match find_from html a r with
+        | None -> None
+        | Some b -> Some (String.sub html a (b - a), b + String.length r))
+  in
+  let unescape s =
+    List.fold_left
+      (fun s (e, c) -> String.concat c (split s e))
+      s
+      [ ("&lt;", "<"); ("&gt;", ">"); ("&quot;", "\""); ("&amp;", "&") ]
+  in
+  (* The contents of each [<open ...>...</close>] cell of a row. *)
+  let cells_of row open_ close =
+    List.filter_map
+      (fun part ->
+        match String.index_opt part '>' with
+        | Some j ->
+            let rest = String.sub part (j + 1) (String.length part - j - 1) in
+            Some (unescape (List.hd (split rest close)))
+        | None -> None)
+      (List.tl (split row open_))
+  in
+  let rec matrices i acc =
+    match between i "<h3>Model: " "</h3>" with
+    | None -> List.rev acc
+    | Some (model, j) -> (
+        match between j "<table>" "</table>" with
+        | None -> Alcotest.fail "coverage matrix without a table"
+        | Some (table, k) -> matrices k ((unescape model, table) :: acc))
+  in
+  let ms = matrices 0 [] in
+  check_bool "one matrix per model with counts" true
+    (List.sort compare (List.map fst ms)
+    = List.sort_uniq compare
+        (List.map (fun ((k : Report.Coverage.key), _) -> k.Report.Coverage.model) counts));
+  let rendered = ref 0 and zeros = ref 0 and nonzero = ref 0 in
+  List.iter
+    (fun (model, table) ->
+      match String.split_on_char '\n' table with
+      | header :: rows ->
+          let axioms =
+            match cells_of header "<th" "</th>" with
+            | "scheme" :: "program" :: axioms -> axioms
+            | _ -> Alcotest.fail "matrix header"
+          in
+          List.iter
+            (fun row ->
+              if row <> "" then
+                match cells_of row "<td" "</td>" with
+                | scheme :: program :: values ->
+                    check_int (model ^ " row width") (List.length axioms)
+                      (List.length values);
+                    List.iter2
+                      (fun axiom v ->
+                        let key = { Report.Coverage.scheme; program; model; axiom } in
+                        let expected =
+                          Option.value ~default:0 (List.assoc_opt key counts)
+                        in
+                        incr rendered;
+                        if expected = 0 then incr zeros else incr nonzero;
+                        check_int
+                          (Printf.sprintf "%s/%s/%s/%s" scheme program model axiom)
+                          expected (int_of_string v))
+                      axioms values
+                | _ -> Alcotest.fail "matrix row")
+            rows
+      | [] -> Alcotest.fail "empty matrix")
+    ms;
+  check_bool "zero cells rendered" true (!zeros > 0);
+  check_int "every nonzero count rendered once" (List.length counts) !nonzero;
+  check_bool "cells rendered" true (!rendered = !zeros + !nonzero)
+
 let test_html_svg_witnesses () =
   let cells =
     (Report.Sweep.run_generated ~capture:true
@@ -498,6 +599,8 @@ let () =
             test_witness_json_envelope;
           Alcotest.test_case "deterministic rendering" `Slow
             test_html_deterministic;
+          Alcotest.test_case "coverage cells = Coverage counts" `Slow
+            test_html_coverage_cells;
           Alcotest.test_case "inline SVG witnesses" `Slow
             test_html_svg_witnesses;
         ] );

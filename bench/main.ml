@@ -438,9 +438,8 @@ let refinement_bench ~jobs ~reps ~out () =
 (* Generator bench: QCheck corpus throughput → BENCH_generator.json    *)
 
 (* End-to-end throughput of the generated pipeline: generate + dedup a
-   seeded corpus, check the shape classes per-task vs through the
-   planner, then serve the full (pre-dedup) corpus from the verdict
-   memo — the steady-state cost of one verdict per generated program. *)
+   seeded corpus, then check the shape classes per-task vs through the
+   planner. *)
 let generator_bench ~jobs ~reps ~gen_n ~seed ~out () =
   section
     (Printf.sprintf
@@ -494,50 +493,19 @@ let generator_bench ~jobs ~reps ~gen_n ~seed ~out () =
         (timed, Parallel.Pool.workers_spawned pool))
   in
   let identical = seq_reports = par_reports in
-  (* Memo-served steady state: every generated program (not just the
-     class representatives) gets a verdict; canonically-equal programs
-     share one.  Warm caches deliberately — this measures the serving
-     cost, the cold cost is the planned arm above. *)
-  let raw_programs =
-    List.map
-      (fun (p : Litmus.Ast.prog) -> (p.Litmus.Ast.name, p))
-      (Litmus.Generate.generate ~seed gen_n)
-  in
-  let memo_tasks =
-    List.concat_map
-      (fun (e : Report.Sweep.entry) ->
-        List.map (fun (pname, p) -> (e, pname, p)) raw_programs)
-      entries
-  in
-  Mapping.Check.clear_memo ();
-  let t0 = Unix.gettimeofday () in
-  let served =
-    List.map
-      (fun ((e : Report.Sweep.entry), pname, p) ->
-        Mapping.Check.check_memo ~scheme:e.Report.Sweep.scheme
-          ~f:e.Report.Sweep.f ~src_model:e.Report.Sweep.src_model
-          ~tgt_model:e.Report.Sweep.tgt_model (pname, p))
-      memo_tasks
-  in
-  let memo_s = Unix.gettimeofday () -. t0 in
-  let memo_hits, memo_misses = Mapping.Check.memo_stats () in
-  let memo_tasks_n = List.length memo_tasks in
-  let tasks_per_s = float_of_int memo_tasks_n /. memo_s in
-  let served_ok = List.for_all (fun r -> r.Mapping.Check.ok) served in
+  let all_ok = List.for_all (fun r -> r.Mapping.Check.ok) par_reports in
   let speedup = seq_s /. par_s in
   Format.printf
     "  generated %d -> %d classes (dedup %.1f%%) in %.3fs; %d cells@.  \
      per-task %.3fs, -j %d planned %.3fs, speedup %.2fx (%d worker(s)); \
-     verdicts identical: %b@.  memo-served: %d verdicts in %.3fs (%.0f \
-     tasks/s, %d hits / %d misses), all ok: %b@."
+     verdicts identical: %b, all ok: %b@."
     gen_n classes (100. *. dedup) gen_s (List.length cells) seq_s jobs par_s
-    speedup workers identical memo_tasks_n memo_s tasks_per_s memo_hits
-    memo_misses served_ok;
+    speedup workers identical all_ok;
   let oc = open_out out in
   Printf.fprintf oc
     {|{
   %s
-  "bench": "generated corpus: dedup + planned sweep + memo serving",
+  "bench": "generated corpus: dedup + planned sweep",
   "programs": %d,
   "seed": %d,
   "classes": %d,
@@ -552,21 +520,19 @@ let generator_bench ~jobs ~reps ~gen_n ~seed ~out () =
   "parallel_s": %.6f,
   "speedup": %.3f,
   "verdicts_identical": %b,
-  "memo": { "tasks": %d, "wall_s": %.6f, "tasks_per_s": %.1f, "hits": %d, "misses": %d },
   "all_ok": %b
 }
 |}
     (envelope "generator") gen_n seed classes dedup gen_s
     (List.length entries) (List.length cells) reps jobs workers seq_s par_s
-    speedup identical memo_tasks_n memo_s tasks_per_s memo_hits memo_misses
-    served_ok;
+    speedup identical all_ok;
   close_out oc;
   Format.printf "  wrote %s@." out;
   if not identical then begin
     Format.eprintf "generator bench: planned verdicts diverge!@.";
     exit 2
   end;
-  if not served_ok then begin
+  if not all_ok then begin
     Format.eprintf
       "generator bench: a generated scheme reported a violation!@.";
     exit 2
@@ -1348,220 +1314,6 @@ let chaos_bench ~plans ~seed ~out () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Tier bench: tier0-only vs sync-all vs tiered → BENCH_tiers.json     *)
-
-(* Cold-start image: a long straight-line program the frontend splits
-   into ~[n] distinct blocks, each executed exactly once — the
-   translation-dominated regime the tier ladder is built for.  A
-   synchronous engine backend-compiles every block before its first
-   execution; a tiered engine never crosses the threshold and reaches
-   Hlt on the interpreter alone. *)
-let cold_start_items n =
-  let open X86.Asm in
-  let module I = X86.Insn in
-  let module R = X86.Reg in
-  let body =
-    List.concat_map
-      (fun k ->
-        let m =
-          {
-            I.base = None;
-            index = None;
-            disp = Int64.of_int (0x5000 + (8 * (k mod 16)));
-          }
-        in
-        [
-          Ins (I.Store (m, I.R R.RAX));
-          Ins (I.Load (R.RBX, m));
-          Ins (I.Alu (I.Add, R.RAX, I.R R.RBX));
-          Ins (I.Alu (I.Xor, R.RCX, I.R R.RAX));
-        ])
-      (List.init (n * 8) Fun.id)
-  in
-  (Label "main" :: body) @ [ Ins I.Hlt ]
-
-let tiers_bench ~reps ~out () =
-  section
-    (Printf.sprintf
-       "Tier ladder: tier0-only vs sync-all vs tiered (%d kernels, best of \
-        %d)"
-       (List.length Harness.Parsec.all)
-       reps);
-  let risotto = Core.Config.risotto in
-  let jit_threshold = 8 in
-  (* tier0: the threshold is unreachable, every block stays on the
-     interpreter.  sync-all: the preset (immediate backend compile —
-     the dispatch-bench chained config).  tiered: the ladder, each
-     block compiled inline at its [jit_threshold]th execution. *)
-  let tier0 = { risotto with Core.Config.jit_threshold = max_int } in
-  let sync_all = risotto in
-  let tiered = { risotto with Core.Config.jit_threshold } in
-  (* Every rep must reproduce the first one exactly (guest state,
-     cycles and every counter): the ladder compiles synchronously, so
-     its decisions depend on nothing but the program. *)
-  let deterministic = ref true in
-  let time config =
-    let best = ref infinity in
-    let results = ref [] in
-    for rep = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let r = dispatch_pass config in
-      let dt = Unix.gettimeofday () -. t0 in
-      if rep > 1 && r <> !results then deterministic := false;
-      results := r;
-      if dt < !best then best := dt
-    done;
-    (!best, !results)
-  in
-  let tier0_s, tier0_r = time tier0 in
-  let sync_s, sync_r = time sync_all in
-  let tiered_s, tiered_r = time tiered in
-  let sum f results =
-    List.fold_left (fun acc (_, _, _, _, s) -> acc + f s) 0 results
-  in
-  let cycles results =
-    List.fold_left (fun acc (_, _, _, c, _) -> acc + c) 0 results
-  in
-  (* One dispatch runs one guest block, so tier0's dispatch count is
-     the guest-block total all three configurations execute (parity is
-     asserted below). *)
-  let guest_blocks = sum (fun s -> s.Core.Engine.blocks_executed) tier0_r in
-  let cpb c =
-    if guest_blocks = 0 then 0.0
-    else float_of_int c /. float_of_int guest_blocks
-  in
-  let stat_block results =
-    ( cycles results,
-      sum (fun s -> s.Core.Engine.interp_execs) results,
-      sum (fun s -> s.Core.Engine.tier1_installed) results )
-  in
-  let ((t0_cycles, _, _) as t0_stats) = stat_block tier0_r in
-  let ((sy_cycles, _, _) as sy_stats) = stat_block sync_r in
-  let ((ti_cycles, ti_interp, ti_inst) as ti_stats) = stat_block tiered_r in
-  let parity =
-    List.for_all2
-      (fun (n1, r1, m1, _, _) (n2, r2, m2, _, _) ->
-        n1 = n2 && r1 = r2 && m1 = m2)
-      tier0_r sync_r
-    && List.for_all2
-         (fun (n1, r1, m1, _, _) (n2, r2, m2, _, _) ->
-           n1 = n2 && r1 = r2 && m1 = m2)
-         sync_r tiered_r
-  in
-  (* Cold start: time-to-first-N-blocks on a translation-dominated
-     straight-line image, fresh engine per run, best of at least 10.
-     The two configs alternate, so a burst of machine load hits both;
-     one untimed warmup each absorbs one-off process state (lazy
-     metrics). *)
-  let cold_blocks = 96 in
-  let cold_image = Image.Gelf.build ~entry:"main" (cold_start_items cold_blocks) in
-  let cold_run config =
-    let eng = Core.Engine.create config cold_image in
-    let g = Core.Engine.run eng in
-    if Core.Engine.trap g <> None then begin
-      Format.eprintf "tiers bench: cold-start run trapped!@.";
-      exit 2
-    end
-  in
-  let cold_sync = ref infinity and cold_tiered = ref infinity in
-  let cold_time config best =
-    let t0 = Unix.gettimeofday () in
-    cold_run config;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  in
-  cold_run sync_all;
-  cold_run tiered;
-  for _ = 1 to max 10 reps do
-    cold_time sync_all cold_sync;
-    cold_time tiered cold_tiered
-  done;
-  let cold_sync_s = !cold_sync and cold_tiered_s = !cold_tiered in
-  Format.printf
-    "  wall: tier0 %.3fs, sync-all %.3fs, tiered %.3fs@.  guest cycles over \
-     %d guest blocks: tier0 %d (interp charges none), sync-all %d (%.2f/blk), \
-     tiered %d (%.2f/blk)@.  tiered ladder: %d interp execs, %d \
-     installs@.  cold start (%d blocks, once each): sync \
-     %.6fs, tiered %.6fs (%.2fx)@.  results identical: %b; every rep \
-     identical: %b@."
-    tier0_s sync_s tiered_s guest_blocks t0_cycles sy_cycles (cpb sy_cycles) ti_cycles (cpb ti_cycles) ti_interp ti_inst
-    cold_blocks cold_sync_s cold_tiered_s
-    (cold_sync_s /. cold_tiered_s)
-    parity !deterministic;
-  let pp_config oc name wall (cycles, interp, inst) =
-    Printf.fprintf oc
-      {|  %S: {
-    "wall_s": %.6f,
-    "cycles": %d,
-    "cycles_per_block": %.3f,
-    "interp_execs": %d,
-    "tier1_installed": %d
-  },
-|}
-      name wall cycles (cpb cycles) interp inst
-  in
-  let oc = open_out out in
-  Printf.fprintf oc
-    {|{
-  %s
-  "bench": "tiers: tier0-only vs sync-all vs tiered",
-  "kernels": %d,
-  "reps": %d,
-  "jit_threshold": %d,
-  "guest_blocks": %d,
-|}
-    (envelope "tiers")
-    (List.length Harness.Parsec.all)
-    reps jit_threshold guest_blocks;
-  pp_config oc "tier0" tier0_s t0_stats;
-  pp_config oc "sync_all" sync_s sy_stats;
-  pp_config oc "tiered" tiered_s ti_stats;
-  Printf.fprintf oc
-    {|  "cold": {
-    "blocks": %d,
-    "sync_s": %.6f,
-    "tiered_s": %.6f,
-    "speedup": %.4f
-  },
-  "results_identical": %b,
-  "reps_identical": %b
-}
-|}
-    cold_blocks cold_sync_s cold_tiered_s
-    (cold_sync_s /. cold_tiered_s)
-    parity !deterministic;
-  close_out oc;
-  Format.printf "  wrote %s@." out;
-  if not parity then begin
-    Format.eprintf "tiers bench: tier ladder results diverge!@.";
-    exit 2
-  end;
-  if not !deterministic then begin
-    Format.eprintf "tiers bench: a rep did not reproduce the first one!@.";
-    exit 2
-  end;
-  if ti_interp = 0 || ti_inst = 0 then begin
-    Format.eprintf
-      "tiers bench: the ladder did not engage (%d interp, %d installs)!@."
-      ti_interp ti_inst;
-    exit 2
-  end;
-  if cpb ti_cycles > cpb sy_cycles then begin
-    Format.eprintf
-      "tiers bench: tiered execution cost more guest cycles than sync-all \
-       (%.3f vs %.3f cycles/block)!@."
-      (cpb ti_cycles) (cpb sy_cycles);
-    exit 2
-  end;
-  if cold_tiered_s >= cold_sync_s then begin
-    Format.eprintf
-      "tiers bench: tiered cold start not faster than synchronous \
-       translation (%.6fs vs %.6fs)!@."
-      cold_tiered_s cold_sync_s;
-    exit 2
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Section dispatch                                                    *)
 
 type opts = {
@@ -1577,7 +1329,6 @@ type opts = {
   seed : int;
   gen_out : string;
   gen_n : int;
-  tiers_out : string;
 }
 
 let canonical = function
@@ -1592,21 +1343,19 @@ let canonical = function
   | "obs" | "observability" -> Some "obs"
   | "chaos" | "resilience" -> Some "chaos"
   | "generator" | "generate" -> Some "generator"
-  | "tiers" | "tier" -> Some "tiers"
   | _ -> None
 
 let all_sections =
   [ "tables"; "sec3"; "minimality"; "figures"; "ablations"; "bechamel";
-    "refinement"; "dispatch"; "obs"; "chaos"; "generator"; "tiers" ]
+    "refinement"; "dispatch"; "obs"; "chaos"; "generator" ]
 
 let usage () =
   Format.eprintf
     "usage: main.exe [SECTION...] [-j N] [--reps N] [-o FILE] \
      [--dispatch-out FILE] [--obs-out FILE] [--trace-out FILE] \
      [--chaos-out FILE] [--plans N] [--seed N] [--gen-out FILE] [--gen-n N] \
-     [--tiers-out FILE] [--no-bechamel]@.sections: fig2 fig3 fig7 sec3 fig8 \
-     fig9 fig12..fig15 ablations bechamel refinement dispatch obs chaos \
-     generator tiers@.";
+     [--no-bechamel]@.sections: fig2 fig3 fig7 sec3 fig8 fig9 fig12..fig15 \
+     ablations bechamel refinement dispatch obs chaos generator@.";
   exit 1
 
 let parse_args () =
@@ -1623,7 +1372,6 @@ let parse_args () =
   let seed = ref 42 in
   let gen_out = ref "BENCH_generator.json" in
   let gen_n = ref 1000 in
-  let tiers_out = ref "BENCH_tiers.json" in
   let rec go = function
     | [] -> ()
     | "--no-bechamel" :: rest ->
@@ -1656,9 +1404,6 @@ let parse_args () =
         go rest
     | "--gen-out" :: path :: rest ->
         gen_out := path;
-        go rest
-    | "--tiers-out" :: path :: rest ->
-        tiers_out := path;
         go rest
     | "--gen-n" :: n :: rest ->
         (match int_of_string_opt n with
@@ -1704,7 +1449,6 @@ let parse_args () =
     seed = !seed;
     gen_out = !gen_out;
     gen_n = !gen_n;
-    tiers_out = !tiers_out;
   }
 
 let () =
@@ -1721,7 +1465,6 @@ let () =
     seed;
     gen_out;
     gen_n;
-    tiers_out;
   } =
     parse_args ()
   in
@@ -1740,7 +1483,6 @@ let () =
       | "obs" -> obs_bench ~reps ~out:obs_out ~trace_out ()
       | "chaos" -> chaos_bench ~plans ~seed ~out:chaos_out ()
       | "generator" -> generator_bench ~jobs ~reps ~gen_n ~seed ~out:gen_out ()
-      | "tiers" -> tiers_bench ~reps ~out:tiers_out ()
       | _ -> assert false)
     sections;
   (match pool with Some p -> Parallel.Pool.shutdown p | None -> ());

@@ -61,8 +61,8 @@ let dis path =
   go image.Image.Gelf.text_base;
   0
 
-let run path config_name trace_out debug metrics inject no_chain
-    jit_threshold report postmortem =
+let run path config_name trace_out debug metrics inject no_chain report
+    postmortem =
   if debug then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.Src.set_level Core.Engine.log_src (Some Logs.Debug)
@@ -86,7 +86,6 @@ let run path config_name trace_out debug metrics inject no_chain
               config with
               Core.Config.inject = plan;
               chain = config.Core.Config.chain && not no_chain;
-              jit_threshold;
             }
           in
           let image = Image.Gelf.load path in
@@ -317,16 +316,6 @@ let no_chain_arg =
            edge.  Results and guest cycles are unchanged; only \
            dispatch work differs.")
 
-let jit_threshold_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "jit-threshold" ] ~docv:"N"
-        ~doc:
-          "Tiered JIT: start every block on the TCG interpreter (tier \
-           0) and backend-compile it, inline, at its $(docv)th \
-           execution.  0 (default) compiles every block at first \
-           translation, the pre-tiered behaviour.")
-
 let report_arg =
   Arg.(
     value
@@ -346,7 +335,7 @@ let postmortem_arg =
         ~doc:
           "On any guest trap or watchdog exhaustion, dump a \
            deterministic postmortem JSON (each thread's recent \
-           flight-recorder events, tier states, the trapping block's \
+           flight-recorder events, block states, the trapping block's \
            fence ledger, a chain summary and a metrics slice) into \
            $(docv) as postmortem-NNN.json.  The flight recorder is \
            always on; this flag only enables writing the artifact.")
@@ -355,8 +344,8 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run an image under the DBT")
     Term.(
       const run $ path_arg $ config_arg $ trace_arg $ debug_arg
-      $ metrics_arg $ inject_arg $ no_chain_arg $ jit_threshold_arg
-      $ report_arg $ postmortem_arg)
+      $ metrics_arg $ inject_arg $ no_chain_arg $ report_arg
+      $ postmortem_arg)
 
 let explain_fences_cmd =
   Cmd.v

@@ -8,7 +8,6 @@ type t = {
   host_linker : bool;
   inject : Inject.plan;
   chain : bool;
-  jit_threshold : int;
 }
 
 let qemu =
@@ -20,7 +19,6 @@ let qemu =
     host_linker = false;
     inject = [];
     chain = true;
-    jit_threshold = 0;
   }
 
 let no_fences = { qemu with name = "no-fences"; fences = S.No_fences_frontend }

@@ -27,12 +27,6 @@ type t = {
           translated code in the same order, so results and guest
           cycles are unchanged; [false] gives the unchained dispatch
           baseline.  On in all presets. *)
-  jit_threshold : int;
-      (** tier-0/1 boundary: with [0] (the default in all presets)
-          every block is backend-compiled at first translation, exactly
-          the pre-tiered behaviour.  With [n > 0], fresh blocks run on
-          the TCG interpreter and are backend-compiled, inline on the
-          execution thread, once their execution count reaches [n]. *)
 }
 
 (** Vanilla Qemu 6.1.0. *)

@@ -22,7 +22,6 @@ type stats = {
   traps : int;
   cache_quarantined : int;
   interp_execs : int;
-  tier1_installed : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -40,7 +39,6 @@ type event =
   | Trapped
   | Cache_quarantined
   | Interp_exec
-  | Published
   | Table_hit
   | Lookup_miss
   | Fences_emitted
@@ -79,7 +77,6 @@ let table =
     row Trapped "traps" ~flight:Fl.Trap ~level:Warning ~always:true;
     row Cache_quarantined "cache_quarantined" ~level:Warning ~always:true;
     row Interp_exec "interp_execs" ~always:true;
-    row Published "tier1_installed" ~flight:Fl.Tier_published ~level:Info ~always:true;
     row Table_hit "table_hits";
     row Lookup_miss "lookup_misses";
     row Fences_emitted "fences_emitted" ~tally:Sum;
@@ -98,7 +95,7 @@ let event_name e = table.(slot e).name
 let event_flight e = table.(slot e).flight
 
 (* How the block at a pc executes: natively, or on the TCG interpreter
-   because the backend could not compile it (or has not yet — tier 0). *)
+   because the backend could not compile it. *)
 type compiled = Native of Arm.Insn.t array | Interp_only of Tcg.Block.t
 
 type t = {
@@ -112,8 +109,8 @@ type t = {
   mem : Memsys.Mem.t;
   shared : Arm.Machine.shared;
   tbs : compiled Tbchain.t;
-      (* the code cache: every translated block (native, tier 0 or
-         degraded), its tier state and its chain edges *)
+      (* the code cache: every translated block (native or degraded)
+         and its chain edges *)
   pinned : (int64, Tcg.Block.t * Tcg.Fence_ledger.t) Hashtbl.t;
       (* optimized TCG and ledger of the blocks an injected fault hit
          while they were translated: re-translation cannot reproduce
@@ -126,8 +123,8 @@ type t = {
   pending_spawns : (int * int64 * int64) Queue.t;  (* tid, entry, arg *)
   next_tid : int ref;
   flight : Obs.Flight.t;
-      (* engine-wide flight ring: tier publishes and fallbacks, fence
-         passes — lifecycle events not owned by one thread *)
+      (* engine-wide flight ring: fallbacks and fence passes —
+         lifecycle events not owned by one thread *)
   mutable guest_threads : guest_thread list;
       (* every thread ever spawned (newest first), so a postmortem can
          show what each was doing *)
@@ -147,7 +144,7 @@ and guest_thread = {
       (* chain-table generation [next_tb] is valid for; [-1] (no
          generation) when there is none *)
   gflight : Obs.Flight.t;  (* this thread's flight ring (single writer) *)
-  ienv : Tcg.Interp.env;  (* this thread's tier-0 interpreter state *)
+  ienv : Tcg.Interp.env;  (* this thread's interpreter state *)
 }
 
 (* The empty dispatch slot: [next_tb] of a thread with no pending
@@ -253,7 +250,6 @@ let stats t =
     traps = c Trapped;
     cache_quarantined = c Cache_quarantined;
     interp_execs = c Interp_exec;
-    tier1_installed = c Published;
   }
 
 (* Every counter by name: the table's rows, then the two dispatch sums
@@ -307,8 +303,7 @@ let stack_top tid = Int64.sub 0x8000_0000L (Int64.of_int (tid * 0x10000))
 let reset t =
   Obs.Trace.instant ~cat:"engine" "reset";
   (* [flush] bumps the generation, so no per-thread jump cache or
-     pending chained target from before the reset can fire.  Per-block
-     tier states die with their nodes. *)
+     pending chained target from before the reset can fire. *)
   Tbchain.flush t.tbs;
   Hashtbl.reset t.pinned;
   Hashtbl.reset t.loaded
@@ -319,50 +314,38 @@ let count_fences t pc code =
        (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
        0 code)
 
-(* The one compile path (tier 0 -> 1): backend-compile the block's
-   optimized TCG, unless the compile injection fires, and install the
-   native code — or, on any backend fault, leave the block on the TCG
-   interpreter for good.  Degraded mode keeps the run's semantics (the
-   interpreter and backend agree by construction); only this block's
-   speed is lost.  Called at first translation when [jit_threshold = 0],
-   by [enter] when a cold block reaches the threshold, and by
-   [lookup_block].  A node that already holds native code (a cache
-   reload reset its state) is only marked published. *)
-let promote t node =
-  match node.Tbchain.body with
-  | Native _ -> node.Tbchain.state <- Tbchain.Published
-  | Interp_only tcg -> (
-      let pc = node.Tbchain.pc in
-      let compiled =
-        if Inject.fire t.inject Inject.Compile then
-          Error (Fault.make ~pc Fault.Backend_fault "injected compile fault")
-        else
-          match
-            Obs.Trace.with_span ~cat:"engine" "backend" (fun () ->
-                Obs.Profile.time (m_compile_ns ()) (fun () ->
-                    Backend.compile t.config tcg))
-          with
-          | code -> Ok code
-          | exception Fault.Fault f -> Error (Fault.locate ~pc f)
-          | exception Backend.Register_pressure r ->
-              Error
-                (Fault.make ~pc Fault.Backend_fault
-                   (Printf.sprintf "register pressure in block 0x%Lx" r))
-      in
-      let gen = Tbchain.generation t.tbs in
-      match compiled with
-      | Ok code ->
-          node.Tbchain.body <- Native code;
-          node.Tbchain.state <- Tbchain.Published;
-          count_fences t pc code;
-          emit t t.flight Published pc gen
-      | Error f ->
-          node.Tbchain.state <- Tbchain.Degraded;
-          emit t t.flight Fallback pc gen ~why:(Fault.to_string f))
+(* The one compile path: backend-compile a block's optimized TCG,
+   unless the compile injection fires, into native code — or, on any
+   backend fault, leave the block on the TCG interpreter for good.
+   Degraded mode keeps the run's semantics (the interpreter and backend
+   agree by construction); only this block's speed is lost. *)
+let compile t pc tcg =
+  let compiled =
+    if Inject.fire t.inject Inject.Compile then
+      Error (Fault.make ~pc Fault.Backend_fault "injected compile fault")
+    else
+      match
+        Obs.Trace.with_span ~cat:"engine" "backend" (fun () ->
+            Obs.Profile.time (m_compile_ns ()) (fun () ->
+                Backend.compile t.config tcg))
+      with
+      | code -> Ok code
+      | exception Fault.Fault f -> Error (Fault.locate ~pc f)
+      | exception Backend.Register_pressure r ->
+          Error
+            (Fault.make ~pc Fault.Backend_fault
+               (Printf.sprintf "register pressure in block 0x%Lx" r))
+  in
+  match compiled with
+  | Ok code ->
+      count_fences t pc code;
+      Native code
+  | Error f ->
+      emit t t.flight Fallback pc (Tbchain.generation t.tbs)
+        ~why:(Fault.to_string f);
+      Interp_only tcg
 
-(* Translate the block at [pc] into a fresh [Cold] node on the TCG
-   interpreter (tier 0); with [jit_threshold = 0] it is compiled at
-   once. *)
+(* Translate and compile the block at [pc] into a fresh node. *)
 let translate t pc =
   Obs.Trace.with_span ~cat:"engine"
     ~args:(fun () -> [ ("pc", Printf.sprintf "0x%Lx" pc) ])
@@ -386,25 +369,19 @@ let translate t pc =
   emit t t.flight Translated pc (Tcg.Fenceopt.count optimized.Tcg.Block.ops);
   emit t t.flight Ops_before pc (Tcg.Block.op_count raw);
   emit t t.flight Ops_after pc (Tcg.Block.op_count optimized);
-  let n = Tbchain.insert t.tbs pc (Interp_only optimized) in
-  if t.config.Config.jit_threshold = 0 then promote t n;
-  n
+  Tbchain.insert t.tbs pc (compile t pc optimized)
 
-let fetch_node t pc =
+let fetch t pc =
   match Tbchain.find t.tbs pc with
   | Some n ->
       emit t t.flight Table_hit pc 0;
-      n
+      n.Tbchain.body
   | None ->
       emit t t.flight Lookup_miss pc 0;
-      translate t pc
-
-let fetch t pc = (fetch_node t pc).Tbchain.body
+      (translate t pc).Tbchain.body
 
 let lookup_block t pc =
-  let n = fetch_node t pc in
-  if n.Tbchain.state = Tbchain.Cold then promote t n;
-  match n.Tbchain.body with
+  match fetch t pc with
   | Native code -> code
   | Interp_only _ ->
       Fault.raise_ ~pc Fault.Backend_fault
@@ -423,7 +400,7 @@ let spawn t ~tid ~entry ?(regs = []) () =
   List.iter
     (fun (r, v) -> arm.Arm.Machine.regs.(X86.Reg.index r) <- v)
     regs;
-  (* Degraded and tier-0 blocks run on the TCG interpreter; helpers
+  (* Degraded blocks run on the TCG interpreter; helpers
      dispatch through the machine's registry (so syscalls, RMW helpers
      and host calls behave exactly as in native execution). *)
   let helpers name args =
@@ -473,7 +450,7 @@ let fault_of_machine_trap pc = function
 (* Postmortems: on a trap (or watchdog exhaustion / injected fault) the
    engine serialises a self-contained picture of what just happened —
    every thread's last flight-ring events, the engine-wide lifecycle
-   ring, per-block tier states, the fence ledger of each trapping
+   ring, how each block runs, the fence ledger of each trapping
    block, a chain-table summary and the deterministic slice of the
    metrics registry — as compact JSON via {!Report.Json}.  Everything
    included is a pure function of the guest program, config, seed and
@@ -481,9 +458,8 @@ let fault_of_machine_trap pc = function
    runs produce byte-identical postmortems. *)
 
 let state_name = function
-  | Tbchain.Cold -> "cold"
-  | Tbchain.Published -> "published"
-  | Tbchain.Degraded -> "degraded"
+  | Native _ -> "published"
+  | Interp_only _ -> "degraded"
 
 let json_of_event (e : Obs.Flight.event) =
   Report.Json.Obj
@@ -564,7 +540,7 @@ let postmortem_json ?(last = 32) t ~reason =
     Report.Json.Obj
       [
         ("pc", Report.Json.String (Printf.sprintf "0x%Lx" pc));
-        ("state", Report.Json.String (state_name n.Tbchain.state));
+        ("state", Report.Json.String (state_name n.Tbchain.body));
         ("execs", Report.Json.Int n.Tbchain.exec_count);
       ]
   in
@@ -734,14 +710,6 @@ let dispatch t g =
 let enter t g =
   let node = dispatch t g in
   node.Tbchain.exec_count <- node.Tbchain.exec_count + 1;
-  (* Tier 0 -> 1: compile the block once it proves hot, in time for
-     this execution to run natively.  Eager engines publish at
-     translation, so the check is one load on the presets' path. *)
-  if
-    node.Tbchain.state = Tbchain.Cold
-    && t.config.Config.jit_threshold > 0
-    && node.Tbchain.exec_count >= t.config.Config.jit_threshold
-  then promote t node;
   (match node.Tbchain.body with
   | Interp_only _ ->
       emit t g.gflight Executed g.pc 0;
@@ -1065,9 +1033,8 @@ let load_cache t path =
       (* Loaded translations replace whatever the engine had patched
          jumps into: unchain everything (bumping the generation, so
          per-thread jump caches and pending chained targets die) before
-         installing the staged blocks.  [clear_links] also resets every
-         surviving node's tier state and counters — a resumed run must
-         not promote on counts from before the reload. *)
+         installing the staged blocks.  [clear_links] also zeroes every
+         surviving node's counters, so hot-block ranking starts over. *)
       Tbchain.clear_links t.tbs;
       Hashtbl.iter
         (fun pc code ->
@@ -1075,8 +1042,7 @@ let load_cache t path =
              cache is bound to the same config, so re-translation still
              derives what the loaded code was compiled from. *)
           if Option.is_none (Tbchain.find t.tbs pc) then Hashtbl.replace t.loaded pc ();
-          let n = Tbchain.insert t.tbs pc (Native code) in
-          n.Tbchain.state <- Tbchain.Published)
+          ignore (Tbchain.insert t.tbs pc (Native code)))
         staged;
       List.iter
         (fun (pc, why) -> emit t t.flight Cache_quarantined pc 0 ~why)

@@ -13,19 +13,13 @@
     so it never changes results or guest cycles; disable it with
     [config.chain = false].
 
-    {b Tier ladder.}  Every translated block starts as a [Cold] node
-    ({!Tbchain.state}) on the TCG interpreter (tier 0) and reaches
-    native code (tier 1) through one synchronous compile path on the
-    execution thread.  With [config.jit_threshold = 0] that compile
-    runs at first translation.  With [config.jit_threshold > 0] the
-    block is interpreted until its execution count reaches the
-    threshold, and is compiled at that dispatch, so that execution
-    already runs natively.  Either way the compile ends in a published
-    native TB or a degraded block before the next dispatch, and every
-    native install counts in [stats.tier1_installed].  There is no
-    tier above native code: one dispatch runs one guest block.  All
-    presets have [jit_threshold = 0]: the ladder is opt-in, and both
-    tiers run the same Pipeline and fence mapping.
+    {b One compile path.}  A block is compiled when it is translated:
+    the frontend and the TCG pipeline build its optimized TCG, and the
+    backend turns that into native code ([Native]).  If the backend
+    refuses the block, or an injected compile fault fires, the block
+    keeps its TCG and runs on the TCG interpreter for good
+    ([Interp_only]).  There is no interpreter tier in front of native
+    code and none above it: one dispatch runs one guest block.
 
     {b Fault model.}  Guest-caused failures (undecodable code, missing
     helpers, unresolvable imports, runaway blocks) never abort a run:
@@ -65,14 +59,8 @@ type stats = {
           their checksum (or framing-internal decode) failed; each one
           just retranslates on first execution *)
   interp_execs : int;
-      (** dispatches served by the TCG interpreter: tier-0 executions
-          (block not yet past [config.jit_threshold]) plus degraded
-          blocks *)
-  tier1_installed : int;
-      (** blocks whose backend compile succeeded and whose native TB
-          was installed (tier 1) — eager compiles at translation
-          included, so an eager run has [tier1_installed =
-          blocks_translated - interp_fallbacks] *)
+      (** dispatches served by the TCG interpreter, i.e. executions of
+          degraded blocks *)
 }
 
 (** The engine's lifecycle events.  Each site that counts something
@@ -91,7 +79,6 @@ type event =
   | Trapped  (** [traps]; flight [Trap] *)
   | Cache_quarantined  (** [cache_quarantined] *)
   | Interp_exec  (** [interp_execs] *)
-  | Published  (** [tier1_installed]; flight [Tier_published] *)
   | Table_hit  (** [table_hits]: dispatches/fetches served by the table *)
   | Lookup_miss
       (** [lookup_misses]: dispatches/fetches that had to translate *)
@@ -114,7 +101,7 @@ val event_name : event -> string
 val event_flight : event -> Obs.Flight.kind option
 
 (** Engine log source ([risotto.engine]), fed by the event table:
-    [info] logs translations and tier-lifecycle events, [debug] every
+    [info] logs translations, [debug] every
     executed block, [warn] faults and degraded modes. *)
 val log_src : Logs.src
 
@@ -142,8 +129,8 @@ type guest_thread = {
   gflight : Obs.Flight.t;
       (** this thread's flight ring — see {!thread_flight} *)
   ienv : Tcg.Interp.env;
-      (** this thread's TCG interpreter state, reused by every tier-0 or
-          degraded block it runs *)
+      (** this thread's TCG interpreter state, reused by every degraded
+          block it runs *)
 }
 
 (** Create an engine.  [idl] defaults to the full host-library IDL when
@@ -179,14 +166,12 @@ val spawn :
   guest_thread
 
 (** Translate (or fetch from cache) the block at an address.  Returns
-    its translation: [Native] under the eager presets, [Interp_only]
-    for a block still on tier 0 or degraded. *)
+    its translation: [Native], or [Interp_only] for a degraded block. *)
 val fetch : t -> int64 -> compiled
 
-(** Flush the translation caches: every block, patched chain edge and
-    per-block tier state is dropped, and the chain
-    generation is bumped so stale per-thread dispatch state can never
-    fire. *)
+(** Flush the translation caches: every block and patched chain edge
+    is dropped, and the chain generation is bumped so stale per-thread
+    dispatch state can never fire. *)
 val reset : t -> unit
 
 (** Current chain-table generation; bumped by {!reset} and by a
@@ -196,10 +181,9 @@ val chain_generation : t -> int
 (** Patched block-to-block edges currently installed. *)
 val chained_edges : t -> int
 
-(** The native code at an address.  A block still on tier 0 is
-    compiled first, through the same path a hot block takes.  Raises
-    {!Fault.Fault} ([Backend_fault]) if the block is degraded (the
-    backend failed to compile it); prefer {!fetch}. *)
+(** The native code at an address, translated first if need be (like
+    {!fetch}).  Raises {!Fault.Fault} ([Backend_fault]) if the block is
+    degraded (the backend failed to compile it); prefer {!fetch}. *)
 val lookup_block : t -> int64 -> Arm.Insn.t array
 
 (** The optimized TCG block at an address (for inspection), translated
@@ -278,10 +262,10 @@ val stats_line : t -> guest_thread -> string
     Every guest thread carries an always-on {!Obs.Flight} ring of its
     recent lifecycle events (block entries, trap, watchdog), and the
     engine keeps one more for events not owned by a single thread
-    (tier publishes and fallbacks, fence passes).
+    (fallbacks, fence passes).
     When a postmortem directory is configured, any trap or watchdog
     exhaustion dumps a deterministic JSON artifact combining the rings
-    with tier states, fence ledgers and a metrics slice. *)
+    with how each block runs, fence ledgers and a metrics slice. *)
 
 (** The engine-wide flight ring. *)
 val flight : t -> Obs.Flight.t
@@ -301,7 +285,8 @@ val postmortems_written : t -> int
 
 (** Build the postmortem document: [reason], config name, each thread's
     last [last] flight events (default 32) with its pc/trap state, the
-    engine ring, per-block tier states sorted by pc, the fence ledger
+    engine ring, each block's state sorted by pc ([published] for
+    native code, [degraded] for the interpreter), the fence ledger
     of every trapping block, a chain-table summary, every engine
     counter ([stats]), and the deterministic (non-wall-clock) slice of
     the metrics registry.

@@ -7,15 +7,9 @@
    [generation], which lazily invalidates every per-thread jump cache
    and pending chained target that was built against the old state. *)
 
-type state =
-  | Cold  (* tier 0: not compiled since translation (or a relink) *)
-  | Published  (* tier 1: native code installed *)
-  | Degraded  (* backend refused the block; interpreter permanently *)
-
 type 'a node = {
   pc : int64;
   mutable body : 'a;  (* the translation dispatch runs *)
-  mutable state : state;
   mutable exec_count : int;
   mutable edges : 'a edge list;  (* patched static exits, at most one per pc *)
   mutable prof_cycles : int;
@@ -47,14 +41,13 @@ let iter f t = Hashtbl.iter f t.table
 
 let reset_node n body =
   n.body <- body;
-  n.state <- Cold;
   n.exec_count <- 0;
   n.edges <- [];
   n.prof_cycles <- 0
 
 (* A node in no table: the empty value of the engine's dispatch slots. *)
 let detached body =
-  { pc = -1L; body; state = Cold; exec_count = 0; edges = []; prof_cycles = 0 }
+  { pc = -1L; body; exec_count = 0; edges = []; prof_cycles = 0 }
 
 let insert t pc body =
   match Hashtbl.find_opt t.table pc with

@@ -1,8 +1,9 @@
-(** Translation-block chain table: block-to-block links and per-block
-    tier state for the engine's dispatch loop.
+(** Translation-block chain table: block-to-block links for the
+    engine's dispatch loop.
 
     Each translated block is a {!node} holding its translation
-    ([body]), where it sits on the tier ladder ([state]), an execution
+    ([body], which also says how the block runs: native code, or the
+    TCG interpreter for a block the backend refused), an execution
     count, and the {e patched edges}: static exits resolved once
     through the cache and recorded so later executions follow the link
     without a hashtable lookup (QEMU-style direct chaining).
@@ -12,18 +13,9 @@
     lazily by comparing generations, so a cache reload can never leave
     a patched jump pointing at dead code. *)
 
-(** Where a block sits on the tier ladder.  [Cold] has not been through
-    a compile since it was translated (or since {!clear_links}); without
-    native code it runs on the TCG interpreter (tier 0).  [Published]
-    means a native TB was installed (tier 1).  [Degraded] is terminal:
-    the backend refused the block and the interpreter serves it
-    forever.  The execution thread is the only writer. *)
-type state = Cold | Published | Degraded
-
 type 'a node = {
   pc : int64;  (** guest pc of the block head *)
   mutable body : 'a;  (** the translation dispatch runs *)
-  mutable state : state;
   mutable exec_count : int;
   mutable edges : 'a edge list;  (** patched static exits, one per pc *)
   mutable prof_cycles : int;
@@ -52,7 +44,7 @@ val find : 'a t -> int64 -> 'a node option
 
 (** Insert (or replace) the translation for a pc.  Replacing reuses the
     existing node record — edges into it keep working and see the new
-    body — and resets its state to [Cold], its edges and its counts. *)
+    body — and resets its edges and its counts. *)
 val insert : 'a t -> int64 -> 'a -> 'a node
 
 (** [link t from ~epc target] patches the static exit of [from] at
@@ -71,9 +63,9 @@ val detached : 'a -> 'a node
     exit pc [pc], or [none] when that exit is unpatched. *)
 val follow : 'a node -> int64 -> none:'a node -> 'a node
 
-(** Unpatch every edge, reset every node to [Cold] with zeroed counters
-    and bump the generation — used when reloading a persistent cache,
-    where translations change under the chains. *)
+(** Unpatch every edge, zero every node's counters and bump the
+    generation — used when reloading a persistent cache, where
+    translations change under the chains. *)
 val clear_links : 'a t -> unit
 
 (** Drop every node and bump the generation. *)

@@ -15,8 +15,7 @@
     {!canonical} normalises all three (best thread permutation ×
     first-occurrence renaming, lexicographically smallest rendering),
     {!shape_hash} digests the result, and {!corpus} dedups a generated
-    batch into canonical classes with multiplicities — the key the
-    verdict memo ([Mapping.Check.check_memo]) shares verdicts by. *)
+    batch into canonical classes with multiplicities. *)
 
 (** Generation bounds.  The defaults keep the candidate-execution space
     of every generated program litmus-sized (the enumerator is
@@ -52,7 +51,7 @@ val generate : ?config:config -> seed:int -> int -> Ast.prog list
     semantically inert), so one verdict serves the class. *)
 val canonical : Ast.prog -> Ast.prog
 
-(** The canonical rendering {!canonical} minimises — the memo key. *)
+(** The canonical rendering {!canonical} minimises. *)
 val canonical_string : Ast.prog -> string
 
 (** CRC-32 of {!canonical_string}: the shape hash used in class

@@ -163,52 +163,6 @@ let check_scheme ?pool ~name f ~src_model ~tgt_model corpus =
          })
        corpus)
 
-(* ------------------------------------------------------------------ *)
-(* Memoized verdicts for generated corpora                             *)
-
-(* Keyed by (scheme, models, canonical AST): two generated programs that
-   canonicalize identically (thread order, location and register names
-   normalised away) have isomorphic behaviour sets under every model, so
-   they share one verdict.  The served report's [name] is rewritten per
-   caller; its counts and extra behaviours come from the first-checked
-   member of the class (identical up to the renaming bijection). *)
-let memo : (string * string * string * string, report) Hashtbl.t =
-  Hashtbl.create 256
-
-let memo_mutex = Mutex.create ()
-let memo_hits = Atomic.make 0
-let memo_misses = Atomic.make 0
-
-let check_memo ~scheme ~f ~src_model ~tgt_model (pname, src) =
-  let key =
-    ( scheme,
-      src_model.Axiom.Model.name,
-      tgt_model.Axiom.Model.name,
-      Litmus.Generate.canonical_string src )
-  in
-  let cached =
-    Mutex.protect memo_mutex (fun () -> Hashtbl.find_opt memo key)
-  in
-  let r =
-    match cached with
-    | Some r ->
-        Atomic.incr memo_hits;
-        r
-    | None ->
-        Atomic.incr memo_misses;
-        let r = refines ~src_model ~tgt_model ~src ~tgt:(f src) in
-        Mutex.protect memo_mutex (fun () -> Hashtbl.replace memo key r);
-        r
-  in
-  { r with name = Printf.sprintf "%s: %s" scheme pname }
-
-let memo_stats () = (Atomic.get memo_hits, Atomic.get memo_misses)
-
-let clear_memo () =
-  Mutex.protect memo_mutex (fun () -> Hashtbl.reset memo);
-  Atomic.set memo_hits 0;
-  Atomic.set memo_misses 0
-
 let all_ok = List.for_all (fun r -> r.ok)
 
 let pp_report ppf r =

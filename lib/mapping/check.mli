@@ -96,26 +96,5 @@ val check_scheme :
   (string * Litmus.Ast.prog) list ->
   report list
 
-(** Memoized {!refines} for generated corpora: the verdict is keyed by
-    (scheme, model names, [Litmus.Generate.canonical_string src]), so
-    canonically-equal programs — same shape up to thread order and
-    location/register naming — share one checked verdict.  The served
-    report's [name] is ["scheme: pname"]; counts and extra behaviours
-    come from the first-checked member of the class (identical up to
-    the renaming bijection).  Domain-safe. *)
-val check_memo :
-  scheme:string ->
-  f:(Litmus.Ast.prog -> Litmus.Ast.prog) ->
-  src_model:Axiom.Model.t ->
-  tgt_model:Axiom.Model.t ->
-  string * Litmus.Ast.prog ->
-  report
-
-(** [(hits, misses)] of the verdict memo since start/last clear. *)
-val memo_stats : unit -> int * int
-
-(** Empty the verdict memo and zero its counters. *)
-val clear_memo : unit -> unit
-
 val all_ok : report list -> bool
 val pp_report : Format.formatter -> report -> unit

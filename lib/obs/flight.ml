@@ -1,6 +1,5 @@
 type kind =
   | Block_enter
-  | Tier_published
   | Tier_degraded
   | Trap
   | Watchdog
@@ -8,23 +7,20 @@ type kind =
 
 let kind_code = function
   | Block_enter -> 0
-  | Tier_published -> 1
-  | Tier_degraded -> 2
-  | Trap -> 3
-  | Watchdog -> 4
-  | Fence_pass -> 5
+  | Tier_degraded -> 1
+  | Trap -> 2
+  | Watchdog -> 3
+  | Fence_pass -> 4
 
 let kind_of_code = function
   | 0 -> Block_enter
-  | 1 -> Tier_published
-  | 2 -> Tier_degraded
-  | 3 -> Trap
-  | 4 -> Watchdog
+  | 1 -> Tier_degraded
+  | 2 -> Trap
+  | 3 -> Watchdog
   | _ -> Fence_pass
 
 let kind_name = function
   | Block_enter -> "block-enter"
-  | Tier_published -> "tier-published"
   | Tier_degraded -> "tier-degraded"
   | Trap -> "trap"
   | Watchdog -> "watchdog"

@@ -15,7 +15,6 @@
 
 type kind =
   | Block_enter  (** dispatched a block; [arg] = tier (0 interp, 1 native) *)
-  | Tier_published  (** native code installed; [arg] = generation *)
   | Tier_degraded  (** compile failed, block degraded; [arg] = generation *)
   | Trap  (** thread faulted; [arg] = 0 *)
   | Watchdog  (** watchdog fired ([Exhausted]); [arg] = steps *)

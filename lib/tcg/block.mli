@@ -1,7 +1,7 @@
 (** Translation blocks: the unit of translation and caching.
 
     A block's ops are one dense array, the form every consumer walks:
-    the optimizer passes, the backend and the TCG interpreter (tier 0).
+    the optimizer passes, the backend and the TCG interpreter.
     Blocks are built with {!make}, which also resolves each label to
     the index of its [Set_label] once, so no consumer searches for a
     branch target at run time.  A block is immutable by convention:

@@ -280,42 +280,36 @@ let test_block_cache () =
   check_bool "few translations" true (st.Core.Engine.blocks_translated <= 3);
   check_bool "cache hits on loop" true (st.Core.Engine.cache_hits >= 3)
 
-(* [lookup_block] compiles a block still on tier 0 through the one
-   compile path, and raises only when the backend really refused it. *)
-let test_lookup_block_promotes () =
+(* [lookup_block] returns the native code an eager engine compiled at
+   translation, and raises only when the backend refused the block. *)
+let test_lookup_block_native_or_fault () =
   let image =
     build [ Label "main"; Ins (I.Mov_ri (R.RBX, 5L)); Ins I.Mfence; Ins I.Hlt ]
   in
   let entry = image.Image.Gelf.entry in
-  let tiered = { Core.Config.risotto with Core.Config.jit_threshold = 2 } in
-  let eng = Core.Engine.create tiered image in
+  let eng = Core.Engine.create Core.Config.risotto image in
   let code = Core.Engine.lookup_block eng entry in
-  check_bool "cold block compiled" true (Array.length code > 0);
-  let st = Core.Engine.stats eng in
-  check_int "one install" 1 st.Core.Engine.tier1_installed;
-  check_int "no fallback" 0 st.Core.Engine.interp_fallbacks;
-  check_bool "fetch now returns the native code" true
+  check_bool "native code" true (Array.length code > 0);
+  check_int "no fallback" 0 (Core.Engine.stats eng).Core.Engine.interp_fallbacks;
+  check_bool "fetch returns the same native code" true
     (match Core.Engine.fetch eng entry with
     | Core.Engine.Native c -> c == code
     | Core.Engine.Interp_only _ -> false);
   let degraded =
     {
-      tiered with
+      Core.Config.risotto with
       Core.Config.inject = [ Core.Inject.Always Core.Inject.Compile ];
     }
   in
   let eng = Core.Engine.create degraded image in
-  check_bool "degraded block raises a backend fault" true
-    (match Core.Engine.lookup_block eng entry with
+  let raises_backend_fault () =
+    match Core.Engine.lookup_block eng entry with
     | _ -> false
-    | exception Core.Fault.Fault f -> f.Core.Fault.kind = Core.Fault.Backend_fault);
-  check_int "the fallback is counted" 1
-    (Core.Engine.stats eng).Core.Engine.interp_fallbacks;
-  check_bool "a degraded block stays degraded" true
-    (match Core.Engine.lookup_block eng entry with
-    | _ -> false
-    | exception Core.Fault.Fault _ -> true);
-  check_int "and is not recompiled" 1
+    | exception Core.Fault.Fault f -> f.Core.Fault.kind = Core.Fault.Backend_fault
+  in
+  check_bool "degraded block raises a backend fault" true (raises_backend_fault ());
+  check_bool "and raises again" true (raises_backend_fault ());
+  check_int "the fallback is counted once" 1
     (Core.Engine.stats eng).Core.Engine.interp_fallbacks
 
 let test_exit_code_via_syscall () =
@@ -669,8 +663,8 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "block cache" `Quick test_block_cache;
-          Alcotest.test_case "lookup_block promotes a cold block" `Quick
-            test_lookup_block_promotes;
+          Alcotest.test_case "lookup_block: native, or a degraded fault" `Quick
+            test_lookup_block_native_or_fault;
           Alcotest.test_case "exit syscall" `Quick test_exit_code_via_syscall;
           Alcotest.test_case "write syscall" `Quick test_write_syscall_output;
           Alcotest.test_case "concurrent xadd sum" `Quick

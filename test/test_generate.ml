@@ -1,6 +1,6 @@
 (* The generated-corpus pipeline: seeded determinism, canonicalization
-   soundness, memoized verdicts, sharded resumable sweeps and
-   pool-vs-sequential identity at batch scale. *)
+   soundness, sharded resumable sweeps and pool-vs-sequential identity
+   at batch scale. *)
 
 module Ast = Litmus.Ast
 module G = Litmus.Generate
@@ -129,49 +129,6 @@ let test_canonical_soundness () =
           (List.length (En.behaviours x86 p))
           (List.length (En.behaviours x86 (G.canonical p))))
     progs
-
-(* -------- memoized verdict parity -------- *)
-
-let test_memo_parity () =
-  Check.clear_memo ();
-  let e = fig7a_entry () in
-  let corpus = G.corpus ~seed:3 150 in
-  let classes = corpus.classes in
-  let named =
-    List.map (fun (c : G.cls) -> (c.cls_name, c.cls_rep)) classes
-  in
-  let fresh =
-    Check.check_scheme ~name:e.scheme e.f ~src_model:e.src_model
-      ~tgt_model:e.tgt_model named
-  in
-  let memo =
-    List.map
-      (fun np ->
-        Check.check_memo ~scheme:e.scheme ~f:e.f ~src_model:e.src_model
-          ~tgt_model:e.tgt_model np)
-      named
-  in
-  List.iter2
-    (fun (a : Check.report) (b : Check.report) ->
-      Alcotest.(check string) "name" a.name b.name;
-      Alcotest.(check bool) "ok" a.ok b.ok;
-      Alcotest.(check int) "src" a.src_behaviours b.src_behaviours;
-      Alcotest.(check int) "tgt" a.tgt_behaviours b.tgt_behaviours)
-    fresh memo;
-  (* Serving the raw (pre-dedup) batch hits the memo for every program
-     whose class is already checked. *)
-  let progs = G.generate ~seed:3 150 in
-  let h0, m0 = Check.memo_stats () in
-  List.iteri
-    (fun i p ->
-      ignore
-        (Check.check_memo ~scheme:e.scheme ~f:e.f ~src_model:e.src_model
-           ~tgt_model:e.tgt_model
-           (Printf.sprintf "p%d" i, p)))
-    progs;
-  let h1, m1 = Check.memo_stats () in
-  Alcotest.(check int) "no new verdicts computed" m0 m1;
-  Alcotest.(check int) "every program served from the memo" (h0 + 150) h1
 
 (* -------- journaled generated-sweep resume parity -------- *)
 
@@ -522,8 +479,6 @@ let () =
           Alcotest.test_case "canonicalization soundness" `Quick
             test_canonical_soundness;
         ] );
-      ( "memo",
-        [ Alcotest.test_case "verdict memo parity" `Quick test_memo_parity ] );
       ( "sweep",
         [
           Alcotest.test_case "journaled resume parity" `Quick

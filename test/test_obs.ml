@@ -310,7 +310,15 @@ let test_differential_examples () =
             [
               ("plain", config);
               ("unchained", { config with Core.Config.chain = false });
-              ("tiered", { config with Core.Config.jit_threshold = 2 });
+              ( "mixed-degraded",
+                {
+                  config with
+                  Core.Config.inject =
+                    [
+                      Core.Inject.Seeded
+                        { site = Core.Inject.Compile; seed = 42L; permille = 500 };
+                    ];
+                } );
             ])
         example_programs)
     Core.Config.all

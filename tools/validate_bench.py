@@ -13,7 +13,6 @@ so the gates are versioned, testable and shared between jobs.
     validate_bench.py witness REPORT_DIR
     validate_bench.py chaos BENCH_chaos.json
     validate_bench.py generator BENCH_generator.json
-    validate_bench.py tiers BENCH_tiers.json
 
 Exit 0 when every gate holds, 1 with a diagnostic otherwise.
 """
@@ -273,51 +272,9 @@ def cmd_generator(path):
             f"{path}: planned generated sweep slower than per-task "
             f"(speedup {j['speedup']:.3f} < 1.0)"
         )
-    memo = j["memo"]
-    if memo["tasks"] != j["programs"] * j["schemes"]:
-        fail(
-            f"{path}: memo served {memo['tasks']} verdicts, expected "
-            f"{j['programs'] * j['schemes']}"
-        )
-    if memo["tasks_per_s"] <= 0:
-        fail(f"{path}: non-positive memo throughput")
     print(
         f"generator OK: {j['programs']} programs -> {j['classes']} classes "
-        f"(dedup {j['dedup_ratio']:.1%}), speedup {j['speedup']:.2f}x, "
-        f"memo {memo['tasks_per_s']:.0f} tasks/s"
-    )
-
-
-def cmd_tiers(path):
-    j = load(path)
-    check_envelope(j, path, "tiers")
-    if not j["results_identical"]:
-        fail(f"{path}: tier0/sync-all/tiered guest results diverge")
-    if not j["reps_identical"]:
-        fail(f"{path}: a rep did not reproduce the first rep's results")
-    ti, sy = j["tiered"], j["sync_all"]
-    if ti["interp_execs"] == 0:
-        fail(f"{path}: tiered run never executed on the interpreter (tier 0)")
-    if ti["tier1_installed"] == 0:
-        fail(f"{path}: no tier-1 compile was ever installed")
-    if ti["cycles_per_block"] > sy["cycles_per_block"]:
-        fail(
-            f"{path}: tiered execution cost more guest cycles than sync-all "
-            f"({ti['cycles_per_block']:.3f} vs {sy['cycles_per_block']:.3f} "
-            f"cycles/block)"
-        )
-    cold = j["cold"]
-    if cold["tiered_s"] >= cold["sync_s"]:
-        fail(
-            f"{path}: tiered cold start not faster than synchronous "
-            f"translation ({cold['tiered_s']:.6f}s vs {cold['sync_s']:.6f}s)"
-        )
-    if j["guest_blocks"] <= 0:
-        fail(f"{path}: implausible guest-block count {j['guest_blocks']}")
-    print(
-        f"tiers OK: {ti['tier1_installed']} installs, "
-        f"{ti['cycles_per_block']:.1f} vs {sy['cycles_per_block']:.1f} "
-        f"cycles/block, cold start {cold['speedup']:.2f}x, parity holds"
+        f"(dedup {j['dedup_ratio']:.1%}), speedup {j['speedup']:.2f}x"
     )
 
 
@@ -340,8 +297,6 @@ def main(argv):
         cmd_chaos(args[0])
     elif cmd == "generator" and len(args) == 1:
         cmd_generator(args[0])
-    elif cmd == "tiers" and len(args) == 1:
-        cmd_tiers(args[0])
     else:
         print(__doc__, file=sys.stderr)
         return 2

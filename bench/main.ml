@@ -111,7 +111,7 @@ let correctness_findings () =
 (* ------------------------------------------------------------------ *)
 (* Figures 8/9: mapping minimality                                     *)
 
-let minimality ?pool () =
+let minimality () =
   section "Figures 8/9: mapping minimality (every rule is load-bearing)";
   let x86 = Axiom.X86_tso.model and tcg = Axiom.Tcg_model.model in
   let drop_kind k scheme p =
@@ -147,7 +147,7 @@ let minimality ?pool () =
     (fun name ->
       let src = List.assoc name Litmus.Catalog.mapping_corpus in
       let sites =
-        Mapping.Minimality.necessary_fences ?pool base ~src_model:x86
+        Mapping.Minimality.necessary_fences base ~src_model:x86
           ~tgt_model:tcg src
       in
       Format.printf "  %s image: %a@." name
@@ -337,11 +337,11 @@ let chunk_json stats =
 (* The sequential arm is the per-task [refines] loop — the exact code
    path of every earlier recorded baseline — while the parallel arm
    goes through the batch planner ([check_cells]): cells are grouped by
-   target program and the model-independent survivor set is enumerated
-   once per program for all models that need it, as chunked pool
-   batches.  On a 1-core box the pool spawns no surplus domains and the
-   speedup is the planner's structural work reduction; with real cores
-   the chunks also run concurrently. *)
+   source program, and one candidate pass per source serves every
+   target and model its cells need, as chunked pool batches.  On a
+   1-core box the pool spawns no surplus domains and the speedup is the
+   planner's structural work reduction; with real cores the chunks also
+   run concurrently. *)
 let refinement_bench ~jobs ~reps ~out () =
   section
     (Printf.sprintf
@@ -1474,7 +1474,7 @@ let () =
       match s with
       | "tables" -> mapping_tables ()
       | "sec3" -> correctness_findings ()
-      | "minimality" -> minimality ?pool ()
+      | "minimality" -> minimality ()
       | "figures" -> figures ?pool ()
       | "ablations" -> ablations ()
       | "bechamel" -> bechamel_benches ()

@@ -196,10 +196,12 @@ let create ?cost ?idl config image =
     postmortems_written = 0;
   }
 
-(* [Log.debug] takes a closure, which allocates whether or not the
-   message is printed: per-block events check the level first. *)
-let debug_enabled () =
-  match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
+(* [Log.msg] takes a closure, which allocates whether or not the
+   message is printed, so events check the level first.  Levels run
+   from App to Debug: a message is reported when its level is at most
+   the source's. *)
+let reported level =
+  match Logs.Src.level log_src with Some max -> level <= max | None -> false
 
 (* The log line and trace instant of an event worth telling (rows with
    a level); cold, so it may allocate. *)
@@ -216,7 +218,7 @@ let announce (r : row) level ?why pc arg =
 
 (* The one sink write per event site: bump the kind's counter, append
    to [ring] (the engine's ring, or the owning thread's), log.  No
-   allocation unless the event is logged. *)
+   allocation unless the event is logged or, above debug, traced. *)
 let emit ?why t ring e pc arg =
   let i = slot e in
   let r : row = table.(i) in
@@ -226,9 +228,9 @@ let emit ?why t ring e pc arg =
   | Sum -> c.(i) <- c.(i) + arg);
   (match r.flight with Some k -> Fl.record ring k pc arg | None -> ());
   match r.level with
-  | None -> ()
-  | Some Logs.Debug -> if debug_enabled () then announce r Logs.Debug ?why pc arg
-  | Some level -> announce r level ?why pc arg
+  | Some level when reported level || (level <> Logs.Debug && Obs.Trace.enabled ()) ->
+      announce r level ?why pc arg
+  | Some _ | None -> ()
 
 let count t e = t.counts.(slot e)
 

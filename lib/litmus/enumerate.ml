@@ -51,6 +51,7 @@ let universe (p : Ast.prog) =
 
 type state = {
   next : int;
+  reads : int;  (* reads so far: the oracle's argument *)
   env : (string * (int * Iset.t)) list;  (* reg -> value, taint *)
   ctrl : Iset.t;  (* reads the current control flow depends on *)
   events : E.t list;  (* reversed *)
@@ -98,7 +99,8 @@ let fresh_event st tid label =
       Iset.fold (fun src acc -> (src, e.id) :: acc) st.ctrl st.ctrl_edges
     else st.ctrl_edges
   in
-  (e, { st with next = st.next + 1; events = e :: st.events; ctrl_edges })
+  let reads = if E.is_read e then st.reads + 1 else st.reads in
+  (e, { st with next = st.next + 1; reads; events = e :: st.events; ctrl_edges })
 
 (* The ords carried by the events of an RMW, per architecture flavour. *)
 let rmw_ords = function
@@ -125,7 +127,9 @@ let accesses kind events =
       | _ -> None)
     events
 
-let thread_runs uni tid (code : Ast.instr list) ~first_id =
+(* The runs of one thread, in oracle order: the [k]th read of a run
+   takes each value of [values k] in turn. *)
+let thread_runs values tid (code : Ast.instr list) ~first_id =
   let rec exec st instrs =
     match instrs with
     | [] ->
@@ -163,10 +167,8 @@ let thread_runs uni tid (code : Ast.instr list) ~first_id =
                 let e, st =
                   fresh_event st tid (E.Read { loc; value = v; ord })
                 in
-                exec
-                  { st with env = set_reg st.env reg v (Iset.singleton e.id) }
-                  rest)
-              uni
+                exec { st with env = set_reg st.env reg v (Iset.singleton e.id) } rest)
+              (values st.reads)
         | Ast.Cas { reg; loc; expect; desired; kind } ->
             let exp_v, exp_t = eval st.env expect in
             let des_v, des_t = eval st.env desired in
@@ -197,7 +199,7 @@ let thread_runs uni tid (code : Ast.instr list) ~first_id =
                     { st with data; rmw = (re.id, we.id, kind) :: st.rmw }
                     rest
                 else exec st rest)
-              uni
+              (values st.reads)
         | Ast.If { cond; then_; else_ } ->
             let v, t = eval st.env cond in
             let st = { st with ctrl = Iset.union st.ctrl t } in
@@ -207,6 +209,7 @@ let thread_runs uni tid (code : Ast.instr list) ~first_id =
   exec
     {
       next = first_id;
+      reads = 0;
       env = [];
       ctrl = Iset.empty;
       events = [];
@@ -219,11 +222,6 @@ let thread_runs uni tid (code : Ast.instr list) ~first_id =
 (* ------------------------------------------------------------------ *)
 (* Candidate assembly                                                  *)
 
-let cartesian (lists : 'a list list) : 'a list list =
-  List.fold_right
-    (fun l acc -> List.concat_map (fun x -> List.map (fun rest -> x :: rest) acc) l)
-    lists [ [] ]
-
 let init_events (p : Ast.prog) ~first_id =
   let locs = Ast.locations p in
   List.mapi
@@ -234,11 +232,12 @@ let init_events (p : Ast.prog) ~first_id =
 
 (* The per-thread runs of a combo, assembled into the candidate's shared
    skeleton: the execution without its rf/co choices, and the register
-   valuations.  Every candidate of the combo shares [c_exec.events]
-   physically, which is what [Execution]'s index cache keys on. *)
+   valuations, sorted when first needed.  Every candidate of the combo
+   shares [c_exec.events] physically, which is what [Execution]'s index
+   cache keys on. *)
 type combo = {
   c_exec : X.t;
-  c_regs : ((int * string) * int) list;
+  c_regs : ((int * string) * int) list Lazy.t;
 }
 
 let ids events = Iset.of_list (List.map (fun (e : E.t) -> e.id) events)
@@ -246,13 +245,14 @@ let ids events = Iset.of_list (List.map (fun (e : E.t) -> e.id) events)
 let assemble_combo inits (runs : run list) =
   let events = inits @ List.concat_map (fun r -> r.r_events) runs in
   let regs =
-    List.concat_map
-      (fun (r, run) -> List.map (fun (reg, v) -> ((r, reg), v)) run.r_env)
-      (List.mapi (fun i run -> (i, run)) runs)
-    |> List.sort (fun ((t, r), v) ((t', r'), v') ->
-           match Int.compare t t' with
-           | 0 -> ( match String.compare r r' with 0 -> Int.compare v v' | c -> c)
-           | c -> c)
+    lazy
+      (List.concat_map
+         (fun (r, run) -> List.map (fun (reg, v) -> ((r, reg), v)) run.r_env)
+         (List.mapi (fun i run -> (i, run)) runs)
+      |> List.sort (fun ((t, r), v) ((t', r'), v') ->
+             match Int.compare t t' with
+             | 0 -> ( match String.compare r r' with 0 -> Int.compare v v' | c -> c)
+             | c -> c))
   in
   let rmw = List.concat_map (fun r -> r.r_rmw) runs in
   let pick k =
@@ -288,9 +288,23 @@ let rec events_bound code =
       | Ast.If { then_; else_; _ } -> n + max (events_bound then_) (events_bound else_))
     0 code
 
+(* Each thread's first event id, in [p.threads] order, and the id after
+   the last thread's range.  Ids are dense: the init writes first, then
+   each thread, in ascending tid order, a contiguous range of its
+   [events_bound] ids, so ids order events by (tid, po) as the
+   relations' bit rows need them to lie in 0–62. *)
+let first_ids (p : Ast.prog) =
+  let firsts, next =
+    List.fold_left
+      (fun (acc, next) (t : Ast.thread) -> ((t.tid, next) :: acc, next + events_bound t.code))
+      ([], List.length (Ast.locations p))
+      (List.sort (fun (a : Ast.thread) (b : Ast.thread) -> Int.compare a.tid b.tid) p.threads)
+  in
+  (List.map (fun (t : Ast.thread) -> List.assoc t.tid firsts) p.threads, next)
+
 (* Every read of a combo has a write of its value to its location to
-   read from.  Most combos fail this, so both enumerators decide it from
-   the runs before assembling the combo. *)
+   read from.  Most combos fail this, so the pass decides it from the
+   runs before assembling the combo. *)
 let feasible init_writes runs =
   let has (l, v) = List.exists (fun (l', v') -> v = v' && String.equal l l') in
   List.for_all
@@ -299,43 +313,6 @@ let feasible init_writes runs =
         (fun lv -> has lv init_writes || List.exists (fun r' -> has lv r'.r_writes) runs)
         r.r_reads)
     runs
-
-(* Fold [f] over the feasible combos of [p], the first thread's runs
-   outermost.
-
-   Event ids are dense: the init writes first, then each thread, in
-   ascending tid order, gets a contiguous range of its [events_bound]
-   ids.  Ids order events by (tid, po), as the relations' bit rows
-   need them to lie in 0–62. *)
-let fold_combos (p : Ast.prog) f acc =
-  let inits = init_events p ~first_id:0 in
-  let first_ids, next =
-    List.fold_left
-      (fun (acc, next) (t : Ast.thread) -> ((t.tid, next) :: acc, next + events_bound t.code))
-      ([], List.length inits)
-      (List.sort (fun (a : Ast.thread) (b : Ast.thread) -> Int.compare a.tid b.tid) p.threads)
-  in
-  if next > 63 then
-    invalid_arg
-      (Printf.sprintf "Enumerate: program %s may emit %d events; event ids stop at 62"
-         p.name next);
-  let uni = universe p in
-  let runs_per_thread =
-    List.map
-      (fun (t : Ast.thread) ->
-        thread_runs uni t.tid t.code ~first_id:(List.assoc t.tid first_ids))
-      p.threads
-  in
-  let init_writes = accesses E.is_write inits in
-  let rec go acc prefix = function
-    | [] ->
-        let runs = List.rev prefix in
-        if feasible init_writes runs then f acc (assemble_combo inits runs) else acc
-    | runs :: rest -> List.fold_left (fun acc r -> go acc (r :: prefix) rest) acc runs
-  in
-  go acc [] runs_per_thread
-
-let execution_of_combo c ~rf ~co = { c.c_exec with rf; co }
 
 let writes_at loc (e : E.t) =
   match e.label with E.Write { loc = l; _ } -> String.equal l loc | _ -> false
@@ -376,74 +353,47 @@ let co_choices memo events loc =
       Hashtbl.add memo key orders;
       orders
 
-(* Fold [f] over the full rf × co candidate product of [p], each
-   candidate with its run's register valuation, without materialising
-   the product.  [stage] runs once per combo, on its skeleton, and its
-   result goes to [f] with each of the combo's candidates. *)
-let fold_candidates (p : Ast.prog) ~stage f acc =
-  let locs = Ast.locations p and memo = Hashtbl.create 8 in
-  fold_combos p
-    (fun acc c ->
-      Parallel.Supervise.poll ();
-      let events = c.c_exec.events in
-      let cos = cartesian (List.map (co_choices memo events) locs) in
-      let s = stage c.c_exec in
-      List.fold_left
-        (fun acc rf_pairs ->
-          let rf = Rel.of_list rf_pairs in
-          List.fold_left
-            (fun acc co_parts ->
-              f acc s (execution_of_combo c ~rf ~co:(Rel.union_all co_parts)) c.c_regs)
-            acc cos)
-        acc
-        (cartesian (rf_choices events (List.filter E.is_read events))))
-    acc
+(* The (rf, co) dimensions of [events]' candidates: each read's rf
+   choices, then each of [locs]' co choices. *)
+let dims memo events locs =
+  List.map
+    (List.map (fun pair -> (Rel.of_list [ pair ], Rel.empty)))
+    (rf_choices events (List.filter E.is_read events))
+  @ List.map (fun l -> List.map (fun co -> (Rel.empty, co)) (co_choices memo events l)) locs
 
-let candidates (p : Ast.prog) =
-  List.rev (fold_candidates p ~stage:ignore (fun acc () x regs -> (x, regs) :: acc) [])
+(* The candidates of [dims]: one union per dimension, the first
+   dimension outermost. *)
+let product dims =
+  let rec go rf co dims acc =
+    match dims with
+    | [] -> (rf, co) :: acc
+    | d :: rest ->
+        List.fold_right (fun (r, c) acc -> go (Rel.union rf r) (Rel.union co c) rest acc) d acc
+  in
+  go Rel.empty Rel.empty dims []
 
 (* ------------------------------------------------------------------ *)
 (* Pruned enumeration                                                  *)
 
-(* The full rf × co product above is what the docs describe, but most of
-   it dies on the two axioms every model lists (Model.coherence and
-   Model.atomicity): per-location coherence and RMW atomicity.  Both
-   are per-location properties — po-loc, rf, co and fr only ever relate
-   same-location events, so any violating cycle lives inside one
-   location.  The pruned enumerator therefore filters (rf, co) pairs per
-   location first and takes the cross-location product over survivors
-   only, which collapses the search space from Π(rf_l × co_l) to
-   Π(survivors_l).
-
-   Soundness: a candidate pruned here fails coherence or atomicity and
-   is rejected by every model, since every model lists both
-   ([Model.make] checks it).  Conversely, a surviving candidate
-   satisfies both outright: a coherence cycle or an atomicity violation
-   of the whole candidate would lie in one location's slice.  So the
-   survivors go through each model's other axioms only ([own]), and
-   verdicts are identical to the unpruned path. *)
+(* Most of the rf × co product dies on the two axioms every model lists
+   ([Model.make] checks it), per-location coherence and atomicity:
+   po-loc, rf, co and fr relate same-location events only, so any
+   violation lies in one location's slice.  The pruned pass filters
+   (rf, co) pairs per location and takes the cross-location product of
+   the survivors, which satisfy both, so only each model's other axioms
+   are tested on them: verdicts equal the unpruned product's. *)
 
 let per_location = [ Axiom.Model.coherence; Axiom.Model.atomicity ]
 
-(* A model's axioms the survivors have still to pass. *)
-let own (m : Axiom.Model.t) = List.filter (fun a -> not (List.memq a per_location)) m.axioms
-
-(* Per-location surviving (rf, co) pairs.  [fold_combos] passes only
-   combos where every read has a value-compatible source.  [common] is
-   [per_location] prepared on the combo's skeleton: on a candidate
-   whose rf and co are the location's slice, it checks per-location
-   coherence and atomicity, since po-loc, rf, co and fr relate only
-   same-location events. *)
+(* Per-location surviving (rf, co) pairs.  [common] is [per_location]
+   prepared on the combo's skeleton: on a candidate whose rf and co are
+   the location's slice, it checks per-location coherence and
+   atomicity, since po-loc, rf, co and fr relate only same-location
+   events. *)
 let per_loc_survivors memo common c loc =
-  let at = List.filter (accesses_at loc) c.c_exec.events in
-  let cos = co_choices memo at loc in
-  List.concat_map
-    (fun rf_pairs ->
-      let rf = Rel.of_list rf_pairs in
-      List.filter_map
-        (fun co -> if common (execution_of_combo c ~rf ~co) then Some (rf, co) else None)
-        cos)
-    (cartesian (rf_choices at (List.filter E.is_read at)))
+  List.filter
+    (fun (rf, co) -> common { c.c_exec with rf; co })
+    (product (dims memo (List.filter (accesses_at loc) c.c_exec.events) [ loc ]))
 
 (* The survivors of each location in turn, or None at the first
    location with none. *)
@@ -458,150 +408,209 @@ let survivors memo c locs =
   in
   go [] locs
 
-(* Fold [f] over the pruned survivors of [p] — the candidates that pass
-   per-location coherence and atomicity, before any model's own axiom
-   runs.  The prune only uses the axioms every model lists, so the
-   survivor set is model-independent: a batch checking one program
-   under several models enumerates here once and filters per model
-   (see {!behaviours_many}).  [stage] runs once per combo with
-   survivors, on its skeleton, and its result goes to [f] with each
-   survivor: that is where the models are prepared.  [Supervise.poll]
-   marks the cooperative cancellation points: Domains cannot be
-   preempted, so a supervised sweep's per-task deadline fires here,
-   between candidates, rather than never — an unsupervised run pays
-   one domain-local read per candidate. *)
-let fold_survivors p ~stage f acc =
-  let locs = Ast.locations p and memo = Hashtbl.create 8 in
-  fold_combos p
-    (fun acc c ->
-      Parallel.Supervise.poll ();
-      match survivors memo c locs with
-      | None -> acc
-      | Some parts ->
-        let s = stage c.c_exec in
-        List.fold_left
-          (fun acc choice ->
-            Parallel.Supervise.poll ();
-            let rf = Rel.union_all (List.map fst choice) in
-            let co = Rel.union_all (List.map snd choice) in
-            let x = execution_of_combo c ~rf ~co in
-            f acc s x c.c_regs)
-          acc (cartesian parts))
-    acc
+(* ------------------------------------------------------------------ *)
+(* One candidate pass per source                                       *)
 
-(* Fold over the model-consistent executions: survivors filtered by the
-   model's own axioms, prepared once per combo. *)
-let fold_consistent (m : Axiom.Model.t) p f acc =
-  fold_survivors p ~stage:(Axiom.Model.prepare_all (own m))
-    (fun acc check x regs -> if check x then f acc x regs else acc)
-    acc
+type image = Ast.prog * Axiom.Model.t list
 
-let executions (m : Axiom.Model.t) p =
-  List.rev (fold_consistent m p (fun acc x _ -> x :: acc) [])
+(* The zip: the image's code is the source's once fences are dropped,
+   annotations and RMW flavours aside.  A run is then fixed by its read
+   values on both sides, and the [k]th access of a source run is the
+   [k]th of its image run (same kind, location and value, CASes paired
+   on both sides), so feasibility, rf/co choices and the per-location
+   prune carry over; only the image's axioms see its fences. *)
+let rec zip_code src img =
+  match (src, img) with
+  | Ast.Fence _ :: src, img | src, Ast.Fence _ :: img -> zip_code src img
+  | [], [] -> true
+  | a :: src, b :: img -> zip_instr a b && zip_code src img
+  | _ -> false
 
-let consistent_executions (m : Axiom.Model.t) p =
-  List.rev
-    (fold_consistent m p
-       (fun acc x regs -> (x, { mem = X.behaviour x; regs }) :: acc)
-       [])
+and zip_instr a b =
+  match (a, b) with
+  | Ast.Load a, Ast.Load b -> String.equal a.reg b.reg && String.equal a.loc b.loc
+  | Ast.Store a, Ast.Store b -> String.equal a.loc b.loc && a.value = b.value
+  | Ast.Cas a, Ast.Cas b ->
+      a.reg = b.reg && String.equal a.loc b.loc && a.expect = b.expect && a.desired = b.desired
+  | Ast.If a, Ast.If b -> a.cond = b.cond && zip_code a.then_ b.then_ && zip_code a.else_ b.else_
+  | Ast.Assign _, Ast.Assign _ -> a = b
+  | _ -> false
 
-(* Witness-observability probe (lib/report): enumerate over the full
-   unpruned candidate product so that every rejected candidate — not
-   just the post-prune survivors — is seen and classified by its
-   model's first violated axiom, in the model's order (as
-   [Explain.check] finds it).  The distinct axioms of all models are
-   each staged once per combo on its skeleton, so the shared coherence
-   and atomicity once for all models, and each is tested at most once
-   per candidate ([memo]: 0 untested, 1 holds, 2 violated).  The
-   returned behaviours are exactly [behaviours m p] (pruning only
-   discards candidates every model rejects); callers pay the unpruned
-   cost only when they opt into the probe.
+let zips (src : Ast.prog) (img : Ast.prog) =
+  img == src
+  || img.init = src.init
+     && List.equal
+          (fun (s : Ast.thread) (i : Ast.thread) -> s.tid = i.tid && zip_code s.code i.code)
+          src.threads img.threads
+     && snd (first_ids img) <= 63
 
-   [reject i j x]: the [i]th model rejected [x], first violating its
-   [j]th axiom. *)
-let probe_fold (models : Axiom.Model.t list) ~reject p =
-  let distinct =
-    List.fold_left
-      (fun acc (m : Axiom.Model.t) ->
-        List.fold_left (fun acc a -> if List.memq a acc then acc else a :: acc) acc m.axioms)
-      [] models
-    |> List.rev |> Array.of_list
-  in
-  let index a =
-    let rec go k = if distinct.(k) == a then k else go (k + 1) in
-    go 0
-  in
-  let plans =
-    Array.of_list (List.map (fun (m : Axiom.Model.t) -> Array.of_list (List.map index m.axioms)) models)
-  in
-  let accs = Array.make (Array.length plans) [] in
-  let memo = Array.make (Array.length distinct) 0 in
-  let holds checks x k =
-    match memo.(k) with
-    | 0 ->
-        let ok = checks.(k) x in
-        memo.(k) <- (if ok then 1 else 2);
-        ok
-    | v -> v = 1
-  in
-  let rec first checks x plan j =
-    if j = Array.length plan then -1
-    else if holds checks x plan.(j) then first checks x plan (j + 1)
-    else j
-  in
-  fold_candidates p
-    ~stage:(fun skel -> Array.map (fun a -> Axiom.Model.prepare a skel) distinct)
-    (fun () checks x regs ->
-      Parallel.Supervise.poll ();
-      Array.fill memo 0 (Array.length memo) 0;
-      for i = 0 to Array.length plans - 1 do
-        let j = first checks x plans.(i) 0 in
-        if j >= 0 then reject i j x else accs.(i) <- { mem = X.behaviour x; regs } :: accs.(i)
-      done)
-    ();
-  List.mapi
-    (fun i (m : Axiom.Model.t) -> (m.name, List.sort_uniq behaviour_compare accs.(i)))
-    models
+let access_ids (r : run) =
+  List.filter_map (fun (e : E.t) -> if E.is_mem e then Some e.id else None) r.r_events
 
-let behaviours_probed_many models p =
-  let counts =
-    Array.of_list (List.map (fun (m : Axiom.Model.t) -> Array.make (List.length m.axioms) 0) models)
+(* A zipping image: its number, its models, and its run (and access id
+   pairs) for source run [k] of thread [t], replayed on first use
+   ([None]: the source itself). *)
+type side = {
+  s_index : int;
+  s_models : Axiom.Model.t list;
+  s_run : (int -> int -> run * (int * int) list) option;
+}
+
+(* The pass: the source's runs, feasible combos and candidates (the
+   unpruned product, or the per-location survivors) once; each zipping
+   image maps every combo's candidates onto its own skeleton and stages
+   its models there once per combo.  [Supervise.poll] marks the
+   cooperative cancellation points: Domains cannot be preempted, so a
+   supervised sweep's per-task deadline fires here, between
+   candidates, rather than never. *)
+let fold ~probe (src : Ast.prog) images f acc =
+  let firsts, next = first_ids src in
+  if next > 63 then
+    invalid_arg
+      (Printf.sprintf "Enumerate: program %s may emit %d events; event ids stop at 62"
+         src.name next);
+  let inits = init_events src ~first_id:0 and uni = universe src in
+  let runs =
+    Array.of_list
+      (List.map2
+         (fun (t : Ast.thread) first_id ->
+           Array.of_list (thread_runs (fun _ -> uni) t.tid t.code ~first_id))
+         src.threads firsts)
   in
-  let reject i j _ = counts.(i).(j) <- counts.(i).(j) + 1 in
-  let probed = probe_fold models ~reject p in
-  List.mapi
-    (fun i ((m : Axiom.Model.t), (name, bs)) ->
-      (name, (bs, List.mapi (fun j (a : Axiom.Model.axiom) -> (a.name, counts.(i).(j))) m.axioms)))
-    (List.combine models probed)
+  let locs = Ast.locations src and memo = Hashtbl.create 8 in
+  let init_writes = accesses E.is_write inits and nthreads = Array.length runs in
+  let pick = Array.make nthreads 0 and count = ref 0 in
+  let sides =
+    List.filter (fun (_, (p, _)) -> zips src p) (List.mapi (fun i im -> (i, im)) images)
+    |> List.map (fun (i, ((p : Ast.prog), models)) ->
+        let s_run =
+          if p == src || p = src then None
+          else
+            let threads = Array.of_list (List.combine p.threads (fst (first_ids p))) in
+            let replayed = Array.map (fun rs -> Array.make (Array.length rs) None) runs in
+            Some
+              (fun t k ->
+                match replayed.(t).(k) with
+                | Some r -> r
+                | None ->
+                    let (th : Ast.thread), first_id = threads.(t) and r = runs.(t).(k) in
+                    let vs = Array.of_list (List.map snd r.r_reads) in
+                    let r' = List.hd (thread_runs (fun j -> [ vs.(j) ]) th.tid th.code ~first_id) in
+                    let pair = (r', List.combine (access_ids r) (access_ids r')) in
+                    replayed.(t).(k) <- Some pair;
+                    pair)
+        in
+        { s_index = i; s_models = models; s_run })
+  in
+  (* A model's checks in its axiom order, each with its position; the
+     per-location axioms read [common]'s verdict on candidate [k], the
+     others force its execution. *)
+  let stage skel common (m : Axiom.Model.t) =
+    let check (a : Axiom.Model.axiom) =
+      if List.memq a per_location then fun k _ -> common k a
+      else
+        let check = Axiom.Model.prepare a skel in
+        fun _ x -> check (Lazy.force x)
+    in
+    let checks = List.mapi (fun j a -> (j, check a)) m.axioms in
+    fun k x ->
+      match List.find_opt (fun (_, check) -> not (check k x)) checks with
+      | Some (j, _) -> j
+      | None -> -1
+  in
+  (* One side's candidates of combo [c], numbered from [k0]: an image's
+     execution maps the source candidate's rf and co when first needed. *)
+  let visit c cands common k0 acc side =
+    let skel, ids =
+      match side.s_run with
+      | None -> (c.c_exec, Fun.id)
+      | Some run ->
+          let img = List.init nthreads (fun t -> run t pick.(t)) in
+          let m = Array.init 63 Fun.id in
+          List.iter (fun (_, pairs) -> List.iter (fun (a, b) -> m.(a) <- b) pairs) img;
+          ((assemble_combo inits (List.map fst img)).c_exec, Rel.map (Array.get m))
+    in
+    (* The zip gives the image run the source run's registers. *)
+    let regs = Lazy.force c.c_regs in
+    let verdicts = Array.of_list (List.map (stage skel common) side.s_models) in
+    snd
+      (List.fold_left
+         (fun (l, acc) (rf, co) ->
+           Parallel.Supervise.poll ();
+           let x = lazy { skel with rf = ids rf; co = ids co } in
+           (l + 1, f acc side.s_index (k0 + l) x regs (Array.map (fun v -> v l x) verdicts)))
+         (0, acc) cands)
+  in
+  let on_combo acc c =
+    Parallel.Supervise.poll ();
+    match if probe then Some (dims memo c.c_exec.events locs) else survivors memo c locs with
+    | None -> acc
+    | Some dims ->
+        let cands = product dims in
+        (* Survivors pass both per-location axioms; probed, each
+           candidate's verdicts are its source candidate's. *)
+        let common =
+          if not probe then fun _ _ -> true
+          else
+            let coh = Axiom.Model.prepare Axiom.Model.coherence c.c_exec
+            and at = Axiom.Model.prepare Axiom.Model.atomicity c.c_exec in
+            let verdict (rf, co) =
+              let x = { c.c_exec with rf; co } in
+              (coh x, at x)
+            in
+            let holds = Array.of_list (List.map verdict cands) in
+            fun l a -> (if a == Axiom.Model.coherence then fst else snd) holds.(l)
+        in
+        let k0 = !count in
+        count := k0 + List.length cands;
+        List.fold_left (visit c cands common k0) acc sides
+  in
+  let rec go t acc =
+    if t = nthreads then
+      let chosen = List.init nthreads (fun t -> runs.(t).(pick.(t))) in
+      if feasible init_writes chosen then on_combo acc (assemble_combo inits chosen) else acc
+    else begin
+      let acc = ref acc in
+      for k = 0 to Array.length runs.(t) - 1 do
+        pick.(t) <- k;
+        acc := go (t + 1) !acc
+      done;
+      !acc
+    end
+  in
+  go 0 acc
+
+let candidates p =
+  List.rev (fold ~probe:true p [ (p, []) ] (fun acc _ _ x regs _ -> (Lazy.force x, regs) :: acc) [])
+
+(* The model-consistent executions of [p] under [m], in enumeration
+   order, as [g x regs]. *)
+let consistent m p g =
+  let keep acc _ _ x regs v = if v.(0) < 0 then g (Lazy.force x) regs :: acc else acc in
+  List.rev (fold ~probe:false p [ (p, [ m ]) ] keep [])
+
+let executions m p = consistent m p (fun x _ -> x)
+let consistent_executions m p = consistent m p (fun x regs -> (x, { mem = X.behaviour x; regs }))
 
 let behaviours_probed ~on_reject m p =
-  snd (List.hd (probe_fold [ m ] ~reject:(fun _ _ x -> on_reject x) p))
+  let keep acc _ _ x regs v =
+    let x = Lazy.force x in
+    if v.(0) >= 0 then (on_reject x; acc) else { mem = X.behaviour x; regs } :: acc
+  in
+  List.sort_uniq behaviour_compare (fold ~probe:true p [ (p, [ m ]) ] keep [])
 
 (* ------------------------------------------------------------------ *)
 (* Behaviours cache                                                    *)
 
-(* [behaviours] is the refinement checker's inner loop, and sweeps ask
-   for the same (model, program) pair repeatedly: [Check.refines]
-   re-enumerates the unchanged source program for every fence-deletion
-   variant of the target, and every scheme shares corpus sources.  The
-   cache is keyed by the model's name and the full program AST
-   (structural equality — the program is its own hash key, so renamed
-   variants never collide).
-
-   It is two-level.  Each domain owns a private (DLS) table consulted
-   and written lock-free on the hot path; a shared mutex-guarded table
-   backs it.  Fresh entries accumulate in the domain's [dirty] list and
-   are folded into the shared table at pool batch boundaries
-   ([Pool.on_join]) — so under a parallel sweep the shared mutex is
-   touched once per miss (read-through) and once per batch (merge), not
-   once per lookup.  Two domains may still race to compute the same
-   entry; both compute the same value, and the merge is first-write
-   wins.  [clear_caches] advances a generation counter that lazily
-   invalidates every domain's private table, so a merge can never
-   resurrect pre-clear entries.
-
-   A key carries its hash, computed once per lookup: hashing an AST is
-   what a lookup costs, and a miss touches both tables and the merge. *)
+(* [behaviours] serves callers that repeat a (model, program) pair
+   (witness capture, [Check.refines]); the planned sweeps call {!pass}
+   and never consult it.  Keys are the model's name and the program AST
+   (structural equality), with the hash computed once per lookup.  Each
+   domain's private (DLS) table is read and written lock-free and
+   backed by a shared mutex-guarded one: fresh entries are merged into
+   it at pool batch boundaries ([Pool.on_join]), first write wins, and
+   [clear_caches] bumps a generation counter that lazily invalidates
+   every private table, so a merge never resurrects cleared entries. *)
 module Key = struct
   type t = { hash : int; model : string; prog : Ast.prog }
 
@@ -676,76 +685,66 @@ let remember l key bs =
   Tbl.replace l.tbl key bs;
   l.dirty <- (key, bs) :: l.dirty
 
-let behaviours_uncached (m : Axiom.Model.t) p =
-  let bs =
-    fold_consistent m p
-      (fun acc x regs -> { mem = X.behaviour x; regs } :: acc)
-      []
-  in
-  List.sort_uniq behaviour_compare bs
+(* An image that does not zip takes a pass of its own. *)
+let rec pass ~probe src images =
+  Atomic.incr cache_misses;
+  let acc (m : Axiom.Model.t) = (ref [], Array.make (List.length m.axioms) 0) in
+  let accs = Array.of_list (List.map (fun (_, ms) -> Array.of_list (List.map acc ms)) images) in
+  fold ~probe src images
+    (fun () i _ x regs verdicts ->
+      let b = lazy { mem = X.behaviour (Lazy.force x); regs } in
+      Array.iteri
+        (fun j v ->
+          let bs, counts = accs.(i).(j) in
+          if v < 0 then bs := Lazy.force b :: !bs else counts.(v) <- counts.(v) + 1)
+        verdicts)
+    ();
+  List.mapi
+    (fun i (p, models) ->
+      if not (zips src p) then List.hd (pass ~probe p [ (p, models) ])
+      else
+        List.mapi
+          (fun j (m : Axiom.Model.t) ->
+            let bs, counts = accs.(i).(j) in
+            let rejects = List.mapi (fun j (a : Axiom.Model.axiom) -> (a.name, counts.(j))) m.axioms in
+            (m.name, (List.sort_uniq behaviour_compare !bs, if probe then rejects else [])))
+          models)
+    images
 
-let behaviours (m : Axiom.Model.t) p =
-  let key = Key.make m.name p in
-  let l = local () in
-  match find_cached l key with
-  | Some bs ->
-      Atomic.incr cache_hits;
-      bs
-  | None ->
-      Atomic.incr cache_misses;
-      let bs = behaviours_uncached m p in
-      remember l key bs;
-      bs
+let behaviours_probed_many models p = List.hd (pass ~probe:true p [ (p, models) ])
 
-(* One pruned enumeration serving several models.  The survivor set is
-   model-independent (see {!fold_survivors}), so a batch that needs the
-   same program under k models pays one enumeration plus k cheap
-   filters instead of k enumerations — the structural win the batch
-   refinement planner ([Mapping.Check.check_cells]) is built on.
-   Results are exactly [behaviours m p] for each model, including cache
-   interaction. *)
+(* The cached models of [p] are served from the cache, the others by
+   one pass.  Duplicate model names are served once. *)
 let behaviours_many (models : Axiom.Model.t list) p =
-  (* Dedup by model name, preserving first-occurrence order. *)
-  let models =
-    List.rev
-      (List.fold_left
-         (fun acc (m : Axiom.Model.t) ->
-           if List.exists (fun (m' : Axiom.Model.t) -> String.equal m'.name m.name) acc then acc
-           else m :: acc)
-         [] models)
-  in
+  let named name (m : Axiom.Model.t) = String.equal m.name name in
+  let first i (m : Axiom.Model.t) = List.find_index (named m.name) models = Some i in
+  let models = List.filteri first models in
   let l = local () in
   let slots =
     List.map
       (fun (m : Axiom.Model.t) ->
         let key = Key.make m.name p in
-        (m, key, find_cached l key, ref []))
+        (m, key, find_cached l key))
       models
   in
-  (match List.filter (fun (_, _, found, _) -> Option.is_none found) slots with
-  | [] -> ()
-  | missing ->
-      let missing = List.map (fun (m, _, _, acc) -> (own m, acc)) missing in
-      let stage skel =
-        List.map (fun (axioms, acc) -> (Axiom.Model.prepare_all axioms skel, acc)) missing
-      in
-      fold_survivors p ~stage
-        (fun () checks x regs ->
-          let b = lazy { mem = X.behaviour x; regs } in
-          List.iter (fun (check, acc) -> if check x then acc := Lazy.force b :: !acc) checks)
-        ());
+  let computed =
+    match List.filter_map (fun (m, _, found) -> if found = None then Some m else None) slots with
+    | [] -> []
+    | missing -> List.hd (pass ~probe:false p [ (p, missing) ])
+  in
   List.map
-    (fun ((m : Axiom.Model.t), key, found, acc) ->
+    (fun ((m : Axiom.Model.t), key, found) ->
       match found with
       | Some bs ->
           Atomic.incr cache_hits;
           (m.name, bs)
       | None ->
-          Atomic.incr cache_misses;
-          let bs = List.sort_uniq behaviour_compare !acc in
+          let bs = fst (List.assoc m.name computed) in
           remember l key bs;
           (m.name, bs))
     slots
+
+let behaviours (m : Axiom.Model.t) p = snd (List.hd (behaviours_many [ m ] p))
 
 let cache_stats () = (Atomic.get cache_hits, Atomic.get cache_misses)
 

@@ -10,7 +10,8 @@
     + reads-from is enumerated over value-compatible writes;
     + coherence is enumerated as the linear extensions of the per-location
       write sets (initialisation writes first);
-    + candidates are filtered by the model's consistency predicate.
+    + candidates are filtered by the model's consistency predicate;
+    + one pass serves a source and all of its zipping images (below).
 
     Exact for loop-free litmus-sized programs.
 
@@ -20,7 +21,8 @@
     larger branch), so ids order events by (tid, po).  Relations hold
     ids 0–62 only ({!Relalg.Rel}): every enumerating function raises
     [Invalid_argument] naming the program when its bound exceeds 63
-    events, before enumerating anything. *)
+    events, before enumerating anything (an image past the bound does
+    not zip, and its own pass raises). *)
 
 (** A behaviour: final memory (co-maximal writes) plus the final local
     register valuation of each thread, both canonically sorted. *)
@@ -35,82 +37,101 @@ val pp_behaviour : Format.formatter -> behaviour -> unit
 (** The value universe used by the read oracle. *)
 val universe : Ast.prog -> int list
 
+(** {1 One candidate pass per source}
+
+    A pass enumerates a {e source} program once for a list of
+    {e images}, target programs each with its models.  An image zips
+    when its code is the source's with fences added or dropped,
+    annotations and RMW flavours aside, from the same initial state,
+    within the event bound: each source run then has one image run with
+    the same accesses in order, so the source's runs, feasible combos
+    and per-location prune serve the image, whose rf and co are the
+    source's mapped, and only its models are staged on its own
+    skeleton.  An image that does not zip (a Figure-10 elimination, an
+    image past the bound) is enumerated alone.  A program is an image
+    of itself. *)
+
+(** A target program and the models it is checked under. *)
+type image = Ast.prog * Axiom.Model.t list
+
+(** [zips src img]: does [img] zip with [src]? *)
+val zips : Ast.prog -> Ast.prog -> bool
+
+(** [fold ~probe src images f acc] calls [f acc i k x regs v] on every
+    candidate of every zipping image (the others are skipped): image
+    [i], source candidate number [k] (shared by its images), the
+    image's execution (built when forced) and registers, and [v.(j)]
+    the position of the first axiom of the [j]th model [x] violates, or
+    -1.  Probed, the candidates are the full rf × co product, reads' rf
+    choices outermost; otherwise the survivors of the per-location
+    coherence and atomicity prune, which satisfy both, so only the
+    models' other axioms are tested. *)
+val fold :
+  probe:bool ->
+  Ast.prog ->
+  image list ->
+  ('a -> int -> int -> Axiom.Execution.t Lazy.t -> ((int * string) * int) list -> int array -> 'a) ->
+  'a ->
+  'a
+
+(** [pass ~probe src images] is, per image, per model,
+    [(m.name, (bs, r))]: the image's sorted behaviours under [m] and,
+    when [probe], each of [m.axioms] by name with the number of
+    candidates [m] rejects first on it ({!Axiom.Explain.check}'s
+    axiom), else [r = []] — exactly what each image alone gives.  The
+    zipping images share one pass, the others take one each; the cache
+    is not consulted. *)
+val pass :
+  probe:bool ->
+  Ast.prog ->
+  image list ->
+  (string * (behaviour list * (string * int) list)) list list
+
 (** All candidate executions (before model filtering), paired with the
     thread-local register valuations of the runs that produced them. *)
 val candidates : Ast.prog -> (Axiom.Execution.t * ((int * string) * int) list) list
 
-(** Consistent executions under a model.
-
-    Unlike {!candidates}, the consistent-execution path enumerates with
-    per-location pruning: (rf, co) choices that violate per-location
-    coherence or RMW atomicity are rejected before the cross-location
-    product is taken.  The survivors then satisfy
-    {!Axiom.Model.coherence} and {!Axiom.Model.atomicity}, and each is
-    checked with the model's other axioms alone, staged once per
-    combination ({!Axiom.Model.prepare_all}).  Every model lists both
-    pruned axioms ({!Axiom.Model.make} checks it), so this produces
-    exactly the executions the unpruned path would keep, in enumeration
-    order. *)
+(** Consistent executions under a model, in enumeration order: the
+    pruned pass's survivors that pass the model's other axioms. *)
 val executions : Axiom.Model.t -> Ast.prog -> Axiom.Execution.t list
 
-(** Like {!executions}, with each execution's full behaviour (final
-    memory plus register valuations) — the witness-capture entry point:
-    a concrete execution exhibiting a given behaviour is found by
-    filtering this list. *)
+(** Like {!executions}, with each execution's full behaviour — the
+    witness-capture entry point. *)
 val consistent_executions :
   Axiom.Model.t -> Ast.prog -> (Axiom.Execution.t * behaviour) list
 
-(** Behaviours via the {e unpruned} candidate product, calling
-    [on_reject] on every candidate the model's consistency predicate
-    rejects (including those the pruned path would discard before
-    assembly).  Returns exactly what {!behaviours} returns, but bypasses
-    the cache and the per-location pruning — the opt-in axiom-coverage
-    probe, not a fast path.  It runs the same pass as
-    {!behaviours_probed_many}. *)
+(** {!behaviours} via the unpruned probed pass, bypassing the cache and
+    calling [on_reject] on every candidate the model rejects — the
+    opt-in axiom-coverage probe, not a fast path. *)
 val behaviours_probed :
   on_reject:(Axiom.Execution.t -> unit) ->
   Axiom.Model.t ->
   Ast.prog ->
   behaviour list
 
-(** [behaviours_probed_many models p] is, for each model [m],
-    [(m.name, (bs, r))] where [bs = behaviours_probed m p] and [r]
-    pairs each of [m.axioms], by name and in order, with the number of
-    candidates [m] rejects first on that axiom (the axiom
-    {!Axiom.Explain.check} reports).  One pass over the unpruned
-    candidate product serves every model: each distinct axiom of the
-    models ({!Axiom.Model.coherence} and {!Axiom.Model.atomicity} once
-    for all) is staged once per combination and tested at most once
-    per candidate, and the classes come from those staged checks, with
-    no per-candidate diagnosis.  Models are not deduplicated. *)
+(** [behaviours_probed_many models p] is the one image of
+    [pass ~probe:true p [ (p, models) ]]; models are not deduplicated. *)
 val behaviours_probed_many :
   Axiom.Model.t list -> Ast.prog -> (string * (behaviour list * (string * int) list)) list
 
-(** The set of behaviours of the consistent executions, deduplicated and
-    sorted.  Uses the pruned enumeration (see {!executions}) and a
+(** The sorted behaviours of the consistent executions, through a
     two-level domain-safe cache keyed by (model name, program AST): a
     lock-free domain-private table in front of a shared mutex-guarded
-    one, with fresh entries merged into the shared table at pool batch
-    boundaries ([Parallel.Pool.on_join]).  Within one run, the same
-    (model, program) pair is enumerated once per domain at worst, once
-    overall in the common case.  Distinct models must therefore carry
-    distinct names (they do). *)
+    one, merged at pool batch boundaries ([Parallel.Pool.on_join]).
+    Distinct models must carry distinct names (they do). *)
 val behaviours : Axiom.Model.t -> Ast.prog -> behaviour list
 
 (** [behaviours_many models p] is
-    [List.map (fun m -> (m.name, behaviours m p)) models] computed with
-    a {e single} pruned enumeration for all cache-missing models: the
-    pruning only uses properties common to every model, so the survivor
-    set is shared and each model adds one cheap consistency filter.
-    Duplicate model names are served once.  This is the batch
-    refinement planner's enumeration primitive. *)
+    [List.map (fun m -> (m.name, behaviours m p)) models], with one
+    pruned pass for all cache-missing models.  Duplicate model names
+    are served once. *)
 val behaviours_many :
   Axiom.Model.t list -> Ast.prog -> (string * behaviour list) list
 
 (** [(hits, misses)] of the behaviours cache since start/last clear.
     Hits count local- and shared-table hits alike; misses count
-    enumerations (one per model even when served by a shared
-    [behaviours_many] survivor pass). *)
+    enumerations: one per {!pass}, however many images and models it
+    serves, whether or not the cache was consulted. *)
 val cache_stats : unit -> int * int
 
 (** Empty the behaviours cache and the linear-extension memo

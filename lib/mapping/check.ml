@@ -48,8 +48,8 @@ type cell = {
 }
 
 type job = {
-  job_prog : Litmus.Ast.prog;
-  job_models : Axiom.Model.t list;
+  job_src : Litmus.Ast.prog;
+  job_images : En.image list;
   job_probed : bool;
 }
 
@@ -57,21 +57,18 @@ type need = Litmus.Ast.prog * Axiom.Model.t * bool
 
 (* Instead of one opaque task per (scheme, program) cell, plan the whole
    sweep first: the enumeration work — where all the time goes — is
-   grouped by program AST, so each distinct program becomes one job
-   enumerated once under {e every} model any cell needs.  Schemes that
-   target the same program under several models (e.g. the same RMW
-   lowering checked under arm-orig and arm-fix), and schemes sharing a
-   source, collapse to a single enumeration, a structural saving a
-   per-cell sweep cannot see.  Jobs are numbered in first-need order
-   and every cell gets its two job numbers, so the caller assembles
-   reports from a result array without hashing a program again. *)
+   grouped by source, one [En.pass] per distinct source over every
+   target a cell maps it to, each under every model a cell needs it
+   under.  Jobs are numbered in first-need order and every cell gets
+   its job and target image numbers, so the caller assembles reports
+   from a result array without hashing a program again.  Sources are
+   found by structural hash, targets among their source's images. *)
 type building = {
-  b_prog : Litmus.Ast.prog;
-  mutable b_models : Axiom.Model.t list;  (* newest first *)
+  mutable b_images : (Litmus.Ast.prog * Axiom.Model.t list ref) list;  (* the source first *)
   mutable b_probed : bool;
 }
 
-(* Programs keyed by their structural hash, computed once per need:
+(* Programs keyed by their structural hash, computed once per cell:
    the table never rehashes an AST when it grows, and the sources
    every scheme shares compare physically. *)
 module Prog_key = struct
@@ -83,34 +80,49 @@ end
 
 module Prog_tbl = Hashtbl.Make (Prog_key)
 
+(* The number of image [p] of [b], added if new, with [m] among its
+   models. *)
+let image b p (m : Axiom.Model.t) =
+  match List.find_index (fun (q, _) -> q == p || q = p) b.b_images with
+  | None ->
+      b.b_images <- b.b_images @ [ (p, ref [ m ]) ];
+      List.length b.b_images - 1
+  | Some i ->
+      let models = snd (List.nth b.b_images i) in
+      if not (List.exists (fun (m' : Axiom.Model.t) -> String.equal m'.name m.name) !models)
+      then models := m :: !models;
+      i
+
 let plan cells =
   let index = Prog_tbl.create 64 and building = ref [] and n = ref 0 in
-  let need (p, (m : Axiom.Model.t), probed) =
-    let key = { Prog_key.hash = Hashtbl.hash p; prog = p } in
-    match Prog_tbl.find_opt index key with
-    | Some (i, b) ->
-        if not (List.exists (fun (m' : Axiom.Model.t) -> String.equal m'.name m.name) b.b_models)
-        then b.b_models <- m :: b.b_models;
-        b.b_probed <- b.b_probed || probed;
-        i
-    | None ->
-        let b = { b_prog = p; b_models = [ m ]; b_probed = probed } in
-        Prog_tbl.add index key (!n, b);
-        building := b :: !building;
-        incr n;
-        !n - 1
-  in
   let indices =
     List.map
-      (fun (src, tgt) ->
-        let s = need src in
-        (s, need tgt))
+      (fun ((src, src_model, src_probed), (tgt, tgt_model, tgt_probed)) ->
+        let key = { Prog_key.hash = Hashtbl.hash src; prog = src } in
+        let j, b =
+          match Prog_tbl.find_opt index key with
+          | Some jb -> jb
+          | None ->
+              let b = { b_images = []; b_probed = false } in
+              Prog_tbl.add index key (!n, b);
+              building := b :: !building;
+              incr n;
+              (!n - 1, b)
+        in
+        ignore (image b src src_model);
+        b.b_probed <- b.b_probed || src_probed || tgt_probed;
+        (j, image b tgt tgt_model))
       cells
   in
   let jobs =
     Array.of_list
       (List.rev_map
-         (fun b -> { job_prog = b.b_prog; job_models = List.rev b.b_models; job_probed = b.b_probed })
+         (fun b ->
+           {
+             job_src = fst (List.hd b.b_images);
+             job_images = List.map (fun (p, models) -> (p, List.rev !models)) b.b_images;
+             job_probed = b.b_probed;
+           })
          !building)
   in
   (jobs, indices)
@@ -118,16 +130,15 @@ let plan cells =
 let assemble ~scheme ~program ~src ~tgt =
   verdict ~name:(Printf.sprintf "%s: %s" scheme program) src tgt
 
-(* A job's behaviours under one of its models. *)
+(* An image's behaviours under one of its models. *)
 let model_result results (m : Axiom.Model.t) =
-  snd (List.find (fun (name, _) -> String.equal name m.name) results)
+  fst (snd (List.find (fun (name, _) -> String.equal name m.name) results))
 
-(* The batch engine: three pool maps — the transforms, one task per
-   planned job ([En.behaviours_many] shares the pruned survivor pass
-   across its models) and the report assembly — with the plan on the
-   caller between them.  [map_list] keeps input order and re-raises the
-   lowest-index exception, so results and failures are identical —
-   contents and order — to checking each cell through [refines]. *)
+(* The batch engine: three pool maps — the transforms, one [En.pass] per
+   planned job and the report assembly — with the plan on the caller
+   between them.  [map_list] keeps input order and re-raises the
+   lowest-index exception, so results are identical — contents and
+   order — to checking each cell through [refines]. *)
 let check_cells ?pool cells =
   let tgts = Parallel.Pool.map_list ?pool (fun c -> c.cell_f c.cell_src) cells in
   let jobs, indices =
@@ -139,14 +150,14 @@ let check_cells ?pool cells =
   let results =
     Array.of_list
       (Parallel.Pool.map_list ?pool
-         (fun j -> En.behaviours_many j.job_models j.job_prog)
+         (fun j -> Array.of_list (En.pass ~probe:false j.job_src j.job_images))
          (Array.to_list jobs))
   in
   Parallel.Pool.map_list ?pool
-    (fun (c, (s, t)) ->
+    (fun (c, (j, t)) ->
       assemble ~scheme:c.cell_scheme ~program:c.cell_program
-        ~src:(model_result results.(s) c.cell_src_model)
-        ~tgt:(model_result results.(t) c.cell_tgt_model))
+        ~src:(model_result results.(j).(0) c.cell_src_model)
+        ~tgt:(model_result results.(j).(t) c.cell_tgt_model))
     (List.combine cells indices)
 
 let check_scheme ?pool ~name f ~src_model ~tgt_model corpus =

@@ -36,12 +36,14 @@ type cell = {
   cell_src : Litmus.Ast.prog;
 }
 
-(** A planned enumeration job: one distinct program with every model
-    some cell needs it under (deduplicated by name, in first-need
-    order), and whether any of those needs is coverage-probed. *)
+(** A planned enumeration job: one distinct source and its images
+    ({!Litmus.Enumerate.pass}), the source itself first, each distinct
+    program once with every model some cell needs it under
+    (deduplicated by name, in first-need order), and whether any of
+    those needs is coverage-probed. *)
 type job = {
-  job_prog : Litmus.Ast.prog;
-  job_models : Axiom.Model.t list;
+  job_src : Litmus.Ast.prog;
+  job_images : Litmus.Enumerate.image list;
   job_probed : bool;
 }
 
@@ -50,12 +52,12 @@ type job = {
 type need = Litmus.Ast.prog * Axiom.Model.t * bool
 
 (** The batch planner: [plan cells] groups the (source, target) needs of
-    every cell by program AST into one {!job} per distinct program,
+    every cell by source AST into one {!job} per distinct source,
     numbered in first-need order, and returns the jobs with each cell's
-    (source job, target job) numbers, in cell order.  A program shared
-    by several cells — the source of every scheme over it, the target of
-    one lowering checked under two models — is planned once, and a
-    caller assembles each cell from its jobs' results by number. *)
+    job number and its target's image number in that job (its source
+    is image 0), in cell order.  A target equal to another image of its
+    source — one lowering checked under two models — is one image, and
+    a caller assembles each cell from its job's results by number. *)
 val plan : (need * need) list -> job array * (int * int) list
 
 (** [assemble ~scheme ~program ~src ~tgt] is the report of a cell
@@ -72,14 +74,13 @@ val assemble :
 (** The batch refinement engine.  [check_cells ?pool cells] plans the
     whole sweep before running it: transforms are applied up front, the
     enumeration work is grouped by {!plan} (each job becomes one pool
-    chunk-scheduled task enumerated under all of its models, sharing
-    the pruned survivor pass — see [Litmus.Enumerate.behaviours_many]),
-    and reports are {!assemble}d in cell order.  Transforms and
+    chunk-scheduled task, one {!Litmus.Enumerate.pass} over its source
+    and images), and reports are {!assemble}d in cell order.  Transforms and
     assembly run on [pool] too, one task per cell; an exception from
     either surfaces as the lowest-index cell's.  Verdicts are identical
     — contents and order — to running each cell through {!refines} on
-    its own; the planner only removes duplicated enumeration work a
-    per-cell sweep repeats. *)
+    its own; the planner only removes enumeration work a per-cell sweep
+    repeats.  It does not consult the behaviours cache. *)
 val check_cells : ?pool:Parallel.Pool.t -> cell list -> report list
 
 (** [check_scheme ~name f ~src_model ~tgt_model corpus] maps every

@@ -17,11 +17,9 @@ val delete_fence : Litmus.Ast.prog -> int -> Litmus.Ast.prog
 type site = { index : int; fence : Axiom.Event.fence; necessary : bool }
 
 (** For each fence of the mapped program [f src], is it necessary for
-    [refines ~src ~tgt]?  With [?pool], the per-fence deletion checks
-    run in parallel; the site list is identical to the sequential
-    sweep's. *)
+    [refines ~src ~tgt]?  Every fence-deletion variant is an image of
+    one {!Litmus.Enumerate.pass} over [src]. *)
 val necessary_fences :
-  ?pool:Parallel.Pool.t ->
   (Litmus.Ast.prog -> Litmus.Ast.prog) ->
   src_model:Axiom.Model.t ->
   tgt_model:Axiom.Model.t ->

@@ -155,6 +155,25 @@ let inverse r =
         r;
       out
 
+(* Row [f x] gathers [f y] for every [y] in row [x]; ids are checked as
+   [bit] checks them, and the result is trimmed because every row it
+   writes is non-empty. *)
+let map f r =
+  let n = ref 0 in
+  Array.iteri (fun x m -> if m <> 0 then n := max !n (top (bit (f x)) + 1)) r;
+  let out = Array.make !n 0 in
+  Array.iteri
+    (fun x m ->
+      let row = ref 0 and m = ref m and y = ref 0 in
+      while !m <> 0 do
+        if !m land 1 <> 0 then row := !row lor bit (f !y);
+        m := !m lsr 1;
+        incr y
+      done;
+      if !row <> 0 then out.(f x) <- out.(f x) lor !row)
+    r;
+  out
+
 let succs r x = Iset.of_mask (row r x)
 let preds r y = succs (inverse r) y
 

@@ -50,6 +50,9 @@ val sequence : t list -> t
 
 val inverse : t -> t
 
+(** [map f r] is [{(f x, f y) | (x, y) ∈ r}]. *)
+val map : (int -> int) -> t -> t
+
 (** [id s] is the identity relation [{(x, x) | x ∈ s}], written [[A]] in
     cat notation. *)
 val id : Iset.t -> t

@@ -281,11 +281,10 @@ let generated_entries ?config ?(schemes = default_generated_schemes) ~seed n =
 
    It plans before computing: the cells the journal does not hold need
    their schemes applied (supervised pool tasks, minus the pool-task
-   chaos) and their source and target programs, and
-   [Mapping.Check.plan] groups those needs into one job per distinct
-   program.  A probed job makes one unpruned pass that serves all of
-   its models' behaviours and rejection counts; any other job is one
-   [En.behaviours_many].
+   chaos), and [Mapping.Check.plan] groups their sources and targets
+   into one job per distinct source, one [En.pass] over the source and
+   its images.  A probed job's pass is unpruned and counts every
+   image's rejections as well.
 
    Cells are then processed in fixed-size shards, each in three steps:
 
@@ -340,19 +339,15 @@ type generated = {
          shard (or no coverage requested). *)
 }
 
-(* Per model of a job: its behaviours and, for a probed job, its
-   rejected candidates counted by discriminating axiom. *)
-type job_result = (string * (En.behaviour list * (string * int) list)) list
+(* Per image of a job, per model: its behaviours and, for a probed
+   job, its rejected candidates counted by discriminating axiom. *)
+type job_result = (string * (En.behaviour list * (string * int) list)) list array
 
 let run_job (j : Mapping.Check.job) : job_result =
-  if not j.job_probed then
-    List.map
-      (fun (m, bs) -> (m, (bs, [])))
-      (En.behaviours_many j.job_models j.job_prog)
-  else
-    List.map
-      (fun (name, (bs, rejects)) -> (name, (bs, List.filter (fun (_, n) -> n > 0) rejects)))
-      (En.behaviours_probed_many j.job_models j.job_prog)
+  Array.of_list
+    (List.map
+       (List.map (fun (name, (bs, rejects)) -> (name, (bs, List.filter (fun (_, n) -> n > 0) rejects))))
+       (En.pass ~probe:j.job_probed j.job_src j.job_images))
 
 (* A planned job in the sweep-local table: [None] until an attempt
    ends, then its latest outcome; [batch] is the last shard that
@@ -367,7 +362,7 @@ type work =
   | Replay of Mapping.Check.report * (Coverage.key * int) list * string
       (** decoded journal record, and its raw value *)
   | Scheme_failed of Parallel.Supervise.failure  (** the scheme raised *)
-  | Compute of job_state * job_state  (** source and target jobs *)
+  | Compute of job_state * int  (** the source's job, the target's image in it *)
 
 (* A cell after the shard's pool map: its verdict and deltas, and its
    framed record when the sweep is journaled. *)
@@ -482,7 +477,7 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
       (fun indices (c, key, work) ->
         match (work, indices) with
         | `Done r, _ -> (indices, (c, key, r))
-        | `Transformed (Ok _), (s, t) :: rest -> (rest, (c, key, Compute (states.(s), states.(t))))
+        | `Transformed (Ok _), (j, t) :: rest -> (rest, (c, key, Compute (states.(j), t)))
         | `Transformed (Ok _), [] -> assert false (* one pair per transformed cell *)
         | `Transformed (Error f), _ -> (indices, (c, key, Scheme_failed f)))
       indices classified
@@ -543,12 +538,12 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
     | Replay (report, deltas, v) -> Replayed (report, deltas, frame key (fun () -> v))
     | Scheme_failed f -> Failed f
     | Compute (s, t) -> (
-        match (s.outcome, t.outcome) with
-        | Some (Ok rs), Some (Ok rt) ->
-            let report, deltas = assemble c rs rt in
+        match s.outcome with
+        | Some (Ok rs) ->
+            let report, deltas = assemble c rs.(0) rs.(t) in
             Computed (report, deltas, frame key (fun () -> verdict_record report deltas))
-        | Some (Error f), _ | _, Some (Error f) -> Failed f
-        | None, _ | _, None -> assert false (* scheduled by the shard *))
+        | Some (Error f) -> Failed f
+        | None -> assert false (* scheduled by the shard *))
   in
   let run_shard idx shard =
     (* The shard's batch: the jobs its cells need that no earlier shard
@@ -565,9 +560,7 @@ let run_generated ?(capture = false) ?coverage ?max_witnesses
     in
     List.iter
       (function
-        | _, _, Compute (s, t) ->
-            schedule s;
-            schedule t
+        | _, _, Compute (s, _) -> schedule s
         | _ -> ())
       shard;
     let batch = List.rev !batch in

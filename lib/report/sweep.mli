@@ -116,16 +116,18 @@ type generated = {
     1).
 
     It plans before computing: over every cell the journal does not
-    already hold, {!Mapping.Check.plan} maps each distinct program
-    (sources and targets alike) to every model some cell needs it
-    under; the schemes producing the targets run first, as supervised
-    tasks on [pool].  Each such {e job} runs once, in the first shard
+    already hold, {!Mapping.Check.plan} makes one job per distinct
+    source: one {!Litmus.Enumerate.pass} over the source and its
+    targets, each under every model some cell needs it under; the
+    schemes producing the targets run first, as supervised tasks on
+    [pool].  Each such {e job} runs once, in the first shard
     that needs it, as part of that shard's {!Parallel.Supervise.map}
     batch under [policy] (on [pool] when given): deadlines, retries and
     the [pool-task] chaos hook wrap jobs, not cells.  Later shards assemble
     their reports from the completed jobs.  A job that times out or
-    raises yields one typed {!Parallel.Supervise.failure} in [failures]
-    for each dependent cell of that shard, and the sweep goes on; the
+    raises (an image past the event bound raises in its source's job)
+    yields one typed {!Parallel.Supervise.failure} in [failures] for
+    each dependent cell of that shard, and the sweep goes on; the
     next shard or resume that needs the job retries it.  A scheme that
     raises on a program is a failure of that cell alone.
 

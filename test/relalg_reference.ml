@@ -86,6 +86,7 @@ module Rel = struct
     | r :: rs -> List.fold_left compose r rs
 
   let inverse r = S.fold (fun (x, y) acc -> S.add (y, x) acc) r S.empty
+  let map f r = S.map (fun (x, y) -> (f x, f y)) r
 
   let id s = Iset.fold (fun x acc -> S.add (x, x) acc) s S.empty
 

@@ -256,6 +256,8 @@ let prop_matches_reference =
       rel "Rel.compose" (Rel.compose a b) (Ref.Rel.compose a' b');
       rel "Rel.sequence" (Rel.sequence [ a; b; c ]) (Ref.Rel.sequence [ a'; b'; c' ]);
       rel "Rel.inverse" (Rel.inverse a) (Ref.Rel.inverse a');
+      let f i = (i * 5 + x) mod 63 in
+      rel "Rel.map" (Rel.map f a) (Ref.Rel.map f a');
       rel "Rel.id" (Rel.id s) (Ref.Rel.id s');
       rel "Rel.cross" (Rel.cross s t) (Ref.Rel.cross s' t');
       rel "Rel.restrict" (Rel.restrict s a t) (Ref.Rel.restrict s' a' t');

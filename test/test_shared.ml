@@ -1,0 +1,184 @@
+(* One candidate pass per source against its images enumerated alone.
+   A source program is checked with, as images, itself under x86, its
+   target under every mapping scheme of the sweep, and every
+   fence-deletion variant of each target, each under the scheme's
+   target model (equal programs merged, as the planner merges them).
+   For every (image, model), [Enumerate.pass]'s behaviours equal
+   [Enumerate.behaviours] on the image alone, and the probed pass's
+   behaviours and rejection counts equal [behaviours_probed_many] on
+   the image alone.  Programs: QCheck-generated ones, the catalog, and
+   a seeded generated corpus.  The zip's refusals (the Figure-10
+   eliminations, an image past the event bound) keep their verdicts.
+
+   [--corpus N] sets the size of the seeded corpus (default 100). *)
+
+module Ast = Litmus.Ast
+module En = Litmus.Enumerate
+module Min = Mapping.Minimality
+
+let x86 = Axiom.X86_tso.model
+
+(* The images of [p], the program itself first, each distinct program
+   once with its models. *)
+let images_of (p : Ast.prog) =
+  let add images (q, (m : Axiom.Model.t)) =
+    match List.partition (fun (q', _) -> q' = q) images with
+    | [ (_, ms) ], rest ->
+        if List.exists (fun (m' : Axiom.Model.t) -> m'.name = m.name) ms then images
+        else rest @ [ (q, ms @ [ m ]) ]
+    | _ -> images @ [ (q, [ m ]) ]
+  in
+  List.fold_left add []
+    ((p, x86)
+    :: List.concat_map
+         (fun (e : Report.Sweep.entry) ->
+           let t = e.f p in
+           (t, e.tgt_model)
+           :: List.init (Min.fence_count t) (fun i -> (Min.delete_fence t i, e.tgt_model)))
+         (Report.Sweep.mapping_entries ()))
+
+let fail (p : Ast.prog) fmt =
+  Format.kasprintf (fun msg -> failwith (Format.asprintf "%s: %s@.%a" p.name msg Ast.pp_prog p)) fmt
+
+let images_checked = ref 0
+
+let check_program (p : Ast.prog) =
+  let images = images_of p in
+  List.iter
+    (fun (q, _) -> if not (En.zips p q) then fail p "image %s does not zip" q.Ast.name)
+    images;
+  En.clear_caches ();
+  let pruned = En.pass ~probe:false p images and probed = En.pass ~probe:true p images in
+  let _, misses = En.cache_stats () in
+  if misses <> 2 then fail p "%d enumerations for two passes" misses;
+  List.iteri
+    (fun i (q, models) ->
+      incr images_checked;
+      let alone = En.behaviours_probed_many models q in
+      List.iter2
+        (fun (m : Axiom.Model.t) (name, (bs, rejects)) ->
+          if name <> m.name then fail p "image %d: models out of order" i;
+          if rejects <> [] then fail p "image %d: a pruned pass counted rejections" i;
+          if bs <> En.behaviours m q then fail p "image %s under %s: behaviours differ" q.name m.name)
+        models (List.nth pruned i);
+      if List.nth probed i <> alone then
+        fail p "image %s: probed behaviours or rejection counts differ" q.name)
+    images;
+  true
+
+let check_all = List.for_all check_program
+
+let prop_shared =
+  QCheck.Test.make ~name:"one pass = each image alone on generated programs" ~count:20
+    (QCheck.make ~print:(Format.asprintf "%a" Ast.pp_prog) Litmus.Generate.gen)
+    (fun p -> check_program p)
+
+let corpus_size = ref 100
+
+let test_corpus () =
+  images_checked := 0;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d programs (seed 42) and their images" !corpus_size)
+    true
+    (check_all (Litmus.Generate.generate ~seed:42 !corpus_size));
+  Alcotest.(check bool) "some images checked" true (!images_checked > 0)
+
+let test_catalog () =
+  Alcotest.(check bool)
+    "catalog programs and their images" true
+    (check_all
+       (List.map snd Litmus.Catalog.mapping_corpus
+       @ List.map (fun (_, (t : Ast.test)) -> t.prog) Litmus.Catalog.x86_tests))
+
+(* The zip refuses what is not access-preserving: the FMR pseudo-scheme
+   (one RAW elimination) and a Figure-10 elimination.  Refused images
+   take a pass of their own and keep their verdicts. *)
+let test_refused () =
+  let tcg = Axiom.Tcg_model.model in
+  let raw = Mapping.Transform.applications Mapping.Transform.Raw Litmus.Catalog.fmr_tcg_src in
+  let waw =
+    List.concat_map
+      (fun (_, p) -> List.map (fun t -> (p, t)) (Mapping.Transform.applications Mapping.Transform.Waw p))
+      Mapping.Transform.corpus
+  in
+  Alcotest.(check bool) "some eliminations" true (raw <> [] && waw <> []);
+  List.iter
+    (fun (src, tgt) ->
+      Alcotest.(check bool) (tgt.Ast.name ^ " is refused") false (En.zips src tgt);
+      En.clear_caches ();
+      let results = En.pass ~probe:false src [ (src, [ tcg ]); (tgt, [ tcg ]) ] in
+      let _, misses = En.cache_stats () in
+      Alcotest.(check int) (tgt.name ^ ": a pass of its own") 2 misses;
+      let report =
+        Mapping.Check.assemble ~scheme:"" ~program:""
+          ~src:(fst (snd (List.hd (List.nth results 0))))
+          ~tgt:(fst (snd (List.hd (List.nth results 1))))
+      in
+      let alone = Mapping.Check.refines ~src_model:tcg ~tgt_model:tcg ~src ~tgt in
+      Alcotest.(check bool) (tgt.name ^ " keeps its verdict") alone.ok report.ok)
+    (List.map (fun t -> (Litmus.Catalog.fmr_tcg_src, t)) raw @ waw);
+  (* The FMR cell still fails. *)
+  let fmr =
+    List.find (fun (e : Report.Sweep.entry) -> e.scheme = "transform-raw") (Report.Sweep.default_entries ())
+  in
+  let cells =
+    Mapping.Check.check_scheme ~name:fmr.scheme fmr.f ~src_model:fmr.src_model
+      ~tgt_model:fmr.tgt_model fmr.corpus
+  in
+  Alcotest.(check bool) "FMR still fails" false (Mapping.Check.all_ok cells)
+
+(* A source that fits the event bound whose image does not: the image
+   is refused, and the sweep reports the image's own typed failure. *)
+let test_image_past_bound () =
+  let src =
+    Litmus.Dsl.prog "fits" [ ("X", 0) ]
+      [ [ Litmus.Dsl.if_else (Ast.Int 0) (List.init 62 (fun i -> Litmus.Dsl.st "X" i)) [] ] ]
+  in
+  let entry =
+    List.find (fun (e : Report.Sweep.entry) -> e.scheme = "fig7a/x86->tcg") (Report.Sweep.default_entries ())
+  in
+  let tgt = entry.f src in
+  Alcotest.(check bool) "the image is refused" false (En.zips src tgt);
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let corpus = [ ("fits", src); ("MP", Litmus.Catalog.mp_x86) ] in
+  let j = (Report.Sweep.run_generated [ { entry with corpus } ]).Report.Sweep.gen_journaled in
+  (match j.Report.Sweep.failures with
+  | [ (_, "fits", Parallel.Supervise.Quarantined { last; _ }) ] ->
+      Alcotest.(check bool) "the refusal names the image" true
+        (match last.Parallel.Pool.exn with
+        | Invalid_argument msg -> contains msg tgt.name
+        | _ -> false)
+  | _ -> Alcotest.fail "expected one quarantined cell for the image past the bound");
+  Alcotest.(check (list string))
+    "the other cell has a verdict" [ "MP" ]
+    (List.map (fun (c : Report.Sweep.cell) -> c.Report.Sweep.program) j.Report.Sweep.cells)
+
+let argv =
+  let rec go acc = function
+    | "--corpus" :: n :: rest ->
+        corpus_size := int_of_string n;
+        go acc rest
+    | a :: rest -> go (a :: acc) rest
+    | [] -> Array.of_list (List.rev acc)
+  in
+  go [] (Array.to_list Sys.argv)
+
+let () =
+  Alcotest.run ~argv "shared"
+    [
+      ( "pass = alone",
+        [
+          Alcotest.test_case "seeded corpus" `Quick test_corpus;
+          Alcotest.test_case "catalog" `Quick test_catalog;
+          QCheck_alcotest.to_alcotest prop_shared;
+        ] );
+      ( "zip",
+        [
+          Alcotest.test_case "eliminations refused" `Quick test_refused;
+          Alcotest.test_case "image past the event bound" `Quick test_image_past_bound;
+        ] );
+    ]

@@ -1,6 +1,6 @@
 (* The staged checker against its definition.  Each model's axioms are
    staged on a combo's skeleton ([Model.prepare]), and the pruned
-   survivor paths ([fold_survivors] under [behaviours],
+   survivor paths (the pruned pass under [behaviours],
    [behaviours_many] and [consistent_executions]) check survivors with
    the model's own axiom alone, relying on the per-location prune to
    have established coherence and atomicity.  Everything here is

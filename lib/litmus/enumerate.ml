@@ -349,7 +349,7 @@ let co_choices memo events loc =
   | Some orders -> orders
   | None ->
       let inits, others = List.partition E.is_init ws in
-      let orders = Rel.linear_extensions_memoized key (Rel.cross (ids inits) (ids others)) in
+      let orders = Rel.linear_extensions key (Rel.cross (ids inits) (ids others)) in
       Hashtbl.add memo key orders;
       orders
 
@@ -600,94 +600,14 @@ let behaviours_probed ~on_reject m p =
   List.sort_uniq behaviour_compare (fold ~probe:true p [ (p, [ m ]) ] keep [])
 
 (* ------------------------------------------------------------------ *)
-(* Behaviours cache                                                    *)
+(* Passes                                                              *)
 
-(* [behaviours] serves callers that repeat a (model, program) pair
-   (witness capture, [Check.refines]); the planned sweeps call {!pass}
-   and never consult it.  Keys are the model's name and the program AST
-   (structural equality), with the hash computed once per lookup.  Each
-   domain's private (DLS) table is read and written lock-free and
-   backed by a shared mutex-guarded one: fresh entries are merged into
-   it at pool batch boundaries ([Pool.on_join]), first write wins, and
-   [clear_caches] bumps a generation counter that lazily invalidates
-   every private table, so a merge never resurrects cleared entries. *)
-module Key = struct
-  type t = { hash : int; model : string; prog : Ast.prog }
-
-  let make model prog = { hash = Hashtbl.hash (model, prog); model; prog }
-  let hash k = k.hash
-
-  let equal a b =
-    a.hash = b.hash && String.equal a.model b.model && (a.prog == b.prog || a.prog = b.prog)
-end
-
-module Tbl = Hashtbl.Make (Key)
-
-let behaviours_cache : behaviour list Tbl.t = Tbl.create 64
-
-let behaviours_mutex = Mutex.create ()
-let cache_hits = Atomic.make 0
-let cache_misses = Atomic.make 0
-let cache_gen = Atomic.make 0
-
-type local_cache = {
-  mutable gen : int;
-  tbl : behaviour list Tbl.t;
-  mutable dirty : (Key.t * behaviour list) list;
-}
-
-let local_key : local_cache Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { gen = Atomic.get cache_gen; tbl = Tbl.create 64; dirty = [] })
-
-let local () =
-  let l = Domain.DLS.get local_key in
-  let g = Atomic.get cache_gen in
-  if l.gen <> g then begin
-    Tbl.reset l.tbl;
-    l.dirty <- [];
-    l.gen <- g
-  end;
-  l
-
-(* Merge this domain's unpublished entries into the shared table.  The
-   generation is re-checked under the lock so a concurrent
-   [clear_caches] wins over a straggling merge. *)
-let merge_local () =
-  let l = local () in
-  if l.dirty <> [] then begin
-    let entries = l.dirty in
-    l.dirty <- [];
-    Mutex.protect behaviours_mutex (fun () ->
-        if Atomic.get cache_gen = l.gen then
-          List.iter
-            (fun (k, v) ->
-              if not (Tbl.mem behaviours_cache k) then Tbl.replace behaviours_cache k v)
-            entries)
-  end
-
-let () = Parallel.Pool.on_join merge_local
-
-(* Local first, then read-through to the shared table. *)
-let find_cached l key =
-  match Tbl.find_opt l.tbl key with
-  | Some bs -> Some bs
-  | None -> (
-      match
-        Mutex.protect behaviours_mutex (fun () -> Tbl.find_opt behaviours_cache key)
-      with
-      | Some bs ->
-          Tbl.replace l.tbl key bs;
-          Some bs
-      | None -> None)
-
-let remember l key bs =
-  Tbl.replace l.tbl key bs;
-  l.dirty <- (key, bs) :: l.dirty
+(* One per {!pass}, read by [cache_stats]. *)
+let passes = Atomic.make 0
 
 (* An image that does not zip takes a pass of its own. *)
 let rec pass ~probe src images =
-  Atomic.incr cache_misses;
+  Atomic.incr passes;
   let acc (m : Axiom.Model.t) = (ref [], Array.make (List.length m.axioms) 0) in
   let accs = Array.of_list (List.map (fun (_, ms) -> Array.of_list (List.map acc ms)) images) in
   fold ~probe src images
@@ -713,47 +633,17 @@ let rec pass ~probe src images =
 
 let behaviours_probed_many models p = List.hd (pass ~probe:true p [ (p, models) ])
 
-(* The cached models of [p] are served from the cache, the others by
-   one pass.  Duplicate model names are served once. *)
+(* Duplicate model names are served once. *)
 let behaviours_many (models : Axiom.Model.t list) p =
   let named name (m : Axiom.Model.t) = String.equal m.name name in
   let first i (m : Axiom.Model.t) = List.find_index (named m.name) models = Some i in
-  let models = List.filteri first models in
-  let l = local () in
-  let slots =
-    List.map
-      (fun (m : Axiom.Model.t) ->
-        let key = Key.make m.name p in
-        (m, key, find_cached l key))
-      models
-  in
-  let computed =
-    match List.filter_map (fun (m, _, found) -> if found = None then Some m else None) slots with
-    | [] -> []
-    | missing -> List.hd (pass ~probe:false p [ (p, missing) ])
-  in
   List.map
-    (fun ((m : Axiom.Model.t), key, found) ->
-      match found with
-      | Some bs ->
-          Atomic.incr cache_hits;
-          (m.name, bs)
-      | None ->
-          let bs = fst (List.assoc m.name computed) in
-          remember l key bs;
-          (m.name, bs))
-    slots
+    (fun (name, (bs, _)) -> (name, bs))
+    (List.hd (pass ~probe:false p [ (p, List.filteri first models) ]))
 
-let behaviours (m : Axiom.Model.t) p = snd (List.hd (behaviours_many [ m ] p))
-
-let cache_stats () = (Atomic.get cache_hits, Atomic.get cache_misses)
-
-let clear_caches () =
-  Atomic.incr cache_gen;
-  Mutex.protect behaviours_mutex (fun () -> Tbl.reset behaviours_cache);
-  Atomic.set cache_hits 0;
-  Atomic.set cache_misses 0;
-  Rel.clear_memo ()
+let behaviours m p = snd (List.hd (behaviours_many [ m ] p))
+let cache_stats () = (0, Atomic.get passes)
+let clear_caches () = Atomic.set passes 0
 
 let rec eval_cond (c : Ast.cond) b =
   match c with

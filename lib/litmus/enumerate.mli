@@ -79,8 +79,9 @@ val fold :
     when [probe], each of [m.axioms] by name with the number of
     candidates [m] rejects first on it ({!Axiom.Explain.check}'s
     axiom), else [r = []] — exactly what each image alone gives.  The
-    zipping images share one pass, the others take one each; the cache
-    is not consulted. *)
+    zipping images share one pass, the others take one each.  Nothing
+    outlives the call: the only memo, of co orders by write set, is
+    the pass's own. *)
 val pass :
   probe:bool ->
   Ast.prog ->
@@ -100,9 +101,9 @@ val executions : Axiom.Model.t -> Ast.prog -> Axiom.Execution.t list
 val consistent_executions :
   Axiom.Model.t -> Ast.prog -> (Axiom.Execution.t * behaviour) list
 
-(** {!behaviours} via the unpruned probed pass, bypassing the cache and
-    calling [on_reject] on every candidate the model rejects — the
-    opt-in axiom-coverage probe, not a fast path. *)
+(** {!behaviours} via the unpruned probed pass, calling [on_reject] on
+    every candidate the model rejects — the opt-in axiom-coverage
+    probe, not a fast path. *)
 val behaviours_probed :
   on_reject:(Axiom.Execution.t -> unit) ->
   Axiom.Model.t ->
@@ -114,29 +115,24 @@ val behaviours_probed :
 val behaviours_probed_many :
   Axiom.Model.t list -> Ast.prog -> (string * (behaviour list * (string * int) list)) list
 
-(** The sorted behaviours of the consistent executions, through a
-    two-level domain-safe cache keyed by (model name, program AST): a
-    lock-free domain-private table in front of a shared mutex-guarded
-    one, merged at pool batch boundaries ([Parallel.Pool.on_join]).
-    Distinct models must carry distinct names (they do). *)
+(** The sorted behaviours of the consistent executions: the one image
+    of [pass ~probe:false p [ (p, [ m ]) ]]. *)
 val behaviours : Axiom.Model.t -> Ast.prog -> behaviour list
 
 (** [behaviours_many models p] is
-    [List.map (fun m -> (m.name, behaviours m p)) models], with one
-    pruned pass for all cache-missing models.  Duplicate model names
-    are served once. *)
+    [List.map (fun m -> (m.name, behaviours m p)) models] from one
+    pruned pass.  Duplicate model names are served once. *)
 val behaviours_many :
   Axiom.Model.t list -> Ast.prog -> (string * behaviour list) list
 
-(** [(hits, misses)] of the behaviours cache since start/last clear.
-    Hits count local- and shared-table hits alike; misses count
-    enumerations: one per {!pass}, however many images and models it
-    serves, whether or not the cache was consulted. *)
+(** [(0, passes)]: the number of {!pass}es since start or the last
+    {!clear_caches}, however many images and models each serves.  Named
+    for the behaviours cache that an earlier version kept; the name and
+    type stay for [perf/checker.ml] until its next edit. *)
 val cache_stats : unit -> int * int
 
-(** Empty the behaviours cache and the linear-extension memo
-    ({!Relalg.Rel.clear_memo}) — for cold-start benchmarking and
-    bounding memory in long-running processes. *)
+(** Reset the {!cache_stats} pass counter; kept, like it, for
+    [perf/checker.ml]. *)
 val clear_caches : unit -> unit
 
 val eval_cond : Ast.cond -> behaviour -> bool

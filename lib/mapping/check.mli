@@ -80,7 +80,7 @@ val assemble :
     either surfaces as the lowest-index cell's.  Verdicts are identical
     — contents and order — to running each cell through {!refines} on
     its own; the planner only removes enumeration work a per-cell sweep
-    repeats.  It does not consult the behaviours cache. *)
+    repeats. *)
 val check_cells : ?pool:Parallel.Pool.t -> cell list -> report list
 
 (** [check_scheme ~name f ~src_model ~tgt_model corpus] maps every

@@ -49,24 +49,6 @@ type t = {
 let busy : bool ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref false)
 
-(* Join hooks run by every domain when it finishes draining a batch —
-   the pool's phase boundary.  Consumers use them to merge per-domain
-   caches back into shared state (see [Litmus.Enumerate]); hooks must
-   be cheap, re-entrant and must not raise (raises are swallowed). *)
-let join_hooks : (unit -> unit) list ref = ref []
-let join_m = Mutex.create ()
-
-let on_join f =
-  Mutex.lock join_m;
-  join_hooks := f :: !join_hooks;
-  Mutex.unlock join_m
-
-let run_join_hooks () =
-  Mutex.lock join_m;
-  let hs = !join_hooks in
-  Mutex.unlock join_m;
-  List.iter (fun f -> try f () with _ -> ()) hs
-
 (* Pool utilization: tasks are counted in the worker that ran them
    (the sharded registry merges them on snapshot), drain spans show
    each worker's busy window per batch, and the batch-size histogram
@@ -170,8 +152,6 @@ let worker t =
     | Some b ->
         last := b.gen;
         drain t b;
-        (* Batch boundary for this domain: merge local caches out. *)
-        run_join_hooks ();
         loop ()
   in
   loop ()
@@ -301,8 +281,7 @@ let map t f xs =
             Mutex.unlock t.m;
             t.last_stats <-
               Array.to_list b.stats
-              |> List.filter_map (fun s -> s);
-            run_join_hooks ()));
+              |> List.filter_map (fun s -> s)));
     List.init n (fun index ->
         match (results.(index), Atomic.get b_fault) with
         | Some r, _ -> r

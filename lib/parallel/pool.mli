@@ -68,13 +68,6 @@ val recommended : unit -> int
     the sequential path). *)
 val batch_stats : t -> chunk_stat list
 
-(** [on_join f] registers [f] to run in every domain when it finishes
-    draining a batch (and in the submitter once the batch completes) —
-    the hook point where per-domain caches merge back into shared
-    state.  Hooks must be cheap and must not raise; raised exceptions
-    are swallowed.  Registration is global and permanent. *)
-val on_join : (unit -> unit) -> unit
-
 (** Join the worker domains.  The pool must not be used afterwards. *)
 val shutdown : t -> unit
 

@@ -11,8 +11,7 @@
     {!inverse} is a transpose, and closure and acyclicity run
     bit-parallel Warshall in O(n²) word operations.  The array is
     trimmed to its last non-empty row, so equal relations are
-    structurally equal and hash alike (the {!linear_extensions_memoized}
-    key relies on this).
+    structurally equal and hash alike.
 
     {b Bound.}  Ids lie in 0–62, as for {!Iset}; every function taking
     an id raises [Invalid_argument] naming an id outside that range.
@@ -90,19 +89,6 @@ val is_strict_total_order_on : Iset.t -> t -> bool
     that contains [r] (restricted to [s]).  Returns [[]] when [r] is
     cyclic on [s].  Exponential: intended for litmus-sized sets. *)
 val linear_extensions : Iset.t -> t -> t list
-
-(** [linear_extensions_memoized s r] is [linear_extensions s r] backed
-    by a process-wide, domain-safe memo table keyed by
-    [(s, r restricted to s)].  The coherence enumerator asks for the
-    extensions of the same per-location write set once per candidate
-    combination; the memo collapses those to one computation.  Entries
-    live until {!clear_memo}. *)
-val linear_extensions_memoized : Iset.t -> t -> t list
-
-(** Drop every memoized linear-extension result (used by benchmarks to
-    measure cold-start behaviour, and by long-running processes to bound
-    memory). *)
-val clear_memo : unit -> unit
 
 (** [immediate r] keeps only pairs with no intermediate element:
     [(x, y) ∈ r] such that there is no [z] with [(x, z) ∈ r] and

@@ -147,34 +147,6 @@ module Rel = struct
       in
       List.map order_to_rel orders
 
-  (* Memoized linear extensions.  The enumerator calls this once per
-     (write-set, init-order-constraints) pair per candidate combination;
-     across the combinations of one program the same key recurs many
-     times (read-value oracles multiply runs without changing the write
-     sets).  Keys are the canonical element and pair listings, so
-     structurally equal inputs hit.  Guarded by a mutex: the table is
-     shared across pool worker domains. *)
-  let le_memo : (int list * (int * int) list, t list) Hashtbl.t =
-    Hashtbl.create 64
-
-  let le_memo_mutex = Mutex.create ()
-
-  let linear_extensions_memoized s r =
-    let key = (Iset.to_list s, to_list (restrict s r s)) in
-    let cached =
-      Mutex.protect le_memo_mutex (fun () -> Hashtbl.find_opt le_memo key)
-    in
-    match cached with
-    | Some orders -> orders
-    | None ->
-        let orders = linear_extensions s r in
-        Mutex.protect le_memo_mutex (fun () ->
-            Hashtbl.replace le_memo key orders);
-        orders
-
-  let clear_memo () =
-    Mutex.protect le_memo_mutex (fun () -> Hashtbl.reset le_memo)
-
   let find_cycle r =
     (* DFS with an explicit ancestor path; relations are litmus-sized so
        the exponential worst case is irrelevant. *)

@@ -138,7 +138,6 @@ let test_resume_parity () =
   let j2 = Filename.concat dir "resumed.journal" in
   List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ j1; j2 ];
   let _, entries = Sweep.generated_entries ~seed:11 120 in
-  En.clear_caches ();
   let reference =
     Sweep.run_generated ~shard_size:32 ~journal:j1 entries
   in
@@ -148,7 +147,6 @@ let test_resume_parity () =
     Sweep.run_generated ~shard_size:32 ~journal:j2 partial_entries
   in
   (* ...then the resumed run replays them and computes the rest. *)
-  En.clear_caches ();
   let resumed = Sweep.run_generated ~shard_size:32 ~journal:j2 entries in
   let cells_of (g : Sweep.generated) =
     List.map
@@ -252,9 +250,7 @@ let test_pool_identity () =
         { r with Check.name = c.cell_scheme ^ ": " ^ c.cell_program })
       cells
   in
-  En.clear_caches ();
   let planned_seq = Check.check_cells cells in
-  En.clear_caches ();
   let planned_pool = P.with_pool ~jobs:4 (fun pool -> Check.check_cells ~pool cells) in
   Alcotest.(check bool)
     "planner (sequential) matches per-cell reference" true
@@ -422,7 +418,6 @@ let check_planned_parity ?config ?(schemes = Sweep.default_generated_schemes)
   let check_run pool =
       let label = if Option.is_some pool then "pool" else "sequential" in
       (try Sys.remove journal with Sys_error _ -> ());
-      En.clear_caches ();
       let cov = Report.Coverage.create () in
       let g =
         Sweep.run_generated ~capture:true
@@ -471,7 +466,6 @@ let test_journal_shard_sizes () =
       List.iter
         (fun shard_size ->
           (try Sys.remove journal with Sys_error _ -> ());
-          En.clear_caches ();
           ignore
             (Sweep.run_generated ~capture:true ~coverage:(Report.Coverage.create ()) ~pool
                ~shard_size ~probe_targets:true ~journal entries);

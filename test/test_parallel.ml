@@ -134,7 +134,6 @@ let test_check_scheme_parity () =
   P.with_pool ~jobs:4 (fun pool ->
       List.iter
         (fun (name, f, tgt_model) ->
-          Litmus.Enumerate.clear_caches ();
           let seq =
             List.map
               (fun (tname, src) ->
@@ -146,7 +145,6 @@ let test_check_scheme_parity () =
                 })
               corpus
           in
-          Litmus.Enumerate.clear_caches ();
           let par =
             Mapping.Check.check_scheme ~pool ~name f ~src_model:x86 ~tgt_model
               corpus
@@ -241,19 +239,24 @@ let test_pruned_matches_unpruned () =
         [ x86; tcg ])
     corpus
 
-let test_behaviours_cache () =
-  Litmus.Enumerate.clear_caches ();
+(* Nothing is cached between calls: each call is one pass, and
+   [behaviours_many] serves a repeated model name once. *)
+let test_one_pass_per_call () =
+  let module En = Litmus.Enumerate in
   let _, p = List.hd corpus in
-  let cold = Litmus.Enumerate.behaviours x86 p in
-  let h0, m0 = Litmus.Enumerate.cache_stats () in
-  let warm = Litmus.Enumerate.behaviours x86 p in
-  let h1, m1 = Litmus.Enumerate.cache_stats () in
-  check_bool "cached result identical" true (cold = warm);
-  check_int "second call hits" (h0 + 1) h1;
-  check_int "no new miss" m0 m1;
-  Litmus.Enumerate.clear_caches ();
-  let recomputed = Litmus.Enumerate.behaviours x86 p in
-  check_bool "recomputed after clear, same behaviours" true (cold = recomputed)
+  let passes () = snd (En.cache_stats ()) in
+  let m0 = passes () in
+  let first = En.behaviours x86 p in
+  let m1 = passes () in
+  let second = En.behaviours x86 p in
+  let m2 = passes () in
+  check_int "first call: one pass" (m0 + 1) m1;
+  check_int "second call: one pass" (m1 + 1) m2;
+  check_bool "equal behaviours" true (first = second);
+  let many = En.behaviours_many [ x86; tcg; x86 ] p in
+  check_int "behaviours_many: one pass" (m2 + 1) (passes ());
+  check_bool "behaviours_many == behaviours per distinct model" true
+    (many = [ (x86.Axiom.Model.name, En.behaviours x86 p); (tcg.name, En.behaviours tcg p) ])
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: pool map == List.map for arbitrary inputs and job counts     *)
@@ -304,8 +307,8 @@ let () =
             test_fault_mid_sweep;
           Alcotest.test_case "pruned == unpruned consistent counts" `Quick
             test_pruned_matches_unpruned;
-          Alcotest.test_case "behaviours cache transparent" `Quick
-            test_behaviours_cache;
+          Alcotest.test_case "behaviours: one pass per call" `Quick
+            test_one_pass_per_call;
         ] );
       ( "qcheck",
         List.map

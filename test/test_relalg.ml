@@ -275,9 +275,6 @@ let prop_matches_reference =
         (Rel.is_strict_total_order_on s a = Ref.Rel.is_strict_total_order_on s' a');
       let exts = Rel.linear_extensions s a and exts' = Ref.Rel.linear_extensions s' a' in
       rels "Rel.linear_extensions" exts exts';
-      rels "Rel.linear_extensions_memoized"
-        (Rel.linear_extensions_memoized s a)
-        (Ref.Rel.linear_extensions_memoized s' a');
       List.iter2
         (fun e e' ->
           agree "Rel.is_strict_total_order_on (extension)"

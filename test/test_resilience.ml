@@ -616,8 +616,6 @@ let test_job_deadline () =
     (Sweep.run_generated ~shard_size entries).Sweep.gen_journaled.Sweep.cells
   in
   with_tmp ".jnl" @@ fun journal ->
-  (* Cold caches: the jobs must do real enumeration work to poll. *)
-  Litmus.Enumerate.clear_caches ();
   let policy = { Sup.default with deadline_s = Some 1e-6 } in
   let g = Sweep.run_generated ~policy ~shard_size ~journal entries in
   let r = g.Sweep.gen_journaled in

@@ -172,7 +172,6 @@ let check_program (p : Ast.prog) =
   in
   staged_agrees M.coherence Unstaged.coherence;
   staged_agrees M.atomicity Unstaged.atomicity;
-  En.clear_caches ();
   let many = En.behaviours_many (List.map (fun (m, _, _) -> m) models) p in
   let probed = En.behaviours_probed_many (List.map (fun (m, _, _) -> m) models) p in
   List.iter

@@ -1,9 +1,10 @@
 (* Golden check of the backend's output: the CRC-32 of the persistent
    translation cache ([Engine.save_cache]) after running each of the
-   16 kernels, and one straight-line guest built from every
-   instruction shape of the cold-code benchmark workload, under each
-   of the four presets.  Any change to the translated host code of
-   these programs changes a line of the output. *)
+   16 kernels, one straight-line guest built from every instruction
+   shape of the cold-code benchmark workload, and one guest with each
+   x86 RMW, under each of the four presets and Risotto with the RMW2
+   lowering.  Any change to the translated host code of these programs
+   changes a line of the output. *)
 
 module I = X86.Insn
 module R = X86.Reg
@@ -43,13 +44,34 @@ let cold_shapes =
      ]
     @ List.rev (Ins I.Hlt :: !body))
 
+(* Every x86 RMW the frontend translates: LOCK CMPXCHG (one success,
+   one failure), LOCK XADD and XCHG, in one block. *)
+let rmws =
+  let open X86.Asm in
+  Image.Gelf.build ~entry:"main"
+    [
+      Label "main";
+      Ins (I.Mov_ri (R.RBX, 0x20000L));
+      Ins (I.Mov_ri (R.RAX, 0L));
+      Ins (I.Mov_ri (R.RCX, 5L));
+      Ins (I.Lock_cmpxchg (I.based R.RBX 0L, R.RCX));
+      Ins (I.Lock_cmpxchg (I.based R.RBX 0L, R.RCX));
+      Ins (I.Mov_ri (R.RDX, 3L));
+      Ins (I.Lock_xadd (I.based R.RBX 8L, R.RDX));
+      Ins (I.Lock_xadd (I.based R.RBX 8L, R.RDX));
+      Ins (I.Mov_ri (R.RSI, 7L));
+      Ins (I.Xchg (I.based R.RBX 16L, R.RSI));
+      Ins (I.Xchg (I.based R.RBX 16L, R.RSI));
+      Ins I.Hlt;
+    ]
+
 let programs =
   List.map
     (fun b ->
       let s = b.Harness.Parsec.spec in
       (s.Harness.Kernel.name, Image.Gelf.build ~entry:"main" (Harness.Kernel.to_x86 s)))
     Harness.Parsec.all
-  @ [ ("cold-shapes", cold_shapes) ]
+  @ [ ("cold-shapes", cold_shapes); ("rmws", rmws) ]
 
 let read_file path =
   let ic = open_in_bin path in
@@ -71,5 +93,6 @@ let () =
             blocks
             (Checksum.Crc32.to_hex (Checksum.Crc32.digest (read_file path))))
         programs)
-    Core.Config.all;
+    (Core.Config.all
+    @ [ { Core.Config.risotto with name = "rmw2"; rmw = Mapping.Schemes.Risotto_rmw2 } ]);
   Sys.remove path

@@ -1,6 +1,7 @@
 module Op = Tcg.Op
 module A = Arm.Insn
 module E = Axiom.Event
+module S = Mapping.Schemes
 
 exception Register_pressure of int64
 
@@ -95,7 +96,7 @@ let cc_of_cond : Op.cond -> A.cc = function
   | Op.Geu -> A.Hs
 
 let barrier_of_fence (config : Config.t) f =
-  match Mapping.Schemes.(lower_fence (lowering config.fences)) f with
+  match S.(lower_fence (lowering config.fences)) f with
   | Some E.F_dmb_full -> Some A.Full
   | Some E.F_dmb_ld -> Some A.Ld
   | Some E.F_dmb_st -> Some A.St
@@ -130,53 +131,50 @@ let compile (config : Config.t) (b : Tcg.Block.t) =
     fixups := code.len :: !fixups;
     ins i
   in
-  let lower_cas ~old ~addr ~expect ~desired =
-    match config.rmw with
-    | Mapping.Schemes.Risotto_rmw1 ->
-        (* casal needs the compare value in the destination register:
-           stage through scratch, then move the old value out. *)
-        ins (A.Mov (scratch0, reg expect));
-        ins (A.Cas { acq = true; rel = true; cmp = scratch0; swap = reg desired; base = reg addr });
-        ins (A.Mov (reg old, scratch0))
-    | Mapping.Schemes.Risotto_rmw2 ->
-        (* retry: ldxr; cmp; b.ne done; stxr; cbnz retry; done: dmb *)
-        ins (A.Dmb A.Full);
-        let retry = code.len in
-        ins (A.Ldxr (reg old, reg addr));
-        ins (A.Cmp (reg old, A.R (reg expect)));
-        ins (A.Bcc (A.Ne, retry + 5));
-        ins (A.Stxr (scratch1, reg desired, reg addr));
-        ins (A.Cbnz (scratch1, retry));
-        ins (A.Dmb A.Full)
-    | Mapping.Schemes.(Helper_gcc9 | Helper_gcc10) ->
-        Fault.raise_ ~pc:b.Tcg.Block.guest_pc Fault.Backend_fault
-          "Cas op under helper RMW strategy"
-  in
-  let lower_atomic ~op ~old ~addr ~src =
-    match config.rmw with
-    | Mapping.Schemes.Risotto_rmw1 ->
-        (* LSE single-instruction atomics; like casal, their full-fence
-           behaviour needs the corrected Arm-Cats model (§3.3). *)
-        ins
-          (match op with
-          | `Xadd ->
-              A.Ldadd { acq = true; rel = true; old = reg old; src = reg src; base = reg addr }
-          | `Xchg ->
-              A.Swp { acq = true; rel = true; old = reg old; src = reg src; base = reg addr })
-    | Mapping.Schemes.Risotto_rmw2 ->
-        (* Figure 7b's RMW2 form: DMBFF-bracketed exclusive loop. *)
-        ins (A.Dmb A.Full);
-        let retry = code.len in
-        ins (A.Ldxr (reg old, reg addr));
-        (match op with
-        | `Xadd -> ins (A.Alu (A.Add, scratch0, reg old, A.R (reg src)))
-        | `Xchg -> ins (A.Mov (scratch0, reg src)));
-        ins (A.Stxr (scratch1, scratch0, reg addr));
-        ins (A.Cbnz (scratch1, retry));
-        ins (A.Dmb A.Full)
-    | Mapping.Schemes.(Helper_gcc9 | Helper_gcc10) ->
-        Fault.raise_ ~pc:b.Tcg.Block.guest_pc Fault.Backend_fault
-          "Atomic op under helper RMW strategy"
+  (* An RMW: the table's steps for the configured lowering.  Under a
+     helper lowering the frontend calls the helper instead, so an RMW op
+     here is a fault. *)
+  let rmw ~op ~old ~addr ~expect ~src =
+    if Option.is_some (S.rmw_helper config.rmw op) then
+      Fault.raise_ ~pc:b.Tcg.Block.guest_pc Fault.Backend_fault
+        "RMW op under helper RMW strategy";
+    List.iter
+      (function
+        | S.Dmb_full -> ins (A.Dmb A.Full)
+        | S.Amo { acq; rel } -> (
+            match op with
+            | `Cas ->
+                (* casal needs the compare value in the destination
+                   register: stage through scratch, then move the old
+                   value out. *)
+                ins (A.Mov (scratch0, reg expect));
+                ins (A.Cas { acq; rel; cmp = scratch0; swap = reg src; base = reg addr });
+                ins (A.Mov (reg old, scratch0))
+            | `Xadd -> ins (A.Ldadd { acq; rel; old = reg old; src = reg src; base = reg addr })
+            | `Xchg -> ins (A.Swp { acq; rel; old = reg old; src = reg src; base = reg addr }))
+        | S.Exclusive { acq; rel } ->
+            (* retry: ldxr; <value>; stxr; cbnz retry.  A cas's value is
+               [cmp; b.ne done], done being past the cbnz. *)
+            let retry = code.len in
+            ins (if acq then A.Ldaxr (reg old, reg addr) else A.Ldxr (reg old, reg addr));
+            let value =
+              match op with
+              | `Cas ->
+                  ins (A.Cmp (reg old, A.R (reg expect)));
+                  ins (A.Bcc (A.Ne, retry + 5));
+                  reg src
+              | `Xadd ->
+                  ins (A.Alu (A.Add, scratch0, reg old, A.R (reg src)));
+                  scratch0
+              | `Xchg ->
+                  ins (A.Mov (scratch0, reg src));
+                  scratch0
+            in
+            ins
+              (if rel then A.Stlxr (scratch1, value, reg addr)
+               else A.Stxr (scratch1, value, reg addr));
+            ins (A.Cbnz (scratch1, retry)))
+      (S.rmw_sequence config.rmw op)
   in
   Array.iter
     (fun op ->
@@ -201,9 +199,7 @@ let compile (config : Config.t) (b : Tcg.Block.t) =
           branch_to_label (A.Bcc (cc_of_cond c, l))
       | Op.Set_label l -> if l >= 0 then label_at.(l) <- code.len
       | Op.Br l -> branch_to_label (A.B l)
-      | Op.Cas { old; addr; expect; desired } ->
-          lower_cas ~old ~addr ~expect ~desired
-      | Op.Atomic { op; old; addr; src } -> lower_atomic ~op ~old ~addr ~src
+      | Op.Rmw { op; old; addr; expect; src } -> rmw ~op ~old ~addr ~expect ~src
       | Op.Call (f, args, ret) ->
           ins (A.Blr_helper (f, List.map reg args, Option.map reg ret))
       | Op.Host_call { func; args; ret } ->

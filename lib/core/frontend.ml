@@ -177,11 +177,13 @@ let rmw_addr ctx m =
 
 (* A guest RMW: the native TCG op, or a call into Qemu's helper when
    the configured RMW lowering has one; fenced per the mapping table. *)
-let guest_rmw ctx ~pc (config : Config.t) ~native ~helper args told =
+let guest_rmw ctx ~pc (config : Config.t) op ~addr ~expect ~src old =
   place ctx ~pc config.fences `Pre `Rmw;
-  (match S.rmw_helper config.rmw with
-  | None -> emit ctx native
-  | Some gcc -> emit ctx (Op.Call (helper ^ "_" ^ gcc, args, Some told)));
+  (match S.rmw_helper config.rmw op with
+  | None -> emit ctx (Op.Rmw { op; old; addr; expect; src })
+  | Some helper ->
+      let args = match op with `Cas -> [ addr; expect; src ] | `Xadd | `Xchg -> [ addr; src ] in
+      emit ctx (Op.Call (helper, args, Some old)));
   place ctx ~pc config.fences `Post `Rmw
 
 (* One guest instruction.  Returns [true] when the block ends here. *)
@@ -288,25 +290,19 @@ let translate_insn t ctx pc next_pc (insn : X86.Insn.t) =
   | X86.Insn.Lock_cmpxchg (m, r) ->
       let taddr = rmw_addr ctx m in
       let told = fresh_temp ctx in
-      guest_rmw ctx ~pc t.config
-        ~native:(Op.Cas { old = told; addr = taddr; expect = rax; desired = greg r })
-        ~helper:"helper_cmpxchg" [ taddr; rax; greg r ] told;
+      guest_rmw ctx ~pc t.config `Cas ~addr:taddr ~expect:rax ~src:(greg r) told;
       cmpxchg_flags ctx told;
       false
   | X86.Insn.Lock_xadd (m, r) ->
       let taddr = rmw_addr ctx m in
       let told = fresh_temp ctx in
-      guest_rmw ctx ~pc t.config
-        ~native:(Op.Atomic { op = `Xadd; old = told; addr = taddr; src = greg r })
-        ~helper:"helper_xadd" [ taddr; greg r ] told;
+      guest_rmw ctx ~pc t.config `Xadd ~addr:taddr ~expect:Op.no_temp ~src:(greg r) told;
       emit ctx (Op.Mov (greg r, told));
       false
   | X86.Insn.Xchg (m, r) ->
       let taddr = rmw_addr ctx m in
       let told = fresh_temp ctx in
-      guest_rmw ctx ~pc t.config
-        ~native:(Op.Atomic { op = `Xchg; old = told; addr = taddr; src = greg r })
-        ~helper:"helper_xchg" [ taddr; greg r ] told;
+      guest_rmw ctx ~pc t.config `Xchg ~addr:taddr ~expect:Op.no_temp ~src:(greg r) told;
       emit ctx (Op.Mov (greg r, told));
       false
   | X86.Insn.Mfence ->

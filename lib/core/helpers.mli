@@ -2,10 +2,10 @@
     the Arm machine:
 
     - [helper_syscall]: user-mode syscall passthrough (exit, write);
-    - [helper_cmpxchg_gcc9] / [helper_cmpxchg_gcc10]: the RMW helper
-      built on GCC atomics — an LDAXR/STLXR pair vs a CASAL (§3.1) —
-      with matching cycle costs;
-    - [helper_xadd_*] / [helper_xchg_*]: the other LOCK-prefixed RMWs;
+    - [helper_cmpxchg_gcc9] / [helper_cmpxchg_gcc10], [helper_xadd_*]
+      and [helper_xchg_*]: the RMW helpers built on GCC atomics — an
+      LDAXR/STLXR pair vs a CASAL (§3.1) — each charging the cycles of
+      its lowering's {!Mapping.Schemes.rmw_sequence};
     - [sf_add] … [sf_sqrt]: softfloat emulation of SSE scalar doubles;
     - every {!Linker.Hostlib} function, for translated [Host_call]s. *)
 

@@ -14,31 +14,20 @@ let dmb_ld = Fence Axiom.Event.F_dmb_ld
 let dmb_st = Fence Axiom.Event.F_dmb_st
 let fence f = Fence f
 
-let cas_x86 ?reg loc expect desired =
-  Cas { reg; loc; expect = Int expect; desired = Int desired; kind = Rmw_x86 }
+let cas ?reg kind loc expect desired =
+  Rmw { reg; loc; op = Cas { expect = Int expect; desired = Int desired }; kind }
 
-let cas_tcg ?reg loc expect desired =
-  Cas { reg; loc; expect = Int expect; desired = Int desired; kind = Rmw_tcg }
+let cas_x86 ?reg loc expect desired = cas ?reg Rmw_x86 loc expect desired
+let cas_tcg ?reg loc expect desired = cas ?reg Rmw_tcg loc expect desired
 
 let cas_amo_al ?reg loc expect desired =
-  Cas
-    {
-      reg;
-      loc;
-      expect = Int expect;
-      desired = Int desired;
-      kind = Rmw_arm { impl = Amo; acq = true; rel = true };
-    }
+  cas ?reg (Rmw_arm { impl = Amo; acq = true; rel = true }) loc expect desired
 
 let cas_lxsx ?reg ?(acq = false) ?(rel = false) loc expect desired =
-  Cas
-    {
-      reg;
-      loc;
-      expect = Int expect;
-      desired = Int desired;
-      kind = Rmw_arm { impl = Lxsx; acq; rel };
-    }
+  cas ?reg (Rmw_arm { impl = Lxsx; acq; rel }) loc expect desired
+
+let xadd_x86 ?reg loc v = Rmw { reg; loc; op = Fetch_add (Int v); kind = Rmw_x86 }
+let xchg_x86 ?reg loc v = Rmw { reg; loc; op = Exchange (Int v); kind = Rmw_x86 }
 
 let assign reg e = Assign (reg, e)
 let if_ cond then_ = If { cond; then_; else_ = [] }

@@ -34,6 +34,12 @@ val cas_tcg : ?reg:string -> string -> int -> int -> instr
 val cas_amo_al : ?reg:string -> string -> int -> int -> instr
 val cas_lxsx : ?reg:string -> ?acq:bool -> ?rel:bool -> string -> int -> int -> instr
 
+(** x86 [LOCK XADD] and [XCHG]: [xadd_x86 loc addend],
+    [xchg_x86 loc value]. *)
+val xadd_x86 : ?reg:string -> string -> int -> instr
+
+val xchg_x86 : ?reg:string -> string -> int -> instr
+
 val assign : string -> exp -> instr
 val if_ : exp -> instr list -> instr
 val if_else : exp -> instr list -> instr list -> instr

@@ -4,7 +4,8 @@
     The generator follows the standard candidate-execution recipe:
 
     + each thread is run symbolically with a read-value oracle drawing
-      from the program's value universe (constants ∪ initial values),
+      from the program's value universe (constants ∪ initial values,
+      closed under each fetch-and-add's operand),
       resolving control flow and recording events, RMW pairing and
       data/control dependencies;
     + reads-from is enumerated over value-compatible writes;
@@ -17,7 +18,7 @@
 
     Event ids are dense: the initialisation writes take [0 .. n-1], then
     each thread, in ascending tid order, a contiguous range sized by a
-    static bound on its events (load, store and fence 1, CAS 2, [If] its
+    static bound on its events (load, store and fence 1, RMW 2, [If] its
     larger branch), so ids order events by (tid, po).  Relations hold
     ids 0–62 only ({!Relalg.Rel}): every enumerating function raises
     [Invalid_argument] naming the program when its bound exceeds 63

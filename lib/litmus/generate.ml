@@ -44,12 +44,11 @@ let gen_instr cfg locs : Ast.instr QCheck.Gen.t =
         loc >>= fun l ->
         int_range 0 1 >>= fun e ->
         int_range 1 2 >|= fun d ->
-        Ast.Cas
+        Ast.Rmw
           {
             reg = Some "?";
             loc = l;
-            expect = Ast.Int e;
-            desired = Ast.Int d;
+            op = Ast.Cas { expect = Ast.Int e; desired = Ast.Int d };
             kind = Ast.Rmw_x86;
           } );
       (cfg.fence_weight, pure (Ast.Fence E.F_mfence));
@@ -103,10 +102,10 @@ let sanitize cfg (p : Ast.prog) =
                   end
                   else None
               | Ast.Store s -> if write_budget s.loc then Some i else None
-              | Ast.Cas c ->
+              | Ast.Rmw c ->
                   if !reads < cfg.max_reads && write_budget c.loc then begin
                     incr reads;
-                    Some (Ast.Cas { c with reg = Some (fresh ()) })
+                    Some (Ast.Rmw { c with reg = Some (fresh ()) })
                   end
                   else None
               | Ast.Fence _ | Ast.Assign _ | Ast.If _ -> Some i)
@@ -174,13 +173,16 @@ let ser_prog (p : Ast.prog) =
     | Ast.Store { loc; value; ord } ->
         Buffer.add_string b (Printf.sprintf "st%s:%s:" (Ast.write_ann ord) loc);
         ser_exp value
-    | Ast.Cas { reg; loc; expect; desired; kind } ->
+    | Ast.Rmw { reg; loc; op; kind } -> (
         Buffer.add_string b
-          (Printf.sprintf "cas.%s:%s:%s:" (Ast.rmw_kind_name kind) loc
+          (Printf.sprintf "%s.%s:%s:%s:" (Ast.rmw_name op) (Ast.rmw_kind_name kind) loc
              (Option.value ~default:"_" reg));
-        ser_exp expect;
-        Buffer.add_char b ':';
-        ser_exp desired
+        match op with
+        | Ast.Cas { expect; desired } ->
+            ser_exp expect;
+            Buffer.add_char b ':';
+            ser_exp desired
+        | Ast.Fetch_add e | Ast.Exchange e -> ser_exp e)
     | Ast.Fence f -> Buffer.add_string b ("f:" ^ Fmt.str "%a" E.pp_fence f)
     | Ast.Assign (r, e) ->
         Buffer.add_string b (r ^ ":=");
@@ -253,11 +255,18 @@ let rename (p : Ast.prog) (threads : Ast.thread list) =
       | Ast.Store { loc = l; value; ord } ->
           let l = loc l in
           Ast.Store { loc = l; value = exp value; ord }
-      | Ast.Cas { reg = r; loc = l; expect; desired; kind } ->
+      | Ast.Rmw { reg = r; loc = l; op; kind } ->
           let l = loc l in
-          let expect = exp expect in
-          let desired = exp desired in
-          Ast.Cas { reg = Option.map reg r; loc = l; expect; desired; kind }
+          let op =
+            match op with
+            | Ast.Cas { expect; desired } ->
+                let expect = exp expect in
+                let desired = exp desired in
+                Ast.Cas { expect; desired }
+            | Ast.Fetch_add e -> Ast.Fetch_add (exp e)
+            | Ast.Exchange e -> Ast.Exchange (exp e)
+          in
+          Ast.Rmw { reg = Option.map reg r; loc = l; op; kind }
       | Ast.Fence f -> Ast.Fence f
       | Ast.Assign (r, e) ->
           let e = exp e in

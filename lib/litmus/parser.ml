@@ -258,7 +258,7 @@ let write_ord_of_suffix l = function
   | ".sc" -> E.W_sc
   | s -> err l "unknown store annotation %S" s
 
-let cas_kind_of_suffix l = function
+let rmw_kind_of_suffix l = function
   | "x86" -> Ast.Rmw_x86
   | "tcg" -> Ast.Rmw_tcg
   | s -> (
@@ -268,13 +268,13 @@ let cas_kind_of_suffix l = function
             match impl with
             | "amo" -> Ast.Amo
             | "lxsx" -> Ast.Lxsx
-            | _ -> err l "unknown cas kind %S" s
+            | _ -> err l "unknown rmw kind %S" s
           in
           let acq = List.mem "a" mods and rel = List.mem "l" mods in
           if List.exists (fun m -> m <> "a" && m <> "l") mods then
-            err l "unknown cas modifier in %S" s;
+            err l "unknown rmw modifier in %S" s;
           Ast.Rmw_arm { impl; acq; rel }
-      | [] -> err l "unknown cas kind %S" s)
+      | [] -> err l "unknown rmw kind %S" s)
 
 let split_mnemonic word =
   match String.index_opt word '.' with
@@ -307,13 +307,14 @@ and parse_instr st =
       expect st Comma;
       let value = parse_exp st in
       Ast.Store { loc; value; ord }
-  | "cas" ->
+  | ("cas" | "xadd" | "xchg") as rmw ->
       let kind =
-        cas_kind_of_suffix l
-          (if suffix = "" then err l "cas needs a kind suffix"
+        rmw_kind_of_suffix l
+          (if suffix = "" then err l "%s needs a kind suffix" rmw
            else String.sub suffix 1 (String.length suffix - 1))
       in
-      (* either "cas.k r <- X, e, e" or "cas.k X, e, e" *)
+      (* either "cas.k r <- X, e, e" or "cas.k X, e, e"; xadd and xchg
+         take one operand *)
       let first = ident st in
       let reg, loc =
         match peek st with
@@ -323,10 +324,16 @@ and parse_instr st =
         | _ -> (None, first)
       in
       expect st Comma;
-      let expect_v = parse_exp st in
-      expect st Comma;
-      let desired = parse_exp st in
-      Ast.Cas { reg; loc; expect = expect_v; desired; kind }
+      let e = parse_exp st in
+      let op =
+        match rmw with
+        | "cas" ->
+            expect st Comma;
+            Ast.Cas { expect = e; desired = parse_exp st }
+        | "xadd" -> Ast.Fetch_add e
+        | _ -> Ast.Exchange e
+      in
+      Ast.Rmw { reg; loc; op; kind }
   | "fence" ->
       let name = ident st in
       let f =
@@ -540,14 +547,6 @@ let read_suffix = function
 
 let write_suffix = function E.W_plain -> "" | E.W_rel -> ".rel" | E.W_sc -> ".sc"
 
-let cas_suffix = function
-  | Ast.Rmw_x86 -> "x86"
-  | Ast.Rmw_tcg -> "tcg"
-  | Ast.Rmw_arm { impl; acq; rel } ->
-      (match impl with Ast.Amo -> "amo" | Ast.Lxsx -> "lxsx")
-      ^ (if acq then ".a" else "")
-      ^ if rel then ".l" else ""
-
 let fence_src f =
   match List.find_opt (fun (_, f') -> f' = f) fence_names with
   | Some (name, _) -> name
@@ -562,15 +561,18 @@ let rec instr_src buf indent i =
   | Ast.Store { loc; value; ord } ->
       Buffer.add_string buf ("st" ^ write_suffix ord ^ " " ^ loc ^ ", ");
       exp_src buf value
-  | Ast.Cas { reg; loc; expect; desired; kind } ->
-      Buffer.add_string buf ("cas." ^ cas_suffix kind ^ " ");
+  | Ast.Rmw { reg; loc; op; kind } -> (
+      Buffer.add_string buf (Ast.rmw_name op ^ "." ^ Ast.rmw_kind_name kind ^ " ");
       (match reg with
       | Some r -> Buffer.add_string buf (r ^ " <- ")
       | None -> ());
       Buffer.add_string buf (loc ^ ", ");
-      exp_src buf expect;
-      Buffer.add_string buf ", ";
-      exp_src buf desired
+      match op with
+      | Ast.Cas { expect; desired } ->
+          exp_src buf expect;
+          Buffer.add_string buf ", ";
+          exp_src buf desired
+      | Ast.Fetch_add e | Ast.Exchange e -> exp_src buf e)
   | Ast.Fence f -> Buffer.add_string buf ("fence " ^ fence_src f)
   | Ast.Assign (r, e) ->
       Buffer.add_string buf (r ^ " := ");

@@ -19,7 +19,9 @@
     Access mnemonics: [ld], [ld.acq], [ld.q], [ld.sc]; [st], [st.rel],
     [st.sc]; [cas.x86], [cas.tcg], [cas.amo]/[cas.lxsx] with optional
     [.a]/[.l] acquire/release suffixes (an optional destination register
-    is written [cas.x86 r <- X, 0, 1]); [fence F] with the fence names
+    is written [cas.x86 r <- X, 0, 1]), and [xadd] / [xchg] with the
+    same kind suffixes and one operand ([xadd.amo.a.l r <- X, 1]);
+    [fence F] with the fence names
     of {!Axiom.Event.pp_fence} ([MFENCE], [DMB.FULL], [Frm], ...);
     register assignment [r := e].  Instructions are separated by
     newlines or [;]; [#] starts a line comment.  The final expectation

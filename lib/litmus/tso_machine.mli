@@ -22,8 +22,8 @@
     RMWs — see the "failed RMW divergence" test for the witness. *)
 
 (** All final behaviours of an x86-flavoured litmus program.  The
-    program must only use plain accesses, [MFENCE] and [Rmw_x86]
-    CAS. *)
+    program must only use plain accesses, [MFENCE] and [Rmw_x86] RMWs
+    (CAS, fetch-and-add, exchange). *)
 val behaviours : Ast.prog -> Enumerate.behaviour list
 
 (** Number of distinct states explored (for tests/curiosity). *)

@@ -7,7 +7,7 @@ let rec fences_in_instrs acc = function
       let acc = fences_in_instrs acc then_ in
       let acc = fences_in_instrs acc else_ in
       fences_in_instrs acc rest
-  | (Load _ | Store _ | Cas _ | Assign _) :: rest -> fences_in_instrs acc rest
+  | (Load _ | Store _ | Rmw _ | Assign _) :: rest -> fences_in_instrs acc rest
 
 let fences (p : prog) =
   List.rev
@@ -33,7 +33,7 @@ let delete_fence (p : prog) n =
             let then_ = del then_ in
             let else_ = del else_ in
             [ If { cond; then_; else_ } ]
-        | Load _ | Store _ | Cas _ | Assign _ -> [ i ])
+        | Load _ | Store _ | Rmw _ | Assign _ -> [ i ])
       instrs
   in
   (* explicit fold: List.map's evaluation order is unspecified and the

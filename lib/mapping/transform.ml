@@ -39,16 +39,17 @@ let rec exp_regs acc = function
 let regs_read = function
   | Load _ -> []
   | Store { value; _ } -> exp_regs [] value
-  | Cas { expect; desired; _ } -> exp_regs (exp_regs [] expect) desired
+  | Rmw { op = Cas { expect; desired }; _ } -> exp_regs (exp_regs [] expect) desired
+  | Rmw { op = Fetch_add e | Exchange e; _ } -> exp_regs [] e
   | Assign (_, e) -> exp_regs [] e
   | Fence _ -> []
   | If { cond; _ } -> exp_regs [] cond
 
 let regs_written = function
   | Load { reg; _ } -> [ reg ]
-  | Cas { reg = Some reg; _ } -> [ reg ]
+  | Rmw { reg = Some reg; _ } -> [ reg ]
   | Assign (reg, _) -> [ reg ]
-  | Cas { reg = None; _ } | Store _ | Fence _ | If _ -> []
+  | Rmw { reg = None; _ } | Store _ | Fence _ | If _ -> []
 
 let disjoint a b = not (List.exists (fun x -> List.mem x b) a)
 

@@ -80,8 +80,7 @@ let rewrite (w : Work.t) =
         end
         else emit op
     | ( Op.Ld (d, _, _)
-      | Op.Cas { old = d; _ }
-      | Op.Atomic { old = d; _ }
+      | Op.Rmw { old = d; _ }
       | Op.Call (_, _, Some d)
       | Op.Host_call { ret = Some d; _ } ) as op ->
         forget d;

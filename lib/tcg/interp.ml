@@ -72,16 +72,11 @@ let exec_block env (b : Block.t) =
       | Op.Brcond (c, a, b', l) ->
           if Op.eval_cond c temps.(a) temps.(b') then jump l else next ()
       | Op.Br l -> jump l
-      | Op.Cas { old; addr; expect; desired } ->
-          let a = temps.(addr) in
-          let cur = Memsys.Mem.load mem a in
-          if Int64.equal cur temps.(expect) then Memsys.Mem.store mem a temps.(desired);
-          temps.(old) <- cur;
-          next ()
-      | Op.Atomic { op; old; addr; src } ->
+      | Op.Rmw { op; old; addr; expect; src } ->
           let a = temps.(addr) in
           let cur = Memsys.Mem.load mem a in
           (match op with
+          | `Cas -> if Int64.equal cur temps.(expect) then Memsys.Mem.store mem a temps.(src)
           | `Xadd -> Memsys.Mem.store mem a (Int64.add cur temps.(src))
           | `Xchg -> Memsys.Mem.store mem a temps.(src));
           temps.(old) <- cur;

@@ -129,7 +129,7 @@ let rewrite (w : Work.t) =
         invalidate_aliases loads k;
         replace stores k
           { s_key = k; s_idx = i; value = v; value_ver = ver.(v); raw_ok = true; waw_ok = true }
-    | (Op.Cas _ | Op.Atomic _ | Op.Call _ | Op.Host_call _) as op ->
+    | (Op.Rmw _ | Op.Call _ | Op.Host_call _) as op ->
         clear_all ();
         bump (Op.write op)
     | Op.Goto_tb _ | Op.Goto_ptr _ | Op.Exit_halt | Op.Trap _ -> ()

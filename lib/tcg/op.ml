@@ -25,8 +25,7 @@ type t =
   | Brcond of cond * temp * temp * int
   | Set_label of int
   | Br of int
-  | Cas of { old : temp; addr : temp; expect : temp; desired : temp }
-  | Atomic of { op : [ `Xadd | `Xchg ]; old : temp; addr : temp; src : temp }
+  | Rmw of { op : Mapping.Schemes.rmw_op; old : temp; addr : temp; expect : temp; src : temp }
   | Call of string * temp list * temp option
   | Host_call of { func : string; args : temp list; ret : temp option }
   | Goto_tb of int64
@@ -43,7 +42,7 @@ let write = function
   | Ld (d, _, _)
   | Setcond (_, d, _, _) ->
       d
-  | Cas { old; _ } | Atomic { old; _ } -> old
+  | Rmw { old; _ } -> old
   | Call (_, _, Some r) | Host_call { ret = Some r; _ } -> r
   | Call (_, _, None)
   | Host_call { ret = None; _ }
@@ -63,12 +62,9 @@ let iter_reads f = function
   | St (src, base, _) ->
       f src;
       f base
-  | Cas { addr; expect; desired; _ } ->
+  | Rmw { op; addr; expect; src; _ } ->
       f addr;
-      f expect;
-      f desired
-  | Atomic { addr; src; _ } ->
-      f addr;
+      (match op with `Cas -> f expect | `Xadd | `Xchg -> ());
       f src
   | Call (_, args, _) | Host_call { args; _ } -> List.iter f args
 
@@ -84,7 +80,7 @@ let temp_bound ops =
 
 let is_pure = function
   | Movi _ | Mov _ | Binop _ | Binopi _ | Setcond _ -> true
-  | Ld _ | St _ | Mb _ | Brcond _ | Set_label _ | Br _ | Cas _ | Atomic _
+  | Ld _ | St _ | Mb _ | Brcond _ | Set_label _ | Br _ | Rmw _
   | Call _ | Host_call _ | Goto_tb _ | Goto_ptr _ | Exit_halt | Trap _ ->
       false
 
@@ -157,10 +153,10 @@ let pp ppf = function
       Fmt.pf ppf "brcond.%s %a, %a, L%d" (cond_name c) pp_temp a pp_temp b l
   | Set_label l -> Fmt.pf ppf "L%d:" l
   | Br l -> Fmt.pf ppf "br L%d" l
-  | Cas { old; addr; expect; desired } ->
+  | Rmw { op = `Cas; old; addr; expect; src } ->
       Fmt.pf ppf "cas %a, [%a], %a, %a" pp_temp old pp_temp addr pp_temp expect
-        pp_temp desired
-  | Atomic { op; old; addr; src } ->
+        pp_temp src
+  | Rmw { op = (`Xadd | `Xchg) as op; old; addr; src; _ } ->
       Fmt.pf ppf "%s %a, [%a], %a"
         (match op with `Xadd -> "xadd" | `Xchg -> "xchg")
         pp_temp old pp_temp addr pp_temp src

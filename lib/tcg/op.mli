@@ -49,10 +49,12 @@ type t =
   | Brcond of cond * temp * temp * int  (** branch to label if cond *)
   | Set_label of int
   | Br of int
-  | Cas of { old : temp; addr : temp; expect : temp; desired : temp }
-      (** SC compare-and-swap: the direct-translation TCG op Risotto
-          adds (§6.3); [old] receives the previous value *)
-  | Atomic of { op : [ `Xadd | `Xchg ]; old : temp; addr : temp; src : temp }
+  | Rmw of { op : Mapping.Schemes.rmw_op; old : temp; addr : temp; expect : temp; src : temp }
+      (** an SC atomic RMW, the direct-translation TCG op Risotto adds
+          (§6.3): [old] receives the value at [addr]; [`Cas] writes
+          [src] if that value equals [expect], [`Xadd] writes it plus
+          [src], [`Xchg] writes [src].  Only [`Cas] reads [expect]
+          ({!no_temp} otherwise). *)
   | Call of string * temp list * temp option
       (** Qemu-style helper call (RMW helpers, softfloat) *)
   | Host_call of { func : string; args : temp list; ret : temp option }

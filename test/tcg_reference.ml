@@ -18,8 +18,8 @@ let reads = function
   | Op.Setcond (_, _, a, b) -> [ a; b ]
   | Op.Brcond (_, a, b, _) -> [ a; b ]
   | Op.Set_label _ | Op.Br _ -> []
-  | Op.Cas { addr; expect; desired; _ } -> [ addr; expect; desired ]
-  | Op.Atomic { addr; src; _ } -> [ addr; src ]
+  | Op.Rmw { op = `Cas; addr; expect; src; _ } -> [ addr; expect; src ]
+  | Op.Rmw { op = `Xadd | `Xchg; addr; src; _ } -> [ addr; src ]
   | Op.Call (_, args, _) -> args
   | Op.Host_call { args; _ } -> args
   | Op.Goto_tb _ -> []
@@ -93,8 +93,7 @@ module Constfold = struct
                   else go consts acc rest
               | _ -> go consts (op :: acc) rest)
           | Op.Ld (d, _, _) -> with_write d None rest op
-          | Op.Cas { old = d; _ } | Op.Atomic { old = d; _ } ->
-              with_write d None rest op
+          | Op.Rmw { old = d; _ } -> with_write d None rest op
           | Op.Call (_, _, Some d) | Op.Host_call { ret = Some d; _ } ->
               with_write d None rest op
           | Op.Set_label _ ->
@@ -258,7 +257,7 @@ module Memopt = struct
             invalidate_aliases k ~drop_same:true;
             Hashtbl.replace stores k
               { s_idx = i; value = v; value_ver = ver v; raw_ok = true; waw_ok = true }
-        | Op.Cas _ | Op.Atomic _ | Op.Call _ | Op.Host_call _ ->
+        | Op.Rmw _ | Op.Call _ | Op.Host_call _ ->
             clear_all ();
             List.iter bump (writes op)
         | Op.Goto_tb _ | Op.Goto_ptr _ | Op.Exit_halt | Op.Trap _ -> ()

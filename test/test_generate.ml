@@ -51,14 +51,17 @@ let obfuscate (p : Ast.prog) =
     | Ast.Load l -> Ast.Load { l with reg = "q" ^ l.reg; loc = permute_loc l.loc }
     | Ast.Store s ->
         Ast.Store { s with loc = permute_loc s.loc; value = exp s.value }
-    | Ast.Cas c ->
-        Ast.Cas
+    | Ast.Rmw c ->
+        Ast.Rmw
           {
             c with
             reg = Option.map (fun r -> "q" ^ r) c.reg;
             loc = permute_loc c.loc;
-            expect = exp c.expect;
-            desired = exp c.desired;
+            op =
+              (match c.op with
+              | Ast.Cas { expect; desired } -> Ast.Cas { expect = exp expect; desired = exp desired }
+              | Ast.Fetch_add e -> Ast.Fetch_add (exp e)
+              | Ast.Exchange e -> Ast.Exchange (exp e));
           }
     | Ast.Fence f -> Ast.Fence f
     | Ast.Assign (r, e) -> Ast.Assign ("q" ^ r, exp e)

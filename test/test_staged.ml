@@ -271,12 +271,11 @@ let rfi_shapes =
             tid = 0;
             code =
               [
-                Cas
+                Rmw
                   {
                     reg = None;
                     loc = "x";
-                    expect = Int 0;
-                    desired = Int 1;
+                    op = Cas { expect = Int 0; desired = Int 1 };
                     kind = Rmw_arm { impl = Lxsx; acq = false; rel = false };
                   };
                 Load { reg = "r1"; loc = "x"; ord = Axiom.Event.R_acq };

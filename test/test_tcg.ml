@@ -72,8 +72,8 @@ let test_interp_cas_atomic () =
         Op.Movi (t0, 0x5000L);
         Op.Movi (g0, 0L);
         Op.Movi (g1, 9L);
-        Op.Cas { old = g2; addr = t0; expect = g0; desired = g1 };
-        Op.Atomic { op = `Xadd; old = g3; addr = t0; src = g1 };
+        Op.Rmw { op = `Cas; old = g2; addr = t0; expect = g0; src = g1 };
+        Op.Rmw { op = `Xadd; old = g3; addr = t0; expect = Op.no_temp; src = g1 };
         Op.Exit_halt;
       ]
   in
@@ -465,9 +465,10 @@ let arb_block =
         (1, map (fun (c, a, b, l) -> Op.Brcond (c, a, b, l)) (quad cond temp temp label));
         (1, map (fun l -> Op.Set_label l) label);
         (1, map (fun l -> Op.Br l) label);
-        (1, map (fun (o, d, a, e) -> Op.Cas { old = d; addr = a; expect = e; desired = o })
+        (1, map (fun (o, d, a, e) -> Op.Rmw { op = `Cas; old = d; addr = a; expect = e; src = o })
               (quad temp temp temp temp));
-        (1, map3 (fun d a s -> Op.Atomic { op = `Xadd; old = d; addr = a; src = s }) temp temp temp);
+        (1, map3 (fun d a s -> Op.Rmw { op = `Xadd; old = d; addr = a; expect = Op.no_temp; src = s })
+              temp temp temp);
         (1, map2 (fun args r -> Op.Call ("helper", args, r)) (list_size (int_range 0 2) temp) (opt temp));
         (1, map2 (fun args r -> Op.Host_call { func = "f"; args; ret = r })
               (list_size (int_range 0 2) temp) (opt temp));

@@ -55,6 +55,12 @@ let locations p =
   in
   List.sort_uniq String.compare (from_init @ from_code)
 
+let rec exp_regs acc = function
+  | Int _ -> acc
+  | Reg r -> r :: acc
+  | Add (a, b) | Sub (a, b) | Mul (a, b) | Xor (a, b) | Eq (a, b) | Ne (a, b) ->
+      exp_regs (exp_regs acc a) b
+
 let registers t =
   let rec go acc = function
     | Load { reg; _ } -> if List.mem reg acc then acc else reg :: acc

@@ -73,6 +73,10 @@ val rmw_name : rmw_op -> string
 val locations : prog -> string list
 (** All shared locations mentioned, including init-only ones. *)
 
+val exp_regs : string list -> exp -> string list
+(** [exp_regs acc e]: the registers [e] reads, each occurrence, onto
+    [acc]. *)
+
 val registers : thread -> string list
 (** Registers written by a thread's code, in first-write order. *)
 

@@ -5,7 +5,8 @@
 
     + each thread is run symbolically with a read-value oracle drawing
       from the program's value universe (constants ∪ initial values,
-      closed under each fetch-and-add's operand),
+      closed under each fetch-and-add's operand and every value a
+      write computes from registers),
       resolving control flow and recording events, RMW pairing and
       data/control dependencies;
     + reads-from is enumerated over value-compatible writes;

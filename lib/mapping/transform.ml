@@ -29,13 +29,6 @@ let all_rules =
 (* ------------------------------------------------------------------ *)
 (* Expression helpers                                                  *)
 
-let rec exp_regs acc = function
-  | Int _ -> acc
-  | Reg r -> r :: acc
-  | Add (a, b) | Sub (a, b) | Mul (a, b) | Xor (a, b) | Eq (a, b) | Ne (a, b)
-    ->
-      exp_regs (exp_regs acc a) b
-
 let regs_read = function
   | Load _ -> []
   | Store { value; _ } -> exp_regs [] value

@@ -32,6 +32,45 @@ let test_universe () =
   Alcotest.(check (list int)) "constants + init + 0" [ 0; 3; 7 ]
     (Enumerate.universe p2)
 
+(* A read sees every value a store can compute, through a chain of
+   computed stores, an assignment and a fetch-and-add of a register:
+   each program's allowed outcome needs a value no constant or initial
+   value names. *)
+let test_computed_values () =
+  List.iter
+    (fun src ->
+      let t = Parser.parse src in
+      List.iter
+        (fun m ->
+          let v = Enumerate.check m t in
+          if not v.Enumerate.ok then
+            Alcotest.failf "%s under %s: %d consistent behaviours" t.prog.name
+              m.Axiom.Model.name v.Enumerate.total_consistent)
+        [ Axiom.Sc_model.model; Axiom.X86_tso.model ])
+    [
+      {|test computed
+init X=1 Y=0
+thread P0 { ld a, X
+  st Y, (a + 1) }
+thread P1 { ld b, Y }
+allowed (1:b=2)|};
+      {|test computed-chain
+init X=1 Y=0 Z=0
+thread P0 { ld a, X
+  st Y, (a + 1) }
+thread P1 { ld b, Y
+  c := b * 3
+  st Z, c }
+thread P2 { ld d, Z }
+allowed (2:d=6)|};
+      {|test xadd-register
+init X=2 Y=5
+thread P0 { ld a, X
+  xadd.x86 Y, a }
+thread P1 { ld b, Y }
+allowed (1:b=7)|};
+    ]
+
 let test_candidate_counts () =
   (* Single store, single load, one location: the load reads either the
      init or the store; co is fixed. *)
@@ -491,6 +530,7 @@ let () =
       ( "enumerator",
         [
           Alcotest.test_case "value universe" `Quick test_universe;
+          Alcotest.test_case "computed store values" `Quick test_computed_values;
           Alcotest.test_case "candidate counts" `Quick test_candidate_counts;
           Alcotest.test_case "candidates well-formed" `Quick
             test_all_candidates_well_formed;

@@ -350,24 +350,98 @@ let test_scheduler_watchdog_budget () =
       check_int "both live" 2 live_threads;
       check_int "threads reported" 2 (List.length ts)
 
-(* Allocation gate: a Parsec kernel under the risotto preset allocates
-   at most [max_words_per_block] minor words per executed block,
-   translation included (DESIGN.md, "Execution core").  Minor-word
-   counts are deterministic, so the bound needs no noise band. *)
+(* ------------------------------------------------------------------ *)
+(* The 16 PARSEC/Phoenix kernels                                       *)
+
+type kernel_run = {
+  k_name : string;
+  k_state : int64 array * (int64 * int64) list;
+  k_clean : bool;  (* halted, no trap *)
+  k_cycles : int;
+  k_stats : Core.Engine.stats;
+}
+
+(* One pass over the kernels under [config], and the minor words it
+   allocated. *)
+let kernel_pass config =
+  let w0 = Gc.minor_words () in
+  let runs =
+    List.map
+      (fun (b : Harness.Parsec.bench) ->
+        let spec = b.Harness.Parsec.spec in
+        let g, eng = Harness.Kernel.run_dbt config spec in
+        {
+          k_name = spec.Harness.Kernel.name;
+          k_state = state g eng;
+          k_clean = Core.Engine.trap g = None && g.Core.Engine.finished;
+          k_cycles = Core.Engine.cycles g;
+          k_stats = Core.Engine.stats eng;
+        })
+      Harness.Parsec.all
+  in
+  (runs, Gc.minor_words () -. w0)
+
+let sum f runs = List.fold_left (fun acc r -> acc + f r.k_stats) 0 runs
+
+(* Chained, unchained and all-degraded (every block on the TCG
+   interpreter) passes, run once for the tests below. *)
+let kernel_passes =
+  lazy
+    (let risotto = Core.Config.risotto in
+     ( kernel_pass risotto,
+       kernel_pass { risotto with Core.Config.chain = false },
+       kernel_pass
+         {
+           risotto with
+           Core.Config.chain = false;
+           inject = [ Core.Inject.Always Core.Inject.Compile ];
+         } ))
+
+let test_kernel_parity () =
+  let (chained, _), (unchained, _), (degraded, _) = Lazy.force kernel_passes in
+  List.iter2
+    (fun c u ->
+      check_bool (c.k_name ^ " chained = unchained state") true (c.k_state = u.k_state);
+      check_int (c.k_name ^ " cycles") u.k_cycles c.k_cycles;
+      check_int (c.k_name ^ " dispatches") u.k_stats.Core.Engine.blocks_executed
+        c.k_stats.Core.Engine.blocks_executed)
+    chained unchained;
+  List.iter2
+    (fun u d ->
+      check_bool (u.k_name ^ " unchained = degraded state") true (u.k_state = d.k_state))
+    unchained degraded;
+  check_bool "blocks degraded" true (sum (fun s -> s.Core.Engine.interp_fallbacks) degraded > 0)
+
+(* Nearly every dispatch of the hot kernel loops rides a patched
+   edge. *)
+let min_chain_hit_rate = 0.95
+
+let test_kernel_chain_hits () =
+  let (chained, _), _, _ = Lazy.force kernel_passes in
+  let hits = sum (fun s -> s.Core.Engine.chain_hits) chained in
+  let rate = float_of_int hits /. float_of_int (sum (fun s -> s.Core.Engine.lookups) chained) in
+  if rate < min_chain_hit_rate then
+    Alcotest.failf "chain-hit rate %.4f (bound %.2f)" rate min_chain_hit_rate
+
+(* Allocation gate: a pass over the kernels under the risotto preset,
+   chained or not, allocates at most [max_words_per_block] minor words
+   per executed guest block, translation included (DESIGN.md,
+   "Execution core").  Minor-word counts are deterministic, so the
+   bound needs no noise band. *)
 let max_words_per_block = 140.
 
 let test_allocation_gate () =
-  let b = Harness.Parsec.find "freqmine" in
-  let spec = { b.Harness.Parsec.spec with Harness.Kernel.iters = 6000 } in
-  let w0 = Gc.minor_words () in
-  let g, eng = Harness.Kernel.run_dbt Core.Config.risotto spec in
-  let words = Gc.minor_words () -. w0 in
-  check_bool "kernel halted cleanly" true (Core.Engine.trap g = None && g.Core.Engine.finished);
-  let blocks = (Core.Engine.stats eng).Core.Engine.blocks_executed in
-  let per_block = words /. float_of_int blocks in
-  if per_block > max_words_per_block then
-    Alcotest.failf "%.1f minor words per executed block (bound %.0f)" per_block
-      max_words_per_block
+  let chained, unchained, _ = Lazy.force kernel_passes in
+  List.iter
+    (fun (name, (runs, words)) ->
+      List.iter
+        (fun r -> check_bool (r.k_name ^ " halted cleanly") true r.k_clean)
+        runs;
+      let per_block = words /. float_of_int (sum (fun s -> s.Core.Engine.blocks_executed) runs) in
+      if per_block > max_words_per_block then
+        Alcotest.failf "%s: %.1f minor words per executed block (bound %.0f)" name per_block
+          max_words_per_block)
+    [ ("chained", chained); ("unchained", unchained) ]
 
 let () =
   Alcotest.run "dispatch"
@@ -380,6 +454,8 @@ let () =
             test_chain_does_not_change_cycles;
           Alcotest.test_case "parity under fault injection" `Quick
             test_chain_parity_under_injection;
+          Alcotest.test_case "kernel suite: chained = unchained = degraded" `Quick
+            test_kernel_parity;
         ] );
       ( "fast paths",
         [
@@ -387,6 +463,8 @@ let () =
             test_stats_engage;
           Alcotest.test_case "--no-chain disables chaining" `Quick
             test_no_chain_disables_everything;
+          Alcotest.test_case "kernel suite chain-hit rate" `Quick
+            test_kernel_chain_hits;
         ] );
       ( "isolation",
         [

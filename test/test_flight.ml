@@ -158,6 +158,35 @@ let test_parity_under_injection () =
         example_programs)
     inject_corpus
 
+(* A pass over the 16 PARSEC/Phoenix kernels: each kernel's end state,
+   guest cycles and engine stats, and the minor words the pass
+   allocated. *)
+let kernel_pass () =
+  let w0 = Gc.minor_words () in
+  let runs =
+    List.map
+      (fun (b : Harness.Parsec.bench) ->
+        let g, eng = Harness.Kernel.run_dbt Core.Config.risotto b.Harness.Parsec.spec in
+        (state g eng, Core.Engine.cycles g, Core.Engine.stats eng))
+      Harness.Parsec.all
+  in
+  (runs, Gc.minor_words () -. w0)
+
+(* The recorder writes into rings allocated with the engine, so on the
+   hot path it allocates nothing: on, off and on again, a kernel pass
+   allocates the same minor words and ends in the same state.  A first
+   pass takes the process's one-off lazy set-up out of the count. *)
+let test_parity_kernel_suite () =
+  ignore (kernel_pass ());
+  let on1 = kernel_pass () in
+  let off = with_flight_off kernel_pass in
+  let on2 = kernel_pass () in
+  check_bool "recorder off = on (state, cycles, stats)" true (fst off = fst on1);
+  check_bool "recorder on twice (state, cycles, stats)" true (fst on2 = fst on1);
+  let words = Alcotest.(check (float 0.)) in
+  words "minor words: recorder off = on" (snd on1) (snd off);
+  words "minor words: recorder on again" (snd on1) (snd on2)
+
 (* Random straight-line bodies inside a counted loop (the test_tiers
    shape): every block is executed repeatedly, so the recorder sees
    block-enter traffic on the hot path it claims not to perturb. *)
@@ -646,6 +675,8 @@ let () =
           Alcotest.test_case "examples" `Quick test_parity_examples;
           Alcotest.test_case "fault corpus" `Quick
             test_parity_under_injection;
+          Alcotest.test_case "kernel suite: no words, same state" `Quick
+            test_parity_kernel_suite;
           QCheck_alcotest.to_alcotest flight_differential_prop;
         ] );
       ( "postmortem",

@@ -1,6 +1,8 @@
 (* The generated-corpus pipeline: seeded determinism, canonicalization
-   soundness, sharded resumable sweeps and pool-vs-sequential identity
-   at batch scale. *)
+   soundness, sharded resumable sweeps, the planner against per-cell
+   checking, and pool-vs-sequential identity at batch scale.
+
+   [--corpus N] sets the size of the pool-identity batch (default 500). *)
 
 module Ast = Litmus.Ast
 module G = Litmus.Generate
@@ -212,10 +214,65 @@ let test_saturation () =
         (s >= 0 && s < List.length g.gen_shards)
   | None -> Alcotest.fail "expected saturation on a 150-program corpus")
 
-(* -------- pool vs sequential identity on a 500-program batch -------- *)
+(* -------- planner vs per-cell checking -------- *)
+
+let cells_of (entries : Sweep.entry list) named =
+  List.concat_map
+    (fun (e : Sweep.entry) ->
+      List.map
+        (fun (pname, src) ->
+          {
+            Check.cell_scheme = e.scheme;
+            cell_program = pname;
+            cell_f = e.f;
+            cell_src_model = e.src_model;
+            cell_tgt_model = e.tgt_model;
+            cell_src = src;
+          })
+        (named e))
+    entries
+
+(* The per-cell production primitive: the planner's reference. *)
+let per_cell cells =
+  List.map
+    (fun (c : Check.cell) ->
+      let r =
+        Check.refines ~src_model:c.cell_src_model ~tgt_model:c.cell_tgt_model
+          ~src:c.cell_src ~tgt:(c.cell_f c.cell_src)
+      in
+      { r with Check.name = c.cell_scheme ^ ": " ^ c.cell_program })
+    cells
+
+(* [f ()] and the enumeration passes it made. *)
+let counting_passes f =
+  En.clear_caches ();
+  let r = f () in
+  (r, snd (En.cache_stats ()))
+
+(* The planner's point: one pass per distinct source serves every
+   target that zips with it, where per-cell checking makes two passes
+   per cell. *)
+let check_fewer_passes ~planned ~per_cell =
+  Alcotest.(check bool)
+    (Printf.sprintf "planned %d passes < per-cell %d" planned per_cell)
+    true (planned < per_cell)
+
+(* The refinement sweep behind the witness report: the eleven mapping
+   schemes over the catalog's mapping corpus. *)
+let test_mapping_sweep () =
+  let cells = cells_of (Sweep.mapping_entries ()) (fun e -> e.corpus) in
+  let reference, per_cell = counting_passes (fun () -> per_cell cells) in
+  let planned_cells, planned = counting_passes (fun () -> Check.check_cells cells) in
+  Alcotest.(check bool) "planner matches per-cell reference" true (planned_cells = reference);
+  check_fewer_passes ~planned ~per_cell
+
+(* -------- pool vs sequential identity on a seeded batch -------- *)
+
+(* [--corpus N] sets the batch size (default 500). *)
+let corpus_size = ref 500
 
 let test_pool_identity () =
-  let corpus = G.corpus ~seed:5 500 in
+  let corpus = G.corpus ~seed:5 !corpus_size in
   let named =
     List.map (fun (c : G.cls) -> (c.cls_name, c.cls_rep)) corpus.classes
   in
@@ -225,35 +282,9 @@ let test_pool_identity () =
         List.mem e.scheme Sweep.default_generated_schemes)
       (Sweep.default_entries ())
   in
-  let cells =
-    List.concat_map
-      (fun (e : Sweep.entry) ->
-        List.map
-          (fun (pname, src) ->
-            {
-              Check.cell_scheme = e.scheme;
-              cell_program = pname;
-              cell_f = e.f;
-              cell_src_model = e.src_model;
-              cell_tgt_model = e.tgt_model;
-              cell_src = src;
-            })
-          named)
-      schemes
-  in
-  (* Reference: the per-cell production primitive. *)
-  let reference =
-    List.map
-      (fun (c : Check.cell) ->
-        let r =
-          Check.refines ~src_model:c.cell_src_model
-            ~tgt_model:c.cell_tgt_model ~src:c.cell_src
-            ~tgt:(c.cell_f c.cell_src)
-        in
-        { r with Check.name = c.cell_scheme ^ ": " ^ c.cell_program })
-      cells
-  in
-  let planned_seq = Check.check_cells cells in
+  let cells = cells_of schemes (fun _ -> named) in
+  let reference, per_cell = counting_passes (fun () -> per_cell cells) in
+  let planned_seq, planned = counting_passes (fun () -> Check.check_cells cells) in
   let planned_pool = P.with_pool ~jobs:4 (fun pool -> Check.check_cells ~pool cells) in
   Alcotest.(check bool)
     "planner (sequential) matches per-cell reference" true
@@ -261,12 +292,13 @@ let test_pool_identity () =
   Alcotest.(check bool)
     "planner (pool) matches per-cell reference" true
     (planned_pool = reference);
-  (* The planner's whole point: one pass per distinct source, serving
-     every target that zips with it; a target that does not zip takes
-     a pass of its own. *)
-  En.clear_caches ();
-  ignore (Check.check_cells cells);
-  let _, misses = En.cache_stats () in
+  Alcotest.(check bool) "the sound schemes refine every class" true
+    (List.for_all (fun (r : Check.report) -> r.ok) reference);
+  let dedup = G.dedup_ratio corpus in
+  Alcotest.(check bool) (Printf.sprintf "dedup ratio %.3f in [0, 1)" dedup) true
+    (named <> [] && 0. <= dedup && dedup < 1.);
+  check_fewer_passes ~planned ~per_cell;
+  (* A target that does not zip takes a pass of its own. *)
   let sources = List.length named in
   let refused =
     List.length
@@ -278,10 +310,10 @@ let test_pool_identity () =
             cells))
   in
   Alcotest.(check bool)
-    (Printf.sprintf "shared enumeration (%d misses for %d sources, %d refused images)" misses
+    (Printf.sprintf "shared enumeration (%d passes for %d sources, %d refused images)" planned
        sources refused)
     true
-    (misses <= sources + refused)
+    (planned <= sources + refused)
 
 (* -------- force-spawned multi-domain pool still agrees -------- *)
 
@@ -295,12 +327,22 @@ let test_force_spawn_identity () =
     Check.check_scheme ~name:e.scheme e.f ~src_model:e.src_model
       ~tgt_model:e.tgt_model named
   in
-  let par =
+  let par, chunks =
     P.with_pool ~jobs:3 ~force_spawn:true (fun pool ->
-        Check.check_scheme ~pool ~name:e.scheme e.f ~src_model:e.src_model
-          ~tgt_model:e.tgt_model named)
+        let par =
+          Check.check_scheme ~pool ~name:e.scheme e.f ~src_model:e.src_model
+            ~tgt_model:e.tgt_model named
+        in
+        (par, P.batch_stats pool))
   in
-  Alcotest.(check bool) "cross-domain planner parity" true (seq = par)
+  Alcotest.(check bool) "cross-domain planner parity" true (seq = par);
+  (* The batch's chunk accounting covers at most one job per cell. *)
+  let covered = List.fold_left (fun n (c : P.chunk_stat) -> n + c.c_len) 0 chunks in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d chunks cover %d of %d cells" (List.length chunks) covered
+       (List.length named))
+    true
+    (chunks <> [] && covered <= List.length named)
 
 (* -------- planner-backed sweep vs the per-cell reference -------- *)
 
@@ -478,8 +520,18 @@ let test_journal_shard_sizes () =
             (read_file journal = ref_bytes))
         [ 1; 7; 500 ])
 
+let argv =
+  let rec go acc = function
+    | "--corpus" :: n :: rest ->
+        corpus_size := int_of_string n;
+        go acc rest
+    | a :: rest -> go (a :: acc) rest
+    | [] -> Array.of_list (List.rev acc)
+  in
+  go [] (Array.to_list Sys.argv)
+
 let () =
-  Alcotest.run "generate"
+  Alcotest.run ~argv "generate"
     [
       ( "generator",
         [
@@ -504,11 +556,14 @@ let () =
             test_planned_no_coverage;
           Alcotest.test_case "journal bytes at shard sizes 1, 7, 500" `Quick
             test_journal_shard_sizes;
+          Alcotest.test_case "mapping sweep: planned = per-cell, fewer passes" `Quick
+            test_mapping_sweep;
         ] );
       ( "pool",
         [
-          Alcotest.test_case "500-program pool identity" `Quick
-            test_pool_identity;
+          Alcotest.test_case
+            (Printf.sprintf "%d-program pool identity" !corpus_size)
+            `Quick test_pool_identity;
           Alcotest.test_case "force-spawn cross-domain parity" `Quick
             test_force_spawn_identity;
         ] );

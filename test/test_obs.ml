@@ -346,7 +346,19 @@ let test_differential_fault_corpus () =
         example_programs)
     inject_corpus
 
+(* Obs on = off over the 16 kernels (registers, memory, cycles, trap,
+   engine stats), and the traced, metered runs record the engine's and
+   the optimizer's spans, time backend compiles, and count fences
+   emitted and fences merged or dropped. *)
 let test_differential_kernel_suite () =
+  let cats = Hashtbl.create 8 and compiles = ref 0 in
+  let fences = ref 0 and eliminated = ref 0 in
+  let fence_total snap suffix =
+    List.fold_left
+      (fun acc (name, v) -> if Filename.check_suffix name suffix then acc + v else acc)
+      0
+      (Obs.Metrics.counters_with_prefix snap "fence.")
+  in
   List.iter
     (fun (b : Harness.Parsec.bench) ->
       let spec = b.Harness.Parsec.spec in
@@ -356,14 +368,31 @@ let test_differential_kernel_suite () =
         ( Array.sub g.Core.Engine.arm.Arm.Machine.regs 0 16,
           Memsys.Mem.dump (Core.Engine.memory eng),
           Core.Engine.cycles g,
-          Core.Engine.trap g )
+          Core.Engine.trap g,
+          Core.Engine.stats eng )
       in
       let off = run () in
-      let on = with_obs_on run in
+      let on =
+        with_obs_on (fun () ->
+            let on = run () in
+            List.iter (fun (e : Obs.Trace.event) -> Hashtbl.replace cats e.cat ()) (Obs.Trace.events ());
+            let snap = Obs.Metrics.snapshot () in
+            (match Obs.Metrics.find_histogram snap "engine.compile.ns" with
+            | Some h -> compiles := !compiles + h.Obs.Metrics.count
+            | None -> ());
+            fences := !fences + fence_total snap ".emitted";
+            eliminated := !eliminated + fence_total snap ".merged" + fence_total snap ".dropped";
+            on)
+      in
       check_bool
         (spec.Harness.Kernel.name ^ ": kernel obs on = off")
         true (off = on))
-    Harness.Parsec.all
+    Harness.Parsec.all;
+  check_bool "engine spans traced" true (Hashtbl.mem cats "engine");
+  check_bool "optimizer spans traced" true (Hashtbl.mem cats "opt");
+  check_bool "backend compiles timed" true (!compiles > 0);
+  check_bool "fences emitted" true (!fences > 0);
+  check_bool "fences merged or dropped" true (!eliminated > 0)
 
 let test_differential_litmus_verdicts () =
   let model = Axiom.X86_tso.model in

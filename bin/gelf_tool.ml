@@ -130,11 +130,10 @@ let run path config_name trace_out debug metrics inject no_chain report
           end;
           (match report with
           | Some dir ->
-              let bench = Report.Html.load_bench_dir dir in
               let html, _ =
                 Report.Html.write ~dir
                   ~title:(Printf.sprintf "Risotto DBT run: %s" path)
-                  ~metrics:(Obs.Metrics.snapshot ()) ~bench []
+                  ~metrics:(Obs.Metrics.snapshot ()) []
               in
               Format.printf "wrote %s to %s@." html dir
           | None -> ());
@@ -322,10 +321,8 @@ let report_arg =
     & opt (some string) None
     & info [ "report" ] ~docv:"DIR"
         ~doc:
-          "Write a self-contained HTML run report (metrics snapshot plus \
-           a bench-trajectory section over every $(b,BENCH_*.json) found \
-           in $(docv)) to $(docv)/report.html.  Implies $(b,--metrics) \
-           collection.")
+          "Write a self-contained HTML run report (metrics snapshot) to \
+           $(docv)/report.html.  Implies $(b,--metrics) collection.")
 
 let postmortem_arg =
   Arg.(

@@ -148,11 +148,10 @@ let run_report ~dir ~entries ~shard_size ~probe_targets ~journal ~jobs
            else [ e.Report.Sweep.src_model ])
          entries)
   in
-  let bench = Report.Html.load_bench_dir dir in
   let metrics_snap = if metrics then Some (Obs.Metrics.snapshot ()) else None in
   let cells = j.Report.Sweep.cells in
   let html, witnesses =
-    Report.Html.write ~dir ?metrics:metrics_snap ~coverage ~models ~bench cells
+    Report.Html.write ~dir ?metrics:metrics_snap ~coverage ~models cells
   in
   List.iter
     (fun (c : Report.Sweep.cell) ->
@@ -276,10 +275,9 @@ let report_arg =
           "Instead of checking litmus files, run the Theorem-1 refinement \
            sweep with witness capture and axiom-coverage accounting and \
            write $(docv)/report.html (self-contained: inline SVG witness \
-           graphs, coverage matrix, bench trajectory over any \
-           $(b,BENCH_*.json) in $(docv)) plus one JSON artifact per \
-           witness.  Exits 1 if any refinement check fails, 3 if a cell \
-           timed out or was quarantined.")
+           graphs, coverage matrix) plus one JSON artifact per witness. \
+           Exits 1 if any refinement check fails, 3 if a cell timed out or \
+           was quarantined.")
 
 let scheme_arg =
   Arg.(

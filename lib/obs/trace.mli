@@ -6,7 +6,7 @@
     The tracer is process-global and off by default.  When disabled,
     every probe is one atomic load plus a branch — nothing is
     formatted, allocated or recorded, so instrumented code paths run at
-    full speed (the dispatch bench's [obs] section asserts the budget).
+    full speed.
     When enabled, each domain records into its own fixed-capacity ring
     buffer with no locking on the hot path; once a ring wraps, the
     oldest events are overwritten (counted by {!dropped}).

@@ -25,7 +25,7 @@
       allocation-heavy tasks down even while parked.
 
     Pools are cheap to keep around; create one per process (or use
-    {!default}) and reuse it across sweeps and bench sections. *)
+    {!default}) and reuse it across sweeps and figures. *)
 
 type t
 
@@ -39,7 +39,7 @@ exception Task_failed of fault
 (** Per-chunk accounting from the last parallel batch: which domain ran
     the chunk, the task-index slice it covered and its wall-clock
     duration.  This is what makes a speedup (or the lack of one)
-    diagnosable from a bench artifact alone. *)
+    diagnosable from the perf/ checker's pool metrics alone. *)
 type chunk_stat = { c_domain : int; c_start : int; c_len : int; c_us : float }
 
 (** [create ~jobs ()] builds a pool of requested parallelism [jobs]

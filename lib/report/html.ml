@@ -160,64 +160,6 @@ let svg_of_execution ?(highlights = []) (x : X.t) =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Bench trajectory: flatten each BENCH_*.json into rows. *)
-
-let rec flatten prefix (j : Json.t) acc =
-  let key k = if prefix = "" then k else prefix ^ "." ^ k in
-  match j with
-  | Json.Obj kvs ->
-      List.fold_left (fun acc (k, v) -> flatten (key k) v acc) acc kvs
-  | Json.List xs
-    when List.for_all
-           (function
-             | Json.Obj _ | Json.List _ -> false
-             | _ -> true)
-           xs ->
-      (prefix, "[" ^ String.concat ", " (List.map scalar xs) ^ "]") :: acc
-  | Json.List xs ->
-      snd
-        (List.fold_left
-           (fun (i, acc) v ->
-             (i + 1, flatten (key (string_of_int i)) v acc))
-           (0, acc) xs)
-  | v -> (prefix, scalar v) :: acc
-
-and scalar = function
-  | Json.Null -> "null"
-  | Json.Bool b -> string_of_bool b
-  | Json.Int i -> string_of_int i
-  | Json.Float f -> Printf.sprintf "%g" f
-  | Json.String s -> s
-  | Json.Obj _ | Json.List _ -> "…"
-
-let load_bench_dir dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | files ->
-      let names =
-        List.sort compare
-          (List.filter
-             (fun f ->
-               String.starts_with ~prefix:"BENCH_" f
-               && Filename.check_suffix f ".json")
-             (Array.to_list files))
-      in
-      List.map
-        (fun f ->
-          let path = Filename.concat dir f in
-          let contents =
-            let ic = open_in_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          ( f,
-            match Json.of_string contents with
-            | Ok j -> j
-            | Error msg -> Json.String ("unparseable: " ^ msg) ))
-        names
-
-(* ------------------------------------------------------------------ *)
 (* Report assembly *)
 
 let style =
@@ -464,25 +406,8 @@ let metrics_section buf (snap : Obs.Metrics.snapshot) =
          snap.Obs.Metrics.histograms)
   end
 
-let bench_section buf bench =
-  List.iter
-    (fun (file, j) ->
-      Buffer.add_string buf
-        (Printf.sprintf "<h3><code>%s</code></h3>\n" (html_escape file));
-      let rows = List.rev (flatten "" j []) in
-      Buffer.add_string buf "<table><tr><th>field</th><th>value</th></tr>\n";
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "<tr><td><code>%s</code></td><td>%s</td></tr>\n"
-               (html_escape k) (html_escape v)))
-        rows;
-      Buffer.add_string buf "</table>\n")
-    bench
-
 let render ?(title = "Risotto refinement & bench report") ?metrics ?coverage
-    ?(models = []) ?(bench = []) (cells : Sweep.cell list) =
+    ?(models = []) (cells : Sweep.cell list) =
   let buf = Buffer.create (64 * 1024) in
   Buffer.add_string buf "<!DOCTYPE html>\n<html lang=\"en\"><head>\n";
   Buffer.add_string buf "<meta charset=\"utf-8\">\n";
@@ -509,8 +434,6 @@ let render ?(title = "Risotto refinement & bench report") ?metrics ?coverage
   | None -> ()
   | Some snap ->
       section buf "Metrics snapshot" (fun buf -> metrics_section buf snap));
-  if bench <> [] then
-    section buf "Bench trajectory" (fun buf -> bench_section buf bench);
   Buffer.add_string buf "</body></html>\n";
   Buffer.contents buf
 
@@ -531,8 +454,7 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-let write ~dir ?title ?metrics ?coverage ?models ?(bench = [])
-    (cells : Sweep.cell list) =
+let write ~dir ?title ?metrics ?coverage ?models (cells : Sweep.cell list) =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let written = ref [] in
   List.iter
@@ -550,6 +472,6 @@ let write ~dir ?title ?metrics ?coverage ?models ?(bench = [])
           written := file :: !written)
         c.Sweep.witnesses)
     cells;
-  let html = render ?title ?metrics ?coverage ?models ~bench cells in
+  let html = render ?title ?metrics ?coverage ?models cells in
   write_file (Filename.concat dir "report.html") html;
   ("report.html", List.rev !written)

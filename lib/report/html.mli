@@ -1,4 +1,4 @@
-(** Self-contained HTML refinement + bench report: one file, no external
+(** Self-contained HTML refinement report: one file, no external
     assets (inline CSS, execution graphs as inline SVG with the DOT
     source embedded in a [<details>] block).
 
@@ -14,21 +14,14 @@
 val svg_of_execution :
   ?highlights:Dot.highlight list -> Axiom.Execution.t -> string
 
-(** All [BENCH_*.json] files of a directory (name-sorted), parsed;
-    unreadable directories yield [[]], unparseable files a
-    [Json.String "unparseable: …"] marker. *)
-val load_bench_dir : string -> (string * Json.t) list
-
 (** Render the full report: sweep table, witness graphs, coverage
     matrix (with [models] supplying the axiom row space for blind-spot
-    detection), metrics snapshot and one bench-trajectory table per
-    [BENCH_*.json]. *)
+    detection) and metrics snapshot. *)
 val render :
   ?title:string ->
   ?metrics:Obs.Metrics.snapshot ->
   ?coverage:Coverage.t ->
   ?models:Axiom.Model.t list ->
-  ?bench:(string * Json.t) list ->
   Sweep.cell list ->
   string
 
@@ -41,6 +34,5 @@ val write :
   ?metrics:Obs.Metrics.snapshot ->
   ?coverage:Coverage.t ->
   ?models:Axiom.Model.t list ->
-  ?bench:(string * Json.t) list ->
   Sweep.cell list ->
   string * string list

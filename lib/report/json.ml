@@ -47,7 +47,7 @@ let rec emit buf = function
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
       (* %.17g round-trips doubles and never prints a bare "inf"/"nan"
-         (benches only write finite values; map the rest to null). *)
+         (artifacts only hold finite values; map the rest to null). *)
       if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
       else Buffer.add_string buf "null"
   | String s -> add_string buf s
@@ -76,8 +76,9 @@ let to_string v =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Parsing: recursive descent, enough for the BENCH_*.json files and
-   the witness envelopes — the repo has no JSON dependency. *)
+(* Parsing: recursive descent, enough for the journal's verdict
+   records and the witness envelopes — the repo has no JSON
+   dependency. *)
 
 exception Parse_error of string
 

@@ -1,6 +1,6 @@
 (** Minimal JSON: a deterministic emitter for the witness / report
-    artifacts and a recursive-descent parser for reading the
-    [BENCH_*.json] files back into the HTML report.  The repo carries no
+    artifacts and a recursive-descent parser for reading the sweep
+    journal's verdict records back.  The repo carries no
     JSON dependency, so this is hand-rolled; it covers the full JSON
     grammar except surrogate-pair [\u] escapes (BMP only). *)
 

@@ -140,8 +140,8 @@ let json_of_verdict = function
           ("cycle", Json.List (List.map (fun i -> Json.Int i) cycle));
         ]
 
-(* Witness artifact envelope: same leading fields as the BENCH_*.json
-   envelope, so one schema check covers both artifact families. *)
+(* Witness artifact envelope: self-describing leading fields
+   (schema_version, section) that tools/validate_bench.py checks. *)
 let witness_json (c : cell) (w : Mapping.Witness.t) =
   Json.Obj
     [

@@ -4,7 +4,7 @@
     accounting.
 
     One runner, {!run_generated}, serves the catalog report, generated
-    corpora, the chaos bench and the tests.  Verdicts come from the
+    corpora and the tests.  Verdicts come from the
     batch planner's jobs ({!Mapping.Check.plan},
     {!Mapping.Check.assemble}) and equal {!Mapping.Check.refines}'s;
     witness capture, the coverage probe and the journal are additive
@@ -30,7 +30,7 @@ type cell = {
 (** The eleven mapping schemes over the mapping corpus: Figures 2 and
     7a at TCG level, and the Qemu, Risotto, Arm-Cats-direct and
     no-fences compositions down to Arm under the original and corrected
-    Arm-Cats models.  The refinement bench sweeps exactly these. *)
+    Arm-Cats models. *)
 val mapping_entries : unit -> entry list
 
 (** {!mapping_entries}, plus the §3.2 FMR transformation
@@ -176,6 +176,5 @@ val json_of_behaviour : Litmus.Enumerate.behaviour -> Json.t
 val json_of_execution : Axiom.Execution.t -> Json.t
 
 (** Self-describing witness artifact with the common envelope
-    ([schema_version], [section = "witness"], [scheme], [program], ...)
-    shared with the BENCH_*.json files. *)
+    ([schema_version], [section = "witness"], [scheme], [program], ...). *)
 val witness_json : cell -> Mapping.Witness.t -> Json.t

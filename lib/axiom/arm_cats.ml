@@ -9,6 +9,10 @@ let lws x =
   let m = Execution.mems x in
   Rel.restrict m (Execution.po_loc x) w
 
+(* [A]; amo; [L]: the acquire-release single-instruction RMWs (e.g.
+   casal). *)
+let amo_al x = Rel.restrict (Execution.acq_reads x) x.Execution.amo (Execution.rel_writes x)
+
 (* bob: barrier-ordered-before (Figure 5, including the standard
    acquire/release clauses elided by the paper's "∪ ···"). *)
 let bob variant x =
@@ -36,9 +40,7 @@ let bob variant x =
       Rel.restrict l po a;
     ]
   in
-  (* The amo clause: [A]; amo; [L] are the acquire-release
-     single-instruction RMWs (e.g. casal). *)
-  let amo_al = Rel.restrict a x.Execution.amo l in
+  let amo_al = amo_al x in
   let amo_clause =
     match variant with
     | Original -> [ Rel.sequence [ po; amo_al; po ] ]
@@ -93,16 +95,20 @@ let ob_base variant x = Rel.union_all (lob variant x :: external_ x)
    lob⁺ edges unfolds into one through base edges.  The check tests the
    base; witnesses are searched in ob with lob closed, where one lob⁺
    edge stands for a chain of base edges. *)
-let define variant name =
-  Model.make name
-    [
-      Model.coherence;
-      Model.acyclic "Arm (external: ob)" ~witness:(ob_base variant) (fun skel ->
-          let s = stage variant skel in
-          fun x -> Rel.union_all (lob_base s x :: external_ x));
-      Model.atomicity;
-    ]
+let ob ?agrees variant =
+  Model.acyclic "Arm (external: ob)" ?agrees ~witness:(ob_base variant) (fun skel ->
+      let s = stage variant skel in
+      fun x -> Rel.union_all (lob_base s x :: external_ x))
 
-let original = define Original "Arm-Cats (original)"
-let corrected = define Corrected "Arm-Cats (corrected)"
+(* Without an [A]; amo; [L] pair, bob's amo clause is empty in both
+   variants, so they stage the same relation. *)
+let ob_original = ob Original
+
+let ob_corrected =
+  ob Corrected
+    ~agrees:(ob_original, fun skel -> Rel.is_empty (amo_al skel))
+
+let define name ob = Model.make name [ Model.coherence; ob; Model.atomicity ]
+let original = define "Arm-Cats (original)" ob_original
+let corrected = define "Arm-Cats (corrected)" ob_corrected
 let model = function Original -> original | Corrected -> corrected

@@ -12,7 +12,11 @@
 
     Both list the common coherence and atomicity axioms around
     ["Arm (external: ob)"], the acyclicity of [rfe ∪ coe ∪ fre ∪ lob];
-    their axiom lists differ in that one [bob] clause only. *)
+    their axiom lists differ in that one [bob] clause only.  On a
+    skeleton with no [[A]; amo; [L]] pair that clause is empty in both,
+    and corrected's ob axiom declares it agrees there with original's
+    ({!Model.agree}): a pass checking one image under both stages and
+    tests one. *)
 
 type variant = Original | Corrected
 

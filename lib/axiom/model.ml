@@ -7,15 +7,16 @@ type axiom = {
   shape : shape;
   stage : Execution.t -> Execution.t -> Rel.t;
   witness : Execution.t -> Rel.t;
+  agrees : (axiom * (Execution.t -> bool)) option;
 }
 
 type t = { name : string; axioms : axiom list; consistent : Execution.t -> bool }
 
-let acyclic ?witness name stage =
+let acyclic ?witness ?agrees name stage =
   let witness = match witness with Some w -> w | None -> fun x -> stage x x in
-  { name; shape = Acyclic; stage; witness }
+  { name; shape = Acyclic; stage; witness; agrees }
 
-let empty name stage = { name; shape = Empty; stage; witness = (fun x -> stage x x) }
+let empty name stage = { name; shape = Empty; stage; witness = (fun x -> stage x x); agrees = None }
 
 let prepare (a : axiom) skel =
   let rel = a.stage skel in
@@ -41,6 +42,12 @@ let atomicity =
       let rmw = Execution.rmw skel in
       if Rel.is_empty rmw then fun _ -> Rel.empty
       else fun x -> Rel.inter rmw (Rel.compose (Execution.fre x) (Execution.coe x)))
+
+let declared (a : axiom) (b : axiom) skel =
+  match a.agrees with Some (b', on) -> b' == b && on skel | None -> false
+
+let agree (m : t) (m' : t) skel =
+  List.equal (fun a b -> a == b || declared a b skel || declared b a skel) m.axioms m'.axioms
 
 let make name axioms =
   List.iter

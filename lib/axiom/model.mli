@@ -31,6 +31,12 @@ type axiom = {
       (** The relation {!Explain} searches for a witness: a cycle for
           [Acyclic], a pair for [Empty].  It has a cycle (a pair) iff
           [stage x x] does; unless given, it is [stage x x]. *)
+  agrees : (axiom * (Execution.t -> bool)) option;
+      (** [Some (b, on)]: on every skeleton [skel] where [on skel] holds,
+          [stage skel] and [b.stage skel] give every candidate the same
+          relation, so staging and testing one of the two decides both
+          ({!agree}).  A declaration, not checked here; [test_axiom]
+          checks it on the sweep's images. *)
 }
 
 type t = {
@@ -40,9 +46,11 @@ type t = {
       (** Does the execution satisfy every axiom of the model? *)
 }
 
-(** [acyclic ?witness name stage]: [stage]'s relation is acyclic. *)
+(** [acyclic ?witness ?agrees name stage]: [stage]'s relation is
+    acyclic. *)
 val acyclic :
   ?witness:(Execution.t -> Relalg.Rel.t) ->
+  ?agrees:axiom * (Execution.t -> bool) ->
   string ->
   (Execution.t -> Execution.t -> Relalg.Rel.t) ->
   axiom
@@ -56,6 +64,12 @@ val coherence : axiom
 
 (** Atomicity, ["atomicity"]: [rmw ∩ (fre; coe) = ∅]. *)
 val atomicity : axiom
+
+(** [agree m m' skel]: do [m] and [m'] decide every candidate sharing
+    [skel]'s skeleton alike, first violated axiom included?  True when
+    their axiom lists pair up position by position, each pair physically
+    equal or declared by one of them to agree ([agrees]) on [skel]. *)
+val agree : t -> t -> Execution.t -> bool
 
 (** [make name axioms] is the model whose [consistent] holds when every
     axiom does.  [axioms] must list {!coherence} and {!atomicity}

@@ -136,13 +136,13 @@ let universe (p : Ast.prog) =
   | computed -> close_over_writes addends computed (List.length computed) u
 
 (* ------------------------------------------------------------------ *)
-(* Per-thread symbolic runs with a read-value oracle                   *)
+(* Per-thread symbolic runs over the value universe                    *)
 
 type state = {
   next : int;
-  reads : int;  (* reads so far: the oracle's argument *)
   env : (string * (int * Iset.t)) list;  (* reg -> value, taint *)
   ctrl : Iset.t;  (* reads the current control flow depends on *)
+  branches : bool list;  (* reversed *)
   events : E.t list;  (* reversed *)
   rmw : (int * int * Ast.rmw_kind) list;
   data : (int * int) list;
@@ -158,6 +158,7 @@ type run = {
   r_data : (int * int) list;
   r_ctrl : (int * int) list;
   r_env : (string * int) list;
+  r_branches : bool list;  (* each [If]'s branch, [true] for [then_], in po order *)
 }
 
 let set_reg env r v t = (r, (v, t)) :: List.remove_assoc r env
@@ -169,8 +170,7 @@ let fresh_event st tid label =
       Iset.fold (fun src acc -> (src, e.id) :: acc) st.ctrl st.ctrl_edges
     else st.ctrl_edges
   in
-  let reads = if E.is_read e then st.reads + 1 else st.reads in
-  (e, { st with next = st.next + 1; reads; events = e :: st.events; ctrl_edges })
+  (e, { st with next = st.next + 1; events = e :: st.events; ctrl_edges })
 
 (* The ords carried by the events of an RMW, per architecture flavour. *)
 let rmw_ords = function
@@ -197,8 +197,8 @@ let accesses kind events =
       | _ -> None)
     events
 
-(* The runs of one thread, in oracle order: the [k]th read of a run
-   takes each value of [values k] in turn. *)
+(* The runs of one thread: each read takes each value of [values] in
+   turn. *)
 let thread_runs values tid (code : Ast.instr list) ~first_id =
   let rec exec st instrs =
     match instrs with
@@ -214,6 +214,7 @@ let thread_runs values tid (code : Ast.instr list) ~first_id =
             r_data = st.data;
             r_ctrl = st.ctrl_edges;
             r_env = List.map (fun (r, (v, _)) -> (r, v)) st.env;
+            r_branches = List.rev st.branches;
           };
         ]
     | i :: rest -> (
@@ -238,7 +239,7 @@ let thread_runs values tid (code : Ast.instr list) ~first_id =
                   fresh_event st tid (E.Read { loc; value = v; ord })
                 in
                 exec { st with env = set_reg st.env reg v (Iset.singleton e.id) } rest)
-              (values st.reads)
+              values
         | Ast.Rmw { reg; loc; op; kind } ->
             let exp_v, exp_t =
               match op with
@@ -279,19 +280,18 @@ let thread_runs values tid (code : Ast.instr list) ~first_id =
                     { st with data; rmw = (re.id, we.id, kind) :: st.rmw }
                     rest
                 else exec st rest)
-              (values st.reads)
+              values
         | Ast.If { cond; then_; else_ } ->
             let v, t = eval st.env cond in
-            let st = { st with ctrl = Iset.union st.ctrl t } in
-            let branch = if v <> 0 then then_ else else_ in
-            exec st (branch @ rest))
+            let st = { st with ctrl = Iset.union st.ctrl t; branches = (v <> 0) :: st.branches } in
+            exec st ((if v <> 0 then then_ else else_) @ rest))
   in
   exec
     {
       next = first_id;
-      reads = 0;
       env = [];
       ctrl = Iset.empty;
+      branches = [];
       events = [];
       rmw = [];
       data = [];
@@ -382,17 +382,28 @@ let first_ids (p : Ast.prog) =
   in
   (List.map (fun (t : Ast.thread) -> List.assoc t.tid firsts) p.threads, next)
 
-(* Every read of a combo has a write of its value to its location to
-   read from.  Most combos fail this, so the pass decides it from the
-   runs before assembling the combo. *)
-let feasible init_writes runs =
-  let has (l, v) = List.exists (fun (l', v') -> v = v' && String.equal l l') in
-  List.for_all
-    (fun r ->
-      List.for_all
-        (fun lv -> has lv init_writes || List.exists (fun r' -> has lv r'.r_writes) runs)
-        r.r_reads)
-    runs
+let rec written l (v : int) = function
+  | [] -> false
+  | (l', v') :: rest -> (v = v' && String.equal l l') || written l v rest
+
+(* Does the run [pick] chooses for thread [t] or a later one write [v]
+   to [l]? *)
+let rec combo_writes runs pick l v t =
+  t < Array.length runs && (written l v runs.(t).(pick.(t)).r_writes || combo_writes runs pick l v (t + 1))
+
+let rec reads_fed init_writes runs pick = function
+  | [] -> true
+  | (l, v) :: rest ->
+      (written l v init_writes || combo_writes runs pick l v 0) && reads_fed init_writes runs pick rest
+
+(* Every read of the combo that [pick] chooses from [runs], from thread
+   [t] on, has a write of its value to its location to read from.  Most
+   combos fail this, so the pass decides it from the runs before
+   assembling the combo, by plain recursion that allocates nothing. *)
+let rec feasible init_writes runs pick t =
+  t = Array.length runs
+  || reads_fed init_writes runs pick runs.(t).(pick.(t)).r_reads
+     && feasible init_writes runs pick (t + 1)
 
 let writes_at loc (e : E.t) =
   match e.label with E.Write { loc = l; _ } -> String.equal l loc | _ -> false
@@ -515,34 +526,109 @@ and zip_instr a b =
   | Ast.Assign _, Ast.Assign _ -> a = b
   | _ -> false
 
-let zips (src : Ast.prog) (img : Ast.prog) =
-  img == src
-  || img.init = src.init
-     && List.equal
-          (fun (s : Ast.thread) (i : Ast.thread) -> s.tid = i.tid && zip_code s.code i.code)
-          src.threads img.threads
-     && snd (first_ids img) <= 63
+(* How an image zips with the source: it is the source, or its runs
+   derive from the source's (with its threads' first ids), or it does
+   not zip. *)
+type zip = Same | Derived of int list | Apart
 
-let access_ids (r : run) =
-  List.filter_map (fun (e : E.t) -> if E.is_mem e then Some e.id else None) r.r_events
+let zip (src : Ast.prog) (img : Ast.prog) =
+  if img == src then Same
+  else if
+    img.init = src.init
+    && List.equal
+         (fun (s : Ast.thread) (i : Ast.thread) -> s.tid = i.tid && zip_code s.code i.code)
+         src.threads img.threads
+  then
+    let firsts, next = first_ids img in
+    if next > 63 then Apart else if img = src then Same else Derived firsts
+  else Apart
+
+let zips src img = match zip src img with Apart -> false | Same | Derived _ -> true
+
+let rec paired id = function [] -> false | (r, _, _) :: rest -> r = id || paired id rest
+
+(* The image run of source run [r] on image code [code], which zips
+   with the source thread's.  The walk follows [r]'s branch decisions:
+   each access takes [r]'s next access event, relabelled with the
+   image's ord or RMW flavour, each fence a fresh id, and an RMW keeps
+   its write exactly when [r] pairs one with the read.  Ids run from
+   [first_id] in po order, as [thread_runs] numbers them.  Registers,
+   reads and writes are [r]'s; its data and ctrl edges map through the
+   access id pairs (source, image), returned with the run. *)
+let derive (r : run) tid code ~first_id =
+  let next = ref first_id and events = ref [] and pairs = ref [] and rmw = ref [] in
+  let emit (s : E.t) label =
+    let e = { E.id = !next; tid; label } in
+    incr next;
+    events := e :: !events;
+    pairs := (s.id, e.id) :: !pairs;
+    e.id
+  in
+  let rec walk accs branches = function
+    | [] -> ()
+    | Ast.Assign _ :: rest -> walk accs branches rest
+    | Ast.Fence f :: rest ->
+        events := { E.id = !next; tid; label = E.Fence f } :: !events;
+        incr next;
+        walk accs branches rest
+    | Ast.If { then_; else_; _ } :: rest -> (
+        match branches with
+        | b :: branches -> walk accs branches ((if b then then_ else else_) @ rest)
+        | [] -> invalid_arg "Enumerate.derive: a branch past the run")
+    | i :: rest -> (
+        match (i, accs) with
+        | Ast.Load { ord; _ }, ({ E.label = E.Read { loc; value; _ }; _ } as s) :: accs ->
+            ignore (emit s (E.Read { loc; value; ord }));
+            walk accs branches rest
+        | Ast.Store { ord; _ }, ({ E.label = E.Write { loc; value; _ }; _ } as s) :: accs ->
+            ignore (emit s (E.Write { loc; value; ord }));
+            walk accs branches rest
+        | Ast.Rmw { kind; _ }, ({ E.label = E.Read { loc; value; _ }; _ } as s) :: accs -> (
+            let rord, word = rmw_ords kind in
+            let re = emit s (E.Read { loc; value; ord = rord }) in
+            match accs with
+            | ({ E.label = E.Write { loc; value; _ }; _ } as sw) :: accs when paired s.id r.r_rmw ->
+                rmw := (re, emit sw (E.Write { loc; value; ord = word }), kind) :: !rmw;
+                walk accs branches rest
+            | accs -> walk accs branches rest)
+        | _ -> invalid_arg "Enumerate.derive: the code does not zip")
+  in
+  walk (List.filter E.is_mem r.r_events) r.r_branches code;
+  let pairs = !pairs and r_events = List.rev !events in
+  let map (a, b) = (List.assoc a pairs, List.assoc b pairs) in
+  ( {
+      r with
+      r_events;
+      r_po = lazy (po_of r_events);
+      r_rmw = !rmw;
+      r_data = List.map map r.r_data;
+      r_ctrl = List.map map r.r_ctrl;
+    },
+    pairs )
 
 (* A zipping image: its number, its models, and its run (and access id
-   pairs) for source run [k] of thread [t], replayed on first use
+   pairs) for source run [k] of thread [t], derived on first use
    ([None]: the source itself). *)
 type side = {
   s_index : int;
-  s_models : Axiom.Model.t list;
+  s_models : Axiom.Model.t array;
   s_run : (int -> int -> run * (int * int) list) option;
 }
 
-(* The pass: the source's runs, feasible combos and candidates (the
-   unpruned product, or the per-location survivors) once; each zipping
-   image maps every combo's candidates onto its own skeleton and stages
-   its models there once per combo.  [Supervise.poll] marks the
-   cooperative cancellation points: Domains cannot be preempted, so a
-   supervised sweep's per-task deadline fires here, between
-   candidates, rather than never. *)
-let fold ~probe (src : Ast.prog) images f acc =
+(* The first axiom, by position, that check [k x] fails, or -1. *)
+let rec first_failing k x = function
+  | [] -> -1
+  | (j, check) :: rest -> if check k x then first_failing k x rest else j
+
+(* The pass over [images], each with its zip: the source's runs,
+   feasible combos and candidates (the unpruned product, or the
+   per-location survivors) once; each zipping image maps every combo's
+   candidates onto its own skeleton and stages its models there once
+   per combo, one staging for models that {!Axiom.Model.agree} there.
+   [Supervise.poll] marks the cooperative cancellation points: Domains
+   cannot be preempted, so a supervised sweep's per-task deadline fires
+   here, between candidates, rather than never. *)
+let fold_zipped ~probe (src : Ast.prog) images f acc =
   let firsts, next = first_ids src in
   if next > 63 then
     invalid_arg
@@ -553,34 +639,32 @@ let fold ~probe (src : Ast.prog) images f acc =
     Array.of_list
       (List.map2
          (fun (t : Ast.thread) first_id ->
-           Array.of_list (thread_runs (fun _ -> uni) t.tid t.code ~first_id))
+           Array.of_list (thread_runs uni t.tid t.code ~first_id))
          src.threads firsts)
   in
   let locs = Ast.locations src and memo = Hashtbl.create 8 in
   let init_writes = accesses E.is_write inits and nthreads = Array.length runs in
   let pick = Array.make nthreads 0 and count = ref 0 in
-  let sides =
-    List.filter (fun (_, (p, _)) -> zips src p) (List.mapi (fun i im -> (i, im)) images)
-    |> List.map (fun (i, ((p : Ast.prog), models)) ->
-        let s_run =
-          if p == src || p = src then None
-          else
-            let threads = Array.of_list (List.combine p.threads (fst (first_ids p))) in
-            let replayed = Array.map (fun rs -> Array.make (Array.length rs) None) runs in
-            Some
-              (fun t k ->
-                match replayed.(t).(k) with
-                | Some r -> r
-                | None ->
-                    let (th : Ast.thread), first_id = threads.(t) and r = runs.(t).(k) in
-                    let vs = Array.of_list (List.map snd r.r_reads) in
-                    let r' = List.hd (thread_runs (fun j -> [ vs.(j) ]) th.tid th.code ~first_id) in
-                    let pair = (r', List.combine (access_ids r) (access_ids r')) in
-                    replayed.(t).(k) <- Some pair;
-                    pair)
+  let side i (((p : Ast.prog), models), zip) =
+    let s_models = Array.of_list models in
+    match zip with
+    | Apart -> None
+    | Same -> Some { s_index = i; s_models; s_run = None }
+    | Derived firsts ->
+        let threads = Array.of_list (List.combine p.threads firsts) in
+        let derived = Array.map (fun rs -> Array.make (Array.length rs) None) runs in
+        let s_run t k =
+          match derived.(t).(k) with
+          | Some r -> r
+          | None ->
+              let (th : Ast.thread), first_id = threads.(t) in
+              let r = derive runs.(t).(k) th.tid th.code ~first_id in
+              derived.(t).(k) <- Some r;
+              r
         in
-        { s_index = i; s_models = models; s_run })
+        Some { s_index = i; s_models; s_run = Some s_run }
   in
+  let sides = List.filter_map Fun.id (List.mapi side images) in
   (* A model's checks in its axiom order, each with its position; the
      per-location axioms read [common]'s verdict on candidate [k], the
      others force its execution. *)
@@ -592,10 +676,7 @@ let fold ~probe (src : Ast.prog) images f acc =
         fun _ x -> check (Lazy.force x)
     in
     let checks = List.mapi (fun j a -> (j, check a)) m.axioms in
-    fun k x ->
-      match List.find_opt (fun (_, check) -> not (check k x)) checks with
-      | Some (j, _) -> j
-      | None -> -1
+    fun k x -> first_failing k x checks
   in
   (* One side's candidates of combo [c], numbered from [k0]: an image's
      execution maps the source candidate's rf and co when first needed. *)
@@ -611,14 +692,28 @@ let fold ~probe (src : Ast.prog) images f acc =
     in
     (* The zip gives the image run the source run's registers. *)
     let regs = Lazy.force c.c_regs in
-    let verdicts = Array.of_list (List.map (stage skel common) side.s_models) in
-    snd
-      (List.fold_left
-         (fun (l, acc) (rf, co) ->
-           Parallel.Supervise.poll ();
-           let x = lazy { skel with rf = ids rf; co = ids co } in
-           (l + 1, f acc side.s_index (k0 + l) x regs (Array.map (fun v -> v l x) verdicts)))
-         (0, acc) cands)
+    (* Model [j] copies the verdicts of [alias.(j)], the first model
+       that agrees with it on [skel], or stages its own. *)
+    let models = side.s_models in
+    let n = Array.length models in
+    let alias =
+      Array.init n (fun j ->
+          let rec first i = if i = j || Axiom.Model.agree models.(i) models.(j) skel then i else first (i + 1) in
+          first 0)
+    in
+    let staged = Array.mapi (fun j m -> if alias.(j) = j then stage skel common m else fun _ _ -> -1) models in
+    let rec go l acc = function
+      | [] -> acc
+      | (rf, co) :: rest ->
+          Parallel.Supervise.poll ();
+          let x = lazy { skel with rf = ids rf; co = ids co } in
+          let v = Array.make n (-1) in
+          for j = 0 to n - 1 do
+            v.(j) <- (if alias.(j) = j then staged.(j) l x else v.(alias.(j)))
+          done;
+          go (l + 1) (f acc side.s_index (k0 + l) x regs v) rest
+    in
+    go 0 acc cands
   in
   let on_combo acc c =
     Parallel.Supervise.poll ();
@@ -644,20 +739,23 @@ let fold ~probe (src : Ast.prog) images f acc =
         count := k0 + List.length cands;
         List.fold_left (visit c cands common k0) acc sides
   in
-  let rec go t acc =
+  (* Thread [t]'s runs from the [k]th, each with every choice of the
+     later threads'. *)
+  let rec choose t k acc =
     if t = nthreads then
-      let chosen = List.init nthreads (fun t -> runs.(t).(pick.(t))) in
-      if feasible init_writes chosen then on_combo acc (assemble_combo inits chosen) else acc
+      if feasible init_writes runs pick 0 then
+        on_combo acc (assemble_combo inits (List.init nthreads (fun t -> runs.(t).(pick.(t)))))
+      else acc
+    else if k = Array.length runs.(t) then acc
     else begin
-      let acc = ref acc in
-      for k = 0 to Array.length runs.(t) - 1 do
-        pick.(t) <- k;
-        acc := go (t + 1) !acc
-      done;
-      !acc
+      pick.(t) <- k;
+      choose t (k + 1) (choose (t + 1) 0 acc)
     end
   in
-  go 0 acc
+  choose 0 0 acc
+
+let zipped src images = List.map (fun ((p, _) as im) -> (im, zip src p)) images
+let fold ~probe src images = fold_zipped ~probe src (zipped src images)
 
 let candidates p =
   List.rev (fold ~probe:true p [ (p, []) ] (fun acc _ _ x regs _ -> (Lazy.force x, regs) :: acc) [])
@@ -684,12 +782,14 @@ let behaviours_probed ~on_reject m p =
 (* One per {!pass}, read by [cache_stats]. *)
 let passes = Atomic.make 0
 
-(* An image that does not zip takes a pass of its own. *)
+(* An image that does not zip takes a pass of its own; each image's zip
+   is decided once. *)
 let rec pass ~probe src images =
   Atomic.incr passes;
   let acc (m : Axiom.Model.t) = (ref [], Array.make (List.length m.axioms) 0) in
   let accs = Array.of_list (List.map (fun (_, ms) -> Array.of_list (List.map acc ms)) images) in
-  fold ~probe src images
+  let images = zipped src images in
+  fold_zipped ~probe src images
     (fun () i _ x regs verdicts ->
       let b = lazy { mem = X.behaviour (Lazy.force x); regs } in
       Array.iteri
@@ -699,15 +799,16 @@ let rec pass ~probe src images =
         verdicts)
     ();
   List.mapi
-    (fun i (p, models) ->
-      if not (zips src p) then List.hd (pass ~probe p [ (p, models) ])
-      else
-        List.mapi
-          (fun j (m : Axiom.Model.t) ->
-            let bs, counts = accs.(i).(j) in
-            let rejects = List.mapi (fun j (a : Axiom.Model.axiom) -> (a.name, counts.(j))) m.axioms in
-            (m.name, (List.sort_uniq behaviour_compare !bs, if probe then rejects else [])))
-          models)
+    (fun i ((p, models), zip) ->
+      match zip with
+      | Apart -> List.hd (pass ~probe p [ (p, models) ])
+      | Same | Derived _ ->
+          List.mapi
+            (fun j (m : Axiom.Model.t) ->
+              let bs, counts = accs.(i).(j) in
+              let rejects = List.mapi (fun j (a : Axiom.Model.axiom) -> (a.name, counts.(j))) m.axioms in
+              (m.name, (List.sort_uniq behaviour_compare !bs, if probe then rejects else [])))
+            models)
     images
 
 let behaviours_probed_many models p = List.hd (pass ~probe:true p [ (p, models) ])

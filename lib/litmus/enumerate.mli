@@ -49,9 +49,13 @@ val universe : Ast.prog -> int list
     the same accesses in order, so the source's runs, feasible combos
     and per-location prune serve the image, whose rf and co are the
     source's mapped, and only its models are staged on its own
-    skeleton.  An image that does not zip (a Figure-10 elimination, an
-    image past the bound) is enumerated alone.  A program is an image
-    of itself. *)
+    skeleton.  The image run is derived from the source run, not
+    replayed: a walk of the image's code along the source run's branch
+    decisions relabels each source access with the image's ord or RMW
+    flavour, gives each fence a fresh id, and maps the dependencies and
+    RMW pairs onto the image's ids.  An image that does not zip (a
+    Figure-10 elimination, an image past the bound) is enumerated
+    alone.  A program is an image of itself. *)
 
 (** A target program and the models it is checked under. *)
 type image = Ast.prog * Axiom.Model.t list
@@ -67,7 +71,11 @@ val zips : Ast.prog -> Ast.prog -> bool
     -1.  Probed, the candidates are the full rf × co product, reads' rf
     choices outermost; otherwise the survivors of the per-location
     coherence and atomicity prune, which satisfy both, so only the
-    models' other axioms are tested. *)
+    models' other axioms are tested.  Per combo, an image's models are
+    staged on its skeleton once each, except that a model which
+    {!Axiom.Model.agree}s there with an earlier one of the image copies
+    that one's verdicts (the two Arm-Cats variants, on a skeleton
+    without an acquire-release amo pair). *)
 val fold :
   probe:bool ->
   Ast.prog ->
@@ -81,9 +89,10 @@ val fold :
     when [probe], each of [m.axioms] by name with the number of
     candidates [m] rejects first on it ({!Axiom.Explain.check}'s
     axiom), else [r = []] — exactly what each image alone gives.  The
-    zipping images share one pass, the others take one each.  Nothing
-    outlives the call: the only memo, of co orders by write set, is
-    the pass's own. *)
+    zipping images share one pass, the others take one each; each
+    image's zip is decided once.  Nothing outlives the call: the memos,
+    of co orders by write set and of derived image runs, are the
+    pass's own. *)
 val pass :
   probe:bool ->
   Ast.prog ->

@@ -221,6 +221,76 @@ let test_explain_matches_models () =
         ])
     Axiom.Models.by_name
 
+(* Where corrected's ob axiom declares it agrees with original's (no
+   [A]; amo; [L] pair on the skeleton), a pass stages and tests one
+   variant for both.  Over every combination skeleton of the sweep's
+   Arm images of generated and catalog programs: where the variants
+   agree, every axiom pair stages equal relations on every candidate
+   and the first violated axiom is the same; everywhere, corrected
+   consistent implies original consistent.  Both kinds of skeleton
+   occur, so a declaration that also shared on an amo skeleton would
+   fail here. *)
+let test_arm_sharing () =
+  let module M = Axiom.Model in
+  let orig = Axiom.Arm_cats.model Original and fix = Axiom.Arm_cats.model Corrected in
+  let first_failing (m : M.t) skel x = List.find_index (fun a -> not (M.prepare a skel x)) m.axioms in
+  let shared = ref 0 and apart = ref 0 in
+  let check_skeleton (p : Litmus.Ast.prog) = function
+    | [] -> ()
+    | skel :: _ as group ->
+        let agree = M.agree orig fix skel in
+        incr (if agree then shared else apart);
+        if agree then begin
+          List.iter2
+            (fun (a : M.axiom) (b : M.axiom) ->
+              let sa = a.stage skel and sb = b.stage skel in
+              List.iter
+                (fun x ->
+                  if not (Rel.equal (sa x) (sb x)) then
+                    Alcotest.failf "%s: %s and %s stage different relations" p.name a.name b.name)
+                group)
+            orig.axioms fix.axioms;
+          List.iter
+            (fun x ->
+              if first_failing orig skel x <> first_failing fix skel x then
+                Alcotest.failf "%s: the variants' first violated axioms differ" p.name)
+            group
+        end;
+        List.iter
+          (fun x ->
+            if fix.consistent x && not (orig.consistent x) then
+              Alcotest.failf "%s: corrected allows what original forbids" p.name)
+          group
+  in
+  (* The candidates of one combo share their skeleton: consecutive,
+     with physically equal event lists. *)
+  let rec by_skeleton p group = function
+    | [] -> check_skeleton p group
+    | (x, _) :: rest -> (
+        match group with
+        | (y : X.t) :: _ when y.events == x.X.events -> by_skeleton p (x :: group) rest
+        | _ ->
+            check_skeleton p group;
+            by_skeleton p [ x ] rest)
+  in
+  let arm_entries =
+    List.filter
+      (fun (e : Report.Sweep.entry) -> e.tgt_model == orig || e.tgt_model == fix)
+      (Report.Sweep.mapping_entries ())
+  in
+  let sources =
+    List.map snd (Litmus.Catalog.mapping_corpus @ Litmus.Catalog.atomics_corpus)
+    @ Litmus.Generate.generate ~seed:42 100
+  in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun img -> by_skeleton img [] (Litmus.Enumerate.candidates img))
+        (List.sort_uniq compare (List.map (fun (e : Report.Sweep.entry) -> e.f src) arm_entries)))
+    sources;
+  check_bool "some skeletons share a staging" true (!shared > 0);
+  check_bool "some skeletons have an [A]; amo; [L] pair" true (!apart > 0)
+
 let () =
   Alcotest.run "axiom"
     [
@@ -240,6 +310,8 @@ let () =
           Alcotest.test_case "atomicity" `Quick test_atomicity_violation;
           Alcotest.test_case "Arm-Cats variants (casal bob)" `Quick
             test_arm_variants_differ_on_sbal;
+          Alcotest.test_case "Arm-Cats: one staging where the variants agree" `Quick
+            test_arm_sharing;
         ] );
       ( "explain",
         [

@@ -200,6 +200,58 @@ let test_event_bound_supervised () =
     "the other cell has a verdict" [ "MP" ]
     (List.map (fun (c : Report.Sweep.cell) -> c.Report.Sweep.program) j.Report.Sweep.cells)
 
+(* A pass derives a zipping image's runs from the source's runs.  Here
+   every image leads each thread with a [dmb st], which orders nothing
+   these shapes need but shifts every event id: the image's data and
+   ctrl dependencies, RMW pairs and ords must follow its own events, or
+   its verdicts would differ from the image enumerated alone. *)
+let test_derived_runs () =
+  let arm = Axiom.Arm_cats.model Axiom.Arm_cats.Corrected in
+  let shifted kind (p : Ast.prog) =
+    let rec relabel = function
+      | Ast.Rmw r -> Ast.Rmw { r with kind }
+      | Ast.If i -> Ast.If { i with then_ = List.map relabel i.then_; else_ = List.map relabel i.else_ }
+      | i -> i
+    in
+    {
+      p with
+      name = p.name ^ "+dmb.st";
+      threads =
+        List.map
+          (fun (t : Ast.thread) -> { t with code = Dsl.dmb_st :: List.map relabel t.code })
+          p.threads;
+    }
+  in
+  let lb =
+    Dsl.prog "LB+data+ctrl" [ ("X", 0); ("Y", 0) ]
+      [
+        [ Dsl.ld "a" "X"; Dsl.st_e "Y" (Ast.Reg "a") ];
+        [ Dsl.ld "b" "Y"; Dsl.if_ (Ast.Reg "b") [ Dsl.st "X" 1 ] ];
+      ]
+  and rmws =
+    Dsl.prog "SB+RMWs" [ ("X", 0); ("Y", 0) ]
+      [
+        [ Dsl.xadd_x86 ~reg:"a" "X" 1; Dsl.ld "b" "Y" ];
+        [ Dsl.xchg_x86 ~reg:"c" "Y" 2; Dsl.cas_x86 ~reg:"d" "X" 0 5; Dsl.ld "e" "X" ];
+      ]
+  in
+  List.iter
+    (fun (src, img) ->
+      check_bool (img.Ast.name ^ " zips") true (Enumerate.zips src img);
+      let shared = Enumerate.pass ~probe:true src [ (src, [ arm ]); (img, [ arm ]) ] in
+      if List.nth shared 1 <> Enumerate.behaviours_probed_many [ arm ] img then
+        Alcotest.failf "%s: the pass's verdicts differ from the image alone" img.name)
+    [
+      (lb, shifted Ast.Rmw_x86 lb);
+      (rmws, shifted (Ast.Rmw_arm { impl = Ast.Lxsx; acq = true; rel = true }) rmws);
+      (rmws, shifted (Ast.Rmw_arm { impl = Ast.Amo; acq = true; rel = true }) rmws);
+    ];
+  (* The dependencies forbid LB's weak outcome in the image too. *)
+  check_bool "LB+data+ctrl+dmb.st forbids a=1, b=1" false
+    (List.exists
+       (fun (b : Enumerate.behaviour) -> List.mem ((0, "a"), 1) b.regs && List.mem ((1, "b"), 1) b.regs)
+       (Enumerate.behaviours arm (shifted Ast.Rmw_x86 lb)))
+
 let test_dense_ids () =
   let p =
     Dsl.prog "dense" [ ("X", 0); ("Y", 0) ]
@@ -545,6 +597,7 @@ let () =
           Alcotest.test_case "event bound, supervised" `Quick
             test_event_bound_supervised;
           Alcotest.test_case "dense ids" `Quick test_dense_ids;
+          Alcotest.test_case "derived image runs" `Quick test_derived_runs;
         ] );
       ( "operational TSO",
         [

@@ -6,8 +6,10 @@
    For every (image, model), [Enumerate.pass]'s behaviours equal
    [Enumerate.behaviours] on the image alone, and the probed pass's
    behaviours and rejection counts equal [behaviours_probed_many] on
-   the image alone.  Programs: QCheck-generated ones, the catalog, and
-   a seeded generated corpus.  The zip's refusals (the Figure-10
+   the image alone.  Programs: QCheck-generated ones, the catalog (its
+   atomics corpus too: the generator draws only compare-and-swap, so
+   fetch-and-add and exchange images, whose runs the pass derives from
+   the source's, come from there), and a seeded generated corpus.  The zip's refusals (the Figure-10
    eliminations, an image past the event bound) keep their verdicts.
 
    [--corpus N] sets the size of the seeded corpus (default 100). *)
@@ -87,7 +89,7 @@ let test_catalog () =
   Alcotest.(check bool)
     "catalog programs and their images" true
     (check_all
-       (List.map snd Litmus.Catalog.mapping_corpus
+       (List.map snd (Litmus.Catalog.mapping_corpus @ Litmus.Catalog.atomics_corpus)
        @ List.map (fun (_, (t : Ast.test)) -> t.prog) Litmus.Catalog.x86_tests))
 
 (* The zip refuses what is not access-preserving: the FMR pseudo-scheme

@@ -61,8 +61,7 @@ let dis path =
   go image.Image.Gelf.text_base;
   0
 
-let run path config_name trace_out debug metrics inject no_chain report
-    postmortem =
+let run path config_name trace_out debug metrics inject report postmortem =
   if debug then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.Src.set_level Core.Engine.log_src (Some Logs.Debug)
@@ -81,13 +80,7 @@ let run path config_name trace_out debug metrics inject no_chain report
           Format.eprintf "bad --inject plan: %s@." msg;
           1
       | Ok plan ->
-          let config =
-            {
-              config with
-              Core.Config.inject = plan;
-              chain = config.Core.Config.chain && not no_chain;
-            }
-          in
+          let config = { config with Core.Config.inject = plan } in
           let image = Image.Gelf.load path in
           let eng = Core.Engine.create config image in
           Core.Engine.set_postmortem_dir eng postmortem;
@@ -305,16 +298,6 @@ let inject_arg =
            cache-write, pool-task, journal-write — e.g. \
            $(b,nth:compile:1,seeded:host-call:42:250).")
 
-let no_chain_arg =
-  Arg.(
-    value & flag
-    & info [ "no-chain" ]
-        ~doc:
-          "Disable translation-block chaining: every block exit \
-           resolves through the dispatch caches instead of a patched \
-           edge.  Results and guest cycles are unchanged; only \
-           dispatch work differs.")
-
 let report_arg =
   Arg.(
     value
@@ -333,7 +316,7 @@ let postmortem_arg =
           "On any guest trap or watchdog exhaustion, dump a \
            deterministic postmortem JSON (each thread's recent \
            flight-recorder events, block states, the trapping block's \
-           fence ledger, a chain summary and a metrics slice) into \
+           fence ledger and a metrics slice) into \
            $(docv) as postmortem-NNN.json.  The flight recorder is \
            always on; this flag only enables writing the artifact.")
 
@@ -341,8 +324,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run an image under the DBT")
     Term.(
       const run $ path_arg $ config_arg $ trace_arg $ debug_arg
-      $ metrics_arg $ inject_arg $ no_chain_arg $ report_arg
-      $ postmortem_arg)
+      $ metrics_arg $ inject_arg $ report_arg $ postmortem_arg)
 
 let explain_fences_cmd =
   Cmd.v

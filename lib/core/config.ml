@@ -7,7 +7,6 @@ type t = {
   rmw : S.rmw_lowering;
   host_linker : bool;
   inject : Inject.plan;
-  chain : bool;
 }
 
 let qemu =
@@ -18,7 +17,6 @@ let qemu =
     rmw = S.Helper_gcc10;
     host_linker = false;
     inject = [];
-    chain = true;
   }
 
 let no_fences = { qemu with name = "no-fences"; fences = S.No_fences_frontend }

@@ -21,12 +21,6 @@ type t = {
           (Figure 7b). *)
   host_linker : bool;
   inject : Inject.plan;  (** fault-injection plan; [[]] in all presets *)
-  chain : bool;
-      (** patch static block exits into direct block-to-block jumps
-          (QEMU-style TB chaining).  Chaining executes exactly the same
-          translated code in the same order, so results and guest
-          cycles are unchanged; [false] gives the unchained dispatch
-          baseline.  On in all presets. *)
 }
 
 (** Vanilla Qemu 6.1.0. *)

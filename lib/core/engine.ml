@@ -15,8 +15,7 @@ type stats = {
   fences_emitted : int;
   tcg_ops_before_opt : int;
   tcg_ops_after_opt : int;
-  chained : int;
-  chain_hits : int;
+  chain_hits : int;  (* always 0; kept for perf/dbt.ml until its next edit *)
   jmp_cache_hits : int;
   interp_fallbacks : int;
   traps : int;
@@ -32,8 +31,6 @@ type stats = {
 type event =
   | Translated
   | Executed
-  | Chained
-  | Chain_hit
   | Jcache_hit
   | Fallback
   | Trapped
@@ -70,8 +67,6 @@ let table =
   [|
     row Translated "blocks_translated" ~flight:Fl.Fence_pass ~level:Info ~always:true;
     row Executed "blocks_executed" ~flight:Fl.Block_enter ~level:Debug ~always:true;
-    row Chained "chained" ~always:true;
-    row Chain_hit "chain_hits" ~always:true;
     row Jcache_hit "jmp_cache_hits" ~always:true;
     row Fallback "interp_fallbacks" ~flight:Fl.Tier_degraded ~level:Warning ~always:true;
     row Trapped "traps" ~flight:Fl.Trap ~level:Warning ~always:true;
@@ -109,8 +104,7 @@ type t = {
   mem : Memsys.Mem.t;
   shared : Arm.Machine.shared;
   tbs : compiled Tbchain.t;
-      (* the code cache: every translated block (native or degraded)
-         and its chain edges *)
+      (* the code cache: every translated block, native or degraded *)
   pinned : (int64, Tcg.Block.t * Tcg.Fence_ledger.t) Hashtbl.t;
       (* optimized TCG and ledger of the blocks an injected fault hit
          while they were translated: re-translation cannot reproduce
@@ -138,18 +132,9 @@ and guest_thread = {
   mutable finished : bool;
   mutable trap : Fault.t option;
   jcache : compiled Tbchain.jcache;
-  mutable next_tb : compiled Tbchain.node;
-      (* chained target patched in by the previous block's exit *)
-  mutable next_gen : int;
-      (* chain-table generation [next_tb] is valid for; [-1] (no
-         generation) when there is none *)
   gflight : Obs.Flight.t;  (* this thread's flight ring (single writer) *)
   ienv : Tcg.Interp.env;  (* this thread's interpreter state *)
 }
-
-(* The empty dispatch slot: [next_tb] of a thread with no pending
-   chained target (then [next_gen = -1], so it is never followed). *)
-let no_tb = Tbchain.detached (Native [||])
 
 let create ?cost ?idl config image =
   (* Default IDL: everything the host library provides (when the linker
@@ -183,7 +168,7 @@ let create ?cost ?idl config image =
     rederive = Frontend.create ~inject:(Inject.disabled ()) config image links;
     mem;
     shared;
-    tbs = Tbchain.create ~chain:config.Config.chain ();
+    tbs = Tbchain.create ();
     pinned = Hashtbl.create 16;
     loaded = Hashtbl.create 16;
     inject;
@@ -236,7 +221,7 @@ let count t e = t.counts.(slot e)
 
 let stats t =
   let c = count t in
-  let cache_hits = c Chain_hit + c Jcache_hit + c Table_hit in
+  let cache_hits = c Jcache_hit + c Table_hit in
   {
     blocks_translated = c Translated;
     blocks_executed = c Executed;
@@ -245,8 +230,7 @@ let stats t =
     fences_emitted = c Fences_emitted;
     tcg_ops_before_opt = c Ops_before;
     tcg_ops_after_opt = c Ops_after;
-    chained = c Chained;
-    chain_hits = c Chain_hit;
+    chain_hits = 0;
     jmp_cache_hits = c Jcache_hit;
     interp_fallbacks = c Fallback;
     traps = c Trapped;
@@ -298,14 +282,13 @@ let fence_ledgers t =
   Tbchain.fold (fun pc _ acc -> pc :: acc) t.tbs []
   |> List.sort Int64.compare
   |> List.filter_map (fun pc -> Option.map (fun l -> (pc, l)) (fence_ledger t pc))
-let chain_generation t = Tbchain.generation t.tbs
-let chained_edges t = Tbchain.edge_count t.tbs
+let generation t = Tbchain.generation t.tbs
 let stack_top tid = Int64.sub 0x8000_0000L (Int64.of_int (tid * 0x10000))
 
 let reset t =
   Obs.Trace.instant ~cat:"engine" "reset";
-  (* [flush] bumps the generation, so no per-thread jump cache or
-     pending chained target from before the reset can fire. *)
+  (* [flush] bumps the generation, so no per-thread jump cache from
+     before the reset can serve a dropped node. *)
   Tbchain.flush t.tbs;
   Hashtbl.reset t.pinned;
   Hashtbl.reset t.loaded
@@ -417,8 +400,6 @@ let spawn t ~tid ~entry ?(regs = []) () =
       finished = false;
       trap = None;
       jcache = Tbchain.jcache_create t.tbs;
-      next_tb = no_tb;
-      next_gen = -1;
       gflight = Obs.Flight.create ();
       ienv = Tcg.Interp.create_env ~helpers t.mem;
     }
@@ -453,11 +434,11 @@ let fault_of_machine_trap pc = function
    engine serialises a self-contained picture of what just happened —
    every thread's last flight-ring events, the engine-wide lifecycle
    ring, how each block runs, the fence ledger of each trapping
-   block, a chain-table summary and the deterministic slice of the
-   metrics registry — as compact JSON via {!Report.Json}.  Everything
-   included is a pure function of the guest program, config, seed and
-   inject plan (no wall-clock values, no histograms), so two identical
-   runs produce byte-identical postmortems. *)
+   block and the deterministic slice of the metrics registry — as
+   compact JSON via {!Report.Json}.  Everything included is a pure
+   function of the guest program, config, seed and inject plan (no
+   wall-clock values, no histograms), so two identical runs produce
+   byte-identical postmortems. *)
 
 let state_name = function
   | Native _ -> "published"
@@ -579,7 +560,7 @@ let postmortem_json ?(last = 32) t ~reason =
   in
   Report.Json.Obj
     [
-      ("schema", Report.Json.String "risotto.postmortem.v1");
+      ("schema", Report.Json.String "risotto.postmortem.v2");
       ("reason", Report.Json.String reason);
       ("config", Report.Json.String t.config.Config.name);
       ("threads", Report.Json.List (List.map json_of_thread threads));
@@ -591,12 +572,6 @@ let postmortem_json ?(last = 32) t ~reason =
         Report.Json.Obj
           (List.map (fun (k, v) -> (k, Report.Json.Int v)) (counters t)) );
       ("fence_ledgers", Report.Json.List trapping_ledgers);
-      ( "chain",
-        Report.Json.Obj
-          [
-            ("generation", Report.Json.Int (Tbchain.generation t.tbs));
-            ("edges", Report.Json.Int (Tbchain.edge_count t.tbs));
-          ] );
       ("metrics", metrics);
     ]
 
@@ -674,38 +649,28 @@ let exec t g = function
       | Tcg.Interp.Trapped (kind, context) ->
           Arm.Machine.Trapped (Arm.Machine.Trap_insn { kind; context }))
 
-(* Dispatch: resolve the thread's pc to a chain node.  Fast paths in
-   order — the edge the previous block patched in, the per-thread jump
-   cache, the global table — before translating.  Every dispatch counts
-   as a lookup; [cache_hits] counts the ones a fresh translation was
-   avoided for, with [chain_hits]/[jmp_cache_hits] recording which fast
-   path served them. *)
+(* Dispatch: resolve the thread's pc to a node — the per-thread jump
+   cache, then the global table, then translation.  Every dispatch
+   counts as a lookup; [cache_hits] counts the ones a fresh translation
+   was avoided for, with [jmp_cache_hits] and [table_hits] recording
+   which of the two served them. *)
 let dispatch t g =
-  let n = g.next_tb in
-  let chained =
-    g.next_gen = Tbchain.generation t.tbs && Int64.equal n.Tbchain.pc g.pc
-  in
-  g.next_gen <- -1;
-  if chained then begin
-    emit t g.gflight Chain_hit g.pc 0;
-    n
-  end
-  else
-    match Tbchain.jcache_find t.tbs g.jcache g.pc with
-    | Some n ->
-        emit t g.gflight Jcache_hit g.pc 0;
-        n
-    | None -> (
+  match Tbchain.jcache_find t.tbs g.jcache g.pc with
+  | Some n ->
+      emit t g.gflight Jcache_hit g.pc 0;
+      n
+  | None ->
+      let n =
         match Tbchain.find t.tbs g.pc with
         | Some n ->
             emit t g.gflight Table_hit g.pc 0;
-            Tbchain.jcache_store t.tbs g.jcache n;
             n
         | None ->
             emit t g.gflight Lookup_miss g.pc 0;
-            let n = translate t g.pc in
-            Tbchain.jcache_store t.tbs g.jcache n;
-            n)
+            translate t g.pc
+      in
+      Tbchain.jcache_store t.tbs g.jcache n;
+      n
 
 (* Dispatch the thread's next block and count the execution; returns
    the node whose body runs. *)
@@ -729,30 +694,9 @@ let attribute_cycles node g ~from =
     Obs.Metrics.observe (m_block_cycles ()) dc
   end
 
-(* Static exit: follow the patched edge, or patch one the first time
-   the target is found translated.  Either way the next dispatch of
-   this thread skips the hashtable. *)
-let chain_exit t g node pc =
-  let target = Tbchain.follow node pc ~none:no_tb in
-  if target != no_tb then begin
-    g.next_tb <- target;
-    g.next_gen <- Tbchain.generation t.tbs
-  end
-  else if Tbchain.chaining t.tbs then
-    match Tbchain.find t.tbs pc with
-    | Some target ->
-        if Tbchain.link t.tbs node ~epc:pc target then
-          emit t g.gflight Chained node.Tbchain.pc 0;
-        g.next_tb <- target;
-        g.next_gen <- Tbchain.generation t.tbs
-    | None -> ()
-
-let leave t g node (exit : Arm.Machine.exit_state) =
+let leave t g (exit : Arm.Machine.exit_state) =
   match exit with
-  | Arm.Machine.Next_tb pc ->
-      chain_exit t g node pc;
-      g.pc <- pc
-  | Arm.Machine.Jump pc -> g.pc <- pc
+  | Arm.Machine.Next_tb pc | Arm.Machine.Jump pc -> g.pc <- pc
   | Arm.Machine.Halted ->
       Log.debug (fun m -> m "T%d halted" g.arm.Arm.Machine.tid);
       g.finished <- true
@@ -767,7 +711,7 @@ let step_block t g =
         match exec t g node.Tbchain.body with
         | exit ->
             attribute_cycles node g ~from;
-            leave t g node exit
+            leave t g exit
         | exception Fault.Fault f ->
             attribute_cycles node g ~from;
             fault_thread t g f)
@@ -1032,12 +976,10 @@ let load_cache t path =
     (staged, List.rev !quarantined)
   with
   | staged, quarantined ->
-      (* Loaded translations replace whatever the engine had patched
-         jumps into: unchain everything (bumping the generation, so
-         per-thread jump caches and pending chained targets die) before
-         installing the staged blocks.  [clear_links] also zeroes every
-         surviving node's counters, so hot-block ranking starts over. *)
-      Tbchain.clear_links t.tbs;
+      (* Restart every surviving node's counters, so hot-block ranking
+         starts over, and bump the generation, so per-thread jump
+         caches refill, before installing the staged blocks. *)
+      Tbchain.reset_counts t.tbs;
       Hashtbl.iter
         (fun pc code ->
           (* A block this engine translated keeps its provenance: the

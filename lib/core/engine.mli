@@ -5,13 +5,10 @@
     threads share the guest memory and the code cache, and are scheduled
     round-robin at translation-block granularity.
 
-    {b Dispatch.}  Block exits resolve through three fast paths before
-    the global table: the chained target the previous block's static
-    exit patched in ({!Tbchain}, QEMU-style TB chaining), a per-thread
-    direct-mapped jump cache (cf. QEMU's [tb_jmp_cache]), and only then
-    the hashtable.  Chaining executes the same code in the same order,
-    so it never changes results or guest cycles; disable it with
-    [config.chain = false].
+    {b Dispatch.}  Every block exit resolves the next pc through the
+    thread's direct-mapped jump cache (cf. QEMU's [tb_jmp_cache]), then
+    the global table ({!Tbchain}), then translation (DESIGN.md,
+    "Dispatch hot path").
 
     {b One compile path.}  A block is compiled when it is translated:
     the frontend and the TCG pipeline build its optimized TCG, and the
@@ -44,10 +41,10 @@ type stats = {
   fences_emitted : int;  (** DMBs in translated code *)
   tcg_ops_before_opt : int;
   tcg_ops_after_opt : int;
-  chained : int;
-      (** static block exits patched into direct block-to-block edges *)
   chain_hits : int;
-      (** dispatches served by a patched edge — no table lookup at all *)
+      (** always 0.  Named for the TB chaining that an earlier version
+          kept; the field stays for [perf/dbt.ml] until its next
+          edit. *)
   jmp_cache_hits : int;
       (** dispatches served by the per-thread direct-mapped jump cache *)
   interp_fallbacks : int;
@@ -70,8 +67,6 @@ type stats = {
 type event =
   | Translated  (** [blocks_translated]; flight [Fence_pass] *)
   | Executed  (** [blocks_executed]; flight [Block_enter] *)
-  | Chained  (** [chained] *)
-  | Chain_hit  (** [chain_hits] *)
   | Jcache_hit  (** [jmp_cache_hits] *)
   | Fallback
       (** [interp_fallbacks]: a backend compile failed; flight
@@ -118,14 +113,8 @@ type guest_thread = {
   mutable trap : Fault.t option;
       (** set when the thread was stopped by a fault *)
   jcache : compiled Tbchain.jcache;
-      (** per-thread direct-mapped TB lookup cache *)
-  mutable next_tb : compiled Tbchain.node;
-      (** chained target for the next dispatch, if the previous block's
-          static exit was patched *)
-  mutable next_gen : int;
-      (** chain-table generation [next_tb] was captured at; [-1] when
-          there is no chained target ([next_tb] is then a
-          {!Tbchain.detached} placeholder) *)
+      (** per-thread direct-mapped TB lookup cache, consulted before
+          the table on every dispatch *)
   gflight : Obs.Flight.t;
       (** this thread's flight ring — see {!thread_flight} *)
   ienv : Tcg.Interp.env;
@@ -169,17 +158,15 @@ val spawn :
     its translation: [Native], or [Interp_only] for a degraded block. *)
 val fetch : t -> int64 -> compiled
 
-(** Flush the translation caches: every block and patched chain edge
-    is dropped, and the chain generation is bumped so stale per-thread
-    dispatch state can never fire. *)
+(** Flush the translation caches: every block is dropped, and the
+    table's generation is bumped so no per-thread jump cache can serve
+    a dropped block. *)
 val reset : t -> unit
 
-(** Current chain-table generation; bumped by {!reset} and by a
-    successful {!load_cache} (both invalidate patched edges). *)
-val chain_generation : t -> int
-
-(** Patched block-to-block edges currently installed. *)
-val chained_edges : t -> int
+(** Current block-table generation; bumped by {!reset} and by a
+    successful {!load_cache} (both make every thread's jump cache
+    refill). *)
+val generation : t -> int
 
 (** The native code at an address, translated first if need be (like
     {!fetch}).  Raises {!Fault.Fault} ([Backend_fault]) if the block is
@@ -287,8 +274,7 @@ val postmortems_written : t -> int
     last [last] flight events (default 32) with its pc/trap state, the
     engine ring, each block's state sorted by pc ([published] for
     native code, [degraded] for the interpreter), the fence ledger
-    of every trapping block, a chain-table summary, every engine
-    counter ([stats]), and the deterministic (non-wall-clock) slice of
+    of every trapping block, every engine counter ([stats]), and the deterministic (non-wall-clock) slice of
     the metrics registry.
     Byte-identical across identical runs. *)
 val postmortem_json : ?last:int -> t -> reason:string -> Report.Json.t
@@ -344,10 +330,9 @@ val save_cache : t -> string -> int
     retranslate on demand), counted in {!stats.cache_quarantined},
     and the rest of the file still
     loads.  On [Error] the engine's code cache is untouched (cold
-    start); nothing is ever partially loaded.  On [Ok] every patched
-    chain edge is invalidated first (the loaded
-    translations replace what the edges were built against), which
-    also bumps {!chain_generation}. *)
+    start); nothing is ever partially loaded.  On [Ok] every block's
+    execution counts restart and {!generation} is bumped, so every
+    thread's jump cache refills. *)
 val load_cache : t -> string -> (int, Fault.t) result
 
 (** Offline integrity check for a cache file ([gelf_tool verify]).

@@ -406,7 +406,7 @@ let metrics_section buf (snap : Obs.Metrics.snapshot) =
          snap.Obs.Metrics.histograms)
   end
 
-let render ?(title = "Risotto refinement & bench report") ?metrics ?coverage
+let render ?(title = "Risotto refinement report") ?metrics ?coverage
     ?(models = []) (cells : Sweep.cell list) =
   let buf = Buffer.create (64 * 1024) in
   Buffer.add_string buf "<!DOCTYPE html>\n<html lang=\"en\"><head>\n";

@@ -1,9 +1,9 @@
-(* The dispatch layer: TB chaining and the per-thread jump cache.  The
-   core claim under test is that neither is observable in guest
-   results — chained execution is state-identical to the unchained
-   baseline on example programs and under fault injection, with the
-   same guest cycles — while the stats prove the fast paths actually
-   engaged. *)
+(* The dispatch layer: the per-thread jump cache, then the table, then
+   translation.  The stats prove the jump cache serves nearly every
+   dispatch, a generation bump (reset, cache reload) makes it refill,
+   and a trap stays with its thread.  Parity between eager and degraded
+   runs is here for the 16 kernels and in test_tiers for the example
+   programs, the fault corpus and random looped programs. *)
 
 module I = X86.Insn
 module R = X86.Reg
@@ -25,11 +25,8 @@ let state g eng =
   ( Array.sub g.Core.Engine.arm.Arm.Machine.regs 0 16,
     Memsys.Mem.dump (Core.Engine.memory eng) )
 
-let variants config =
-  [ ("chained", config); ("unchained", { config with Core.Config.chain = false }) ]
-
 (* ------------------------------------------------------------------ *)
-(* Example programs                                                    *)
+(* Fast paths                                                          *)
 
 let countdown_items =
   [
@@ -45,109 +42,23 @@ let countdown_items =
     Ins I.Hlt;
   ]
 
-let fact_items =
-  (* The gelf_tool demo image: factorial through call/ret. *)
-  [
-    Label "main";
-    Ins (I.Mov_ri (R.RDI, 10L));
-    Call_lbl "fact";
-    Ins (I.Store ({ I.base = None; index = None; disp = 0x5000L }, I.R R.RAX));
-    Ins I.Hlt;
-    Label "fact";
-    Ins (I.Mov_ri (R.RAX, 1L));
-    Label "floop";
-    Ins (I.Test (R.RDI, I.R R.RDI));
-    Jcc_lbl (I.E, "fdone");
-    Ins (I.Alu (I.Imul, R.RAX, I.R R.RDI));
-    Ins (I.Dec R.RDI);
-    Jmp_lbl "floop";
-    Label "fdone";
-    Ins I.Ret;
-  ]
-
-(* A loop whose body overflows the 32-insn block cap, so it splits into
-   two blocks joined by an unconditional Goto_tb that chaining
-   patches. *)
-let split_items =
-  let body =
-    List.concat_map
-      (fun k ->
-        let m = { I.base = None; index = None; disp = Int64.of_int (0x6000 + (8 * k)) } in
-        [
-          Ins (I.Store (m, I.R R.RSI));
-          Ins (I.Load (R.RDI, m));
-          Ins (I.Alu (I.Add, R.RSI, I.R R.RDI));
-        ])
-      [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11 ]
-  in
-  [ Label "main"; Ins (I.Mov_ri (R.RBX, 20L)); Ins (I.Mov_ri (R.RSI, 7L)); Label "loop" ]
-  @ body
-  @ [
-      Ins (I.Alu (I.Sub, R.RBX, I.I 1L));
-      Ins (I.Cmp (R.RBX, I.I 0L));
-      Jcc_lbl (I.Ne, "loop");
-      Ins I.Hlt;
-    ]
-
-let example_programs =
-  [ ("countdown", countdown_items); ("fact", fact_items); ("split", split_items) ]
-
-let test_chain_parity_examples () =
-  List.iter
-    (fun config ->
-      List.iter
-        (fun (pname, items) ->
-          let image = build items in
-          let reference = ref None in
-          List.iter
-            (fun (vname, config) ->
-              let g, eng = run_config config image in
-              check_bool
-                (Printf.sprintf "%s/%s/%s no trap" config.Core.Config.name
-                   pname vname)
-                true
-                (g.Core.Engine.trap = None);
-              let s = state g eng in
-              match !reference with
-              | None -> reference := Some s
-              | Some r ->
-                  check_bool
-                    (Printf.sprintf "%s/%s/%s state" config.Core.Config.name
-                       pname vname)
-                    true (s = r))
-            (variants config))
-        example_programs)
-    Core.Config.all
-
-let test_chain_does_not_change_cycles () =
-  (* Pure chaining executes the same code in the same order: cycle
-     counts must be bit-identical to the unchained baseline. *)
-  List.iter
-    (fun (pname, items) ->
-      let image = build items in
-      let g1, _ = run_config Core.Config.risotto image in
-      let g2, _ =
-        run_config { Core.Config.risotto with Core.Config.chain = false } image
-      in
-      check_int (pname ^ " cycles") (Core.Engine.cycles g1)
-        (Core.Engine.cycles g2))
-    example_programs
-
 let test_stats_engage () =
   let image = build countdown_items in
   let g, eng = run_config Core.Config.risotto image in
   let st = Core.Engine.stats eng in
   check_bool "no trap" true (g.Core.Engine.trap = None);
-  check_bool "edges patched" true (st.Core.Engine.chained > 0);
-  check_bool "chain hits" true (st.Core.Engine.chain_hits > 0);
-  (* A chained dispatch runs one guest block. *)
-  let _, unchained =
-    run_config { Core.Config.risotto with Core.Config.chain = false } image
-  in
-  check_int "one dispatch per guest block" st.Core.Engine.blocks_executed
-    (Core.Engine.stats unchained).Core.Engine.blocks_executed;
-  (* fact returns to the same pc on every call: the computed-jump path
-     is served by the per-thread jump cache. *)
+  (* One dispatch per guest block; only first visits miss, and every
+     later visit of the loop's blocks hits the jump cache. *)
+  check_int "one lookup per guest block" st.Core.Engine.blocks_executed
+    st.Core.Engine.lookups;
+  check_int "misses are the translations" st.Core.Engine.blocks_translated
+    (st.Core.Engine.lookups - st.Core.Engine.cache_hits);
+  check_int "jump cache serves every hit" st.Core.Engine.cache_hits
+    st.Core.Engine.jmp_cache_hits;
+  check_bool "jump-cache hits on the loop" true (st.Core.Engine.jmp_cache_hits > 0);
+  check_int "chain_hits stays 0" 0 st.Core.Engine.chain_hits;
+  (* fn returns to the same pc on every call: the computed jump (ret)
+     is served by the per-thread jump cache too. *)
   let looped_calls =
     [
       Label "main";
@@ -165,56 +76,15 @@ let test_stats_engage () =
   in
   let _, eng = run_config Core.Config.risotto (build looped_calls) in
   let st = Core.Engine.stats eng in
-  check_bool "jump-cache hits on repeated returns" true
-    (st.Core.Engine.jmp_cache_hits > 0)
+  check_int "every repeated return hits the jump cache"
+    (st.Core.Engine.lookups - st.Core.Engine.blocks_translated)
+    st.Core.Engine.jmp_cache_hits
 
-let test_no_chain_disables_everything () =
-  let image = build countdown_items in
-  let config = { Core.Config.risotto with Core.Config.chain = false } in
-  let g, eng = run_config config image in
-  let st = Core.Engine.stats eng in
-  check_bool "no trap" true (g.Core.Engine.trap = None);
-  check_int "no edges" 0 st.Core.Engine.chained;
-  check_int "no chain hits" 0 st.Core.Engine.chain_hits;
-  check_int "no edges installed" 0 (Core.Engine.chained_edges eng)
-
-(* ------------------------------------------------------------------ *)
-(* Fault-injection corpus: chained = unchained under degraded modes    *)
-
-let inject_corpus =
-  [
-    [ Core.Inject.Nth (Core.Inject.Compile, 1) ];
-    [ Core.Inject.Always Core.Inject.Compile ];
-    [ Core.Inject.Seeded { site = Core.Inject.Compile; seed = 42L; permille = 500 } ];
-    [ Core.Inject.Nth (Core.Inject.Decode, 3) ];
-  ]
-
-let test_chain_parity_under_injection () =
-  List.iter
-    (fun plan ->
-      List.iter
-        (fun (pname, items) ->
-          let image = build items in
-          let run chain =
-            let config =
-              { Core.Config.risotto with Core.Config.inject = plan; chain }
-            in
-            let g, eng = run_config config image in
-            (state g eng, Core.Engine.trap g)
-          in
-          let s1, t1 = run true in
-          let s2, t2 = run false in
-          check_bool (pname ^ " state parity under injection") true (s1 = s2);
-          check_bool (pname ^ " trap parity under injection") true
-            (Option.is_some t1 = Option.is_some t2))
-        example_programs)
-    inject_corpus
-
-let test_trap_isolated_through_chained_edge () =
-  (* Two threads share a hot (chained) loop, then jump to a
-     per-thread continuation in R8.  The bad thread's continuation is
-     undecodable: it must trap alone, after riding the same patched
-     edges as the good thread. *)
+let test_trap_isolated_behind_jcache () =
+  (* Two threads share a hot loop, then jump to a per-thread
+     continuation in R8.  The bad thread's continuation is undecodable:
+     it must trap alone, after dispatching the same translated loop
+     through its own jump cache as the good thread did through its. *)
   let items =
     [
       Label "main";
@@ -249,48 +119,49 @@ let test_trap_isolated_through_chained_edge () =
   check_bool "bad thread trapped" true (bad.Core.Engine.trap <> None);
   check_i64 "bad thread got through the loop" 78L (Core.Engine.reg bad R.RDX);
   let st = Core.Engine.stats eng in
-  check_bool "edges were patched" true (st.Core.Engine.chained > 0);
+  (* Each thread enters the loop block 11 times: the first entry
+     misses its own jump cache, the other 10 hit it. *)
+  check_int "both threads hit their own jump caches" (2 * 10)
+    st.Core.Engine.jmp_cache_hits;
   check_int "exactly one trap" 1 st.Core.Engine.traps
 
 (* ------------------------------------------------------------------ *)
-(* Cache round-trips and edge invalidation                             *)
+(* Cache round-trips and generation bumps                              *)
 
-let test_roundtrip_invalidates_edges () =
+let test_roundtrip_bumps_generation () =
   let path = Filename.temp_file "risotto" ".rstc" in
   let image = build countdown_items in
   let eng = Core.Engine.create Core.Config.risotto image in
   let g = Core.Engine.run eng in
   check_bool "hot run clean" true (g.Core.Engine.trap = None);
-  check_bool "edges live" true (Core.Engine.chained_edges eng > 0);
-  let gen0 = Core.Engine.chain_generation eng in
+  let gen0 = Core.Engine.generation eng in
   ignore (Core.Engine.save_cache eng path);
   (match Core.Engine.load_cache eng path with
   | Ok n -> check_bool "loaded blocks" true (n > 0)
   | Error f -> Alcotest.fail (Core.Fault.to_string f));
-  check_int "generation bumped" (gen0 + 1) (Core.Engine.chain_generation eng);
-  check_int "edges invalidated" 0 (Core.Engine.chained_edges eng);
-  let translated_before = (Core.Engine.stats eng).Core.Engine.blocks_translated in
+  check_int "generation bumped" (gen0 + 1) (Core.Engine.generation eng);
+  let before = Core.Engine.stats eng in
   let g2 =
     Core.Engine.spawn eng ~tid:7 ~entry:image.Image.Gelf.entry ()
   in
   Core.Engine.run_thread eng g2;
+  let after = Core.Engine.stats eng in
   check_bool "rerun clean" true (g2.Core.Engine.trap = None);
   check_i64 "rerun result" (Core.Engine.reg g R.RDX) (Core.Engine.reg g2 R.RDX);
-  check_int "no retranslation after reload" translated_before
-    (Core.Engine.stats eng).Core.Engine.blocks_translated;
-  check_bool "edges re-patched on rerun" true (Core.Engine.chained_edges eng > 0);
+  check_int "no retranslation after reload" before.Core.Engine.blocks_translated
+    after.Core.Engine.blocks_translated;
+  check_bool "jump cache refilled on rerun" true
+    (after.Core.Engine.jmp_cache_hits > before.Core.Engine.jmp_cache_hits);
   Sys.remove path
 
-let test_reset_flushes_chains () =
+let test_reset_flushes_table () =
   let image = build countdown_items in
   let eng = Core.Engine.create Core.Config.risotto image in
   let g1 = Core.Engine.run eng in
-  let gen0 = Core.Engine.chain_generation eng in
+  let gen0 = Core.Engine.generation eng in
   let translated = (Core.Engine.stats eng).Core.Engine.blocks_translated in
-  check_bool "edges live" true (Core.Engine.chained_edges eng > 0);
   Core.Engine.reset eng;
-  check_bool "generation bumped" true (Core.Engine.chain_generation eng > gen0);
-  check_int "no edges" 0 (Core.Engine.chained_edges eng);
+  check_bool "generation bumped" true (Core.Engine.generation eng > gen0);
   let g2 = Core.Engine.spawn eng ~tid:3 ~entry:image.Image.Gelf.entry () in
   Core.Engine.run_thread eng g2;
   check_bool "rerun clean" true (g2.Core.Engine.trap = None);
@@ -383,100 +254,76 @@ let kernel_pass config =
 
 let sum f runs = List.fold_left (fun acc r -> acc + f r.k_stats) 0 runs
 
-(* Chained, unchained and all-degraded (every block on the TCG
-   interpreter) passes, run once for the tests below. *)
+(* Eager and all-degraded (every block on the TCG interpreter) passes,
+   run once for the tests below. *)
 let kernel_passes =
   lazy
     (let risotto = Core.Config.risotto in
      ( kernel_pass risotto,
-       kernel_pass { risotto with Core.Config.chain = false },
        kernel_pass
-         {
-           risotto with
-           Core.Config.chain = false;
-           inject = [ Core.Inject.Always Core.Inject.Compile ];
-         } ))
+         { risotto with Core.Config.inject = [ Core.Inject.Always Core.Inject.Compile ] } ))
 
 let test_kernel_parity () =
-  let (chained, _), (unchained, _), (degraded, _) = Lazy.force kernel_passes in
+  let (eager, _), (degraded, _) = Lazy.force kernel_passes in
   List.iter2
-    (fun c u ->
-      check_bool (c.k_name ^ " chained = unchained state") true (c.k_state = u.k_state);
-      check_int (c.k_name ^ " cycles") u.k_cycles c.k_cycles;
-      check_int (c.k_name ^ " dispatches") u.k_stats.Core.Engine.blocks_executed
-        c.k_stats.Core.Engine.blocks_executed)
-    chained unchained;
-  List.iter2
-    (fun u d ->
-      check_bool (u.k_name ^ " unchained = degraded state") true (u.k_state = d.k_state))
-    unchained degraded;
+    (fun e d ->
+      check_bool (e.k_name ^ " eager = degraded state") true (e.k_state = d.k_state);
+      check_int (e.k_name ^ " dispatches") e.k_stats.Core.Engine.blocks_executed
+        d.k_stats.Core.Engine.blocks_executed)
+    eager degraded;
   check_bool "blocks degraded" true (sum (fun s -> s.Core.Engine.interp_fallbacks) degraded > 0)
 
-(* Nearly every dispatch of the hot kernel loops rides a patched
-   edge. *)
-let min_chain_hit_rate = 0.95
+(* Nearly every dispatch of the hot kernel loops is served by the jump
+   cache: only first visits miss it (measured 0.9978). *)
+let min_jcache_hit_rate = 0.95
 
-let test_kernel_chain_hits () =
-  let (chained, _), _, _ = Lazy.force kernel_passes in
-  let hits = sum (fun s -> s.Core.Engine.chain_hits) chained in
-  let rate = float_of_int hits /. float_of_int (sum (fun s -> s.Core.Engine.lookups) chained) in
-  if rate < min_chain_hit_rate then
-    Alcotest.failf "chain-hit rate %.4f (bound %.2f)" rate min_chain_hit_rate
+let test_kernel_jcache_hits () =
+  let (eager, _), _ = Lazy.force kernel_passes in
+  let hits = sum (fun s -> s.Core.Engine.jmp_cache_hits) eager in
+  let rate = float_of_int hits /. float_of_int (sum (fun s -> s.Core.Engine.lookups) eager) in
+  if rate < min_jcache_hit_rate then
+    Alcotest.failf "jump-cache hit rate %.4f (bound %.2f)" rate min_jcache_hit_rate
 
-(* Allocation gate: a pass over the kernels under the risotto preset,
-   chained or not, allocates at most [max_words_per_block] minor words
-   per executed guest block, translation included (DESIGN.md,
-   "Execution core").  Minor-word counts are deterministic, so the
-   bound needs no noise band. *)
+(* Allocation gate: a pass over the kernels under the risotto preset
+   allocates at most [max_words_per_block] minor words per executed
+   guest block, translation included (DESIGN.md, "Execution core").
+   Minor-word counts are deterministic, so the bound needs no noise
+   band. *)
 let max_words_per_block = 140.
 
 let test_allocation_gate () =
-  let chained, unchained, _ = Lazy.force kernel_passes in
-  List.iter
-    (fun (name, (runs, words)) ->
-      List.iter
-        (fun r -> check_bool (r.k_name ^ " halted cleanly") true r.k_clean)
-        runs;
-      let per_block = words /. float_of_int (sum (fun s -> s.Core.Engine.blocks_executed) runs) in
-      if per_block > max_words_per_block then
-        Alcotest.failf "%s: %.1f minor words per executed block (bound %.0f)" name per_block
-          max_words_per_block)
-    [ ("chained", chained); ("unchained", unchained) ]
+  let (runs, words), _ = Lazy.force kernel_passes in
+  List.iter (fun r -> check_bool (r.k_name ^ " halted cleanly") true r.k_clean) runs;
+  let per_block = words /. float_of_int (sum (fun s -> s.Core.Engine.blocks_executed) runs) in
+  if per_block > max_words_per_block then
+    Alcotest.failf "%.1f minor words per executed block (bound %.0f)" per_block
+      max_words_per_block
 
 let () =
   Alcotest.run "dispatch"
     [
       ( "parity",
         [
-          Alcotest.test_case "chained = unchained on example programs" `Quick
-            test_chain_parity_examples;
-          Alcotest.test_case "chaining leaves cycles unchanged" `Quick
-            test_chain_does_not_change_cycles;
-          Alcotest.test_case "parity under fault injection" `Quick
-            test_chain_parity_under_injection;
-          Alcotest.test_case "kernel suite: chained = unchained = degraded" `Quick
+          Alcotest.test_case "kernel suite: eager = degraded" `Quick
             test_kernel_parity;
         ] );
       ( "fast paths",
         [
-          Alcotest.test_case "chain and jump-cache stats engage" `Quick
-            test_stats_engage;
-          Alcotest.test_case "--no-chain disables chaining" `Quick
-            test_no_chain_disables_everything;
-          Alcotest.test_case "kernel suite chain-hit rate" `Quick
-            test_kernel_chain_hits;
+          Alcotest.test_case "jump-cache stats engage" `Quick test_stats_engage;
+          Alcotest.test_case "kernel suite jump-cache hit rate" `Quick
+            test_kernel_jcache_hits;
         ] );
       ( "isolation",
         [
-          Alcotest.test_case "trap isolated behind patched edges" `Quick
-            test_trap_isolated_through_chained_edge;
+          Alcotest.test_case "trap isolated behind the jump cache" `Quick
+            test_trap_isolated_behind_jcache;
         ] );
       ( "invalidation",
         [
-          Alcotest.test_case "save/load round-trip invalidates edges" `Quick
-            test_roundtrip_invalidates_edges;
-          Alcotest.test_case "reset flushes chains and retranslates" `Quick
-            test_reset_flushes_chains;
+          Alcotest.test_case "save/load bumps the generation" `Quick
+            test_roundtrip_bumps_generation;
+          Alcotest.test_case "reset flushes table, retranslates" `Quick
+            test_reset_flushes_table;
         ] );
       ( "scheduler",
         [

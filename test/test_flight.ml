@@ -269,7 +269,7 @@ let test_postmortem_deterministic () =
   let b = postmortem_string () in
   check_bool "two identical runs, byte-identical postmortems" true (a = b);
   check_bool "schema stamped" true
-    (contains a {|"schema":"risotto.postmortem.v1"|});
+    (contains a {|"schema":"risotto.postmortem.v2"|});
   check_bool "trapping thread's ring includes the trap event" true
     (contains a {|"kind":"trap"|});
   check_bool "fence ledgers embedded" true (contains a {|"fence_ledgers"|})

@@ -247,8 +247,7 @@ let run_fingerprint config image =
     Core.Engine.trap g,
     ( st.Core.Engine.blocks_translated,
       st.Core.Engine.blocks_executed,
-      st.Core.Engine.chained,
-      st.Core.Engine.chain_hits,
+      st.Core.Engine.lookups,
       st.Core.Engine.jmp_cache_hits,
       st.Core.Engine.interp_fallbacks,
       st.Core.Engine.traps ) )
@@ -309,7 +308,6 @@ let test_differential_examples () =
                 config (build items))
             [
               ("plain", config);
-              ("unchained", { config with Core.Config.chain = false });
               ( "mixed-degraded",
                 {
                   config with
@@ -448,15 +446,12 @@ let differential_prop =
       off = on)
 
 (* ------------------------------------------------------------------ *)
-(* Chain-generation invalidation: stale edges/jcache never followed    *)
+(* Generation invalidation: a stale jump cache never serves a node     *)
 
 let test_tbchain_generation_unit () =
-  let t = Core.Tbchain.create ~chain:true () in
+  let t = Core.Tbchain.create () in
   let a = Core.Tbchain.insert t 0x1000L "A" in
-  let b = Core.Tbchain.insert t 0x2000L "B" in
-  let none = Core.Tbchain.detached "none" in
-  check_bool "edge patched" true (Core.Tbchain.link t a ~epc:0x2000L b);
-  check_bool "edge followed" true (Core.Tbchain.follow a 0x2000L ~none == b);
+  a.Core.Tbchain.exec_count <- 3;
   let jc = Core.Tbchain.jcache_create t in
   Core.Tbchain.jcache_store t jc a;
   check_bool "jcache hit" true
@@ -464,11 +459,9 @@ let test_tbchain_generation_unit () =
     | Some n -> n == a
     | None -> false);
   let gen0 = Core.Tbchain.generation t in
-  Core.Tbchain.clear_links t;
+  Core.Tbchain.reset_counts t;
   check_int "generation bumped" (gen0 + 1) (Core.Tbchain.generation t);
-  check_int "edges dropped" 0 (Core.Tbchain.edge_count t);
-  check_bool "patched edge no longer followed" true
-    (Core.Tbchain.follow a 0x2000L ~none == none);
+  check_int "counts restarted" 0 a.Core.Tbchain.exec_count;
   check_bool "stale jcache entry invisible" true
     (Core.Tbchain.jcache_find t jc 0x1000L = None);
   (* re-stored under the new generation, the cache works again *)
@@ -485,21 +478,21 @@ let test_tbchain_generation_unit () =
 (* A store from before the generation bump must be dropped, not
    resurrected by a later lookup in the new generation. *)
 let test_tbchain_stale_store_dropped () =
-  let t = Core.Tbchain.create ~chain:true () in
+  let t = Core.Tbchain.create () in
   let a = Core.Tbchain.insert t 0x1000L "A" in
   let jc = Core.Tbchain.jcache_create t in
   Core.Tbchain.jcache_store t jc a;
-  Core.Tbchain.clear_links t;
-  (* the node is still in the table (clear_links keeps bodies), but the
-     pre-bump cache entry must not serve it *)
-  check_bool "node survives clear_links" true
+  Core.Tbchain.reset_counts t;
+  (* the node is still in the table (reset_counts keeps bodies), but
+     the pre-bump cache entry must not serve it *)
+  check_bool "node survives reset_counts" true
     (Core.Tbchain.find t 0x1000L <> None);
   check_bool "stale entry dropped" true
     (Core.Tbchain.jcache_find t jc 0x1000L = None)
 
-(* Engine level: a thread whose dispatch state (pending chained target,
-   jump cache) was captured before a mid-run [reset] must complete
-   cleanly on retranslated code, with identical results. *)
+(* Engine level: a thread whose jump cache was filled before a mid-run
+   [reset] must complete cleanly on retranslated code, with identical
+   results. *)
 let test_engine_reset_mid_run () =
   (* Long enough that a handful of dispatches leaves the thread
      mid-loop. *)
@@ -507,20 +500,20 @@ let test_engine_reset_mid_run () =
   let eng = Core.Engine.create Core.Config.risotto image in
   let g1 = Core.Engine.run eng in
   check_bool "warm run clean" true (g1.Core.Engine.trap = None);
-  check_bool "edges live" true (Core.Engine.chained_edges eng > 0);
   let g2 = Core.Engine.spawn eng ~tid:1 ~entry:image.Image.Gelf.entry () in
+  let hits0 = (Core.Engine.stats eng).Core.Engine.jmp_cache_hits in
   for _ = 1 to 5 do
     Core.Engine.step_block eng g2
   done;
   check_bool "mid-run" true (not g2.Core.Engine.finished);
-  let gen0 = Core.Engine.chain_generation eng in
+  check_bool "jump cache filled" true
+    ((Core.Engine.stats eng).Core.Engine.jmp_cache_hits > hits0);
+  let gen0 = Core.Engine.generation eng in
   let translated = (Core.Engine.stats eng).Core.Engine.blocks_translated in
   Core.Engine.reset eng;
-  check_bool "generation bumped" true
-    (Core.Engine.chain_generation eng > gen0);
-  check_int "edges flushed" 0 (Core.Engine.chained_edges eng);
-  (* the thread still holds pre-reset next_tb/jcache state: finishing it
-     must ignore all of it and retranslate *)
+  check_bool "generation bumped" true (Core.Engine.generation eng > gen0);
+  (* the thread's jump cache still holds pre-reset nodes: finishing it
+     must ignore all of them and retranslate *)
   Core.Engine.run_thread eng g2;
   check_bool "completes after mid-run reset" true
     (g2.Core.Engine.trap = None && g2.Core.Engine.finished);
@@ -530,7 +523,7 @@ let test_engine_reset_mid_run () =
     ((Core.Engine.stats eng).Core.Engine.blocks_translated > translated)
 
 (* Same shape across [load_cache]: the loaded translations replace the
-   chained-against bodies, so pre-load dispatch state must die. *)
+   bodies the thread's jump cache was filled with, so it must refill. *)
 let test_engine_load_cache_mid_run () =
   let path = Filename.temp_file "risotto_obs" ".rstc" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -544,14 +537,15 @@ let test_engine_load_cache_mid_run () =
     Core.Engine.step_block eng g2
   done;
   check_bool "mid-run" true (not g2.Core.Engine.finished);
-  let gen0 = Core.Engine.chain_generation eng in
+  let gen0 = Core.Engine.generation eng in
   (match Core.Engine.load_cache eng path with
   | Ok n -> check_bool "blocks loaded" true (n > 0)
   | Error f -> Alcotest.fail (Core.Fault.to_string f));
-  check_int "generation bumped" (gen0 + 1)
-    (Core.Engine.chain_generation eng);
-  check_int "edges flushed" 0 (Core.Engine.chained_edges eng);
+  check_int "generation bumped" (gen0 + 1) (Core.Engine.generation eng);
+  let hits0 = (Core.Engine.stats eng).Core.Engine.jmp_cache_hits in
   Core.Engine.run_thread eng g2;
+  check_bool "jump cache refilled" true
+    ((Core.Engine.stats eng).Core.Engine.jmp_cache_hits > hits0);
   check_bool "completes after mid-run reload" true
     (g2.Core.Engine.trap = None && g2.Core.Engine.finished);
   check_i64 "same result as the uninterrupted run"
@@ -673,7 +667,7 @@ let () =
         ] );
       ( "invalidation",
         [
-          Alcotest.test_case "tbchain generation (edges + jcache)" `Quick
+          Alcotest.test_case "tbchain generation (jcache)" `Quick
             test_tbchain_generation_unit;
           Alcotest.test_case "stale jcache store dropped" `Quick
             test_tbchain_stale_store_dropped;

@@ -343,19 +343,24 @@ let prop_json_roundtrip =
       | Ok v' -> v = v'
       | Error _ -> false)
 
-let test_json_parse_bench_like () =
+(* One document with every JSON value kind, written by hand rather than
+   by [to_string]: free whitespace, a nested object, a negative int and
+   escapes. *)
+let test_json_parse_mixed () =
   let src =
-    {|{ "schema_version": 1, "section": "obs", "parity": true,
-       "disabled_overhead_pct": 0.0123, "nested": { "a": [1, 2, -3] },
-       "s": "q\"uo\nte" }|}
+    {|{ "version": 1, "name": "mp", "ok": true,
+       "ratio": 0.0123, "nested": { "a": [1, 2, -3] },
+       "s": "q\"uo\nte", "none": null }|}
   in
   match Report.Json.of_string src with
   | Error msg -> Alcotest.fail msg
   | Ok j ->
-      check_bool "schema_version" true
-        (Report.Json.member "schema_version" j = Some (Report.Json.Int 1));
+      check_bool "int parsed" true
+        (Report.Json.member "version" j = Some (Report.Json.Int 1));
+      check_bool "escapes parsed" true
+        (Report.Json.member "s" j = Some (Report.Json.String "q\"uo\nte"));
       check_bool "float parsed" true
-        (match Report.Json.member "disabled_overhead_pct" j with
+        (match Report.Json.member "ratio" j with
         | Some (Report.Json.Float f) -> Float.abs (f -. 0.0123) < 1e-9
         | _ -> false);
       check_bool "nested list" true
@@ -590,8 +595,8 @@ let () =
       ( "json",
         [
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
-          Alcotest.test_case "parses bench-like documents" `Quick
-            test_json_parse_bench_like;
+          Alcotest.test_case "parses mixed documents" `Quick
+            test_json_parse_mixed;
         ] );
       ( "html",
         [

@@ -2,7 +2,7 @@
    is translated; a block the backend refuses (here: an injected compile
    fault) runs on the interpreter instead.  The core claim mirrors
    test_dispatch: which blocks run where is not observable in guest
-   results.  Eager, unchained, all-degraded and mixed-degraded runs are
+   results.  Eager, all-degraded and mixed-degraded runs are
    state-identical on example programs, on QCheck-generated looped
    programs, and under fault injection — while the stats prove the
    interpreter actually ran, and reset / load_cache restart the
@@ -31,13 +31,12 @@ let all_degraded = [ Core.Inject.Always Core.Inject.Compile ]
 let mixed_degraded =
   [ Core.Inject.Seeded { site = Core.Inject.Compile; seed = 42L; permille = 500 } ]
 
-(* The preset, the unchained dispatch baseline, and the two degraded
-   mixes.  A variant's compile faults add to the config's own plan. *)
+(* The preset and the two degraded mixes.  A variant's compile faults
+   add to the config's own plan. *)
 let tier_variants config =
   let degrade plan = { config with Core.Config.inject = config.Core.Config.inject @ plan } in
   [
     ("eager", config);
-    ("unchained", { config with Core.Config.chain = false });
     ("all-degraded", degrade all_degraded);
     ("mixed-degraded", degrade mixed_degraded);
   ]

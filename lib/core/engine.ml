@@ -299,49 +299,47 @@ let count_fences t pc code =
        (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
        0 code)
 
+(* Engine spans and timers around [f x y].  Their closures are built
+   only while tracing or metrics are on, so otherwise translating a
+   block allocates nothing for them. *)
+let spanned name f x y =
+  if Obs.Trace.enabled () then Obs.Trace.with_span ~cat:"engine" name (fun () -> f x y)
+  else f x y
+
+let timed h f x y =
+  if Obs.Metrics.enabled () then Obs.Profile.time (h ()) (fun () -> f x y) else f x y
+
+let backend_compile config tcg = timed m_compile_ns Backend.compile config tcg
+
+(* A block the backend could not compile stays on the TCG interpreter
+   for good. *)
+let degrade t pc tcg f =
+  emit t t.flight Fallback pc (Tbchain.generation t.tbs) ~why:(Fault.to_string f);
+  Interp_only tcg
+
 (* The one compile path: backend-compile a block's optimized TCG,
    unless the compile injection fires, into native code — or, on any
    backend fault, leave the block on the TCG interpreter for good.
    Degraded mode keeps the run's semantics (the interpreter and backend
    agree by construction); only this block's speed is lost. *)
 let compile t pc tcg =
-  let compiled =
-    if Inject.fire t.inject Inject.Compile then
-      Error (Fault.make ~pc Fault.Backend_fault "injected compile fault")
-    else
-      match
-        Obs.Trace.with_span ~cat:"engine" "backend" (fun () ->
-            Obs.Profile.time (m_compile_ns ()) (fun () ->
-                Backend.compile t.config tcg))
-      with
-      | code -> Ok code
-      | exception Fault.Fault f -> Error (Fault.locate ~pc f)
-      | exception Backend.Register_pressure r ->
-          Error
-            (Fault.make ~pc Fault.Backend_fault
-               (Printf.sprintf "register pressure in block 0x%Lx" r))
-  in
-  match compiled with
-  | Ok code ->
-      count_fences t pc code;
-      Native code
-  | Error f ->
-      emit t t.flight Fallback pc (Tbchain.generation t.tbs)
-        ~why:(Fault.to_string f);
-      Interp_only tcg
+  if Inject.fire t.inject Inject.Compile then
+    degrade t pc tcg (Fault.make ~pc Fault.Backend_fault "injected compile fault")
+  else
+    match spanned "backend" backend_compile t.config tcg with
+    | code ->
+        count_fences t pc code;
+        Native code
+    | exception Fault.Fault f -> degrade t pc tcg (Fault.locate ~pc f)
+    | exception Backend.Register_pressure r ->
+        degrade t pc tcg
+          (Fault.make ~pc Fault.Backend_fault
+             (Printf.sprintf "register pressure in block 0x%Lx" r))
 
 (* Translate and compile the block at [pc] into a fresh node. *)
-let translate t pc =
-  Obs.Trace.with_span ~cat:"engine"
-    ~args:(fun () -> [ ("pc", Printf.sprintf "0x%Lx" pc) ])
-    "translate"
-  @@ fun () ->
-  Obs.Profile.time (m_translate_ns ()) @@ fun () ->
+let translate_block t pc =
   let fired = Inject.fired t.inject Inject.Decode in
-  let raw =
-    Obs.Trace.with_span ~cat:"engine" "frontend" (fun () ->
-        Frontend.translate t.frontend pc)
-  in
+  let raw = spanned "frontend" Frontend.translate t.frontend pc in
   (* Provenance is re-derived on demand, except where an injected
      decode fault shaped this translation. *)
   let pin = Inject.fired t.inject Inject.Decode <> fired in
@@ -355,6 +353,14 @@ let translate t pc =
   emit t t.flight Ops_before pc (Tcg.Block.op_count raw);
   emit t t.flight Ops_after pc (Tcg.Block.op_count optimized);
   Tbchain.insert t.tbs pc (compile t pc optimized)
+
+let translate t pc =
+  if Obs.Trace.enabled () then
+    Obs.Trace.with_span ~cat:"engine"
+      ~args:(fun () -> [ ("pc", Printf.sprintf "0x%Lx" pc) ])
+      "translate"
+      (fun () -> timed m_translate_ns translate_block t pc)
+  else timed m_translate_ns translate_block t pc
 
 let fetch t pc =
   match Tbchain.find t.tbs pc with

@@ -17,17 +17,24 @@ let create ?inject config image links =
 let max_block_insns = 32
 
 (* Translation-time state: the op buffer (the first [len] slots), temp
-   and label allocators. *)
+   and label allocators.  The buffer is the calling domain's, reused
+   across blocks and grown on demand, so a block allocates only the
+   ops it emits and their final array. *)
 type ctx = {
   mutable buf : Op.t array;
   mutable len : int;
   mutable next_temp : Op.temp;
   mutable next_label : int;
+  mutable insns : int;  (* guest instructions translated *)
+  mutable bytes : int;  (* their encoded bytes *)
 }
+
+let buffers : Op.t Tcg.Work.table = Tcg.Work.table ()
 
 let emit ctx op =
   if ctx.len = Array.length ctx.buf then begin
-    let bigger = Array.make (2 * ctx.len) Op.Exit_halt in
+    (* [reserve] replaces the domain's buffer; [ctx.buf] is still the old one *)
+    let bigger = Tcg.Work.reserve buffers (2 * ctx.len) Op.Exit_halt in
     Array.blit ctx.buf 0 bigger 0 ctx.len;
     ctx.buf <- bigger
   end;
@@ -48,6 +55,10 @@ let fresh_label ctx =
 
 let greg r = Op.guest_reg (X86.Reg.index r)
 
+(* [Some (greg r)], shared: a helper call's result register. *)
+let some_gregs = Array.of_list (List.map (fun r -> Some (greg r)) X86.Reg.all)
+let some_greg r = some_gregs.(X86.Reg.index r)
+
 let log2_scale = function
   | 1 -> 0L
   | 2 -> 1L
@@ -55,21 +66,25 @@ let log2_scale = function
   | 8 -> 3L
   | s -> Fault.raise_ Fault.Translate_fault (Printf.sprintf "bad scale %d" s)
 
-(* Effective address of an x86 memory operand as (base temp, offset). *)
-let ea ctx (m : X86.Insn.mem) =
+(* Effective address of an x86 memory operand: [ea_base] emits what
+   computes the base temp, and [ea_off] is the offset from it. *)
+let ea_base ctx (m : X86.Insn.mem) =
   match (m.base, m.index) with
-  | Some b, None -> (greg b, m.disp)
+  | Some b, None -> greg b
   | None, None ->
       let t = fresh_temp ctx in
       emit ctx (Op.Movi (t, m.disp));
-      (t, 0L)
+      t
   | base, Some (i, scale) ->
       let t = fresh_temp ctx in
       emit ctx (Op.Binopi (Op.Shl, t, greg i, log2_scale scale));
       (match base with
       | Some b -> emit ctx (Op.Binop (Op.Add, t, t, greg b))
       | None -> ());
-      (t, m.disp)
+      t
+
+let ea_off (m : X86.Insn.mem) =
+  match (m.base, m.index) with None, None -> 0L | _ -> m.disp
 
 (* The fences the mapping table places on one side of a guest access,
    each tagged with the guest pc and the table row that placed it, so
@@ -167,7 +182,7 @@ let cmpxchg_flags ctx old =
 (* The address of an RMW operand in one temp (TCG atomics take no
    offset). *)
 let rmw_addr ctx m =
-  let base, off = ea ctx m in
+  let base = ea_base ctx m and off = ea_off m in
   if Int64.equal off 0L then base
   else begin
     let ta = fresh_temp ctx in
@@ -197,11 +212,10 @@ let translate_insn t ctx pc next_pc (insn : X86.Insn.t) =
       emit ctx (Op.Mov (greg a, greg b));
       false
   | X86.Insn.Load (r, m) ->
-      let base, off = ea ctx m in
-      guest_load ctx ~pc fences (greg r) base off;
+      guest_load ctx ~pc fences (greg r) (ea_base ctx m) (ea_off m);
       false
   | X86.Insn.Store (m, src) ->
-      let base, off = ea ctx m in
+      let base = ea_base ctx m in
       let v =
         match src with
         | X86.Insn.R r -> greg r
@@ -210,7 +224,7 @@ let translate_insn t ctx pc next_pc (insn : X86.Insn.t) =
             emit ctx (Op.Movi (tv, i));
             tv
       in
-      guest_store ctx ~pc fences v base off;
+      guest_store ctx ~pc fences v base (ea_off m);
       false
   | X86.Insn.Alu (op, r, src) ->
       (match src with
@@ -220,10 +234,10 @@ let translate_insn t ctx pc next_pc (insn : X86.Insn.t) =
   | X86.Insn.Fp (op, a, b) ->
       (* SSE scalar doubles are emulated in software (§7.3): every FP
          instruction becomes a helper call. *)
-      emit ctx (Op.Call (fp_helper op, [ greg a; greg b ], Some (greg a)));
+      emit ctx (Op.Call (fp_helper op, [ greg a; greg b ], some_greg a));
       false
   | X86.Insn.Lea (r, m) ->
-      let base, off = ea ctx m in
+      let base = ea_base ctx m and off = ea_off m in
       if Int64.equal off 0L then emit ctx (Op.Mov (greg r, base))
       else emit ctx (Op.Binopi (Op.Add, greg r, base, off));
       false
@@ -316,7 +330,7 @@ let translate_insn t ctx pc next_pc (insn : X86.Insn.t) =
         (Op.Call
            ( "helper_syscall",
              [ rax; greg X86.Reg.RDI; greg X86.Reg.RSI; greg X86.Reg.RDX ],
-             Some rax ));
+             some_greg X86.Reg.RAX ));
       emit ctx (Op.Goto_tb next_pc);
       true
   | X86.Insn.Hlt ->
@@ -348,39 +362,60 @@ let translate_plt_stub ctx (entry : Linker.Link.entry) =
    host library lacks.  Such imports become lazy trap stubs: the run
    only faults — and only in the calling thread — if the import is
    actually invoked (Link_fault). *)
+let rec missing_import plt pc = function
+  | [] -> None
+  | (name, Linker.Link.Missing_host_symbol) :: rest -> (
+      match List.assoc_opt name plt with
+      | Some addr when Int64.equal addr pc -> Some name
+      | Some _ | None -> missing_import plt pc rest)
+  | (_, (Linker.Link.No_idl_signature | Linker.Link.No_plt_slot)) :: rest ->
+      missing_import plt pc rest
+
 let link_trap t pc =
   if not t.config.Config.host_linker then None
-  else
-    List.find_map
-      (fun (name, cause) ->
-        match cause with
-        | Linker.Link.Missing_host_symbol -> (
-            match List.assoc_opt name t.image.Image.Gelf.plt with
-            | Some addr when Int64.equal addr pc -> Some name
-            | Some _ | None -> None)
-        | Linker.Link.No_idl_signature | Linker.Link.No_plt_slot -> None)
-      (Linker.Link.unresolved_causes t.links)
+  else missing_import t.image.Image.Gelf.plt pc (Linker.Link.unresolved_causes t.links)
 
+(* Raised by [decode_one] with the trap context. *)
+exception Undecodable of string
+
+(* The instruction at [pc] and its length. *)
 let decode_one t pc =
   if Inject.fire t.inject Inject.Decode then
-    Error (Printf.sprintf "injected decode fault at 0x%Lx" pc)
-  else
-    match
-      X86.Decode.decode t.image.Image.Gelf.text ~pc
-        ~base:t.image.Image.Gelf.text_base
-    with
-    | insn_and_len -> Ok insn_and_len
-    | exception X86.Decode.Bad_encoding (epc, msg) ->
-        Error (Printf.sprintf "0x%Lx: %s" epc msg)
+    raise (Undecodable (Printf.sprintf "injected decode fault at 0x%Lx" pc));
+  match
+    X86.Decode.decode t.image.Image.Gelf.text ~pc ~base:t.image.Image.Gelf.text_base
+  with
+  | decoded -> decoded
+  | exception X86.Decode.Bad_encoding (epc, msg) ->
+      raise (Undecodable (Printf.sprintf "0x%Lx: %s" epc msg))
 
 let trap_block pc kind context =
   Tcg.Block.make ~guest_pc:pc ~guest_len:0 ~guest_insns:0
     [| Op.Trap (kind, context) |]
 
+(* Translate the decoded instruction at [pc] and the ones after it, to
+   the end of the block; [ctx] counts the instructions and bytes. *)
+let rec translate_from t ctx pc (insn, ilen) =
+  (* opaque: boxed once here, not again at each of its uses *)
+  let next_pc = Sys.opaque_identity (Int64.add pc (Int64.of_int ilen)) in
+  let ended = translate_insn t ctx pc next_pc insn in
+  ctx.insns <- ctx.insns + 1;
+  ctx.bytes <- ctx.bytes + ilen;
+  if ended then ()
+  else if ctx.insns >= max_block_insns then emit ctx (Op.Goto_tb next_pc)
+  else
+    match decode_one t next_pc with
+    | next -> translate_from t ctx next_pc next
+    | exception Undecodable _ ->
+        (* Undecodable bytes mid-block: end the block at the boundary.
+           If control actually reaches the bad pc, its own (trap) block
+           faults then. *)
+        emit ctx (Op.Goto_tb next_pc)
+
 let translate t pc =
   let ctx =
-    { buf = Array.make 64 Op.Exit_halt; len = 0; next_temp = Op.first_local;
-      next_label = 0 }
+    { buf = Tcg.Work.reserve buffers 64 Op.Exit_halt; len = 0; next_temp = Op.first_local;
+      next_label = 0; insns = 0; bytes = 0 }
   in
   match
     if t.config.Config.host_linker then Linker.Link.lookup t.links pc else None
@@ -394,31 +429,11 @@ let translate t pc =
           trap_block pc "link" ("unresolved host import " ^ name)
       | None -> (
           match decode_one t pc with
-          | Error msg ->
+          | exception Undecodable msg ->
               (* The very first instruction is undecodable: the whole
                  block is a trap.  Executing it faults the thread. *)
               trap_block pc "decode" msg
-          | Ok first ->
-              let rec go insn_len pc count len =
-                let insn, ilen = insn_len in
-                let next_pc = Int64.add pc (Int64.of_int ilen) in
-                let ended = translate_insn t ctx pc next_pc insn in
-                let count = count + 1 and len = len + ilen in
-                if ended then (count, len)
-                else if count >= max_block_insns then begin
-                  emit ctx (Op.Goto_tb next_pc);
-                  (count, len)
-                end
-                else
-                  match decode_one t next_pc with
-                  | Ok next -> go next next_pc count len
-                  | Error _ ->
-                      (* Undecodable bytes mid-block: end the block at
-                         the boundary.  If control actually reaches the
-                         bad pc, its own (trap) block faults then. *)
-                      emit ctx (Op.Goto_tb next_pc);
-                      (count, len)
-              in
-              let insns, len = go first pc 0 0 in
-              Tcg.Block.make ~guest_pc:pc ~guest_len:len ~guest_insns:insns
+          | first ->
+              translate_from t ctx pc first;
+              Tcg.Block.make ~guest_pc:pc ~guest_len:ctx.bytes ~guest_insns:ctx.insns
                 (emitted ctx)))

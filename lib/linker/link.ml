@@ -51,6 +51,12 @@ let cause_name = function
   | Missing_host_symbol -> "missing host symbol"
   | No_plt_slot -> "no PLT slot"
 
+let rec find_plt addr = function
+  | [] -> None
+  | e :: rest -> if Int64.equal e.plt_addr addr then Some e else find_plt addr rest
+
+(* Timed only while metrics are on, so the closure is built only then. *)
 let lookup t addr =
-  Obs.Profile.time (m_lookup_ns ()) (fun () ->
-      List.find_opt (fun e -> Int64.equal e.plt_addr addr) t.table)
+  if Obs.Metrics.enabled () then
+    Obs.Profile.time (m_lookup_ns ()) (fun () -> find_plt addr t.table)
+  else find_plt addr t.table

@@ -20,7 +20,7 @@ type t =
   | Binopi of binop * temp * temp * int64
   | Ld of temp * temp * int64
   | St of temp * temp * int64
-  | Mb of (Axiom.Event.fence * origin)
+  | Mb of Axiom.Event.fence * origin
   | Setcond of cond * temp * temp * temp
   | Brcond of cond * temp * temp * int
   | Set_label of int

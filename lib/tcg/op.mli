@@ -43,7 +43,7 @@ type t =
   | Binopi of binop * temp * temp * int64
   | Ld of temp * temp * int64  (** dst ← [base + off] *)
   | St of temp * temp * int64  (** [base + off] ← src *)
-  | Mb of (Axiom.Event.fence * origin)
+  | Mb of Axiom.Event.fence * origin
       (** memory barrier (TCG fence kinds), tagged with provenance *)
   | Setcond of cond * temp * temp * temp
   | Brcond of cond * temp * temp * int  (** branch to label if cond *)

@@ -42,11 +42,12 @@ let record_fences l ~pass outcome ops =
    so Dce and Memopt keep it) instead of letting it vanish silently. *)
 let record_dropped l ~pass before after =
   let remaining =
-    ref (List.filter_map (function Op.Mb fo -> Some fo | _ -> None) (Array.to_list after))
+    ref (List.filter_map (function Op.Mb (f, o) -> Some (f, o) | _ -> None) (Array.to_list after))
   in
   Array.iter
     (function
-      | Op.Mb ((kind, origin) as fo) ->
+      | Op.Mb (kind, origin) ->
+          let fo = (kind, origin) in
           let rec remove = function
             | [] -> None
             | fo' :: rest when fo' = fo -> Some rest

@@ -37,10 +37,11 @@ let index = function
   | R14 -> 14
   | R15 -> 15
 
+let by_index = Array.of_list all
+
 let of_index i =
-  match List.nth_opt all i with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Reg.of_index: %d" i)
+  if i >= 0 && i < Array.length by_index then by_index.(i)
+  else invalid_arg (Printf.sprintf "Reg.of_index: %d" i)
 
 let name = function
   | RAX -> "rax"

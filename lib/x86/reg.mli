@@ -23,6 +23,7 @@ val all : t list
 (** Encoding index, 0–15. *)
 val index : t -> int
 
+(** Inverse of {!index}; [Invalid_argument] outside 0–15. *)
 val of_index : int -> t
 val name : t -> string
 val pp : Format.formatter -> t -> unit

@@ -299,6 +299,60 @@ let test_allocation_gate () =
     Alcotest.failf "%.1f minor words per executed block (bound %.0f)" per_block
       max_words_per_block
 
+(* Translation allocation gate: translating (decode, frontend, TCG
+   passes, backend, code-cache insert) a straight-line guest made of
+   every instruction shape of the benchmark's cold-code workload, 32
+   instructions per block, allocates at most [max_translate_words] minor
+   words per block (DESIGN.md, "Array-form TCG IR").  A warm-up pass
+   first grows the per-domain scratch buffers, so the count does not
+   depend on what ran before; it is deterministic and needs no noise
+   band: the bound is the measured 1208.1 plus 5%. *)
+let max_translate_words = 1268.
+
+let cold_shapes =
+  [
+    I.Load (R.RAX, I.based R.RBX 8L);
+    I.Store (I.based R.RBX 136L, I.R R.RAX);
+    I.Alu (I.Add, R.RCX, I.I 3L);
+    I.Alu (I.Xor, R.RDX, I.R R.RCX);
+    I.Fp (I.Fmul, R.RSI, R.RSI);
+    I.Load (R.RAX, I.based R.RBX 64L);
+    I.Alu (I.Shl, R.RCX, I.I 1L);
+    I.Fp (I.Fadd, R.RSI, R.RSI);
+    I.Alu (I.Sub, R.RDX, I.I 1L);
+    I.Mov_ri (R.R8, 1L);
+    I.Lock_xadd (I.based R.R14 0L, R.R8);
+    I.Mfence;
+  ]
+
+let test_translation_allocation_gate () =
+  let blocks = 64 and per_block = Core.Frontend.max_block_insns in
+  let insns =
+    List.init (blocks * per_block) (fun k -> List.nth cold_shapes (k mod List.length cold_shapes))
+  in
+  let image = build ((Label "main" :: List.map (fun i -> Ins i) insns) @ [ Ins I.Hlt ]) in
+  let fe = Core.Frontend.create Core.Config.risotto image Linker.Link.empty in
+  let rec starts pc n =
+    if n = 0 then []
+    else
+      let b = Core.Frontend.translate fe pc in
+      check_int "full block" per_block b.Tcg.Block.guest_insns;
+      pc :: starts (Int64.add pc (Int64.of_int b.Tcg.Block.guest_len)) (n - 1)
+  in
+  let pcs = starts image.Image.Gelf.entry blocks in
+  let translate_all () =
+    let eng = Core.Engine.create Core.Config.risotto image in
+    let w0 = Gc.minor_words () in
+    List.iter (fun pc -> ignore (Sys.opaque_identity (Core.Engine.fetch eng pc))) pcs;
+    let words = Gc.minor_words () -. w0 in
+    check_int "every block translated" blocks (Core.Engine.stats eng).Core.Engine.blocks_translated;
+    words /. float_of_int blocks
+  in
+  ignore (translate_all ());
+  let words = translate_all () in
+  if words > max_translate_words then
+    Alcotest.failf "%.1f minor words per translated block (bound %.0f)" words max_translate_words
+
 let () =
   Alcotest.run "dispatch"
     [
@@ -336,5 +390,7 @@ let () =
         [
           Alcotest.test_case "minor words per executed block" `Quick
             test_allocation_gate;
+          Alcotest.test_case "minor words per translated block" `Quick
+            test_translation_allocation_gate;
         ] );
     ]

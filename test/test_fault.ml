@@ -88,6 +88,30 @@ let test_decode_fault_isolated () =
   | None -> Alcotest.fail "bad thread should have trapped");
   check_int "one trap counted" 1 (Core.Engine.stats eng).Core.Engine.traps
 
+(* A register byte past 15, or an index byte past 0x3F, is a bad
+   encoding like any other: the block it starts traps its thread, and
+   nothing escapes the engine. *)
+let test_bad_register_byte_traps () =
+  let base = 0x1000L in
+  List.iter
+    (fun (name, text, bad_pc) ->
+      let image =
+        { Image.Gelf.entry = base; text_base = base; text; symbols = []; imports = []; plt = [] }
+      in
+      let g = Core.Engine.run (Core.Engine.create Core.Config.risotto image) in
+      match g.Core.Engine.trap with
+      | Some f ->
+          check_bool (name ^ ": decode fault") true (f.F.kind = F.Decode_fault);
+          check_bool (name ^ ": faulting pc") true (f.F.pc = Some bad_pc);
+          check_bool (name ^ ": thread 0") true (f.F.tid = Some 0)
+      | None -> Alcotest.fail (name ^ ": thread should have trapped"))
+    [
+      (* inc with register byte 200, then hlt *)
+      ("register byte 0xC8", "\x07\xC8\x92", base);
+      (* nop, then a load whose index byte is 0x40, then hlt *)
+      ("index byte 0x40 mid-block", "\x90\x03\x00\x01\x40\x00\x00\x00\x00\x92", Int64.succ base);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Interpreter fallback when the backend cannot compile                *)
 
@@ -313,6 +337,8 @@ let () =
         [
           Alcotest.test_case "decode fault isolated to thread" `Quick
             test_decode_fault_isolated;
+          Alcotest.test_case "bad register byte traps" `Quick
+            test_bad_register_byte_traps;
           Alcotest.test_case "watchdog reports exhaustion" `Quick
             test_watchdog_exhausted;
         ] );

@@ -115,6 +115,34 @@ let prop_decode_positions =
       in
       go base insns)
 
+(* Any opcode the encoder emits, then operand bytes (biased toward
+   valid register, base and index fields so that some decode), cut at
+   any length. *)
+let arb_fuzz_text =
+  let open QCheck in
+  let byte = Gen.(oneof [ int_range 0 0x11; int_bound 255; return 0xFF ]) in
+  let text insn operands cut =
+    let opcode = (X86.Encode.encode ~pc:0L insn).[0] in
+    let s = String.make 1 opcode ^ String.of_seq (List.to_seq (List.map Char.chr operands)) in
+    String.sub s 0 (min cut (String.length s))
+  in
+  let hex s =
+    String.concat " " (List.init (String.length s) (fun i -> Printf.sprintf "%02X" (Char.code s.[i])))
+  in
+  make ~print:hex
+    Gen.(map3 text (gen arb_insn) (list_size (int_bound 12) byte) (int_range 1 13))
+
+let prop_decode_fuzz =
+  QCheck.Test.make ~name:"arbitrary bytes decode exactly or raise Bad_encoding" ~count:2000
+    arb_fuzz_text (fun text ->
+      let pc = 0x4000L in
+      match X86.Decode.decode text ~pc ~base:pc with
+      | insn, len ->
+          len = X86.Encode.length insn
+          && len <= String.length text
+          && X86.Encode.encode ~pc insn = String.sub text 0 len
+      | exception X86.Decode.Bad_encoding _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Text assembler parser                                               *)
 
@@ -405,6 +433,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_decode_positions;
+          QCheck_alcotest.to_alcotest prop_decode_fuzz;
         ] );
       ( "assembler",
         [

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Guard the fault-isolation discipline: the translation pipeline
-# (lib/core, lib/arm, lib/linker) must report failures through typed
-# faults (Core.Fault) or result values, never by crashing the whole
-# engine with a bare failwith / invalid_arg.  fault.ml is the one
+# (lib/core, lib/arm, lib/linker, and the x86 decoder it calls first)
+# must report failures through typed faults (Core.Fault,
+# X86.Decode.Bad_encoding) or result values, never by crashing the
+# whole engine with a bare failwith / invalid_arg.  fault.ml is the one
 # place allowed to raise.
 #
 # Run via `dune build @check-no-crash` (part of `dune runtest`).
@@ -33,15 +34,14 @@ fi
 root=${1:-.}
 status=0
 
-for dir in lib/core lib/arm lib/linker; do
-  for f in "$root"/$dir/*.ml; do
-    case $f in
-      */fault.ml) continue ;;
-    esac
-    if grep -Hn 'failwith\|invalid_arg' "$f"; then
-      status=1
-    fi
-  done
+for f in "$root"/lib/core/*.ml "$root"/lib/arm/*.ml "$root"/lib/linker/*.ml \
+  "$root"/lib/x86/decode.ml; do
+  case $f in
+    */fault.ml) continue ;;
+  esac
+  if grep -Hn 'failwith\|invalid_arg' "$f"; then
+    status=1
+  fi
 done
 
 if [ "$status" -ne 0 ]; then

@@ -219,10 +219,10 @@ let exec_block s t (code : Insn.t array) =
           set t d (alu_eval op (get t a) (operand t b))
       | Insn.Ldr (d, b, off) ->
           charge t c.ldr;
-          set t d (Memsys.Mem.load mem (Int64.add (get t b) off))
+          set t d (Memsys.Mem.load_at mem (get t b) off)
       | Insn.Str (src, b, off) ->
           charge t c.str;
-          Memsys.Mem.store mem (Int64.add (get t b) off) (get t src)
+          Memsys.Mem.store_at mem (get t b) off (get t src)
       | Insn.Ldar (d, b) | Insn.Ldapr (d, b) ->
           charge t (c.ldr + c.acq_rel_extra);
           set t d (Memsys.Mem.load mem (get t b))

@@ -167,7 +167,7 @@ let length (config : Config.t) ~pc op =
   | Op.Movi _ | Op.Mov _ | Op.Binop _ | Op.Binopi _ | Op.Ld _ | Op.St _ | Op.Br _
   | Op.Call _ | Op.Host_call _ | Op.Goto_tb _ | Op.Goto_ptr _ | Op.Exit_halt | Op.Trap _ ->
       1
-  | Op.Mb (f, _) -> if Option.is_some (dmb config f) then 1 else 0
+  | Op.Mb (f, _, _) -> if Option.is_some (dmb config f) then 1 else 0
   | Op.Setcond _ | Op.Brcond _ -> 2
   | Op.Set_label _ -> 0
   | Op.Rmw { op; _ } ->
@@ -224,7 +224,7 @@ let lower c op =
   | Op.Binopi (bop, d, a, imm) -> ins c (A.Alu (binop_alu bop, reg c d, reg c a, A.I imm))
   | Op.Ld (d, base, off) -> ins c (A.Ldr (reg c d, reg c base, off))
   | Op.St (s, base, off) -> ins c (A.Str (reg c s, reg c base, off))
-  | Op.Mb (f, _) -> ( match dmb c.config f with Some i -> ins c i | None -> ())
+  | Op.Mb (f, _, _) -> ( match dmb c.config f with Some i -> ins c i | None -> ())
   | Op.Setcond (cond, d, a, b) ->
       ins c (A.Cmp (reg c a, operand (reg c b)));
       ins c (A.Cset (reg c d, cc_of_cond cond))

@@ -336,21 +336,25 @@ let compile t pc tcg =
           (Fault.make ~pc Fault.Backend_fault
              (Printf.sprintf "register pressure in block 0x%Lx" r))
 
-(* Translate and compile the block at [pc] into a fresh node. *)
+(* Translate and compile the block at [pc] into a fresh node.  The
+   passes rewrite the frontend's buffer in place, and the optimized ops
+   are copied out of it once. *)
 let translate_block t pc =
   let fired = Inject.fired t.inject Inject.Decode in
-  let raw = spanned "frontend" Frontend.translate t.frontend pc in
+  let draft = spanned "frontend" Frontend.translate_in_place t.frontend pc in
+  let ops_before = draft.Frontend.work.Tcg.Work.len in
   (* Provenance is re-derived on demand, except where an injected
      decode fault shaped this translation. *)
   let pin = Inject.fired t.inject Inject.Decode <> fired in
   let ledger = if pin then Some (Tcg.Fence_ledger.create ()) else None in
-  let optimized = Tcg.Pipeline.run ?ledger t.config.Config.passes raw in
+  Tcg.Pipeline.run_in_place ?ledger t.config.Config.passes draft.Frontend.work;
+  let optimized = Frontend.block draft in
   (match ledger with
   | Some l -> Hashtbl.replace t.pinned pc (optimized, l)
   | None -> Hashtbl.remove t.pinned pc);
   Hashtbl.remove t.loaded pc;
   emit t t.flight Translated pc (Tcg.Fenceopt.count optimized.Tcg.Block.ops);
-  emit t t.flight Ops_before pc (Tcg.Block.op_count raw);
+  emit t t.flight Ops_before pc ops_before;
   emit t t.flight Ops_after pc (Tcg.Block.op_count optimized);
   Tbchain.insert t.tbs pc (compile t pc optimized)
 

@@ -18,8 +18,9 @@ let max_block_insns = 32
 
 (* Translation-time state: the op buffer (the first [len] slots), temp
    and label allocators.  The buffer is the calling domain's, reused
-   across blocks and grown on demand, so a block allocates only the
-   ops it emits and their final array. *)
+   across blocks and grown on demand, and the optimizer passes rewrite
+   it in place, so a block allocates only the ops it emits and their
+   final array. *)
 type ctx = {
   mutable buf : Op.t array;
   mutable len : int;
@@ -40,8 +41,6 @@ let emit ctx op =
   end;
   ctx.buf.(ctx.len) <- op;
   ctx.len <- ctx.len + 1
-
-let emitted ctx = Array.sub ctx.buf 0 ctx.len
 
 let fresh_temp ctx =
   let t = ctx.next_temp in
@@ -89,16 +88,16 @@ let ea_off (m : X86.Insn.mem) =
 (* The fences the mapping table places on one side of a guest access,
    each tagged with the guest pc and the table row that placed it, so
    the optimizer's ledger can attribute merges back to instructions. *)
-let rec emit_fences ctx origin = function
+let rec emit_fences ctx pc rule = function
   | [] -> ()
   | f :: rest ->
-      emit ctx (Op.Mb (f, origin));
-      emit_fences ctx origin rest
+      emit ctx (Op.Mb (f, pc, rule));
+      emit_fences ctx pc rule rest
 
 let place ctx ~pc fences side access =
   match S.fences fences side access with
   | [] -> ()
-  | fs -> emit_fences ctx { Op.opc = pc; rule = S.rule_name side access } fs
+  | fs -> emit_fences ctx pc (S.rule_name side access) fs
 
 let guest_load ctx ~pc fences dst base off =
   place ctx ~pc fences `Pre `Load;
@@ -144,6 +143,21 @@ let cond_of_cc : X86.Insn.cc -> Op.cond = function
   | X86.Insn.A -> Op.Gtu
   | X86.Insn.Ae -> Op.Geu
 
+(* [[greg a; greg b]], shared per register pair and built on first
+   use: an FP helper call's arguments, which the backend keeps in the
+   native call.  Two domains racing on a slot store equal lists. *)
+let nregs = List.length X86.Reg.all
+let fp_arg_lists = Array.make (nregs * nregs) []
+
+let fp_args a b =
+  let k = (X86.Reg.index a * nregs) + X86.Reg.index b in
+  match fp_arg_lists.(k) with
+  | [] ->
+      let args = [ greg a; greg b ] in
+      fp_arg_lists.(k) <- args;
+      args
+  | args -> args
+
 let fp_helper : X86.Insn.fpop -> string = function
   | X86.Insn.Fadd -> "sf_add"
   | X86.Insn.Fsub -> "sf_sub"
@@ -153,6 +167,7 @@ let fp_helper : X86.Insn.fpop -> string = function
 
 let rsp = greg X86.Reg.RSP
 let rax = greg X86.Reg.RAX
+let syscall_args = [ rax; greg X86.Reg.RDI; greg X86.Reg.RSI; greg X86.Reg.RDX ]
 
 (* Stack push/pop are ordinary guest stores/loads: Qemu cannot know the
    stack is thread-private, so they receive mapping fences too. *)
@@ -234,7 +249,7 @@ let translate_insn t ctx pc next_pc (insn : X86.Insn.t) =
   | X86.Insn.Fp (op, a, b) ->
       (* SSE scalar doubles are emulated in software (§7.3): every FP
          instruction becomes a helper call. *)
-      emit ctx (Op.Call (fp_helper op, [ greg a; greg b ], some_greg a));
+      emit ctx (Op.Call (fp_helper op, fp_args a b, some_greg a));
       false
   | X86.Insn.Lea (r, m) ->
       let base = ea_base ctx m and off = ea_off m in
@@ -326,11 +341,7 @@ let translate_insn t ctx pc next_pc (insn : X86.Insn.t) =
       false
   | X86.Insn.Nop -> false
   | X86.Insn.Syscall ->
-      emit ctx
-        (Op.Call
-           ( "helper_syscall",
-             [ rax; greg X86.Reg.RDI; greg X86.Reg.RSI; greg X86.Reg.RDX ],
-             some_greg X86.Reg.RAX ));
+      emit ctx (Op.Call ("helper_syscall", syscall_args, some_greg X86.Reg.RAX));
       emit ctx (Op.Goto_tb next_pc);
       true
   | X86.Insn.Hlt ->
@@ -389,10 +400,6 @@ let decode_one t pc =
   | exception X86.Decode.Bad_encoding (epc, msg) ->
       raise (Undecodable (Printf.sprintf "0x%Lx: %s" epc msg))
 
-let trap_block pc kind context =
-  Tcg.Block.make ~guest_pc:pc ~guest_len:0 ~guest_insns:0
-    [| Op.Trap (kind, context) |]
-
 (* Translate the decoded instruction at [pc] and the ones after it, to
    the end of the block; [ctx] counts the instructions and bytes. *)
 let rec translate_from t ctx pc (insn, ilen) =
@@ -412,28 +419,39 @@ let rec translate_from t ctx pc (insn, ilen) =
            faults then. *)
         emit ctx (Op.Goto_tb next_pc)
 
-let translate t pc =
+type draft = { guest_pc : int64; guest_len : int; guest_insns : int; work : Tcg.Work.t }
+
+let draft ctx pc =
+  {
+    guest_pc = pc;
+    guest_len = ctx.bytes;
+    guest_insns = ctx.insns;
+    work = { Tcg.Work.ops = ctx.buf; len = ctx.len; ntemps = ctx.next_temp };
+  }
+
+let translate_in_place t pc =
   let ctx =
     { buf = Tcg.Work.reserve buffers 64 Op.Exit_halt; len = 0; next_temp = Op.first_local;
       next_label = 0; insns = 0; bytes = 0 }
   in
-  match
-    if t.config.Config.host_linker then Linker.Link.lookup t.links pc else None
-  with
-  | Some entry ->
-      translate_plt_stub ctx entry;
-      Tcg.Block.make ~guest_pc:pc ~guest_len:0 ~guest_insns:0 (emitted ctx)
+  (match
+     if t.config.Config.host_linker then Linker.Link.lookup t.links pc else None
+   with
+  | Some entry -> translate_plt_stub ctx entry
   | None -> (
       match link_trap t pc with
-      | Some name ->
-          trap_block pc "link" ("unresolved host import " ^ name)
+      | Some name -> emit ctx (Op.Trap ("link", "unresolved host import " ^ name))
       | None -> (
           match decode_one t pc with
           | exception Undecodable msg ->
               (* The very first instruction is undecodable: the whole
                  block is a trap.  Executing it faults the thread. *)
-              trap_block pc "decode" msg
-          | first ->
-              translate_from t ctx pc first;
-              Tcg.Block.make ~guest_pc:pc ~guest_len:ctx.bytes ~guest_insns:ctx.insns
-                (emitted ctx)))
+              emit ctx (Op.Trap ("decode", msg))
+          | first -> translate_from t ctx pc first)));
+  draft ctx pc
+
+let block d =
+  Tcg.Block.make ~guest_pc:d.guest_pc ~guest_len:d.guest_len ~guest_insns:d.guest_insns
+    (Tcg.Work.contents d.work)
+
+let translate t pc = block (translate_in_place t pc)

@@ -27,4 +27,17 @@ val create : ?inject:Inject.t -> Config.t -> Image.Gelf.t -> Linker.Link.t -> t
 (** Maximum guest instructions per translation block. *)
 val max_block_insns : int
 
+(** A block translated into the calling domain's op buffer: [work]
+    is that buffer, ready for {!Tcg.Pipeline.run_in_place}, and valid
+    only until the domain's next translation.  A PLT stub or a trap
+    block covers no guest code ([guest_len = guest_insns = 0]). *)
+type draft = { guest_pc : int64; guest_len : int; guest_insns : int; work : Tcg.Work.t }
+
+val translate_in_place : t -> int64 -> draft
+
+(** The draft's current ops as a block, copied once and exactly sized. *)
+val block : draft -> Tcg.Block.t
+
+(** [block (translate_in_place t pc)]: the raw (unoptimized) block at
+    [pc], in an array of its own. *)
 val translate : t -> int64 -> Tcg.Block.t

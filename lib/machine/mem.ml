@@ -75,9 +75,14 @@ let page_for_store m pn =
     p
   end
 
-let load m addr =
+(* The sum is formed here, so it stays unboxed: a caller passing two
+   existing boxes allocates nothing for the address. *)
+let load_at m base off =
+  let addr = Int64.add base off in
   let p = find_page m (page_number addr) in
   if p == zero_page then 0L else get64 p.words (word_offset addr)
+
+let load m addr = load_at m addr 0L
 
 let mark_written p off =
   let w = off lsr 3 in
@@ -85,11 +90,14 @@ let mark_written p off =
   Bytes.unsafe_set p.written i
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get p.written i) lor (1 lsl (w land 7))))
 
-let store m addr v =
+let store_at m base off v =
+  let addr = Int64.add base off in
   let p = page_for_store m (page_number addr) in
   let off = word_offset addr in
   set64 p.words off v;
   mark_written p off
+
+let store m addr v = store_at m addr 0L v
 
 let byte_shift addr = 8 * (Int64.to_int addr land 7)
 

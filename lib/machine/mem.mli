@@ -17,6 +17,16 @@ val create : unit -> t
 val load : t -> int64 -> int64
 val store : t -> int64 -> int64 -> unit
 
+(** [load_at m base off] is [load m (Int64.add base off)], and
+    [store_at m base off v] is [store m (Int64.add base off) v]; the
+    sum wraps.  They form the address inside this module, so a caller
+    that passes existing boxes allocates nothing for it: the build
+    never inlines across modules, and a sum formed by the caller is
+    boxed to make the call. *)
+val load_at : t -> int64 -> int64 -> int64
+
+val store_at : t -> int64 -> int64 -> int64 -> unit
+
 (** Byte access (used by the image loader for .data-like content). *)
 val load_byte : t -> int64 -> int
 

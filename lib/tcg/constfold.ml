@@ -96,8 +96,3 @@ let rewrite (w : Work.t) =
         emit op
   done;
   w.len <- !j
-
-let run ops =
-  let w = Work.of_array ops in
-  rewrite w;
-  Work.contents w

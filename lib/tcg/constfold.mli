@@ -7,6 +7,3 @@
 
 (** Rewrite the working copy in place. *)
 val rewrite : Work.t -> unit
-
-(** The pass on its own: a rewritten copy of the ops. *)
-val run : Op.t array -> Op.t array

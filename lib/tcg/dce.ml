@@ -63,8 +63,3 @@ let has_control (w : Work.t) =
    strategy 2 alone does both: a local nothing reads is never live, and
    dropping it adds none of its reads. *)
 let rewrite w = if has_control w then drop_unread_locals w else drop_dead_straightline w
-
-let run ops =
-  let w = Work.of_array ops in
-  rewrite w;
-  Work.contents w

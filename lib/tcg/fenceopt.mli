@@ -16,8 +16,5 @@
 (** Rewrite the working copy in place. *)
 val rewrite : ?ledger:Fence_ledger.t -> Work.t -> unit
 
-(** The pass on its own: a rewritten copy of the ops. *)
-val run : ?ledger:Fence_ledger.t -> Op.t array -> Op.t array
-
 (** Count of [Mb] ops, for the statistics the evaluation reports. *)
 val count : Op.t array -> int

@@ -60,10 +60,10 @@ let exec_block env (b : Block.t) =
           temps.(d) <- Op.eval_binop op temps.(a) imm;
           next ()
       | Op.Ld (d, base, off) ->
-          temps.(d) <- Memsys.Mem.load mem (Int64.add temps.(base) off);
+          temps.(d) <- Memsys.Mem.load_at mem temps.(base) off;
           next ()
       | Op.St (s, base, off) ->
-          Memsys.Mem.store mem (Int64.add temps.(base) off) temps.(s);
+          Memsys.Mem.store_at mem temps.(base) off temps.(s);
           next ()
       | Op.Mb _ | Op.Set_label _ -> next ()
       | Op.Setcond (c, d, a, b') ->

@@ -20,7 +20,7 @@ type t =
   | Binopi of binop * temp * temp * int64
   | Ld of temp * temp * int64
   | St of temp * temp * int64
-  | Mb of Axiom.Event.fence * origin
+  | Mb of Axiom.Event.fence * int64 * string
   | Setcond of cond * temp * temp * temp
   | Brcond of cond * temp * temp * int
   | Set_label of int
@@ -33,7 +33,7 @@ type t =
   | Exit_halt
   | Trap of string * string
 
-let mb ?(origin = no_origin) f = Mb (f, origin)
+let mb ?(origin = no_origin) f = Mb (f, origin.opc, origin.rule)
 
 let no_temp = -1
 
@@ -145,7 +145,7 @@ let pp ppf = function
       Fmt.pf ppf "%si %a, %a, %Ld" (binop_name op) pp_temp d pp_temp a i
   | Ld (d, b, off) -> Fmt.pf ppf "ld %a, [%a%+Ld]" pp_temp d pp_temp b off
   | St (s, b, off) -> Fmt.pf ppf "st [%a%+Ld], %a" pp_temp b off pp_temp s
-  | Mb (f, _) -> Fmt.pf ppf "mb %a" Axiom.Event.pp_fence f
+  | Mb (f, _, _) -> Fmt.pf ppf "mb %a" Axiom.Event.pp_fence f
   | Setcond (c, d, a, b) ->
       Fmt.pf ppf "setcond.%s %a, %a, %a" (cond_name c) pp_temp d pp_temp a
         pp_temp b

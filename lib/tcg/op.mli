@@ -43,8 +43,10 @@ type t =
   | Binopi of binop * temp * temp * int64
   | Ld of temp * temp * int64  (** dst ← [base + off] *)
   | St of temp * temp * int64  (** [base + off] ← src *)
-  | Mb of Axiom.Event.fence * origin
-      (** memory barrier (TCG fence kinds), tagged with provenance *)
+  | Mb of Axiom.Event.fence * int64 * string
+      (** memory barrier (TCG fence kinds), tagged with its provenance:
+          an {!origin}'s [opc] and [rule], carried unboxed so that
+          placing a fence allocates no record *)
   | Setcond of cond * temp * temp * temp
   | Brcond of cond * temp * temp * int  (** branch to label if cond *)
   | Set_label of int

@@ -10,11 +10,12 @@ let all = [ Const_fold; Mem_elim; Dce; Fence_merge ]
 let qemu_default = [ Const_fold; Mem_elim; Dce ]
 let risotto_default = [ Const_fold; Mem_elim; Dce; Fence_merge ]
 
-let rewrite ?ledger = function
-  | Const_fold -> Constfold.rewrite
-  | Dce -> Dce.rewrite
-  | Mem_elim -> Memopt.rewrite
-  | Fence_merge -> Fenceopt.rewrite ?ledger
+let rewrite ?ledger p w =
+  match p with
+  | Const_fold -> Constfold.rewrite w
+  | Dce -> Dce.rewrite w
+  | Mem_elim -> Memopt.rewrite w
+  | Fence_merge -> Fenceopt.rewrite ?ledger w
 
 let run_pass ?ledger p ops =
   let w = Work.of_array ops in
@@ -29,12 +30,13 @@ let pass_hists =
 
 let pass_hist p = List.assq p (pass_hists ())
 
-let record_fences l ~pass outcome ops =
-  Array.iter
-    (function
-      | Op.Mb (kind, origin) -> Fence_ledger.record l ~pass ~kind ~origin outcome
-      | _ -> ())
-    ops
+let record_fences l ~pass outcome (w : Work.t) =
+  for i = 0 to w.len - 1 do
+    match w.ops.(i) with
+    | Op.Mb (kind, opc, rule) ->
+        Fence_ledger.record l ~pass ~kind ~origin:{ Op.opc; rule } outcome
+    | _ -> ()
+  done
 
 (* The barriers of [before] that [after] lacks, as a multiset.
    Fence_merge does its own accounting; this attributes a barrier any
@@ -42,12 +44,15 @@ let record_fences l ~pass outcome ops =
    so Dce and Memopt keep it) instead of letting it vanish silently. *)
 let record_dropped l ~pass before after =
   let remaining =
-    ref (List.filter_map (function Op.Mb (f, o) -> Some (f, o) | _ -> None) (Array.to_list after))
+    ref
+      (List.filter_map
+         (function Op.Mb (f, opc, rule) -> Some (f, opc, rule) | _ -> None)
+         (Array.to_list after))
   in
   Array.iter
     (function
-      | Op.Mb (kind, origin) ->
-          let fo = (kind, origin) in
+      | Op.Mb (kind, opc, rule) ->
+          let fo = (kind, opc, rule) in
           let rec remove = function
             | [] -> None
             | fo' :: rest when fo' = fo -> Some rest
@@ -55,7 +60,8 @@ let record_dropped l ~pass before after =
           in
           (match remove !remaining with
           | Some rest -> remaining := rest
-          | None -> Fence_ledger.record l ~pass ~kind ~origin Fence_ledger.Dropped)
+          | None ->
+              Fence_ledger.record l ~pass ~kind ~origin:{ Op.opc; rule } Fence_ledger.Dropped)
       | _ -> ())
     before
 
@@ -66,36 +72,43 @@ let live_fences (w : Work.t) =
   done;
   !n
 
-let run ?ledger ?(observe = true) passes (b : Block.t) =
-  let counting = observe && Obs.Metrics.enabled () in
-  let acct =
-    if counting || Option.is_some ledger then Some (Fence_ledger.create ()) else None
+(* One pass of {!run_in_place}: its span and timer when observed, and
+   the fences it drops when accounting.  Closures are built only while
+   observing. *)
+let step acct observe (w : Work.t) p =
+  (* Only accounting keeps the ops a non-merge pass started from. *)
+  let before =
+    match acct with Some _ when p <> Fence_merge -> Work.contents w | Some _ | None -> [||]
   in
+  if observe && (Obs.Trace.enabled () || Obs.Metrics.enabled ()) then
+    Obs.Trace.with_span ~cat:"opt" (pass_name p) (fun () ->
+        Obs.Profile.time (pass_hist p) (fun () -> rewrite ?ledger:acct p w))
+  else rewrite ?ledger:acct p w;
+  match acct with
+  | Some l when p <> Fence_merge ->
+      if Fenceopt.count before <> live_fences w then
+        record_dropped l ~pass:(pass_name p) before (Work.contents w)
+  | Some _ | None -> ()
+
+let rec steps acct observe w = function
+  | [] -> ()
+  | p :: rest ->
+      step acct observe w p;
+      steps acct observe w rest
+
+let run_in_place ?ledger ?(observe = true) passes (w : Work.t) =
+  let counting = observe && Obs.Metrics.enabled () in
+  if not (counting || Option.is_some ledger) then steps None observe w passes
+  else begin
+    let l = Fence_ledger.create () in
+    record_fences l ~pass:"frontend" Fence_ledger.Emitted w;
+    steps (Some l) observe w passes;
+    record_fences l ~pass:"pipeline" Fence_ledger.Kept w;
+    if counting then Fence_ledger.publish l;
+    Option.iter (fun into -> Fence_ledger.append ~into l) ledger
+  end
+
+let run ?ledger ?observe passes (b : Block.t) =
   let w = Work.of_array b.ops in
-  Option.iter (fun l -> record_fences l ~pass:"frontend" Fence_ledger.Emitted b.ops) acct;
-  List.iter
-    (fun p ->
-      (* Only accounting keeps the ops a non-merge pass started from. *)
-      let before =
-        match acct with
-        | Some _ when p <> Fence_merge -> Work.contents w
-        | Some _ | None -> [||]
-      in
-      if observe && (Obs.Trace.enabled () || Obs.Metrics.enabled ()) then
-        Obs.Trace.with_span ~cat:"opt" (pass_name p) (fun () ->
-            Obs.Profile.time (pass_hist p) (fun () -> rewrite ?ledger:acct p w))
-      else rewrite ?ledger:acct p w;
-      match acct with
-      | Some l when p <> Fence_merge ->
-          if Fenceopt.count before <> live_fences w then
-            record_dropped l ~pass:(pass_name p) before (Work.contents w)
-      | Some _ | None -> ())
-    passes;
-  let ops = Work.contents w in
-  Option.iter
-    (fun l ->
-      record_fences l ~pass:"pipeline" Fence_ledger.Kept ops;
-      if counting then Fence_ledger.publish l;
-      Option.iter (fun into -> Fence_ledger.append ~into l) ledger)
-    acct;
-  Block.with_ops b ops
+  run_in_place ?ledger ?observe passes w;
+  Block.with_ops b (Work.contents w)

@@ -1,8 +1,10 @@
 (** Optimizer pipeline over translation blocks.
 
-    The passes rewrite one working copy of the block's op array in
-    place ({!Work}); neither {!run_pass} nor {!run} ever writes to its
-    argument. *)
+    The passes rewrite one working array in place ({!Work}).
+    {!run_in_place} runs them on the caller's: the engine passes the
+    frontend's buffer, so a translation copies its ops once, after the
+    passes.  {!run_pass} and {!run} copy their argument into a working
+    array first and never write to it. *)
 
 type pass = Const_fold | Dce | Mem_elim | Fence_merge
 
@@ -18,7 +20,7 @@ val risotto_default : pass list
 (** One pass on its own: a rewritten copy of the ops. *)
 val run_pass : ?ledger:Fence_ledger.t -> pass -> Op.t array -> Op.t array
 
-(** Run the passes in order.
+(** Run the passes in order on [w], rewriting it in place.
 
     With [observe] (the default), each pass executes under an
     [opt]-category {!Obs.Trace} span and, when metrics are enabled, its
@@ -34,5 +36,10 @@ val run_pass : ?ledger:Fence_ledger.t -> pass -> Op.t array -> Op.t array
     [Kept].  Any other pass that changes the number of barriers has the
     missing ones recorded as [Dropped].  Without a ledger and with
     metrics off, no provenance is computed at all. *)
+val run_in_place :
+  ?ledger:Fence_ledger.t -> ?observe:bool -> pass list -> Work.t -> unit
+
+(** {!run_in_place} on a copy of the block's ops: the block with the
+    optimized ops. *)
 val run :
   ?ledger:Fence_ledger.t -> ?observe:bool -> pass list -> Block.t -> Block.t

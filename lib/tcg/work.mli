@@ -1,16 +1,18 @@
 (** The working copy the optimizer passes rewrite in place, and the
     scratch tables they index by temp or op position.
 
-    {!Pipeline.run} copies a block's ops into one [t] and every pass
-    rewrites it in place: a pass only replaces and deletes ops, so
-    [len] never grows.  Tables come from a per-domain pool, reused
-    across blocks and grown on demand, so a steady-state pass allocates
-    no table at all. *)
+    Every pass rewrites one [t] in place: a pass only replaces and
+    deletes ops, so [len] never grows.  The engine's [t] is the
+    frontend's op buffer; {!Pipeline.run} makes one with {!of_array}.
+    Tables come from a per-domain pool, reused across blocks and grown
+    on demand, so a steady-state pass allocates no table at all. *)
 
 type t = {
   mutable ops : Op.t array;  (** [ops.(0 .. len - 1)] are the block *)
   mutable len : int;
-  ntemps : int;  (** {!Op.temp_bound} of the ops *)
+  ntemps : int;
+      (** at least {!Op.temp_bound} of the ops: the size of a table
+          indexed by temp *)
 }
 
 (** A working copy of [ops]; the argument is never written. *)

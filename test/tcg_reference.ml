@@ -213,7 +213,7 @@ module Memopt = struct
       (fun i op ->
         match op with
         | Op.Set_label _ | Op.Br _ | Op.Brcond _ -> clear_all ()
-        | Op.Mb (f, _) ->
+        | Op.Mb (f, _, _) ->
             Hashtbl.iter
               (fun _ (e : store_entry) ->
                 if not (List.mem f (T.crossable T.F_raw)) then
@@ -285,7 +285,8 @@ module Fenceopt = struct
      transparent ops seen since. *)
   let rec merge_from f absorbed between rest =
     match rest with
-    | Op.Mb (f2, o2) :: rest' ->
+    | Op.Mb (f2, opc, rule) :: rest' ->
+        let o2 = { Op.opc; rule } in
         merge_from (Mapping.Fence_alg.merge f f2) ((f2, o2) :: absorbed) between
           rest'
     | op :: rest' when transparent op ->
@@ -300,7 +301,8 @@ module Fenceopt = struct
   let run ?ledger ops =
     let rec go = function
       | [] -> []
-      | Op.Mb (f, o) :: rest ->
+      | Op.Mb (f, opc, rule) :: rest ->
+          let o = { Op.opc; rule } in
           let f', absorbed, between, rest' = merge_from f [] [] rest in
           (* The survivor keeps the earliest fence's origin. *)
           List.iter
@@ -316,7 +318,7 @@ module Fenceopt = struct
             if absorbed <> [] && f' <> f then
               ledger_record ledger ~kind:f' ~origin:o
                 (Fence_ledger.Strengthened { from = f });
-            (Op.Mb (f', o) :: between) @ go rest'
+            (Op.Mb (f', opc, rule) :: between) @ go rest'
           end
       | op :: rest -> op :: go rest
     in
@@ -334,7 +336,7 @@ let run_pass ?ledger : Tcg.Pipeline.pass -> Op.t list -> Op.t list = function
 
 let fences ops =
   List.filter_map
-    (function Op.Mb (f, o) -> Some (f, o) | _ -> None)
+    (function Op.Mb (f, opc, rule) -> Some (f, { Op.opc; rule }) | _ -> None)
     ops
 
 (* Multiset difference: fences present before a pass but absent after

@@ -50,7 +50,7 @@ let translate config items =
 
 let count_fence_kind k ops =
   Array.fold_left
-    (fun n op -> match op with Op.Mb (f, _) when f = k -> n + 1 | _ -> n)
+    (fun n op -> match op with Op.Mb (f, _, _) when f = k -> n + 1 | _ -> n)
     0 ops
 
 let load_store_items =
@@ -138,7 +138,7 @@ let test_frontend_follows_table () =
     (fun (c : Core.Config.t) ->
       let dbt =
         List.filter_map
-          (function Op.Mb (f, _) -> Some f | _ -> None)
+          (function Op.Mb (f, _, _) -> Some f | _ -> None)
           (Array.to_list (translate { c with passes = [] } items).Tcg.Block.ops)
       in
       let checker =

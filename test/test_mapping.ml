@@ -234,7 +234,7 @@ let test_memopt_follows_crossing_table () =
       | _ -> (Op.St (g0, g1, 0L), Op.St (g2, g1, 0L))
     in
     let ops = [| first; Op.mb f; second |] in
-    Tcg.Memopt.run ops <> ops
+    Tcg.Pipeline.run_pass Tcg.Pipeline.Mem_elim ops <> ops
   in
   List.iter
     (fun rule ->

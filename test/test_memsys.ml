@@ -198,6 +198,78 @@ let prop_differential =
   QCheck.Test.make ~name:"Mem = reference model on random sequences" ~count:500 ops_arb
     agrees
 
+(* ------------------------------------------------------------------ *)
+(* Base + offset: load_at/store_at = load/store at the sum             *)
+
+type at_op = Load_at of int64 * int64 | Store_at of int64 * int64 * int64
+
+let pp_at_op = function
+  | Load_at (b, o) -> Printf.sprintf "load_at %Lx %Ld" b o
+  | Store_at (b, o, v) -> Printf.sprintf "store_at %Lx %Ld %Ld" b o v
+
+(* Offsets small either way (unaligned, crossing pages, below the
+   base), and ones whose sum wraps past either end of the address
+   space or lands on the other side of the sign bit. *)
+let off_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (4, map Int64.of_int (int_range (-0x1100) 0x1100));
+      (1, oneofl [ Int64.min_int; Int64.max_int; -1L; -0x1000L; 0x40L; Int64.neg 0x7FFF_0000L ]);
+      (1, ui64);
+    ]
+
+let at_arb =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_at_op ops))
+    (list_size (int_range 1 80)
+       (frequency
+          [
+            (1, map2 (fun b o -> Load_at (b, o)) addr_gen off_gen);
+            (1, map3 (fun b o v -> Store_at (b, o, v)) addr_gen off_gen ui64);
+          ]))
+
+(* Three memories see the same accesses: [m] by base and offset, [m']
+   by the sum through [load]/[store], [r] (the reference) by the sum.
+   Loads agree, including on pages never written (read through the
+   shared zero page), then byte stores and loads at every address
+   touched, and the dumps. *)
+let agrees_at ops =
+  let m = Mem.create () and m' = Mem.create () and r = Ref.create () in
+  let loads_agree b o =
+    let a = Int64.add b o in
+    let v = Mem.load_at m b o in
+    Int64.equal v (Mem.load m' a) && Int64.equal v (Ref.load r a)
+  in
+  List.for_all
+    (function
+      | Load_at (b, o) -> loads_agree b o
+      | Store_at (b, o, v) ->
+          Mem.store_at m b o v;
+          Mem.store m' (Int64.add b o) v;
+          Ref.store r (Int64.add b o) v;
+          true)
+    ops
+  && List.for_all
+       (fun op ->
+         let b, o = match op with Load_at (b, o) | Store_at (b, o, _) -> (b, o) in
+         let a = Int64.add b o in
+         let byte = Int64.to_int (Int64.logand a 0xFFL) in
+         Mem.store_byte m a byte;
+         Mem.store_byte m' a byte;
+         Ref.store_byte r a byte;
+         Mem.load_byte m a = Ref.load_byte r a
+         && Mem.load_byte m' (Int64.add a 1L) = Ref.load_byte r (Int64.add a 1L)
+         && loads_agree b o)
+       ops
+  && Mem.dump m = Ref.dump r
+  && Mem.dump m' = Ref.dump r
+
+let prop_at =
+  QCheck.Test.make ~name:"load_at/store_at = load/store at the wrapped sum" ~count:500
+    at_arb agrees_at
+
 let () =
   Alcotest.run "memsys"
     [
@@ -208,5 +280,9 @@ let () =
         ] );
       ( "pages",
         [ Alcotest.test_case "unwritten pages" `Quick test_unwritten_pages ] );
-      ("differential", [ QCheck_alcotest.to_alcotest prop_differential ]);
+      ( "differential",
+        [
+          QCheck_alcotest.to_alcotest prop_differential;
+          QCheck_alcotest.to_alcotest prop_at;
+        ] );
     ]

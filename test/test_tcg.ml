@@ -16,7 +16,7 @@ let block ops =
   Tcg.Block.make ~guest_pc:0x1000L ~guest_len:0 ~guest_insns:0 (Array.of_list ops)
 
 (* A pass over an op list (the unit tests spell blocks as lists). *)
-let on_list pass ops = Array.to_list (pass (Array.of_list ops))
+let on_list pass ops = Array.to_list (Tcg.Pipeline.run_pass pass (Array.of_list ops))
 
 let exec ?helpers ops =
   let mem = Memsys.Mem.create () in
@@ -92,7 +92,7 @@ let test_interp_fallthrough_fails () =
 
 let test_constfold () =
   let ops =
-    on_list Tcg.Constfold.run
+    on_list Tcg.Pipeline.Const_fold
       [
         Op.Movi (t0, 6L);
         Op.Movi (t1, 7L);
@@ -105,17 +105,17 @@ let test_constfold () =
 let test_constfold_false_dep () =
   (* X = a * 0 ↝ X = 0 (§6.1) *)
   let ops =
-    on_list Tcg.Constfold.run [ Op.Binopi (Op.Mul, g0, g1, 0L); Op.Goto_tb 0L ]
+    on_list Tcg.Pipeline.Const_fold [ Op.Binopi (Op.Mul, g0, g1, 0L); Op.Goto_tb 0L ]
   in
   check_bool "mul by zero" true (List.mem (Op.Movi (g0, 0L)) ops);
-  let ops = on_list Tcg.Constfold.run [ Op.Binop (Op.Xor, g0, g1, g1); Op.Goto_tb 0L ] in
+  let ops = on_list Tcg.Pipeline.Const_fold [ Op.Binop (Op.Xor, g0, g1, g1); Op.Goto_tb 0L ] in
   check_bool "xor self" true (List.mem (Op.Movi (g0, 0L)) ops);
-  let ops = on_list Tcg.Constfold.run [ Op.Binopi (Op.Add, g0, g1, 0L); Op.Goto_tb 0L ] in
+  let ops = on_list Tcg.Pipeline.Const_fold [ Op.Binopi (Op.Add, g0, g1, 0L); Op.Goto_tb 0L ] in
   check_bool "add zero is mov" true (List.mem (Op.Mov (g0, g1)) ops)
 
 let test_constfold_branch () =
   let ops =
-    on_list Tcg.Constfold.run
+    on_list Tcg.Pipeline.Const_fold
       [
         Op.Movi (t0, 1L);
         Op.Movi (t1, 1L);
@@ -127,7 +127,7 @@ let test_constfold_branch () =
 
 let test_constfold_stops_at_label () =
   let ops =
-    on_list Tcg.Constfold.run
+    on_list Tcg.Pipeline.Const_fold
       [
         Op.Movi (t0, 1L);
         Op.Set_label 0;
@@ -144,31 +144,31 @@ let test_constfold_stops_at_label () =
 
 let test_dce_unread_local () =
   let ops =
-    on_list Tcg.Dce.run [ Op.Movi (t0, 5L); Op.Movi (g0, 1L); Op.Goto_tb 0L ]
+    on_list Tcg.Pipeline.Dce [ Op.Movi (t0, 5L); Op.Movi (g0, 1L); Op.Goto_tb 0L ]
   in
   check_int "dead local removed" 2 (List.length ops)
 
 let test_dce_keeps_globals () =
-  let ops = on_list Tcg.Dce.run [ Op.Movi (g0, 5L); Op.Goto_tb 0L ] in
+  let ops = on_list Tcg.Pipeline.Dce [ Op.Movi (g0, 5L); Op.Goto_tb 0L ] in
   check_int "global write kept" 2 (List.length ops)
 
 let test_dce_overwritten_global () =
   let ops =
-    on_list Tcg.Dce.run [ Op.Movi (g0, 5L); Op.Movi (g0, 6L); Op.Goto_tb 0L ]
+    on_list Tcg.Pipeline.Dce [ Op.Movi (g0, 5L); Op.Movi (g0, 6L); Op.Goto_tb 0L ]
   in
   check_int "overwritten global removed" 2 (List.length ops);
   check_bool "second write survives" true (List.mem (Op.Movi (g0, 6L)) ops)
 
 let test_dce_keeps_read_then_overwritten () =
   let ops =
-    on_list Tcg.Dce.run
+    on_list Tcg.Pipeline.Dce
       [ Op.Movi (g0, 5L); Op.Mov (g1, g0); Op.Movi (g0, 6L); Op.Goto_tb 0L ]
   in
   check_int "all four kept" 4 (List.length ops)
 
 let test_dce_keeps_stores () =
   let ops =
-    on_list Tcg.Dce.run [ Op.Movi (t0, 0x5000L); Op.St (g0, t0, 0L); Op.Goto_tb 0L ]
+    on_list Tcg.Pipeline.Dce [ Op.Movi (t0, 0x5000L); Op.St (g0, t0, 0L); Op.Goto_tb 0L ]
   in
   check_int "store and its address kept" 3 (List.length ops)
 
@@ -181,7 +181,7 @@ let count_stores ops =
 
 let test_memopt_raw () =
   let ops =
-    on_list Tcg.Memopt.run
+    on_list Tcg.Pipeline.Mem_elim
       [ Op.St (g0, g1, 0L); Op.Ld (g2, g1, 0L); Op.Goto_tb 0L ]
   in
   check_bool "load forwarded" false (has_load ops);
@@ -189,7 +189,7 @@ let test_memopt_raw () =
 
 let test_memopt_raw_across_allowed_fence () =
   let ops =
-    on_list Tcg.Memopt.run
+    on_list Tcg.Pipeline.Mem_elim
       [ Op.St (g0, g1, 0L); Op.mb E.F_ww; Op.Ld (g2, g1, 0L); Op.Goto_tb 0L ]
   in
   check_bool "F-RAW across Fww" false (has_load ops)
@@ -197,14 +197,14 @@ let test_memopt_raw_across_allowed_fence () =
 let test_memopt_raw_blocked_by_fmr () =
   (* The FMR pitfall: RAW must NOT be applied across an Fmr. *)
   let ops =
-    on_list Tcg.Memopt.run
+    on_list Tcg.Pipeline.Mem_elim
       [ Op.St (g0, g1, 0L); Op.mb E.F_mr; Op.Ld (g2, g1, 0L); Op.Goto_tb 0L ]
   in
   check_bool "load survives across Fmr" true (has_load ops)
 
 let test_memopt_rar () =
   let ops =
-    on_list Tcg.Memopt.run
+    on_list Tcg.Pipeline.Mem_elim
       [ Op.Ld (g0, g1, 0L); Op.mb E.F_rm; Op.Ld (g2, g1, 0L); Op.Goto_tb 0L ]
   in
   check_int "one load left" 1
@@ -213,14 +213,14 @@ let test_memopt_rar () =
 
 let test_memopt_waw () =
   let ops =
-    on_list Tcg.Memopt.run
+    on_list Tcg.Pipeline.Mem_elim
       [ Op.St (g0, g1, 0L); Op.St (g2, g1, 0L); Op.Goto_tb 0L ]
   in
   check_int "first store removed" 1 (count_stores ops)
 
 let test_memopt_waw_blocked_by_real_load () =
   let ops =
-    on_list Tcg.Memopt.run
+    on_list Tcg.Pipeline.Mem_elim
       [
         Op.St (g0, g1, 0L);
         Op.mb E.F_mr;
@@ -234,14 +234,14 @@ let test_memopt_waw_blocked_by_real_load () =
 
 let test_memopt_different_offsets_no_alias () =
   let ops =
-    on_list Tcg.Memopt.run
+    on_list Tcg.Pipeline.Mem_elim
       [ Op.St (g0, g1, 0L); Op.St (g2, g1, 8L); Op.Ld (g3, g1, 0L); Op.Goto_tb 0L ]
   in
   check_bool "forwarding across non-aliasing store" false (has_load ops)
 
 let test_memopt_clobbered_base () =
   let ops =
-    on_list Tcg.Memopt.run
+    on_list Tcg.Pipeline.Mem_elim
       [
         Op.St (g0, g1, 0L);
         Op.Binopi (Op.Add, g1, g1, 8L);
@@ -254,7 +254,7 @@ let test_memopt_clobbered_base () =
 
 let test_memopt_call_clears () =
   let ops =
-    on_list Tcg.Memopt.run
+    on_list Tcg.Pipeline.Mem_elim
       [
         Op.St (g0, g1, 0L);
         Op.Call ("helper", [], None);
@@ -272,27 +272,27 @@ let count_fences ops = Tcg.Fenceopt.count (Array.of_list ops)
 let test_fence_merge_adjacent () =
   (* Frm; Fww from the x86→IR mapping merge (§6.1 example). *)
   let ops =
-    on_list Tcg.Fenceopt.run
+    on_list Tcg.Pipeline.Fence_merge
       [ Op.mb E.F_rm; Op.mb E.F_ww; Op.St (g0, g1, 0L); Op.Goto_tb 0L ]
   in
   check_int "merged to one" 1 (count_fences ops)
 
 let test_fence_merge_across_pure_ops () =
   let ops =
-    on_list Tcg.Fenceopt.run
+    on_list Tcg.Pipeline.Fence_merge
       [ Op.mb E.F_rm; Op.Movi (t0, 1L); Op.mb E.F_ww; Op.Goto_tb 0L ]
   in
   check_int "pure ops transparent" 1 (count_fences ops)
 
 let test_fence_merge_blocked_by_memory () =
   let ops =
-    on_list Tcg.Fenceopt.run
+    on_list Tcg.Pipeline.Fence_merge
       [ Op.mb E.F_rm; Op.Ld (g0, g1, 0L); Op.mb E.F_ww; Op.Goto_tb 0L ]
   in
   check_int "memory access blocks merging" 2 (count_fences ops)
 
 let test_fence_drop_acq_rel () =
-  let ops = on_list Tcg.Fenceopt.run [ Op.mb E.F_acq; Op.Goto_tb 0L ] in
+  let ops = on_list Tcg.Pipeline.Fence_merge [ Op.mb E.F_acq; Op.Goto_tb 0L ] in
   check_int "Facq dropped" 0 (count_fences ops)
 
 (* ------------------------------------------------------------------ *)
@@ -358,7 +358,7 @@ let prop_fence_merge_never_increases =
     ~count:300 arb_ops (fun ops ->
       let full = ops @ [ Op.Goto_tb 0L ] in
       let full = Array.of_list full in
-      Tcg.Fenceopt.count (Tcg.Fenceopt.run full) <= Tcg.Fenceopt.count full)
+      Tcg.Fenceopt.count (Tcg.Pipeline.run_pass Tcg.Pipeline.Fence_merge full) <= Tcg.Fenceopt.count full)
 
 (* ------------------------------------------------------------------ *)
 (* Differential against the list-based reference passes              *)
@@ -460,7 +460,7 @@ let arb_block =
         (2, map (fun (o, d, a, i) -> Op.Binopi (o, d, a, i)) (quad binop temp temp imm));
         (3, map3 (fun d b o -> Op.Ld (d, b, o)) temp temp off);
         (3, map3 (fun s b o -> Op.St (s, b, o)) temp temp off);
-        (4, map2 (fun f o -> Op.Mb (f, o)) fence origin);
+        (4, map2 (fun f origin -> Op.mb ~origin f) fence origin);
         (1, map (fun (c, d, a, b) -> Op.Setcond (c, d, a, b)) (quad cond temp temp temp));
         (1, map (fun (c, a, b, l) -> Op.Brcond (c, a, b, l)) (quad cond temp temp label));
         (1, map (fun l -> Op.Set_label l) label);

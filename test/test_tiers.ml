@@ -429,6 +429,87 @@ let test_load_cache_resets_tier_profile () =
     after.Core.Engine.blocks_translated;
   Sys.remove path
 
+(* ------------------------------------------------------------------ *)
+(* Translation in place                                                *)
+
+(* Every instruction shape of the cold-code benchmark (test_dispatch's
+   translation gate), as one straight line of full blocks. *)
+let cold_items =
+  let shapes =
+    [
+      I.Load (R.RAX, I.based R.RBX 8L);
+      I.Store (I.based R.RBX 136L, I.R R.RAX);
+      I.Alu (I.Add, R.RCX, I.I 3L);
+      I.Alu (I.Xor, R.RDX, I.R R.RCX);
+      I.Fp (I.Fmul, R.RSI, R.RSI);
+      I.Load (R.RAX, I.based R.RBX 64L);
+      I.Alu (I.Shl, R.RCX, I.I 1L);
+      I.Fp (I.Fadd, R.RSI, R.RSI);
+      I.Alu (I.Sub, R.RDX, I.I 1L);
+      I.Mov_ri (R.R8, 1L);
+      I.Lock_xadd (I.based R.R14 0L, R.R8);
+      I.Mfence;
+    ]
+  in
+  (Label "main" :: List.init (4 * Core.Frontend.max_block_insns) (fun k ->
+       Ins (List.nth shapes (k mod List.length shapes))))
+  @ [ Ins I.Hlt ]
+
+(* Accesses through one base register that mem-elim rewrites: a load
+   forwarded from a store, one from a load, and a store that overwrites
+   a store. *)
+let mem_elim_items =
+  let at off = I.based R.RBX off in
+  [
+    Label "main";
+    Ins (I.Mov_ri (R.RBX, 0x5000L));
+    Ins (I.Mov_ri (R.RAX, 3L));
+    Ins (I.Store (at 8L, I.R R.RAX));
+    Ins (I.Load (R.RCX, at 8L));
+    Ins (I.Load (R.RDX, at 16L));
+    Ins (I.Load (R.RSI, at 16L));
+    Ins (I.Store (at 24L, I.R R.RCX));
+    Ins (I.Store (at 24L, I.R R.RSI));
+    Ins I.Hlt;
+  ]
+
+(* The engine runs the passes on the frontend's buffer and copies the
+   result out once.  An all-degraded engine keeps that TCG for the
+   interpreter, so each block it holds must equal [Pipeline.run] over
+   [Frontend.translate], the path that copies first; and
+   [Pipeline.run] must leave the raw block it is given unchanged. *)
+let test_in_place_matches_run () =
+  let kernels =
+    List.map
+      (fun (b : Harness.Parsec.bench) ->
+        (b.Harness.Parsec.spec.Harness.Kernel.name, Harness.Kernel.to_x86 b.Harness.Parsec.spec))
+      Harness.Parsec.all
+  in
+  List.iter
+    (fun config ->
+      List.iter
+        (fun (pname, items) ->
+          let image = build items in
+          let eng = Core.Engine.create (List.assoc "all-degraded" (tier_variants config)) image in
+          ignore (Core.Engine.run eng);
+          let fe = Core.Frontend.create config image (Core.Engine.links eng) in
+          let pcs = List.map fst (Core.Engine.fence_ledgers eng) in
+          check_bool (pname ^ " translated") true (pcs <> []);
+          List.iter
+            (fun pc ->
+              let name = Printf.sprintf "%s/%s/0x%Lx" config.Core.Config.name pname pc in
+              let raw = Core.Frontend.translate fe pc in
+              let saved = Array.copy raw.Tcg.Block.ops in
+              let copied = Tcg.Pipeline.run config.Core.Config.passes raw in
+              check_bool (name ^ " in place = Pipeline.run") true
+                (Core.Engine.tcg_block eng pc = copied);
+              check_bool (name ^ " input unchanged") true
+                (Array.for_all2 ( == ) saved raw.Tcg.Block.ops))
+            pcs)
+        (example_programs
+        @ (("mem-elim", mem_elim_items) :: ("cold-shapes", cold_items) :: kernels)))
+    Core.Config.all
+
 let () =
   Alcotest.run "tiers"
     [
@@ -439,6 +520,8 @@ let () =
           Alcotest.test_case "parity under fault injection" `Quick
             test_tier_parity_under_injection;
           QCheck_alcotest.to_alcotest tier_differential_prop;
+          Alcotest.test_case "pipeline in place = Pipeline.run" `Quick
+            test_in_place_matches_run;
         ] );
       ( "engagement",
         [

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Guard the fault-isolation discipline: the translation pipeline
-# (lib/core, lib/arm, lib/linker, and the x86 decoder it calls first)
-# must report failures through typed faults (Core.Fault,
-# X86.Decode.Bad_encoding) or result values, never by crashing the
-# whole engine with a bare failwith / invalid_arg.  fault.ml is the one
-# place allowed to raise.
+# (lib/core, lib/arm, lib/linker, the TCG passes and interpreter in
+# lib/tcg, guest memory in lib/machine, and the x86 decoder the
+# frontend calls first) must report failures through typed faults
+# (Core.Fault, X86.Decode.Bad_encoding) or result values, never by
+# crashing the whole engine with a bare failwith / invalid_arg.
+# fault.ml is the one place allowed to raise.
 #
 # Run via `dune build @check-no-crash` (part of `dune runtest`).
 #
@@ -35,7 +36,7 @@ root=${1:-.}
 status=0
 
 for f in "$root"/lib/core/*.ml "$root"/lib/arm/*.ml "$root"/lib/linker/*.ml \
-  "$root"/lib/x86/decode.ml; do
+  "$root"/lib/tcg/*.ml "$root"/lib/machine/*.ml "$root"/lib/x86/decode.ml; do
   case $f in
     */fault.ml) continue ;;
   esac

@@ -39,10 +39,6 @@ type t =
   | Exit_halt
   | Trap of { kind : string; context : string }
 
-let is_exit = function
-  | Goto_tb _ | Goto_ptr _ | Exit_halt | Trap _ -> true
-  | _ -> false
-
 let alu_name = function
   | Add -> "add"
   | Sub -> "sub"

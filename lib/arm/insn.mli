@@ -56,5 +56,4 @@ type t =
           code, unresolvable link stub).  [kind] is a fault-kind tag
           (see [Core.Fault.of_tag]); [context] is human-readable. *)
 
-val is_exit : t -> bool
 val pp : Format.formatter -> t -> unit

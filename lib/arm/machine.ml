@@ -7,13 +7,6 @@ type trap =
 
 type exit_state = Next_tb of int64 | Jump of int64 | Halted | Trapped of trap
 
-let pp_trap ppf = function
-  | Trap_insn { kind; context } -> Fmt.pf ppf "trap.%s %S" kind context
-  | Unknown_helper name -> Fmt.pf ppf "unknown helper %s" name
-  | Unknown_host func -> Fmt.pf ppf "unknown host function %s" func
-  | Runaway -> Fmt.string ppf "runaway block"
-  | Fell_through i -> Fmt.pf ppf "fell through at index %d" i
-
 type thread = {
   tid : int;
   regs : int64 array;

@@ -18,8 +18,6 @@ type trap =
 
 type exit_state = Next_tb of int64 | Jump of int64 | Halted | Trapped of trap
 
-val pp_trap : Format.formatter -> trap -> unit
-
 type shared
 (** State shared by all guest threads: memory, cost model, helper
     registry. *)

@@ -366,14 +366,18 @@ let translate t pc =
       (fun () -> timed m_translate_ns translate_block t pc)
   else timed m_translate_ns translate_block t pc
 
-let fetch t pc =
+(* The table, then translation: the node at [pc], with the lookup
+   recorded in [flight]. *)
+let find_or_translate t flight pc =
   match Tbchain.find t.tbs pc with
   | Some n ->
-      emit t t.flight Table_hit pc 0;
-      n.Tbchain.body
+      emit t flight Table_hit pc 0;
+      n
   | None ->
-      emit t t.flight Lookup_miss pc 0;
-      (translate t pc).Tbchain.body
+      emit t flight Lookup_miss pc 0;
+      translate t pc
+
+let fetch t pc = (find_or_translate t t.flight pc).Tbchain.body
 
 let lookup_block t pc =
   match fetch t pc with
@@ -670,15 +674,7 @@ let dispatch t g =
       emit t g.gflight Jcache_hit g.pc 0;
       n
   | None ->
-      let n =
-        match Tbchain.find t.tbs g.pc with
-        | Some n ->
-            emit t g.gflight Table_hit g.pc 0;
-            n
-        | None ->
-            emit t g.gflight Lookup_miss g.pc 0;
-            translate t g.pc
-      in
+      let n = find_or_translate t g.gflight g.pc in
       Tbchain.jcache_store t.tbs g.jcache n;
       n
 

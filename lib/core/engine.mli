@@ -232,7 +232,7 @@ val trap : guest_thread -> Fault.t option
     concurrent runs, and feeds {!Obs.Metrics} when the registry is
     enabled; both are single-branch no-ops otherwise. *)
 
-(** Hottest translated blocks, ranked by {!Obs.Profile.score}:
+(** Hottest translated blocks, ranked by {!Obs.Profile.rank}:
     attributed guest cycles (collected while metrics are enabled), then
     execution count.  [limit] defaults to 10. *)
 val hot_blocks : ?limit:int -> t -> Obs.Profile.entry list

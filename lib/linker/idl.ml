@@ -77,8 +77,6 @@ let parse text =
          if l = "" then [] else [ parse_signature_at (i + 1) l ])
        lines)
 
-let arity s = List.length s.args
-
 let ctype_name = function I64 -> "i64" | F64 -> "f64" | Ptr -> "ptr" | Void -> "void"
 
 let pp_ctype ppf t = Fmt.string ppf (ctype_name t)

@@ -24,7 +24,6 @@ val parse : string -> signature list
 (** Parse a single prototype (no trailing [;] required). *)
 val parse_signature : string -> signature
 
-val arity : signature -> int
 val pp_ctype : Format.formatter -> ctype -> unit
 val pp_signature : Format.formatter -> signature -> unit
 

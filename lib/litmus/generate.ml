@@ -316,7 +316,6 @@ let canonical_pair (p : Ast.prog) =
 
 let canonical p = fst (canonical_pair p)
 let canonical_string p = snd (canonical_pair p)
-let shape_hash p = Checksum.Crc32.digest (canonical_string p)
 
 (* ------------------------------------------------------------------ *)
 (* Corpus: dedup into shape classes                                    *)

@@ -14,7 +14,7 @@
     a program with an isomorphic behaviour set under every model.
     {!canonical} normalises all three (best thread permutation ×
     first-occurrence renaming, lexicographically smallest rendering),
-    {!shape_hash} digests the result, and {!corpus} dedups a generated
+    its CRC-32 names the class, and {!corpus} dedups a generated
     batch into canonical classes with multiplicities. *)
 
 (** Generation bounds.  The defaults keep the candidate-execution space
@@ -53,10 +53,6 @@ val canonical : Ast.prog -> Ast.prog
 
 (** The canonical rendering {!canonical} minimises. *)
 val canonical_string : Ast.prog -> string
-
-(** CRC-32 of {!canonical_string}: the shape hash used in class
-    names. *)
-val shape_hash : Ast.prog -> int32
 
 (** One shape class of a generated batch: [cls_name] is
     [gen-<index>-<hash>] (first-occurrence index keeps names unique

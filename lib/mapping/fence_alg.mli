@@ -22,14 +22,7 @@ type t = {
   sc : bool;
 }
 
-val of_fence : Axiom.Event.fence -> t
-
-(** The weakest TCG fence whose strength dominates [t].  Total: [Fsc]
-    dominates everything. *)
-val to_tcg_fence : t -> Axiom.Event.fence
-
 val join : t -> t -> t
-val leq : t -> t -> bool
 
 (** [merge f1 f2] is the single TCG fence equivalent to the adjacent
     pair [f1; f2]. *)

@@ -95,6 +95,3 @@ let last ?n t =
   go 0 []
 
 let events t = last t
-
-let pp_event ppf (e : event) =
-  Fmt.pf ppf "#%d %s pc=0x%Lx arg=%d" e.seq (kind_name e.kind) e.pc e.arg

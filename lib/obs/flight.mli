@@ -51,5 +51,3 @@ val events : t -> event list
 
 (** The last [n] events (default: all retained), oldest first. *)
 val last : ?n:int -> t -> event list
-
-val pp_event : Format.formatter -> event -> unit

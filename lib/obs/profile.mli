@@ -18,11 +18,8 @@ val time : Metrics.histogram -> (unit -> 'a) -> 'a
     were off during the run — cycle attribution is metered). *)
 type entry = { key : int64; count : int; cost : int }
 
-(** Ranking weight: accumulated cycles when measured, otherwise the
-    execution count. *)
-val score : entry -> int
-
-(** The [limit] highest-{!score} entries, best first; ties broken by
+(** The [limit] highest-ranked entries, best first: by accumulated
+    cycles when measured, otherwise by execution count; ties broken by
     count, then key. *)
 val rank : ?limit:int -> entry list -> entry list
 

@@ -64,8 +64,6 @@ let record ev =
   r.evs.(r.n mod r.cap) <- ev;
   r.n <- r.n + 1
 
-type span = (string * string * float) option
-
 let begin_span ?(cat = "risotto") name =
   if enabled () then Some (name, cat, now_us ()) else None
 

@@ -41,17 +41,6 @@ val disable : unit -> unit
 
 val enabled : unit -> bool
 
-(** An open span.  Obtained from {!begin_span}; closed by {!end_span}.
-    When tracing is disabled, spans are a no-op token. *)
-type span
-
-val begin_span : ?cat:string -> string -> span
-
-(** Close a span, recording one complete ([ph = "X"]) event.  [args]
-    is evaluated only if the span was actually opened with tracing
-    enabled. *)
-val end_span : ?args:(unit -> (string * string) list) -> span -> unit
-
 (** [with_span name f] runs [f] inside a span; the span is closed even
     if [f] raises.  Disabled cost: one atomic load and a branch. *)
 val with_span :

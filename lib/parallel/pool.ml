@@ -156,8 +156,6 @@ let worker t =
   in
   loop ()
 
-let recommended () = Domain.recommended_domain_count ()
-
 let create ?jobs ?(force_spawn = false) () =
   let jobs =
     match jobs with
@@ -306,30 +304,3 @@ let map_list ?pool f xs =
 let with_pool ?jobs ?force_spawn f =
   let t = create ?jobs ?force_spawn () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-(* ------------------------------------------------------------------ *)
-(* Default pool                                                        *)
-
-let default_guard = Mutex.create ()
-let default_jobs : int option ref = ref None
-let default_pool : t option ref = ref None
-
-let default () =
-  Mutex.lock default_guard;
-  let t =
-    match !default_pool with
-    | Some t -> t
-    | None ->
-        let t = create ?jobs:!default_jobs () in
-        default_pool := Some t;
-        t
-  in
-  Mutex.unlock default_guard;
-  t
-
-let set_default_jobs j =
-  Mutex.lock default_guard;
-  default_jobs := Some (max 1 j);
-  (match !default_pool with Some t -> shutdown t | None -> ());
-  default_pool := None;
-  Mutex.unlock default_guard

@@ -24,8 +24,8 @@
       stop-the-world minor collection and surplus domains slow
       allocation-heavy tasks down even while parked.
 
-    Pools are cheap to keep around; create one per process (or use
-    {!default}) and reuse it across sweeps and figures. *)
+    Pools are cheap to keep around; create one per process and reuse
+    it across sweeps and figures. *)
 
 type t
 
@@ -59,10 +59,6 @@ val jobs : t -> int
     with [workers_spawned t + 1] domains. *)
 val workers_spawned : t -> int
 
-(** [Domain.recommended_domain_count ()], re-exported so consumers can
-    report the machine's view next to the requested [-j]. *)
-val recommended : unit -> int
-
 (** Chunk accounting for the most recent parallel batch ran by this
     pool ([[]] before the first one, or when every batch degraded to
     the sequential path). *)
@@ -92,17 +88,3 @@ val map_list : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
 (** [with_pool ?jobs f] runs [f] with a fresh pool and always shuts it
     down. *)
 val with_pool : ?jobs:int -> ?force_spawn:bool -> (t -> 'a) -> 'a
-
-(** {1 Default pool}
-
-    A lazily created process-wide pool, sized by
-    {!set_default_jobs} (e.g. from a [-j] flag) or
-    [Domain.recommended_domain_count].  *)
-
-(** The shared default pool, created on first use. *)
-val default : unit -> t
-
-(** Set the size of the default pool.  Shuts down a previously created
-    default pool; subsequent {!default} calls return a pool of the new
-    size. *)
-val set_default_jobs : int -> unit

@@ -60,12 +60,6 @@ val poll : unit -> unit
     every 32nd poll under a token).  Raises {!Deadline_exceeded} when
     the current task's deadline has passed. *)
 
-val with_deadline : float option -> (unit -> 'a) -> 'a
-(** Install a fresh deadline token (measured from now) around a thunk;
-    [None] uninstalls nothing and adds nothing.  Used by the supervisor
-    itself; exposed for tests and custom runners.  Nesting restores the
-    outer token on exit. *)
-
 val run : policy -> (unit -> 'a) -> ('a, failure) result
 (** Supervise one computation on the calling domain. *)
 

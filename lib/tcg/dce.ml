@@ -11,11 +11,19 @@ let read_tbl : int Work.table = Work.table ()
 let live_tbl : int Work.table = Work.table ()
 let deleted : int Work.table = Work.table ()
 
+(* Per domain: the table [mark] sets to 1, and [mark] itself, built once
+   so that marking a block's reads allocates no closure. *)
+let marker : (int array ref * (Op.temp -> unit)) Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let marks = ref [||] in
+      (marks, fun t -> !marks.(t) <- 1))
+
 (* Strategy 1: remove pure ops whose destination temp is local and never
    read anywhere in the block. *)
 let drop_unread_locals (w : Work.t) =
   let read = Work.get read_tbl w.ntemps 0 in
-  let mark t = read.(t) <- 1 in
+  let marks, mark = Domain.DLS.get marker in
+  marks := read;
   for i = 0 to w.len - 1 do
     Op.iter_reads mark w.ops.(i)
   done;
@@ -36,14 +44,15 @@ let drop_unread_locals (w : Work.t) =
 let drop_dead_straightline (w : Work.t) =
   let live = Work.get live_tbl w.ntemps 0 in
   let dead = Work.get deleted w.len 0 in
-  let gen t = live.(t) <- 1 in
+  let marks, mark = Domain.DLS.get marker in
+  marks := live;
   for i = w.len - 1 downto 0 do
     let op = w.ops.(i) in
     let d = Op.write op in
     if removable op && live.(d) = 0 then dead.(i) <- 1
     else begin
       if d <> Op.no_temp then live.(d) <- 0;
-      Op.iter_reads gen op;
+      Op.iter_reads mark op;
       if exits_block op then Array.fill live 0 Op.nb_globals 1
     end
   done;

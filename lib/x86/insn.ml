@@ -37,13 +37,6 @@ type t =
   | Syscall
   | Hlt
 
-let is_terminator = function
-  | Jmp _ | Jcc _ | Call _ | Ret | Syscall | Hlt -> true
-  | Mov_ri _ | Mov_rr _ | Load _ | Store _ | Alu _ | Lea _ | Inc _ | Dec _
-  | Neg _ | Not _ | Cmov _ | Fp _ | Cmp _ | Test _ | Push _ | Pop _
-  | Lock_cmpxchg _ | Lock_xadd _ | Xchg _ | Mfence | Nop ->
-      false
-
 let alu_name = function
   | Add -> "add"
   | Sub -> "sub"

@@ -55,8 +55,5 @@ type t =
   | Syscall
   | Hlt
 
-(** Does the instruction end a translation block? *)
-val is_terminator : t -> bool
-
 val pp_mem : Format.formatter -> mem -> unit
 val pp : Format.formatter -> t -> unit

@@ -13,35 +13,26 @@ let check_int = Alcotest.check Alcotest.int
 let check_i64 = Alcotest.check Alcotest.int64
 let check_bool = Alcotest.check Alcotest.bool
 
-let build items = Image.Gelf.build ~entry:"main" items
+module C = Dbt_corpus
 
-let run_oracle image =
+(* The x86 reference interpreter's end state, as [Dbt_corpus.state]
+   shapes the DBT's. *)
+let oracle_state image =
   let s =
     X86.Interp.create ~code:image.Image.Gelf.text ~base:image.Image.Gelf.text_base
       ~entry:image.Image.Gelf.entry ()
   in
   s.X86.Interp.regs.(R.index R.RSP) <- Core.Engine.stack_top 0;
   ignore (X86.Interp.run s);
-  s
+  (s.X86.Interp.regs, Memsys.Mem.dump s.X86.Interp.mem)
 
-let run_config config image =
-  let eng = Core.Engine.create config image in
-  let g = Core.Engine.run eng in
-  (g, eng)
-
-let same_state (oracle : X86.Interp.state) g eng =
-  List.for_all
-    (fun r ->
-      Int64.equal oracle.X86.Interp.regs.(R.index r) (Core.Engine.reg g r))
-    R.all
-  && Memsys.Mem.dump oracle.X86.Interp.mem
-     = Memsys.Mem.dump (Core.Engine.memory eng)
+let dbt_state config image = (C.fingerprint config image).C.state
 
 (* ------------------------------------------------------------------ *)
 (* Frontend                                                            *)
 
 let translate config items =
-  let image = build items in
+  let image = C.build items in
   let fe =
     Core.Frontend.create config image
       (Linker.Link.resolve image (Linker.Idl.parse Linker.Hostlib.idl_text))
@@ -100,7 +91,7 @@ let test_frontend_mfence () =
   let nf = translate { Core.Config.no_fences with passes = [] } items in
   check_int "no-fences keeps mfence as Fsc" 1
     (count_fence_kind E.F_sc nf.Tcg.Block.ops);
-  let image = build items in
+  let image = C.build items in
   let eng = Core.Engine.create Core.Config.no_fences image in
   check_bool "no-fences lowers it to DMBFF" true
     (Array.exists
@@ -169,7 +160,7 @@ let test_backend_cas_lowering () =
     ]
   in
   let compile config =
-    let image = build cas_items in
+    let image = C.build cas_items in
     let eng = Core.Engine.create config image in
     Core.Engine.lookup_block eng image.Image.Gelf.entry
   in
@@ -359,7 +350,7 @@ let test_backend_register_pressure_ok () =
     List.init 30 (fun k ->
         Ins (I.Load (R.of_index (k mod 8), { I.base = None; index = None; disp = Int64.of_int (0x5000 + (8 * k)) })))
   in
-  let image = build ((Label "main" :: many_loads) @ [ Ins I.Hlt ]) in
+  let image = C.build ((Label "main" :: many_loads) @ [ Ins I.Hlt ]) in
   let eng = Core.Engine.create Core.Config.risotto image in
   let code = Core.Engine.lookup_block eng image.Image.Gelf.entry in
   check_bool "compiled" true (Array.length code > 0)
@@ -379,7 +370,7 @@ let test_block_cache () =
       Ins I.Hlt;
     ]
   in
-  let _, eng = run_config Core.Config.qemu (build items) in
+  let _, eng = C.run_config Core.Config.qemu (C.build items) in
   let st = Core.Engine.stats eng in
   check_bool "few translations" true (st.Core.Engine.blocks_translated <= 3);
   check_bool "cache hits on loop" true (st.Core.Engine.cache_hits >= 3)
@@ -388,7 +379,7 @@ let test_block_cache () =
    translation, and raises only when the backend refused the block. *)
 let test_lookup_block_native_or_fault () =
   let image =
-    build [ Label "main"; Ins (I.Mov_ri (R.RBX, 5L)); Ins I.Mfence; Ins I.Hlt ]
+    C.build [ Label "main"; Ins (I.Mov_ri (R.RBX, 5L)); Ins I.Mfence; Ins I.Hlt ]
   in
   let entry = image.Image.Gelf.entry in
   let eng = Core.Engine.create Core.Config.risotto image in
@@ -426,7 +417,7 @@ let test_exit_code_via_syscall () =
       Ins I.Nop;
     ]
   in
-  let g, _ = run_config Core.Config.risotto (build items) in
+  let g, _ = C.run_config Core.Config.risotto (C.build items) in
   check_i64 "exit code" 17L g.Core.Engine.arm.Arm.Machine.exit_code;
   check_bool "finished" true g.Core.Engine.finished
 
@@ -444,7 +435,7 @@ let test_write_syscall_output () =
       Ins I.Hlt;
     ]
   in
-  let g, _ = run_config Core.Config.qemu (build items) in
+  let g, _ = C.run_config Core.Config.qemu (C.build items) in
   Alcotest.(check string) "output" "ok"
     (Buffer.contents g.Core.Engine.arm.Arm.Machine.output)
 
@@ -466,7 +457,7 @@ let test_concurrent_threads_sum () =
   in
   List.iter
     (fun config ->
-      let image = build items in
+      let image = C.build items in
       let eng = Core.Engine.create config image in
       let threads =
         List.init 4 (fun tid ->
@@ -482,68 +473,40 @@ let test_concurrent_threads_sum () =
 (* ------------------------------------------------------------------ *)
 (* Differential property tests vs the reference interpreter            *)
 
-let arb_program =
-  let open QCheck in
-  (* Straightline programs over a small register and memory window. *)
-  let reg = map R.of_index (int_range 0 5) in
-  let disp = map (fun k -> Int64.of_int (0x5000 + (8 * k))) (int_range 0 7) in
-  let mem_op = map (fun disp -> { I.base = None; index = None; disp }) disp in
-  let alu = oneofl [ I.Add; I.Sub; I.And; I.Or; I.Xor; I.Imul ] in
-  let insn =
-    oneof
-      [
-        map (fun (r, i) -> I.Mov_ri (r, Int64.of_int i)) (pair reg small_int);
-        map (fun (a, b) -> I.Mov_rr (a, b)) (pair reg reg);
-        map (fun (r, m) -> I.Load (r, m)) (pair reg mem_op);
-        map (fun (m, r) -> I.Store (m, I.R r)) (pair mem_op reg);
-        map (fun (m, i) -> I.Store (m, I.I (Int64.of_int i))) (pair mem_op small_int);
-        map (fun (op, r, r2) -> I.Alu (op, r, I.R r2)) (triple alu reg reg);
-        map
-          (fun (op, r, i) -> I.Alu (op, r, I.I (Int64.of_int i)))
-          (triple alu reg (int_range (-100) 100));
-        map (fun (op, a, b) -> I.Fp (op, a, b))
-          (triple (oneofl [ I.Fadd; I.Fsub; I.Fmul ]) reg reg);
-        map (fun r -> I.Inc r) reg;
-        map (fun r -> I.Dec r) reg;
-        map (fun r -> I.Neg r) reg;
-        map (fun r -> I.Not r) reg;
-        map (fun (r, m) -> I.Lea (r, m)) (pair reg mem_op);
-        map (fun (r, r2) -> I.Test (r, I.R r2)) (pair reg reg);
-        map
-          (fun (cc, a, b) -> I.Cmov (cc, a, b))
-          (triple (oneofl [ I.E; I.Ne; I.L; I.A ]) reg reg);
-        map (fun (m, r) -> I.Lock_cmpxchg (m, r)) (pair mem_op reg);
-        map (fun (m, r) -> I.Lock_xadd (m, r)) (pair mem_op reg);
-        map (fun (m, r) -> I.Xchg (m, r)) (pair mem_op reg);
-        always I.Mfence;
-        always I.Nop;
-        map (fun r -> I.Push r) reg;
-        (* pops only after pushes; keep the stack balanced with a
-           push/pop pair generator below *)
-      ]
-  in
-  set_print
-    (fun items ->
-      String.concat "\n"
-        (List.filter_map
-           (function Ins i -> Some (Fmt.str "%a" I.pp i) | _ -> None)
-           items))
-    (map
-       (fun insns ->
-         (Label "main" :: List.map (fun i -> Ins i) insns) @ [ Ins I.Hlt ])
-       (small_list insn))
-
 let differential config =
   QCheck.Test.make
     ~name:("dbt(" ^ config.Core.Config.name ^ ") matches x86 interpreter")
-    ~count:250 arb_program
+    ~count:250 C.arb_program
     (fun items ->
-      let image = build items in
-      let oracle = run_oracle image in
-      let g, eng = run_config config image in
-      same_state oracle g eng)
+      let image = C.build items in
+      oracle_state image = dbt_state config image)
 
 let props = List.map (fun c -> QCheck_alcotest.to_alcotest (differential c)) Core.Config.all
+
+(* Every example program, under every preset and every compile-fault
+   plan (which keeps the guest's semantics), ends as the oracle does. *)
+let test_examples_match_oracle () =
+  let compile_only =
+    List.for_all (function
+      | Core.Inject.Nth (site, _) | Core.Inject.Always site | Core.Inject.Seeded { site; _ } ->
+          site = Core.Inject.Compile)
+  in
+  List.iter
+    (fun (pname, items) ->
+      let image = C.build items in
+      let oracle = oracle_state image in
+      List.iter
+        (fun (config : Core.Config.t) ->
+          List.iter
+            (fun plan ->
+              let plan_name = Core.Inject.plan_to_string plan in
+              check_bool
+                (Printf.sprintf "%s/%s/[%s] matches" config.name pname plan_name)
+                true
+                (oracle = dbt_state { config with inject = plan } image))
+            ([] :: List.filter compile_only C.plans))
+        Core.Config.all)
+    C.examples
 
 (* A deeper hand-written program exercising calls, branches and the
    stack, compared across all configs. *)
@@ -572,14 +535,12 @@ let test_fib_program () =
       Ins I.Ret;
     ]
   in
-  let image = build items in
-  let oracle = run_oracle image in
-  check_i64 "oracle fib(12)" 144L oracle.X86.Interp.regs.(R.index R.RAX);
+  let image = C.build items in
+  let oracle = oracle_state image in
+  check_i64 "oracle fib(12)" 144L (fst oracle).(R.index R.RAX);
   List.iter
     (fun config ->
-      let g, eng = run_config config image in
-      check_bool (config.Core.Config.name ^ " matches") true
-        (same_state oracle g eng))
+      check_bool (config.Core.Config.name ^ " matches") true (oracle = dbt_state config image))
     Core.Config.all
 
 (* ------------------------------------------------------------------ *)
@@ -603,12 +564,12 @@ let strlen_driver =
 let test_plt_interception_strlen () =
   let image = linked_image "strlen" strlen_driver in
   (* Without the linker: guest implementation is translated. *)
-  let g_q, eng_q = run_config Core.Config.qemu image in
+  let g_q, eng_q = C.run_config Core.Config.qemu image in
   check_i64 "guest strlen" 5L (Core.Engine.reg g_q R.RAX);
   let st_q = Core.Engine.stats eng_q in
   ignore st_q;
   (* With the linker: host function invoked. *)
-  let g_r, _ = run_config Core.Config.risotto image in
+  let g_r, _ = C.run_config Core.Config.risotto image in
   check_i64 "host strlen" 5L (Core.Engine.reg g_r R.RAX);
   check_int "one host call" 1 g_r.Core.Engine.arm.Arm.Machine.host_calls;
   check_int "no host call under qemu" 0 g_q.Core.Engine.arm.Arm.Machine.host_calls
@@ -629,8 +590,8 @@ let test_digest_agrees_across_linking () =
     ]
   in
   let image = linked_image "sha256" driver in
-  let g_q, _ = run_config Core.Config.qemu image in
-  let g_r, _ = run_config Core.Config.risotto image in
+  let g_q, _ = C.run_config Core.Config.qemu image in
+  let g_r, _ = C.run_config Core.Config.risotto image in
   check_i64 "sha256 guest = host"
     (Core.Engine.reg g_q R.RAX)
     (Core.Engine.reg g_r R.RAX);
@@ -684,7 +645,7 @@ let test_guest_clone () =
   in
   List.iter
     (fun config ->
-      let image = build items in
+      let image = C.build items in
       let eng = Core.Engine.create config image in
       let main = Core.Engine.spawn eng ~tid:0 ~entry:image.Image.Gelf.entry () in
       let all =
@@ -712,7 +673,7 @@ let test_persistent_cache () =
       Ins I.Hlt;
     ]
   in
-  let image = build items in
+  let image = C.build items in
   let path = Filename.temp_file "risotto" ".tc" in
   (* First engine: translate and save. *)
   let eng1 = Core.Engine.create Core.Config.risotto image in
@@ -779,6 +740,8 @@ let () =
             test_concurrent_threads_sum;
           Alcotest.test_case "guest clone syscall" `Quick test_guest_clone;
           Alcotest.test_case "fib across configs" `Quick test_fib_program;
+          Alcotest.test_case "examples match the x86 interpreter" `Quick
+            test_examples_match_oracle;
         ] );
       ("differential", props);
       ( "translation cache",

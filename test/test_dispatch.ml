@@ -2,49 +2,24 @@
    translation.  The stats prove the jump cache serves nearly every
    dispatch, a generation bump (reset, cache reload) makes it refill,
    and a trap stays with its thread.  Parity between eager and degraded
-   runs is here for the 16 kernels and in test_tiers for the example
-   programs, the fault corpus and random looped programs. *)
+   runs is here for the 16 kernels and in test_tiers over the rest of
+   the shared corpus (Dbt_corpus). *)
 
 module I = X86.Insn
 module R = X86.Reg
+module C = Dbt_corpus
 open X86.Asm
 
 let check_int = Alcotest.check Alcotest.int
 let check_i64 = Alcotest.check Alcotest.int64
 let check_bool = Alcotest.check Alcotest.bool
 
-let build items = Image.Gelf.build ~entry:"main" items
-
-let run_config config image =
-  let eng = Core.Engine.create config image in
-  let g = Core.Engine.run eng in
-  (g, eng)
-
-(* Guest-visible state: registers RAX..R15 plus memory. *)
-let state g eng =
-  ( Array.sub g.Core.Engine.arm.Arm.Machine.regs 0 16,
-    Memsys.Mem.dump (Core.Engine.memory eng) )
-
 (* ------------------------------------------------------------------ *)
 (* Fast paths                                                          *)
 
-let countdown_items =
-  [
-    Label "main";
-    Ins (I.Mov_ri (R.RBX, 25L));
-    Label "loop";
-    Ins (I.Store ({ I.base = None; index = None; disp = 0x5000L }, I.R R.RBX));
-    Ins (I.Load (R.RCX, { I.base = None; index = None; disp = 0x5000L }));
-    Ins (I.Alu (I.Add, R.RDX, I.R R.RCX));
-    Ins (I.Alu (I.Sub, R.RBX, I.I 1L));
-    Ins (I.Cmp (R.RBX, I.I 0L));
-    Jcc_lbl (I.Ne, "loop");
-    Ins I.Hlt;
-  ]
-
 let test_stats_engage () =
-  let image = build countdown_items in
-  let g, eng = run_config Core.Config.risotto image in
+  let image = C.build C.countdown in
+  let g, eng = C.run_config Core.Config.risotto image in
   let st = Core.Engine.stats eng in
   check_bool "no trap" true (g.Core.Engine.trap = None);
   (* One dispatch per guest block; only first visits miss, and every
@@ -74,7 +49,7 @@ let test_stats_engage () =
       Ins I.Ret;
     ]
   in
-  let _, eng = run_config Core.Config.risotto (build looped_calls) in
+  let _, eng = C.run_config Core.Config.risotto (C.build looped_calls) in
   let st = Core.Engine.stats eng in
   check_int "every repeated return hits the jump cache"
     (st.Core.Engine.lookups - st.Core.Engine.blocks_translated)
@@ -101,7 +76,7 @@ let test_trap_isolated_behind_jcache () =
       Ins I.Hlt;
     ]
   in
-  let image = build items in
+  let image = C.build items in
   let good_end = List.assoc "good_end" image.Image.Gelf.symbols in
   let eng = Core.Engine.create Core.Config.risotto image in
   let entry = image.Image.Gelf.entry in
@@ -130,7 +105,7 @@ let test_trap_isolated_behind_jcache () =
 
 let test_roundtrip_bumps_generation () =
   let path = Filename.temp_file "risotto" ".rstc" in
-  let image = build countdown_items in
+  let image = C.build C.countdown in
   let eng = Core.Engine.create Core.Config.risotto image in
   let g = Core.Engine.run eng in
   check_bool "hot run clean" true (g.Core.Engine.trap = None);
@@ -155,7 +130,7 @@ let test_roundtrip_bumps_generation () =
   Sys.remove path
 
 let test_reset_flushes_table () =
-  let image = build countdown_items in
+  let image = C.build C.countdown in
   let eng = Core.Engine.create Core.Config.risotto image in
   let g1 = Core.Engine.run eng in
   let gen0 = Core.Engine.generation eng in
@@ -187,7 +162,7 @@ let test_scheduler_staggered_threads () =
       Ins I.Hlt;
     ]
   in
-  let image = build items in
+  let image = C.build items in
   let eng = Core.Engine.create Core.Config.risotto image in
   let counts = [ 3; 11; 7; 1; 19; 5 ] in
   let threads =
@@ -208,7 +183,7 @@ let test_scheduler_staggered_threads () =
 
 let test_scheduler_watchdog_budget () =
   let items = [ Label "main"; Label "spin"; Jmp_lbl "spin" ] in
-  let image = build items in
+  let image = C.build items in
   let eng = Core.Engine.create Core.Config.risotto image in
   let threads =
     List.init 2 (fun tid ->
@@ -224,52 +199,21 @@ let test_scheduler_watchdog_budget () =
 (* ------------------------------------------------------------------ *)
 (* The 16 PARSEC/Phoenix kernels                                       *)
 
-type kernel_run = {
-  k_name : string;
-  k_state : int64 array * (int64 * int64) list;
-  k_clean : bool;  (* halted, no trap *)
-  k_cycles : int;
-  k_stats : Core.Engine.stats;
-}
-
-(* One pass over the kernels under [config], and the minor words it
-   allocated. *)
-let kernel_pass config =
-  let w0 = Gc.minor_words () in
-  let runs =
-    List.map
-      (fun (b : Harness.Parsec.bench) ->
-        let spec = b.Harness.Parsec.spec in
-        let g, eng = Harness.Kernel.run_dbt config spec in
-        {
-          k_name = spec.Harness.Kernel.name;
-          k_state = state g eng;
-          k_clean = Core.Engine.trap g = None && g.Core.Engine.finished;
-          k_cycles = Core.Engine.cycles g;
-          k_stats = Core.Engine.stats eng;
-        })
-      Harness.Parsec.all
-  in
-  (runs, Gc.minor_words () -. w0)
-
-let sum f runs = List.fold_left (fun acc r -> acc + f r.k_stats) 0 runs
+let sum f runs = List.fold_left (fun acc (_, (r : C.fingerprint)) -> acc + f r.stats) 0 runs
 
 (* Eager and all-degraded (every block on the TCG interpreter) passes,
    run once for the tests below. *)
 let kernel_passes =
   lazy
     (let risotto = Core.Config.risotto in
-     ( kernel_pass risotto,
-       kernel_pass
-         { risotto with Core.Config.inject = [ Core.Inject.Always Core.Inject.Compile ] } ))
+     (C.kernel_pass risotto, C.kernel_pass (C.degrade C.all_degraded risotto)))
 
 let test_kernel_parity () =
   let (eager, _), (degraded, _) = Lazy.force kernel_passes in
   List.iter2
-    (fun e d ->
-      check_bool (e.k_name ^ " eager = degraded state") true (e.k_state = d.k_state);
-      check_int (e.k_name ^ " dispatches") e.k_stats.Core.Engine.blocks_executed
-        d.k_stats.Core.Engine.blocks_executed)
+    (fun (name, (e : C.fingerprint)) (_, (d : C.fingerprint)) ->
+      check_bool (name ^ " eager = degraded state") true (e.state = d.state);
+      check_int (name ^ " dispatches") e.stats.blocks_executed d.stats.blocks_executed)
     eager degraded;
   check_bool "blocks degraded" true (sum (fun s -> s.Core.Engine.interp_fallbacks) degraded > 0)
 
@@ -293,7 +237,10 @@ let max_words_per_block = 99.
 
 let test_allocation_gate () =
   let (runs, words), _ = Lazy.force kernel_passes in
-  List.iter (fun r -> check_bool (r.k_name ^ " halted cleanly") true r.k_clean) runs;
+  List.iter
+    (fun (name, (r : C.fingerprint)) ->
+      check_bool (name ^ " halted cleanly") true (r.trap = None && r.finished))
+    runs;
   let per_block = words /. float_of_int (sum (fun s -> s.Core.Engine.blocks_executed) runs) in
   if per_block > max_words_per_block then
     Alcotest.failf "%.1f minor words per executed block (bound %.0f)" per_block
@@ -306,31 +253,12 @@ let test_allocation_gate () =
    words per block (DESIGN.md, "Array-form TCG IR").  A warm-up pass
    first grows the per-domain scratch buffers, so the count does not
    depend on what ran before; it is deterministic and needs no noise
-   band: the bound is the measured 931.2 plus 5%. *)
-let max_translate_words = 978.
-
-let cold_shapes =
-  [
-    I.Load (R.RAX, I.based R.RBX 8L);
-    I.Store (I.based R.RBX 136L, I.R R.RAX);
-    I.Alu (I.Add, R.RCX, I.I 3L);
-    I.Alu (I.Xor, R.RDX, I.R R.RCX);
-    I.Fp (I.Fmul, R.RSI, R.RSI);
-    I.Load (R.RAX, I.based R.RBX 64L);
-    I.Alu (I.Shl, R.RCX, I.I 1L);
-    I.Fp (I.Fadd, R.RSI, R.RSI);
-    I.Alu (I.Sub, R.RDX, I.I 1L);
-    I.Mov_ri (R.R8, 1L);
-    I.Lock_xadd (I.based R.R14 0L, R.R8);
-    I.Mfence;
-  ]
+   band: the bound is the measured 909.2 plus 5%. *)
+let max_translate_words = 955.
 
 let test_translation_allocation_gate () =
   let blocks = 64 and per_block = Core.Frontend.max_block_insns in
-  let insns =
-    List.init (blocks * per_block) (fun k -> List.nth cold_shapes (k mod List.length cold_shapes))
-  in
-  let image = build ((Label "main" :: List.map (fun i -> Ins i) insns) @ [ Ins I.Hlt ]) in
+  let image = C.build (C.cold_items blocks) in
   let fe = Core.Frontend.create Core.Config.risotto image Linker.Link.empty in
   let rec starts pc n =
     if n = 0 then []

@@ -6,26 +6,12 @@ module I = X86.Insn
 module R = X86.Reg
 module F = Core.Fault
 module Inj = Core.Inject
+module C = Dbt_corpus
 open X86.Asm
 
 let check_int = Alcotest.check Alcotest.int
 let check_i64 = Alcotest.check Alcotest.int64
 let check_bool = Alcotest.check Alcotest.bool
-
-let build items = Image.Gelf.build ~entry:"main" items
-
-(* A small program: R13 := 77 after a short countdown. *)
-let countdown_items =
-  [
-    Label "main";
-    Ins (I.Mov_ri (R.RBX, 5L));
-    Label "loop";
-    Ins (I.Alu (I.Sub, R.RBX, I.I 1L));
-    Ins (I.Cmp (R.RBX, I.I 0L));
-    Jcc_lbl (I.Ne, "loop");
-    Ins (I.Mov_ri (R.R13, 77L));
-    Ins I.Hlt;
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Injection plans                                                     *)
@@ -67,7 +53,7 @@ let test_inject_parse () =
 (* Fault isolation between guest threads                               *)
 
 let test_decode_fault_isolated () =
-  let image = build countdown_items in
+  let image = C.build C.countdown_5 in
   let eng = Core.Engine.create Core.Config.risotto image in
   let good = Core.Engine.spawn eng ~tid:0 ~entry:image.Image.Gelf.entry () in
   (* Thread 1 starts outside the text section: its first block is a
@@ -118,7 +104,7 @@ let test_bad_register_byte_traps () =
 let test_interp_fallback_correct () =
   List.iter
     (fun plan ->
-      let image = build countdown_items in
+      let image = C.build C.countdown_5 in
       let clean = Core.Engine.create Core.Config.risotto image in
       let g_clean = Core.Engine.run clean in
       let cfg = { Core.Config.risotto with inject = plan } in
@@ -224,7 +210,7 @@ let test_no_idl_signature_still_falls_back () =
 (* Watchdog                                                            *)
 
 let test_watchdog_exhausted () =
-  let image = build [ Label "main"; Jmp_lbl "main" ] in
+  let image = C.build [ Label "main"; Jmp_lbl "main" ] in
   let eng = Core.Engine.create Core.Config.risotto image in
   let g = Core.Engine.spawn eng ~tid:0 ~entry:image.Image.Gelf.entry () in
   match Core.Engine.run_concurrent ~max_blocks:10 eng [ g ] with
@@ -239,7 +225,7 @@ let test_watchdog_exhausted () =
 (* Persistent-cache robustness                                         *)
 
 let with_cache_file f =
-  let image = build countdown_items in
+  let image = C.build C.countdown_5 in
   let eng1 = Core.Engine.create Core.Config.risotto image in
   let g1 = Core.Engine.run eng1 in
   let path = Filename.temp_file "risotto_fault" ".tc" in

@@ -1,59 +1,18 @@
 (* The always-on flight recorder and its trap postmortems: ring
    mechanics, differential parity (recording must be behaviour-
-   invisible on example programs, under fault injection, and over
-   QCheck-generated programs), byte-deterministic postmortem JSON, and
-   the fence-provenance ledger the postmortem embeds. *)
+   invisible over the shared corpus, Dbt_corpus: the example programs
+   under every fault plan, the kernels and generated programs),
+   byte-deterministic postmortem JSON, and the fence-provenance ledger
+   the postmortem embeds. *)
 
 module I = X86.Insn
 module R = X86.Reg
 module Fl = Obs.Flight
+module C = Dbt_corpus
 open X86.Asm
 
 let check_int = Alcotest.check Alcotest.int
 let check_bool = Alcotest.check Alcotest.bool
-
-let build items = Image.Gelf.build ~entry:"main" items
-
-(* Guest-visible state: registers RAX..R15 plus memory. *)
-let state g eng =
-  ( Array.sub g.Core.Engine.arm.Arm.Machine.regs 0 16,
-    Memsys.Mem.dump (Core.Engine.memory eng) )
-
-let countdown_items =
-  [
-    Label "main";
-    Ins (I.Mov_ri (R.RBX, 25L));
-    Label "loop";
-    Ins (I.Store ({ I.base = None; index = None; disp = 0x5000L }, I.R R.RBX));
-    Ins (I.Load (R.RCX, { I.base = None; index = None; disp = 0x5000L }));
-    Ins (I.Alu (I.Add, R.RDX, I.R R.RCX));
-    Ins (I.Alu (I.Sub, R.RBX, I.I 1L));
-    Ins (I.Cmp (R.RBX, I.I 0L));
-    Jcc_lbl (I.Ne, "loop");
-    Ins I.Hlt;
-  ]
-
-let fact_items =
-  [
-    Label "main";
-    Ins (I.Mov_ri (R.RDI, 10L));
-    Call_lbl "fact";
-    Ins (I.Store ({ I.base = None; index = None; disp = 0x5000L }, I.R R.RAX));
-    Ins I.Hlt;
-    Label "fact";
-    Ins (I.Mov_ri (R.RAX, 1L));
-    Label "floop";
-    Ins (I.Test (R.RDI, I.R R.RDI));
-    Jcc_lbl (I.E, "fdone");
-    Ins (I.Alu (I.Imul, R.RAX, I.R R.RDI));
-    Ins (I.Dec R.RDI);
-    Jmp_lbl "floop";
-    Label "fdone";
-    Ins I.Ret;
-  ]
-
-let example_programs =
-  [ ("countdown", countdown_items); ("fact", fact_items) ]
 
 (* Restore the global recording switch no matter how a test exits:
    every other suite in this binary assumes the production default. *)
@@ -108,138 +67,35 @@ let test_ring_gated_by_global_switch () =
 (* ------------------------------------------------------------------ *)
 (* Differential parity: recording is behaviour-invisible               *)
 
-let run_with_flight enabled config image =
-  let go () =
-    let eng = Core.Engine.create config image in
-    let g = Core.Engine.run eng in
-    (state g eng, Option.is_some (Core.Engine.trap g))
-  in
-  if enabled then go () else with_flight_off go
+let recorder_variants : C.variant list =
+  [ ("on", C.fingerprint); ("off", fun c i -> with_flight_off (fun () -> C.fingerprint c i)) ]
 
-let test_parity_examples () =
-  List.iter
-    (fun config ->
-      List.iter
-        (fun (pname, items) ->
-          let image = build items in
-          let on_ = run_with_flight true config image in
-          let off = run_with_flight false config image in
-          check_bool
-            (Printf.sprintf "%s/%s recorder parity" config.Core.Config.name
-               pname)
-            true (on_ = off))
-        example_programs)
-    [ Core.Config.qemu; Core.Config.risotto ]
-
-let inject_corpus =
-  [
-    [ Core.Inject.Nth (Core.Inject.Compile, 1) ];
-    [ Core.Inject.Always Core.Inject.Compile ];
-    [
-      Core.Inject.Seeded
-        { site = Core.Inject.Compile; seed = 42L; permille = 500 };
-    ];
-    [ Core.Inject.Nth (Core.Inject.Decode, 3) ];
-    [ Core.Inject.Always Core.Inject.Decode ];
-  ]
+let test_parity_examples () = C.agree_on_examples ~key:Fun.id ~plans:[ [] ] recorder_variants
 
 let test_parity_under_injection () =
-  List.iter
-    (fun plan ->
-      let config = { Core.Config.risotto with Core.Config.inject = plan } in
-      List.iter
-        (fun (pname, items) ->
-          let image = build items in
-          let on_ = run_with_flight true config image in
-          let off = run_with_flight false config image in
-          check_bool
-            (Printf.sprintf "%s under injection: recorder parity" pname)
-            true (on_ = off))
-        example_programs)
-    inject_corpus
-
-(* A pass over the 16 PARSEC/Phoenix kernels: each kernel's end state,
-   guest cycles and engine stats, and the minor words the pass
-   allocated. *)
-let kernel_pass () =
-  let w0 = Gc.minor_words () in
-  let runs =
-    List.map
-      (fun (b : Harness.Parsec.bench) ->
-        let g, eng = Harness.Kernel.run_dbt Core.Config.risotto b.Harness.Parsec.spec in
-        (state g eng, Core.Engine.cycles g, Core.Engine.stats eng))
-      Harness.Parsec.all
-  in
-  (runs, Gc.minor_words () -. w0)
+  C.agree_on_examples ~key:Fun.id ~plans:C.plans recorder_variants
 
 (* The recorder writes into rings allocated with the engine, so on the
    hot path it allocates nothing: on, off and on again, a kernel pass
    allocates the same minor words and ends in the same state.  A first
    pass takes the process's one-off lazy set-up out of the count. *)
 let test_parity_kernel_suite () =
-  ignore (kernel_pass ());
-  let on1 = kernel_pass () in
-  let off = with_flight_off kernel_pass in
-  let on2 = kernel_pass () in
+  let pass () = C.kernel_pass Core.Config.risotto in
+  ignore (pass ());
+  let on1 = pass () in
+  let off = with_flight_off pass in
+  let on2 = pass () in
   check_bool "recorder off = on (state, cycles, stats)" true (fst off = fst on1);
   check_bool "recorder on twice (state, cycles, stats)" true (fst on2 = fst on1);
   let words = Alcotest.(check (float 0.)) in
   words "minor words: recorder off = on" (snd on1) (snd off);
   words "minor words: recorder on again" (snd on1) (snd on2)
 
-(* Random straight-line bodies inside a counted loop (the test_tiers
-   shape): every block is executed repeatedly, so the recorder sees
-   block-enter traffic on the hot path it claims not to perturb. *)
-let arb_looped_body =
-  let open QCheck in
-  let reg = map R.of_index (int_range 0 3) in
-  let disp = map (fun k -> Int64.of_int (0x5000 + (8 * k))) (int_range 0 7) in
-  let mem_op = map (fun disp -> { I.base = None; index = None; disp }) disp in
-  let alu = oneofl [ I.Add; I.Sub; I.And; I.Or; I.Xor ] in
-  let insn =
-    oneof
-      [
-        map (fun (r, i) -> I.Mov_ri (r, Int64.of_int i)) (pair reg small_int);
-        map (fun (r, m) -> I.Load (r, m)) (pair reg mem_op);
-        map (fun (m, r) -> I.Store (m, I.R r)) (pair mem_op reg);
-        map (fun (op, r, r2) -> I.Alu (op, r, I.R r2)) (triple alu reg reg);
-        oneofl [ I.Mfence; I.Nop ];
-      ]
-  in
-  set_print
-    (fun (n, items) ->
-      Printf.sprintf "iters=%d\n%s" n
-        (String.concat "\n"
-           (List.filter_map
-              (function Ins i -> Some (Fmt.str "%a" I.pp i) | _ -> None)
-              items)))
-    (map
-       (fun (iters, insns) ->
-         let body = List.map (fun i -> Ins i) insns in
-         ( iters,
-           [
-             Label "main";
-             Ins (I.Mov_ri (R.R15, Int64.of_int iters));
-             Label "loop";
-           ]
-           @ body
-           @ [
-               Ins (I.Alu (I.Sub, R.R15, I.I 1L));
-               Ins (I.Cmp (R.R15, I.I 0L));
-               Jcc_lbl (I.Ne, "loop");
-               Ins I.Hlt;
-             ] ))
-       (pair (int_range 4 12) (small_list insn)))
-
+(* The generated programs loop, so the recorder sees block-enter
+   traffic on the hot path it claims not to perturb. *)
 let flight_differential_prop =
-  QCheck.Test.make ~name:"recorder on = recorder off (looped programs)"
-    ~count:200 arb_looped_body (fun (_, items) ->
-      let image = build items in
-      List.for_all
-        (fun config ->
-          run_with_flight true config image
-          = run_with_flight false config image)
-        [ Core.Config.qemu; Core.Config.risotto ])
+  C.agree_on_generated ~name:"recorder on = recorder off (looped programs)" ~count:200
+    ~key:Fun.id recorder_variants
 
 (* ------------------------------------------------------------------ *)
 (* Postmortems                                                         *)
@@ -258,7 +114,7 @@ let trap_config =
   }
 
 let postmortem_string () =
-  let eng = Core.Engine.create trap_config (build countdown_items) in
+  let eng = Core.Engine.create trap_config (C.build C.countdown) in
   let g = Core.Engine.run eng in
   check_bool "injected decode fault traps" true
     (Core.Engine.trap g <> None);
@@ -283,7 +139,7 @@ let test_postmortem_deterministic_with_metrics () =
   let dump () =
     Obs.Metrics.reset ();
     ignore
-      (Core.Engine.run (Core.Engine.create Core.Config.risotto (build countdown_items)));
+      (Core.Engine.run (Core.Engine.create Core.Config.risotto (C.build C.countdown)));
     postmortem_string ()
   in
   Obs.Metrics.enable ();
@@ -315,7 +171,7 @@ let test_postmortem_dumped_on_trap () =
         Unix.rmdir dir
       end)
     (fun () ->
-      let eng = Core.Engine.create trap_config (build countdown_items) in
+      let eng = Core.Engine.create trap_config (C.build C.countdown) in
       Core.Engine.set_postmortem_dir eng (Some dir);
       let _ = Core.Engine.run eng in
       check_int "one postmortem written" 1
@@ -343,7 +199,7 @@ let test_watchdog_dumps_postmortem () =
         Unix.rmdir dir
       end)
     (fun () ->
-      let image = build [ Label "main"; Jmp_lbl "main" ] in
+      let image = C.build [ Label "main"; Jmp_lbl "main" ] in
       let eng = Core.Engine.create Core.Config.risotto image in
       Core.Engine.set_postmortem_dir eng (Some dir);
       let g = Core.Engine.spawn eng ~tid:0 ~entry:image.Image.Gelf.entry () in
@@ -423,7 +279,7 @@ let test_sinks_agree () =
   Fun.protect
     ~finally:(fun () -> Obs.Metrics.disable ())
     (fun () ->
-      let image = build countdown_items in
+      let image = C.build C.countdown in
       (* (a) Eager backend failure on every block. *)
       Obs.Metrics.reset ();
       let config =
@@ -471,7 +327,7 @@ let test_fence_ledger_records_merges () =
       Ins I.Hlt;
     ]
   in
-  let eng = Core.Engine.create Core.Config.risotto (build items) in
+  let eng = Core.Engine.create Core.Config.risotto (C.build items) in
   let _ = Core.Engine.run eng in
   let ledgers = Core.Engine.fence_ledgers eng in
   check_bool "at least one block translated with a ledger" true
@@ -518,7 +374,7 @@ let test_fence_metrics_counters () =
           Ins I.Hlt;
         ]
       in
-      let eng = Core.Engine.create Core.Config.risotto (build items) in
+      let eng = Core.Engine.create Core.Config.risotto (C.build items) in
       let _ = Core.Engine.run eng in
       let snap = Obs.Metrics.snapshot () in
       let fences = Obs.Metrics.counters_with_prefix snap "fence." in
@@ -563,7 +419,7 @@ let test_ledgers_rederived_match_counters () =
       List.iter
         (fun (config : Core.Config.t) ->
           Obs.Metrics.reset ();
-          let eng = Core.Engine.create config (build items) in
+          let eng = Core.Engine.create config (C.build items) in
           let g = Core.Engine.run eng in
           check_bool "clean run" true (Core.Engine.trap g = None);
           Core.Engine.publish_metrics eng;
@@ -629,7 +485,7 @@ let run_announced setup =
         Logs.Src.set_level Core.Engine.log_src saved_level)
       (fun () ->
         setup ();
-        let eng = Core.Engine.create Core.Config.risotto (build countdown_items) in
+        let eng = Core.Engine.create Core.Config.risotto (C.build C.countdown) in
         let g = Core.Engine.run eng in
         ( ( List.map (Core.Engine.count eng) Core.Engine.events,
             Fl.events (Core.Engine.flight eng),

@@ -2,15 +2,16 @@
    profiling hooks.  The core claims under test: (1) observability is
    behaviour-invisible — runs with tracing+metrics fully on are
    byte-identical (registers, memory, cycles, stats, faults, litmus
-   verdicts) to runs with them off, on example programs, the kernel
-   suite, the fault-injection corpus and randomized programs; (2) the
-   sharded metrics merge exactly — concurrent totals equal a sequential
-   count; (3) chain-generation invalidation: patched edges and jump
-   cache entries from before a reset/load_cache are never followed. *)
+   verdicts) to runs with them off, over the shared corpus (Dbt_corpus:
+   the example programs under every fault plan, the kernel suite and
+   generated programs); (2) the sharded metrics merge exactly —
+   concurrent totals equal a sequential count; (3) generation
+   invalidation: jump cache entries from before a reset/load_cache are
+   never followed. *)
 
 module I = X86.Insn
 module R = X86.Reg
-open X86.Asm
+module C = Dbt_corpus
 
 let check_int = Alcotest.check Alcotest.int
 let check_i64 = Alcotest.check Alcotest.int64
@@ -233,164 +234,48 @@ let test_metrics_merge_concurrent () =
 (* ------------------------------------------------------------------ *)
 (* Differential: observability on vs off is guest-invisible            *)
 
-let build items = Image.Gelf.build ~entry:"main" items
-
-(* Everything a run can observe: registers, memory, cycles, the fault
-   (if any) and every engine statistic. *)
-let run_fingerprint config image =
-  let eng = Core.Engine.create config image in
-  let g = Core.Engine.run eng in
-  let st = Core.Engine.stats eng in
-  ( Array.sub g.Core.Engine.arm.Arm.Machine.regs 0 16,
-    Memsys.Mem.dump (Core.Engine.memory eng),
-    Core.Engine.cycles g,
-    Core.Engine.trap g,
-    ( st.Core.Engine.blocks_translated,
-      st.Core.Engine.blocks_executed,
-      st.Core.Engine.lookups,
-      st.Core.Engine.jmp_cache_hits,
-      st.Core.Engine.interp_fallbacks,
-      st.Core.Engine.traps ) )
-
-let differential name config image =
-  obs_off ();
-  let off = run_fingerprint config image in
-  let on = with_obs_on (fun () -> run_fingerprint config image) in
-  check_bool (name ^ ": obs on = obs off") true (off = on)
-
-let countdown_items_n n =
+let obs_variants : C.variant list =
   [
-    Label "main";
-    Ins (I.Mov_ri (R.RBX, Int64.of_int n));
-    Label "loop";
-    Ins (I.Store ({ I.base = None; index = None; disp = 0x5000L }, I.R R.RBX));
-    Ins (I.Load (R.RCX, { I.base = None; index = None; disp = 0x5000L }));
-    Ins (I.Alu (I.Add, R.RDX, I.R R.RCX));
-    Ins (I.Alu (I.Sub, R.RBX, I.I 1L));
-    Ins (I.Cmp (R.RBX, I.I 0L));
-    Jcc_lbl (I.Ne, "loop");
-    Ins I.Hlt;
+    ( "off",
+      fun c i ->
+        obs_off ();
+        C.fingerprint c i );
+    ("on", fun c i -> with_obs_on (fun () -> C.fingerprint c i));
   ]
 
-let countdown_items = countdown_items_n 25
-
-let fact_items =
-  [
-    Label "main";
-    Ins (I.Mov_ri (R.RDI, 10L));
-    Call_lbl "fact";
-    Ins (I.Store ({ I.base = None; index = None; disp = 0x5000L }, I.R R.RAX));
-    Ins I.Hlt;
-    Label "fact";
-    Ins (I.Mov_ri (R.RAX, 1L));
-    Label "floop";
-    Ins (I.Test (R.RDI, I.R R.RDI));
-    Jcc_lbl (I.E, "fdone");
-    Ins (I.Alu (I.Imul, R.RAX, I.R R.RDI));
-    Ins (I.Dec R.RDI);
-    Jmp_lbl "floop";
-    Label "fdone";
-    Ins I.Ret;
-  ]
-
-let example_programs =
-  [ ("countdown", countdown_items); ("fact", fact_items) ]
-
-let test_differential_examples () =
-  List.iter
-    (fun config ->
-      List.iter
-        (fun (pname, items) ->
-          List.iter
-            (fun (vname, config) ->
-              differential
-                (Printf.sprintf "%s/%s/%s" config.Core.Config.name pname vname)
-                config (build items))
-            [
-              ("plain", config);
-              ( "mixed-degraded",
-                {
-                  config with
-                  Core.Config.inject =
-                    [
-                      Core.Inject.Seeded
-                        { site = Core.Inject.Compile; seed = 42L; permille = 500 };
-                    ];
-                } );
-            ])
-        example_programs)
-    Core.Config.all
-
-let inject_corpus =
-  [
-    [ Core.Inject.Nth (Core.Inject.Compile, 1) ];
-    [ Core.Inject.Always Core.Inject.Compile ];
-    [ Core.Inject.Seeded
-        { site = Core.Inject.Compile; seed = 42L; permille = 500 };
-    ];
-    [ Core.Inject.Nth (Core.Inject.Decode, 3) ];
-    [ Core.Inject.Nth (Core.Inject.Host_call, 1) ];
-  ]
+let test_differential_examples () = C.agree_on_examples ~key:Fun.id ~plans:[ [] ] obs_variants
 
 let test_differential_fault_corpus () =
-  List.iteri
-    (fun i plan ->
-      List.iter
-        (fun (pname, items) ->
-          let config = { Core.Config.risotto with Core.Config.inject = plan } in
-          differential
-            (Printf.sprintf "inject%d/%s" i pname)
-            config (build items))
-        example_programs)
-    inject_corpus
+  C.agree_on_examples ~key:Fun.id ~plans:C.plans obs_variants
 
-(* Obs on = off over the 16 kernels (registers, memory, cycles, trap,
-   engine stats), and the traced, metered runs record the engine's and
-   the optimizer's spans, time backend compiles, and count fences
-   emitted and fences merged or dropped. *)
+(* Obs on = off over the 16 kernels, and the traced, metered pass
+   records the engine's and the optimizer's spans, times backend
+   compiles, and counts fences emitted and fences merged or dropped. *)
 let test_differential_kernel_suite () =
-  let cats = Hashtbl.create 8 and compiles = ref 0 in
-  let fences = ref 0 and eliminated = ref 0 in
   let fence_total snap suffix =
     List.fold_left
       (fun acc (name, v) -> if Filename.check_suffix name suffix then acc + v else acc)
       0
       (Obs.Metrics.counters_with_prefix snap "fence.")
   in
-  List.iter
-    (fun (b : Harness.Parsec.bench) ->
-      let spec = b.Harness.Parsec.spec in
-      obs_off ();
-      let run () =
-        let g, eng = Harness.Kernel.run_dbt Core.Config.risotto spec in
-        ( Array.sub g.Core.Engine.arm.Arm.Machine.regs 0 16,
-          Memsys.Mem.dump (Core.Engine.memory eng),
-          Core.Engine.cycles g,
-          Core.Engine.trap g,
-          Core.Engine.stats eng )
-      in
-      let off = run () in
-      let on =
-        with_obs_on (fun () ->
-            let on = run () in
-            List.iter (fun (e : Obs.Trace.event) -> Hashtbl.replace cats e.cat ()) (Obs.Trace.events ());
-            let snap = Obs.Metrics.snapshot () in
-            (match Obs.Metrics.find_histogram snap "engine.compile.ns" with
-            | Some h -> compiles := !compiles + h.Obs.Metrics.count
-            | None -> ());
-            fences := !fences + fence_total snap ".emitted";
-            eliminated := !eliminated + fence_total snap ".merged" + fence_total snap ".dropped";
-            on)
-      in
-      check_bool
-        (spec.Harness.Kernel.name ^ ": kernel obs on = off")
-        true (off = on))
-    Harness.Parsec.all;
-  check_bool "engine spans traced" true (Hashtbl.mem cats "engine");
-  check_bool "optimizer spans traced" true (Hashtbl.mem cats "opt");
-  check_bool "backend compiles timed" true (!compiles > 0);
-  check_bool "fences emitted" true (!fences > 0);
-  check_bool "fences merged or dropped" true (!eliminated > 0)
+  obs_off ();
+  let off, _ = C.kernel_pass Core.Config.risotto in
+  with_obs_on (fun () ->
+      let on, _ = C.kernel_pass Core.Config.risotto in
+      List.iter2
+        (fun (name, off) (_, on) -> check_bool (name ^ ": kernel obs on = off") true (off = on))
+        off on;
+      let cats = List.map (fun (e : Obs.Trace.event) -> e.cat) (Obs.Trace.events ()) in
+      check_bool "engine spans traced" true (List.mem "engine" cats);
+      check_bool "optimizer spans traced" true (List.mem "opt" cats);
+      let snap = Obs.Metrics.snapshot () in
+      check_bool "backend compiles timed" true
+        (match Obs.Metrics.find_histogram snap "engine.compile.ns" with
+        | Some h -> h.Obs.Metrics.count > 0
+        | None -> false);
+      check_bool "fences emitted" true (fence_total snap ".emitted" > 0);
+      check_bool "fences merged or dropped" true
+        (fence_total snap ".merged" + fence_total snap ".dropped" > 0))
 
 let test_differential_litmus_verdicts () =
   let model = Axiom.X86_tso.model in
@@ -402,48 +287,9 @@ let test_differential_litmus_verdicts () =
       check_bool (name ^ ": verdict obs on = off") true (off = on))
     Litmus.Catalog.x86_tests
 
-(* >= 200 randomized guest programs: straight-line bodies padded past
-   the block cap, so every program spans several blocks. *)
-let arb_program =
-  let open QCheck in
-  let reg = map R.of_index (int_range 0 5) in
-  let disp = map (fun k -> Int64.of_int (0x5000 + (8 * k))) (int_range 0 7) in
-  let mem_op = map (fun disp -> { I.base = None; index = None; disp }) disp in
-  let alu = oneofl [ I.Add; I.Sub; I.And; I.Or; I.Xor ] in
-  let insn =
-    oneof
-      [
-        map (fun (r, i) -> I.Mov_ri (r, Int64.of_int i)) (pair reg small_int);
-        map (fun (r, m) -> I.Load (r, m)) (pair reg mem_op);
-        map (fun (m, r) -> I.Store (m, I.R r)) (pair mem_op reg);
-        map (fun (op, r, r2) -> I.Alu (op, r, I.R r2)) (triple alu reg reg);
-        map (fun r -> I.Inc r) reg;
-        map (fun r -> I.Dec r) reg;
-        oneofl [ I.Mfence; I.Nop ];
-      ]
-  in
-  set_print
-    (fun items ->
-      String.concat "\n"
-        (List.filter_map
-           (function Ins i -> Some (Fmt.str "%a" I.pp i) | _ -> None)
-           items))
-    (map
-       (fun insns ->
-         let pad = List.init 40 (fun _ -> I.Nop) in
-         (Label "main" :: List.map (fun i -> Ins i) (insns @ pad))
-         @ [ Ins I.Hlt ])
-       (small_list insn))
-
 let differential_prop =
-  QCheck.Test.make ~name:"obs on = obs off on random programs" ~count:220
-    arb_program (fun items ->
-      let image = build items in
-      let config = Core.Config.risotto in
-      obs_off ();
-      let off = run_fingerprint config image in
-      let on = with_obs_on (fun () -> run_fingerprint config image) in
-      off = on)
+  C.agree_on_generated ~name:"obs on = obs off on random programs" ~count:220 ~key:Fun.id
+    obs_variants
 
 (* ------------------------------------------------------------------ *)
 (* Generation invalidation: a stale jump cache never serves a node     *)
@@ -496,7 +342,7 @@ let test_tbchain_stale_store_dropped () =
 let test_engine_reset_mid_run () =
   (* Long enough that a handful of dispatches leaves the thread
      mid-loop. *)
-  let image = build (countdown_items_n 200) in
+  let image = C.build (C.countdown_n 200) in
   let eng = Core.Engine.create Core.Config.risotto image in
   let g1 = Core.Engine.run eng in
   check_bool "warm run clean" true (g1.Core.Engine.trap = None);
@@ -527,7 +373,7 @@ let test_engine_reset_mid_run () =
 let test_engine_load_cache_mid_run () =
   let path = Filename.temp_file "risotto_obs" ".rstc" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let image = build (countdown_items_n 200) in
+  let image = C.build (C.countdown_n 200) in
   let eng = Core.Engine.create Core.Config.risotto image in
   let g1 = Core.Engine.run eng in
   check_bool "warm run clean" true (g1.Core.Engine.trap = None);
@@ -555,7 +401,7 @@ let test_engine_load_cache_mid_run () =
 (* stats_line: every counter reported unconditionally                  *)
 
 let test_stats_line_reports_fallbacks () =
-  let image = build fact_items in
+  let image = C.build C.fact in
   let eng = Core.Engine.create Core.Config.risotto image in
   let g = Core.Engine.run eng in
   let line = Core.Engine.stats_line eng g in
@@ -584,7 +430,7 @@ let test_stats_line_reports_fallbacks () =
 
 let test_hot_blocks_and_publish () =
   obs_off ();
-  let image = build countdown_items in
+  let image = C.build C.countdown in
   with_obs_on @@ fun () ->
   let eng = Core.Engine.create Core.Config.risotto image in
   let g = Core.Engine.run eng in

@@ -7,9 +7,7 @@ module Fr = Parallel.Frontier
 module Sup = Parallel.Supervise
 module Inj = Core.Inject
 module Sweep = Report.Sweep
-module I = X86.Insn
 module R = X86.Reg
-open X86.Asm
 
 let check_int = Alcotest.check Alcotest.int
 let check_bool = Alcotest.check Alcotest.bool
@@ -295,20 +293,8 @@ let test_plan_site_spellings () =
 (* ------------------------------------------------------------------ *)
 (* Cache quarantine                                                    *)
 
-let countdown_items =
-  [
-    Label "main";
-    Ins (I.Mov_ri (R.RBX, 5L));
-    Label "loop";
-    Ins (I.Alu (I.Sub, R.RBX, I.I 1L));
-    Ins (I.Cmp (R.RBX, I.I 0L));
-    Jcc_lbl (I.Ne, "loop");
-    Ins (I.Mov_ri (R.R13, 77L));
-    Ins I.Hlt;
-  ]
-
 let with_cache f =
-  let image = Image.Gelf.build ~entry:"main" countdown_items in
+  let image = Dbt_corpus.(build countdown_5) in
   let eng = Core.Engine.create Core.Config.risotto image in
   ignore (Core.Engine.run eng);
   with_tmp ".tc" @@ fun path ->
@@ -361,7 +347,7 @@ let test_cache_verify () =
   | Error _ -> ()
 
 let test_cache_write_injection () =
-  let image = Image.Gelf.build ~entry:"main" countdown_items in
+  let image = Dbt_corpus.(build countdown_5) in
   let config =
     {
       Core.Config.risotto with
@@ -387,7 +373,7 @@ let test_cache_write_injection () =
 (* Gelf container                                                      *)
 
 let test_gelf_v2_roundtrip () =
-  let image = Image.Gelf.build ~entry:"main" countdown_items in
+  let image = Dbt_corpus.(build countdown_5) in
   with_tmp ".gelf" @@ fun path ->
   Image.Gelf.save image path;
   check_bool "verify accepts" true (Image.Gelf.verify_file path = Ok ());
@@ -395,7 +381,7 @@ let test_gelf_v2_roundtrip () =
   check_bool "roundtrip" true (loaded = image)
 
 let test_gelf_v2_corrupt () =
-  let image = Image.Gelf.build ~entry:"main" countdown_items in
+  let image = Dbt_corpus.(build countdown_5) in
   with_tmp ".gelf" @@ fun path ->
   Image.Gelf.save image path;
   let s = read_file path in
@@ -411,7 +397,7 @@ let test_gelf_v2_corrupt () =
   | exception Image.Gelf.Bad_image _ -> ()
 
 let test_gelf_v1_legacy_load () =
-  let image = Image.Gelf.build ~entry:"main" countdown_items in
+  let image = Dbt_corpus.(build countdown_5) in
   with_tmp ".gelf" @@ fun path ->
   Image.Gelf.save image path;
   let s = read_file path in
@@ -422,7 +408,7 @@ let test_gelf_v1_legacy_load () =
   check_bool "legacy image still loads" true (loaded = image)
 
 let test_gelf_on_commit_crash () =
-  let image = Image.Gelf.build ~entry:"main" countdown_items in
+  let image = Dbt_corpus.(build countdown_5) in
   with_tmp ".gelf" @@ fun path ->
   Image.Gelf.save image path;
   let before = read_file path in

@@ -21,6 +21,9 @@ let frees : int Tcg.Work.table = Tcg.Work.table ()
 let active_temps : int Tcg.Work.table = Tcg.Work.table ()
 let active_regs : int Tcg.Work.table = Tcg.Work.table ()
 
+(* An op's temps: k = -1 is its write, then its reads. *)
+let temp op k = if k < 0 then Op.write op else Op.read op k
+
 (* Linear-scan allocation of block-local temps into the pool, freeing a
    register after its temp's last use.  [active] lists the live
    (temp, register) pairs oldest first; expired registers go back on
@@ -29,12 +32,11 @@ let active_regs : int Tcg.Work.table = Tcg.Work.table ()
    for [t < bound], or -1. *)
 let allocate_temps (ops : Op.t array) bound =
   let last_use = Tcg.Work.get last_uses bound (-1) in
-  let at = ref 0 in
-  let use t = if t >= Op.first_local then last_use.(t) <- !at in
   for i = 0 to Array.length ops - 1 do
-    at := i;
-    use (Op.write ops.(i));
-    Op.iter_reads use ops.(i)
+    for k = -1 to Op.nreads ops.(i) - 1 do
+      let t = temp ops.(i) k in
+      if t >= Op.first_local then last_use.(t) <- i
+    done
   done;
   let mapping = Tcg.Work.get mappings bound (-1) in
   (* [free.(0 .. nfree - 1)], top last: the pool's first register on top. *)
@@ -46,17 +48,6 @@ let allocate_temps (ops : Op.t array) bound =
   let active_t = Tcg.Work.reserve active_temps npool 0
   and active_r = Tcg.Work.reserve active_regs npool 0 in
   let nactive = ref 0 in
-  let assign t =
-    if t >= Op.first_local && mapping.(t) < 0 then begin
-      if !nfree = 0 then raise (Register_pressure 0L);
-      decr nfree;
-      let r = free.(!nfree) in
-      mapping.(t) <- r;
-      active_t.(!nactive) <- t;
-      active_r.(!nactive) <- r;
-      incr nactive
-    end
-  in
   for i = 0 to Array.length ops - 1 do
     (* Free temps whose last use has passed. *)
     for k = !nactive - 1 downto 0 do
@@ -74,8 +65,18 @@ let allocate_temps (ops : Op.t array) bound =
       end
     done;
     nactive := !live;
-    assign (Op.write ops.(i));
-    Op.iter_reads assign ops.(i)
+    for k = -1 to Op.nreads ops.(i) - 1 do
+      let t = temp ops.(i) k in
+      if t >= Op.first_local && mapping.(t) < 0 then begin
+        if !nfree = 0 then raise (Register_pressure 0L);
+        decr nfree;
+        let r = free.(!nfree) in
+        mapping.(t) <- r;
+        active_t.(!nactive) <- t;
+        active_r.(!nactive) <- r;
+        incr nactive
+      end
+    done
   done;
   mapping
 

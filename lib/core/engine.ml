@@ -422,14 +422,12 @@ let spawn t ~tid ~entry ?(regs = []) () =
   g
 
 (* Threads created by the guest's clone syscall since the last drain. *)
-let drain_spawns t =
-  let spawned = ref [] in
-  while not (Queue.is_empty t.pending_spawns) do
+let rec drain_spawns t =
+  if Queue.is_empty t.pending_spawns then []
+  else
     let tid, entry, arg = Queue.pop t.pending_spawns in
     let g = spawn t ~tid ~entry ~regs:[ (X86.Reg.RDI, arg) ] () in
-    spawned := g :: !spawned
-  done;
-  List.rev !spawned
+    g :: drain_spawns t
 
 let fault_of_machine_trap pc = function
   | Arm.Machine.Trap_insn { kind; context } ->
@@ -751,15 +749,16 @@ let run_concurrent ?(max_blocks = 50_000_000) t threads0 =
   in
   List.iter add threads0;
   let n = ref 0 in
+  (* Built once, so that a round allocates nothing. *)
+  let step g =
+    if not g.finished then begin
+      incr n;
+      step_block t g;
+      if g.finished then decr live
+    end
+  in
   while !live > 0 && !n < max_blocks do
-    Queue.iter
-      (fun g ->
-        if not g.finished then begin
-          incr n;
-          step_block t g;
-          if g.finished then decr live
-        end)
-      all;
+    Queue.iter step all;
     List.iter add (drain_spawns t)
   done;
   let threads = List.of_seq (Queue.to_seq all) in

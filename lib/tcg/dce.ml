@@ -11,21 +11,14 @@ let read_tbl : int Work.table = Work.table ()
 let live_tbl : int Work.table = Work.table ()
 let deleted : int Work.table = Work.table ()
 
-(* Per domain: the table [mark] sets to 1, and [mark] itself, built once
-   so that marking a block's reads allocates no closure. *)
-let marker : (int array ref * (Op.temp -> unit)) Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let marks = ref [||] in
-      (marks, fun t -> !marks.(t) <- 1))
-
 (* Strategy 1: remove pure ops whose destination temp is local and never
    read anywhere in the block. *)
 let drop_unread_locals (w : Work.t) =
   let read = Work.get read_tbl w.ntemps 0 in
-  let marks, mark = Domain.DLS.get marker in
-  marks := read;
   for i = 0 to w.len - 1 do
-    Op.iter_reads mark w.ops.(i)
+    for k = 0 to Op.nreads w.ops.(i) - 1 do
+      read.(Op.read w.ops.(i) k) <- 1
+    done
   done;
   let j = ref 0 in
   for i = 0 to w.len - 1 do
@@ -44,15 +37,15 @@ let drop_unread_locals (w : Work.t) =
 let drop_dead_straightline (w : Work.t) =
   let live = Work.get live_tbl w.ntemps 0 in
   let dead = Work.get deleted w.len 0 in
-  let marks, mark = Domain.DLS.get marker in
-  marks := live;
   for i = w.len - 1 downto 0 do
     let op = w.ops.(i) in
     let d = Op.write op in
     if removable op && live.(d) = 0 then dead.(i) <- 1
     else begin
       if d <> Op.no_temp then live.(d) <- 0;
-      Op.iter_reads mark op;
+      for k = 0 to Op.nreads op - 1 do
+        live.(Op.read op k) <- 1
+      done;
       if exits_block op then Array.fill live 0 Op.nb_globals 1
     end
   done;

@@ -50,32 +50,32 @@ let write = function
   | Exit_halt | Trap _ ->
       no_temp
 
-let iter_reads f = function
-  | Movi _ | Mb _ | Set_label _ | Br _ | Goto_tb _ | Exit_halt | Trap _ -> ()
-  | Mov (_, s) -> f s
-  | Binopi (_, _, a, _) -> f a
-  | Ld (_, base, _) -> f base
-  | Goto_ptr t -> f t
-  | Binop (_, _, a, b) | Setcond (_, _, a, b) | Brcond (_, a, b, _) ->
-      f a;
-      f b
-  | St (src, base, _) ->
-      f src;
-      f base
-  | Rmw { op; addr; expect; src; _ } ->
-      f addr;
-      (match op with `Cas -> f expect | `Xadd | `Xchg -> ());
-      f src
-  | Call (_, args, _) | Host_call { args; _ } -> List.iter f args
+let nreads = function
+  | Movi _ | Mb _ | Set_label _ | Br _ | Goto_tb _ | Exit_halt | Trap _ -> 0
+  | Mov _ | Binopi _ | Ld _ | Goto_ptr _ -> 1
+  | Binop _ | Setcond _ | Brcond _ | St _ | Rmw { op = `Xadd | `Xchg; _ } -> 2
+  | Rmw { op = `Cas; _ } -> 3
+  | Call (_, args, _) | Host_call { args; _ } -> List.length args
+
+let read op k =
+  match op with
+  | Mov (_, a) | Binopi (_, _, a, _) | Ld (_, a, _) | Goto_ptr a -> a
+  | Binop (_, _, a, b) | Setcond (_, _, a, b) | Brcond (_, a, b, _) | St (a, b, _) ->
+      if k = 0 then a else b
+  | Rmw { op; addr; expect; src; _ } -> (
+      match (k, op) with 0, _ -> addr | 1, `Cas -> expect | _ -> src)
+  | Call (_, args, _) | Host_call { args; _ } -> List.nth args k
+  | Movi _ | Mb _ | Set_label _ | Br _ | Goto_tb _ | Exit_halt | Trap _ -> no_temp
 
 let temp_bound ops =
   let bound = ref nb_globals in
-  let note t = if t >= !bound then bound := t + 1 in
-  Array.iter
-    (fun op ->
-      note (write op);
-      iter_reads note op)
-    ops;
+  for i = 0 to Array.length ops - 1 do
+    (* k = -1 is the write, then the reads *)
+    for k = -1 to nreads ops.(i) - 1 do
+      let t = if k < 0 then write ops.(i) else read ops.(i) k in
+      if t >= !bound then bound := t + 1
+    done
+  done;
   !bound
 
 let is_pure = function

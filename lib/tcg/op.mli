@@ -82,9 +82,12 @@ val no_temp : temp
 (** The temp an op writes, or {!no_temp}; no op writes more than one. *)
 val write : t -> temp
 
-(** [iter_reads f op] applies [f] to every temp [op] reads, in operand
-    order (a temp read twice is visited twice).  Allocates nothing. *)
-val iter_reads : (temp -> unit) -> t -> unit
+(** How many temps an op reads, counting a temp read twice twice. *)
+val nreads : t -> int
+
+(** [read op k] is the [k]-th temp [op] reads, in operand order, for
+    [0 <= k < nreads op]: a loop over the reads allocates nothing. *)
+val read : t -> int -> temp
 
 (** One more than the largest temp the ops mention, and at least
     {!nb_globals}: the size of a table indexed by the block's temps. *)

@@ -233,12 +233,16 @@ let looped (iters, insns) =
       Ins I.Hlt;
     ]
 
+(* [looped]'s argument: 4 to 12 iterations of a generated body.  A
+   failing property shrinks the body's instruction list and the
+   iteration count (never below 4), and prints what is left. *)
 let arb_program =
-  QCheck.set_print
-    (fun items ->
+  QCheck.make
+    ~print:(fun (iters, insns) ->
       String.concat "\n"
-        (List.filter_map (function Ins i -> Some (Fmt.str "%a" I.pp i) | _ -> None) items))
-    (QCheck.map looped (QCheck.pair (QCheck.int_range 4 12) arb_insns))
+        (Printf.sprintf "%d iterations of:" iters :: List.map (Fmt.str "%a" I.pp) insns))
+    ~shrink:QCheck.Shrink.(pair (filter (fun n -> n >= 4) int) list)
+    (QCheck.Gen.pair (QCheck.Gen.int_range 4 12) (QCheck.gen arb_insns))
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints                                                        *)
@@ -325,8 +329,8 @@ let agree_on_examples ~key ~plans variants =
 
 (* [agree] on [count] generated programs under every preset. *)
 let agree_on_generated ~name ~count ~key variants =
-  QCheck.Test.make ~name ~count arb_program (fun items ->
-      let image = build items in
+  QCheck.Test.make ~name ~count arb_program (fun p ->
+      let image = build (looped p) in
       List.iter
         (fun (config : Core.Config.t) -> agree ~key variants config.name config image)
         Core.Config.all;

@@ -477,8 +477,8 @@ let differential config =
   QCheck.Test.make
     ~name:("dbt(" ^ config.Core.Config.name ^ ") matches x86 interpreter")
     ~count:250 C.arb_program
-    (fun items ->
-      let image = C.build items in
+    (fun p ->
+      let image = C.build (C.looped p) in
       oracle_state image = dbt_state config image)
 
 let props = List.map (fun c -> QCheck_alcotest.to_alcotest (differential c)) Core.Config.all

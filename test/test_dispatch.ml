@@ -232,8 +232,8 @@ let test_kernel_jcache_hits () =
    allocates at most [max_words_per_block] minor words per executed
    guest block, translation included (DESIGN.md, "Execution core").
    Minor-word counts are deterministic, so the bound needs no noise
-   band: it is the measured 94.3 plus 5%. *)
-let max_words_per_block = 99.
+   band: it is the measured 88.2 plus 5%. *)
+let max_words_per_block = 93.
 
 let test_allocation_gate () =
   let (runs, words), _ = Lazy.force kernel_passes in
@@ -253,8 +253,8 @@ let test_allocation_gate () =
    words per block (DESIGN.md, "Array-form TCG IR").  A warm-up pass
    first grows the per-domain scratch buffers, so the count does not
    depend on what ran before; it is deterministic and needs no noise
-   band: the bound is the measured 909.2 plus 5%. *)
-let max_translate_words = 955.
+   band: the bound is the measured 879.2 plus 5%. *)
+let max_translate_words = 923.
 
 let test_translation_allocation_gate () =
   let blocks = 64 and per_block = Core.Frontend.max_block_insns in

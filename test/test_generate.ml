@@ -2,7 +2,8 @@
    soundness, sharded resumable sweeps, the planner against per-cell
    checking, and pool-vs-sequential identity at batch scale.
 
-   [--corpus N] sets the size of the pool-identity batch (default 500). *)
+   [--corpus N] sets the size of the pool-identity batch and of each
+   seeded corpus the canonical form is checked on (default 500). *)
 
 module Ast = Litmus.Ast
 module G = Litmus.Generate
@@ -134,6 +135,97 @@ let test_canonical_soundness () =
           (List.length (En.behaviours x86 p))
           (List.length (En.behaviours x86 (G.canonical p))))
     progs
+
+(* -------- canonical form against the reference -------- *)
+
+(* [--corpus N] sets the batch sizes (default 500). *)
+let corpus_size = ref 500
+
+(* perf's litmus-journaled shapes, and up to four threads. *)
+let small_config = { G.default_config with max_threads = 2; max_locs = 2; max_instrs = 3 }
+let four_threads = { G.default_config with max_threads = 4 }
+
+let catalog_programs () =
+  let module C = Litmus.Catalog in
+  (* Under dune runtest the cwd is _build/default/test; under dune exec, the root. *)
+  let dir = if Sys.file_exists "litmus" then "litmus" else "../litmus" in
+  List.map (fun (_, (t : Ast.test)) -> t.prog)
+    (C.sc_tests @ C.x86_tests @ C.arm_tests_common @ C.arm_tests_original
+   @ C.arm_tests_corrected @ C.tcg_tests)
+  @ List.map snd (C.mapping_corpus @ C.atomics_corpus)
+  @ C.[ mp_x86; mpq_x86; mpq_qemu_arm; sbq_x86; sbq_qemu_arm; sbal_x86; sbal_armcats_arm ]
+  @ C.[ fmr_tcg_src; fmr_tcg_tgt; fig9_left_tcg; fig9_right_tcg ]
+  @ List.filter_map
+      (fun f ->
+        if Filename.check_suffix f ".litmus" then
+          Some (Litmus.Parser.parse (read_file (Filename.concat dir f))).prog
+        else None)
+      (Array.to_list (Sys.readdir dir))
+
+(* Shapes the generator never draws: branches, assignments, computed
+   values, expressions over two registers not yet named, non-zero and
+   unequal init values, init-only locations, code locations without an
+   init entry, every RMW and annotation, and twelve locations (l10 sorts
+   before l2). *)
+let hand_written () =
+  List.map Litmus.Parser.parse_prog
+    [
+      {|test computed
+        init X=1 Y=2 Z=0
+        thread P0 { c := (a + b); st X, (c * a); ld d, Y }
+        thread P1 {
+          ld e, Z
+          if (e == 1) { xchg.x86 f <- Y, (e ^ g) } else { xadd.amo.a.l X, 1 }
+          fence DMB.ST
+        }
+        thread P2 { st.rel Y, -1; ld.acq h, X; cas.lxsx.l X, (h != 0), (h - 2) }|};
+      (* The smaller init comes with the larger threads. *)
+      {|test init-decides
+        init X=1 Y=0
+        thread P0 { ld a, X }
+        thread P1 { st Y, 1 }|};
+      {|test init-only
+        init W=5
+        thread P0 { ld a, X; st Y, (a + b); st W, 1 }
+        thread P1 { ld b, Y; r := (b + c); st X, r; ld.q c, W }|};
+      {|test twins
+        init X=0 Y=0 Z=0
+        thread P0 { st X, 1; fence MFENCE; ld a, Y }
+        thread P1 { st Y, 1; fence MFENCE; ld b, X }
+        thread P2 { st Y, 1; fence MFENCE; ld b, X }
+        thread P3 { cas.x86 c <- Z, 0, 1; st.sc X, 2; ld.sc d, Z }|};
+      {|test twelve
+        init A=0 B=0 C=0 D=0 E=0 F=0 G=0 H=0 I=0 J=0 K=0 L=1
+        thread P0 { st A, 1; st B, 1; st C, 1; st D, 1; st E, 1; st F, 1 }
+        thread P1 { st G, 1; st H, 1; st I, 1; st J, 1; st K, 1; ld a, L }
+        thread P2 { ld b, K; ld c, A }|};
+    ]
+  @ [
+      (* Two entries, of one value, for one location: again the smaller
+         init comes with the larger threads. *)
+      {
+        Ast.name = "dup-init";
+        init = [ ("X", 0); ("Y", 0); ("X", 0) ];
+        threads =
+          [
+            { Ast.tid = 0; code = [ Ast.Load { reg = "a"; loc = "Y"; ord = Axiom.Event.R_plain } ] };
+            { Ast.tid = 1; code = [ Ast.Store { loc = "X"; value = Ast.Int 1; ord = Axiom.Event.W_plain } ] };
+          ];
+      };
+    ]
+
+let test_canonical_reference () =
+  let check what (p : Ast.prog) =
+    let s = G.canonical_string p and r = Canonical_reference.canonical_string p in
+    if s <> r then Alcotest.failf "%s %s: canonical string %s, reference %s" what p.name s r;
+    if G.canonical p <> Canonical_reference.canonical p then
+      Alcotest.failf "%s %s: representative differs from the reference's" what p.name
+  in
+  List.iter (check "catalog") (catalog_programs ());
+  List.iter (check "hand-written") (hand_written ());
+  List.iter
+    (fun (what, config) -> List.iter (check what) (G.generate ?config ~seed:7 !corpus_size))
+    [ ("default", None); ("small", Some small_config); ("four-thread", Some four_threads) ]
 
 (* -------- journaled generated-sweep resume parity -------- *)
 
@@ -267,9 +359,6 @@ let test_mapping_sweep () =
   check_fewer_passes ~planned ~per_cell
 
 (* -------- pool vs sequential identity on a seeded batch -------- *)
-
-(* [--corpus N] sets the batch size (default 500). *)
-let corpus_size = ref 500
 
 let test_pool_identity () =
   let corpus = G.corpus ~seed:5 !corpus_size in
@@ -538,6 +627,13 @@ let () =
           Alcotest.test_case "seeded determinism" `Quick test_determinism;
           Alcotest.test_case "canonicalization soundness" `Quick
             test_canonical_soundness;
+        ] );
+      ( "canonical",
+        [
+          Alcotest.test_case
+            (Printf.sprintf "canonical form = reference (catalog, hand-written, %d x 3 configs)"
+               !corpus_size)
+            `Quick test_canonical_reference;
         ] );
       ( "sweep",
         [

@@ -28,9 +28,11 @@ let empty =
   }
 
 (* The per-execution index: every mask the accessors below read,
-   derived from [events] in one pass.  [kinds] holds the fence kinds at
-   [Event.fence_index], then the slots named below. *)
+   derived from [events] in one pass, with the list it indexes as its
+   [key].  [kinds] holds the fence kinds at [Event.fence_index], then
+   the slots named below. *)
 type index = {
+  key : Event.t list;
   kinds : Iset.t array;
   same_loc : Rel.t;  (* row e: the memory events at e's location *)
   internal : Rel.t;  (* row e: e's thread, empty for an init write *)
@@ -87,6 +89,7 @@ let build events =
   let at_loc = rows locs and in_thread = rows threads in
   let all = kinds.(k_all) in
   {
+    key = events;
     kinds;
     same_loc = Rel.init !n (Array.get at_loc);
     internal = Rel.init !n (Array.get in_thread);
@@ -94,24 +97,26 @@ let build events =
       Rel.init !n (fun x -> if Iset.mem x all then Iset.diff all in_thread.(x) else Iset.empty);
   }
 
-(* The enumerator's candidates of one combination share one physical
-   [events] list, so a one-entry cache keyed on it by physical equality
-   builds each index once per combination.  A record field would go
-   stale under [{ x with events = ... }]; a domain-local cache needs no
-   lock. *)
-type cached = { mutable key : Event.t list; mutable index : index option }
-
-let cache = Domain.DLS.new_key (fun () -> { key = []; index = None })
+(* The accessors read a one-entry cache keyed on [events] by physical
+   equality: the candidates of one skeleton share its [events] list, so
+   the index is built once per skeleton.  A record field would go stale
+   under [{ x with events = ... }]; a domain-local cache needs no lock.
+   The enumerator checks several skeletons in turn, so it keeps each
+   skeleton's index and puts it back with [reuse] before checking that
+   skeleton's candidates. *)
+let cache = Domain.DLS.new_key (fun () -> ref (build []))
 
 let index x =
   let c = Domain.DLS.get cache in
-  match c.index with
-  | Some i when c.key == x.events -> i
-  | _ ->
-      let i = build x.events in
-      c.key <- x.events;
-      c.index <- Some i;
-      i
+  if !c.key == x.events then !c
+  else
+    let i = build x.events in
+    c := i;
+    i
+
+let reuse i =
+  let c = Domain.DLS.get cache in
+  if !c != i then c := i
 
 let find x id =
   match List.find_opt (fun (e : Event.t) -> e.id = id) x.events with

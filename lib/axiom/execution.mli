@@ -22,6 +22,25 @@ type t = {
 val empty : t
 val find : t -> int -> Event.t
 
+(** {1 Index}
+
+    The accessors below read an index of an execution's events (its
+    kind, location and thread masks), held in a per-domain cache of one
+    entry keyed on [events] by physical equality: executions sharing an
+    [events] list share one index, built on first use. *)
+
+type index
+
+(** [index x]: the index of [x]'s events, built unless it is the cached
+    one, and now the cached one. *)
+val index : t -> index
+
+(** [reuse i] makes [i] the cached index again, so that executions
+    sharing the [events] it was built from find it without a rebuild:
+    the enumerator keeps each skeleton's index and reuses it before
+    checking that skeleton's candidates. *)
+val reuse : index -> unit
+
 (** {1 Event sets} *)
 
 val reads : t -> Iset.t

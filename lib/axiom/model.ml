@@ -24,13 +24,6 @@ let prepare (a : axiom) skel =
   | Acyclic -> fun x -> Rel.acyclic (rel x)
   | Empty -> fun x -> Rel.is_empty (rel x)
 
-let rec all_hold x = function [] -> true | check :: rest -> check x && all_hold x rest
-
-let prepare_all axioms skel =
-  match List.map (fun a -> prepare a skel) axioms with
-  | [ check ] -> check
-  | checks -> fun x -> all_hold x checks
-
 let coherence =
   acyclic "sc-per-loc (coherence)" (fun skel ->
       let po_loc = Execution.po_loc skel in

@@ -10,9 +10,11 @@
 
     {b Staging.}  Most of an axiom's relation follows from a candidate's
     {e skeleton} alone: its events, [po], dependencies and RMW pairs,
-    which every candidate of one enumerated combination shares.  Only
-    the parts built from [rf] and [co] change between candidates.  An
-    axiom's [stage] splits its relation along that line. *)
+    which every candidate of one enumerated combination shares, and so
+    does every combination of one shape (their runs differ only in
+    values, which no axiom reads).  Only the parts built from [rf] and
+    [co] change between candidates.  An axiom's [stage] splits its
+    relation along that line. *)
 
 type shape =
   | Acyclic  (** the relation has no cycle *)
@@ -85,7 +87,3 @@ val make : string -> axiom list -> t
     that location's slice of a candidate against {!coherence} and
     {!atomicity}. *)
 val prepare : axiom -> Execution.t -> Execution.t -> bool
-
-(** [prepare_all axioms skel]: every axiom of the list holds, each
-    staged on [skel] by {!prepare}. *)
-val prepare_all : axiom list -> Execution.t -> Execution.t -> bool

@@ -310,51 +310,78 @@ let init_events (p : Ast.prog) ~first_id =
       { E.id = first_id + i; tid = E.init_tid; label = E.Write { loc; value; ord = E.W_plain } })
     locs
 
-(* The per-thread runs of a combo, assembled into the candidate's shared
-   skeleton: the execution without its rf/co choices, and the register
-   valuations, sorted when first needed.  Every candidate of the combo
-   shares [c_exec.events] physically, which is what [Execution]'s index
-   cache keys on. *)
-type combo = {
-  c_exec : X.t;
-  c_regs : ((int * string) * int) list Lazy.t;
-}
-
 let ids events = Iset.of_list (List.map (fun (e : E.t) -> e.id) events)
 
-let assemble_combo inits (runs : run list) =
-  let events = inits @ List.concat_map (fun r -> r.r_events) runs in
-  let regs =
-    lazy
-      (List.concat_map
-         (fun (r, run) -> List.map (fun (reg, v) -> ((r, reg), v)) run.r_env)
-         (List.mapi (fun i run -> (i, run)) runs)
-      |> List.sort (fun ((t, r), v) ((t', r'), v') ->
-             match Int.compare t t' with
-             | 0 -> ( match String.compare r r' with 0 -> Int.compare v v' | c -> c)
-             | c -> c))
-  in
+(* A combo's events: the init writes, then each thread's run's. *)
+let combo_events inits (runs : run list) = inits @ List.concat_map (fun r -> r.r_events) runs
+
+(* A combo's register valuations, sorted. *)
+let combo_regs (runs : run list) =
+  List.concat_map
+    (fun (r, run) -> List.map (fun (reg, v) -> ((r, reg), v)) run.r_env)
+    (List.mapi (fun i run -> (i, run)) runs)
+  |> List.sort (fun ((t, r), v) ((t', r'), v') ->
+         match Int.compare t t' with
+         | 0 -> ( match String.compare r r' with 0 -> Int.compare v v' | c -> c)
+         | c -> c)
+
+(* The skeleton of the combo of [runs] with [events]: the execution
+   without its rf/co choices. *)
+let skeleton events (runs : run list) =
   let rmw = List.concat_map (fun r -> r.r_rmw) runs in
   let pick k =
     Rel.of_list (List.filter_map (fun (r, w, kind) -> if k kind then Some (r, w) else None) rmw)
   in
   {
-    c_exec =
-      {
-        X.events;
-        po = Rel.union_all (List.map (fun r -> Lazy.force r.r_po) runs);
-        rf = Rel.empty;
-        co = Rel.empty;
-        rmw_plain =
-          pick (function Ast.Rmw_x86 | Ast.Rmw_tcg -> true | Ast.Rmw_arm _ -> false);
-        amo = pick (function Ast.Rmw_arm { impl = Ast.Amo; _ } -> true | _ -> false);
-        lxsx = pick (function Ast.Rmw_arm { impl = Ast.Lxsx; _ } -> true | _ -> false);
-        data = Rel.of_list (List.concat_map (fun r -> r.r_data) runs);
-        ctrl = Rel.of_list (List.concat_map (fun r -> r.r_ctrl) runs);
-        addr = Rel.empty;
-      };
-    c_regs = regs;
+    X.events;
+    po = Rel.union_all (List.map (fun r -> Lazy.force r.r_po) runs);
+    rf = Rel.empty;
+    co = Rel.empty;
+    rmw_plain = pick (function Ast.Rmw_x86 | Ast.Rmw_tcg -> true | Ast.Rmw_arm _ -> false);
+    amo = pick (function Ast.Rmw_arm { impl = Ast.Amo; _ } -> true | _ -> false);
+    lxsx = pick (function Ast.Rmw_arm { impl = Ast.Lxsx; _ } -> true | _ -> false);
+    data = Rel.of_list (List.concat_map (fun r -> r.r_data) runs);
+    ctrl = Rel.of_list (List.concat_map (fun r -> r.r_ctrl) runs);
+    addr = Rel.empty;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Run shapes                                                          *)
+
+(* The axioms never read a value: they read ids, kinds, locations, ords
+   and relations, and the rf choices are matched by value before any
+   axiom runs.  So the runs of a thread that are equal but for their
+   read and write values (same events, RMW pairs and kinds, data and
+   ctrl edges, and branches) give every combo they join the same
+   skeleton: they share a shape.  The pass stages each combo shape
+   once, on its first combo's skeleton.  As [thread_runs] computes
+   them, the RMW pairs and the edges follow from the events and the
+   branches (taint never reads a value); the key names them anyway, so
+   that it stays sound if that changes. *)
+let shape_of (r : run) =
+  let erase (e : E.t) =
+    match e.label with
+    | E.Read l -> { e with label = E.Read { l with value = 0 } }
+    | E.Write l -> { e with label = E.Write { l with value = 0 } }
+    | E.Fence _ -> e
+  in
+  (List.map erase r.r_events, r.r_rmw, r.r_data, r.r_ctrl, r.r_branches)
+
+(* Each run's shape id among [runs], numbered from 0 in first-occurrence
+   order, and the number of shapes. *)
+let shape_ids runs =
+  let seen = Hashtbl.create 8 in
+  let id r =
+    let s = shape_of r in
+    match Hashtbl.find_opt seen s with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length seen in
+        Hashtbl.add seen s i;
+        i
+  in
+  let ids = Array.map id runs in
+  (ids, Hashtbl.length seen)
 
 (* A static bound on the events one run of [code] emits: a load, store
    or fence is one, an RMW two (read, then the write; a CAS writes only
@@ -476,24 +503,20 @@ let product dims =
 
 let per_location = [ Axiom.Model.coherence; Axiom.Model.atomicity ]
 
-(* Per-location surviving (rf, co) pairs.  [common] is [per_location]
-   prepared on the combo's skeleton: on a candidate whose rf and co are
-   the location's slice, it checks per-location coherence and
-   atomicity, since po-loc, rf, co and fr relate only same-location
-   events. *)
-let per_loc_survivors memo common c loc =
-  List.filter
-    (fun (rf, co) -> common { c.c_exec with rf; co })
-    (product (dims memo (List.filter (accesses_at loc) c.c_exec.events) [ loc ]))
+(* Per-location surviving (rf, co) pairs of a combo with [events]:
+   [common] checks per-location coherence and atomicity on a candidate
+   whose rf and co are the location's slice, since po-loc, rf, co and fr
+   relate only same-location events. *)
+let per_loc_survivors memo common events loc =
+  List.filter common (product (dims memo (List.filter (accesses_at loc) events) [ loc ]))
 
 (* The survivors of each location in turn, or None at the first
    location with none. *)
-let survivors memo c locs =
-  let common = Axiom.Model.prepare_all per_location c.c_exec in
+let survivors memo common events locs =
   let rec go acc = function
     | [] -> Some (List.rev acc)
     | loc :: rest -> (
-        match per_loc_survivors memo common c loc with
+        match per_loc_survivors memo common events loc with
         | [] -> None
         | s -> go (s :: acc) rest)
   in
@@ -615,19 +638,55 @@ type side = {
   s_run : (int -> int -> run * (int * int) list) option;
 }
 
-(* The first axiom, by position, that check [k x] fails, or -1. *)
-let rec first_failing k x = function
+(* A model's check of one axiom: a per-location axiom reads the
+   combo's verdict on the candidate, the others are staged on the
+   side's skeleton. *)
+type check = Common of Axiom.Model.axiom | Staged of (X.t -> bool)
+
+(* The position of the first of [checks] that candidate [l] (execution
+   [x]) fails, counted from [j], or -1. *)
+let rec first_failing common l x j = function
   | [] -> -1
-  | (j, check) :: rest -> if check k x then first_failing k x rest else j
+  | Common a :: rest -> if common l a then first_failing common l x (j + 1) rest else j
+  | Staged check :: rest ->
+      if check (Lazy.force x) then first_failing common l x (j + 1) rest else j
+
+(* What a side needs to check the candidates of one combo shape: its
+   skeleton and the skeleton's index, the map of source ids onto its
+   own, and per model the staged checks, or, for a model that
+   {!Axiom.Model.agree}s there with an earlier one, [alias] naming that
+   one, whose verdicts it copies. *)
+type staged = {
+  g_side : side;
+  g_skel : X.t;
+  g_index : X.index;
+  g_ids : Rel.t -> Rel.t;
+  g_alias : int array;
+  g_checks : check list array;
+}
+
+(* A combo shape: the source skeleton (relations and its first combo's
+   events) and its index, the per-location axioms staged there, and
+   each zipping side's staging, built at the shape's first surviving
+   combo from the runs its first combo chose. *)
+type shape = {
+  h_skel : X.t;
+  h_index : X.index;
+  h_coherence : X.t -> bool;
+  h_atomicity : X.t -> bool;
+  h_sides : staged list Lazy.t;
+}
 
 (* The pass over [images], each with its zip: the source's runs,
    feasible combos and candidates (the unpruned product, or the
    per-location survivors) once; each zipping image maps every combo's
-   candidates onto its own skeleton and stages its models there once
-   per combo, one staging for models that {!Axiom.Model.agree} there.
-   [Supervise.poll] marks the cooperative cancellation points: Domains
-   cannot be preempted, so a supervised sweep's per-task deadline fires
-   here, between candidates, rather than never. *)
+   candidates onto its own skeleton.  Skeletons and staged checks are
+   built once per combo shape: a combo's candidates are checked on its
+   shape's skeletons, and the execution [f] gets is the shape's
+   relations with the combo's own events.  [Supervise.poll] marks the
+   cooperative cancellation points: Domains cannot be preempted, so a
+   supervised sweep's per-task deadline fires here, between candidates,
+   rather than never. *)
 let fold_zipped ~probe (src : Ast.prog) images f acc =
   let firsts, next = first_ids src in
   if next > 63 then
@@ -665,59 +724,115 @@ let fold_zipped ~probe (src : Ast.prog) images f acc =
         Some { s_index = i; s_models; s_run = Some s_run }
   in
   let sides = List.filter_map Fun.id (List.mapi side images) in
-  (* A model's checks in its axiom order, each with its position; the
-     per-location axioms read [common]'s verdict on candidate [k], the
-     others force its execution. *)
-  let stage skel common (m : Axiom.Model.t) =
-    let check (a : Axiom.Model.axiom) =
-      if List.memq a per_location then fun k _ -> common k a
+  (* A combo's shape key: its threads' run shape ids in mixed radix.
+     The radices' product is at most the number of combos [choose]
+     walks, so it fits an int. *)
+  let shape_ids = Array.map shape_ids runs in
+  let shape_key () =
+    let rec go t radix key =
+      if t = nthreads then key
       else
-        let check = Axiom.Model.prepare a skel in
-        fun _ x -> check (Lazy.force x)
+        let ids, n = shape_ids.(t) in
+        go (t + 1) (radix * n) (key + (radix * ids.(pick.(t))))
     in
-    let checks = List.mapi (fun j a -> (j, check a)) m.axioms in
-    fun k x -> first_failing k x checks
+    go 0 1 0
   in
-  (* One side's candidates of combo [c], numbered from [k0]: an image's
-     execution maps the source candidate's rf and co when first needed. *)
-  let visit c cands common k0 acc side =
-    let skel, ids =
+  let shapes = Hashtbl.create 16 in
+  (* One side's staging on the shape of the combo whose runs [picks]
+     chose; the source's skeleton and index are the shape's. *)
+  let stage skel index picks side =
+    let skel, index, ids =
       match side.s_run with
-      | None -> (c.c_exec, Fun.id)
+      | None -> (skel, index, Fun.id)
       | Some run ->
-          let img = List.init nthreads (fun t -> run t pick.(t)) in
+          let img = List.init nthreads (fun t -> run t picks.(t)) in
           let m = Array.init 63 Fun.id in
           List.iter (fun (_, pairs) -> List.iter (fun (a, b) -> m.(a) <- b) pairs) img;
-          ((assemble_combo inits (List.map fst img)).c_exec, Rel.map (Array.get m))
+          let runs = List.map fst img in
+          let skel = skeleton (combo_events inits runs) runs in
+          (skel, X.index skel, Rel.map (Array.get m))
     in
-    (* The zip gives the image run the source run's registers. *)
-    let regs = Lazy.force c.c_regs in
-    (* Model [j] copies the verdicts of [alias.(j)], the first model
-       that agrees with it on [skel], or stages its own. *)
+    X.reuse index;
     let models = side.s_models in
-    let n = Array.length models in
     let alias =
-      Array.init n (fun j ->
+      Array.init (Array.length models) (fun j ->
           let rec first i = if i = j || Axiom.Model.agree models.(i) models.(j) skel then i else first (i + 1) in
           first 0)
     in
-    let staged = Array.mapi (fun j m -> if alias.(j) = j then stage skel common m else fun _ _ -> -1) models in
+    let check (a : Axiom.Model.axiom) =
+      if List.memq a per_location then Common a else Staged (Axiom.Model.prepare a skel)
+    in
+    let checks =
+      Array.mapi
+        (fun j (m : Axiom.Model.t) -> if alias.(j) = j then List.map check m.axioms else [])
+        models
+    in
+    { g_side = side; g_skel = skel; g_index = index; g_ids = ids; g_alias = alias; g_checks = checks }
+  in
+  let shape events crs =
+    let skel = skeleton events crs in
+    let index = X.index skel and picks = Array.copy pick in
+    {
+      h_skel = skel;
+      h_index = index;
+      h_coherence = Axiom.Model.prepare Axiom.Model.coherence skel;
+      h_atomicity = Axiom.Model.prepare Axiom.Model.atomicity skel;
+      h_sides = lazy (List.map (stage skel index picks) sides);
+    }
+  in
+  (* One side's candidates of a combo, numbered from [k0], checked on
+     the side's skeleton; [f] gets the execution with the combo's
+     [events], built when forced. *)
+  let visit events regs cands common k0 acc g =
+    let side = g.g_side in
+    let events =
+      match side.s_run with
+      | None -> Lazy.from_val events
+      | Some run ->
+          let picks = Array.copy pick in
+          lazy (combo_events inits (List.init nthreads (fun t -> fst (run t picks.(t)))))
+    in
+    (* The zip gives the image run the source run's registers. *)
+    let regs = Lazy.force regs in
+    let n = Array.length side.s_models in
     let rec go l acc = function
       | [] -> acc
       | (rf, co) :: rest ->
           Parallel.Supervise.poll ();
-          let x = lazy { skel with rf = ids rf; co = ids co } in
+          let x = lazy { g.g_skel with rf = g.g_ids rf; co = g.g_ids co } in
+          (* The previous side's checks, or [f], may have replaced the
+             cached index. *)
+          X.reuse g.g_index;
           let v = Array.make n (-1) in
           for j = 0 to n - 1 do
-            v.(j) <- (if alias.(j) = j then staged.(j) l x else v.(alias.(j)))
+            let a = g.g_alias.(j) in
+            v.(j) <- (if a = j then first_failing common l x 0 g.g_checks.(j) else v.(a))
           done;
+          let x = lazy { (Lazy.force x) with events = Lazy.force events } in
           go (l + 1) (f acc side.s_index (k0 + l) x regs v) rest
     in
     go 0 acc cands
   in
-  let on_combo acc c =
+  let on_combo acc =
     Parallel.Supervise.poll ();
-    match if probe then Some (dims memo c.c_exec.events locs) else survivors memo c locs with
+    let crs = List.init nthreads (fun t -> runs.(t).(pick.(t))) in
+    let events = combo_events inits crs in
+    let h =
+      let key = shape_key () in
+      match Hashtbl.find_opt shapes key with
+      | Some h -> h
+      | None ->
+          let h = shape events crs in
+          Hashtbl.add shapes key h;
+          h
+    in
+    let on (rf, co) = { h.h_skel with rf; co } in
+    X.reuse h.h_index;
+    match
+      if probe then Some (dims memo events locs)
+      else
+        survivors memo (fun c -> let x = on c in h.h_coherence x && h.h_atomicity x) events locs
+    with
     | None -> acc
     | Some dims ->
         let cands = product dims in
@@ -726,26 +841,18 @@ let fold_zipped ~probe (src : Ast.prog) images f acc =
         let common =
           if not probe then fun _ _ -> true
           else
-            let coh = Axiom.Model.prepare Axiom.Model.coherence c.c_exec
-            and at = Axiom.Model.prepare Axiom.Model.atomicity c.c_exec in
-            let verdict (rf, co) =
-              let x = { c.c_exec with rf; co } in
-              (coh x, at x)
-            in
+            let verdict c = let x = on c in (h.h_coherence x, h.h_atomicity x) in
             let holds = Array.of_list (List.map verdict cands) in
             fun l a -> (if a == Axiom.Model.coherence then fst else snd) holds.(l)
         in
         let k0 = !count in
         count := k0 + List.length cands;
-        List.fold_left (visit c cands common k0) acc sides
+        List.fold_left (visit events (lazy (combo_regs crs)) cands common k0) acc (Lazy.force h.h_sides)
   in
   (* Thread [t]'s runs from the [k]th, each with every choice of the
      later threads'. *)
   let rec choose t k acc =
-    if t = nthreads then
-      if feasible init_writes runs pick 0 then
-        on_combo acc (assemble_combo inits (List.init nthreads (fun t -> runs.(t).(pick.(t)))))
-      else acc
+    if t = nthreads then if feasible init_writes runs pick 0 then on_combo acc else acc
     else if k = Array.length runs.(t) then acc
     else begin
       pick.(t) <- k;

@@ -71,11 +71,19 @@ val zips : Ast.prog -> Ast.prog -> bool
     -1.  Probed, the candidates are the full rf × co product, reads' rf
     choices outermost; otherwise the survivors of the per-location
     coherence and atomicity prune, which satisfy both, so only the
-    models' other axioms are tested.  Per combo, an image's models are
-    staged on its skeleton once each, except that a model which
+    models' other axioms are tested.
+
+    Staging is per {e shape}: combos whose runs differ only in the
+    values they read and write share one skeleton, since no axiom
+    reads a value.  Per shape, the per-location axioms are staged on
+    the source skeleton once, and each image's skeleton, its index and
+    its models are staged once each, except that a model which
     {!Axiom.Model.agree}s there with an earlier one of the image copies
     that one's verdicts (the two Arm-Cats variants, on a skeleton
-    without an acquire-release amo pair). *)
+    without an acquire-release amo pair).  A combo's candidates are
+    checked on its shape's skeletons; [x] is still the combo's own
+    execution: the shape's relations over the combo's events, values
+    included. *)
 val fold :
   probe:bool ->
   Ast.prog ->
@@ -91,8 +99,8 @@ val fold :
     axiom), else [r = []] — exactly what each image alone gives.  The
     zipping images share one pass, the others take one each; each
     image's zip is decided once.  Nothing outlives the call: the memos,
-    of co orders by write set and of derived image runs, are the
-    pass's own. *)
+    of co orders by write set, of derived image runs and of staged
+    shapes, are the pass's own. *)
 val pass :
   probe:bool ->
   Ast.prog ->

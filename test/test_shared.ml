@@ -159,6 +159,102 @@ let test_image_past_bound () =
     "the other cell has a verdict" [ "MP" ]
     (List.map (fun (c : Report.Sweep.cell) -> c.Report.Sweep.program) j.Report.Sweep.cells)
 
+(* ------------------------------------------------------------------ *)
+(* The executions [Enumerate.fold] hands out                           *)
+
+module X = Axiom.Execution
+module E = Axiom.Event
+module Rel = Relalg.Rel
+
+(* [x] is well formed, po is exactly the (thread, id) order of its own
+   events, and its other relations relate only its own events: the pass
+   checks a combo's candidates on its shape's skeleton, and the
+   execution it hands out must carry the combo's own events (values
+   included) under relations that fit them. *)
+let check_execution p i k (x : X.t) =
+  let where = Printf.sprintf "image %d, candidate %d" i k in
+  (match X.well_formed x with Ok () -> () | Error e -> fail p "%s: %s" where e);
+  let po =
+    Rel.of_list
+      (List.concat_map
+         (fun (a : E.t) ->
+           List.filter_map
+             (fun (b : E.t) ->
+               if (not (E.is_init a)) && a.tid = b.tid && a.id < b.id then Some (a.id, b.id)
+               else None)
+             x.events)
+         x.events)
+  in
+  if not (Rel.equal po x.po) then fail p "%s: po does not fit the events" where;
+  let ids = Relalg.Iset.of_list (List.map (fun (e : E.t) -> e.id) x.events) in
+  let all = Rel.cross ids ids in
+  if not (List.for_all (fun r -> Rel.subset r all) [ X.rmw x; x.data; x.ctrl ]) then
+    fail p "%s: a relation names an event it lacks" where
+
+(* Every execution [fold] hands out over [images] (the first, [p]
+   itself), pruned and probed, passes [check_execution], and each
+   image's has its source candidate's behaviour. *)
+let check_executions (p : Ast.prog) images =
+  List.iter
+    (fun probe ->
+      let src = Hashtbl.create 64 in
+      En.fold ~probe p images
+        (fun () i k x regs _ ->
+          let x = Lazy.force x in
+          check_execution p i k x;
+          let b = (X.behaviour x, regs) in
+          if i = 0 then Hashtbl.replace src k b
+          else
+            match Hashtbl.find_opt src k with
+            | Some b' when b' = b -> ()
+            | Some _ -> fail p "image %d, candidate %d: behaviour differs from the source's" i k
+            | None -> fail p "image %d, candidate %d: no source candidate" i k)
+        ())
+    [ false; true ];
+  true
+
+(* A program under [models] with each of its fence-deletion variants. *)
+let own_images (p : Ast.prog) models =
+  (p, models) :: List.init (Min.fence_count p) (fun i -> (Min.delete_fence p i, models))
+
+(* Two branches whose events differ only in the values they store:
+   their runs differ only in the branch they take, and a target's
+   fence-deletion variant that drops a fence from one branch alone
+   gives the two runs different image skeletons. *)
+let branch_twins =
+  Litmus.Dsl.(
+    prog "MP+branch-twins"
+      [ ("X", 0); ("Y", 0); ("Z", 0) ]
+      [
+        [ st "X" 1; st "Y" 1 ];
+        [ ld "a" "Y"; if_else (Ast.Eq (r "a", !1)) [ st "Z" 1; ld "b" "X" ] [ st "Z" 2; ld "b" "X" ] ];
+      ])
+
+let read_litmus name =
+  let dir = if Sys.file_exists "litmus" then "litmus" else "../litmus" in
+  let ic = open_in (Filename.concat dir name) in
+  let t = Litmus.Parser.parse (really_input_string ic (in_channel_length ic)) in
+  close_in ic;
+  t.prog
+
+let test_executions () =
+  let x86_programs =
+    (branch_twins :: List.map snd Litmus.Catalog.atomics_corpus)
+    @ Litmus.Generate.generate ~seed:42 !corpus_size
+  in
+  List.iter
+    (fun p -> Alcotest.(check bool) p.Ast.name true (check_executions p (images_of p)))
+    x86_programs;
+  let arm = Axiom.Arm_cats.model in
+  List.iter
+    (fun (file, models) ->
+      let p = read_litmus file in
+      Alcotest.(check bool) file true (check_executions p (own_images p models)))
+    [
+      ("FMR.litmus", [ Axiom.Tcg_model.model ]);
+      ("MPQ-qemu.litmus", [ arm Axiom.Arm_cats.Corrected; arm Axiom.Arm_cats.Original ]);
+    ]
+
 let argv =
   let rec go acc = function
     | "--corpus" :: n :: rest ->
@@ -178,6 +274,8 @@ let () =
           Alcotest.test_case "catalog" `Quick test_catalog;
           QCheck_alcotest.to_alcotest prop_shared;
         ] );
+      ( "executions",
+        [ Alcotest.test_case "well formed, own events, source behaviour" `Quick test_executions ] );
       ( "zip",
         [
           Alcotest.test_case "eliminations refused" `Quick test_refused;

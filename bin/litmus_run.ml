@@ -75,6 +75,26 @@ let scheme_names () =
        (fun (e : Report.Sweep.entry) -> e.Report.Sweep.scheme)
        (Report.Sweep.default_entries ()))
 
+(* [f pool], on a pool of [jobs] domains when that is more than one. *)
+let with_jobs jobs f =
+  match jobs with
+  | Some j when j > 1 -> Parallel.Pool.with_pool ~jobs:j (fun pool -> f (Some pool))
+  | _ -> f None
+
+(* Print a sweep's supervision failures, one per cell; exit 3 when there
+   is one (the table is incomplete: resume to converge), else 1 when
+   some refinement check fails, else 0. *)
+let exit_code (j : Report.Sweep.journaled) =
+  List.iter
+    (fun (scheme, program, f) ->
+      Format.printf "%-32s %a@."
+        (Printf.sprintf "%s: %s" scheme program)
+        Parallel.Supervise.pp_failure f)
+    j.Report.Sweep.failures;
+  if j.Report.Sweep.failures <> [] then 3
+  else if Report.Sweep.all_ok j.Report.Sweep.cells then 0
+  else 1
+
 (* --report DIR: run the refinement sweep over [entries] with witness
    capture and the axiom-coverage probe, supervised per job, and write
    DIR/report.html plus one JSON artifact per witness.  With [journal]
@@ -105,15 +125,8 @@ let run_report ~dir ~entries ~shard_size ~probe_targets ~journal ~jobs
       (fun i -> Core.Inject.fire_hook i Core.Inject.Journal_write)
       inject
   in
-  let pool =
-    match jobs with
-    | Some j when j > 1 -> Some (Parallel.Pool.create ~jobs:j ())
-    | _ -> None
-  in
   let g =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Parallel.Pool.shutdown pool)
-      (fun () ->
+    with_jobs jobs (fun pool ->
         Report.Sweep.run_generated ~capture:true ~coverage ?pool ~policy
           ~shard_size ~probe_targets ?journal_chaos ?journal entries)
   in
@@ -162,55 +175,32 @@ let run_report ~dir ~entries ~shard_size ~probe_targets ~journal ~jobs
     (Report.Sweep.failing cells);
   Format.printf "wrote %s and %d witness artifact(s) to %s@." html
     (List.length witnesses) dir;
-  List.iter
-    (fun (scheme, program, f) ->
-      Format.printf "%-32s %a@."
-        (Printf.sprintf "%s: %s" scheme program)
-        Parallel.Supervise.pp_failure f)
-    j.Report.Sweep.failures;
-  if j.Report.Sweep.failures <> [] then 3
-  else if Report.Sweep.all_ok cells then 0
-  else 1
+  exit_code j
 
 (* --generate N without --report: the smoke mode — generate, dedup,
-   check every (scheme, class) cell in one planned batch, print a
-   summary. *)
+   sweep every (scheme, class) cell through the one runner as a single
+   shard, with no capture, coverage or journal, and print a summary.
+   Exit codes as --report's. *)
 let run_generate_smoke ~entries ~jobs =
-  let cells =
-    List.concat_map
-      (fun (e : Report.Sweep.entry) ->
-        List.map
-          (fun (pname, src) ->
-            {
-              Mapping.Check.cell_scheme = e.Report.Sweep.scheme;
-              cell_program = pname;
-              cell_f = e.Report.Sweep.f;
-              cell_src_model = e.Report.Sweep.src_model;
-              cell_tgt_model = e.Report.Sweep.tgt_model;
-              cell_src = src;
-            })
-          e.Report.Sweep.corpus)
-      entries
+  let g =
+    with_jobs jobs (fun pool ->
+        Report.Sweep.run_generated ?pool ~shard_size:max_int entries)
   in
-  let reports =
-    match jobs with
-    | Some j when j > 1 ->
-        Parallel.Pool.with_pool ~jobs:j (fun pool ->
-            Mapping.Check.check_cells ~pool cells)
-    | _ -> Mapping.Check.check_cells cells
-  in
-  let bad =
-    List.filter (fun (r : Mapping.Check.report) -> not r.ok) reports
-  in
+  let j = g.Report.Sweep.gen_journaled in
+  let cells = j.Report.Sweep.cells and failures = j.Report.Sweep.failures in
+  let bad = Report.Sweep.failing cells in
   let _, passes = Litmus.Enumerate.cache_stats () in
   Format.printf "%d/%d generated cell(s) hold (%d enumeration(s))@."
-    (List.length reports - List.length bad)
-    (List.length reports) passes;
+    (List.length cells - List.length bad)
+    (List.length cells + List.length failures)
+    passes;
   List.iter
-    (fun (r : Mapping.Check.report) ->
-      Format.printf "%-32s VIOLATION (%d extra)@." r.name (List.length r.extra))
+    (fun (c : Report.Sweep.cell) ->
+      let r = c.Report.Sweep.report in
+      Format.printf "%-32s VIOLATION (%d extra)@." r.Mapping.Check.name
+        (List.length r.Mapping.Check.extra))
     bad;
-  if bad = [] then 0 else 1
+  exit_code j
 
 let main files model_name verbose jobs metrics =
   if metrics then Obs.Metrics.enable ();

@@ -1,13 +1,13 @@
 (** QCheck-driven litmus program generator with shape canonicalization.
 
-    The hand-written corpus (lib/mapping/corpus) has 16 programs; the
-    generator scales refinement sweeps to 10⁴+ well-formed x86 litmus
-    programs — plain loads/stores, MFENCEs and x86 CASes over up to
-    three shared locations — the way Chakraborty scales mapping
-    evidence with litmus batteries.  Generation is seeded and
-    deterministic: the same [seed] and [n] always produce the same
-    programs, on every machine, so a CI failure is reproducible from
-    the numbers in the log alone.
+    The hand-written mapping corpus ({!Catalog.mapping_corpus}) has 16
+    programs; the generator scales refinement sweeps to 10⁴+
+    well-formed x86 litmus programs — plain loads/stores, MFENCEs and
+    x86 CASes over up to three shared locations — the way Chakraborty
+    scales mapping evidence with litmus batteries.  Generation is
+    seeded and deterministic: the same [seed] and [n] always produce
+    the same programs, on every machine, so a CI failure is
+    reproducible from the numbers in the log alone.
 
     Generated programs are {e shapes} more often than they are novel:
     renaming locations or registers, or swapping whole threads, yields

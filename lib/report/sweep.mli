@@ -4,7 +4,8 @@
     accounting.
 
     One runner, {!run_generated}, serves the catalog report, generated
-    corpora and the tests.  Verdicts come from the
+    corpora (reported, and [litmus_run --generate]'s smoke mode) and
+    the tests.  Verdicts come from the
     batch planner's jobs ({!Mapping.Check.plan},
     {!Mapping.Check.assemble}) and equal {!Mapping.Check.refines}'s;
     witness capture, the coverage probe and the journal are additive

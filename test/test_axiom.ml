@@ -224,7 +224,8 @@ let test_explain_matches_models () =
 (* Where corrected's ob axiom declares it agrees with original's (no
    [A]; amo; [L] pair on the skeleton), a pass stages and tests one
    variant for both.  Over every combination skeleton of the sweep's
-   Arm images of generated and catalog programs: where the variants
+   Arm images of test/checker_corpus.ml's x86 catalog and seeded sample
+   (the first 100 without [--corpus N]): where the variants
    agree, every axiom pair stages equal relations on every candidate
    and the first violated axiom is the same; everywhere, corrected
    consistent implies original consistent.  Both kinds of skeleton
@@ -262,37 +263,26 @@ let test_arm_sharing () =
               Alcotest.failf "%s: corrected allows what original forbids" p.name)
           group
   in
-  (* The candidates of one combo share their skeleton: consecutive,
-     with physically equal event lists. *)
-  let rec by_skeleton p group = function
-    | [] -> check_skeleton p group
-    | (x, _) :: rest -> (
-        match group with
-        | (y : X.t) :: _ when y.events == x.X.events -> by_skeleton p (x :: group) rest
-        | _ ->
-            check_skeleton p group;
-            by_skeleton p [ x ] rest)
-  in
-  let arm_entries =
-    List.filter
-      (fun (e : Report.Sweep.entry) -> e.tgt_model == orig || e.tgt_model == fix)
+  let arm_schemes =
+    List.filter_map
+      (fun (e : Report.Sweep.entry) ->
+        if e.tgt_model == orig || e.tgt_model == fix then Some e.scheme else None)
       (Report.Sweep.mapping_entries ())
-  in
-  let sources =
-    List.map snd (Litmus.Catalog.mapping_corpus @ Litmus.Catalog.atomics_corpus)
-    @ Litmus.Generate.generate ~seed:42 100
   in
   List.iter
     (fun src ->
       List.iter
-        (fun img -> by_skeleton img [] (Litmus.Enumerate.candidates img))
-        (List.sort_uniq compare (List.map (fun (e : Report.Sweep.entry) -> e.f src) arm_entries)))
-    sources;
+        (fun img ->
+          if img <> src then
+            List.iter (check_skeleton img)
+              (Checker_corpus.by_skeleton (List.map fst (Litmus.Enumerate.candidates img))))
+        (Checker_corpus.targets ~schemes:arm_schemes src))
+    (Checker_corpus.x86_catalog () @ Checker_corpus.sample 100);
   check_bool "some skeletons share a staging" true (!shared > 0);
   check_bool "some skeletons have an [A]; amo; [L] pair" true (!apart > 0)
 
 let () =
-  Alcotest.run "axiom"
+  Alcotest.run ~argv:Checker_corpus.argv "axiom"
     [
       ( "events",
         [ Alcotest.test_case "predicates" `Quick test_event_predicates ] );

@@ -2,8 +2,9 @@
    soundness, sharded resumable sweeps, the planner against per-cell
    checking, and pool-vs-sequential identity at batch scale.
 
-   [--corpus N] sets the size of the pool-identity batch and of each
-   seeded corpus the canonical form is checked on (default 500). *)
+   Programs: test/checker_corpus.ml's catalog and seeded sample; the
+   pool-identity batch and each config's canonical-form batch are its
+   first 500 programs without [--corpus N]. *)
 
 module Ast = Litmus.Ast
 module G = Litmus.Generate
@@ -138,29 +139,9 @@ let test_canonical_soundness () =
 
 (* -------- canonical form against the reference -------- *)
 
-(* [--corpus N] sets the batch sizes (default 500). *)
-let corpus_size = ref 500
-
 (* perf's litmus-journaled shapes, and up to four threads. *)
 let small_config = { G.default_config with max_threads = 2; max_locs = 2; max_instrs = 3 }
 let four_threads = { G.default_config with max_threads = 4 }
-
-let catalog_programs () =
-  let module C = Litmus.Catalog in
-  (* Under dune runtest the cwd is _build/default/test; under dune exec, the root. *)
-  let dir = if Sys.file_exists "litmus" then "litmus" else "../litmus" in
-  List.map (fun (_, (t : Ast.test)) -> t.prog)
-    (C.sc_tests @ C.x86_tests @ C.arm_tests_common @ C.arm_tests_original
-   @ C.arm_tests_corrected @ C.tcg_tests)
-  @ List.map snd (C.mapping_corpus @ C.atomics_corpus)
-  @ C.[ mp_x86; mpq_x86; mpq_qemu_arm; sbq_x86; sbq_qemu_arm; sbal_x86; sbal_armcats_arm ]
-  @ C.[ fmr_tcg_src; fmr_tcg_tgt; fig9_left_tcg; fig9_right_tcg ]
-  @ List.filter_map
-      (fun f ->
-        if Filename.check_suffix f ".litmus" then
-          Some (Litmus.Parser.parse (read_file (Filename.concat dir f))).prog
-        else None)
-      (Array.to_list (Sys.readdir dir))
 
 (* Shapes the generator never draws: branches, assignments, computed
    values, expressions over two registers not yet named, non-zero and
@@ -221,10 +202,10 @@ let test_canonical_reference () =
     if G.canonical p <> Canonical_reference.canonical p then
       Alcotest.failf "%s %s: representative differs from the reference's" what p.name
   in
-  List.iter (check "catalog") (catalog_programs ());
+  List.iter (check "catalog") (Checker_corpus.catalog ());
   List.iter (check "hand-written") (hand_written ());
   List.iter
-    (fun (what, config) -> List.iter (check what) (G.generate ?config ~seed:7 !corpus_size))
+    (fun (what, config) -> List.iter (check what) (Checker_corpus.sample ?config 500))
     [ ("default", None); ("small", Some small_config); ("four-thread", Some four_threads) ]
 
 (* -------- journaled generated-sweep resume parity -------- *)
@@ -349,10 +330,11 @@ let check_fewer_passes ~planned ~per_cell =
     (Printf.sprintf "planned %d passes < per-cell %d" planned per_cell)
     true (planned < per_cell)
 
-(* The refinement sweep behind the witness report: the eleven mapping
-   schemes over the catalog's mapping corpus. *)
+(* The eleven mapping schemes of the sweep behind the witness report
+   over every x86 program of the catalog. *)
 let test_mapping_sweep () =
-  let cells = cells_of (Sweep.mapping_entries ()) (fun e -> e.corpus) in
+  let named = List.map (fun (p : Ast.prog) -> (p.name, p)) (Checker_corpus.x86_catalog ()) in
+  let cells = cells_of (Sweep.mapping_entries ()) (fun _ -> named) in
   let reference, per_cell = counting_passes (fun () -> per_cell cells) in
   let planned_cells, planned = counting_passes (fun () -> Check.check_cells cells) in
   Alcotest.(check bool) "planner matches per-cell reference" true (planned_cells = reference);
@@ -361,17 +343,10 @@ let test_mapping_sweep () =
 (* -------- pool vs sequential identity on a seeded batch -------- *)
 
 let test_pool_identity () =
-  let corpus = G.corpus ~seed:5 !corpus_size in
-  let named =
-    List.map (fun (c : G.cls) -> (c.cls_name, c.cls_rep)) corpus.classes
+  let corpus, entries =
+    Sweep.generated_entries ~seed:Checker_corpus.seed (Checker_corpus.size 500)
   in
-  let schemes =
-    List.filter
-      (fun (e : Sweep.entry) ->
-        List.mem e.scheme Sweep.default_generated_schemes)
-      (Sweep.default_entries ())
-  in
-  let cells = cells_of schemes (fun _ -> named) in
+  let cells = cells_of entries (fun e -> e.corpus) in
   let reference, per_cell = counting_passes (fun () -> per_cell cells) in
   let planned_seq, planned = counting_passes (fun () -> Check.check_cells cells) in
   let planned_pool = P.with_pool ~jobs:4 (fun pool -> Check.check_cells ~pool cells) in
@@ -385,10 +360,10 @@ let test_pool_identity () =
     (List.for_all (fun (r : Check.report) -> r.ok) reference);
   let dedup = G.dedup_ratio corpus in
   Alcotest.(check bool) (Printf.sprintf "dedup ratio %.3f in [0, 1)" dedup) true
-    (named <> [] && 0. <= dedup && dedup < 1.);
+    (corpus.classes <> [] && 0. <= dedup && dedup < 1.);
   check_fewer_passes ~planned ~per_cell;
   (* A target that does not zip takes a pass of its own. *)
-  let sources = List.length named in
+  let sources = List.length corpus.classes in
   let refused =
     List.length
       (List.sort_uniq compare
@@ -537,9 +512,6 @@ let reference_sweep ~coverage ~probe_targets entries =
            (Sweep.cell_key c.scheme c.program, Sweep.verdict_record c.report deltas))
          results) )
 
-let small_config =
-  { G.default_config with max_threads = 2; max_locs = 2; max_instrs = 3 }
-
 let check_planned_parity ?config ?(schemes = Sweep.default_generated_schemes)
     ~coverage ~probe_targets ~shard_size ~seed n =
   let _, entries = Sweep.generated_entries ?config ~schemes ~seed n in
@@ -609,18 +581,8 @@ let test_journal_shard_sizes () =
             (read_file journal = ref_bytes))
         [ 1; 7; 500 ])
 
-let argv =
-  let rec go acc = function
-    | "--corpus" :: n :: rest ->
-        corpus_size := int_of_string n;
-        go acc rest
-    | a :: rest -> go (a :: acc) rest
-    | [] -> Array.of_list (List.rev acc)
-  in
-  go [] (Array.to_list Sys.argv)
-
 let () =
-  Alcotest.run ~argv "generate"
+  Alcotest.run ~argv:Checker_corpus.argv "generate"
     [
       ( "generator",
         [
@@ -632,7 +594,7 @@ let () =
         [
           Alcotest.test_case
             (Printf.sprintf "canonical form = reference (catalog, hand-written, %d x 3 configs)"
-               !corpus_size)
+               (Checker_corpus.size 500))
             `Quick test_canonical_reference;
         ] );
       ( "sweep",
@@ -658,7 +620,7 @@ let () =
       ( "pool",
         [
           Alcotest.test_case
-            (Printf.sprintf "%d-program pool identity" !corpus_size)
+            (Printf.sprintf "%d-program pool identity" (Checker_corpus.size 500))
             `Quick test_pool_identity;
           Alcotest.test_case "force-spawn cross-domain parity" `Quick
             test_force_spawn_identity;

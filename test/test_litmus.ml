@@ -380,18 +380,12 @@ let file_verdicts =
     ] )
 
 let test_parse_file_corpus () =
-  let dir = "../litmus" in
   let models, table = file_verdicts in
-  let files =
-    List.sort compare
-      (List.filter (fun f -> Filename.check_suffix f ".litmus") (Array.to_list (Sys.readdir dir)))
-  in
-  Alcotest.(check (list string)) "every shipped file has a row" (List.map fst table) files;
+  Alcotest.(check (list string))
+    "every shipped file has a row" (List.map fst table) (Checker_corpus.litmus_files ());
   List.iter
     (fun (name, holds) ->
-      let ic = open_in (Filename.concat dir name) in
-      let t = Parser.parse (really_input_string ic (in_channel_length ic)) in
-      close_in ic;
+      let t = Checker_corpus.read_litmus name in
       List.iter
         (fun (m : Axiom.Model.t) ->
           check_bool
@@ -403,50 +397,16 @@ let test_parse_file_corpus () =
 (* ------------------------------------------------------------------ *)
 (* Random programs: parser round trip and cross-model inclusions       *)
 
-let arb_prog =
-  let open QCheck in
-  let loc = oneofl [ "X"; "Y" ] in
-  let reg = oneofl [ "a"; "b"; "c" ] in
-  let value = int_range 0 2 in
-  let fencek =
-    oneofl
-      Axiom.Event.
-        [ F_mfence; F_dmb_full; F_dmb_ld; F_dmb_st; F_rm; F_ww; F_sc ]
-  in
-  let instr =
-    oneof
-      [
-        map (fun (r, l) -> Dsl.ld r l) (pair reg loc);
-        map (fun (l, v) -> Dsl.st l v) (pair loc value);
-        map (fun (r, l) -> Dsl.ld_acq r l) (pair reg loc);
-        map (fun (l, v) -> Dsl.st_rel l v) (pair loc value);
-        map (fun f -> Dsl.fence f) fencek;
-        map (fun (l, (e, d)) -> Dsl.cas_x86 l e d) (pair loc (pair value value));
-        map (fun (l, (e, d)) -> Dsl.cas_amo_al l e d) (pair loc (pair value value));
-        map (fun (r, (l, v)) -> Dsl.xadd_x86 ~reg:r l v) (pair reg (pair loc value));
-        map (fun (l, v) -> Dsl.xchg_x86 l v) (pair loc value);
-        map (fun (r, v) -> Dsl.assign r (Ast.Int v)) (pair reg value);
-      ]
-  in
-  let thread = list_of_size Gen.(1 -- 3) instr in
-  map
-    (fun (t0, t1) -> Dsl.prog "rand" [ ("X", 0); ("Y", 0) ] [ t0; t1 ])
-    (pair thread thread)
-
 let prop_parser_roundtrip =
-  QCheck.Test.make ~name:"parse (prog_to_source p) = p" ~count:300 arb_prog
+  QCheck.Test.make ~name:"parse (prog_to_source p) = p" ~count:300 Checker_corpus.arb_prog
     (fun p -> Parser.parse_prog (Parser.prog_to_source p) = p)
 
 let prop_sc_subset_of_all =
   QCheck.Test.make ~name:"SC behaviours included in every model" ~count:60
-    arb_prog (fun p ->
+    Checker_corpus.arb_prog (fun p ->
       let sc = Enumerate.behaviours Axiom.Sc_model.model p in
       List.for_all
-        (fun m ->
-          let bs = Enumerate.behaviours m p in
-          List.for_all
-            (fun b -> List.exists (fun b' -> Enumerate.behaviour_compare b b' = 0) bs)
-            sc)
+        (fun m -> Checker_corpus.included sc (Enumerate.behaviours m p))
         [
           Axiom.X86_tso.model;
           Axiom.Arm_cats.model Axiom.Arm_cats.Original;
@@ -454,23 +414,32 @@ let prop_sc_subset_of_all =
           Axiom.Tcg_model.model;
         ])
 
+let corrected_within_original p =
+  Checker_corpus.included
+    (Enumerate.behaviours (Axiom.Arm_cats.model Corrected) p)
+    (Enumerate.behaviours (Axiom.Arm_cats.model Original) p)
+
 let prop_corrected_arm_stronger =
   QCheck.Test.make ~name:"corrected Arm-Cats behaviours ⊆ original's"
-    ~count:60 arb_prog (fun p ->
-      let orig =
-        Enumerate.behaviours (Axiom.Arm_cats.model Axiom.Arm_cats.Original) p
-      in
-      List.for_all
-        (fun b -> List.exists (fun b' -> Enumerate.behaviour_compare b b' = 0) orig)
-        (Enumerate.behaviours (Axiom.Arm_cats.model Axiom.Arm_cats.Corrected) p))
+    ~count:60 Checker_corpus.arb_prog corrected_within_original
+
+(* The same inclusion on every target of the seeded sample (the first
+   300 without [--corpus N]) and of the catalog. *)
+let test_corrected_arm_stronger_corpus () =
+  List.iter
+    (fun (p : Ast.prog) ->
+      if not (corrected_within_original p) then
+        Alcotest.failf "%s: a corrected Arm-Cats behaviour the original forbids" p.name)
+    (List.sort_uniq compare
+       (List.concat_map Checker_corpus.targets (Checker_corpus.sample 300 @ Checker_corpus.catalog ())))
 
 let prop_sc_nonempty =
   QCheck.Test.make ~name:"every program has an SC behaviour" ~count:60
-    arb_prog (fun p ->
+    Checker_corpus.arb_prog (fun p ->
       Enumerate.behaviours Axiom.Sc_model.model p <> [])
 
 let prop_candidates_well_formed =
-  QCheck.Test.make ~name:"all candidates are well-formed" ~count:40 arb_prog
+  QCheck.Test.make ~name:"all candidates are well-formed" ~count:40 Checker_corpus.arb_prog
     (fun p ->
       List.for_all
         (fun (x, _) -> Result.is_ok (Axiom.Execution.well_formed x))
@@ -479,60 +448,23 @@ let prop_candidates_well_formed =
 (* ------------------------------------------------------------------ *)
 (* Operational TSO machine vs the axiomatic model                      *)
 
-let behaviours_equal a b =
-  List.length a = List.length b
-  && List.for_all2 (fun x y -> Enumerate.behaviour_compare x y = 0) a b
-
+(* Equal behaviours on every x86 catalog program; on the seeded sample
+   (the first 300 without [--corpus N]) equal, or a strict subset where
+   a CAS can fail. *)
 let test_tso_machine_corpus_equivalence () =
-  List.iter
-    (fun (name, p) ->
-      let op = Tso_machine.behaviours p in
-      let ax = Enumerate.behaviours Axiom.X86_tso.model p in
-      if not (behaviours_equal op ax) then
-        Alcotest.failf "%s: operational %d vs axiomatic %d behaviours" name
-          (List.length op) (List.length ax))
-    Catalog.mapping_corpus
-
-let arb_x86_prog =
-  (* Plain accesses, MFENCE and x86 RMWs only. *)
-  let open QCheck in
-  let loc = oneofl [ "X"; "Y" ] in
-  let reg = oneofl [ "a"; "b"; "c" ] in
-  let value = int_range 0 2 in
-  let instr =
-    oneof
-      [
-        map (fun (r, l) -> Dsl.ld r l) (pair reg loc);
-        map (fun (l, v) -> Dsl.st l v) (pair loc value);
-        always Dsl.mfence;
-        map (fun (l, (e, d)) -> Dsl.cas_x86 l e d) (pair loc (pair value value));
-        map (fun (r, (l, v)) -> Dsl.xadd_x86 ~reg:r l v) (pair reg (pair loc value));
-        map (fun (l, v) -> Dsl.xchg_x86 l v) (pair loc value);
-        map (fun (r, v) -> Dsl.assign r (Ast.Int v)) (pair reg value);
-      ]
-  in
-  let thread = list_of_size Gen.(1 -- 3) instr in
-  map
-    (fun (t0, t1) -> Dsl.prog "rand-x86" [ ("X", 0); ("Y", 0) ] [ t0; t1 ])
-    (pair thread thread)
+  let check ~exact p = Result.iter_error Alcotest.fail (Checker_corpus.tso_against_axiomatic ~exact p) in
+  List.iter (check ~exact:true) (Checker_corpus.x86_catalog ());
+  List.iter (check ~exact:false) (Checker_corpus.sample 300)
 
 (* The store-buffer machine and the paper's axiomatic x86 model agree
-   on programs whose RMWs all succeed; a CAS whose expected value can
-   never match (so it always fails) is where the two treatments of
-   LOCK-prefixed instructions may differ — exclude it by construction:
-   the generator's CAS expected values are drawn from the written-value
-   universe, so failures happen, and the property below therefore
-   asserts only operational ⊆ axiomatic plus equality when every RMW
-   can succeed.  In practice the corpus test above checks equality on
-   all the paper's shapes. *)
+   on programs whose RMWs all succeed; a CAS that fails is where the two
+   treatments of LOCK-prefixed instructions may differ, and the
+   generator's CAS expected values make failures common, so a program
+   with a CAS need only give operational ⊆ axiomatic. *)
 let prop_tso_machine_refines_axiomatic =
   QCheck.Test.make ~name:"operational TSO ⊆ axiomatic x86" ~count:150
-    arb_x86_prog (fun p ->
-      let op = Tso_machine.behaviours p in
-      let ax = Enumerate.behaviours Axiom.X86_tso.model p in
-      List.for_all
-        (fun b -> List.exists (fun b' -> Enumerate.behaviour_compare b b' = 0) ax)
-        op)
+    Checker_corpus.arb_x86_prog (fun p ->
+      Result.is_ok (Checker_corpus.tso_against_axiomatic ~exact:false p))
 
 let test_failed_rmw_divergence () =
   (* SB through an always-failing CAS: the machine drains the buffer
@@ -562,7 +494,7 @@ let test_machine_statistics () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  Alcotest.run "litmus"
+  Alcotest.run ~argv:Checker_corpus.argv "litmus"
     [
       ( "parser",
         [
@@ -578,6 +510,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_corrected_arm_stronger;
           QCheck_alcotest.to_alcotest prop_sc_nonempty;
           QCheck_alcotest.to_alcotest prop_candidates_well_formed;
+          Alcotest.test_case "corrected ⊆ original on the corpus" `Quick
+            test_corrected_arm_stronger_corpus;
         ] );
       ( "enumerator",
         [

@@ -144,12 +144,8 @@ let atomics = Litmus.Catalog.atomics_corpus
    agree exactly with the axiomatic model. *)
 let test_atomics_tso_oracle () =
   List.iter
-    (fun (name, p) ->
-      let op = Litmus.Tso_machine.behaviours p
-      and ax = Litmus.Enumerate.behaviours x86 p in
-      if not (List.equal (fun a b -> Litmus.Enumerate.behaviour_compare a b = 0) op ax) then
-        Alcotest.failf "%s: operational %d vs axiomatic %d behaviours" name (List.length op)
-          (List.length ax))
+    (fun (_, p) ->
+      Result.iter_error Alcotest.fail (Checker_corpus.tso_against_axiomatic ~exact:true p))
     atomics
 
 (* Risotto's two inline lowerings: RMW2 holds under both Arm-Cats

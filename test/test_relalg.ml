@@ -288,38 +288,16 @@ let prop_matches_reference =
       pp_eq "Rel.pp" Rel.pp a Ref.Rel.pp a';
       true)
 
-(* The model-level differential corpus: generated programs (seed 42)
-   with their targets under the generated sweep's schemes, and every
-   catalog program with its targets under the catalog sweep's. *)
-let corpus_size = ref 300
-
-let differential_programs n =
-  let catalog = Report.Sweep.default_entries () in
-  let generated =
-    List.filter
-      (fun (e : Report.Sweep.entry) -> List.mem e.scheme Report.Sweep.default_generated_schemes)
-      catalog
-  in
-  let with_targets entries srcs =
-    srcs @ List.concat_map (fun (e : Report.Sweep.entry) -> List.map e.f srcs) entries
-  in
-  let open Litmus in
-  let tests =
-    Catalog.(
-      sc_tests @ x86_tests @ arm_tests_common @ arm_tests_original @ arm_tests_corrected
-      @ tcg_tests)
-  in
-  with_targets generated (Generate.generate ~seed:42 n)
-  @ List.concat_map
-      (fun (e : Report.Sweep.entry) -> with_targets [ e ] (List.map snd e.corpus))
-      catalog
-  @ List.map (fun (_, (t : Ast.test)) -> t.prog) tests
-  @ Catalog.
-      [
-        mp_x86; mpq_x86; mpq_qemu_arm; sbq_x86; sbq_qemu_arm; sbal_x86; sbal_armcats_arm;
-        fmr_tcg_src; fmr_tcg_tgt; fig9_left_tcg; fig9_right_tcg;
-      ]
-  |> List.sort_uniq compare
+(* The model-level differential corpus: test/checker_corpus.ml's
+   seeded sample (the first 300 without [--corpus N]) with its targets
+   under the generated sweep's schemes, and its catalog with every
+   program's targets under every scheme of the sweep. *)
+let differential () =
+  List.sort_uniq compare
+    (List.concat_map
+       (Checker_corpus.targets ~schemes:Report.Sweep.default_generated_schemes)
+       (Checker_corpus.sample 300)
+    @ List.concat_map Checker_corpus.targets (Checker_corpus.catalog ()))
 
 let to_reference (x : Axiom.Execution.t) =
   let r rel = Ref.Rel.of_list (Rel.to_list rel) in
@@ -375,7 +353,7 @@ let test_models_match_reference () =
           agree "well_formed" (Axiom.Execution.well_formed x = Ref.Execution.well_formed x');
           agree "behaviour" (Axiom.Execution.behaviour x = Ref.Execution.behaviour x'))
         (Litmus.Enumerate.candidates p))
-    (differential_programs !corpus_size);
+    (differential ());
   check_bool "some candidates checked" true (!candidates > 0)
 
 let test_id_bound () =
@@ -434,20 +412,8 @@ let props =
       prop_matches_reference;
     ]
 
-(* [--corpus N] sizes the model-level differential corpus (default
-   300); the remaining arguments go to Alcotest. *)
-let argv =
-  let rec go acc = function
-    | "--corpus" :: n :: rest ->
-        corpus_size := int_of_string n;
-        go acc rest
-    | a :: rest -> go (a :: acc) rest
-    | [] -> Array.of_list (List.rev acc)
-  in
-  go [] (Array.to_list Sys.argv)
-
 let () =
-  Alcotest.run ~argv "relalg"
+  Alcotest.run ~argv:Checker_corpus.argv "relalg"
     [
       ( "rel",
         [

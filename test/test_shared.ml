@@ -6,46 +6,24 @@
    For every (image, model), [Enumerate.pass]'s behaviours equal
    [Enumerate.behaviours] on the image alone, and the probed pass's
    behaviours and rejection counts equal [behaviours_probed_many] on
-   the image alone.  Programs: QCheck-generated ones, the catalog (its
-   atomics corpus too: the generator draws only compare-and-swap, so
-   fetch-and-add and exchange images, whose runs the pass derives from
-   the source's, come from there), and a seeded generated corpus.  The zip's refusals (the Figure-10
-   eliminations, an image past the event bound) keep their verdicts.
-
-   [--corpus N] sets the size of the seeded corpus (default 100). *)
+   the image alone.  Programs: test/checker_corpus.ml's generator, the
+   x86 programs of its catalog (the atomics corpus among them: the
+   generator draws only compare-and-swap, so fetch-and-add and exchange
+   images, whose runs the pass derives from the source's, come from
+   there), and its seeded sample (the first 100 without [--corpus N]).
+   The zip's refusals (the Figure-10 eliminations, an image past the
+   event bound) keep their verdicts. *)
 
 module Ast = Litmus.Ast
 module En = Litmus.Enumerate
 module Min = Mapping.Minimality
 
-let x86 = Axiom.X86_tso.model
-
-(* The images of [p], the program itself first, each distinct program
-   once with its models. *)
-let images_of (p : Ast.prog) =
-  let add images (q, (m : Axiom.Model.t)) =
-    match List.partition (fun (q', _) -> q' = q) images with
-    | [ (_, ms) ], rest ->
-        if List.exists (fun (m' : Axiom.Model.t) -> m'.name = m.name) ms then images
-        else rest @ [ (q, ms @ [ m ]) ]
-    | _ -> images @ [ (q, [ m ]) ]
-  in
-  List.fold_left add []
-    ((p, x86)
-    :: List.concat_map
-         (fun (e : Report.Sweep.entry) ->
-           let t = e.f p in
-           (t, e.tgt_model)
-           :: List.init (Min.fence_count t) (fun i -> (Min.delete_fence t i, e.tgt_model)))
-         (Report.Sweep.mapping_entries ()))
-
-let fail (p : Ast.prog) fmt =
-  Format.kasprintf (fun msg -> failwith (Format.asprintf "%s: %s@.%a" p.name msg Ast.pp_prog p)) fmt
+let fail = Checker_corpus.fail
 
 let images_checked = ref 0
 
 let check_program (p : Ast.prog) =
-  let images = images_of p in
+  let images = Checker_corpus.images p in
   List.iter
     (fun (q, _) -> if not (En.zips p q) then fail p "image %s does not zip" q.Ast.name)
     images;
@@ -72,25 +50,20 @@ let check_all = List.for_all check_program
 
 let prop_shared =
   QCheck.Test.make ~name:"one pass = each image alone on generated programs" ~count:20
-    (QCheck.make ~print:(Format.asprintf "%a" Ast.pp_prog) Litmus.Generate.gen)
-    (fun p -> check_program p)
-
-let corpus_size = ref 100
+    Checker_corpus.arb_generated check_program
 
 let test_corpus () =
   images_checked := 0;
+  let sample = Checker_corpus.sample 100 in
   Alcotest.(check bool)
-    (Printf.sprintf "%d programs (seed 42) and their images" !corpus_size)
-    true
-    (check_all (Litmus.Generate.generate ~seed:42 !corpus_size));
+    (Printf.sprintf "%d programs (seed %d) and their images" (List.length sample) Checker_corpus.seed)
+    true (check_all sample);
   Alcotest.(check bool) "some images checked" true (!images_checked > 0)
 
 let test_catalog () =
   Alcotest.(check bool)
     "catalog programs and their images" true
-    (check_all
-       (List.map snd (Litmus.Catalog.mapping_corpus @ Litmus.Catalog.atomics_corpus)
-       @ List.map (fun (_, (t : Ast.test)) -> t.prog) Litmus.Catalog.x86_tests))
+    (check_all (Checker_corpus.x86_catalog ()))
 
 (* The zip refuses what is not access-preserving: the FMR pseudo-scheme
    (one RAW elimination) and a Figure-10 elimination.  Refused images
@@ -217,56 +190,25 @@ let check_executions (p : Ast.prog) images =
 let own_images (p : Ast.prog) models =
   (p, models) :: List.init (Min.fence_count p) (fun i -> (Min.delete_fence p i, models))
 
-(* Two branches whose events differ only in the values they store:
-   their runs differ only in the branch they take, and a target's
-   fence-deletion variant that drops a fence from one branch alone
-   gives the two runs different image skeletons. *)
-let branch_twins =
-  Litmus.Dsl.(
-    prog "MP+branch-twins"
-      [ ("X", 0); ("Y", 0); ("Z", 0) ]
-      [
-        [ st "X" 1; st "Y" 1 ];
-        [ ld "a" "Y"; if_else (Ast.Eq (r "a", !1)) [ st "Z" 1; ld "b" "X" ] [ st "Z" 2; ld "b" "X" ] ];
-      ])
-
-let read_litmus name =
-  let dir = if Sys.file_exists "litmus" then "litmus" else "../litmus" in
-  let ic = open_in (Filename.concat dir name) in
-  let t = Litmus.Parser.parse (really_input_string ic (in_channel_length ic)) in
-  close_in ic;
-  t.prog
-
 let test_executions () =
   let x86_programs =
-    (branch_twins :: List.map snd Litmus.Catalog.atomics_corpus)
-    @ Litmus.Generate.generate ~seed:42 !corpus_size
+    Checker_corpus.x86_catalog () @ Checker_corpus.sample 100
   in
   List.iter
-    (fun p -> Alcotest.(check bool) p.Ast.name true (check_executions p (images_of p)))
+    (fun p -> Alcotest.(check bool) p.Ast.name true (check_executions p (Checker_corpus.images p)))
     x86_programs;
   let arm = Axiom.Arm_cats.model in
   List.iter
     (fun (file, models) ->
-      let p = read_litmus file in
+      let p = (Checker_corpus.read_litmus file).prog in
       Alcotest.(check bool) file true (check_executions p (own_images p models)))
     [
       ("FMR.litmus", [ Axiom.Tcg_model.model ]);
       ("MPQ-qemu.litmus", [ arm Axiom.Arm_cats.Corrected; arm Axiom.Arm_cats.Original ]);
     ]
 
-let argv =
-  let rec go acc = function
-    | "--corpus" :: n :: rest ->
-        corpus_size := int_of_string n;
-        go acc rest
-    | a :: rest -> go (a :: acc) rest
-    | [] -> Array.of_list (List.rev acc)
-  in
-  go [] (Array.to_list Sys.argv)
-
 let () =
-  Alcotest.run ~argv "shared"
+  Alcotest.run ~argv:Checker_corpus.argv "shared"
     [
       ( "pass = alone",
         [

@@ -11,7 +11,9 @@
    each rejected candidate's first violated axiom, which both the
    coverage probe's per-axiom counts and [Explain.check] must report.
 
-   [--corpus N] sets the size of the seeded corpus (default 300). *)
+   Programs: test/checker_corpus.ml's seeded sample (the first 300
+   without [--corpus N]), its catalog and its generator, each with its
+   targets. *)
 
 module Ast = Litmus.Ast
 module En = Litmus.Enumerate
@@ -127,25 +129,9 @@ let classify own_name own x =
    survivors themselves, in enumeration order. *)
 let survivors_model = M.make "survivors" [ M.coherence; M.atomicity ]
 
-(* A program and its targets under every scheme of the catalog sweep. *)
-let with_targets p =
-  List.sort_uniq compare
-    (p :: List.map (fun (e : Report.Sweep.entry) -> e.f p) (Report.Sweep.default_entries ()))
-
 let key (x : X.t) = (x.events, Relalg.Rel.to_list x.rf, Relalg.Rel.to_list x.co)
 
-(* The candidates of one combo share their skeleton: consecutive, with
-   physically equal event lists. *)
-let by_skeleton cands =
-  List.fold_right
-    (fun (x : X.t) groups ->
-      match groups with
-      | (y :: _ as g) :: rest when y.X.events == x.events -> (x :: g) :: rest
-      | _ -> [ x ] :: groups)
-    cands []
-
-let fail (p : Ast.prog) fmt =
-  Format.kasprintf (fun msg -> failwith (Format.asprintf "%s: %s@.%a" p.name msg Ast.pp_prog p)) fmt
+let fail = Checker_corpus.fail
 
 let checked = ref 0
 
@@ -158,7 +144,7 @@ let check_program (p : Ast.prog) =
     List.sort compare (List.map key survivors)
     <> List.sort compare (List.map key (List.filter Unstaged.common xs))
   then fail p "the survivors are not the candidates passing coherence and atomicity";
-  let groups = by_skeleton xs in
+  let groups = Checker_corpus.by_skeleton xs in
   (* Each axiom, staged on one candidate of each combo, decides every
      candidate of that combo as the unstaged axiom does. *)
   let staged_agrees (a : M.axiom) unstaged =
@@ -226,96 +212,31 @@ let check_program (p : Ast.prog) =
     models;
   true
 
-let check_all progs = List.for_all (fun p -> List.for_all check_program (with_targets p)) progs
+let check_all progs = List.for_all (fun p -> List.for_all check_program (Checker_corpus.targets p)) progs
 
 let prop_staged =
   QCheck.Test.make ~name:"staged survivor paths match consistent on generated programs"
-    ~count:25
-    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000))
-    (fun seed -> check_all (Litmus.Generate.generate ~seed 1))
-
-let corpus_size = ref 300
+    ~count:25 Checker_corpus.arb_generated
+    (fun p -> check_all [ p ])
 
 let test_corpus () =
   checked := 0;
+  let sample = Checker_corpus.sample 300 in
   Alcotest.(check bool)
-    (Printf.sprintf "%d programs (seed 42) and their targets" !corpus_size)
-    true
-    (check_all (Litmus.Generate.generate ~seed:42 !corpus_size));
+    (Printf.sprintf "%d programs (seed %d) and their targets" (List.length sample) Checker_corpus.seed)
+    true (check_all sample);
   Alcotest.(check bool) "some candidates checked" true (!checked > 0)
 
-(* Two Arm shapes whose weak outcome only lob's clauses through rfi
-   forbid, which no catalog or generated program needs: load buffering
-   through a forwarded store ((addr ∪ data); rfi), and an RMW's write
-   read back by an acquire load ([codom(rmw)]; rfi; [A ∪ Q]). *)
-let rfi_shapes =
-  let open Ast in
-  let ld reg loc = Load { reg; loc; ord = Axiom.Event.R_plain } in
-  let st loc value = Store { loc; value; ord = Axiom.Event.W_plain } in
-  [
-    {
-      name = "LB+data-rfi";
-      init = [];
-      threads =
-        [
-          { tid = 0; code = [ ld "r1" "x"; st "y" (Reg "r1"); ld "r2" "y"; st "z" (Reg "r2") ] };
-          { tid = 1; code = [ ld "r3" "z"; st "x" (Add (Mul (Reg "r3", Int 0), Int 1)) ] };
-        ];
-    };
-    {
-      name = "MP+rmw-rfi-acq";
-      init = [];
-      threads =
-        [
-          {
-            tid = 0;
-            code =
-              [
-                Rmw
-                  {
-                    reg = None;
-                    loc = "x";
-                    op = Cas { expect = Int 0; desired = Int 1 };
-                    kind = Rmw_arm { impl = Lxsx; acq = false; rel = false };
-                  };
-                Load { reg = "r1"; loc = "x"; ord = Axiom.Event.R_acq };
-                st "y" (Int 1);
-              ];
-          };
-          { tid = 1; code = [ ld "r2" "y"; Fence Axiom.Event.F_dmb_full; ld "r3" "x" ] };
-        ];
-    };
-  ]
-
-(* The hand-written litmus tests exercise what generated x86 programs
-   and their targets rarely reach: Arm acquire/release and exclusives,
+(* The hand-written programs exercise what generated x86 programs and
+   their targets rarely reach: Arm acquire/release and exclusives,
    dependencies through rfi, TCG fences and SC accesses. *)
 let test_catalog () =
-  let open Litmus.Catalog in
-  let tests =
-    sc_tests @ x86_tests @ arm_tests_common @ arm_tests_original @ arm_tests_corrected @ tcg_tests
-  in
   Alcotest.(check bool)
     "catalog programs and their targets" true
-    (check_all
-       (rfi_shapes
-       @ List.map (fun (_, (t : Ast.test)) -> t.prog) tests
-       @ List.concat_map
-           (fun (e : Report.Sweep.entry) -> List.map snd e.corpus)
-           (Report.Sweep.default_entries ())))
-
-let argv =
-  let rec go acc = function
-    | "--corpus" :: n :: rest ->
-        corpus_size := int_of_string n;
-        go acc rest
-    | a :: rest -> go (a :: acc) rest
-    | [] -> Array.of_list (List.rev acc)
-  in
-  go [] (Array.to_list Sys.argv)
+    (check_all (Checker_corpus.catalog ()))
 
 let () =
-  Alcotest.run ~argv "staged"
+  Alcotest.run ~argv:Checker_corpus.argv "staged"
     [
       ( "corpus",
         [

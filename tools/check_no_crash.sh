@@ -16,9 +16,10 @@
 #   tools/check_no_crash.sh --generated N SEED
 #
 # generates N seeded programs, dedups them and checks every generated
-# scheme through the batch planner (litmus_run --generate) — every
-# verdict must hold (the generated schemes are the paper's sound
-# mappings) and nothing may crash.
+# scheme through the one sweep runner (litmus_run --generate, which
+# calls Report.Sweep.run_generated as a single shard) — every verdict
+# must hold (the generated schemes are the paper's sound mappings) and
+# nothing may crash.
 set -eu
 
 if [ "${1:-}" = "--generated" ]; then
